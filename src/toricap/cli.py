@@ -49,7 +49,14 @@ DEFAULT_BOUND_DEGREES = (3, 9, 30, 90, 300)
 def _fmt(value: Fraction, decimal: int | None) -> str:
     text = format_rational(value)
     if decimal is not None:
-        text += f" (~{float(value):.{decimal}f})"
+        try:
+            approx = float(value)
+        except OverflowError:
+            raise InapplicableError(
+                "--decimal cannot approximate a value this large; "
+                "run without --decimal for the exact p/q"
+            ) from None
+        text += f" (~{approx:.{decimal}f})"
     return text
 
 
@@ -139,25 +146,31 @@ def _cmd_report(args) -> int:
         return 0
     dec = args.decimal
     cert = report.c_L
-    print(f"delta: {_fmt(report.delta, dec)}")
-    print(f"eta: {_fmt(report.eta, dec)}")
+    # Format every line before printing any, so that a value --decimal
+    # cannot approximate leaves only the error line.
+    lines = [
+        f"delta: {_fmt(report.delta, dec)}",
+        f"eta: {_fmt(report.eta, dec)}",
+    ]
     if cert.value is not None:
-        print(f"c_L: {_fmt(cert.value, dec)}  [{cert.rule.value}]")
+        lines.append(f"c_L: {_fmt(cert.value, dec)}  [{cert.rule.value}]")
     else:
-        print(
+        lines.append(
             f"c_L: [{_fmt(cert.lower, dec)}, {_fmt(cert.upper, dec)}]"
             f"  [{cert.rule.value}]"
         )
     if cert.witness is not None:
         witness = ", ".join(format_rational(c) for c in cert.witness)
-        print(f"c_L witness: ({witness})")
-    print(f"c_P: {_interval_cell(report.c_P, dec)}")
-    print(f"c_N: {_interval_cell(report.c_N, dec)}")
-    print(f"monotone: {str(report.monotone).lower()}")
-    print(f"c_B: {_interval_cell(report.c_B, dec)}")
-    print(f"c_Z: {_interval_cell(report.c_Z, dec)}")
-    for note in report.notes:
-        print(f"note: {note}")
+        lines.append(f"c_L witness: ({witness})")
+    lines += [
+        f"c_P: {_interval_cell(report.c_P, dec)}",
+        f"c_N: {_interval_cell(report.c_N, dec)}",
+        f"monotone: {str(report.monotone).lower()}",
+        f"c_B: {_interval_cell(report.c_B, dec)}",
+        f"c_Z: {_interval_cell(report.c_Z, dec)}",
+    ]
+    lines += [f"note: {note}" for note in report.notes]
+    print("\n".join(lines))
     return 0
 
 

@@ -16,10 +16,20 @@ The quantities computed here are:
 Everything is evaluated in exact rational arithmetic: for these shape
 classes all suprema are attained at vertices, edge intersections or grid
 corners, so no tolerances are needed.
+
+A rectangle union is answered from one coordinate-compressed coverage
+grid: the distinct rectangle coordinates (and 0) cut the quadrant into
+cells, and one byte per cell records whether a rectangle paints it.  The
+grid is built once per ``Rectilinear2D``, on first use, and kept on the
+instance; the staircase test and ``cube_inclusion`` are read off it in
+one pass over the cells, and membership and boundary tests bisect the
+grid lines.  The cost of a union's invariants therefore depends on the
+number of rectangles, not on the size of their coordinates.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .domains import (
@@ -95,85 +105,105 @@ def polygon_on_boundary(domain: Polygon2D, p) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Rectilinear helpers
+# Rectilinear helpers: one coverage grid per union
 # ---------------------------------------------------------------------------
 
-def _grid_lines(rects, extra_x=(), extra_y=()):
-    xs = {ZERO}
-    ys = {ZERO}
-    for r in rects:
-        xs.update((r.x0, r.x1))
-        ys.update((r.y0, r.y1))
-    xs.update(extra_x)
-    ys.update(extra_y)
-    return sorted(xs), sorted(ys)
+class _Coverage:
+    """Coordinate-compressed cell coverage of a rectangle union.
 
+    ``xs`` and ``ys`` are the sorted distinct rectangle coordinates
+    together with 0.  Cell (i, j) is the open box between ``xs[i]``,
+    ``xs[i + 1]`` and ``ys[j]``, ``ys[j + 1]``; every rectangle is a block
+    of whole cells, so a cell is covered by the closed union iff some
+    rectangle paints it, and the union is the closure of its painted
+    cells.  ``painted`` holds one byte per cell, column by column.
+    """
 
-def _cell_covered(rects, cx0, cx1, cy0, cy1) -> bool:
-    return any(
-        r.x0 <= cx0 and cx1 <= r.x1 and r.y0 <= cy0 and cy1 <= r.y1
-        for r in rects
-    )
+    __slots__ = ("xs", "ys", "painted", "staircase", "cube")
 
+    def __init__(self, rects):
+        xs = sorted({ZERO, *(r.x0 for r in rects), *(r.x1 for r in rects)})
+        ys = sorted({ZERO, *(r.y0 for r in rects), *(r.y1 for r in rects)})
+        xi = {x: i for i, x in enumerate(xs)}
+        yi = {y: j for j, y in enumerate(ys)}
+        ny = len(ys) - 1
+        painted = bytearray((len(xs) - 1) * ny)
+        for r in rects:
+            j0, j1 = yi[r.y0], yi[r.y1]
+            run = b"\x01" * (j1 - j0)
+            for i in range(xi[r.x0], xi[r.x1]):
+                painted[i * ny + j0:i * ny + j1] = run
+        self.xs, self.ys, self.painted = xs, ys, painted
+        # Down-closed means every column is painted on a prefix of its
+        # cells, and the prefixes never grow from left to right.
+        # cube: the growing square [0, a]^2 first meets an unpainted cell
+        # (i, j) when a exceeds max(xs[i], ys[j]); in each column the
+        # lowest unpainted cell is the first one met.
+        staircase = True
+        cube = min(xs[-1], ys[-1])
+        height = ny
+        for i in range(len(xs) - 1):
+            start, end = i * ny, (i + 1) * ny
+            h = painted.find(0, start, end) - start
+            if h < 0:
+                h = ny
+            else:
+                cube = min(cube, max(xs[i], ys[h]))
+                if painted.find(1, start + h, end) >= 0:
+                    staircase = False
+            if h > height:
+                staircase = False
+            height = h
+        self.staircase = staircase
+        self.cube = cube
 
-def _box_covered(rects, ax: Fraction, ay: Fraction) -> bool:
-    """Whether [0, ax] x [0, ay] is covered by the closed rectangle union."""
-    if ax == 0 or ay == 0:
-        # A segment along an axis; covered iff every grid subsegment is.
-        xs, ys = _grid_lines(rects, extra_x=(ax,), extra_y=(ay,))
-        if ax == 0 and ay == 0:
-            return any(r.x0 == 0 and r.y0 == 0 for r in rects)
-        if ax == 0:
-            cuts = [y for y in ys if y < ay] + [ay]
-            return all(
-                any(r.x0 == 0 and r.y0 <= lo and hi <= r.y1 for r in rects)
-                for lo, hi in zip(cuts, cuts[1:])
-            )
-        cuts = [x for x in xs if x < ax] + [ax]
-        return all(
-            any(r.y0 == 0 and r.x0 <= lo and hi <= r.x1 for r in rects)
-            for lo, hi in zip(cuts, cuts[1:])
+    def quadrants(self, p) -> tuple:
+        """Whether each of the four cells meeting the corners of p is painted.
+
+        The cell beside p in direction (sx, sy) is the one that contains
+        the points just right (sx > 0) or left (sx < 0) of p, and just
+        above or below it; a cell outside the grid counts as unpainted.
+        """
+        x, y = p
+        xs, ys = self.xs, self.ys
+        nx, ny = len(xs) - 1, len(ys) - 1
+        cols = (bisect_left(xs, x) - 1, bisect_right(xs, x) - 1)
+        rows = (bisect_left(ys, y) - 1, bisect_right(ys, y) - 1)
+        return tuple(
+            0 <= i < nx and 0 <= j < ny and self.painted[i * ny + j] == 1
+            for i in cols
+            for j in rows
         )
-    xs, ys = _grid_lines(rects, extra_x=(ax,), extra_y=(ay,))
-    xs = [x for x in xs if x <= ax]
-    ys = [y for y in ys if y <= ay]
-    for cx0, cx1 in zip(xs, xs[1:]):
-        for cy0, cy1 in zip(ys, ys[1:]):
-            if not _cell_covered(rects, cx0, cx1, cy0, cy1):
-                return False
-    return True
+
+
+def _coverage(domain: Rectilinear2D) -> _Coverage:
+    """The coverage grid of a union, built on first use and kept on the domain.
+
+    The grid lives in the instance ``__dict__`` and not in a dataclass
+    field, so equality, hashing and serialization ignore it.
+    """
+    grid = domain.__dict__.get("_coverage")
+    if grid is None:
+        grid = _Coverage(domain.rects)
+        object.__setattr__(domain, "_coverage", grid)
+    return grid
 
 
 def rectilinear_contains(domain: Rectilinear2D, p) -> bool:
-    return any(r.contains(p) for r in domain.rects)
+    """Closed membership: some cell whose closure holds p is painted."""
+    return any(_coverage(domain).quadrants(p))
 
 
 def rectilinear_on_boundary(domain: Rectilinear2D, p) -> bool:
     """True iff p is in the closed union but not in its interior.
 
-    Interior membership is probed exactly: p is interior iff for each of
-    the four quadrant directions some rectangle contains a whole corner
-    neighborhood of p in that direction.
+    p is interior iff all four cells meeting its corners are painted,
+    and in the closed union iff at least one of them is.  The four cells
+    are found by bisecting the grid lines, so the test costs
+    O(log(rectangles)) comparisons.
     """
-    if not rectilinear_contains(domain, p):
-        return False
-    x, y = p
-    for sx in (-1, 1):
-        for sy in (-1, 1):
-            corner_ok = any(
-                r.contains(p)
-                and (r.x0 < x if sx < 0 else x < r.x1)
-                and (r.y0 < y if sy < 0 else y < r.y1)
-                for r in domain.rects
-            )
-            if not corner_ok:
-                return True
-    return False
-
-
-def _is_staircase(domain: Rectilinear2D) -> bool:
-    """Whether the union is downward closed (a staircase region)."""
-    return all(_box_covered(domain.rects, r.x1, r.y1) for r in domain.rects)
+    quadrants = _coverage(domain).quadrants(p)
+    return any(quadrants) and not all(quadrants)
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +268,15 @@ def is_monotone(domain: ToricDomain) -> bool:
     convention (it is sandwiched between the cube and itself at the same
     size); this is a convention for the unbounded model, not a claim
     about smooth boundaries.  A rectilinear union is monotone iff it is a
-    staircase region (downward closed).
+    staircase region (downward closed), i.e. iff its painted grid cells
+    are closed under moving left and down.
     """
     if isinstance(domain, StandardDomain):
         return True
     if isinstance(domain, Polygon2D):
         return all(dx <= 0 and dy >= 0 for dx, dy in domain.edges())
     if isinstance(domain, Rectilinear2D):
-        return _is_staircase(domain)
+        return _coverage(domain).staircase
     raise DomainError(f"not a toric domain: {domain!r}")
 
 
@@ -255,7 +286,10 @@ def cube_inclusion(domain: ToricDomain) -> Fraction:
     This is an exact lower bound for the cube capacity.  For a convex
     polygon the square is contained iff its corners are, so the answer is
     min(delta, x-intercept, y-intercept); for monotone domains it equals
-    delta; for a rectangle union it is found by grid decomposition.
+    delta.  For a rectangle union the growing square first leaves the
+    union at an unpainted grid cell (i, j), when its side passes
+    max(xs[i], ys[j]), so the answer is the least such value over the
+    lowest unpainted cell of each grid column, capped by the extents.
     """
     if isinstance(domain, StandardDomain):
         if domain.kind == "ball":
@@ -264,18 +298,7 @@ def cube_inclusion(domain: ToricDomain) -> Fraction:
     if isinstance(domain, Polygon2D):
         return min(delta(domain), domain.x_intercept, domain.y_intercept)
     if isinstance(domain, Rectilinear2D):
-        rects = domain.rects
-        max_x = max(r.x1 for r in rects)
-        max_y = max(r.y1 for r in rects)
-        best = min(max_x, max_y)
-        xs, ys = _grid_lines(rects)
-        for cx0, cx1 in zip(xs, xs[1:]):
-            for cy0, cy1 in zip(ys, ys[1:]):
-                if not _cell_covered(rects, cx0, cx1, cy0, cy1):
-                    # The growing square first meets this uncovered cell
-                    # when its side exceeds max(cx0, cy0).
-                    best = min(best, max(cx0, cy0))
-        return best
+        return _coverage(domain).cube
     raise DomainError(f"not a toric domain: {domain!r}")
 
 

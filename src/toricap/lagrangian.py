@@ -34,6 +34,7 @@ from typing import Iterable, Optional, Sequence
 from .domains import Polygon2D, Rectilinear2D, StandardDomain, ToricDomain
 from .errors import InapplicableError
 from .geometry import (
+    _coverage,
     delta,
     domain_on_boundary,
     eta,
@@ -154,32 +155,70 @@ def _definite(rule: CLRule, value: Fraction, witness) -> CLCertificate:
                          lower=value, upper=value)
 
 
-def _max_extent(domain) -> tuple:
-    if isinstance(domain, Polygon2D):
-        return (
-            max(x for x, _ in domain.vertices),
-            max(y for _, y in domain.vertices),
-        )
-    return (
-        max(r.x1 for r in domain.rects),
-        max(r.y1 for r in domain.rects),
-    )
+def _polygon_cuts(vertices, level: Fraction) -> list:
+    """Where the line y = level meets a vertex chain, plus 0; sorted, distinct.
 
-
-def _lattice_witnesses(domain, e: Fraction):
-    """Boundary points (k1*e, k2*e), integer k_i >= 1, on the shell min = e.
-
-    A point of the min-coordinate shell has min(k1, k2) == 1; the scan is
-    finite because coordinates are bounded by the domain extent.
+    Each edge crossing the line contributes its crossing, and each edge
+    lying on the line contributes both ends.
     """
-    max_x, max_y = _max_extent(domain)
-    found = []
-    for k1 in range(1, int(max_x / e) + 1):
-        for k2 in (range(1, int(max_y / e) + 1) if k1 == 1 else (1,)):
-            p = (k1 * e, k2 * e)
-            if domain_on_boundary(domain, p):
-                found.append((k1, k2, p))
-    return found
+    cuts = [Fraction(0)]
+    for (px, py), (qx, qy) in zip(vertices, vertices[1:]):
+        if py == qy:
+            if py == level:
+                cuts += (px, qx)
+        elif min(py, qy) <= level <= max(py, qy):
+            cuts.append(px + (level - py) * (qx - px) / (qy - py))
+    return sorted(set(cuts))
+
+
+def _last_multiple_on_boundary(domain, e: Fraction, cuts, point):
+    """Largest ``point(k*e)`` on the boundary with integer k >= 2, or None.
+
+    ``point`` places a coordinate on one line through (e, e), and
+    ``cuts`` are the sorted, distinct places along it where boundary
+    status can change; the boundary meets the line only within
+    [min(cuts), max(cuts)].  Status is constant on each open gap between
+    cuts, so the scan runs from the right, probing each gap once at its
+    largest multiple of e, k = ceil(hi/e) - 1, and each cut once if it is
+    a multiple.
+    """
+    for t in range(len(cuts) - 1, -1, -1):
+        lo = cuts[t]
+        if t + 1 < len(cuts):
+            k = math.ceil(cuts[t + 1] / e) - 1
+            if k < 2:
+                return None
+            if k * e > lo and domain_on_boundary(domain, point(k * e)):
+                return point(k * e)
+        k, rest = divmod(lo, e)
+        if k < 2:
+            return None
+        if rest == 0 and domain_on_boundary(domain, point(k * e)):
+            return point(k * e)
+    return None
+
+
+def _lattice_witness(domain, e: Fraction) -> Optional[tuple]:
+    """Lexicographically largest boundary point (k1*e, k2*e) other than (e, e).
+
+    The candidates are the points of the min-coordinate shell min = e
+    with integer k_i >= 1, i.e. (k*e, e) and (e, k*e) for k >= 2.  Along
+    either line boundary status only changes at the grid lines of a
+    union, or at the chain crossings of a polygon, so the answer takes
+    O(grid lines) or O(vertices) boundary probes whatever the size of
+    extent/e.  Any point of the row y = e beats every point of the column
+    x = e, so the column is searched only when the row has no witness.
+    """
+    if isinstance(domain, Polygon2D):
+        row = _polygon_cuts(domain.vertices, e)
+        column = _polygon_cuts([(y, x) for x, y in domain.vertices], e)
+    else:
+        grid = _coverage(domain)
+        row, column = grid.xs, grid.ys
+    return (
+        _last_multiple_on_boundary(domain, e, row, lambda x: (x, e))
+        or _last_multiple_on_boundary(domain, e, column, lambda y: (e, y))
+    )
 
 
 def _interval_certificate(domain) -> CLCertificate:
@@ -229,22 +268,19 @@ def lagrangian_capacity(domain: ToricDomain) -> CLCertificate:
         e = eta(domain)
         if domain_on_boundary(domain, (e, e)):
             return _definite(CLRule.ETA_ON_BOUNDARY, e, (e, e))
-        witnesses = _lattice_witnesses(domain, e)
-        if witnesses:
-            _, _, p = max(witnesses, key=lambda w: (w[2][0], w[2][1]))
+        p = _lattice_witness(domain, e)
+        if p is not None:
             return _definite(CLRule.LATTICE_WITNESS, e, p)
         return _interval_certificate(domain)
     if isinstance(domain, Rectilinear2D):
         e = eta(domain)
-        witnesses = _lattice_witnesses(domain, e)
-        nondiag = [w for w in witnesses if max(w[0], w[1]) >= 2]
-        if nondiag:
-            _, _, p = max(nondiag, key=lambda w: (w[2][0], w[2][1]))
+        p = _lattice_witness(domain, e)
+        if p is not None:
             return _definite(CLRule.LATTICE_WITNESS, e, p)
         if is_monotone(domain):
             d = delta(domain)
             return _definite(CLRule.MONOTONE_DIAGONAL, d, (d, d))
-        if witnesses:  # the diagonal point (e, e) itself
+        if domain_on_boundary(domain, (e, e)):
             return _definite(CLRule.ETA_ON_BOUNDARY, e, (e, e))
         return _interval_certificate(domain)
     raise InapplicableError(f"not a toric domain: {domain!r}")

@@ -27,6 +27,21 @@ def make_staircase(rng: random.Random, max_den: int = 20) -> Rectilinear2D:
     return Rectilinear2D(rects)
 
 
+def make_touching_union(rng: random.Random) -> Rectilinear2D:
+    """Rectangles on a 1/4 grid, so edges coincide and corners touch."""
+    q = lambda lo, hi: Fraction(rng.randint(lo, hi), 4)
+    rects = [Rect(Fraction(0), q(1, 8), Fraction(0), q(1, 8))]
+    for _ in range(rng.randint(0, 6)):
+        base = rng.choice(rects)
+        # Start at a corner or on an edge of an existing rectangle.
+        x0 = rng.choice((base.x0, base.x1, q(0, 8)))
+        y0 = rng.choice((base.y0, base.y1, q(0, 8)))
+        cand = Rect(x0, x0 + q(1, 6), y0, y0 + q(1, 6))
+        if any(cand.intersects(r) for r in rects):
+            rects.append(cand)
+    return Rectilinear2D(tuple(rects))
+
+
 def _hull_chain(points):
     """Counterclockwise hull chain from the max-x axis point to the max-y axis point."""
     pts = sorted(set(points))

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import toricap.lagrangian
+
 from toricap import (
     CLRule,
     DomainError,
@@ -128,6 +130,30 @@ def test_lshape_lattice_witness_report():
     r = capacity_report(dom)
     assert r.c_L.value == e
     assert r.c_L.rule is CLRule.LATTICE_WITNESS
+
+
+@pytest.mark.parametrize("digits", [6, 12])
+def test_thin_lshape_witness_cost_depends_on_grid_not_magnitude(monkeypatch, digits):
+    t = F(1, 10**digits)
+    arm_x, arm_y = F(4, 3), F(7, 5)
+    dom = Rectilinear2D((Rect(F(0), arm_x, F(0), t), Rect(F(0), t, F(0), arm_y)))
+    probe = toricap.lagrangian.domain_on_boundary
+    calls = []
+
+    def counting(domain, p):
+        calls.append(p)
+        return probe(domain, p)
+
+    monkeypatch.setattr(toricap.lagrangian, "domain_on_boundary", counting)
+    r = capacity_report(dom)
+    assert r.delta == r.eta == t
+    assert r.c_L.rule is CLRule.LATTICE_WITNESS
+    assert r.c_L.value == t
+    # The rightmost multiple of t on the top edge of the horizontal arm.
+    k = (4 * 10**digits) // 3
+    assert r.c_L.witness == (k * t, t)
+    grid_lines = len({F(0), t, arm_x}) + len({F(0), t, arm_y})
+    assert len(calls) <= 2 * grid_lines
 
 
 def test_report_to_dict_shape():

@@ -82,6 +82,27 @@ def test_report_decimal_marked(omega_file):
     assert "2/5 (~0.400)" in cp.stdout
 
 
+@pytest.mark.parametrize("late", [False, True])
+def test_report_decimal_out_of_float_range(tmp_path, late):
+    big = 10**400
+    if late:
+        # delta is 1; only eta, reached after it, is out of range.
+        rects = [(0, 2 * big, 0, 1), (2 * big - 1, 2 * big, 0, big)]
+        doc = {"kind": "rectilinear2d", "rects": [
+            dict(zip(("x0", "x1", "y0", "y1"), map(str, r))) for r in rects]}
+    else:
+        doc = {"kind": "polygon2d",
+               "vertices": [[str(big), "0"], [str(big), str(big)], ["0", str(big)]]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    cp = run_cli("report", str(path), "--decimal", "3")
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("error:") and "Traceback" not in cp.stderr
+    assert cp.stdout == ""
+    cp = run_cli("report", str(path))
+    assert cp.returncode == 0, cp.stderr
+
+
 def test_xa_sweep_golden_csv():
     cp = run_cli(*SWEEP_ARGS, "--format", "csv")
     assert cp.returncode == 0, cp.stderr

@@ -17,12 +17,18 @@ from toricap import (
     eta,
     is_monotone,
     omega_a,
+    serialize_domain,
     square_polygon,
     support,
 )
-from toricap.geometry import _box_covered, domain_on_boundary
+from toricap.geometry import domain_contains, domain_on_boundary
 
-from generators import make_monotone_polygon, make_staircase, make_weakly_convex_polygon
+from generators import (
+    make_monotone_polygon,
+    make_staircase,
+    make_touching_union,
+    make_weakly_convex_polygon,
+)
 
 F = Fraction
 
@@ -207,6 +213,46 @@ def test_cube_inclusion_examples():
     assert cube_inclusion(StandardDomain("ball", 3, F(1))) == F(1, 3)
 
 
+# Brute coverage oracles, independent of toricap.geometry: membership by
+# comparing against every rectangle, boxes by painting the cells between
+# all coordinates, and boundary points by probing the four diagonal
+# neighbours closer than any gap between coordinates.
+
+def _brute_contains(rects, p):
+    x, y = p
+    return any(r.x0 <= x <= r.x1 and r.y0 <= y <= r.y1 for r in rects)
+
+
+def _box_covered(rects, ax, ay):
+    """Whether [0, ax] x [0, ay] (ax, ay > 0) is covered by the closed union."""
+    xs = sorted({F(0), ax, *(c for r in rects for c in (r.x0, r.x1))})
+    ys = sorted({F(0), ay, *(c for r in rects for c in (r.y0, r.y1))})
+    xs = [x for x in xs if x <= ax]
+    ys = [y for y in ys if y <= ay]
+    return all(
+        _brute_contains(rects, ((x0 + x1) / 2, (y0 + y1) / 2))
+        for x0, x1 in zip(xs, xs[1:])
+        for y0, y1 in zip(ys, ys[1:])
+    )
+
+
+def _brute_staircase(rects):
+    return all(_box_covered(rects, r.x1, r.y1) for r in rects)
+
+
+def _brute_on_boundary(rects, p):
+    if not _brute_contains(rects, p):
+        return False
+    coords = sorted({*p, *(c for r in rects for c in (r.x0, r.x1, r.y0, r.y1))})
+    eps = min((b - a for a, b in zip(coords, coords[1:])), default=F(1)) / 2
+    x, y = p
+    return not all(
+        _brute_contains(rects, (x + sx * eps, y + sy * eps))
+        for sx in (-1, 1)
+        for sy in (-1, 1)
+    )
+
+
 def test_cube_inclusion_rectilinear_matches_coverage_oracle():
     rng = random.Random(23)
     for _ in range(30):
@@ -246,3 +292,48 @@ def test_boundary_predicates(om310):
     assert domain_on_boundary(cross_domain, (F(1), F(1, 2)))
     assert not domain_on_boundary(cross_domain, (F(1, 4), F(1, 4)))
     assert not domain_on_boundary(cross_domain, (F(3, 4), F(3, 4)))
+
+
+CORNER_TOUCHING = [
+    Rectilinear2D((Rect(F(0), F(1), F(0), F(1)), Rect(F(1), F(2), F(1), F(2)))),
+    Rectilinear2D((
+        Rect(F(0), F(1, 2), F(0), F(3)),
+        Rect(F(1, 2), F(2), F(3), F(7, 2)),
+        Rect(F(0), F(3), F(0), F(1, 3)),
+    )),
+    Rectilinear2D((Rect(F(0), F(1), F(0), F(1)), Rect(F(1), F(2), F(0), F(1)),
+                   Rect(F(2), F(3), F(1), F(2)))),
+]
+
+
+def test_rectilinear_coverage_matches_brute_oracle():
+    rng = random.Random(41)
+    domains = CORNER_TOUCHING + [make_touching_union(rng) for _ in range(40)]
+    domains += [make_staircase(rng) for _ in range(10)]
+    for dom in domains:
+        rects = dom.rects
+        assert is_monotone(dom) == _brute_staircase(rects)
+        coords = sorted({F(0), *(c for r in rects for c in (r.x0, r.x1, r.y0, r.y1))})
+        top = coords[-1]
+        # Grid lines and their corners, midpoints between them, points
+        # beyond the extent and points with negative coordinates.
+        probes = coords + [(a + b) / 2 for a, b in zip(coords, coords[1:])]
+        probes += [top + F(1, 7), F(-1, 5), F(-1)]
+        for x in probes:
+            for y in probes:
+                p = (x, y)
+                assert domain_contains(dom, p) == _brute_contains(rects, p), p
+                assert domain_on_boundary(dom, p) == _brute_on_boundary(rects, p), p
+        # The cached grid changes neither equality, hashing nor the JSON form.
+        fresh = Rectilinear2D(rects)
+        assert fresh == dom and hash(fresh) == hash(dom)
+        assert serialize_domain(fresh) == serialize_domain(dom)
+
+
+def test_corner_touching_union_boundary():
+    dom = CORNER_TOUCHING[0]
+    assert domain_on_boundary(dom, (F(1), F(1)))
+    assert not domain_on_boundary(dom, (F(1, 2), F(1, 2)))
+    assert not domain_contains(dom, (F(3, 2), F(1, 2)))
+    assert not is_monotone(dom)
+    assert cube_inclusion(dom) == 1

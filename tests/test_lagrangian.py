@@ -24,7 +24,15 @@ from toricap import (
     square_polygon,
 )
 
-from generators import make_monotone_polygon, make_staircase
+from toricap.geometry import domain_on_boundary
+from toricap.lagrangian import _lattice_witness
+
+from generators import (
+    make_monotone_polygon,
+    make_staircase,
+    make_touching_union,
+    make_weakly_convex_polygon,
+)
 
 F = Fraction
 
@@ -184,6 +192,70 @@ def test_monotone_consistency():
         dom = rng.choice([make_staircase(rng), make_monotone_polygon(rng)])
         cert = lagrangian_capacity(dom)
         assert cert.value == cube_normalized_value(dom) == delta(dom)
+
+
+# ---------------------------------------------------------------------------
+# closed-form lattice witness against the extent/e scan
+# ---------------------------------------------------------------------------
+
+def _scan_witness(domain, e):
+    """Reference: probe every (k1*e, k2*e) up to the extent, keep the max by (x, y)."""
+    if isinstance(domain, Polygon2D):
+        max_x = max(x for x, _ in domain.vertices)
+        max_y = max(y for _, y in domain.vertices)
+    else:
+        max_x = max(r.x1 for r in domain.rects)
+        max_y = max(r.y1 for r in domain.rects)
+    found = []
+    for k1 in range(1, int(max_x / e) + 1):
+        for k2 in (range(1, int(max_y / e) + 1) if k1 == 1 else (1,)):
+            p = (k1 * e, k2 * e)
+            if max(k1, k2) >= 2 and domain_on_boundary(domain, p):
+                found.append(p)
+    return max(found) if found else None
+
+
+def test_lattice_witness_matches_scan_on_unions():
+    rng = random.Random(43)
+    for _ in range(150):
+        dom = make_touching_union(rng)
+        for e in {eta(dom), F(1, 4), F(1, 2), F(1, 3), F(rng.randint(1, 12), 8)}:
+            assert _lattice_witness(dom, e) == _scan_witness(dom, e), (dom, e)
+
+
+def _ray_exits(chain, d):
+    """Every t with t*d on a chain edge (d a direction into the open quadrant)."""
+    out = []
+    for (px, py), (qx, qy) in zip(chain, chain[1:]):
+        # Solve t*d = p + u*(q - p) for t and u in [0, 1].
+        det = (qx - px) * d[1] - (qy - py) * d[0]
+        if det != 0:
+            u = (py * d[0] - px * d[1]) / det
+            if 0 <= u <= 1:
+                out.append((px + u * (qx - px)) / d[0])
+    return out
+
+
+def test_lattice_witness_matches_scan_on_polygons():
+    # No report reaches the polygon branch today ((eta, eta) is always on
+    # the chain), so e ranges freely here: random fractions, the smaller
+    # coordinate of each vertex (lattice points on vertices), and the
+    # levels where the rays along (k, 1) and (1, k) leave the polygon
+    # (witnesses on edges).
+    rng = random.Random(47)
+    polygons = [make_weakly_convex_polygon(rng) for _ in range(40)]
+    polygons += [make_monotone_polygon(rng) for _ in range(20)]
+    polygons += [omega_a(F(i, 12)) for i in range(1, 6)]
+    polygons.append(Polygon2D(((F(1), F(0)), (F(3), F(5)), (F(0), F(6)))))
+    for poly in polygons:
+        values = {F(rng.randint(1, 20), rng.randint(1, 12)) for _ in range(3)}
+        values |= {min(x, y) for x, y in poly.vertices if min(x, y) > 0}
+        for k in (2, 3):
+            values.update(_ray_exits(poly.vertices, (k, 1)))
+            values.update(_ray_exits(poly.vertices, (1, k)))
+        values.add(eta(poly))
+        for e in values:
+            assert _lattice_witness(poly, e) == _scan_witness(poly, e), (poly, e)
 
 
 # ---------------------------------------------------------------------------
