@@ -371,6 +371,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "decimal", None) is not None and args.decimal < 0:
+            raise DomainError(f"--decimal needs N >= 0, got {args.decimal}")
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

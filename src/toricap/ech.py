@@ -20,10 +20,22 @@ On top of these the module provides:
 * ``finite_d_bound`` -- the weakest inequality any admissible factor of
   the canonical degree-d test product can impose, a certified upper
   bound converging to ``cube_bound`` from above;
-* ``obstruction_search`` -- a bounded feasibility search for the factor
-  decompositions that an embedding would have to admit, returning a
-  verifiable witness, a within-bounds exhaustion certificate, or an
-  inconclusive report when truncation could have hidden a witness.
+* ``enumerate_orbit_sets`` and ``obstruction_search`` -- a bounded
+  feasibility search for the factor decompositions that an embedding
+  would have to admit, returning a verifiable witness, a within-bounds
+  exhaustion certificate, or an inconclusive report when truncation
+  could have hidden a witness.
+
+The search runs on integer multiplicity vectors over a fixed list of
+orbits (the factors of the test set, or the candidate orbits of an
+enumeration).  Supports are computed once per list and scaled, together
+with the action cap or the source diagonal radius, by the lcm of their
+denominators, so action is an integer dot product.  The index of a
+vector ``c`` is the linear plus quadratic form
+``sum_i c_i (x_i + y_i + s_i) + sum_i sum_j c_i c_j max(x_i y_j, x_j y_i)``.
+``CombOrbitSet`` objects and ``Fraction`` values are built only for the
+vectors that pass every integer test, so the cost of a search grows with
+the size of its multiplicity box, not with the denominators.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Optional
 
 from .domains import Polygon2D, is_square_polygon
@@ -280,14 +293,14 @@ def finite_d_bound(domain: Polygon2D, d: int) -> Fraction:
         raise InapplicableError(f"degree must be an integer >= 1, got {d!r}")
     cube_bound(domain)  # validates the slope precondition
     s = domain.x_intercept + domain.y_intercept
-    lo = -(-d // 3)
-    best = None
-    for di in range(lo, d + 1):
-        for k in (0, 1, 2):
-            val = Fraction(di * s + k, 2 * di + 3 * k - 1)
-            if best is None or val > best:
-                best = val
-    return best
+    # For fixed k the bound is a Moebius function of d_i whose denominator
+    # stays positive for d_i >= 1, hence monotone there: the maximum over
+    # the range is attained at one of its two ends.
+    return max(
+        Fraction(di * s + k, 2 * di + 3 * k - 1)
+        for di in (-(-d // 3), d)
+        for k in (0, 1, 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +351,26 @@ def enumeration_truncated(domain: Polygon2D, action_cap: Fraction) -> bool:
     return min(domain.x_intercept, domain.y_intercept) <= action_cap
 
 
+def _index_form(orbits):
+    """Coefficients of the index as a form in the multiplicity vector.
+
+    Returns ``linear[i] = x_i + y_i + s_i`` and the symmetric matrix
+    ``cross[i][j] = max(x_i y_j, x_j y_i)``, so that the vector ``c`` has
+    index ``sum_i c_i linear[i] + sum_i sum_j c_i c_j cross[i][j]``.
+    """
+    linear = [o.v[0] + o.v[1] + o.s for o in orbits]
+    cross = [
+        [max(a.v[0] * b.v[1], b.v[0] * a.v[1]) for b in orbits] for a in orbits
+    ]
+    return linear, cross
+
+
+def _over_common_denominator(values):
+    """``(q, [v * q for v in values])`` with q the lcm of the denominators."""
+    q = math.lcm(*(v.denominator for v in values))
+    return q, [v.numerator * (q // v.denominator) for v in values]
+
+
 def enumerate_orbit_sets(
     domain: Polygon2D,
     action_cap: Fraction,
@@ -353,33 +386,51 @@ def enumerate_orbit_sets(
     (multiplicities are finite because every candidate costs a positive
     action); ``enumeration_truncated`` reports whether the direction
     bound itself may exclude affordable candidates.
+
+    The candidate supports and the cap are scaled to integers over the
+    lcm of their denominators, so the largest multiplicity of a candidate
+    is ``remaining // cost``.  The index is carried down the recursion:
+    adding ``m`` copies of candidate ``i`` adds
+    ``m * linear_i + m^2 * x_i y_i + 2 m * sum_j m_j cross_ij`` over the
+    candidates ``j`` already chosen.  A ``CombOrbitSet`` is built only
+    for a vector whose index equals the target.
     """
     if vmax < 1:
         raise InapplicableError(f"direction bound must be >= 1, got {vmax}")
     if action_cap <= 0:
         return iter(())
-    candidates = candidate_orbits(domain, action_cap, vmax, include_axis_orbits)
+    cap = Fraction(action_cap)
+    candidates = candidate_orbits(domain, cap, vmax, include_axis_orbits)
+    orbits = [o for o, _ in candidates]
+    scale, scaled = _over_common_denominator([cap] + [sup for _, sup in candidates])
+    budget, cost = scaled[0], scaled[1:]
+    linear, cross = _index_form(orbits)
+    # cheapest[i]: least cost among candidates i, i+1, ...; once the
+    # remaining budget is below it, every later multiplicity is 0.
+    cheapest = [budget + 1] * (len(orbits) + 1)
+    for i in range(len(orbits) - 1, -1, -1):
+        cheapest[i] = min(cost[i], cheapest[i + 1])
+    chosen: list = []  # (candidate position, multiplicity)
 
-    def rec(i: int, remaining: Fraction, chosen):
-        if i == len(candidates):
-            if chosen:
-                alpha = CombOrbitSet(tuple(chosen))
-                if orbit_invariants(alpha).index == index_target:
-                    yield alpha
+    def rec(i: int, remaining: int, index: int):
+        if remaining < cheapest[i]:
+            if chosen and index == index_target:
+                yield CombOrbitSet(tuple((orbits[j], m) for j, m in chosen))
             return
-        orbit, sup = candidates[i]
-        max_m = int(remaining / sup)
-        if orbit.s == 0:
+        yield from rec(i + 1, remaining, index)
+        max_m = remaining // cost[i]
+        if orbits[i].s == 0:
             max_m = min(max_m, 1)
-        for m in range(0, max_m + 1):
-            if m == 0:
-                yield from rec(i + 1, remaining, chosen)
-            else:
-                chosen.append((orbit, m))
-                yield from rec(i + 1, remaining - m * sup, chosen)
-                chosen.pop()
+        row = cross[i]
+        base = linear[i] + 2 * sum(m * row[j] for j, m in chosen)
+        diagonal = row[i]
+        for m in range(1, max_m + 1):
+            chosen.append((i, m))
+            index_m = index + m * (base + m * diagonal)
+            yield from rec(i + 1, remaining - m * cost[i], index_m)
+            chosen.pop()
 
-    return rec(0, Fraction(action_cap), [])
+    return rec(0, budget, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -419,34 +470,30 @@ class SearchReport:
     obstructed_a: Optional[Fraction]
 
 
-def _sub_multisets(alpha: CombOrbitSet):
-    """All nonempty sub-multisets of an orbit set (its formal divisors)."""
-    orbits = alpha.factors
-    ranges = [range(0, m + 1) for _, m in orbits]
-    for combo in itertools.product(*ranges):
-        if all(c == 0 for c in combo):
-            continue
-        yield CombOrbitSet(
-            tuple((o, c) for (o, _), c in zip(orbits, combo) if c > 0)
-        )
+def _subset_indices_ok(index, cross, match=None) -> bool:
+    """Whether every nonempty sub-product of a factor list has positive index.
 
-
-def _multiset_vector(alpha: CombOrbitSet, basis):
-    return tuple(alpha.multiplicity(o) for o in basis)
-
-
-def _subset_indices_ok(parts, index_of, crosses, require_positive: bool) -> bool:
-    n = len(parts)
+    ``index[j]`` is the index of factor j and ``cross[i][j]``, read for
+    i < j only, the cross term of factors i and j; by index additivity a
+    sub-product over S has index
+    ``sum_{j in S} index[j] + 2 sum_{i < j in S} cross[i][j]``.  With
+    ``match = (index, cross)`` of a second factor list of the same
+    length, every sub-product index must also equal its counterpart.
+    """
+    n = len(index)
     for mask in range(1, 1 << n):
-        total = 0
         members = [j for j in range(n) if mask >> j & 1]
-        for j in members:
-            total += index_of[j]
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                total += 2 * crosses[members[a]][members[b]]
-        if require_positive and total <= 0:
+        pairs = list(itertools.combinations(members, 2))
+        total = sum(index[j] for j in members)
+        total += 2 * sum(cross[i][j] for i, j in pairs)
+        if total <= 0:
             return False
+        if match is not None:
+            other_index, other_cross = match
+            other = sum(other_index[j] for j in members)
+            other += 2 * sum(other_cross[i][j] for i, j in pairs)
+            if other != total:
+                return False
     return True
 
 
@@ -491,20 +538,9 @@ def verify_witness(
                     return False
     idx_a = [orbit_invariants(f).index for f in af]
     idx_p = [orbit_invariants(f).index for f in pf]
-    cr_a = [[cross_term(af[i], af[j]) for j in range(len(af))] for i in range(len(af))]
-    cr_p = [[cross_term(pf[i], pf[j]) for j in range(len(pf))] for i in range(len(pf))]
-    n = len(af)
-    for mask in range(1, 1 << n):
-        members = [j for j in range(n) if mask >> j & 1]
-        ia = sum(idx_a[j] for j in members)
-        ip = sum(idx_p[j] for j in members)
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                ia += 2 * cr_a[members[a]][members[b]]
-                ip += 2 * cr_p[members[a]][members[b]]
-        if ia != ip or ip <= 0:
-            return False
-    return True
+    cr_a = [[cross_term(a, b) for b in af] for a in af]
+    cr_p = [[cross_term(a, b) for b in pf] for a in pf]
+    return _subset_indices_ok(idx_p, cr_p, match=(idx_a, cr_a))
 
 
 def obstruction_search(
@@ -526,6 +562,15 @@ def obstruction_search(
     direction bound.  Surviving slots are filled from the bounded
     enumeration and checked against all pairwise and subset conditions.
 
+    Sub-products of the test set are its multiplicity vectors over its
+    factors, visited in ``itertools.product`` order.  The target supports
+    of the factor directions and the source diagonal radius are scaled to
+    integers over one common denominator, so the index (a quadratic form),
+    the target action (a dot product) and the pruning inequality are
+    integer arithmetic; a ``CombOrbitSet`` and its ``Fraction`` action cap
+    are built only for the vectors that survive, and the factorization
+    search subtracts the kept vectors.
+
     Outcomes: a re-verified ``FeasibleWitness``; or
     ``InfeasibleWithinBounds`` when exhaustion never depended on the
     direction bound truncating affordable candidates; or ``Inconclusive``
@@ -544,26 +589,43 @@ def obstruction_search(
     if inv.h != 0:
         raise InapplicableError("test orbit set must have no hyperbolic factors")
 
-    delta_source = delta(source)
     basis = alpha_prime.orbits()
-    target_vec = _multiset_vector(alpha_prime, basis)
+    target_vec = tuple(m for _, m in alpha_prime.factors)
+    linear, cross = _index_form(basis)
+    vxs = [o.v[0] for o in basis]
+    vys = [o.v[1] for o in basis]
+    scale, scaled = _over_common_denominator(
+        [delta(source)] + [support(target, o.v) for o in basis]
+    )
+    radius, cost = scaled[0], scaled[1:]
+
+    def vector_cross(a, b) -> int:
+        return sum(ai * sum(map(mul, b, cross[i])) for i, ai in enumerate(a) if ai)
 
     candidates = []
     pruned = 0
     total = 0
-    for sub in _sub_multisets(alpha_prime):
+    vectors = itertools.product(*(range(m + 1) for m in target_vec))
+    next(vectors)  # the empty product
+    for vec in vectors:
         total += 1
-        numbers = orbit_invariants(sub)
-        if numbers.index <= 0:
+        index = sum(map(mul, vec, linear)) + vector_cross(vec, vec)
+        if index <= 0:
             continue
-        cap = action(target, sub)
-        if delta_source * (numbers.x + numbers.y + numbers.m - 1) > cap:
+        x = sum(map(mul, vec, vxs))
+        y = sum(map(mul, vec, vys))
+        m = sum(vec)
+        cap = sum(map(mul, vec, cost))
+        if radius * (x + y + m - 1) > cap:
             pruned += 1
             continue
-        candidates.append((sub, numbers, cap))
+        sub = CombOrbitSet(tuple((o, c) for o, c in zip(basis, vec) if c))
+        # h = 0: the test set has no hyperbolic factors (checked above).
+        numbers = OrbitNumbers(x=x, y=y, index=index, m=m, h=0)
+        candidates.append((sub, numbers, Fraction(cap, scale), vec))
     # Deterministic ordering: larger factors first so single-factor
     # decompositions are tried before fine splittings.
-    candidates.sort(key=lambda c: (-c[1].m, _multiset_vector(c[0], basis)))
+    candidates.sort(key=lambda c: (-c[1].m, c[3]))
 
     max_part = max((c[1].m for c in candidates), default=0)
 
@@ -590,22 +652,21 @@ def obstruction_search(
         enum_cache[key] = found
         return found
 
-    def assign(slots):
+    def assign(slots, idx_p, cr_p):
         """Pick one source set per slot satisfying the joint conditions."""
         pf = [s[0] for s in slots]
-        idx_p = [s[1].index for s in slots]
-        cr_p = [
-            [cross_term(pf[i], pf[j]) for j in range(len(pf))]
-            for i in range(len(pf))
-        ]
         options = []
-        for factor, numbers, cap in slots:
+        for factor, numbers, cap, _ in slots:
             found = slot_candidates(factor, numbers, cap)
             if not found:
                 return None
             options.append(found)
 
         chosen: list = []
+        # Cross terms of the chosen source sets, filled above the diagonal
+        # as the prefix grows.  Each source set has its slot's index, which
+        # the enumeration targets.
+        cr_a = [[0] * len(slots) for _ in slots]
 
         def rec(t: int):
             if t == len(slots):
@@ -622,30 +683,15 @@ def obstruction_search(
                         break
                 if not ok:
                     continue
+                for i in range(t):
+                    cr_a[i][t] = cross_term(chosen[i], a)
                 chosen.append(a)
-                if _subset_match(t + 1):
+                prefix = idx_p[: t + 1]
+                if _subset_indices_ok(prefix, cr_p, match=(prefix, cr_a)):
                     if rec(t + 1):
                         return True
                 chosen.pop()
             return False
-
-        def _subset_match(upto: int) -> bool:
-            # Subset index equality over the chosen prefix, rechecking
-            # only subsets containing the newest slot.
-            t = upto - 1
-            for mask in range(1, 1 << upto):
-                if not (mask >> t & 1):
-                    continue
-                members = [j for j in range(upto) if mask >> j & 1]
-                ia = sum(orbit_invariants(chosen[j]).index for j in members)
-                ip = sum(idx_p[j] for j in members)
-                for x in range(len(members)):
-                    for y in range(x + 1, len(members)):
-                        ia += 2 * cross_term(chosen[members[x]], chosen[members[y]])
-                        ip += 2 * cr_p[members[x]][members[y]]
-                if ia != ip or ip <= 0:
-                    return False
-            return True
 
         if rec(0):
             return list(chosen)
@@ -653,16 +699,13 @@ def obstruction_search(
 
     def factorizations_dfs(start: int, remaining, slots):
         nonlocal factorizations
-        if all(r == 0 for r in remaining):
+        if not any(remaining):
             factorizations += 1
             idx_p = [s[1].index for s in slots]
-            cr_p = [
-                [cross_term(slots[i][0], slots[j][0]) for j in range(len(slots))]
-                for i in range(len(slots))
-            ]
-            if not _subset_indices_ok(slots, idx_p, cr_p, require_positive=True):
+            cr_p = [[vector_cross(a[3], b[3]) for b in slots] for a in slots]
+            if not _subset_indices_ok(idx_p, cr_p):
                 return None
-            picked = assign(slots)
+            picked = assign(slots, idx_p, cr_p)
             if picked is not None:
                 return SearchWitness(
                     alpha=_product_all(picked),
@@ -676,8 +719,7 @@ def obstruction_search(
         if need > (lmax - len(slots)) * max_part:
             return None
         for i in range(start, len(candidates)):
-            sub, numbers, cap = candidates[i]
-            vec = _multiset_vector(sub, basis)
+            vec = candidates[i][3]
             if any(v > r for v, r in zip(vec, remaining)):
                 continue
             new_remaining = tuple(r - v for r, v in zip(remaining, vec))

@@ -24,7 +24,6 @@ results stay auditable:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -41,11 +40,6 @@ from .geometry import (
     is_monotone,
     rectilinear_contains,
 )
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dependency
-    _np = None
 
 
 # ---------------------------------------------------------------------------
@@ -77,36 +71,36 @@ def a_min_closed(x: Sequence) -> Fraction:
     return Fraction(math.gcd(*nums), q)
 
 
+_BRUTE_BOX_LIMIT = 16_000_000
+
+
 def a_min_brute(x: Sequence, bound: int) -> Fraction:
     """Oracle for ``a_min_closed``: exhaustive minimum over k in [-K, K]^n.
 
     Pure enumeration of the lattice box, kept independent of the gcd
-    reasoning in the closed form.  The integer grid is evaluated with
-    64-bit vectorized arithmetic when it provably cannot overflow, and
-    with big-integer loops otherwise, so the result is exact either way.
+    reasoning in the closed form: the sumset of the first n - 1 scaled
+    coordinates times [-K, K] is built as a set of exact integers, and the
+    last coordinate is scanned against it.  Boxes of more than
+    16,000,000 points are refused.
     """
     pt = _check_positive(x)
     if bound < 1:
         raise InapplicableError(f"enumeration bound must be >= 1, got {bound}")
+    size = (2 * bound + 1) ** len(pt)
+    if size > _BRUTE_BOX_LIMIT:
+        raise InapplicableError(
+            f"enumeration box [-{bound}, {bound}]^{len(pt)} has {size} points, "
+            f"more than the limit of {_BRUTE_BOX_LIMIT}"
+        )
     q = math.lcm(*(c.denominator for c in pt))
     nums = [int(c * q) for c in pt]
-    n = len(nums)
-    size = (2 * bound + 1) ** n
-    max_abs = sum(abs(v) * bound for v in nums)
-    if _np is not None and size <= 16_000_000 and max_abs < 2**62:
-        ax = _np.arange(-bound, bound + 1, dtype=_np.int64)
-        values = _np.zeros(1, dtype=_np.int64)
-        for v in nums:
-            values = (values[:, None] + v * ax[None, :]).ravel()
-        positive = values[values > 0]
-        best = int(positive.min())
-    else:
-        best = None
-        for k in itertools.product(range(-bound, bound + 1), repeat=n):
-            s = sum(ki * vi for ki, vi in zip(k, nums))
-            if s > 0 and (best is None or s < best):
-                best = s
-    # k = e_1 always yields the positive value x_1, so a minimum exists.
+    ks = range(-bound, bound + 1)
+    values = {0}
+    for v in nums[:-1]:
+        values = {t + k * v for t in values for k in ks}
+    last = nums[-1]
+    # k = e_n always yields the positive value x_n, so a minimum exists.
+    best = min(u for t in values for k in ks if (u := t + k * last) > 0)
     return Fraction(best, q)
 
 

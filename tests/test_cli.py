@@ -243,3 +243,25 @@ def test_exit_1_on_bad_hypothesis(omega_file):
         "--alpha", "h(1,0)", "--vmax", "2", "--lmax", "2",
     )
     assert cp.returncode == 1
+
+
+@pytest.mark.parametrize("command", ["report", "xa", "bound", "amin"])
+def test_exit_2_on_negative_decimal(command, omega_file):
+    args = {
+        "report": ["report", omega_file],
+        "xa": ["xa", "--a", "3/10"],
+        "bound": ["bound", omega_file],
+        "amin": ["amin", "--x", "1/2,1/3"],
+    }[command]
+    cp = run_cli(*args, "--decimal", "-1")
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error:") and "Traceback" not in cp.stderr
+    assert cp.stdout == ""
+    cp = run_cli(*args, "--decimal", "0")
+    assert cp.returncode == 0, cp.stderr
+
+
+def test_exit_1_on_oversized_amin_box():
+    cp = run_cli("amin", "--x", "1/2,1/3", "--brute", "100000000")
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("error:") and "Traceback" not in cp.stderr

@@ -1,5 +1,6 @@
 """Orbit sets, index/action algebra, bounds, and the obstruction search."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from toricap import (
     action,
     cross_term,
     cube_bound,
+    delta,
     enumerate_orbit_sets,
     enumeration_truncated,
     finite_d_bound,
@@ -27,6 +29,8 @@ from toricap import (
     square_polygon,
     verify_witness,
 )
+
+from toricap.ech import candidate_orbits
 
 from generators import make_orbit_set, make_weakly_convex_polygon
 
@@ -215,6 +219,28 @@ def test_finite_d_monotone_and_convergent(om310):
         prev = val
 
 
+def test_finite_d_bound_matches_loop(om310):
+    # Reference: the maximum over every d_i in [ceil(d/3), d] and k in
+    # {0, 1, 2}, from a table of the per-d_i maxima.
+    rng = random.Random(53)
+    domains = [om310]
+    while len(domains) < 6:
+        dom = make_weakly_convex_polygon(rng)
+        try:
+            cube_bound(dom)
+        except InapplicableError:
+            continue
+        domains.append(dom)
+    for dom in domains:
+        s = dom.x_intercept + dom.y_intercept
+        per_di = [None] + [
+            max(F(di * s + k, 2 * di + 3 * k - 1) for k in (0, 1, 2))
+            for di in range(1, 401)
+        ]
+        for d in range(1, 401):
+            assert finite_d_bound(dom, d) == max(per_di[-(-d // 3): d + 1])
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -240,6 +266,52 @@ def test_enumerate_deterministic_and_filtered(om310):
         assert all(
             0 < action(om310, CombOrbitSet(((o, 1),))) for o in alpha.orbits()
         )
+
+
+def _enumerate_reference(domain, cap, index_target, vmax, include_axis_orbits):
+    """Fraction recursion over the candidates, index tested at every leaf."""
+    candidates = candidate_orbits(domain, cap, vmax, include_axis_orbits)
+    out = []
+
+    def rec(i, remaining, chosen):
+        if i == len(candidates):
+            if chosen:
+                alpha = CombOrbitSet(tuple(chosen))
+                if orbit_invariants(alpha).index == index_target:
+                    out.append(alpha)
+            return
+        orbit, sup = candidates[i]
+        max_m = int(remaining / sup)
+        if orbit.s == 0:
+            max_m = min(max_m, 1)
+        rec(i + 1, remaining, chosen)
+        for m in range(1, max_m + 1):
+            chosen.append((orbit, m))
+            rec(i + 1, remaining - m * sup, chosen)
+            chosen.pop()
+
+    rec(0, F(cap), [])
+    return out
+
+
+def test_enumerate_matches_fraction_recursion():
+    rng = random.Random(59)
+    cases = yielded = hyperbolic = 0
+    for _ in range(40):
+        dom = make_weakly_convex_polygon(rng)
+        for vmax, axis in itertools.product((1, 2), (True, False)):
+            cheapest = min(
+                (sup for _, sup in candidate_orbits(dom, F(10**6), vmax, axis)),
+                default=F(1),
+            )
+            cap = cheapest * F(rng.randint(2, 12 if vmax == 1 else 8), 2)
+            target = rng.randint(-2, 8)
+            got = list(enumerate_orbit_sets(dom, cap, target, vmax, axis))
+            assert got == _enumerate_reference(dom, cap, target, vmax, axis)
+            cases += 1
+            yielded += len(got)
+            hyperbolic += sum(any(o.s == 0 for o in a.orbits()) for a in got)
+    assert cases == 160 and yielded > 400 and hyperbolic > 100
 
 
 def test_enumeration_truncated_flag(om310):
@@ -332,3 +404,68 @@ def test_verify_witness_rejects_tampering(om310):
         alpha_prime_factors=witness.alpha_prime_factors,
     )
     assert not verify_witness(om310, om310, bad2, parse_orbit_set("e(1,1)"))
+    # Each matched pair satisfies the comparison relation, but the full
+    # products have index 10 on the source side and 8 on the target side.
+    big = square_polygon(F(4))
+    af = (parse_orbit_set("e(1,0)"), parse_orbit_set("e(0,1)^2"))
+    pf = (parse_orbit_set("e(1,0)"), parse_orbit_set("e(1,1)"))
+    assert all(leq_relation(om310, big, a, p).holds for a, p in zip(af, pf))
+    bad3 = SearchWitness(alpha=af[0].product(af[1]), alpha_factors=af,
+                         alpha_prime_factors=pf)
+    assert not verify_witness(om310, big, bad3, pf[0].product(pf[1]))
+    # A single matched pair of index 0: sub-product indices must be positive.
+    e = parse_orbit_set("e(1,-1)")
+    assert leq_relation(om310, big, e, e).holds
+    bad4 = SearchWitness(alpha=e, alpha_factors=(e,), alpha_prime_factors=(e,))
+    assert not verify_witness(om310, big, bad4, e)
+
+
+def test_search_rejects_split_with_unequal_subproduct_index():
+    # The split e(0,1) * e(0,1) has source sets matching each slot, but
+    # none whose product has the index of e(0,1)^2; the search must reject
+    # them rather than return a witness that fails re-verification.
+    dom = omega_a(F(1, 6))
+    report = obstruction_search(dom, dom, parse_orbit_set("e(0,1)^2"), vmax=1, lmax=2)
+    assert report.status is SearchStatus.INCONCLUSIVE
+    assert report.bounds_used.factorizations_explored == 2
+
+
+def _factor_counters_reference(source, target, alpha_prime):
+    """Count every nonempty sub-product and those the action inequality prunes."""
+    total = pruned = 0
+    ranges = [range(m + 1) for _, m in alpha_prime.factors]
+    for vec in itertools.product(*ranges):
+        if not any(vec):
+            continue
+        total += 1
+        sub = CombOrbitSet(
+            tuple((o, c) for (o, _), c in zip(alpha_prime.factors, vec) if c)
+        )
+        n = orbit_invariants(sub)
+        if n.index <= 0:
+            continue
+        if delta(source) * (n.x + n.y + n.m - 1) > action(target, sub):
+            pruned += 1
+    return total, pruned
+
+
+def test_search_factor_counters_match_brute_loop(om310):
+    rng = random.Random(61)
+    cases = pruned_any = 0
+    while cases < 40:
+        source = make_weakly_convex_polygon(rng)
+        target = rng.choice([source, om310, make_weakly_convex_polygon(rng)])
+        alpha = make_orbit_set(rng, vmax=2, max_mult=4, elliptic_only=True,
+                               max_size=3)
+        if orbit_invariants(alpha).index <= 0:
+            continue
+        # The counters do not depend on the direction bounds; without the
+        # axis orbits the enumeration that follows them stays small.
+        report = obstruction_search(source, target, alpha, vmax=1, lmax=1,
+                                    include_axis_orbits=False)
+        total, pruned = _factor_counters_reference(source, target, alpha)
+        assert report.bounds_used.candidate_factors == total
+        assert report.bounds_used.factors_pruned == pruned
+        cases += 1
+        pruned_any += pruned > 0
+    assert pruned_any >= 5

@@ -74,6 +74,8 @@ def test_a_min_errors():
         a_min_closed([F(-1, 2)])
     with pytest.raises(InapplicableError):
         a_min_brute([F(1, 2)], 0)
+    with pytest.raises(InapplicableError, match="limit"):
+        a_min_brute([F(1, 2), F(1, 3)], 2000)  # 4001^2 > 16,000,000 points
     with pytest.raises(InapplicableError):
         a_min_closed([])
 
@@ -85,10 +87,10 @@ def test_a_min_oracle_agreement(coords):
 
 
 def test_a_min_brute_python_fallback_agrees():
-    # Numerators beyond the 64-bit guard take the big-integer loop.
+    # Numerators beyond 64 bits: the sumset is exact for big integers.
     coords = [F(3 * 2**61, 1), F(2**61, 3)]
     assert a_min_brute(coords, 2) == a_min_closed(coords) == F(2**61, 3)
-    # And a mid-size point exercises the vectorized path on 4 axes.
+    # And a mid-size point on 4 axes.
     coords = [F(1, 2), F(2, 3), F(3, 4), F(4, 5)]
     assert a_min_brute(coords, 3) == a_min_closed(coords) == F(1, 60)
 
