@@ -22,7 +22,7 @@ from .ech import cube_bound
 from .errors import DomainError, InapplicableError
 from .geometry import cube_inclusion, delta, eta, is_monotone
 from .lagrangian import CLCertificate, CLRule, lagrangian_capacity
-from .rationals import format_rational
+from .rationals import format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def omega_a(a: Fraction) -> Polygon2D:
     Defined for 0 < a < 1/2; weakly convex for every such a and monotone
     for none of them (the first boundary edge climbs to the right).
     """
-    a = Fraction(a)
+    a = parse_rational(a)
     if not (0 < a < Fraction(1, 2)):
         raise DomainError(f"family parameter must satisfy 0 < a < 1/2, got {a}")
     return Polygon2D(
@@ -181,7 +181,7 @@ def verify_xa(a: Fraction) -> XaCheck:
     Lagrangian and NDUC capacities must equal 1/2, with the cube and NDUC
     brackets pinched.
     """
-    a = Fraction(a)
+    a = parse_rational(a)
     report = capacity_report(omega_a(a))
     expected_cp = min(1 - 2 * a, Fraction(1, 2))
     expected_cl = Fraction(1, 2)

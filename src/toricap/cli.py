@@ -68,6 +68,9 @@ def _load_domain(path: str):
     return parse_domain(text)
 
 
+SWEEP_LIMIT = 100_000  # most parameters one ``xa --sweep`` may expand to
+
+
 def _parse_sweep(spec: str):
     try:
         bounds, step = spec.rsplit(":", 1)
@@ -79,12 +82,12 @@ def _parse_sweep(spec: str):
     step_f = parse_rational(step)
     if step_f <= 0 or hi_f < lo_f:
         raise DomainError(f"bad sweep range {spec!r}")
-    values = []
-    a = lo_f
-    while a <= hi_f:
-        values.append(a)
-        a += step_f
-    return values
+    count = (hi_f - lo_f) // step_f + 1
+    if count > SWEEP_LIMIT:
+        raise DomainError(
+            f"sweep {spec!r} has {count} points, more than the limit of {SWEEP_LIMIT}"
+        )
+    return [lo_f + k * step_f for k in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +236,18 @@ def _cmd_bound(args) -> int:
         raise InapplicableError("the boundary-slope bound applies to polygon domains")
     dec = args.decimal
     bound = cube_bound(domain)
-    print(f"cube bound: {_fmt(bound, dec)}")
+    # Build every line before printing, so an error leaves stdout empty.
+    lines = [f"cube bound: {_fmt(bound, dec)}"]
     degrees = args.d if args.d else list(DEFAULT_BOUND_DEGREES)
     for d in degrees:
-        print(f"d={d}: {_fmt(finite_d_bound(domain, d), dec)}")
+        lines.append(f"d={d}: {_fmt(finite_d_bound(domain, d), dec)}")
     report = capacity_report(domain)
     if report.c_P.exact and report.c_P.lower < bound:
-        print(
+        lines.append(
             f"note: not tight; exact cube capacity is "
             f"{_fmt(report.c_P.lower, dec)}"
         )
+    print("\n".join(lines))
     return 0
 
 
@@ -291,13 +296,15 @@ def _cmd_amin(args) -> int:
         raise DomainError("amin needs --x 'P/Q,P/Q,...'")
     dec = args.decimal
     closed = a_min_closed(coords)
-    print(f"closed: {_fmt(closed, dec)}")
+    lines = [f"closed: {_fmt(closed, dec)}"]
+    agree = True
     if args.brute is not None:
         brute = a_min_brute(coords, args.brute)
-        print(f"brute (K={args.brute}): {_fmt(brute, dec)}")
-        print("agree" if brute == closed else "DISAGREE")
-        return 0 if brute == closed else 1
-    return 0
+        agree = brute == closed
+        lines.append(f"brute (K={args.brute}): {_fmt(brute, dec)}")
+        lines.append("agree" if agree else "DISAGREE")
+    print("\n".join(lines))
+    return 0 if agree else 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ Three shape classes are supported:
   neighborhood of a point on a coordinate axis.
 
 All types are immutable values; geometric operations live in
-:mod:`toricap.geometry`.
+:mod:`toricap.geometry`.  Constructors coerce every rational field through
+``parse_rational``; a dimension ``n`` must be an int, not a bool.
 """
 
 from __future__ import annotations
@@ -42,10 +43,9 @@ class StandardDomain:
     def __post_init__(self):
         if self.kind not in STANDARD_KINDS:
             raise DomainError(f"unknown standard domain kind: {self.kind!r}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise DomainError(f"dimension must be an integer >= 1, got {self.n!r}")
-        if not isinstance(self.a, Fraction):
-            raise DomainError("size must be a Fraction")
+        object.__setattr__(self, "a", parse_rational(self.a))
         if self.a <= 0:
             raise DomainError(f"size must be positive, got {self.a}")
 
@@ -69,10 +69,11 @@ def _canonical_chain(vertices) -> tuple:
     pts = []
     for v in vertices:
         try:
-            x, y = v
+            # A string would unpack into its characters: "10" is not (1, 0).
+            x, y = () if isinstance(v, str) else v
         except (TypeError, ValueError):
             raise DomainError(f"vertex is not a coordinate pair: {v!r}")
-        pts.append((Fraction(x), Fraction(y)))
+        pts.append((parse_rational(x), parse_rational(y)))
     # Drop exact consecutive duplicates before any edge-based checks.
     deduped = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
     if len(deduped) < 2:
@@ -169,11 +170,11 @@ class Rect:
     y1: Fraction
 
     def __post_init__(self):
-        for c in (self.x0, self.x1, self.y0, self.y1):
-            if not isinstance(c, Fraction):
-                raise DomainError("rectangle corners must be Fractions")
+        for name in ("x0", "x1", "y0", "y1"):
+            c = parse_rational(getattr(self, name))
             if c < 0:
                 raise DomainError("rectangle must lie in the positive quadrant")
+            object.__setattr__(self, name, c)
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise DomainError(
                 f"degenerate rectangle [{self.x0},{self.x1}]x[{self.y0},{self.y1}]"
@@ -231,7 +232,7 @@ ToricDomain = Union[StandardDomain, Polygon2D, Rectilinear2D]
 
 def square_polygon(a: Fraction) -> Polygon2D:
     """The moment square [0, a]^2 as a vertex-chain polygon."""
-    a = Fraction(a)
+    a = parse_rational(a)
     if a <= 0:
         raise DomainError(f"square side must be positive, got {a}")
     return Polygon2D(((a, 0), (a, a), (0, a)))
@@ -254,6 +255,11 @@ def is_square_polygon(domain) -> Fraction | None:
 # ---------------------------------------------------------------------------
 
 def domain_from_dict(data: dict) -> ToricDomain:
+    """Build a domain from a decoded JSON document.
+
+    Only the document's shape is checked here; the constructors validate
+    the raw field values and coerce them through ``parse_rational``.
+    """
     if not isinstance(data, dict):
         raise DomainError("domain document must be a JSON object")
     try:
@@ -266,9 +272,7 @@ def domain_from_dict(data: dict) -> ToricDomain:
             a = data["a"]
         except KeyError as exc:
             raise DomainError(f"standard domain missing field {exc}")
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise DomainError(f"'n' must be an integer, got {n!r}")
-        return StandardDomain(kind, n, parse_rational(a))
+        return StandardDomain(kind, n, a)
     if kind == "polygon2d":
         try:
             raw = data["vertices"]
@@ -276,12 +280,10 @@ def domain_from_dict(data: dict) -> ToricDomain:
             raise DomainError("polygon2d document missing 'vertices'")
         if not isinstance(raw, list):
             raise DomainError("'vertices' must be a list of coordinate pairs")
-        vertices = []
         for item in raw:
             if not isinstance(item, list) or len(item) != 2:
                 raise DomainError(f"vertex is not a coordinate pair: {item!r}")
-            vertices.append((parse_rational(item[0]), parse_rational(item[1])))
-        return Polygon2D(tuple(vertices))
+        return Polygon2D(raw)
     if kind == "rectilinear2d":
         try:
             raw = data["rects"]
@@ -294,14 +296,7 @@ def domain_from_dict(data: dict) -> ToricDomain:
             if not isinstance(item, dict):
                 raise DomainError(f"rectangle is not an object: {item!r}")
             try:
-                rects.append(
-                    Rect(
-                        parse_rational(item["x0"]),
-                        parse_rational(item["x1"]),
-                        parse_rational(item["y0"]),
-                        parse_rational(item["y1"]),
-                    )
-                )
+                rects.append(Rect(item["x0"], item["x1"], item["y0"], item["y1"]))
             except KeyError as exc:
                 raise DomainError(f"rectangle missing corner field {exc}")
         return Rectilinear2D(tuple(rects))

@@ -52,6 +52,7 @@ from typing import Iterator, Optional
 from .domains import Polygon2D, is_square_polygon
 from .errors import DomainError, InapplicableError
 from .geometry import delta, support
+from .rationals import parse_rational
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +110,6 @@ class CombOrbitSet:
 
     def __bool__(self):
         return bool(self.factors)
-
-    def multiplicity(self, orbit: CombOrbit) -> int:
-        for o, m in self.factors:
-            if o == orbit:
-                return m
-        return 0
 
     def orbits(self):
         return tuple(o for o, _ in self.factors)
@@ -348,7 +343,7 @@ def enumeration_truncated(domain: Polygon2D, action_cap: Fraction) -> bool:
     costs at least as much; so truncation can hide candidates exactly
     when the cap reaches the smaller intercept.
     """
-    return min(domain.x_intercept, domain.y_intercept) <= action_cap
+    return min(domain.x_intercept, domain.y_intercept) <= parse_rational(action_cap)
 
 
 def _index_form(orbits):
@@ -397,9 +392,9 @@ def enumerate_orbit_sets(
     """
     if vmax < 1:
         raise InapplicableError(f"direction bound must be >= 1, got {vmax}")
-    if action_cap <= 0:
+    cap = parse_rational(action_cap)
+    if cap <= 0:
         return iter(())
-    cap = Fraction(action_cap)
     candidates = candidate_orbits(domain, cap, vmax, include_axis_orbits)
     orbits = [o for o, _ in candidates]
     scale, scaled = _over_common_denominator([cap] + [sup for _, sup in candidates])
@@ -520,13 +515,7 @@ def verify_witness(
     pf = witness.alpha_prime_factors
     if len(af) != len(pf) or not af:
         return False
-    prod_a = EMPTY_ORBIT_SET
-    for f in af:
-        prod_a = prod_a.product(f)
-    prod_p = EMPTY_ORBIT_SET
-    for f in pf:
-        prod_p = prod_p.product(f)
-    if prod_a != witness.alpha or prod_p != alpha_prime:
+    if _product_all(af) != witness.alpha or _product_all(pf) != alpha_prime:
         return False
     for a, p in zip(af, pf):
         if not leq_relation(source, target, a, p).holds:

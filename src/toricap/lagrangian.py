@@ -40,6 +40,7 @@ from .geometry import (
     is_monotone,
     rectilinear_contains,
 )
+from .rationals import parse_rational
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +48,7 @@ from .geometry import (
 # ---------------------------------------------------------------------------
 
 def _check_positive(x) -> tuple:
-    pt = tuple(Fraction(c) for c in x)
+    pt = tuple(parse_rational(c) for c in x)
     if not pt:
         raise InapplicableError("fiber position must have at least one coordinate")
     if any(c <= 0 for c in pt):

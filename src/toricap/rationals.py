@@ -4,6 +4,10 @@ All scalar quantities in this package are `fractions.Fraction` values;
 nothing on the computation path ever touches floating point.  The wire
 format for a rational is the string "p/q" or "p" (plain integers are
 also accepted on input).
+
+``parse_rational`` is the one place where a caller's value becomes a
+``Fraction``: every constructor and entry point that takes a rational, from
+a domain file or the Python API, coerces it here.
 """
 
 from __future__ import annotations
@@ -19,15 +23,11 @@ _RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+)\s*)?$")
 def parse_rational(value) -> Fraction:
     """Parse "p/q" or "p" (or a plain int / Fraction) into a Fraction.
 
-    Floats and decimal strings are rejected: accepting them would hide
-    representation error behind exact arithmetic.
+    Floats, bools and decimal strings are rejected with ``DomainError``:
+    accepting them would hide representation error behind exact
+    arithmetic.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise DomainError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
+    # Strings (domain files) first: the ABC isinstance check against Fraction is slow.
     if isinstance(value, str):
         m = _RATIONAL_RE.match(value)
         if not m:
@@ -37,6 +37,12 @@ def parse_rational(value) -> Fraction:
         if den == 0:
             raise DomainError(f"zero denominator in rational: {value!r}")
         return Fraction(num, den)
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise DomainError(f"not a rational: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
     raise DomainError(f"not a rational: {value!r}")
 
 

@@ -3,9 +3,13 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from toricap import DomainError
+from toricap.cli import SWEEP_LIMIT, _parse_sweep
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -265,3 +269,29 @@ def test_exit_1_on_oversized_amin_box():
     cp = run_cli("amin", "--x", "1/2,1/3", "--brute", "100000000")
     assert cp.returncode == 1
     assert cp.stderr.startswith("error:") and "Traceback" not in cp.stderr
+    assert cp.stdout == ""
+
+
+def test_exit_1_on_bad_bound_degree(omega_file):
+    # The d=30 line is computed before the bad degree; none is printed.
+    cp = run_cli("bound", omega_file, "--d", "30", "--d", "0")
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("error:") and "Traceback" not in cp.stderr
+    assert cp.stdout == ""
+
+
+def test_exit_2_on_oversized_sweep():
+    cp = run_cli("xa", "--sweep", "1/100000000..2/5:1/100000000")
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error:") and "Traceback" not in cp.stderr
+    assert "100000" in cp.stderr
+    assert cp.stdout == ""
+
+
+def test_sweep_limit_is_inclusive():
+    values = _parse_sweep(f"0..{SWEEP_LIMIT - 1}:1")
+    assert len(values) == SWEEP_LIMIT and values[-1] == SWEEP_LIMIT - 1
+    with pytest.raises(DomainError, match="limit"):
+        _parse_sweep(f"0..{SWEEP_LIMIT}:1")
+    assert _parse_sweep("1/10..2/5:1/20")[-1] == Fraction(2, 5)
+    assert _parse_sweep("1/10..3/8:1/10") == [Fraction(k, 10) for k in (1, 2, 3)]

@@ -11,14 +11,68 @@ from toricap import (
     Rect,
     Rectilinear2D,
     StandardDomain,
+    a_min_brute,
+    a_min_closed,
     domain_to_dict,
+    enumerate_orbit_sets,
+    enumeration_truncated,
     is_weakly_convex,
+    omega_a,
     parse_domain,
     serialize_domain,
     square_polygon,
+    verify_xa,
 )
 
 from generators import make_monotone_polygon, make_staircase, make_weakly_convex_polygon
+
+# Every public entry point that takes a rational, as a call on the value
+# under test, with valid values for it.  Each must coerce through
+# parse_rational: the same value as an int, a Fraction or a "p/q" string
+# gives equal results; a float, a bool or a decimal string is refused.
+RATIONAL_ENTRY_POINTS = [
+    (
+        "StandardDomain",
+        lambda v: StandardDomain("ball", 2, v),
+        [Fraction(2), Fraction(7, 3)],
+    ),
+    ("Rect", lambda v: Rect(0, 1, 0, v), [Fraction(1), Fraction(1, 2)]),
+    (
+        "Polygon2D",
+        lambda v: Polygon2D(((v, 0), (v, 1), (0, 2))),
+        [Fraction(3), Fraction(5, 2)],
+    ),
+    ("square_polygon", square_polygon, [Fraction(1), Fraction(2, 7)]),
+    ("omega_a", omega_a, [Fraction(3, 10)]),  # defined for 0 < a < 1/2 only
+    ("verify_xa", verify_xa, [Fraction(1, 3)]),
+    (
+        "a_min_closed",
+        lambda v: a_min_closed([v, Fraction(1, 3)]),
+        [Fraction(2), Fraction(3, 4)],
+    ),
+    (
+        "a_min_brute",
+        lambda v: a_min_brute([v, Fraction(1, 3)], 6),
+        [Fraction(2), Fraction(3, 4)],
+    ),
+    (
+        "enumerate_orbit_sets",
+        lambda v: list(enumerate_orbit_sets(square_polygon(1), v, 4, vmax=1)),
+        [Fraction(2), Fraction(5, 2)],
+    ),
+    (
+        "enumeration_truncated",
+        lambda v: enumeration_truncated(square_polygon(1), v),
+        [Fraction(1), Fraction(1, 2)],
+    ),
+]
+
+
+def _forms(value):
+    forms = [value, f"{value.numerator}/{value.denominator}"]
+    if value.denominator == 1:
+        forms.append(value.numerator)
+    return forms
 
 
 def test_parse_cube():
@@ -40,6 +94,23 @@ def test_parse_nonconvex_polygon_fails():
 def test_parse_rejects_floats():
     with pytest.raises(DomainError):
         parse_domain('{"kind":"cube","n":2,"a":"0.5"}')
+    for doc in (
+        '{"kind":"cube","n":2,"a":0.5}',
+        '{"kind":"cube","n":2,"a":true}',
+        '{"kind":"cube","n":true,"a":"1"}',
+        '{"kind":"polygon2d","vertices":[[1.0,0],[0,1]]}',
+        '{"kind":"rectilinear2d","rects":[{"x0":0,"x1":1,"y0":0,"y1":"0.5"}]}',
+    ):
+        with pytest.raises(DomainError):
+            parse_domain(doc)
+    for name, call, _ in RATIONAL_ENTRY_POINTS:
+        for bad in (0.5, 1.0, True, False, "0.5", "1e-1"):
+            try:
+                call(bad)
+            except DomainError as exc:
+                assert "not a rational" in str(exc), (name, bad, exc)
+            else:
+                pytest.fail(f"{name} accepted {bad!r}")
 
 
 def test_parse_rejects_zero_size():
@@ -67,6 +138,10 @@ def test_polygon_invariants():
             ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1, 2)),
              (Fraction(0), Fraction(1)))
         )
+    # A string vertex is not unpacked into its characters.
+    with pytest.raises(DomainError, match="coordinate pair"):
+        Polygon2D(("10", (1, 1), (0, 1)))
+    assert not is_weakly_convex(["10", (0, 1)])
 
 
 def test_collinear_midpoints_removed():
@@ -93,6 +168,9 @@ def test_rect_validation():
         Rect(Fraction(1), Fraction(1), Fraction(0), Fraction(2))
     with pytest.raises(DomainError, match="quadrant"):
         Rect(Fraction(-1), Fraction(1), Fraction(0), Fraction(2))
+    r = Rect(0, 1, 0, "1/2")
+    assert r == Rect(Fraction(0), Fraction(1), Fraction(0), Fraction(1, 2))
+    assert all(type(c) is Fraction for c in (r.x0, r.x1, r.y0, r.y1))
 
 
 def test_rectilinear_validation():
@@ -112,6 +190,15 @@ def test_standard_domain_validation():
         StandardDomain("ball", 0, Fraction(1))
     with pytest.raises(DomainError):
         StandardDomain("ball", 2, Fraction(-1))
+    with pytest.raises(DomainError, match="dimension"):
+        StandardDomain("ball", True, Fraction(1))
+    dom = StandardDomain("ball", 2, "7/3")
+    assert dom == StandardDomain("ball", 2, Fraction(7, 3)) and type(dom.a) is Fraction
+    for name, call, values in RATIONAL_ENTRY_POINTS:
+        for value in values:
+            expected = call(value)
+            for form in _forms(value):
+                assert call(form) == expected, (name, form)
 
 
 def test_round_trip_fixed_domains():
