@@ -36,6 +36,16 @@ vector ``c`` is the linear plus quadratic form
 ``CombOrbitSet`` objects and ``Fraction`` values are built only for the
 vectors that pass every integer test, so the cost of a search grows with
 the size of its multiplicity box, not with the denominators.
+
+The enumeration for a search slot is also bounded below on ``x + y``.
+Condition (iii) of ``leq_relation`` asks ``x + y - h/2`` of the source
+set to reach ``x' + y' + m' - 1`` of the target factor, and
+``x + y >= x + y - h/2``, so every set that passes has ``x + y`` at least
+that floor.  A branch is cut when even the best ratio of ``x + y`` to
+action among the remaining candidates, spent on the whole remaining
+budget (the linear-programming relaxation), cannot reach the floor; no
+cut branch holds a set that ``leq_relation`` would accept, so each
+slot's list of matches is unchanged, in the same order.
 """
 
 from __future__ import annotations
@@ -52,7 +62,7 @@ from typing import Iterator, Optional
 from .domains import Polygon2D, is_square_polygon
 from .errors import DomainError, InapplicableError
 from .geometry import delta, support
-from .rationals import parse_rational
+from .rationals import is_count, parse_rational
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +294,7 @@ def finite_d_bound(domain: Polygon2D, d: int) -> Fraction:
     pairs is therefore a sound upper bound.  It is non-increasing in d
     and converges to ``cube_bound`` from above.
     """
-    if not isinstance(d, int) or d < 1:
+    if not is_count(d):
         raise InapplicableError(f"degree must be an integer >= 1, got {d!r}")
     cube_bound(domain)  # validates the slope precondition
     s = domain.x_intercept + domain.y_intercept
@@ -325,10 +335,11 @@ def candidate_orbits(
     Directions of nonpositive support are excluded: every closed orbit
     contributes a positive period, so they cannot occur.
     """
+    cap = parse_rational(action_cap)
     out = []
     for v in sorted(_primitive_directions(vmax, include_axis_orbits)):
         sup = support(domain, v)
-        if 0 < sup <= action_cap:
+        if 0 < sup <= cap:
             for s in (0, 1):
                 out.append((CombOrbit(v, s), sup))
     out.sort(key=lambda item: item[0].key)
@@ -372,6 +383,7 @@ def enumerate_orbit_sets(
     index_target: int,
     vmax: int,
     include_axis_orbits: bool = True,
+    min_xy: Optional[int] = None,
 ) -> Iterator[CombOrbitSet]:
     """All orbit sets within the direction bound, action cap and index target.
 
@@ -389,9 +401,20 @@ def enumerate_orbit_sets(
     ``m * linear_i + m^2 * x_i y_i + 2 m * sum_j m_j cross_ij`` over the
     candidates ``j`` already chosen.  A ``CombOrbitSet`` is built only
     for a vector whose index equals the target.
+
+    With ``min_xy`` set, only sets with ``x + y >= min_xy`` are yielded,
+    and the recursion carries ``x + y`` as it carries the index.  A branch
+    whose remaining budget ``r`` cannot close the gap even at the best
+    ratio ``g/c`` of ``x + y`` per scaled cost among the remaining
+    candidates (``(min_xy - xy) * c > r * g``, with the empty choice
+    ``(0, 1)`` included) is cut: that ratio bounds what any completion
+    adds, so no set with ``x + y >= min_xy`` is lost, and the sets that
+    remain come in the same order.
     """
-    if vmax < 1:
-        raise InapplicableError(f"direction bound must be >= 1, got {vmax}")
+    if not is_count(vmax):
+        raise InapplicableError(
+            f"direction bound must be an integer >= 1, got {vmax!r}"
+        )
     cap = parse_rational(action_cap)
     if cap <= 0:
         return iter(())
@@ -405,14 +428,26 @@ def enumerate_orbit_sets(
     cheapest = [budget + 1] * (len(orbits) + 1)
     for i in range(len(orbits) - 1, -1, -1):
         cheapest[i] = min(cost[i], cheapest[i + 1])
+    gain = [o.v[0] + o.v[1] for o in orbits]
+    # best[i]: the (gain, cost) pair of largest gain/cost among candidates
+    # i, i+1, ... and the empty choice (0, 1).  No completion of a prefix
+    # with budget r left adds more than r * gain/cost to x + y.
+    best = [(0, 1)] * (len(orbits) + 1)
+    for i in range(len(orbits) - 1, -1, -1):
+        g, c = best[i + 1]
+        best[i] = (gain[i], cost[i]) if gain[i] * c > g * cost[i] else (g, c)
     chosen: list = []  # (candidate position, multiplicity)
 
-    def rec(i: int, remaining: int, index: int):
+    def rec(i: int, remaining: int, index: int, xy: int):
+        if min_xy is not None:
+            g, c = best[i]
+            if (min_xy - xy) * c > remaining * g:
+                return
         if remaining < cheapest[i]:
-            if chosen and index == index_target:
+            if chosen and index == index_target and (min_xy is None or xy >= min_xy):
                 yield CombOrbitSet(tuple((orbits[j], m) for j, m in chosen))
             return
-        yield from rec(i + 1, remaining, index)
+        yield from rec(i + 1, remaining, index, xy)
         max_m = remaining // cost[i]
         if orbits[i].s == 0:
             max_m = min(max_m, 1)
@@ -422,10 +457,10 @@ def enumerate_orbit_sets(
         for m in range(1, max_m + 1):
             chosen.append((i, m))
             index_m = index + m * (base + m * diagonal)
-            yield from rec(i + 1, remaining - m * cost[i], index_m)
+            yield from rec(i + 1, remaining - m * cost[i], index_m, xy + m * gain[i])
             chosen.pop()
 
-    return rec(0, budget, 0)
+    return rec(0, budget, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -565,10 +600,17 @@ def obstruction_search(
     direction bound truncating affordable candidates; or ``Inconclusive``
     when it did.  Within-bounds infeasibility is an obstruction claim for
     this combinatorial model and these bounds only.
+
+    Each slot's enumeration runs with ``min_xy = x' + y' + m' - 1``, the
+    target side of condition (iii): a source set matching the slot has
+    ``x + y >= x + y - h/2 >= x' + y' + m' - 1``, so the floor drops only
+    sets that ``leq_relation`` would reject, and the slot's matches,
+    hence the report, are the same as without it.
     """
-    if vmax < 1 or lmax < 1:
+    if not (is_count(vmax) and is_count(lmax)):
         raise InapplicableError(
-            f"invalid search limits: vmax={vmax}, lmax={lmax} (both must be >= 1)"
+            f"invalid search limits: vmax={vmax!r}, lmax={lmax!r} "
+            "(both must be integers >= 1)"
         )
     inv = orbit_invariants(alpha_prime)
     if inv.index <= 0:
@@ -634,7 +676,8 @@ def obstruction_search(
         found = [
             a
             for a in enumerate_orbit_sets(
-                source, cap, numbers.index, vmax, include_axis_orbits
+                source, cap, numbers.index, vmax, include_axis_orbits,
+                min_xy=numbers.x + numbers.y + numbers.m - 1,
             )
             if leq_relation(source, target, a, factor).holds
         ]

@@ -40,7 +40,7 @@ from .geometry import (
     is_monotone,
     rectilinear_contains,
 )
-from .rationals import parse_rational
+from .rationals import is_count, parse_rational
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +85,10 @@ def a_min_brute(x: Sequence, bound: int) -> Fraction:
     16,000,000 points are refused.
     """
     pt = _check_positive(x)
-    if bound < 1:
-        raise InapplicableError(f"enumeration bound must be >= 1, got {bound}")
+    if not is_count(bound):
+        raise InapplicableError(
+            f"enumeration bound must be an integer >= 1, got {bound!r}"
+        )
     size = (2 * bound + 1) ** len(pt)
     if size > _BRUTE_BOX_LIMIT:
         raise InapplicableError(

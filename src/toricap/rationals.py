@@ -46,6 +46,11 @@ def parse_rational(value) -> Fraction:
     raise DomainError(f"not a rational: {value!r}")
 
 
+def is_count(value) -> bool:
+    """Whether ``value`` is an int >= 1 (a bool is an int, but not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def format_rational(value: Fraction) -> str:
     """Lowest-terms "p/q" (or "p" when the denominator is 1)."""
     return str(value)

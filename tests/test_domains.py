@@ -24,6 +24,8 @@ from toricap import (
     verify_xa,
 )
 
+from toricap.ech import candidate_orbits
+
 from generators import make_monotone_polygon, make_staircase, make_weakly_convex_polygon
 
 # Every public entry point that takes a rational, as a call on the value
@@ -58,6 +60,11 @@ RATIONAL_ENTRY_POINTS = [
     (
         "enumerate_orbit_sets",
         lambda v: list(enumerate_orbit_sets(square_polygon(1), v, 4, vmax=1)),
+        [Fraction(2), Fraction(5, 2)],
+    ),
+    (
+        "candidate_orbits",
+        lambda v: candidate_orbits(square_polygon(1), v, 1),
         [Fraction(2), Fraction(5, 2)],
     ),
     (

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -202,8 +203,9 @@ def test_cube_bound_refuses_shallow_arrival():
 def test_finite_d_examples(om310):
     assert finite_d_bound(om310, 3) == F(4, 5)
     assert finite_d_bound(om310, 30) == F(8, 19)
-    with pytest.raises(InapplicableError):
-        finite_d_bound(om310, 0)
+    for bad in (0, True, 3.0):
+        with pytest.raises(InapplicableError, match="degree"):
+            finite_d_bound(om310, bad)
 
 
 def test_finite_d_monotone_and_convergent(om310):
@@ -296,7 +298,8 @@ def _enumerate_reference(domain, cap, index_target, vmax, include_axis_orbits):
 
 def test_enumerate_matches_fraction_recursion():
     rng = random.Random(59)
-    cases = yielded = hyperbolic = 0
+    floors = random.Random(67)  # its own stream: the cases above stay as they were
+    cases = yielded = hyperbolic = kept = split = 0
     for _ in range(40):
         dom = make_weakly_convex_polygon(rng)
         for vmax, axis in itertools.product((1, 2), (True, False)):
@@ -307,11 +310,24 @@ def test_enumerate_matches_fraction_recursion():
             cap = cheapest * F(rng.randint(2, 12 if vmax == 1 else 8), 2)
             target = rng.randint(-2, 8)
             got = list(enumerate_orbit_sets(dom, cap, target, vmax, axis))
-            assert got == _enumerate_reference(dom, cap, target, vmax, axis)
+            reference = _enumerate_reference(dom, cap, target, vmax, axis)
+            assert got == reference
+            # The pruned enumeration is the reference filtered by x + y >= floor.
+            floor = floors.randint(-2, 4)
+            pruned = list(enumerate_orbit_sets(dom, cap, target, vmax, axis,
+                                               min_xy=floor))
+            wanted = [
+                a for a in reference
+                if orbit_invariants(a).x + orbit_invariants(a).y >= floor
+            ]
+            assert pruned == wanted
             cases += 1
             yielded += len(got)
             hyperbolic += sum(any(o.s == 0 for o in a.orbits()) for a in got)
+            kept += len(pruned)
+            split += 0 < len(pruned) < len(got)
     assert cases == 160 and yielded > 400 and hyperbolic > 100
+    assert 100 < kept < yielded - 100 and split >= 10
 
 
 def test_enumeration_truncated_flag(om310):
@@ -339,6 +355,13 @@ def test_search_hypothesis_violations(om310):
         obstruction_search(om310, om310, parse_orbit_set("h(1,0)"), vmax=2, lmax=2)
     with pytest.raises(InapplicableError, match="invalid search limits"):
         obstruction_search(om310, om310, parse_orbit_set("e(1,1)"), vmax=0, lmax=0)
+    for bad in (True, 2.0):
+        for limits in ({"vmax": bad, "lmax": 2}, {"vmax": 2, "lmax": bad}):
+            with pytest.raises(InapplicableError, match="invalid search limits"):
+                obstruction_search(om310, om310, parse_orbit_set("e(1,1)"), **limits)
+    for bad in (0, True, 2.0):
+        with pytest.raises(InapplicableError, match="direction bound"):
+            list(enumerate_orbit_sets(om310, F(1), 4, vmax=bad))
 
 
 def test_search_cube_obstruction_small(om310):
@@ -350,6 +373,28 @@ def test_search_cube_obstruction_small(om310):
     assert report.obstructed_a == F(1, 2)
     assert report.bounds_used.enumerations_run == 0
     assert not report.bounds_used.enumeration_truncated
+
+
+def _on_alarm(signum, frame):
+    raise TimeoutError("obstruction search ran past its 30 s alarm")
+
+
+def test_search_inclusion_d3_returns_witness(om310):
+    # Inclusions that the per-factor pruning does not close: the slot
+    # enumerations must finish, and an inclusion is never obstructed.
+    alpha = parse_orbit_set("e(1,-1)^3 * e(-1,1)^3 * e(1,1)^2")
+    cases = [(square_polygon(F(1, 2)), square_polygon(F(1, 2))),
+             (square_polygon(F(2, 5)), om310)]
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(30)
+    try:
+        reports = [obstruction_search(s, t, alpha, vmax=3, lmax=3) for s, t in cases]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    for (source, target), report in zip(cases, reports):
+        assert report.status is SearchStatus.FEASIBLE_WITNESS
+        assert verify_witness(source, target, report.witness, alpha)
 
 
 def test_search_inconclusive_when_truncation_matters(om310):

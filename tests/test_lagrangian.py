@@ -72,8 +72,9 @@ def test_a_min_errors():
         a_min_closed([F(0), F(1)])
     with pytest.raises(InapplicableError):
         a_min_closed([F(-1, 2)])
-    with pytest.raises(InapplicableError):
-        a_min_brute([F(1, 2)], 0)
+    for bad in (0, True, 2.0):
+        with pytest.raises(InapplicableError, match="enumeration bound"):
+            a_min_brute([F(1, 2)], bad)
     with pytest.raises(InapplicableError, match="limit"):
         a_min_brute([F(1, 2), F(1, 3)], 2000)  # 4001^2 > 16,000,000 points
     with pytest.raises(InapplicableError):
