@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .domains import Polygon2D, StandardDomain, ToricDomain
+from .domains import Polygon2D, ToricDomain
 from .ech import cube_bound
 from .errors import DomainError, InapplicableError
 from .geometry import cube_inclusion, delta, eta, is_monotone
@@ -73,37 +73,6 @@ def omega_a(a: Fraction) -> Polygon2D:
     )
 
 
-def _simplex_inclusion(domain: ToricDomain) -> Fraction:
-    """Largest a with the simplex region of size a inside the domain."""
-    if isinstance(domain, StandardDomain):
-        if domain.kind in ("ball", "cylinder", "cube"):
-            return domain.a
-        return domain.n * domain.a  # the simplex corner can ride one cylinder
-    if isinstance(domain, Polygon2D):
-        # Convexity: both axis corners inside pull the hypotenuse inside.
-        return min(domain.x_intercept, domain.y_intercept)
-    # Conservative for non-convex unions: the inscribed square contains
-    # the simplex of the same size.
-    return cube_inclusion(domain)
-
-
-def _cylinder_cover(domain: ToricDomain) -> Optional[Fraction]:
-    """Smallest single-coordinate slab covering the domain (axes may swap)."""
-    if isinstance(domain, StandardDomain):
-        if domain.kind in ("ball", "cylinder", "cube"):
-            return domain.a
-        return None  # the union-of-cylinders region fits in no slab
-    if isinstance(domain, Polygon2D):
-        return min(
-            max(x for x, _ in domain.vertices),
-            max(y for _, y in domain.vertices),
-        )
-    return min(
-        max(r.x1 for r in domain.rects),
-        max(r.y1 for r in domain.rects),
-    )
-
-
 def capacity_report(domain: ToricDomain) -> CapacityReport:
     """Assemble every certified bound for one domain.
 
@@ -122,7 +91,7 @@ def capacity_report(domain: ToricDomain) -> CapacityReport:
     notes.append("c_P lower: inscribed cube (exact inclusion)")
     cp_upper = e
     cp_upper_note = "c_P upper: containment in the min-coordinate region"
-    if isinstance(domain, Polygon2D):
+    if domain.has_slope_bound:
         try:
             cb = cube_bound(domain)
         except InapplicableError:
@@ -145,7 +114,7 @@ def capacity_report(domain: ToricDomain) -> CapacityReport:
             "monotone domain: every cube-normalized capacity equals delta"
         )
 
-    c_b = Interval(_simplex_inclusion(domain), _cylinder_cover(domain))
+    c_b = Interval(domain.simplex_inclusion, domain.cylinder_cover)
     c_z = c_b
     notes.append(
         "c_B/c_Z: trivial inclusion bracket only (not certified by this library)"

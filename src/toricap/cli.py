@@ -24,13 +24,7 @@ from .capacities import (
     sweep_to_csv,
     verify_xa,
 )
-from .domains import (
-    Polygon2D,
-    Rectilinear2D,
-    StandardDomain,
-    is_weakly_convex,
-    parse_domain,
-)
+from .domains import Polygon2D, parse_domain
 from .ech import (
     cube_bound,
     finite_d_bound,
@@ -44,6 +38,9 @@ from .lagrangian import a_min_brute, a_min_closed
 from .rationals import format_rational, parse_rational
 
 DEFAULT_BOUND_DEGREES = (3, 9, 30, 90, 300)
+# Most fractional digits --decimal may ask for: the exact decimal expansion
+# of a double has at most 1074 of them (the smallest subnormal, 2**-1074).
+DECIMAL_LIMIT = 1074
 
 
 def _fmt(value: Fraction, decimal: int | None) -> str:
@@ -96,31 +93,14 @@ def _parse_sweep(spec: str):
 
 def _cmd_info(args) -> int:
     domain = _load_domain(args.file)
-    print(f"kind: {_kind_name(domain)}")
-    if isinstance(domain, StandardDomain):
-        print(f"n: {domain.n}")
-        print(f"a: {format_rational(domain.a)}")
-    elif isinstance(domain, Polygon2D):
-        print("n: 2")
-        print(f"vertices: {len(domain.vertices)}")
-        print(f"weakly_convex: {str(is_weakly_convex(domain)).lower()}")
-    else:
-        print("n: 2")
-        print(f"rects: {len(domain.rects)}")
-    print(f"monotone: {str(is_monotone(domain)).lower()}")
+    fields = {"kind": domain.kind, "n": domain.n, **domain.summary(),
+              "monotone": is_monotone(domain)}
+    for key, value in fields.items():
+        text = str(value).lower() if isinstance(value, bool) else str(value)
+        print(f"{key}: {text}")
     print(f"delta: {format_rational(delta(domain))}")
     print(f"eta: {format_rational(eta(domain))}")
     return 0
-
-
-def _kind_name(domain) -> str:
-    if isinstance(domain, StandardDomain):
-        return domain.kind
-    if isinstance(domain, Polygon2D):
-        return "polygon2d"
-    if isinstance(domain, Rectilinear2D):
-        return "rectilinear2d"
-    return type(domain).__name__
 
 
 def _interval_cell(iv, decimal) -> str:
@@ -378,8 +358,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "decimal", None) is not None and args.decimal < 0:
-            raise DomainError(f"--decimal needs N >= 0, got {args.decimal}")
+        decimal = getattr(args, "decimal", None)
+        if decimal is not None and not 0 <= decimal <= DECIMAL_LIMIT:
+            raise DomainError(
+                f"--decimal needs 0 <= N <= {DECIMAL_LIMIT}, got {decimal}"
+            )
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,6 @@
-"""Toric moment-domain models with exact rational data.
+"""Toric moment-domain models with exact rational data, one class per kind.
 
-Three shape classes are supported:
+Three kinds of domain are supported:
 
 * ``StandardDomain`` -- the ball, cylinder, cube and NDUC families in any
   dimension, kept symbolic (the cylinder and NDUC are unbounded and are
@@ -14,31 +14,69 @@ Three shape classes are supported:
   closed positive quadrant; the union must be connected and contain a
   neighborhood of a point on a coordinate axis.
 
-All types are immutable values; geometric operations live in
-:mod:`toricap.geometry`.  Constructors coerce every rational field through
-``parse_rational``; a dimension ``n`` must be an int, not a bool.
+Each kind derives from the plain base class ``ToricDomain`` and answers
+everything that depends on its kind itself, so a new kind is one new
+class (plus its entry in ``_KINDS``):
+
+* ``kind``, ``n``, ``to_dict()``, ``from_dict(data)``, ``summary()``;
+* ``delta``, ``eta``, ``is_monotone``, ``cube_inclusion`` (read through
+  :mod:`toricap.geometry`), ``contains(p)``, ``on_boundary(p)``;
+* ``simplex_inclusion``, ``cylinder_cover`` and ``has_slope_bound`` for
+  :mod:`toricap.capacities`;
+* ``cl_rules``, ``cl_cuts(e)``, ``cl_candidates`` for
+  :mod:`toricap.lagrangian`: the order of the Lagrangian-capacity rules,
+  where boundary status can change along y = e and x = e, and the
+  candidate fiber positions of an interval.
+
+The invariants are ``functools.cached_property`` members, computed at
+most once per instance and kept in the instance ``__dict__``, outside
+the dataclass fields, so equality, hashing, ``repr`` and serialization
+ignore them; a member that raises caches nothing and raises again.  All
+types are immutable values.  Constructors coerce every rational field
+through ``parse_rational``; a dimension ``n`` must be an int, not a bool.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from functools import cached_property
 
-from .errors import DomainError
+from .errors import DomainError, InapplicableError
 from .rationals import format_rational, parse_rational
 
 STANDARD_KINDS = ("ball", "cylinder", "cube", "nduc")
+ZERO = Fraction(0)
+
+
+class ToricDomain:
+    """Base class of the domain kinds; the module docstring lists the protocol."""
+
+    has_slope_bound = False
+
+
+def _checked(domain) -> ToricDomain:
+    """The domain itself, or ``DomainError`` for anything that is not one."""
+    if not isinstance(domain, ToricDomain):
+        raise DomainError(f"not a toric domain: {domain!r}")
+    return domain
 
 
 @dataclass(frozen=True)
-class StandardDomain:
+class StandardDomain(ToricDomain):
     """One of the four standard moment regions, of size ``a`` in dimension ``n``."""
 
     kind: str
     n: int
     a: Fraction
+
+    # Every standard region is monotone; for the unbounded NDUC this is a
+    # convention (it is sandwiched between the cube and itself at the same
+    # size), not a claim about smooth boundaries.
+    is_monotone = True
+    cl_rules = ("MonotoneDiagonal",)
 
     def __post_init__(self):
         if self.kind not in STANDARD_KINDS:
@@ -48,6 +86,45 @@ class StandardDomain:
         object.__setattr__(self, "a", parse_rational(self.a))
         if self.a <= 0:
             raise DomainError(f"size must be positive, got {self.a}")
+
+    @cached_property
+    def delta(self) -> Fraction:
+        # The cylinder, cube and NDUC all meet the diagonal at a.
+        return self.a / self.n if self.kind == "ball" else self.a
+
+    # The diagonal point also realizes the largest smallest coordinate and
+    # the inscribed cube of every standard region.
+    eta = cube_inclusion = property(lambda self: self.delta)
+
+    @property
+    def simplex_inclusion(self) -> Fraction:
+        # In the NDUC the simplex corner can ride one cylinder.
+        return self.n * self.a if self.kind == "nduc" else self.a
+
+    @property
+    def cylinder_cover(self):
+        # The union-of-cylinders region fits in no slab.
+        return None if self.kind == "nduc" else self.a
+
+    def contains(self, p):
+        raise InapplicableError("membership test implemented for planar domains only")
+
+    def on_boundary(self, p):
+        raise InapplicableError("boundary test implemented for planar domains only")
+
+    def summary(self) -> dict:
+        return {"a": self.a}
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "n": self.n, "a": format_rational(self.a)}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "StandardDomain":
+        try:
+            n, a = data["n"], data["a"]
+        except KeyError as exc:
+            raise DomainError(f"standard domain missing field {exc}")
+        return cls(data["kind"], n, a)
 
 
 def _cross(u, v) -> Fraction:
@@ -117,11 +194,41 @@ def _canonical_chain(vertices) -> tuple:
     return tuple(chain)
 
 
+def _on_segment(p, a, b) -> bool:
+    ax, ay = a
+    bx, by = b
+    px, py = p
+    if (bx - ax) * (py - ay) != (by - ay) * (px - ax):
+        return False
+    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
+
+
+def _chain_cuts(vertices, level: Fraction) -> list:
+    """Where the line y = level meets a vertex chain, plus 0; sorted, distinct.
+
+    Each edge crossing the line contributes its crossing, and each edge
+    lying on the line contributes both ends.
+    """
+    cuts = [ZERO]
+    for (px, py), (qx, qy) in zip(vertices, vertices[1:]):
+        if py == qy:
+            if py == level:
+                cuts += (px, qx)
+        elif min(py, qy) <= level <= max(py, qy):
+            cuts.append(px + (level - py) * (qx - px) / (qy - py))
+    return sorted(set(cuts))
+
+
 @dataclass(frozen=True)
-class Polygon2D:
+class Polygon2D(ToricDomain):
     """Weakly convex planar domain, stored as its canonical boundary chain."""
 
     vertices: tuple
+
+    kind = "polygon2d"
+    n = 2
+    has_slope_bound = True
+    cl_rules = ("MonotoneDiagonal", "EtaOnBoundary", "LatticeWitness")
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", _canonical_chain(self.vertices))
@@ -141,6 +248,99 @@ class Polygon2D:
             for p, q in zip(self.vertices, self.vertices[1:])
         ]
 
+    @cached_property
+    def _halfplanes(self) -> tuple:
+        # The region is the closed quadrant cut by the halfplanes
+        # normal . p <= offset, one per edge; the normal is the edge
+        # direction turned by -90 degrees, pointing away from the region.
+        planes = []
+        for p, q in zip(self.vertices, self.vertices[1:]):
+            nu = (q[1] - p[1], p[0] - q[0])
+            planes.append((nu, nu[0] * p[0] + nu[1] * p[1]))
+        return tuple(planes)
+
+    @cached_property
+    def delta(self) -> Fraction:
+        # The diagonal ray exits through a chain edge whose outward normal
+        # has positive coordinate sum; the tightest such edge gives delta.
+        return min(
+            c / (nu[0] + nu[1]) for nu, c in self._halfplanes if nu[0] + nu[1] > 0
+        )
+
+    @cached_property
+    def eta(self) -> Fraction:
+        # min(x, y) is concave, so over the convex region its maximum sits
+        # on the diagonal, at (delta, delta), or at a vertex of the chain.
+        return max(self.delta, *(min(v) for v in self.vertices))
+
+    @cached_property
+    def is_monotone(self) -> bool:
+        return all(dx <= 0 and dy >= 0 for dx, dy in self.edges())
+
+    @cached_property
+    def cube_inclusion(self) -> Fraction:
+        # By convexity the square [0, a]^2 is inside iff its corners are.
+        return min(self.delta, self.x_intercept, self.y_intercept)
+
+    @property
+    def simplex_inclusion(self) -> Fraction:
+        # By convexity both axis corners inside pull the hypotenuse inside.
+        return min(self.x_intercept, self.y_intercept)
+
+    @property
+    def cylinder_cover(self) -> Fraction:
+        return min(max(x for x, _ in self.vertices), max(y for _, y in self.vertices))
+
+    def contains(self, p) -> bool:
+        x, y = p
+        if x < 0 or y < 0:
+            return False
+        return all(nu[0] * x + nu[1] * y <= c for nu, c in self._halfplanes)
+
+    def on_boundary(self, p) -> bool:
+        x, y = p
+        if y == 0 and 0 <= x <= self.x_intercept:
+            return True
+        if x == 0 and 0 <= y <= self.y_intercept:
+            return True
+        return any(
+            _on_segment(p, a, b) for a, b in zip(self.vertices, self.vertices[1:])
+        )
+
+    def cl_cuts(self, e: Fraction) -> tuple:
+        return (
+            _chain_cuts(self.vertices, e),
+            _chain_cuts([(y, x) for x, y in self.vertices], e),
+        )
+
+    @property
+    def cl_candidates(self) -> list:
+        return [p for p in self.vertices if p[0] > 0 and p[1] > 0]
+
+    def summary(self) -> dict:
+        return {"vertices": len(self.vertices), "weakly_convex": is_weakly_convex(self)}
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "vertices": [
+                [format_rational(x), format_rational(y)] for x, y in self.vertices
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Polygon2D":
+        try:
+            raw = data["vertices"]
+        except KeyError:
+            raise DomainError("polygon2d document missing 'vertices'")
+        if not isinstance(raw, list):
+            raise DomainError("'vertices' must be a list of coordinate pairs")
+        for item in raw:
+            if not isinstance(item, list) or len(item) != 2:
+                raise DomainError(f"vertex is not a coordinate pair: {item!r}")
+        return cls(raw)
+
 
 def is_weakly_convex(vertices_or_polygon) -> bool:
     """Re-checkable predicate for untrusted vertex data.
@@ -149,10 +349,7 @@ def is_weakly_convex(vertices_or_polygon) -> bool:
     connecting the two coordinate axes.  A ``Polygon2D`` instance always
     passes (its constructor enforced the same invariants).
     """
-    if isinstance(vertices_or_polygon, Polygon2D):
-        vertices = vertices_or_polygon.vertices
-    else:
-        vertices = vertices_or_polygon
+    vertices = getattr(vertices_or_polygon, "vertices", vertices_or_polygon)
     try:
         _canonical_chain(vertices)
     except DomainError:
@@ -192,11 +389,86 @@ class Rect:
         )
 
 
+class _Coverage:
+    """Coordinate-compressed cell coverage of a rectangle union.
+
+    ``xs`` and ``ys`` are the sorted distinct rectangle coordinates
+    together with 0.  Cell (i, j) is the open box between ``xs[i]``,
+    ``xs[i + 1]`` and ``ys[j]``, ``ys[j + 1]``; every rectangle is a block
+    of whole cells, so a cell is covered by the closed union iff some
+    rectangle paints it, and the union is the closure of its painted
+    cells.  ``painted`` holds one byte per cell, column by column.
+    """
+
+    __slots__ = ("xs", "ys", "painted", "staircase", "cube")
+
+    def __init__(self, rects):
+        xs = sorted({ZERO, *(r.x0 for r in rects), *(r.x1 for r in rects)})
+        ys = sorted({ZERO, *(r.y0 for r in rects), *(r.y1 for r in rects)})
+        xi = {x: i for i, x in enumerate(xs)}
+        yi = {y: j for j, y in enumerate(ys)}
+        ny = len(ys) - 1
+        painted = bytearray((len(xs) - 1) * ny)
+        for r in rects:
+            j0, j1 = yi[r.y0], yi[r.y1]
+            run = b"\x01" * (j1 - j0)
+            for i in range(xi[r.x0], xi[r.x1]):
+                painted[i * ny + j0:i * ny + j1] = run
+        self.xs, self.ys, self.painted = xs, ys, painted
+        # Down-closed means every column is painted on a prefix of its
+        # cells, and the prefixes never grow from left to right.
+        # cube: the growing square [0, a]^2 first meets an unpainted cell
+        # (i, j) when a exceeds max(xs[i], ys[j]); in each column the
+        # lowest unpainted cell is the first one met.
+        staircase = True
+        cube = min(xs[-1], ys[-1])
+        height = ny
+        for i in range(len(xs) - 1):
+            start, end = i * ny, (i + 1) * ny
+            h = painted.find(0, start, end) - start
+            if h < 0:
+                h = ny
+            else:
+                cube = min(cube, max(xs[i], ys[h]))
+                if painted.find(1, start + h, end) >= 0:
+                    staircase = False
+            if h > height:
+                staircase = False
+            height = h
+        self.staircase = staircase
+        self.cube = cube
+
+    def quadrants(self, p) -> tuple:
+        """Whether each of the four cells meeting the corners of p is painted.
+
+        The cell beside p in direction (sx, sy) is the one that contains
+        the points just right (sx > 0) or left (sx < 0) of p, and just
+        above or below it; a cell outside the grid counts as unpainted.
+        """
+        x, y = p
+        xs, ys = self.xs, self.ys
+        nx, ny = len(xs) - 1, len(ys) - 1
+        cols = (bisect_left(xs, x) - 1, bisect_right(xs, x) - 1)
+        rows = (bisect_left(ys, y) - 1, bisect_right(ys, y) - 1)
+        return tuple(
+            0 <= i < nx and 0 <= j < ny and self.painted[i * ny + j] == 1
+            for i in cols
+            for j in rows
+        )
+
+
 @dataclass(frozen=True)
-class Rectilinear2D:
+class Rectilinear2D(ToricDomain):
     """Connected union of axis-aligned rectangles touching a coordinate axis."""
 
     rects: tuple
+
+    kind = "rectilinear2d"
+    n = 2
+    # The corner structure makes the fiber-torus witness the robust route,
+    # so a non-diagonal lattice witness is preferred when one exists (same
+    # value either way, since a staircase has diagonal radius equal to eta).
+    cl_rules = ("LatticeWitness", "MonotoneDiagonal", "EtaOnBoundary")
 
     def __post_init__(self):
         rects = tuple(self.rects)
@@ -226,8 +498,104 @@ class Rectilinear2D:
             raise DomainError("rectangle union is not connected")
         object.__setattr__(self, "rects", rects)
 
+    @cached_property
+    def _grid(self) -> _Coverage:
+        return _Coverage(self.rects)
 
-ToricDomain = Union[StandardDomain, Polygon2D, Rectilinear2D]
+    @cached_property
+    def delta(self) -> Fraction:
+        hits = [
+            min(r.x1, r.y1) for r in self.rects if max(r.x0, r.y0) <= min(r.x1, r.y1)
+        ]
+        if not hits:
+            raise InapplicableError("diagonal does not meet the domain")
+        return max(hits)
+
+    @cached_property
+    def eta(self) -> Fraction:
+        # Per rectangle the smallest coordinate is largest at the top-right corner.
+        return max(min(r.x1, r.y1) for r in self.rects)
+
+    @cached_property
+    def is_monotone(self) -> bool:
+        return self._grid.staircase
+
+    @cached_property
+    def cube_inclusion(self) -> Fraction:
+        return self._grid.cube
+
+    @property
+    def simplex_inclusion(self) -> Fraction:
+        # Conservative for non-convex unions: the inscribed square contains
+        # the simplex of the same size.
+        return self.cube_inclusion
+
+    @property
+    def cylinder_cover(self) -> Fraction:
+        return min(max(r.x1 for r in self.rects), max(r.y1 for r in self.rects))
+
+    def contains(self, p) -> bool:
+        # Some cell whose closure holds p is painted.
+        return any(self._grid.quadrants(p))
+
+    def on_boundary(self, p) -> bool:
+        # p is interior iff all four cells meeting its corners are painted.
+        quadrants = self._grid.quadrants(p)
+        return any(quadrants) and not all(quadrants)
+
+    def cl_cuts(self, e: Fraction) -> tuple:
+        return self._grid.xs, self._grid.ys
+
+    @property
+    def cl_candidates(self) -> list:
+        return [
+            p
+            for r in self.rects
+            for p in ((r.x1, r.y1), (r.x0, r.y0), (r.x0, r.y1), (r.x1, r.y0))
+            if p[0] > 0 and p[1] > 0 and self.contains(p)
+        ]
+
+    def summary(self) -> dict:
+        return {"rects": len(self.rects)}
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "rects": [
+                {
+                    "x0": format_rational(r.x0),
+                    "x1": format_rational(r.x1),
+                    "y0": format_rational(r.y0),
+                    "y1": format_rational(r.y1),
+                }
+                for r in self.rects
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Rectilinear2D":
+        try:
+            raw = data["rects"]
+        except KeyError:
+            raise DomainError("rectilinear2d document missing 'rects'")
+        if not isinstance(raw, list):
+            raise DomainError("'rects' must be a list of rectangle objects")
+        rects = []
+        for item in raw:
+            if not isinstance(item, dict):
+                raise DomainError(f"rectangle is not an object: {item!r}")
+            try:
+                rects.append(Rect(item["x0"], item["x1"], item["y0"], item["y1"]))
+            except KeyError as exc:
+                raise DomainError(f"rectangle missing corner field {exc}")
+        return cls(tuple(rects))
+
+
+_KINDS = {
+    **dict.fromkeys(STANDARD_KINDS, StandardDomain),
+    "polygon2d": Polygon2D,
+    "rectilinear2d": Rectilinear2D,
+}
 
 
 def square_polygon(a: Fraction) -> Polygon2D:
@@ -266,68 +634,13 @@ def domain_from_dict(data: dict) -> ToricDomain:
         kind = data["kind"]
     except KeyError:
         raise DomainError("domain document missing 'kind'")
-    if kind in STANDARD_KINDS:
-        try:
-            n = data["n"]
-            a = data["a"]
-        except KeyError as exc:
-            raise DomainError(f"standard domain missing field {exc}")
-        return StandardDomain(kind, n, a)
-    if kind == "polygon2d":
-        try:
-            raw = data["vertices"]
-        except KeyError:
-            raise DomainError("polygon2d document missing 'vertices'")
-        if not isinstance(raw, list):
-            raise DomainError("'vertices' must be a list of coordinate pairs")
-        for item in raw:
-            if not isinstance(item, list) or len(item) != 2:
-                raise DomainError(f"vertex is not a coordinate pair: {item!r}")
-        return Polygon2D(raw)
-    if kind == "rectilinear2d":
-        try:
-            raw = data["rects"]
-        except KeyError:
-            raise DomainError("rectilinear2d document missing 'rects'")
-        if not isinstance(raw, list):
-            raise DomainError("'rects' must be a list of rectangle objects")
-        rects = []
-        for item in raw:
-            if not isinstance(item, dict):
-                raise DomainError(f"rectangle is not an object: {item!r}")
-            try:
-                rects.append(Rect(item["x0"], item["x1"], item["y0"], item["y1"]))
-            except KeyError as exc:
-                raise DomainError(f"rectangle missing corner field {exc}")
-        return Rectilinear2D(tuple(rects))
-    raise DomainError(f"unknown domain kind: {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise DomainError(f"unknown domain kind: {kind!r}")
+    return _KINDS[kind].from_dict(data)
 
 
 def domain_to_dict(domain: ToricDomain) -> dict:
-    if isinstance(domain, StandardDomain):
-        return {"kind": domain.kind, "n": domain.n, "a": format_rational(domain.a)}
-    if isinstance(domain, Polygon2D):
-        return {
-            "kind": "polygon2d",
-            "vertices": [
-                [format_rational(x), format_rational(y)]
-                for x, y in domain.vertices
-            ],
-        }
-    if isinstance(domain, Rectilinear2D):
-        return {
-            "kind": "rectilinear2d",
-            "rects": [
-                {
-                    "x0": format_rational(r.x0),
-                    "x1": format_rational(r.x1),
-                    "y0": format_rational(r.y0),
-                    "y1": format_rational(r.y1),
-                }
-                for r in domain.rects
-            ],
-        }
-    raise DomainError(f"not a toric domain: {domain!r}")
+    return _checked(domain).to_dict()
 
 
 def parse_domain(text: str) -> ToricDomain:

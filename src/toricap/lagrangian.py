@@ -20,6 +20,13 @@ results stay auditable:
   realizes eta;
 * ``IntervalOnly`` -- none of the above applies; an honest interval is
   reported instead of a value.
+
+Each domain kind fixes the order of the definite rules (``cl_rules``)
+and supplies the data they scan (``cl_cuts``, ``cl_candidates``).
+``EtaOnBoundary`` and ``LatticeWitness`` claim eta, the upper end of the
+bracket, so they are sound only with the true eta; when eta exceeds
+delta the point (eta, eta) lies outside the domain and
+``EtaOnBoundary`` cannot fire.
 """
 
 from __future__ import annotations
@@ -30,16 +37,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .domains import Polygon2D, Rectilinear2D, StandardDomain, ToricDomain
+from .domains import ToricDomain, _checked
 from .errors import InapplicableError
-from .geometry import (
-    _coverage,
-    delta,
-    domain_on_boundary,
-    eta,
-    is_monotone,
-    rectilinear_contains,
-)
+from .geometry import delta, domain_on_boundary, eta, is_monotone
 from .rationals import is_count, parse_rational
 
 
@@ -152,22 +152,6 @@ def _definite(rule: CLRule, value: Fraction, witness) -> CLCertificate:
                          lower=value, upper=value)
 
 
-def _polygon_cuts(vertices, level: Fraction) -> list:
-    """Where the line y = level meets a vertex chain, plus 0; sorted, distinct.
-
-    Each edge crossing the line contributes its crossing, and each edge
-    lying on the line contributes both ends.
-    """
-    cuts = [Fraction(0)]
-    for (px, py), (qx, qy) in zip(vertices, vertices[1:]):
-        if py == qy:
-            if py == level:
-                cuts += (px, qx)
-        elif min(py, qy) <= level <= max(py, qy):
-            cuts.append(px + (level - py) * (qx - px) / (qy - py))
-    return sorted(set(cuts))
-
-
 def _last_multiple_on_boundary(domain, e: Fraction, cuts, point):
     """Largest ``point(k*e)`` on the boundary with integer k >= 2, or None.
 
@@ -200,18 +184,14 @@ def _lattice_witness(domain, e: Fraction) -> Optional[tuple]:
 
     The candidates are the points of the min-coordinate shell min = e
     with integer k_i >= 1, i.e. (k*e, e) and (e, k*e) for k >= 2.  Along
-    either line boundary status only changes at the grid lines of a
-    union, or at the chain crossings of a polygon, so the answer takes
-    O(grid lines) or O(vertices) boundary probes whatever the size of
-    extent/e.  Any point of the row y = e beats every point of the column
-    x = e, so the column is searched only when the row has no witness.
+    either line boundary status only changes at the domain's cuts
+    (``cl_cuts``: the grid lines of a union, or the chain crossings of a
+    polygon), so the answer takes O(grid lines) or O(vertices) boundary
+    probes whatever the size of extent/e.  Any point of the row y = e
+    beats every point of the column x = e, so the column is searched only
+    when the row has no witness.
     """
-    if isinstance(domain, Polygon2D):
-        row = _polygon_cuts(domain.vertices, e)
-        column = _polygon_cuts([(y, x) for x, y in domain.vertices], e)
-    else:
-        grid = _coverage(domain)
-        row, column = grid.xs, grid.ys
+    row, column = domain.cl_cuts(e)
     return (
         _last_multiple_on_boundary(domain, e, row, lambda x: (x, e))
         or _last_multiple_on_boundary(domain, e, column, lambda y: (e, y))
@@ -222,65 +202,59 @@ def _interval_certificate(domain) -> CLCertificate:
     """Honest bracket when no definite rule applies.
 
     The lower end is the best fiber-torus area among candidate positions
-    (domain corners and the diagonal point); the upper end is eta, since
-    the domain sits inside the min-coordinate region of that size.
+    (the diagonal point and the domain's ``cl_candidates``: polygon
+    vertices, or rectangle corners in the union); the upper end is eta,
+    since the domain sits inside the min-coordinate region of that size.
     """
     upper = eta(domain)
-    candidates = []
     d = delta(domain)
-    if d > 0:
-        candidates.append((d, d))
-    if isinstance(domain, Polygon2D):
-        candidates.extend(
-            p for p in domain.vertices if p[0] > 0 and p[1] > 0
-        )
-    else:
-        for r in domain.rects:
-            for p in ((r.x1, r.y1), (r.x0, r.y0), (r.x0, r.y1), (r.x1, r.y0)):
-                if p[0] > 0 and p[1] > 0 and rectilinear_contains(domain, p):
-                    candidates.append(p)
+    candidates = ([(d, d)] if d > 0 else []) + domain.cl_candidates
     lower = max(a_min_closed(p) for p in candidates) if candidates else Fraction(0)
     return CLCertificate(value=None, rule=CLRule.INTERVAL_ONLY, witness=None,
                          lower=lower, upper=upper)
 
 
+def _monotone_diagonal(domain) -> Optional[CLCertificate]:
+    if is_monotone(domain):
+        d = delta(domain)
+        return _definite(CLRule.MONOTONE_DIAGONAL, d, (d,) * domain.n)
+    return None
+
+
+def _eta_on_boundary(domain) -> Optional[CLCertificate]:
+    e = eta(domain)
+    if domain_on_boundary(domain, (e, e)):
+        return _definite(CLRule.ETA_ON_BOUNDARY, e, (e, e))
+    return None
+
+
+def _lattice_witness_rule(domain) -> Optional[CLCertificate]:
+    e = eta(domain)
+    p = _lattice_witness(domain, e)
+    return None if p is None else _definite(CLRule.LATTICE_WITNESS, e, p)
+
+
+_RULES = {
+    CLRule.MONOTONE_DIAGONAL.value: _monotone_diagonal,
+    CLRule.ETA_ON_BOUNDARY.value: _eta_on_boundary,
+    CLRule.LATTICE_WITNESS.value: _lattice_witness_rule,
+}
+
+
 def lagrangian_capacity(domain: ToricDomain) -> CLCertificate:
     """Certified Lagrangian capacity of a toric domain.
 
-    Standard domains and polygons take the strongest applicable rule in
-    the order MonotoneDiagonal, EtaOnBoundary, LatticeWitness.  For
-    rectangle unions the corner structure makes the fiber-torus witness
-    argument the robust route, so a non-diagonal lattice witness is
-    preferred when one exists (same value either way, since a staircase
-    has diagonal radius equal to eta).
+    The definite rules are tried in the order of the domain's kind
+    (``cl_rules``): MonotoneDiagonal, EtaOnBoundary, LatticeWitness for
+    standard domains and polygons; LatticeWitness first for rectangle
+    unions.  The first rule that applies gives the certificate, and
+    IntervalOnly is the fall-back.
     """
-    if isinstance(domain, StandardDomain):
-        d = delta(domain)
-        witness = tuple([d] * domain.n)
-        return _definite(CLRule.MONOTONE_DIAGONAL, d, witness)
-    if isinstance(domain, Polygon2D):
-        if is_monotone(domain):
-            d = delta(domain)
-            return _definite(CLRule.MONOTONE_DIAGONAL, d, (d, d))
-        e = eta(domain)
-        if domain_on_boundary(domain, (e, e)):
-            return _definite(CLRule.ETA_ON_BOUNDARY, e, (e, e))
-        p = _lattice_witness(domain, e)
-        if p is not None:
-            return _definite(CLRule.LATTICE_WITNESS, e, p)
-        return _interval_certificate(domain)
-    if isinstance(domain, Rectilinear2D):
-        e = eta(domain)
-        p = _lattice_witness(domain, e)
-        if p is not None:
-            return _definite(CLRule.LATTICE_WITNESS, e, p)
-        if is_monotone(domain):
-            d = delta(domain)
-            return _definite(CLRule.MONOTONE_DIAGONAL, d, (d, d))
-        if domain_on_boundary(domain, (e, e)):
-            return _definite(CLRule.ETA_ON_BOUNDARY, e, (e, e))
-        return _interval_certificate(domain)
-    raise InapplicableError(f"not a toric domain: {domain!r}")
+    for rule in _checked(domain).cl_rules:
+        cert = _RULES[rule](domain)
+        if cert is not None:
+            return cert
+    return _interval_certificate(domain)
 
 
 def cube_normalized_value(domain: ToricDomain) -> Fraction:

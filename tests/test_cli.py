@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from toricap import DomainError
-from toricap.cli import SWEEP_LIMIT, _parse_sweep
+from toricap.cli import DECIMAL_LIMIT, SWEEP_LIMIT, _parse_sweep
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -105,6 +105,30 @@ def test_report_decimal_out_of_float_range(tmp_path, late):
     assert cp.stdout == ""
     cp = run_cli("report", str(path))
     assert cp.returncode == 0, cp.stderr
+
+
+REPORT_DOCS = {
+    "nduc": {"kind": "nduc", "n": 3, "a": "5/7"},
+    "omega310": {"kind": "polygon2d", "vertices": [
+        ["2/5", "0"], ["7/10", "3/10"], ["3/10", "7/10"], ["0", "2/5"]]},
+    "staircase": {"kind": "rectilinear2d", "rects": [
+        {"x0": "0", "x1": "2", "y0": "0", "y1": "1"},
+        {"x0": "0", "x1": "1", "y0": "0", "y1": "3/2"},
+        {"x0": "0", "x1": "1/2", "y0": "0", "y1": "5/2"}]},
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("name", sorted(REPORT_DOCS))
+def test_report_golden(tmp_path, name, fmt):
+    # One domain of each kind; Omega_3/10 has eta = delta, so the polygon
+    # golden does not depend on how eta is found.
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(REPORT_DOCS[name]))
+    cp = run_cli("report", str(path), "--format", fmt)
+    assert cp.returncode == 0, cp.stderr
+    suffix = "txt" if fmt == "table" else "json"
+    assert cp.stdout == (GOLDEN / f"report_{name}.{suffix}").read_text()
 
 
 def test_xa_sweep_golden_csv():
@@ -263,6 +287,29 @@ def test_exit_2_on_negative_decimal(command, omega_file):
     assert cp.stdout == ""
     cp = run_cli(*args, "--decimal", "0")
     assert cp.returncode == 0, cp.stderr
+
+
+@pytest.mark.parametrize("command", ["report", "xa", "bound", "amin"])
+def test_exit_2_on_oversized_decimal(command, omega_file):
+    # 2**31 digits would make the formatter raise "precision too big"; the
+    # option is refused before any value is computed or formatted.
+    args = {
+        "report": ["report", omega_file],
+        "xa": ["xa", "--a", "3/10"],
+        "bound": ["bound", omega_file],
+        "amin": ["amin", "--x", "1/2,1/3"],
+    }[command]
+    cp = run_cli(*args, "--decimal", "2147483648")
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error:") and "Traceback" not in cp.stderr
+    assert str(DECIMAL_LIMIT) in cp.stderr
+    assert cp.stdout == ""
+    if command == "amin":
+        cp = run_cli(*args, "--decimal", str(DECIMAL_LIMIT + 1))
+        assert cp.returncode == 2 and cp.stdout == ""
+        cp = run_cli(*args, "--decimal", str(DECIMAL_LIMIT))
+        assert cp.returncode == 0, cp.stderr
+        assert f"(~{1 / 6:.{DECIMAL_LIMIT}f})" in cp.stdout
 
 
 def test_exit_1_on_oversized_amin_box():

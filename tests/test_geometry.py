@@ -1,5 +1,6 @@
 """Support values, diagonal/min-coordinate radii, monotonicity, cube inclusion."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,20 +8,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricap import (
+    CLRule,
+    DomainError,
     InapplicableError,
     Polygon2D,
     Rect,
     Rectilinear2D,
     StandardDomain,
+    capacity_report,
     cube_inclusion,
     delta,
+    domain_to_dict,
     eta,
     is_monotone,
+    lagrangian_capacity,
     omega_a,
+    report_to_dict,
     serialize_domain,
     square_polygon,
     support,
 )
+from toricap.domains import STANDARD_KINDS
 from toricap.geometry import domain_contains, domain_on_boundary
 
 from generators import (
@@ -151,6 +159,22 @@ def test_delta_error_when_diagonal_missed():
         delta(missing)
 
 
+def _chain_radii(chain):
+    """Oracle (delta, eta) of a vertex chain, from its vertices and diagonal crossings.
+
+    The diagonal meets the chain where x - y changes sign along an edge;
+    the largest crossing is delta.  min(x, y) is concave, so its maximum
+    over the convex region is at a crossing or at a vertex.
+    """
+    crossings = []
+    for (px, py), (qx, qy) in zip(chain, chain[1:]):
+        fp, fq = px - py, qx - qy
+        if fp * fq <= 0 and fp != fq:
+            crossings.append(px + fp / (fp - fq) * (qx - px))
+    d = max(crossings)
+    return d, max([d] + [min(x, y) for x, y in chain])
+
+
 def test_delta_le_eta():
     rng = random.Random(11)
     for _ in range(40):
@@ -163,7 +187,29 @@ def test_delta_le_eta():
             continue
         assert d <= eta(dom)
         if isinstance(dom, Polygon2D):
-            assert d == eta(dom)  # convex chain: the radii coincide
+            assert (d, eta(dom)) == _chain_radii(dom.vertices)
+    # Random chains reach eta > delta; so do these by hand.
+    polygons = [make_weakly_convex_polygon(rng) for _ in range(60)]
+    polygons += [make_monotone_polygon(rng) for _ in range(20)]
+    polygons += [omega_a(F(i, 12)) for i in range(1, 6)]
+    above = 0
+    for poly in polygons:
+        d, e = _chain_radii(poly.vertices)
+        assert (delta(poly), eta(poly)) == (d, e), poly
+        above += e > d
+    assert above >= 10
+
+
+def test_eta_above_delta_regression():
+    # eta is the vertex (3, 5), above the diagonal exit (5/3, 5/3); no rule
+    # certifies a value, so c_L and c_N are honest intervals.
+    poly = Polygon2D(((F(1), F(0)), (F(3), F(5)), (F(0), F(6))))
+    assert delta(poly) == F(5, 3) and eta(poly) == 3
+    report = capacity_report(poly)
+    assert report.c_L.rule is CLRule.INTERVAL_ONLY and report.c_L.value is None
+    assert (report.c_L.lower, report.c_L.upper) == (F(5, 3), 3)
+    assert (report.c_N.lower, report.c_N.upper) == (F(5, 3), 3)
+    assert not report.c_N.exact
 
 
 def test_delta_eta_monotone_under_scaling():
@@ -324,10 +370,6 @@ def test_rectilinear_coverage_matches_brute_oracle():
                 p = (x, y)
                 assert domain_contains(dom, p) == _brute_contains(rects, p), p
                 assert domain_on_boundary(dom, p) == _brute_on_boundary(rects, p), p
-        # The cached grid changes neither equality, hashing nor the JSON form.
-        fresh = Rectilinear2D(rects)
-        assert fresh == dom and hash(fresh) == hash(dom)
-        assert serialize_domain(fresh) == serialize_domain(dom)
 
 
 def test_corner_touching_union_boundary():
@@ -337,3 +379,70 @@ def test_corner_touching_union_boundary():
     assert not domain_contains(dom, (F(3, 2), F(1, 2)))
     assert not is_monotone(dom)
     assert cube_inclusion(dom) == 1
+
+
+# ---------------------------------------------------------------------------
+# per-instance caching
+# ---------------------------------------------------------------------------
+
+def _answers(dom):
+    """Every invariant and test of a domain, and its full report."""
+    out = [delta(dom), eta(dom), is_monotone(dom), cube_inclusion(dom),
+           report_to_dict(capacity_report(dom))]
+    if not isinstance(dom, StandardDomain):
+        p = (F(1, 3), F(1, 3))
+        out += [domain_contains(dom, p), domain_on_boundary(dom, p)]
+    return out
+
+
+def test_cached_invariants_keep_value_semantics():
+    rng = random.Random(53)
+    domains = [StandardDomain(kind, n, F(5, 7)) for kind in STANDARD_KINDS for n in (1, 3)]
+    domains += [omega_a(F(3, 10)), Polygon2D(((F(1), F(0)), (F(3), F(5)), (F(0), F(6))))]
+    domains += [make_weakly_convex_polygon(rng) for _ in range(10)]
+    domains += CORNER_TOUCHING + [make_touching_union(rng) for _ in range(10)]
+    domains += [make_staircase(rng) for _ in range(5)]
+    for dom in domains:
+        answers = _answers(dom)
+        # Computed once: the answers sit in the instance, beside the fields.
+        cached = {"delta"} if isinstance(dom, StandardDomain) else {
+            "delta", "eta", "is_monotone", "cube_inclusion"}
+        assert cached <= vars(dom).keys(), dom
+        fresh = dataclasses.replace(dom)  # same fields, nothing cached
+        assert not vars(fresh).keys() & cached
+        assert fresh == dom and hash(fresh) == hash(dom), dom
+        assert repr(fresh) == repr(dom)
+        assert serialize_domain(fresh) == serialize_domain(dom)
+        # A second read, and a fresh instance, give the same answers.
+        assert _answers(dom) == answers == _answers(fresh)
+    for kind in STANDARD_KINDS:
+        dom = StandardDomain(kind, 2, F(1))
+        for probe in (domain_contains, domain_on_boundary):
+            with pytest.raises(InapplicableError, match="planar"):
+                probe(dom, (F(1, 2), F(1, 2)))
+
+
+def test_raising_invariant_raises_again():
+    off_diagonal = Rectilinear2D(
+        (Rect(F(2), F(4), F(0), F(1, 4)), Rect(F(3), F(4), F(0), F(1)))
+    )
+    for _ in range(2):
+        with pytest.raises(InapplicableError, match="diagonal"):
+            delta(off_diagonal)
+    assert eta(off_diagonal) == 1  # the other invariants still answer
+    with pytest.raises(InapplicableError, match="diagonal"):
+        capacity_report(off_diagonal)
+
+
+@pytest.mark.parametrize(
+    "thing", [None, 3, "ball", (F(1), F(0)), {"kind": "ball"}],
+    ids=["none", "int", "str", "pair", "document"],
+)
+def test_non_domain_raises_domain_error(thing):
+    for fn in (delta, eta, is_monotone, cube_inclusion, capacity_report,
+               lagrangian_capacity, domain_to_dict):
+        with pytest.raises(DomainError, match="not a toric domain"):
+            fn(thing)
+    for probe in (domain_contains, domain_on_boundary):
+        with pytest.raises(DomainError, match="not a toric domain"):
+            probe(thing, (F(1, 2), F(1, 2)))

@@ -240,8 +240,9 @@ def _ray_exits(chain, d):
 
 
 def test_lattice_witness_matches_scan_on_polygons():
-    # No report reaches the polygon branch today ((eta, eta) is always on
-    # the chain), so e ranges freely here: random fractions, the smaller
+    # Reports reach the polygon witness only when eta > delta (otherwise
+    # (eta, eta) is on the chain and EtaOnBoundary fires first), so e
+    # ranges freely here: random fractions, the smaller
     # coordinate of each vertex (lattice points on vertices), and the
     # levels where the rays along (k, 1) and (1, k) leave the polygon
     # (witnesses on edges).
