@@ -21,7 +21,7 @@ from .domains import Polygon2D, ToricDomain
 from .ech import cube_bound
 from .errors import DomainError, InapplicableError
 from .geometry import cube_inclusion, delta, eta, is_monotone
-from .lagrangian import CLCertificate, CLRule, lagrangian_capacity
+from .lagrangian import CLCertificate, lagrangian_capacity
 from .rationals import format_rational, parse_rational
 
 

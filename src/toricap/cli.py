@@ -94,12 +94,14 @@ def _parse_sweep(spec: str):
 def _cmd_info(args) -> int:
     domain = _load_domain(args.file)
     fields = {"kind": domain.kind, "n": domain.n, **domain.summary(),
-              "monotone": is_monotone(domain)}
-    for key, value in fields.items():
-        text = str(value).lower() if isinstance(value, bool) else str(value)
-        print(f"{key}: {text}")
-    print(f"delta: {format_rational(delta(domain))}")
-    print(f"eta: {format_rational(eta(domain))}")
+              "monotone": is_monotone(domain),
+              "delta": format_rational(delta(domain)),
+              "eta": format_rational(eta(domain))}
+    # Every value is computed before printing, so an error leaves stdout empty.
+    print("\n".join(
+        f"{key}: {str(value).lower() if isinstance(value, bool) else str(value)}"
+        for key, value in fields.items()
+    ))
     return 0
 
 

@@ -12,7 +12,8 @@ Three kinds of domain are supported:
   the domain weakly convex by construction.
 * ``Rectilinear2D`` -- a finite union of axis-aligned rectangles in the
   closed positive quadrant; the union must be connected and contain a
-  neighborhood of a point on a coordinate axis.
+  neighborhood of a point on a coordinate axis.  Its coverage grid is
+  built by the constructor, which also checks connectivity on it.
 
 Each kind derives from the plain base class ``ToricDomain`` and answers
 everything that depends on its kind itself, so a new kind is one new
@@ -42,7 +43,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 
 from .errors import DomainError, InapplicableError
 from .rationals import format_rational, parse_rational
@@ -389,30 +390,93 @@ class Rect:
         )
 
 
+# Orders (numerator, denominator, index) triples of rationals by value.
+_BY_VALUE = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])
+
+
+def _ranks(values) -> tuple:
+    """Grid lines and ranks of rationals >= 0.
+
+    The lines are the sorted distinct values together with 0, and each
+    value's rank is its index among them.  The values are sorted once by
+    cross-multiplying their integer numerators and denominators, and one
+    pass over the sorted order assigns the ranks, so no value is hashed.
+    """
+    lines, ranks, last = [ZERO], [0] * len(values), (0, 1)
+    triples = sorted(
+        ((v.numerator, v.denominator, k) for k, v in enumerate(values)),
+        key=_BY_VALUE,
+    )
+    for num, den, k in triples:
+        # Fractions are kept in lowest terms, so equal values are equal pairs.
+        if (num, den) != last:
+            last = (num, den)
+            lines.append(values[k])
+        ranks[k] = len(lines) - 1
+    return lines, ranks
+
+
+def _connected(boxes) -> bool:
+    """Whether a union of closed rank boxes (x0, x1, y0, y1) is connected.
+
+    Ranks preserve order and equality, so two boxes meet, edge and corner
+    contacts included, iff their rank ranges overlap on both axes.  Boxes
+    are swept in order of their left edges, and each is compared only with
+    the later boxes that start at or before its right edge; a union-find
+    counts the merges.
+    """
+    boxes = sorted(boxes)
+    parent = list(range(len(boxes)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    merges = 0
+    for a, (_, x1, y0, y1) in enumerate(boxes):
+        for b in range(a + 1, len(boxes)):
+            bx0, _, by0, by1 = boxes[b]
+            if bx0 > x1:
+                break
+            if by0 <= y1 and y0 <= by1:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[ra] = rb
+                    merges += 1
+    return merges == len(boxes) - 1
+
+
 class _Coverage:
     """Coordinate-compressed cell coverage of a rectangle union.
 
     ``xs`` and ``ys`` are the sorted distinct rectangle coordinates
-    together with 0.  Cell (i, j) is the open box between ``xs[i]``,
-    ``xs[i + 1]`` and ``ys[j]``, ``ys[j + 1]``; every rectangle is a block
-    of whole cells, so a cell is covered by the closed union iff some
-    rectangle paints it, and the union is the closure of its painted
-    cells.  ``painted`` holds one byte per cell, column by column.
+    together with 0.  Each rectangle is mapped once to its integer rank
+    box, the indices of its four coordinates on these grid lines, and the
+    rest is read off the rank boxes in integer arithmetic: connectivity, by
+    a sweep over the boxes, and the painted cells.  Cell (i, j) is the open
+    box between ``xs[i]``, ``xs[i + 1]`` and ``ys[j]``, ``ys[j + 1]``; every
+    rectangle is a block of whole cells, so a cell is covered by the closed
+    union iff some rectangle paints it, and the union is the closure of its
+    painted cells.  ``painted`` holds one byte per cell, column by column.
+    A disconnected union raises ``DomainError`` before any cell is painted.
     """
 
     __slots__ = ("xs", "ys", "painted", "staircase", "cube")
 
     def __init__(self, rects):
-        xs = sorted({ZERO, *(r.x0 for r in rects), *(r.x1 for r in rects)})
-        ys = sorted({ZERO, *(r.y0 for r in rects), *(r.y1 for r in rects)})
-        xi = {x: i for i, x in enumerate(xs)}
-        yi = {y: j for j, y in enumerate(ys)}
+        n = len(rects)
+        xs, xr = _ranks([r.x0 for r in rects] + [r.x1 for r in rects])
+        ys, yr = _ranks([r.y0 for r in rects] + [r.y1 for r in rects])
+        boxes = list(zip(xr[:n], xr[n:], yr[:n], yr[n:]))
+        if not _connected(boxes):
+            raise DomainError("rectangle union is not connected")
         ny = len(ys) - 1
         painted = bytearray((len(xs) - 1) * ny)
-        for r in rects:
-            j0, j1 = yi[r.y0], yi[r.y1]
+        for i0, i1, j0, j1 in boxes:
             run = b"\x01" * (j1 - j0)
-            for i in range(xi[r.x0], xi[r.x1]):
+            for i in range(i0, i1):
                 painted[i * ny + j0:i * ny + j1] = run
         self.xs, self.ys, self.painted = xs, ys, painted
         # Down-closed means every column is painted on a prefix of its
@@ -459,7 +523,15 @@ class _Coverage:
 
 @dataclass(frozen=True)
 class Rectilinear2D(ToricDomain):
-    """Connected union of axis-aligned rectangles touching a coordinate axis."""
+    """Connected union of axis-aligned rectangles touching a coordinate axis.
+
+    After the type and axis checks the constructor builds the union's
+    coverage grid (``_Coverage``) once; the grid refuses a disconnected
+    union, and the staircase test, ``cube_inclusion``, membership,
+    boundary tests and ``cl_cuts`` all read it.  It is kept in the
+    instance ``__dict__`` beside the ``rects`` field, like the cached
+    invariants, so it takes no part in equality, hashing or ``repr``.
+    """
 
     rects: tuple
 
@@ -481,26 +553,8 @@ class Rectilinear2D(ToricDomain):
             raise DomainError(
                 "union must contain a neighborhood of a boundary-axis point"
             )
-        # Connectivity of the closed union via union-find over rectangles.
-        parent = list(range(len(rects)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(len(rects)):
-            for j in range(i + 1, len(rects)):
-                if rects[i].intersects(rects[j]):
-                    parent[find(i)] = find(j)
-        if len({find(i) for i in range(len(rects))}) != 1:
-            raise DomainError("rectangle union is not connected")
         object.__setattr__(self, "rects", rects)
-
-    @cached_property
-    def _grid(self) -> _Coverage:
-        return _Coverage(self.rects)
+        object.__setattr__(self, "_grid", _Coverage(rects))
 
     @cached_property
     def delta(self) -> Fraction:

@@ -26,11 +26,12 @@ corners, so no tolerances are needed.
 A rectangle union is answered from one coordinate-compressed coverage
 grid: the distinct rectangle coordinates (and 0) cut the quadrant into
 cells, and one byte per cell records whether a rectangle paints it.  The
-grid is built once per ``Rectilinear2D``, on first use; the staircase
-test and ``cube_inclusion`` are read off it in one pass over the cells,
-and membership and boundary tests bisect the grid lines.  The cost of a
-union's invariants therefore depends on the number of rectangles, not on
-the size of their coordinates.
+grid is built once per ``Rectilinear2D``, by its constructor, from each
+rectangle's integer rank box on the grid lines, which also decides
+connectivity; the staircase test and ``cube_inclusion`` are read off it
+in one pass over the cells, and membership and boundary tests bisect
+the grid lines.  The cost of a union's invariants therefore depends on
+the number of rectangles, not on the size of their coordinates.
 """
 
 from __future__ import annotations

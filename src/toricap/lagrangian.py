@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .domains import ToricDomain, _checked
 from .errors import InapplicableError

@@ -250,6 +250,20 @@ def test_exit_1_on_refused_bound(tmp_path):
     assert "error:" in cp.stderr
 
 
+def test_exit_1_on_off_diagonal_info_leaves_stdout_empty(tmp_path):
+    # monotone is known before delta is refused; nothing may be printed.
+    path = tmp_path / "off_diagonal.json"
+    path.write_text(
+        '{"kind":"rectilinear2d","rects":['
+        '{"x0":"2","x1":"4","y0":"0","y1":"1/4"},'
+        '{"x0":"3","x1":"4","y0":"0","y1":"1"}]}'
+    )
+    cp = run_cli("info", str(path))
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    assert cp.stderr.startswith("error: diagonal does not meet the domain")
+
+
 def test_exit_1_on_bad_amin_point():
     cp = run_cli("amin", "--x", "0,1/2")
     assert cp.returncode == 1

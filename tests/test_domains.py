@@ -26,7 +26,12 @@ from toricap import (
 
 from toricap.ech import candidate_orbits
 
-from generators import make_monotone_polygon, make_staircase, make_weakly_convex_polygon
+from generators import (
+    make_monotone_polygon,
+    make_staircase,
+    make_touching_union,
+    make_weakly_convex_polygon,
+)
 
 # Every public entry point that takes a rational, as a call on the value
 # under test, with valid values for it.  Each must coerce through
@@ -190,6 +195,100 @@ def test_rectilinear_validation():
         Rectilinear2D((r3,))
     touching = Rect(Fraction(1), Fraction(2), Fraction(0), Fraction(1))
     assert Rectilinear2D((r1, touching))
+
+
+def _oracle_connected(boxes) -> bool:
+    """Brute connectivity of closed rectangles (x0, x1, y0, y1): every pair
+    is tested for overlap in exact rationals, and a union-find merges the
+    pairs that meet, edges and corners included."""
+    parent = list(range(len(boxes)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, (ax0, ax1, ay0, ay1) in enumerate(boxes):
+        for j, (bx0, bx1, by0, by1) in enumerate(boxes[:i]):
+            if ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1:
+                parent[find(i)] = find(j)
+    return len({find(i) for i in range(len(boxes))}) == 1
+
+
+# Few coordinates with mixed denominators, so rectangles often share grid
+# lines and touch along them or at corners.
+_COORDS = [Fraction(k, 4) for k in range(13)] + [Fraction(1, 3), Fraction(5, 3), Fraction(7, 6)]
+
+
+def _random_boxes(rng) -> list:
+    boxes = []
+    for _ in range(rng.randint(1, 7)):
+        x0, x1 = sorted(rng.sample(_COORDS, 2))
+        y0, y1 = sorted(rng.sample(_COORDS, 2))
+        boxes.append((x0, x1, y0, y1))
+    return boxes
+
+
+F0, F1, F2, F3 = (Fraction(k) for k in range(4))
+HALF = Fraction(1, 2)
+CONTACT_CASES = {
+    "disjoint pair": [(F0, F1, F0, F1), (F2, F3, F0, F1)],
+    "disjoint in y only": [(F0, F2, F0, F1), (F1, F3, F2, F3)],
+    "edge contact": [(F0, F1, F0, F1), (F1, F2, F0, F1)],
+    "corner contact": [(F0, F1, F0, F1), (F1, F2, F1, F2)],
+    "meet only at a grid line": [(F0, F1, F0, F1), (F1, F2, HALF, F3)],
+    "gap of one line": [(F0, F1, F0, F1), (F1 + HALF, F2, F0, F1)],
+    "nested": [(F0, F3, F0, F3), (F1, F2, F1, F2)],
+    "duplicate": [(F0, F1, F0, F1), (F0, F1, F0, F1)],
+    "equal values from other forms": [(F0, F1, F0, HALF), (Fraction(2, 2), F2, Fraction(2, 4), F1)],
+    # A long box joins two boxes the sweep meets far apart.
+    "bridge": [(F2, F3, F2, F3), (F0, F1, F0, F1), (F0, F3, F1, F2)],
+    "two components": [(F0, F1, F0, F1), (F1, F2, F1, F2), (F3, F3 + 1, F0, F1),
+                       (F3 + 1, F3 + 2, F1, F2)],
+}
+
+
+def _check_against_oracle(boxes):
+    rects = tuple(Rect(*b) for b in boxes)
+    if not any(b[0] == 0 or b[2] == 0 for b in boxes):
+        # Off-axis unions are refused for that first, connected or not.
+        with pytest.raises(DomainError, match="axis"):
+            Rectilinear2D(rects)
+    elif _oracle_connected(boxes):
+        assert Rectilinear2D(rects).rects == rects
+    else:
+        with pytest.raises(DomainError, match="not connected"):
+            Rectilinear2D(rects)
+
+
+@pytest.mark.parametrize("name", sorted(CONTACT_CASES))
+def test_rectilinear_connectivity_contacts(name):
+    boxes = CONTACT_CASES[name]
+    _check_against_oracle(boxes)
+    _check_against_oracle(boxes[::-1])
+    # Mirrored in the diagonal, and lifted off both axes.
+    _check_against_oracle([(y0, y1, x0, x1) for x0, x1, y0, y1 in boxes])
+    _check_against_oracle([(x0 + 1, x1 + 1, y0 + 1, y1 + 1) for x0, x1, y0, y1 in boxes])
+
+
+def test_rectilinear_connectivity_matches_brute_oracle():
+    rng = random.Random(61)
+    verdicts = set()
+    for _ in range(600):
+        boxes = _random_boxes(rng)
+        _check_against_oracle(boxes)
+        verdicts.add((any(b[0] == 0 or b[2] == 0 for b in boxes), _oracle_connected(boxes)))
+    # Every branch ran: off-axis, connected and disconnected unions.
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+    generated = [make_touching_union(rng) for _ in range(40)]
+    generated += [make_staircase(rng) for _ in range(20)]
+    for dom in generated:
+        boxes = [(r.x0, r.x1, r.y0, r.y1) for r in dom.rects]
+        assert _oracle_connected(boxes)
+        _check_against_oracle(boxes)
+        # Dropping a rectangle may disconnect the rest.
+        if len(boxes) > 1:
+            _check_against_oracle(boxes[1:])
 
 
 def test_standard_domain_validation():

@@ -403,6 +403,10 @@ def test_cached_invariants_keep_value_semantics():
     domains += CORNER_TOUCHING + [make_touching_union(rng) for _ in range(10)]
     domains += [make_staircase(rng) for _ in range(5)]
     for dom in domains:
+        if isinstance(dom, Rectilinear2D):
+            # The coverage grid is built by the constructor, beside the fields.
+            assert "_grid" in vars(dom) and "_grid" not in repr(dom)
+            assert "_grid" not in {f.name for f in dataclasses.fields(dom)}
         answers = _answers(dom)
         # Computed once: the answers sit in the instance, beside the fields.
         cached = {"delta"} if isinstance(dom, StandardDomain) else {
@@ -415,6 +419,20 @@ def test_cached_invariants_keep_value_semantics():
         assert serialize_domain(fresh) == serialize_domain(dom)
         # A second read, and a fresh instance, give the same answers.
         assert _answers(dom) == answers == _answers(fresh)
+        if isinstance(dom, Rectilinear2D):
+            assert vars(fresh)["_grid"] is not vars(dom)["_grid"]
+            # Equal rectangles in other forms make an equal union.
+            again = Rectilinear2D(tuple(
+                Rect(*(str(c) for c in (r.x0, r.x1, r.y0, r.y1))) for r in dom.rects
+            ))
+            assert again == dom and hash(again) == hash(dom)
+            assert repr(again) == repr(dom)
+            assert serialize_domain(again) == serialize_domain(dom)
+            assert _answers(again) == answers
+            # A replaced field gets a grid of its own.
+            grown = dataclasses.replace(dom, rects=dom.rects + (dom.rects[0],))
+            assert grown != dom and serialize_domain(grown) != serialize_domain(dom)
+            assert _answers(grown) == answers
     for kind in STANDARD_KINDS:
         dom = StandardDomain(kind, 2, F(1))
         for probe in (domain_contains, domain_on_boundary):
