@@ -234,11 +234,13 @@ def report_csv_row(report: CapacityReport, a: Optional[Fraction] = None) -> list
     return row
 
 
+def _csv_text(rows) -> str:
+    """CSV document, one newline-terminated line per row of cells."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def sweep_to_csv(rows) -> str:
     """CSV document for (a, report) pairs using the documented columns."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for a, report in rows:
-        writer.writerow(report_csv_row(report, a))
-    return buf.getvalue()
+    return _csv_text([CSV_COLUMNS, *(report_csv_row(report, a) for a, report in rows)])

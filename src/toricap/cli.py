@@ -2,9 +2,12 @@
 
 Subcommands: ``info``, ``report``, ``xa``, ``bound``, ``obstruct`` and
 ``amin``.  All numeric output is exact "p/q"; the ``--decimal N`` flag
-adds clearly-marked approximations for human convenience.  Exit status
-0 means success, 1 a refused computation (a precondition or hypothesis
-does not hold), 2 an input error; failures print one machine-parsable
+adds clearly-marked approximations for human convenience.  Each
+``_cmd_*`` returns its whole stdout text and exit status, and ``main``
+writes the text once the command has returned, so an error leaves stdout
+empty.  Exit status 0 means success, 1 a refused computation (a
+precondition or hypothesis does not hold, or the ``amin`` oracle
+disagrees), 2 an input error; failures print one machine-parsable
 ``error: ...`` line on stderr.
 """
 
@@ -18,13 +21,14 @@ from pathlib import Path
 
 from .capacities import (
     CSV_COLUMNS,
+    _csv_text,
     capacity_report,
     report_csv_row,
     report_to_dict,
     sweep_to_csv,
     verify_xa,
 )
-from .domains import Polygon2D, parse_domain
+from .domains import parse_domain
 from .ech import (
     cube_bound,
     finite_d_bound,
@@ -41,6 +45,10 @@ DEFAULT_BOUND_DEGREES = (3, 9, 30, 90, 300)
 # Most fractional digits --decimal may ask for: the exact decimal expansion
 # of a double has at most 1074 of them (the smallest subnormal, 2**-1074).
 DECIMAL_LIMIT = 1074
+
+
+def _lines(lines) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
 def _fmt(value: Fraction, decimal: int | None) -> str:
@@ -91,18 +99,16 @@ def _parse_sweep(spec: str):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_info(args) -> int:
+def _cmd_info(args) -> tuple[str, int]:
     domain = _load_domain(args.file)
     fields = {"kind": domain.kind, "n": domain.n, **domain.summary(),
               "monotone": is_monotone(domain),
               "delta": format_rational(delta(domain)),
               "eta": format_rational(eta(domain))}
-    # Every value is computed before printing, so an error leaves stdout empty.
-    print("\n".join(
+    return _lines(
         f"{key}: {str(value).lower() if isinstance(value, bool) else str(value)}"
         for key, value in fields.items()
-    ))
-    return 0
+    ), 0
 
 
 def _interval_cell(iv, decimal) -> str:
@@ -113,26 +119,15 @@ def _interval_cell(iv, decimal) -> str:
     return f"[{_fmt(iv.lower, decimal)}, {_fmt(iv.upper, decimal)}]"
 
 
-def _cmd_report(args) -> int:
-    domain = _load_domain(args.file)
-    report = capacity_report(domain)
+def _cmd_report(args) -> tuple[str, int]:
+    report = capacity_report(_load_domain(args.file))
     if args.format == "json":
-        print(json.dumps(report_to_dict(report), indent=2))
-        return 0
+        return json.dumps(report_to_dict(report), indent=2) + "\n", 0
     if args.format == "csv":
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS[1:])
-        writer.writerow(report_csv_row(report)[1:])
-        sys.stdout.write(buf.getvalue())
-        return 0
+        # A single report has no family parameter: drop the "a" column.
+        return _csv_text([CSV_COLUMNS[1:], report_csv_row(report)[1:]]), 0
     dec = args.decimal
     cert = report.c_L
-    # Format every line before printing any, so that a value --decimal
-    # cannot approximate leaves only the error line.
     lines = [
         f"delta: {_fmt(report.delta, dec)}",
         f"eta: {_fmt(report.eta, dec)}",
@@ -155,11 +150,10 @@ def _cmd_report(args) -> int:
         f"c_Z: {_interval_cell(report.c_Z, dec)}",
     ]
     lines += [f"note: {note}" for note in report.notes]
-    print("\n".join(lines))
-    return 0
+    return _lines(lines), 0
 
 
-def _cmd_xa(args) -> int:
+def _cmd_xa(args) -> tuple[str, int]:
     values = [parse_rational(a) for a in args.a or []]
     if args.sweep:
         values.extend(_parse_sweep(args.sweep))
@@ -168,8 +162,7 @@ def _cmd_xa(args) -> int:
     values = sorted(set(values))
     checks = [verify_xa(a) for a in values]
     if args.format == "csv":
-        sys.stdout.write(sweep_to_csv((c.a, c.report) for c in checks))
-        return 0
+        return sweep_to_csv((c.a, c.report) for c in checks), 0
     if args.format == "json":
         payload = [
             {
@@ -184,8 +177,7 @@ def _cmd_xa(args) -> int:
             }
             for c in checks
         ]
-        print(json.dumps(payload, indent=2))
-        return 0
+        return json.dumps(payload, indent=2) + "\n", 0
     dec = args.decimal
     header = ["a", "delta", "eta", "c_L", "c_P", "c_N", "check"]
     rows = [header]
@@ -202,26 +194,18 @@ def _cmd_xa(args) -> int:
                 "pass" if c.passed else "FAIL",
             ]
         )
-    _print_table(rows)
-    return 0
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return _lines(
+        "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows
+    ), 0
 
 
-def _print_table(rows) -> None:
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    for r in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
-
-
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> tuple[str, int]:
     domain = _load_domain(args.file)
-    if not isinstance(domain, Polygon2D):
-        raise InapplicableError("the boundary-slope bound applies to polygon domains")
     dec = args.decimal
     bound = cube_bound(domain)
-    # Build every line before printing, so an error leaves stdout empty.
     lines = [f"cube bound: {_fmt(bound, dec)}"]
-    degrees = args.d if args.d else list(DEFAULT_BOUND_DEGREES)
-    for d in degrees:
+    for d in args.d or DEFAULT_BOUND_DEGREES:
         lines.append(f"d={d}: {_fmt(finite_d_bound(domain, d), dec)}")
     report = capacity_report(domain)
     if report.c_P.exact and report.c_P.lower < bound:
@@ -229,50 +213,44 @@ def _cmd_bound(args) -> int:
             f"note: not tight; exact cube capacity is "
             f"{_fmt(report.c_P.lower, dec)}"
         )
-    print("\n".join(lines))
-    return 0
+    return _lines(lines), 0
 
 
-def _cmd_obstruct(args) -> int:
+def _cmd_obstruct(args) -> tuple[str, int]:
     source = _load_domain(args.source)
     target = _load_domain(args.target)
-    if not isinstance(source, Polygon2D) or not isinstance(target, Polygon2D):
-        raise InapplicableError("obstruction search runs on polygon domains")
-    alpha_prime = parse_orbit_set(args.alpha)
     report = obstruction_search(
         source,
         target,
-        alpha_prime,
+        parse_orbit_set(args.alpha),
         vmax=args.vmax,
         lmax=args.lmax,
         include_axis_orbits=not args.no_axis_orbits,
     )
-    print(f"status: {report.status.value}")
-    if report.witness is not None:
-        print(f"alpha: {format_orbit_set(report.witness.alpha)}")
-        for i, (af, pf) in enumerate(
-            zip(report.witness.alpha_factors, report.witness.alpha_prime_factors),
-            start=1,
-        ):
-            print(f"factor {i}: {format_orbit_set(af)}  <=  {format_orbit_set(pf)}")
+    lines = [f"status: {report.status.value}"]
+    w = report.witness
+    if w is not None:
+        lines.append(f"alpha: {format_orbit_set(w.alpha)}")
+        lines += [
+            f"factor {i}: {format_orbit_set(af)}  <=  {format_orbit_set(pf)}"
+            for i, (af, pf) in enumerate(zip(w.alpha_factors, w.alpha_prime_factors), 1)
+        ]
     if report.obstructed_a is not None:
-        print(f"obstructed cube size: {format_rational(report.obstructed_a)}")
+        lines.append(f"obstructed cube size: {format_rational(report.obstructed_a)}")
     b = report.bounds_used
-    print(
+    lines += [
         "bounds: "
-        f"vmax={b.vmax} lmax={b.lmax} axis_orbits={str(b.include_axis_orbits).lower()}"
-    )
-    print(
+        f"vmax={b.vmax} lmax={b.lmax} axis_orbits={str(b.include_axis_orbits).lower()}",
         "search: "
         f"candidate_factors={b.candidate_factors} pruned={b.factors_pruned} "
         f"factorizations={b.factorizations_explored} "
         f"enumerations={b.enumerations_run} "
-        f"truncated={str(b.enumeration_truncated).lower()}"
-    )
-    return 0
+        f"truncated={str(b.enumeration_truncated).lower()}",
+    ]
+    return _lines(lines), 0
 
 
-def _cmd_amin(args) -> int:
+def _cmd_amin(args) -> tuple[str, int]:
     coords = [parse_rational(c) for c in args.x.split(",") if c.strip() != ""]
     if not coords:
         raise DomainError("amin needs --x 'P/Q,P/Q,...'")
@@ -285,8 +263,7 @@ def _cmd_amin(args) -> int:
         agree = brute == closed
         lines.append(f"brute (K={args.brute}): {_fmt(brute, dec)}")
         lines.append("agree" if agree else "DISAGREE")
-    print("\n".join(lines))
-    return 0 if agree else 1
+    return _lines(lines), (0 if agree else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -304,32 +281,35 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options shared by several subcommands, each defined once.
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    decimal = argparse.ArgumentParser(add_help=False)
+    decimal.add_argument("--decimal", type=int, metavar="N", default=None,
+                         help="also print N-digit decimal approximations")
 
     p = sub.add_parser("info", help="domain summary and validity predicates")
     p.add_argument("file", help="domain JSON file")
     p.set_defaults(func=_cmd_info)
 
-    p = sub.add_parser("report", help="full capacity report for a domain")
+    p = sub.add_parser("report", parents=[fmt, decimal],
+                       help="full capacity report for a domain")
     p.add_argument("file", help="domain JSON file")
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.add_argument("--decimal", type=int, metavar="N", default=None,
-                   help="also print N-digit decimal approximations")
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("xa", help="closed-form checks for the pinched-corner family")
+    p = sub.add_parser("xa", parents=[fmt, decimal],
+                       help="closed-form checks for the pinched-corner family")
     p.add_argument("--a", action="append", metavar="P/Q",
                    help="family parameter (repeatable)")
     p.add_argument("--sweep", metavar="LO..HI:STEP",
                    help="rational sweep, inclusive of HI when the step lands on it")
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.add_argument("--decimal", type=int, metavar="N", default=None)
     p.set_defaults(func=_cmd_xa)
 
-    p = sub.add_parser("bound", help="cube-capacity bounds from boundary slopes")
+    p = sub.add_parser("bound", parents=[decimal],
+                       help="cube-capacity bounds from boundary slopes")
     p.add_argument("file", help="domain JSON file (polygon)")
     p.add_argument("--d", action="append", type=int, metavar="N",
                    help="degree for the finite-degree bound (repeatable)")
-    p.add_argument("--decimal", type=int, metavar="N", default=None)
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("obstruct", help="bounded embedding-obstruction search")
@@ -345,36 +325,31 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exclude the axis directions (1,0) and (0,1)")
     p.set_defaults(func=_cmd_obstruct)
 
-    p = sub.add_parser("amin", help="minimal torus-fiber area at a rational point")
+    p = sub.add_parser("amin", parents=[decimal],
+                       help="minimal torus-fiber area at a rational point")
     p.add_argument("--x", required=True, metavar="P/Q,P/Q,...",
                    help="fiber position coordinates")
     p.add_argument("--brute", type=int, metavar="K", default=None,
                    help="also run the exhaustive oracle over [-K,K]^n")
-    p.add_argument("--decimal", type=int, metavar="N", default=None)
     p.set_defaults(func=_cmd_amin)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         decimal = getattr(args, "decimal", None)
         if decimal is not None and not 0 <= decimal <= DECIMAL_LIMIT:
             raise DomainError(
                 f"--decimal needs 0 <= N <= {DECIMAL_LIMIT}, got {decimal}"
             )
-        return args.func(args)
-    except DomainError as exc:
+        output, status = args.func(args)
+    except ToricapError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InapplicableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ToricapError as exc:  # catch-all for library errors
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, DomainError) else 1
+    sys.stdout.write(output)
+    return status
 
 
 if __name__ == "__main__":

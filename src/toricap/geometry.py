@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .domains import Polygon2D, ToricDomain, _checked
+from .domains import Polygon2D, ToricDomain, _checked, _require_polygon
 from .errors import InapplicableError
 
 
@@ -47,8 +47,9 @@ def support(domain: Polygon2D, v) -> Fraction:
 
     A linear functional over a polygonal curve attains its maximum at a
     vertex, so this is a finite exact maximum.  ``v`` must be a nonzero
-    integer pair.
+    integer pair; any other kind of domain raises ``InapplicableError``.
     """
+    _require_polygon("support values are defined on polygon domains", domain)
     vx, vy = v
     if vx == 0 and vy == 0:
         raise InapplicableError("support direction must be nonzero")

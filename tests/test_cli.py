@@ -349,6 +349,46 @@ def test_exit_2_on_oversized_sweep():
     assert cp.stdout == ""
 
 
+ERROR_FILES = {
+    "bad": "{not json",
+    "union": json.dumps({"kind": "rectilinear2d", "rects": [
+        {"x0": "0", "x1": "1", "y0": "0", "y1": "1/2"},
+        {"x0": "0", "x1": "1/2", "y0": "0", "y1": "1"}]}),
+    "off": json.dumps({"kind": "rectilinear2d", "rects": [
+        {"x0": "2", "x1": "4", "y0": "0", "y1": "1/4"},
+        {"x0": "3", "x1": "4", "y0": "0", "y1": "1"}]}),
+}
+
+# One failing input per subcommand: (argv, with {name} standing for the path
+# of ERROR_FILES[name] or of the omega fixture, exit status, stderr line).
+ERROR_CASES = {
+    "info": (["info", "{bad}"], 2, "error: invalid JSON: Expecting property name "
+             "enclosed in double quotes: line 1 column 2 (char 1)"),
+    "report": (["report", "{off}"], 1, "error: diagonal does not meet the domain"),
+    "xa": (["xa", "--a", "0.3"], 2, "error: not a rational 'p/q' string: '0.3'"),
+    "bound": (["bound", "{union}"], 1,
+              "error: the boundary-slope bound applies to polygon domains"),
+    "obstruct": (["obstruct", "--source", "{union}", "--target", "{omega}",
+                  "--alpha", "e(1,1)", "--vmax", "3", "--lmax", "3"], 1,
+                 "error: obstruction search runs on polygon domains"),
+    "amin": (["amin", "--x", "0,1/2"], 1, "error: fiber position coordinates must "
+             "be positive (torus fibers live over the open quadrant)"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ERROR_CASES))
+def test_error_contract(command, tmp_path, omega_file):
+    paths = {"omega": omega_file}
+    for name, text in ERROR_FILES.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(text)
+    argv, status, message = ERROR_CASES[command]
+    cp = run_cli(*(arg.format(**paths) for arg in argv))
+    assert cp.returncode == status
+    assert cp.stderr == message + "\n"
+    assert cp.stdout == ""
+
+
 def test_sweep_limit_is_inclusive():
     values = _parse_sweep(f"0..{SWEEP_LIMIT - 1}:1")
     assert len(values) == SWEEP_LIMIT and values[-1] == SWEEP_LIMIT - 1

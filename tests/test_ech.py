@@ -13,7 +13,10 @@ from toricap import (
     DomainError,
     InapplicableError,
     Polygon2D,
+    Rect,
+    Rectilinear2D,
     SearchStatus,
+    StandardDomain,
     action,
     cross_term,
     cube_bound,
@@ -28,6 +31,7 @@ from toricap import (
     orbit_invariants,
     parse_orbit_set,
     square_polygon,
+    support,
     verify_witness,
 )
 
@@ -463,6 +467,42 @@ def test_verify_witness_rejects_tampering(om310):
     assert leq_relation(om310, big, e, e).holds
     bad4 = SearchWitness(alpha=e, alpha_factors=(e,), alpha_prime_factors=(e,))
     assert not verify_witness(om310, big, bad4, e)
+    # Two source factors sharing a hyperbolic orbit multiply to no orbit set.
+    h, e11 = parse_orbit_set("h(1,1)"), parse_orbit_set("e(1,1)")
+    bad5 = SearchWitness(alpha=parse_orbit_set("e(1,1)^2"), alpha_factors=(h, h),
+                         alpha_prime_factors=(e11, e11))
+    assert not verify_witness(om310, om310, bad5, parse_orbit_set("e(1,1)^2"))
+
+
+NON_POLYGONS = {
+    "standard": StandardDomain("cube", 2, F(1, 2)),
+    "union": Rectilinear2D((Rect(F(0), F(1), F(0), F(1, 2)),
+                            Rect(F(0), F(1, 2), F(0), F(1)))),
+}
+
+POLYGON_ONLY_CALLS = {
+    "support": lambda d, p, a: support(d, (1, 1)),
+    "action": lambda d, p, a: action(d, a),
+    "leq_relation_source": lambda d, p, a: leq_relation(d, p, a, a),
+    "leq_relation_target": lambda d, p, a: leq_relation(p, d, a, a),
+    "candidate_orbits": lambda d, p, a: candidate_orbits(d, F(1), 2),
+    "enumeration_truncated": lambda d, p, a: enumeration_truncated(d, F(1)),
+    "enumerate_orbit_sets": lambda d, p, a: enumerate_orbit_sets(d, F(1), 2, 2),
+    "cube_bound": lambda d, p, a: cube_bound(d),
+    "finite_d_bound": lambda d, p, a: finite_d_bound(d, 30),
+    "obstruction_search_source": lambda d, p, a: obstruction_search(d, p, a, 2, 2),
+    "obstruction_search_target": lambda d, p, a: obstruction_search(p, d, a, 2, 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_POLYGONS))
+@pytest.mark.parametrize("call", sorted(POLYGON_ONLY_CALLS))
+def test_polygon_only_functions_refuse_other_kinds(om310, kind, call):
+    # Each call succeeds with the polygon in place of the other domain.
+    alpha = parse_orbit_set("e(1,1)")
+    POLYGON_ONLY_CALLS[call](om310, om310, alpha)
+    with pytest.raises(InapplicableError, match="polygon domains"):
+        POLYGON_ONLY_CALLS[call](NON_POLYGONS[kind], om310, alpha)
 
 
 def test_search_rejects_split_with_unequal_subproduct_index():

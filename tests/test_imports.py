@@ -1,8 +1,10 @@
-"""Static hygiene: every module-level import in the package is used.
+"""Static hygiene: every module-level import in the package is used, and
+only ``cli.main`` writes to stdout or stderr.
 
 There is no linter among the dependencies, so this scans the syntax
-trees itself.  ``__init__.py`` is exempt, since its imports are the
-public re-exports, and so are ``from __future__`` imports.
+trees itself.  ``__init__.py`` is exempt from the import check, since its
+imports are the public re-exports, and so are ``from __future__``
+imports.
 """
 
 import ast
@@ -70,3 +72,50 @@ def test_scan_flags_an_unused_import():
     bound = _imported_names(tree)
     assert bound.keys() == {"json", "os", "Iterable", "Optional"}
     assert {n for n in bound if n not in _used_names(tree)} == {"os", "Iterable"}
+
+
+def _output_sites(tree: ast.Module, skip: str | None = None) -> list:
+    """Line of every use of ``print`` and every ``sys.stdout``/``sys.stderr``
+    reference (attribute or ``from sys import``), outside the module-level
+    function named ``skip``."""
+    skipped = {
+        id(node)
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef) and top.name == skip
+        for node in ast.walk(top)
+    }
+    sites = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name) and node.id == "print":
+            sites.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+              and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+            sites.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys" and any(
+            alias.name in ("stdout", "stderr") for alias in node.names
+        ):
+            sites.append(node.lineno)
+    return sorted(sites)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_cli_main_writes_output(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    sites = _output_sites(tree, "main" if path.name == "cli.py" else None)
+    assert not sites, f"{path.name}: prints or writes to sys.stdout/stderr at lines {sites}"
+
+
+def test_output_scan_flags_writers():
+    tree = ast.parse(
+        "import sys\n"
+        "from sys import stderr\n"
+        "def main():\n"
+        "    print('ok', file=sys.stderr)\n"
+        "def helper():\n"
+        "    sys.stdout.write('x')\n"
+        "    say = print\n"
+    )
+    assert _output_sites(tree, "main") == [2, 6, 7]
+    assert _output_sites(tree) == [2, 4, 4, 6, 7]
