@@ -24,10 +24,11 @@ class (plus its entry in ``_KINDS``):
   :mod:`toricap.geometry`), ``contains(p)``, ``on_boundary(p)``;
 * ``simplex_inclusion``, ``cylinder_cover`` and ``has_slope_bound`` for
   :mod:`toricap.capacities`;
-* ``cl_rules``, ``cl_cuts(e)``, ``cl_candidates`` for
+* ``cl_rules``, ``cl_slices(e)``, ``cl_candidates`` for
   :mod:`toricap.lagrangian`: the order of the Lagrangian-capacity rules,
-  where boundary status can change along y = e and x = e, and the
-  candidate fiber positions of an interval.
+  the closed intervals [lo, hi] where the domain meets the lines y = e
+  (in x) and x = e (in y), by decreasing hi, and the candidate fiber
+  positions of an interval.
 
 The invariants are ``functools.cached_property`` members, computed at
 most once per instance and kept in the instance ``__dict__``, outside
@@ -210,20 +211,20 @@ def _on_segment(p, a, b) -> bool:
     return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
-def _chain_cuts(vertices, level: Fraction) -> list:
-    """Where the line y = level meets a vertex chain, plus 0; sorted, distinct.
-
-    Each edge crossing the line contributes its crossing, and each edge
-    lying on the line contributes both ends.
+def _chord(planes, level: Fraction) -> list:
+    """[(lo, hi)] where the line y = level meets the region cut from x >= 0
+    by the halfplanes ``((a, b), c)``: a x + b y <= c, or [] if it misses.
     """
-    cuts = [ZERO]
-    for (px, py), (qx, qy) in zip(vertices, vertices[1:]):
-        if py == qy:
-            if py == level:
-                cuts += (px, qx)
-        elif min(py, qy) <= level <= max(py, qy):
-            cuts.append(px + (level - py) * (qx - px) / (qy - py))
-    return sorted(set(cuts))
+    lo, hi = ZERO, None
+    for (a, b), c in planes:
+        room = c - b * level
+        if a > 0:
+            hi = room / a if hi is None else min(hi, room / a)
+        elif a < 0:
+            lo = max(lo, room / a)
+        elif room < 0:
+            return []
+    return [(lo, hi)] if lo <= hi else []
 
 
 @dataclass(frozen=True)
@@ -314,10 +315,12 @@ class Polygon2D(ToricDomain):
             _on_segment(p, a, b) for a, b in zip(self.vertices, self.vertices[1:])
         )
 
-    def cl_cuts(self, e: Fraction) -> tuple:
+    def cl_slices(self, e: Fraction) -> tuple:
+        # The first edge leaves the x-axis upwards and the last one reaches
+        # the y-axis leftwards, so some plane bounds each chord from above.
         return (
-            _chain_cuts(self.vertices, e),
-            _chain_cuts([(y, x) for x, y in self.vertices], e),
+            _chord(self._halfplanes, e),
+            _chord([((b, a), c) for (a, b), c in self._halfplanes], e),
         )
 
     @property
@@ -469,7 +472,7 @@ class _Coverage:
     A disconnected union raises ``DomainError`` before any cell is painted.
     """
 
-    __slots__ = ("xs", "ys", "painted", "staircase", "cube")
+    __slots__ = ("xs", "ys", "boxes", "painted", "staircase", "cube")
 
     def __init__(self, rects):
         n = len(rects)
@@ -484,7 +487,7 @@ class _Coverage:
             run = b"\x01" * (j1 - j0)
             for i in range(i0, i1):
                 painted[i * ny + j0:i * ny + j1] = run
-        self.xs, self.ys, self.painted = xs, ys, painted
+        self.xs, self.ys, self.boxes, self.painted = xs, ys, boxes, painted
         # Down-closed means every column is painted on a prefix of its
         # cells, and the prefixes never grow from left to right.
         # cube: the growing square [0, a]^2 first meets an unpainted cell
@@ -507,6 +510,21 @@ class _Coverage:
             height = h
         self.staircase = staircase
         self.cube = cube
+
+    def slices(self, level: Fraction, across: bool):
+        """Generator of [lo, hi] of each rectangle meeting the line y = level
+        (x = level when ``across``) by decreasing hi, compared in ranks:
+        ``bisect_right`` counts the grid lines <= level, ``bisect_left``
+        those < level.
+        """
+        lines, spans = (self.xs, self.ys) if across else (self.ys, self.xs)
+        below, above = bisect_right(lines, level), bisect_left(lines, level)
+        boxes = self.boxes
+        if across:
+            boxes = [(j0, j1, i0, i1) for i0, i1, j0, j1 in boxes]
+        hits = [(hi, lo) for lo, hi, b0, b1 in boxes if b0 < below and b1 >= above]
+        for hi, lo in sorted(hits, reverse=True):
+            yield spans[lo], spans[hi]
 
     def quadrants(self, p) -> tuple:
         """Whether each of the four cells meeting the corners of p is painted.
@@ -534,7 +552,7 @@ class Rectilinear2D(ToricDomain):
     After the type and axis checks the constructor builds the union's
     coverage grid (``_Coverage``) once; the grid refuses a disconnected
     union, and the staircase test, ``cube_inclusion``, membership,
-    boundary tests and ``cl_cuts`` all read it.  It is kept in the
+    boundary tests and ``cl_slices`` all read it.  It is kept in the
     instance ``__dict__`` beside the ``rects`` field, like the cached
     invariants, so it takes no part in equality, hashing or ``repr``.
     """
@@ -603,8 +621,9 @@ class Rectilinear2D(ToricDomain):
         quadrants = self._grid.quadrants(p)
         return any(quadrants) and not all(quadrants)
 
-    def cl_cuts(self, e: Fraction) -> tuple:
-        return self._grid.xs, self._grid.ys
+    def cl_slices(self, e: Fraction) -> tuple:
+        # Generators: the column is read only when the row has no witness.
+        return self._grid.slices(e, False), self._grid.slices(e, True)
 
     @property
     def cl_candidates(self) -> list:

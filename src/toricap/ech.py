@@ -63,7 +63,7 @@ from typing import Iterator, Optional
 from .domains import Polygon2D, _require_polygon, is_square_polygon
 from .errors import DomainError, InapplicableError
 from .geometry import delta, support
-from .rationals import is_count, parse_rational
+from .rationals import is_count, is_integer, parse_rational
 
 
 _POLYGON_ONLY = "orbit-set actions are defined on polygon domains"
@@ -82,8 +82,8 @@ class CombOrbit:
 
     def __post_init__(self):
         x, y = self.v
-        if not (isinstance(x, int) and isinstance(y, int)):
-            raise DomainError("orbit direction must be an integer pair")
+        if not (is_integer(x) and is_integer(y)):
+            raise DomainError(f"orbit direction must be an integer pair, got {self.v!r}")
         if (x, y) == (0, 0):
             raise DomainError("orbit direction must be nonzero")
         if math.gcd(abs(x), abs(y)) != 1:
@@ -92,7 +92,7 @@ class CombOrbit:
             raise DomainError(
                 f"orbit direction {self.v} must have a nonnegative component"
             )
-        if self.s not in (0, 1):
+        if not is_integer(self.s) or self.s not in (0, 1):
             raise DomainError(f"orbit marker must be 0 or 1, got {self.s!r}")
         object.__setattr__(self, "v", (x, y))
 
@@ -113,7 +113,7 @@ class CombOrbitSet:
         for orbit, m in factors:
             if not isinstance(orbit, CombOrbit):
                 raise DomainError("factors must pair a CombOrbit with a multiplicity")
-            if not isinstance(m, int) or m < 1:
+            if not is_count(m):
                 raise DomainError(f"multiplicity must be an integer >= 1, got {m!r}")
             if orbit.s == 0 and m != 1:
                 raise DomainError("hyperbolic (s = 0) orbits must have multiplicity 1")
@@ -425,6 +425,10 @@ def enumerate_orbit_sets(
         raise InapplicableError(
             f"direction bound must be an integer >= 1, got {vmax!r}"
         )
+    if not is_integer(index_target):
+        raise InapplicableError(f"index target must be an integer, got {index_target!r}")
+    if min_xy is not None and not is_integer(min_xy):
+        raise InapplicableError(f"x + y floor must be an integer, got {min_xy!r}")
     cap = parse_rational(action_cap)
     if cap <= 0:
         return iter(())
@@ -698,7 +702,7 @@ def obstruction_search(
         enum_cache[key] = found
         return found
 
-    def assign(slots, idx_p, cr_p):
+    def assign(slots, cr_p):
         """Pick one source set per slot satisfying the joint conditions."""
         pf = [s[0] for s in slots]
         options = []
@@ -709,33 +713,28 @@ def obstruction_search(
             options.append(found)
 
         chosen: list = []
-        # Cross terms of the chosen source sets, filled above the diagonal
-        # as the prefix grows.  Each source set has its slot's index, which
-        # the enumeration targets.
-        cr_a = [[0] * len(slots) for _ in slots]
+
+        def clashes(i: int, t: int, a) -> bool:
+            # Each source set has its slot's index, which the enumeration
+            # targets, so every sub-product index matches its target-side
+            # counterpart iff every pair's cross terms do; the target side
+            # is already checked positive.
+            return (
+                (chosen[i] == a or pf[i] == pf[t]) and _shares_orbits(chosen[i], a, s=1)
+                # A witness must not repeat a hyperbolic orbit.
+                or _shares_orbits(chosen[i], a, s=0)
+                or cross_term(chosen[i], a) != cr_p[i][t]
+            )
 
         def rec(t: int):
             if t == len(slots):
                 return True
             for a in options[t]:
-                ok = True
-                for i in range(t):
-                    if chosen[i] == a or pf[i] == pf[t]:
-                        if _shares_orbits(chosen[i], a, s=1):
-                            ok = False
-                            break
-                    if _shares_orbits(chosen[i], a, s=0):
-                        ok = False  # witness would repeat a hyperbolic orbit
-                        break
-                if not ok:
+                if any(clashes(i, t, a) for i in range(t)):
                     continue
-                for i in range(t):
-                    cr_a[i][t] = cross_term(chosen[i], a)
                 chosen.append(a)
-                prefix = idx_p[: t + 1]
-                if _subset_indices_ok(prefix, cr_p, match=(prefix, cr_a)):
-                    if rec(t + 1):
-                        return True
+                if rec(t + 1):
+                    return True
                 chosen.pop()
             return False
 
@@ -751,7 +750,7 @@ def obstruction_search(
             cr_p = [[vector_cross(a[3], b[3]) for b in slots] for a in slots]
             if not _subset_indices_ok(idx_p, cr_p):
                 return None
-            picked = assign(slots, idx_p, cr_p)
+            picked = assign(slots, cr_p)
             if picked is not None:
                 return SearchWitness(
                     alpha=_product_all(picked),

@@ -21,12 +21,12 @@ results stay auditable:
 * ``IntervalOnly`` -- none of the above applies; an honest interval is
   reported instead of a value.
 
-Each domain kind fixes the order of the definite rules (``cl_rules``)
-and supplies the data they scan (``cl_cuts``, ``cl_candidates``).
-``EtaOnBoundary`` and ``LatticeWitness`` claim eta, the upper end of the
-bracket, so they are sound only with the true eta; when eta exceeds
-delta the point (eta, eta) lies outside the domain and
-``EtaOnBoundary`` cannot fire.
+No domain point has a smallest coordinate above eta, so every domain
+point on the shell min(x, y) = eta is a boundary point, and both shell
+rules are closed forms at eta, with no boundary tests.  Each domain kind
+fixes the order of the definite rules (``cl_rules``) and supplies the
+shell intervals (``cl_slices``) and the candidate positions of an
+interval (``cl_candidates``).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 
 from .domains import ToricDomain, _checked
 from .errors import InapplicableError
-from .geometry import delta, domain_on_boundary, eta, is_monotone
+from .geometry import delta, eta, is_monotone
 from .rationals import is_count, parse_rational
 
 
@@ -152,50 +152,26 @@ def _definite(rule: CLRule, value: Fraction, witness) -> CLCertificate:
                          lower=value, upper=value)
 
 
-def _last_multiple_on_boundary(domain, e: Fraction, cuts, point):
-    """Largest ``point(k*e)`` on the boundary with integer k >= 2, or None.
+def _lattice_witness(domain) -> Optional[tuple]:
+    """Lexicographically largest boundary point (k1*eta, k2*eta) other than (eta, eta).
 
-    ``point`` places a coordinate on one line through (e, e), and
-    ``cuts`` are the sorted, distinct places along it where boundary
-    status can change; the boundary meets the line only within
-    [min(cuts), max(cuts)].  Status is constant on each open gap between
-    cuts, so the scan runs from the right, probing each gap once at its
-    largest multiple of e, k = ceil(hi/e) - 1, and each cut once if it is
-    a multiple.
+    The candidates are (k*eta, eta), then (eta, k*eta), for k >= 2.  Every
+    domain point on these lines is a boundary point, so an interval
+    [lo, hi] of ``cl_slices`` offers k = hi // eta when k*eta >= lo.  The
+    intervals come by decreasing hi, so the first offer is the largest k,
+    and the scan of a line stops at the first hi below 2*eta; the column
+    is read only when the row has no witness.
     """
-    for t in range(len(cuts) - 1, -1, -1):
-        lo = cuts[t]
-        if t + 1 < len(cuts):
-            k = math.ceil(cuts[t + 1] / e) - 1
+    e = eta(domain)
+    row, column = domain.cl_slices(e)
+    for slices, point in ((row, lambda t: (t, e)), (column, lambda t: (e, t))):
+        for lo, hi in slices:
+            k = hi // e
             if k < 2:
-                return None
-            if k * e > lo and domain_on_boundary(domain, point(k * e)):
+                break
+            if k * e >= lo:
                 return point(k * e)
-        k, rest = divmod(lo, e)
-        if k < 2:
-            return None
-        if rest == 0 and domain_on_boundary(domain, point(k * e)):
-            return point(k * e)
     return None
-
-
-def _lattice_witness(domain, e: Fraction) -> Optional[tuple]:
-    """Lexicographically largest boundary point (k1*e, k2*e) other than (e, e).
-
-    The candidates are the points of the min-coordinate shell min = e
-    with integer k_i >= 1, i.e. (k*e, e) and (e, k*e) for k >= 2.  Along
-    either line boundary status only changes at the domain's cuts
-    (``cl_cuts``: the grid lines of a union, or the chain crossings of a
-    polygon), so the answer takes O(grid lines) or O(vertices) boundary
-    probes whatever the size of extent/e.  Any point of the row y = e
-    beats every point of the column x = e, so the column is searched only
-    when the row has no witness.
-    """
-    row, column = domain.cl_cuts(e)
-    return (
-        _last_multiple_on_boundary(domain, e, row, lambda x: (x, e))
-        or _last_multiple_on_boundary(domain, e, column, lambda y: (e, y))
-    )
 
 
 def _interval_certificate(domain) -> CLCertificate:
@@ -222,16 +198,17 @@ def _monotone_diagonal(domain) -> Optional[CLCertificate]:
 
 
 def _eta_on_boundary(domain) -> Optional[CLCertificate]:
+    # (eta, eta) lies in the domain iff delta reaches eta, and then on its
+    # boundary, since no domain point has a larger smallest coordinate.
     e = eta(domain)
-    if domain_on_boundary(domain, (e, e)):
+    if delta(domain) == e:
         return _definite(CLRule.ETA_ON_BOUNDARY, e, (e, e))
     return None
 
 
 def _lattice_witness_rule(domain) -> Optional[CLCertificate]:
-    e = eta(domain)
-    p = _lattice_witness(domain, e)
-    return None if p is None else _definite(CLRule.LATTICE_WITNESS, e, p)
+    p = _lattice_witness(domain)
+    return None if p is None else _definite(CLRule.LATTICE_WITNESS, eta(domain), p)
 
 
 _RULES = {

@@ -46,9 +46,14 @@ def parse_rational(value) -> Fraction:
     raise DomainError(f"not a rational: {value!r}")
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int (a bool is an int, but not an integer here)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def is_count(value) -> bool:
-    """Whether ``value`` is an int >= 1 (a bool is an int, but not a count)."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    """Whether ``value`` is an integer >= 1."""
+    return is_integer(value) and value >= 1
 
 
 def format_rational(value: Fraction) -> str:

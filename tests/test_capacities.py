@@ -5,8 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-import toricap.lagrangian
-
 from toricap import (
     CLRule,
     DomainError,
@@ -137,14 +135,15 @@ def test_thin_lshape_witness_cost_depends_on_grid_not_magnitude(monkeypatch, dig
     t = F(1, 10**digits)
     arm_x, arm_y = F(4, 3), F(7, 5)
     dom = Rectilinear2D((Rect(F(0), arm_x, F(0), t), Rect(F(0), t, F(0), arm_y)))
-    probe = toricap.lagrangian.domain_on_boundary
     calls = []
+    for name in ("contains", "on_boundary"):
+        probe = getattr(Rectilinear2D, name)
 
-    def counting(domain, p):
-        calls.append(p)
-        return probe(domain, p)
+        def counting(domain, p, probe=probe):
+            calls.append(p)
+            return probe(domain, p)
 
-    monkeypatch.setattr(toricap.lagrangian, "domain_on_boundary", counting)
+        monkeypatch.setattr(Rectilinear2D, name, counting)
     r = capacity_report(dom)
     assert r.delta == r.eta == t
     assert r.c_L.rule is CLRule.LATTICE_WITNESS

@@ -58,6 +58,12 @@ def test_orbit_validation():
         CombOrbit((-1, -1), 1)
     with pytest.raises(DomainError, match="nonzero"):
         CombOrbit((0, 0), 1)
+    for bad in ((True, False), (1.0, 0), (1, False)):
+        with pytest.raises(DomainError, match="integer pair"):
+            CombOrbit(bad, 1)
+    for bad in (True, 1.0, 2):
+        with pytest.raises(DomainError, match="marker"):
+            CombOrbit((1, 1), bad)
     assert CombOrbit((0, -1), 1)  # one nonnegative component suffices
     assert CombOrbit((-3, 1), 0)
 
@@ -69,8 +75,9 @@ def test_orbit_set_validation():
         CombOrbitSet(((h10, 2),))
     with pytest.raises(DomainError, match="repeated"):
         CombOrbitSet(((e11, 1), (e11, 2)))
-    with pytest.raises(DomainError, match=">= 1"):
-        CombOrbitSet(((e11, 0),))
+    for bad in (0, True, 2.0):
+        with pytest.raises(DomainError, match=">= 1"):
+            CombOrbitSet(((e11, bad),))
 
 
 def test_literal_round_trip():
@@ -366,6 +373,15 @@ def test_search_hypothesis_violations(om310):
     for bad in (0, True, 2.0):
         with pytest.raises(InapplicableError, match="direction bound"):
             list(enumerate_orbit_sets(om310, F(1), 4, vmax=bad))
+    for bad in (3.0, True, F(3)):
+        with pytest.raises(InapplicableError, match="index target"):
+            list(enumerate_orbit_sets(om310, F(1), bad, vmax=2))
+    for bad in (F(1, 2), 0.5, False):
+        with pytest.raises(InapplicableError, match="x \\+ y floor"):
+            list(enumerate_orbit_sets(om310, F(1), 4, vmax=2, min_xy=bad))
+    # Negative integers are valid targets and floors.
+    found = list(enumerate_orbit_sets(om310, F(1), -1, vmax=2, min_xy=-3))
+    assert found and all(orbit_invariants(a).index == -1 for a in found)
 
 
 def test_search_cube_obstruction_small(om310):

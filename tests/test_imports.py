@@ -1,5 +1,6 @@
-"""Static hygiene: every module-level import in the package is used, and
-only ``cli.main`` writes to stdout or stderr.
+"""Static hygiene: every module-level import in the package is used,
+every module-level private name is read by some module of the package,
+and only ``cli.main`` writes to stdout or stderr.
 
 There is no linter among the dependencies, so this scans the syntax
 trees itself.  ``__init__.py`` is exempt from the import check, since its
@@ -72,6 +73,76 @@ def test_scan_flags_an_unused_import():
     bound = _imported_names(tree)
     assert bound.keys() == {"json", "os", "Iterable", "Optional"}
     assert {n for n in bound if n not in _used_names(tree)} == {"os", "Iterable"}
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """Module-level private function, class and constant names, mapped to their line.
+
+    Dunder names such as ``__all__`` are not private helpers.
+    """
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def _read_names(tree: ast.Module) -> set:
+    """Every name a module reads: loaded names, attribute names and imported names."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def test_no_orphaned_private_names():
+    # Only the package's own modules count as readers: a helper that only
+    # the tests still call is orphaned.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    read = set().union(*map(_read_names, trees.values()))
+    orphans = [
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    ]
+    assert not orphans, f"private names no module reads: {orphans}"
+
+
+def test_private_scan_flags_an_orphan():
+    tree = ast.parse(
+        "_LIMIT = 3\n"
+        "_a, _b = 1, 2\n"
+        "def _used():\n"
+        "    return _LIMIT + _a\n"
+        "def _orphan():\n"
+        "    pass\n"
+        "class _Helper:\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _used()\n"
+        "__all__ = ['public']\n"
+    )
+    defined = _private_definitions(tree)
+    assert defined.keys() == {"_LIMIT", "_a", "_b", "_used", "_orphan", "_Helper"}
+    read = _read_names(tree) | _read_names(ast.parse("from pkg.mod import _Helper\n"))
+    assert {name for name in defined if name not in read} == {"_b", "_orphan"}
 
 
 def _output_sites(tree: ast.Module, skip: str | None = None) -> list:

@@ -25,7 +25,7 @@ from toricap import (
 )
 
 from toricap.geometry import domain_on_boundary
-from toricap.lagrangian import _lattice_witness
+from toricap.lagrangian import _RULES, _lattice_witness
 
 from generators import (
     make_monotone_polygon,
@@ -218,48 +218,63 @@ def _scan_witness(domain, e):
     return max(found) if found else None
 
 
+def _translated(dom, dx, dy):
+    """The union shifted by (dx, dy); rectangles on the x-axis stretch to stay on it."""
+    return Rectilinear2D(tuple(
+        Rect(r.x0 + dx, r.x1 + dx, r.y0 + dy if r.y0 else r.y0, r.y1 + dy)
+        for r in dom.rects
+    ))
+
+
 def test_lattice_witness_matches_scan_on_unions():
+    # Besides the unions on the 1/4 grid, their translates off the
+    # diagonal, where eta is attained away from it.
     rng = random.Random(43)
-    for _ in range(150):
-        dom = make_touching_union(rng)
-        for e in {eta(dom), F(1, 4), F(1, 2), F(1, 3), F(rng.randint(1, 12), 8)}:
-            assert _lattice_witness(dom, e) == _scan_witness(dom, e), (dom, e)
-
-
-def _ray_exits(chain, d):
-    """Every t with t*d on a chain edge (d a direction into the open quadrant)."""
-    out = []
-    for (px, py), (qx, qy) in zip(chain, chain[1:]):
-        # Solve t*d = p + u*(q - p) for t and u in [0, 1].
-        det = (qx - px) * d[1] - (qy - py) * d[0]
-        if det != 0:
-            u = (py * d[0] - px * d[1]) / det
-            if 0 <= u <= 1:
-                out.append((px + u * (qx - px)) / d[0])
-    return out
+    unions = [make_touching_union(rng) for _ in range(150)]
+    unions += [_translated(dom, F(rng.randint(1, 12), 4), F(rng.randint(0, 3), 4))
+               for dom in unions[:60]]
+    assert any(all(max(r.x0, r.y0) > min(r.x1, r.y1) for r in dom.rects)
+               for dom in unions)
+    for dom in unions:
+        assert _lattice_witness(dom) == _scan_witness(dom, eta(dom)), dom
 
 
 def test_lattice_witness_matches_scan_on_polygons():
     # Reports reach the polygon witness only when eta > delta (otherwise
-    # (eta, eta) is on the chain and EtaOnBoundary fires first), so e
-    # ranges freely here: random fractions, the smaller
-    # coordinate of each vertex (lattice points on vertices), and the
-    # levels where the rays along (k, 1) and (1, k) leave the polygon
-    # (witnesses on edges).
+    # (eta, eta) is on the chain and EtaOnBoundary fires first), so the
+    # set holds at least 40 such polygons besides monotone ones and Omega_a.
     rng = random.Random(47)
-    polygons = [make_weakly_convex_polygon(rng) for _ in range(40)]
+    polygons = []
+    while sum(eta(p) > delta(p) for p in polygons) < 40:
+        polygons.append(make_weakly_convex_polygon(rng))
     polygons += [make_monotone_polygon(rng) for _ in range(20)]
     polygons += [omega_a(F(i, 12)) for i in range(1, 6)]
     polygons.append(Polygon2D(((F(1), F(0)), (F(3), F(5)), (F(0), F(6)))))
     for poly in polygons:
-        values = {F(rng.randint(1, 20), rng.randint(1, 12)) for _ in range(3)}
-        values |= {min(x, y) for x, y in poly.vertices if min(x, y) > 0}
-        for k in (2, 3):
-            values.update(_ray_exits(poly.vertices, (k, 1)))
-            values.update(_ray_exits(poly.vertices, (1, k)))
-        values.add(eta(poly))
-        for e in values:
-            assert _lattice_witness(poly, e) == _scan_witness(poly, e), (poly, e)
+        assert _lattice_witness(poly) == _scan_witness(poly, eta(poly)), poly
+
+
+def test_eta_on_boundary_matches_oracle():
+    # No domain point has min(x, y) > eta, so the rule's closed form
+    # delta == eta must agree with the boundary test at (eta, eta).
+    rng = random.Random(53)
+    domains = [make_weakly_convex_polygon(rng) for _ in range(60)]
+    domains += [make_monotone_polygon(rng) for _ in range(20)]
+    domains += [omega_a(F(i, 24)) for i in range(1, 12)]
+    domains += [make_touching_union(rng) for _ in range(60)]
+    domains += [make_staircase(rng) for _ in range(20)]
+    fired = set()
+    for dom in domains:
+        e = eta(dom)
+        on_boundary = domain_on_boundary(dom, (e, e))
+        rules = dom.cl_rules
+        earlier = rules[:rules.index("EtaOnBoundary")]
+        preempted = any(_RULES[rule](dom) is not None for rule in earlier)
+        assert (_RULES["EtaOnBoundary"](dom) is not None) == on_boundary, dom
+        picked = lagrangian_capacity(dom).rule is CLRule.ETA_ON_BOUNDARY
+        assert picked == (on_boundary and not preempted), dom
+        fired.add((type(dom), picked))
+    assert len(fired) == 4  # both outcomes on both kinds
 
 
 # ---------------------------------------------------------------------------
