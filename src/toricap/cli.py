@@ -70,6 +70,9 @@ def _load_domain(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DomainError(f"cannot read domain file {path!r}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"domain file {path!r} is not UTF-8: {exc.reason} "
+                          f"at byte {exc.start}")
     return parse_domain(text)
 
 

@@ -9,7 +9,11 @@ Three kinds of domain are supported:
   vertices with positive coordinates, listed counterclockwise from the
   x-axis intercept to the y-axis intercept.  The origin and the two axis
   segments are implicit.  The chain is required to be convex, which makes
-  the domain weakly convex by construction.
+  the domain weakly convex by construction.  The constructor scales the
+  chain once to integers over the lcm of its denominators (``_Lattice``);
+  the validation and the invariants run in ``int`` arithmetic on it, and
+  ``Fraction`` values appear only in the ``vertices`` field and in the
+  answers.
 * ``Rectilinear2D`` -- a finite union of axis-aligned rectangles in the
   closed positive quadrant; the union must be connected and contain a
   neighborhood of a point on a coordinate axis.  Its coverage grid is
@@ -33,21 +37,25 @@ class (plus its entry in ``_KINDS``):
 The invariants are ``functools.cached_property`` members, computed at
 most once per instance and kept in the instance ``__dict__``, outside
 the dataclass fields, so equality, hashing, ``repr`` and serialization
-ignore them; a member that raises caches nothing and raises again.  All
-types are immutable values.  Constructors coerce every rational field
-through ``parse_rational``; a dimension ``n`` must be an int, not a bool.
+ignore them; a member that raises caches nothing and raises again.  The
+structures a constructor builds (a polygon's ``_lattice``, a union's
+``_grid``) are kept there too.  All types are immutable values.
+Constructors coerce every rational field through ``parse_rational``; a
+dimension ``n`` must be an int, not a bool.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
 from .errors import DomainError, InapplicableError
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, over_common_denominator, parse_rational
 
 STANDARD_KINDS = ("ball", "cylinder", "cube", "nduc")
 ZERO = Fraction(0)
@@ -135,12 +143,31 @@ class StandardDomain(ToricDomain):
         return cls(data["kind"], n, a)
 
 
-def _cross(u, v) -> Fraction:
+def _cross(u, v) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _dot(u, v) -> Fraction:
+def _dot(u, v) -> int:
     return u[0] * v[0] + u[1] * v[1]
+
+
+class _Lattice:
+    """A polygon's boundary chain scaled to integers.
+
+    Vertex i of the chain is ``points[i] / q``, where q is the lcm of the
+    denominators of the chain's coordinates, and ``edges[i]`` is
+    ``points[i + 1] - points[i]``.  Scaling by q > 0 keeps every sign,
+    order and ratio, so the chain's checks and invariants run on these
+    integers.
+    """
+
+    __slots__ = ("q", "points", "edges")
+
+    def __init__(self, q: int, points: list):
+        self.q, self.points = q, points
+        self.edges = [
+            (bx - ax, by - ay) for (ax, ay), (bx, by) in zip(points, points[1:])
+        ]
 
 
 def _canonical_chain(vertices) -> tuple:
@@ -149,7 +176,9 @@ def _canonical_chain(vertices) -> tuple:
     Consecutive duplicate vertices and collinear midpoints are removed;
     every other defect raises ``DomainError`` naming the violated
     invariant.  The result is the canonical counterclockwise chain from
-    the x-axis intercept to the y-axis intercept.
+    the x-axis intercept to the y-axis intercept, as ``Fraction`` pairs,
+    and its ``_Lattice``.  The coordinates are scaled to integers once,
+    and every check compares those.
     """
     pts = []
     for v in vertices:
@@ -159,24 +188,28 @@ def _canonical_chain(vertices) -> tuple:
         except (TypeError, ValueError):
             raise DomainError(f"vertex is not a coordinate pair: {v!r}")
         pts.append((parse_rational(x), parse_rational(y)))
+    q, flat = over_common_denominator([c for p in pts for c in p])
+    ints = list(zip(flat[0::2], flat[1::2]))
     # Drop exact consecutive duplicates before any edge-based checks.
-    deduped = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
+    deduped = [i for i, p in enumerate(ints) if i == 0 or p != ints[i - 1]]
     if len(deduped) < 2:
         raise DomainError("vertex chain needs at least two distinct vertices")
     # Remove collinear midpoints (forward collinearity only; a collinear
     # backtrack is a degenerate chain, caught by the convexity check).
     chain = [deduped[0]]
-    for p in deduped[1:]:
+    for i in deduped[1:]:
+        p = ints[i]
         while len(chain) >= 2:
-            a, b = chain[-2], chain[-1]
+            a, b = ints[chain[-2]], ints[chain[-1]]
             e1 = (b[0] - a[0], b[1] - a[1])
             e2 = (p[0] - b[0], p[1] - b[1])
             if _cross(e1, e2) == 0 and _dot(e1, e2) > 0:
                 chain.pop()
             else:
                 break
-        chain.append(p)
-    first, last = chain[0], chain[-1]
+        chain.append(i)
+    points = [ints[i] for i in chain]
+    first, last = points[0], points[-1]
     if first[1] != 0 or first[0] <= 0:
         raise DomainError(
             "first vertex must be the x-axis intercept (y = 0, x > 0)"
@@ -185,21 +218,24 @@ def _canonical_chain(vertices) -> tuple:
         raise DomainError(
             "last vertex must be the y-axis intercept (x = 0, y > 0)"
         )
-    for p in chain[1:-1]:
+    for i, p in zip(chain[1:-1], points[1:-1]):
         if p[0] <= 0 or p[1] <= 0:
             raise DomainError(
-                f"intermediate vertex {p} must have positive coordinates"
+                f"intermediate vertex {pts[i]} must have positive coordinates"
             )
-    edges = [
-        (q[0] - p[0], q[1] - p[1]) for p, q in zip(chain, chain[1:])
-    ]
-    for e in edges:
+    # q over the gcd of q and the chain's integers is the lcm of the chain's
+    # own denominators, so the lattice depends on the canonical chain alone.
+    g = math.gcd(q, *(c for p in points for c in p))
+    if g > 1:
+        q, points = q // g, [(x // g, y // g) for x, y in points]
+    lattice = _Lattice(q, points)
+    for e in lattice.edges:
         if e == (0, 0):
             raise DomainError("degenerate zero-length edge in vertex chain")
-    for e1, e2 in zip(edges, edges[1:]):
+    for e1, e2 in zip(lattice.edges, lattice.edges[1:]):
         if _cross(e1, e2) <= 0:
             raise DomainError("vertex chain not convex/ordered (non-left turn)")
-    return tuple(chain)
+    return tuple(pts[i] for i in chain), lattice
 
 
 def _on_segment(p, a, b) -> bool:
@@ -211,25 +247,45 @@ def _on_segment(p, a, b) -> bool:
     return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
-def _chord(planes, level: Fraction) -> list:
+def _chord(planes, level: Fraction, q: int) -> list:
     """[(lo, hi)] where the line y = level meets the region cut from x >= 0
-    by the halfplanes ``((a, b), c)``: a x + b y <= c, or [] if it misses.
+    by the lattice halfplanes ``(a, b, c)``: a x + b y <= c / q, or [] if
+    it misses.
+
+    With level = m / n, each plane bounds x by room / (a n q), where
+    room = c n - b q m; the bounds are kept as integer pairs (numerator,
+    positive denominator) and compared by cross-multiplying.
     """
-    lo, hi = ZERO, None
-    for (a, b), c in planes:
-        room = c - b * level
+    m, n = level.numerator, level.denominator
+    lo, hi = (0, 1), None
+    for a, b, c in planes:
+        room = c * n - b * q * m
         if a > 0:
-            hi = room / a if hi is None else min(hi, room / a)
+            if hi is None or room * hi[1] < hi[0] * a:
+                hi = (room, a)
         elif a < 0:
-            lo = max(lo, room / a)
+            if room * lo[1] < lo[0] * a:  # -room / -a > lo
+                lo = (-room, -a)
         elif room < 0:
             return []
-    return [(lo, hi)] if lo <= hi else []
+    if lo[0] * hi[1] > hi[0] * lo[1]:
+        return []
+    scale = n * q
+    return [(Fraction(lo[0], lo[1] * scale), Fraction(hi[0], hi[1] * scale))]
 
 
 @dataclass(frozen=True)
 class Polygon2D(ToricDomain):
-    """Weakly convex planar domain, stored as its canonical boundary chain."""
+    """Weakly convex planar domain, stored as its canonical boundary chain.
+
+    The ``vertices`` field holds the chain as ``Fraction`` pairs.  The
+    constructor also keeps the chain scaled to integers over the lcm q of
+    its denominators (a ``_Lattice``) in the instance ``__dict__``, beside
+    the field, so it takes no part in equality, hashing, ``repr`` or
+    serialization.  The validation and every invariant read the integers:
+    comparisons become cross-multiplications, and each answer is built as
+    one ``Fraction`` (or is a vertex coordinate already held).
+    """
 
     vertices: tuple
 
@@ -239,7 +295,9 @@ class Polygon2D(ToricDomain):
     cl_rules = ("MonotoneDiagonal", "EtaOnBoundary", "LatticeWitness")
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", _canonical_chain(self.vertices))
+        chain, lattice = _canonical_chain(self.vertices)
+        object.__setattr__(self, "vertices", chain)
+        object.__setattr__(self, "_lattice", lattice)
 
     @property
     def x_intercept(self) -> Fraction:
@@ -249,61 +307,75 @@ class Polygon2D(ToricDomain):
     def y_intercept(self) -> Fraction:
         return self.vertices[-1][1]
 
-    def edges(self):
-        """Directed edges of the boundary chain, intercept to intercept."""
-        return [
-            (q[0] - p[0], q[1] - p[1])
-            for p, q in zip(self.vertices, self.vertices[1:])
-        ]
-
     @cached_property
     def _halfplanes(self) -> tuple:
         # The region is the closed quadrant cut by the halfplanes
-        # normal . p <= offset, one per edge; the normal is the edge
+        # a x + b y <= c / q, one per edge; the normal (a, b) is the edge
         # direction turned by -90 degrees, pointing away from the region.
-        planes = []
-        for p, q in zip(self.vertices, self.vertices[1:]):
-            nu = (q[1] - p[1], p[0] - q[0])
-            planes.append((nu, nu[0] * p[0] + nu[1] * p[1]))
-        return tuple(planes)
+        return tuple(
+            (dy, -dx, dy * x - dx * y)
+            for (x, y), (dx, dy) in zip(self._lattice.points, self._lattice.edges)
+        )
+
+    @cached_property
+    def _diagonal(self) -> tuple:
+        # The diagonal ray exits through a chain edge whose outward normal
+        # has positive coordinate sum s; the tightest such edge gives
+        # delta = c / (s q), kept here as the pair (c, s).
+        best = None
+        for a, b, c in self._halfplanes:
+            s = a + b
+            if s > 0 and (best is None or c * best[1] < best[0] * s):
+                best = (c, s)
+        return best
 
     @cached_property
     def delta(self) -> Fraction:
-        # The diagonal ray exits through a chain edge whose outward normal
-        # has positive coordinate sum; the tightest such edge gives delta.
-        return min(
-            c / (nu[0] + nu[1]) for nu, c in self._halfplanes if nu[0] + nu[1] > 0
-        )
+        c, s = self._diagonal
+        return Fraction(c, s * self._lattice.q)
 
     @cached_property
     def eta(self) -> Fraction:
         # min(x, y) is concave, so over the convex region its maximum sits
         # on the diagonal, at (delta, delta), or at a vertex of the chain.
-        return max(self.delta, *(min(v) for v in self.vertices))
+        c, s = self._diagonal
+        top = max(min(p) for p in self._lattice.points)
+        return self.delta if top * s <= c else Fraction(top, self._lattice.q)
 
     @cached_property
     def is_monotone(self) -> bool:
-        return all(dx <= 0 and dy >= 0 for dx, dy in self.edges())
+        return all(dx <= 0 and dy >= 0 for dx, dy in self._lattice.edges)
+
+    def _min_intercept(self) -> Fraction:
+        points = self._lattice.points
+        return self.x_intercept if points[0][0] <= points[-1][1] else self.y_intercept
 
     @cached_property
     def cube_inclusion(self) -> Fraction:
         # By convexity the square [0, a]^2 is inside iff its corners are.
-        return min(self.delta, self.x_intercept, self.y_intercept)
+        c, s = self._diagonal
+        points = self._lattice.points
+        if c <= min(points[0][0], points[-1][1]) * s:
+            return self.delta
+        return self._min_intercept()
 
     @property
     def simplex_inclusion(self) -> Fraction:
         # By convexity both axis corners inside pull the hypotenuse inside.
-        return min(self.x_intercept, self.y_intercept)
+        return self._min_intercept()
 
     @property
     def cylinder_cover(self) -> Fraction:
-        return min(max(x for x, _ in self.vertices), max(y for _, y in self.vertices))
+        points = self._lattice.points
+        top = min(max(x for x, _ in points), max(y for _, y in points))
+        return Fraction(top, self._lattice.q)
 
     def contains(self, p) -> bool:
         x, y = p
         if x < 0 or y < 0:
             return False
-        return all(nu[0] * x + nu[1] * y <= c for nu, c in self._halfplanes)
+        q = self._lattice.q
+        return all(q * (a * x + b * y) <= c for a, b, c in self._halfplanes)
 
     def on_boundary(self, p) -> bool:
         x, y = p
@@ -318,14 +390,16 @@ class Polygon2D(ToricDomain):
     def cl_slices(self, e: Fraction) -> tuple:
         # The first edge leaves the x-axis upwards and the last one reaches
         # the y-axis leftwards, so some plane bounds each chord from above.
+        planes, q = self._halfplanes, self._lattice.q
         return (
-            _chord(self._halfplanes, e),
-            _chord([((b, a), c) for (a, b), c in self._halfplanes], e),
+            _chord(planes, e, q),
+            _chord([(b, a, c) for a, b, c in planes], e, q),
         )
 
     @property
     def cl_candidates(self) -> list:
-        return [p for p in self.vertices if p[0] > 0 and p[1] > 0]
+        # The intermediate vertices, the ones with positive coordinates.
+        return list(self.vertices[1:-1])
 
     def summary(self) -> dict:
         return {"vertices": len(self.vertices), "weakly_convex": True}
@@ -379,7 +453,8 @@ class Rect:
     def __post_init__(self):
         for name in ("x0", "x1", "y0", "y1"):
             c = parse_rational(getattr(self, name))
-            if c < 0:
+            # A Fraction's sign is its numerator's (the denominator is > 0).
+            if c.numerator < 0:
                 raise DomainError("rectangle must lie in the positive quadrant")
             object.__setattr__(self, name, c)
         if not (self.x0 < self.x1 and self.y0 < self.y1):
@@ -728,6 +803,13 @@ def parse_domain(text: str) -> ToricDomain:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"invalid JSON: {exc}") from exc
+    except ValueError:
+        # The decoder's int() refuses a literal past Python's digit limit.
+        raise DomainError(
+            f"invalid JSON: a number has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    except RecursionError:
+        raise DomainError("invalid JSON: nested too deeply") from None
     return domain_from_dict(data)
 
 

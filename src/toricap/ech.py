@@ -63,7 +63,7 @@ from typing import Iterator, Optional
 from .domains import Polygon2D, _require_polygon, is_square_polygon
 from .errors import DomainError, InapplicableError
 from .geometry import delta, support
-from .rationals import is_count, is_integer, parse_rational
+from .rationals import is_count, is_integer, over_common_denominator, parse_rational
 
 
 _POLYGON_ONLY = "orbit-set actions are defined on polygon domains"
@@ -270,8 +270,9 @@ def leq_relation(
 def _slope_condition(domain: Polygon2D) -> bool:
     # Both end edges at least diagonal-steep: direction (dx, dy) with
     # dx <= dy.  This makes the supports of (1,-1) and (-1,1) attain
-    # exactly the two axis intercepts.
-    edges = domain.edges()
+    # exactly the two axis intercepts.  The lattice edges are the chain's
+    # edges scaled by q > 0, so they compare alike.
+    edges = domain._lattice.edges
     dx0, dy0 = edges[0]
     dx1, dy1 = edges[-1]
     return dx0 <= dy0 and dx1 <= dy1
@@ -289,7 +290,8 @@ def cube_bound(domain: Polygon2D) -> Fraction:
         raise InapplicableError(
             "tangent-slope condition fails: both end edges must satisfy dx <= dy"
         )
-    return Fraction(domain.x_intercept + domain.y_intercept, 2)
+    q, points = domain._lattice.q, domain._lattice.points
+    return Fraction(points[0][0] + points[-1][1], 2 * q)
 
 
 def finite_d_bound(domain: Polygon2D, d: int) -> Fraction:
@@ -380,12 +382,6 @@ def _index_form(orbits):
     return linear, cross
 
 
-def _over_common_denominator(values):
-    """``(q, [v * q for v in values])`` with q the lcm of the denominators."""
-    q = math.lcm(*(v.denominator for v in values))
-    return q, [v.numerator * (q // v.denominator) for v in values]
-
-
 def enumerate_orbit_sets(
     domain: Polygon2D,
     action_cap: Fraction,
@@ -434,7 +430,7 @@ def enumerate_orbit_sets(
         return iter(())
     candidates = candidate_orbits(domain, cap, vmax, include_axis_orbits)
     orbits = [o for o, _ in candidates]
-    scale, scaled = _over_common_denominator([cap] + [sup for _, sup in candidates])
+    scale, scaled = over_common_denominator([cap] + [sup for _, sup in candidates])
     budget, cost = scaled[0], scaled[1:]
     linear, cross = _index_form(orbits)
     # cheapest[i]: least cost among candidates i, i+1, ...; once the
@@ -643,7 +639,7 @@ def obstruction_search(
     linear, cross = _index_form(basis)
     vxs = [o.v[0] for o in basis]
     vys = [o.v[1] for o in basis]
-    scale, scaled = _over_common_denominator(
+    scale, scaled = over_common_denominator(
         [delta(source)] + [support(target, o.v) for o in basis]
     )
     radius, cost = scaled[0], scaled[1:]

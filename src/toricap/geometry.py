@@ -53,7 +53,8 @@ def support(domain: Polygon2D, v) -> Fraction:
     vx, vy = v
     if vx == 0 and vy == 0:
         raise InapplicableError("support direction must be nonzero")
-    return max(vx * x + vy * y for x, y in domain.vertices)
+    lattice = domain._lattice
+    return Fraction(max(vx * x + vy * y for x, y in lattice.points), lattice.q)
 
 
 def delta(domain: ToricDomain) -> Fraction:

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 from .domains import ToricDomain, _checked
 from .errors import InapplicableError
 from .geometry import delta, eta, is_monotone
-from .rationals import is_count, parse_rational
+from .rationals import is_count, over_common_denominator, parse_rational
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +66,7 @@ def a_min_closed(x: Sequence) -> Fraction:
     {sum k_i x_i} is (1/q) * (integer span of the n_i), whose smallest
     positive element is gcd(n_1, ..., n_n) / q.
     """
-    pt = _check_positive(x)
-    q = math.lcm(*(c.denominator for c in pt))
-    nums = [int(c * q) for c in pt]
+    q, nums = over_common_denominator(_check_positive(x))
     return Fraction(math.gcd(*nums), q)
 
 
@@ -95,8 +93,7 @@ def a_min_brute(x: Sequence, bound: int) -> Fraction:
             f"enumeration box [-{bound}, {bound}]^{len(pt)} has {size} points, "
             f"more than the limit of {_BRUTE_BOX_LIMIT}"
         )
-    q = math.lcm(*(c.denominator for c in pt))
-    nums = [int(c * q) for c in pt]
+    q, nums = over_common_denominator(pt)
     ks = range(-bound, bound + 1)
     values = {0}
     for v in nums[:-1]:

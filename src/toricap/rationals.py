@@ -7,15 +7,23 @@ also accepted on input).
 
 ``parse_rational`` is the one place where a caller's value becomes a
 ``Fraction``: every constructor and entry point that takes a rational, from
-a domain file or the Python API, coerces it here.
+a domain file or the Python API, coerces it here.  ``over_common_denominator``
+is the one place where rationals are scaled to integers, so that a loop
+over them can run in ``int`` arithmetic.
+
+Python refuses to convert integers of more than ``sys.get_int_max_str_digits()``
+decimal digits (4300 by default) between ``str`` and ``int``; a longer input
+is a ``DomainError`` and a longer output an ``InapplicableError``.
 """
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, InapplicableError
 
 _RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+)\s*)?$")
 
@@ -32,8 +40,14 @@ def parse_rational(value) -> Fraction:
         m = _RATIONAL_RE.match(value)
         if not m:
             raise DomainError(f"not a rational 'p/q' string: {value!r}")
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) is not None else 1
+        try:
+            num = int(m.group(1))
+            den = int(m.group(2)) if m.group(2) is not None else 1
+        except ValueError:
+            raise DomainError(
+                f"rational {value.strip()[:12]}... has an integer of more than "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
         if den == 0:
             raise DomainError(f"zero denominator in rational: {value!r}")
         return Fraction(num, den)
@@ -56,6 +70,19 @@ def is_count(value) -> bool:
     return is_integer(value) and value >= 1
 
 
+def over_common_denominator(values) -> tuple:
+    """``(q, [v * q for v in values])``: q is the lcm of the denominators,
+    so every scaled value is an ``int``."""
+    q = math.lcm(*(v.denominator for v in values))
+    return q, [v.numerator * (q // v.denominator) for v in values]
+
+
 def format_rational(value: Fraction) -> str:
     """Lowest-terms "p/q" (or "p" when the denominator is 1)."""
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:
+        raise InapplicableError(
+            f"a result has an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, too long to print"
+        ) from None

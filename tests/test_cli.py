@@ -357,7 +357,16 @@ ERROR_FILES = {
     "off": json.dumps({"kind": "rectilinear2d", "rects": [
         {"x0": "2", "x1": "4", "y0": "0", "y1": "1/4"},
         {"x0": "3", "x1": "4", "y0": "0", "y1": "1"}]}),
+    # A coordinate past Python's int() digit limit, as a string and as a literal.
+    "digits": json.dumps({"kind": "polygon2d",
+                          "vertices": [["1" + "0" * 5000, "0"], ["0", "1"]]}),
+    "literal": '{"kind": "polygon2d", "vertices": [[1%s, 0], [0, 1]]}' % ("0" * 5000),
+    "latin1": '{"kind": "polygon2d", "vertices": [["1", "0"], ["0", "1"]], '
+              '"n\u00e9": 1}'.encode("latin-1"),
+    "deep": "[" * 200_000 + "]" * 200_000,
 }
+
+DIGIT_LIMIT = sys.get_int_max_str_digits()
 
 # One failing input per subcommand: (argv, with {name} standing for the path
 # of ERROR_FILES[name] or of the omega fixture, exit status, stderr line).
@@ -373,6 +382,16 @@ ERROR_CASES = {
                  "error: obstruction search runs on polygon domains"),
     "amin": (["amin", "--x", "0,1/2"], 1, "error: fiber position coordinates must "
              "be positive (torus fibers live over the open quadrant)"),
+    # Inputs that Python itself refuses to decode.
+    "info-digits": (["info", "{digits}"], 2, "error: rational 100000000000... has "
+                    f"an integer of more than {DIGIT_LIMIT} digits"),
+    "info-literal": (["info", "{literal}"], 2,
+                     f"error: invalid JSON: a number has more than {DIGIT_LIMIT} digits"),
+    "xa-digits": (["xa", "--a", "7" * 5000 + "/3"], 2, "error: rational 777777777777... "
+                  f"has an integer of more than {DIGIT_LIMIT} digits"),
+    "report-latin1": (["report", "{latin1}"], 2, "error: domain file '{latin1}' is not "
+                      "UTF-8: invalid continuation byte at byte 62"),
+    "info-deep": (["info", "{deep}"], 2, "error: invalid JSON: nested too deeply"),
 }
 
 
@@ -380,13 +399,35 @@ ERROR_CASES = {
 def test_error_contract(command, tmp_path, omega_file):
     paths = {"omega": omega_file}
     for name, text in ERROR_FILES.items():
-        paths[name] = str(tmp_path / f"{name}.json")
-        (tmp_path / f"{name}.json").write_text(text)
+        path = tmp_path / f"{name}.json"
+        paths[name] = str(path)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
     argv, status, message = ERROR_CASES[command]
     cp = run_cli(*(arg.format(**paths) for arg in argv))
     assert cp.returncode == status
-    assert cp.stderr == message + "\n"
+    assert cp.stderr == message.format(**paths) + "\n"
     assert cp.stdout == ""
+
+
+def test_exit_1_on_result_too_long_to_print(tmp_path):
+    # Three vertices with 2,500-digit denominators: delta's integers run past
+    # Python's int-to-str digit limit, though every input integer is within it.
+    big = [10**2500 + k for k in (7, 9, 13, 19)]
+    doc = {"kind": "polygon2d", "vertices": [
+        [f"{big[0] + 1}/{big[0]}", "0"],
+        [f"{big[1] + 1}/{big[1]}", f"{big[2] + 1}/{big[2]}"],
+        ["0", f"{big[3] + 1}/{big[3]}"]]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["info"], ["report"], ["report", "--format", "json"]):
+        cp = run_cli(*argv, str(path))
+        assert cp.returncode == 1, cp.stderr
+        assert cp.stderr == (f"error: a result has an integer of more than "
+                             f"{DIGIT_LIMIT} digits, too long to print\n")
+        assert cp.stdout == ""
 
 
 def test_sweep_limit_is_inclusive():

@@ -1,12 +1,14 @@
 """Domain construction, validation, and the JSON round trip."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from toricap import (
     DomainError,
+    InapplicableError,
     Polygon2D,
     Rect,
     Rectilinear2D,
@@ -25,6 +27,7 @@ from toricap import (
 )
 
 from toricap.ech import candidate_orbits
+from toricap.rationals import format_rational, over_common_denominator
 
 from generators import (
     make_monotone_polygon,
@@ -125,6 +128,32 @@ def test_parse_rejects_floats():
                 pytest.fail(f"{name} accepted {bad!r}")
 
 
+def test_integers_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    huge = "1" + "0" * limit
+    for name, call, _ in RATIONAL_ENTRY_POINTS:
+        for bad in (huge, f"1/{huge}"):
+            with pytest.raises(DomainError, match=f"more than {limit} digits"):
+                call(bad)
+    with pytest.raises(DomainError, match=f"invalid JSON: a number has more than {limit}"):
+        parse_domain('{"kind": "cube", "n": 2, "a": %s}' % huge)
+    with pytest.raises(DomainError, match="nested too deeply"):
+        parse_domain("[" * 100_000 + "]" * 100_000)
+    # An exact result too long to print is refused, not a crash.
+    value = Fraction(1, 10**limit)
+    with pytest.raises(InapplicableError, match=f"more than {limit} digits"):
+        format_rational(value)
+
+
+def test_over_common_denominator():
+    assert over_common_denominator([]) == (1, [])
+    values = [Fraction(1, 6), Fraction(-3, 4), Fraction(5), Fraction(0)]
+    q, scaled = over_common_denominator(values)
+    assert q == 12 and scaled == [2, -9, 60, 0]
+    assert all(type(n) is int for n in scaled)
+    assert [Fraction(n, q) for n in scaled] == values
+
+
 def test_parse_rejects_zero_size():
     with pytest.raises(DomainError, match="positive"):
         parse_domain('{"kind":"ball","n":2,"a":"0"}')
@@ -180,6 +209,15 @@ def test_rect_validation():
         Rect(Fraction(1), Fraction(1), Fraction(0), Fraction(2))
     with pytest.raises(DomainError, match="quadrant"):
         Rect(Fraction(-1), Fraction(1), Fraction(0), Fraction(2))
+    # The sign test reads each coordinate's numerator, in every form and slot.
+    for bad in ("-1/3", "1/-3", Fraction(-1, 10**30), -2):
+        for slot in range(4):
+            corners = [0, 1, 0, 1]
+            corners[slot] = bad
+            with pytest.raises(DomainError) as refused:
+                Rect(*corners)
+            assert str(refused.value) == "rectangle must lie in the positive quadrant"
+    assert Rect("-0", 1, "0/5", 1) == Rect(0, 1, 0, 1)
     r = Rect(0, 1, 0, "1/2")
     assert r == Rect(Fraction(0), Fraction(1), Fraction(0), Fraction(1, 2))
     assert all(type(c) is Fraction for c in (r.x0, r.x1, r.y0, r.y1))

@@ -1,6 +1,7 @@
 """Support values, diagonal/min-coordinate radii, monotonicity, cube inclusion."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -399,6 +400,9 @@ def test_cached_invariants_keep_value_semantics():
     rng = random.Random(53)
     domains = [StandardDomain(kind, n, F(5, 7)) for kind in STANDARD_KINDS for n in (1, 3)]
     domains += [omega_a(F(3, 10)), Polygon2D(((F(1), F(0)), (F(3), F(5)), (F(0), F(6))))]
+    # A collinear midpoint whose denominator the chain drops, and a duplicate.
+    domains += [Polygon2D(((1, 0), (1, F(1, 7)), (1, 1), (1, 1), (F(0), F(1)))),
+                Polygon2D(((F(1, 3), 0), (F(1, 3), 0), (0, F(1, 3))))]
     domains += [make_weakly_convex_polygon(rng) for _ in range(10)]
     domains += CORNER_TOUCHING + [make_touching_union(rng) for _ in range(10)]
     domains += [make_staircase(rng) for _ in range(5)]
@@ -407,6 +411,11 @@ def test_cached_invariants_keep_value_semantics():
             # The coverage grid is built by the constructor, beside the fields.
             assert "_grid" in vars(dom) and "_grid" not in repr(dom)
             assert "_grid" not in {f.name for f in dataclasses.fields(dom)}
+        if isinstance(dom, Polygon2D):
+            # So is the integer lattice of the chain.
+            assert "_lattice" in vars(dom) and "_lattice" not in repr(dom)
+            assert "_lattice" not in {f.name for f in dataclasses.fields(dom)}
+            assert "_lattice" not in serialize_domain(dom)
         answers = _answers(dom)
         # Computed once: the answers sit in the instance, beside the fields.
         cached = {"delta"} if isinstance(dom, StandardDomain) else {
@@ -419,6 +428,12 @@ def test_cached_invariants_keep_value_semantics():
         assert serialize_domain(fresh) == serialize_domain(dom)
         # A second read, and a fresh instance, give the same answers.
         assert _answers(dom) == answers == _answers(fresh)
+        if isinstance(dom, Polygon2D):
+            # The lattice is a function of the field: the same q and integers.
+            mine, theirs = vars(dom)["_lattice"], vars(fresh)["_lattice"]
+            assert theirs is not mine
+            assert (theirs.q, theirs.points) == (mine.q, mine.points)
+            assert mine.q == math.lcm(*(c.denominator for v in dom.vertices for c in v))
         if isinstance(dom, Rectilinear2D):
             assert vars(fresh)["_grid"] is not vars(dom)["_grid"]
             # Equal rectangles in other forms make an equal union.
