@@ -22,23 +22,7 @@ from .ech import cube_bound
 from .errors import DomainError, InapplicableError
 from .geometry import cube_inclusion, delta, eta, is_monotone
 from .lagrangian import CLCertificate, lagrangian_capacity
-from .rationals import format_rational, parse_rational
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed rational bracket; exact when it pinches to a point."""
-
-    lower: Fraction
-    upper: Optional[Fraction]  # None = no finite upper bound claimed
-
-    def __post_init__(self):
-        if self.upper is not None and self.lower > self.upper:
-            raise ValueError(f"empty interval [{self.lower}, {self.upper}]")
-
-    @property
-    def exact(self) -> bool:
-        return self.upper is not None and self.lower == self.upper
+from .rationals import Interval, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -185,13 +169,15 @@ def _interval_to_dict(iv: Interval) -> dict:
 
 
 def certificate_to_dict(cert: CLCertificate) -> dict:
+    # A definite certificate's value is its lower end.
+    lower = format_rational(cert.lower)
     return {
-        "value": None if cert.value is None else format_rational(cert.value),
+        "value": None if cert.value is None else lower,
         "rule": cert.rule.value,
         "witness": None
         if cert.witness is None
         else [format_rational(c) for c in cert.witness],
-        "lower": format_rational(cert.lower),
+        "lower": lower,
         "upper": format_rational(cert.upper),
     }
 

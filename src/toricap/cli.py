@@ -134,14 +134,8 @@ def _cmd_report(args) -> tuple[str, int]:
     lines = [
         f"delta: {_fmt(report.delta, dec)}",
         f"eta: {_fmt(report.eta, dec)}",
+        f"c_L: {_interval_cell(cert, dec)}  [{cert.rule.value}]",
     ]
-    if cert.value is not None:
-        lines.append(f"c_L: {_fmt(cert.value, dec)}  [{cert.rule.value}]")
-    else:
-        lines.append(
-            f"c_L: [{_fmt(cert.lower, dec)}, {_fmt(cert.upper, dec)}]"
-            f"  [{cert.rule.value}]"
-        )
     if cert.witness is not None:
         witness = ", ".join(format_rational(c) for c in cert.witness)
         lines.append(f"c_L witness: ({witness})")
@@ -191,7 +185,7 @@ def _cmd_xa(args) -> tuple[str, int]:
                 _fmt(c.a, dec),
                 _fmt(r.delta, dec),
                 _fmt(r.eta, dec),
-                _fmt(r.c_L.value, dec),
+                _interval_cell(r.c_L, dec),
                 _interval_cell(r.c_P, dec),
                 _interval_cell(r.c_N, dec),
                 "pass" if c.passed else "FAIL",

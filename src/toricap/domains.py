@@ -229,22 +229,10 @@ def _canonical_chain(vertices) -> tuple:
     if g > 1:
         q, points = q // g, [(x // g, y // g) for x, y in points]
     lattice = _Lattice(q, points)
-    for e in lattice.edges:
-        if e == (0, 0):
-            raise DomainError("degenerate zero-length edge in vertex chain")
     for e1, e2 in zip(lattice.edges, lattice.edges[1:]):
         if _cross(e1, e2) <= 0:
             raise DomainError("vertex chain not convex/ordered (non-left turn)")
     return tuple(pts[i] for i in chain), lattice
-
-
-def _on_segment(p, a, b) -> bool:
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    if (bx - ax) * (py - ay) != (by - ay) * (px - ax):
-        return False
-    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
 def _chord(planes, level: Fraction, q: int) -> list:
@@ -378,13 +366,14 @@ class Polygon2D(ToricDomain):
         return all(q * (a * x + b * y) <= c for a, b, c in self._halfplanes)
 
     def on_boundary(self, p) -> bool:
+        # A point of the closed region is on its boundary iff it lies on an
+        # axis or makes some edge's halfplane tight.
+        if not self.contains(p):
+            return False
         x, y = p
-        if y == 0 and 0 <= x <= self.x_intercept:
-            return True
-        if x == 0 and 0 <= y <= self.y_intercept:
-            return True
-        return any(
-            _on_segment(p, a, b) for a, b in zip(self.vertices, self.vertices[1:])
+        q = self._lattice.q
+        return x == 0 or y == 0 or any(
+            q * (a * x + b * y) == c for a, b, c in self._halfplanes
         )
 
     def cl_slices(self, e: Fraction) -> tuple:
@@ -702,11 +691,12 @@ class Rectilinear2D(ToricDomain):
 
     @property
     def cl_candidates(self) -> list:
+        # A rectangle's corners lie in the closed union.
         return [
             p
             for r in self.rects
             for p in ((r.x1, r.y1), (r.x0, r.y0), (r.x0, r.y1), (r.x1, r.y0))
-            if p[0] > 0 and p[1] > 0 and self.contains(p)
+            if p[0] > 0 and p[1] > 0
         ]
 
     def summary(self) -> dict:
@@ -758,18 +748,6 @@ def square_polygon(a: Fraction) -> Polygon2D:
     if a <= 0:
         raise DomainError(f"square side must be positive, got {a}")
     return Polygon2D(((a, 0), (a, a), (0, a)))
-
-
-def is_square_polygon(domain) -> Fraction | None:
-    """Return the side length if the polygon is a moment square, else None."""
-    if not isinstance(domain, Polygon2D):
-        return None
-    v = domain.vertices
-    if len(v) == 3:
-        a = v[0][0]
-        if v == ((a, Fraction(0)), (a, a), (Fraction(0), a)):
-            return a
-    return None
 
 
 # ---------------------------------------------------------------------------

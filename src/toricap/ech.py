@@ -60,7 +60,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator, Optional
 
-from .domains import Polygon2D, _require_polygon, is_square_polygon
+from .domains import Polygon2D, _require_polygon
 from .errors import DomainError, InapplicableError
 from .geometry import delta, support
 from .rationals import is_count, is_integer, over_common_denominator, parse_rational
@@ -790,11 +790,12 @@ def obstruction_search(
         return SearchReport(SearchStatus.FEASIBLE_WITNESS, witness, bounds, None)
     if truncated_run:
         return SearchReport(SearchStatus.INCONCLUSIVE, None, bounds, None)
+    # A moment-square source [0, a]^2 names the cube size a that is obstructed.
+    v = source.vertices
+    a = v[0][0]
+    square = v == ((a, 0), (a, a), (0, a))
     return SearchReport(
-        SearchStatus.INFEASIBLE_WITHIN_BOUNDS,
-        None,
-        bounds,
-        is_square_polygon(source),
+        SearchStatus.INFEASIBLE_WITHIN_BOUNDS, None, bounds, a if square else None
     )
 
 

@@ -13,7 +13,8 @@ The quantities computed here are:
 * ``cube_inclusion`` -- the largest a with [0, a]^n contained in the
   region;
 * ``domain_contains`` and ``domain_on_boundary`` -- closed membership
-  and boundary tests for planar domains.
+  and boundary tests for planar domains; the tests check the
+  Lagrangian-capacity rules and their witnesses against them.
 
 Everything but ``support`` is answered by the domain's own kind: each
 function checks that its argument is a ``ToricDomain`` (``DomainError``
@@ -40,6 +41,7 @@ from fractions import Fraction
 
 from .domains import Polygon2D, ToricDomain, _checked, _require_polygon
 from .errors import InapplicableError
+from .rationals import is_integer
 
 
 def support(domain: Polygon2D, v) -> Fraction:
@@ -51,6 +53,8 @@ def support(domain: Polygon2D, v) -> Fraction:
     """
     _require_polygon("support values are defined on polygon domains", domain)
     vx, vy = v
+    if not (is_integer(vx) and is_integer(vy)):
+        raise InapplicableError(f"support direction must be an integer pair, got {v!r}")
     if vx == 0 and vy == 0:
         raise InapplicableError("support direction must be nonzero")
     lattice = domain._lattice
@@ -114,9 +118,11 @@ def domain_contains(domain: ToricDomain, p) -> bool:
 def domain_on_boundary(domain: ToricDomain, p) -> bool:
     """Boundary membership test for 2-dimensional domains.
 
-    For a rectangle union, p is on the boundary iff at least one but not
-    all of the four grid cells meeting its corners are painted; the cells
-    are found by bisecting the grid lines, so the test costs
-    O(log(rectangles)) comparisons.
+    A polygon point is on the boundary iff it is in the closed region and
+    on an axis or on the line of some chain edge, compared on the
+    polygon's integer lattice.  For a rectangle union, p is on the
+    boundary iff at least one but not all of the four grid cells meeting
+    its corners are painted; the cells are found by bisecting the grid
+    lines, so the test costs O(log(rectangles)) comparisons.
     """
     return _checked(domain).on_boundary(p)

@@ -21,12 +21,14 @@ results stay auditable:
 * ``IntervalOnly`` -- none of the above applies; an honest interval is
   reported instead of a value.
 
-No domain point has a smallest coordinate above eta, so every domain
-point on the shell min(x, y) = eta is a boundary point, and both shell
-rules are closed forms at eta, with no boundary tests.  Each domain kind
-fixes the order of the definite rules (``cl_rules``) and supplies the
-shell intervals (``cl_slices``) and the candidate positions of an
-interval (``cl_candidates``).
+Each definite rule only finds its witness point; ``lagrangian_capacity``
+builds the one ``CLCertificate``, an ``Interval`` pinched at the witness's
+minimal fiber area.  No domain point has a smallest coordinate above eta,
+so every domain point on the shell min(x, y) = eta is a boundary point,
+and both shell rules are closed forms at eta, with no boundary tests.
+Each domain kind fixes the order of the definite rules (``cl_rules``) and
+supplies the shell intervals (``cl_slices``) and the candidate positions
+of an interval (``cl_candidates``).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Optional, Sequence
 from .domains import ToricDomain, _checked
 from .errors import InapplicableError
 from .geometry import delta, eta, is_monotone
-from .rationals import is_count, over_common_denominator, parse_rational
+from .rationals import Interval, is_count, over_common_denominator, parse_rational
 
 
 # ---------------------------------------------------------------------------
@@ -116,37 +118,37 @@ class CLRule(str, Enum):
 
 
 @dataclass(frozen=True)
-class CLCertificate:
-    """Auditable Lagrangian-capacity result.
+class CLCertificate(Interval):
+    """Auditable Lagrangian-capacity result: a bracket, its rule and its witness.
 
-    ``value`` is present exactly when one of the definite rules fired,
-    and then ``lower == value == upper``; for ``IntervalOnly`` only the
-    bracket is claimed.  ``witness`` is the fiber-torus position backing
-    the value, when there is one.
+    A definite rule pins the bracket at the minimal fiber area of its
+    ``witness``, the fiber-torus position backing the value; for
+    ``IntervalOnly`` only the bracket is claimed and there is no witness.
     """
 
-    value: Optional[Fraction]
     rule: CLRule
     witness: Optional[tuple]
-    lower: Fraction
-    upper: Fraction
 
     def __post_init__(self):
-        if self.rule is CLRule.INTERVAL_ONLY:
-            if self.value is not None:
-                raise ValueError("IntervalOnly certificates carry no value")
-        else:
-            if self.value is None:
-                raise ValueError(f"rule {self.rule} requires a value")
-            if not (self.lower <= self.value <= self.upper):
-                raise ValueError("certificate value outside its own bracket")
-        if self.lower > self.upper:
-            raise ValueError("certificate bracket is empty")
+        super().__post_init__()
+        if self.rule is not CLRule.INTERVAL_ONLY and not self.exact:
+            raise ValueError(f"rule {self.rule.value} needs a pinched bracket")
+
+    @property
+    def value(self) -> Optional[Fraction]:
+        """The certified capacity, or None when only the bracket is claimed."""
+        return None if self.rule is CLRule.INTERVAL_ONLY else self.lower
 
 
-def _definite(rule: CLRule, value: Fraction, witness) -> CLCertificate:
-    return CLCertificate(value=value, rule=rule, witness=witness,
-                         lower=value, upper=value)
+def _monotone_diagonal(domain) -> Optional[tuple]:
+    return (delta(domain),) * domain.n if is_monotone(domain) else None
+
+
+def _eta_on_boundary(domain) -> Optional[tuple]:
+    # (eta, eta) lies in the domain iff delta reaches eta, and then on its
+    # boundary, since no domain point has a larger smallest coordinate.
+    e = eta(domain)
+    return (e, e) if delta(domain) == e else None
 
 
 def _lattice_witness(domain) -> Optional[tuple]:
@@ -171,48 +173,15 @@ def _lattice_witness(domain) -> Optional[tuple]:
     return None
 
 
-def _interval_certificate(domain) -> CLCertificate:
-    """Honest bracket when no definite rule applies.
-
-    The lower end is the best fiber-torus area among candidate positions
-    (the diagonal point and the domain's ``cl_candidates``: polygon
-    vertices, or rectangle corners in the union); the upper end is eta,
-    since the domain sits inside the min-coordinate region of that size.
-    """
-    upper = eta(domain)
-    d = delta(domain)
-    candidates = ([(d, d)] if d > 0 else []) + domain.cl_candidates
-    lower = max(a_min_closed(p) for p in candidates) if candidates else Fraction(0)
-    return CLCertificate(value=None, rule=CLRule.INTERVAL_ONLY, witness=None,
-                         lower=lower, upper=upper)
-
-
-def _monotone_diagonal(domain) -> Optional[CLCertificate]:
-    if is_monotone(domain):
-        d = delta(domain)
-        return _definite(CLRule.MONOTONE_DIAGONAL, d, (d,) * domain.n)
-    return None
-
-
-def _eta_on_boundary(domain) -> Optional[CLCertificate]:
-    # (eta, eta) lies in the domain iff delta reaches eta, and then on its
-    # boundary, since no domain point has a larger smallest coordinate.
-    e = eta(domain)
-    if delta(domain) == e:
-        return _definite(CLRule.ETA_ON_BOUNDARY, e, (e, e))
-    return None
-
-
-def _lattice_witness_rule(domain) -> Optional[CLCertificate]:
-    p = _lattice_witness(domain)
-    return None if p is None else _definite(CLRule.LATTICE_WITNESS, eta(domain), p)
-
-
+# Each definite rule returns its witness, or None when it does not apply.
+# A kind lists its rules by name (``cl_rules``); CLRule is a str enum, so a
+# name keys ``_RULES`` as well, and ``_RULE_MEMBERS`` maps it to its member.
 _RULES = {
-    CLRule.MONOTONE_DIAGONAL.value: _monotone_diagonal,
-    CLRule.ETA_ON_BOUNDARY.value: _eta_on_boundary,
-    CLRule.LATTICE_WITNESS.value: _lattice_witness_rule,
+    CLRule.MONOTONE_DIAGONAL: _monotone_diagonal,
+    CLRule.ETA_ON_BOUNDARY: _eta_on_boundary,
+    CLRule.LATTICE_WITNESS: _lattice_witness,
 }
+_RULE_MEMBERS = {rule.value: rule for rule in _RULES}
 
 
 def lagrangian_capacity(domain: ToricDomain) -> CLCertificate:
@@ -221,14 +190,24 @@ def lagrangian_capacity(domain: ToricDomain) -> CLCertificate:
     The definite rules are tried in the order of the domain's kind
     (``cl_rules``): MonotoneDiagonal, EtaOnBoundary, LatticeWitness for
     standard domains and polygons; LatticeWitness first for rectangle
-    unions.  The first rule that applies gives the certificate, and
-    IntervalOnly is the fall-back.
+    unions.  The first rule that finds a witness pins the certificate at
+    the witness's minimal fiber area, which is its smallest coordinate:
+    delta for MonotoneDiagonal, eta for the two shell rules.
+
+    Otherwise the certificate is an ``IntervalOnly`` bracket.  Its lower
+    end is the best fiber-torus area among candidate positions (the
+    diagonal point and the domain's ``cl_candidates``: polygon vertices,
+    or rectangle corners); its upper end is eta, since the domain sits
+    inside the min-coordinate region of that size.
     """
-    for rule in _checked(domain).cl_rules:
-        cert = _RULES[rule](domain)
-        if cert is not None:
-            return cert
-    return _interval_certificate(domain)
+    for name in _checked(domain).cl_rules:
+        witness = _RULES[name](domain)
+        if witness is not None:
+            value = min(witness)
+            return CLCertificate(value, value, _RULE_MEMBERS[name], witness)
+    d = delta(domain)
+    lower = max(a_min_closed(p) for p in [(d, d), *domain.cl_candidates])
+    return CLCertificate(lower, eta(domain), CLRule.INTERVAL_ONLY, None)
 
 
 def cube_normalized_value(domain: ToricDomain) -> Fraction:

@@ -9,7 +9,9 @@ also accepted on input).
 ``Fraction``: every constructor and entry point that takes a rational, from
 a domain file or the Python API, coerces it here.  ``over_common_denominator``
 is the one place where rationals are scaled to integers, so that a loop
-over them can run in ``int`` arithmetic.
+over them can run in ``int`` arithmetic.  ``Interval`` is the one closed
+rational bracket type: every capacity bound in a report is one, and so is
+the Lagrangian-capacity certificate.
 
 Python refuses to convert integers of more than ``sys.get_int_max_str_digits()``
 decimal digits (4300 by default) between ``str`` and ``int``; a longer input
@@ -21,7 +23,9 @@ from __future__ import annotations
 import math
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .errors import DomainError, InapplicableError
 
@@ -86,3 +90,19 @@ def format_rational(value: Fraction) -> str:
             f"a result has an integer of more than {sys.get_int_max_str_digits()} "
             "digits, too long to print"
         ) from None
+
+
+@dataclass(frozen=True)
+class Interval:
+    """Closed rational bracket; exact when it pinches to a point."""
+
+    lower: Fraction
+    upper: Optional[Fraction]  # None = no finite upper bound claimed
+
+    def __post_init__(self):
+        if self.upper is not None and self.lower > self.upper:
+            raise ValueError(f"empty interval [{self.lower}, {self.upper}]")
+
+    @property
+    def exact(self) -> bool:
+        return self.upper is not None and self.lower == self.upper

@@ -58,8 +58,12 @@ def test_support_examples(om310):
 
 
 def test_support_zero_vector(om310):
-    with pytest.raises(InapplicableError):
+    with pytest.raises(InapplicableError, match="nonzero"):
         support(om310, (0, 0))
+    # A bool is an int to Python, but not a direction component.
+    for v in ((True, False), (1, True), (1.5, 0), ("1", 0), (F(1), 0)):
+        with pytest.raises(InapplicableError, match="integer pair"):
+            support(om310, v)
 
 
 rng_polygons = [

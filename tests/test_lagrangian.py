@@ -24,7 +24,7 @@ from toricap import (
     square_polygon,
 )
 
-from toricap.geometry import domain_on_boundary
+from toricap.geometry import domain_contains, domain_on_boundary
 from toricap.lagrangian import _RULES, _lattice_witness
 
 from generators import (
@@ -176,17 +176,27 @@ def test_cascade_interval_only():
 
 
 def test_certificate_bracket_invariants():
+    # Oracle: a definite certificate is pinched at the minimal fiber area of
+    # its witness, a point of the domain; an interval leaves a gap.
     rng = random.Random(31)
-    domains = [make_staircase(rng) for _ in range(15)]
-    domains += [make_monotone_polygon(rng) for _ in range(15)]
-    domains += [omega_a(F(i, 24)) for i in range(1, 12)]
+    domains = [make_weakly_convex_polygon(rng) for _ in range(400)]
+    domains += [make_monotone_polygon(rng) for _ in range(200)]
+    domains += [make_staircase(rng) for _ in range(200)]
+    domains += [make_touching_union(rng) for _ in range(400)]
+    domains += [omega_a(F(k, 97)) for k in range(1, 49)]
+    rules = set()
     for dom in domains:
         cert = lagrangian_capacity(dom)
-        if cert.rule is not CLRule.INTERVAL_ONLY:
-            assert cert.lower == cert.value == cert.upper
-            assert cert.value <= eta(dom)
+        rules.add(cert.rule)
+        if cert.rule is CLRule.INTERVAL_ONLY:
+            assert cert.value is None and cert.witness is None, dom
+            assert cert.lower < cert.upper == eta(dom), dom
         else:
-            assert cert.lower <= cert.upper
+            w = cert.witness
+            assert cert.lower == cert.upper == cert.value == min(w) == a_min_closed(w), dom
+            assert domain_contains(dom, w), dom
+            assert cert.value <= eta(dom), dom
+    assert rules == set(CLRule)
 
 
 def test_monotone_consistency():

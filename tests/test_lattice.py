@@ -100,11 +100,21 @@ def oracle_chord(planes, level) -> list:
     return [(lo, hi)] if lo <= hi else []
 
 
+def oracle_on_segment(p, a, b) -> bool:
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    if (bx - ax) * (py - ay) != (by - ay) * (px - ax):
+        return False
+    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
+
+
 def oracle_answers(chain, levels, points, directions) -> dict:
     planes = oracle_halfplanes(chain)
     edges = oracle_edges(chain)
     d = min(c / (nu[0] + nu[1]) for nu, c in planes if nu[0] + nu[1] > 0)
     x0, y1 = chain[0][0], chain[-1][1]
+    # The closed boundary: the axis segment to the x-intercept, the chain,
+    # and the axis segment back from the y-intercept.
+    loop = [(F(0), F(0)), *chain, (F(0), F(0))]
     return {
         "delta": d,
         "eta": max(d, *(min(v) for v in chain)),
@@ -122,6 +132,9 @@ def oracle_answers(chain, levels, points, directions) -> dict:
             x >= 0 and y >= 0 and all(nu[0] * x + nu[1] * y <= c for nu, c in planes)
             for x, y in points
         ],
+        "on_boundary": [
+            any(oracle_on_segment(p, a, b) for a, b in zip(loop, loop[1:])) for p in points
+        ],
         "slope_condition": edges[0][0] <= edges[0][1] and edges[-1][0] <= edges[-1][1],
         "support": [max(vx * x + vy * y for x, y in chain) for vx, vy in directions],
     }
@@ -138,6 +151,7 @@ def lattice_answers(dom, levels, points, directions) -> dict:
         "cl_candidates": dom.cl_candidates,
         "cl_slices": [tuple(dom.cl_slices(e)) for e in levels],
         "contains": [dom.contains(p) for p in points],
+        "on_boundary": [dom.on_boundary(p) for p in points],
         "slope_condition": _slope_condition(dom),
         "support": [support(dom, v) for v in directions],
     }
@@ -169,8 +183,9 @@ CHAINS = _chains()
 
 def _probes(chain, rng):
     """Lines at delta, at the smaller coordinate of each vertex (eta is one
-    of these) and at random levels; vertices, edge midpoints and random
-    points, in and out of the polygon."""
+    of these) and at random levels; vertices, edge midpoints, points on
+    and past the axis segments, and random points, in and out of the
+    polygon."""
     d = min(c / (nu[0] + nu[1]) for nu, c in oracle_halfplanes(chain) if nu[0] + nu[1] > 0)
     top = max(max(v) for v in chain)
     levels = [d, top, F(1, 10**9)] + [min(v) for v in chain]
@@ -179,6 +194,8 @@ def _probes(chain, rng):
         ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2) for p, q in zip(chain, chain[1:])]
     points += [(top * F(rng.randint(-50, 1100), 1000), top * F(rng.randint(-50, 1100), 1000))
                for _ in range(6)]
+    x0, y1 = chain[0][0], chain[-1][1]
+    points += [(F(0), F(0)), (x0 / 3, F(0)), (2 * x0, F(0)), (F(0), y1 / 3), (F(0), 2 * y1)]
     return levels, points
 
 
