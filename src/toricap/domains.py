@@ -16,8 +16,10 @@ Three kinds of domain are supported:
   answers.
 * ``Rectilinear2D`` -- a finite union of axis-aligned rectangles in the
   closed positive quadrant; the union must be connected and contain a
-  neighborhood of a point on a coordinate axis.  Its coverage grid is
-  built by the constructor, which also checks connectivity on it.
+  neighborhood of a point on a coordinate axis.  Like a polygon, it is
+  validated and answered on one integer lattice: the constructor scales
+  the rectangles once to integer boxes over the lcm of their
+  denominators and builds its coverage grid (``_Coverage``) on them.
 
 Each kind derives from the plain base class ``ToricDomain`` and answers
 everything that depends on its kind itself, so a new kind is one new
@@ -52,7 +54,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 
 from .errors import DomainError, InapplicableError
 from .rationals import format_rational, over_common_denominator, parse_rational
@@ -430,6 +432,9 @@ def is_weakly_convex(vertices_or_polygon) -> bool:
     return True
 
 
+_CORNERS = ("x0", "x1", "y0", "y1")
+
+
 @dataclass(frozen=True)
 class Rect:
     """Closed axis-aligned rectangle [x0, x1] x [y0, y1]."""
@@ -440,7 +445,7 @@ class Rect:
     y1: Fraction
 
     def __post_init__(self):
-        for name in ("x0", "x1", "y0", "y1"):
+        for name in _CORNERS:
             c = parse_rational(getattr(self, name))
             # A Fraction's sign is its numerator's (the denominator is > 0).
             if c.numerator < 0:
@@ -454,49 +459,21 @@ class Rect:
     def contains(self, p) -> bool:
         return self.x0 <= p[0] <= self.x1 and self.y0 <= p[1] <= self.y1
 
-    def intersects(self, other: "Rect") -> bool:
-        return (
-            self.x0 <= other.x1
-            and other.x0 <= self.x1
-            and self.y0 <= other.y1
-            and other.y0 <= self.y1
-        )
 
-
-# Orders (numerator, denominator, index) triples of rationals by value.
-_BY_VALUE = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])
-
-
-def _ranks(values) -> tuple:
-    """Grid lines and ranks of rationals >= 0.
-
-    The lines are the sorted distinct values together with 0, and each
-    value's rank is its index among them.  The values are sorted once by
-    cross-multiplying their integer numerators and denominators, and one
-    pass over the sorted order assigns the ranks, so no value is hashed.
-    """
-    lines, ranks, last = [ZERO], [0] * len(values), (0, 1)
-    triples = sorted(
-        ((v.numerator, v.denominator, k) for k, v in enumerate(values)),
-        key=_BY_VALUE,
-    )
-    for num, den, k in triples:
-        # Fractions are kept in lowest terms, so equal values are equal pairs.
-        if (num, den) != last:
-            last = (num, den)
-            lines.append(values[k])
-        ranks[k] = len(lines) - 1
-    return lines, ranks
+def _floor_ceil(v: Fraction, q: int) -> tuple:
+    """(floor(v q), ceil(v q)) for a rational v and an int q."""
+    scaled = v.numerator * q
+    return scaled // v.denominator, -(-scaled // v.denominator)
 
 
 def _connected(boxes) -> bool:
-    """Whether a union of closed rank boxes (x0, x1, y0, y1) is connected.
+    """Whether a union of closed integer boxes (x0, x1, y0, y1) is connected.
 
-    Ranks preserve order and equality, so two boxes meet, edge and corner
-    contacts included, iff their rank ranges overlap on both axes.  Boxes
-    are swept in order of their left edges, and each is compared only with
-    the later boxes that start at or before its right edge; a union-find
-    counts the merges.
+    Two boxes meet, edge and corner contacts included, iff their ranges
+    overlap on both axes.  Boxes are swept in order of their left edges,
+    and each is compared only with the later boxes that start at or before
+    its right edge; a union-find counts the merges still needed, and the
+    sweep stops when none is.
     """
     boxes = sorted(boxes)
     parent = list(range(len(boxes)))
@@ -507,7 +484,7 @@ def _connected(boxes) -> bool:
             i = parent[i]
         return i
 
-    merges = 0
+    needed = len(boxes) - 1
     for a, (_, x1, y0, y1) in enumerate(boxes):
         for b in range(a + 1, len(boxes)):
             bx0, _, by0, by1 = boxes[b]
@@ -517,41 +494,46 @@ def _connected(boxes) -> bool:
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[ra] = rb
-                    merges += 1
-    return merges == len(boxes) - 1
+                    needed -= 1
+                    if not needed:
+                        return True
+    return not needed
 
 
 class _Coverage:
-    """Coordinate-compressed cell coverage of a rectangle union.
+    """Coordinate-compressed cell coverage of a rectangle union, on one integer lattice.
 
-    ``xs`` and ``ys`` are the sorted distinct rectangle coordinates
-    together with 0.  Each rectangle is mapped once to its integer rank
-    box, the indices of its four coordinates on these grid lines, and the
-    rest is read off the rank boxes in integer arithmetic: connectivity, by
-    a sweep over the boxes, and the painted cells.  Cell (i, j) is the open
-    box between ``xs[i]``, ``xs[i + 1]`` and ``ys[j]``, ``ys[j + 1]``; every
-    rectangle is a block of whole cells, so a cell is covered by the closed
-    union iff some rectangle paints it, and the union is the closure of its
-    painted cells.  ``painted`` holds one byte per cell, column by column.
-    A disconnected union raises ``DomainError`` before any cell is painted.
+    Rectangle k is ``boxes[k] / q``: q is the lcm of the denominators of
+    the rectangles' coordinates, and ``boxes[k]`` holds the integers
+    (x0, x1, y0, y1).  Scaling by q > 0 keeps every order and equality,
+    so everything is read off the integer boxes in ``int`` arithmetic:
+    connectivity, by a sweep over the boxes, and the painted cells.
+    ``xs`` and ``ys`` are the sorted distinct integer coordinates together
+    with 0, and a dict ranks each box's coordinates on them.  Cell (i, j)
+    is the open box between ``xs[i]``, ``xs[i + 1]`` and ``ys[j]``,
+    ``ys[j + 1]``; every rectangle is a block of whole cells, so a cell is
+    covered by the closed union iff some rectangle paints it, and the
+    union is the closure of its painted cells.  ``columns[i]`` is column i
+    as a bit mask: bit j is set iff cell (i, j) is painted.  A
+    disconnected union raises ``DomainError`` before any cell is painted.
     """
 
-    __slots__ = ("xs", "ys", "boxes", "painted", "staircase", "cube")
+    __slots__ = ("q", "boxes", "xs", "ys", "columns", "staircase", "cube")
 
-    def __init__(self, rects):
-        n = len(rects)
-        xs, xr = _ranks([r.x0 for r in rects] + [r.x1 for r in rects])
-        ys, yr = _ranks([r.y0 for r in rects] + [r.y1 for r in rects])
-        boxes = list(zip(xr[:n], xr[n:], yr[:n], yr[n:]))
+    def __init__(self, q: int, boxes: list):
         if not _connected(boxes):
             raise DomainError("rectangle union is not connected")
-        ny = len(ys) - 1
-        painted = bytearray((len(xs) - 1) * ny)
-        for i0, i1, j0, j1 in boxes:
-            run = b"\x01" * (j1 - j0)
-            for i in range(i0, i1):
-                painted[i * ny + j0:i * ny + j1] = run
-        self.xs, self.ys, self.boxes, self.painted = xs, ys, boxes, painted
+        xs = sorted({0, *(b[0] for b in boxes), *(b[1] for b in boxes)})
+        ys = sorted({0, *(b[2] for b in boxes), *(b[3] for b in boxes)})
+        xr = {x: i for i, x in enumerate(xs)}
+        yr = {y: j for j, y in enumerate(ys)}
+        columns = [0] * (len(xs) - 1)
+        for x0, x1, y0, y1 in boxes:
+            j0 = yr[y0]
+            run = ((1 << (yr[y1] - j0)) - 1) << j0
+            for i in range(xr[x0], xr[x1]):
+                columns[i] |= run
+        self.q, self.boxes, self.xs, self.ys, self.columns = q, boxes, xs, ys, columns
         # Down-closed means every column is painted on a prefix of its
         # cells, and the prefixes never grow from left to right.
         # cube: the growing square [0, a]^2 first meets an unpainted cell
@@ -559,36 +541,33 @@ class _Coverage:
         # lowest unpainted cell is the first one met.
         staircase = True
         cube = min(xs[-1], ys[-1])
-        height = ny
-        for i in range(len(xs) - 1):
-            start, end = i * ny, (i + 1) * ny
-            h = painted.find(0, start, end) - start
-            if h < 0:
-                h = ny
-            else:
+        height = ny = len(ys) - 1
+        for i, column in enumerate(columns):
+            # The lowest unset bit: adding 1 carries through the set ones below it.
+            h = (column ^ (column + 1)).bit_length() - 1
+            if h < ny:
                 cube = min(cube, max(xs[i], ys[h]))
-                if painted.find(1, start + h, end) >= 0:
+                if column >> h:
                     staircase = False
             if h > height:
                 staircase = False
             height = h
-        self.staircase = staircase
-        self.cube = cube
+        self.staircase, self.cube = staircase, Fraction(cube, q)
 
     def slices(self, level: Fraction, across: bool):
         """Generator of [lo, hi] of each rectangle meeting the line y = level
-        (x = level when ``across``) by decreasing hi, compared in ranks:
-        ``bisect_right`` counts the grid lines <= level, ``bisect_left``
-        those < level.
+        (x = level when ``across``) by decreasing hi.
+
+        A box meets the line iff its lower side is at most floor(level q)
+        and its upper side at least ceil(level q).
         """
-        lines, spans = (self.xs, self.ys) if across else (self.ys, self.xs)
-        below, above = bisect_right(lines, level), bisect_left(lines, level)
+        below, above = _floor_ceil(level, self.q)
         boxes = self.boxes
         if across:
-            boxes = [(j0, j1, i0, i1) for i0, i1, j0, j1 in boxes]
-        hits = [(hi, lo) for lo, hi, b0, b1 in boxes if b0 < below and b1 >= above]
+            boxes = [(y0, y1, x0, x1) for x0, x1, y0, y1 in boxes]
+        hits = [(hi, lo) for lo, hi, b0, b1 in boxes if b0 <= below and b1 >= above]
         for hi, lo in sorted(hits, reverse=True):
-            yield spans[lo], spans[hi]
+            yield Fraction(lo, self.q), Fraction(hi, self.q)
 
     def quadrants(self, p) -> tuple:
         """Whether each of the four cells meeting the corners of p is painted.
@@ -597,13 +576,13 @@ class _Coverage:
         the points just right (sx > 0) or left (sx < 0) of p, and just
         above or below it; a cell outside the grid counts as unpainted.
         """
-        x, y = p
         xs, ys = self.xs, self.ys
         nx, ny = len(xs) - 1, len(ys) - 1
-        cols = (bisect_left(xs, x) - 1, bisect_right(xs, x) - 1)
-        rows = (bisect_left(ys, y) - 1, bisect_right(ys, y) - 1)
+        (fx, cx), (fy, cy) = _floor_ceil(p[0], self.q), _floor_ceil(p[1], self.q)
+        cols = (bisect_left(xs, cx) - 1, bisect_right(xs, fx) - 1)
+        rows = (bisect_left(ys, cy) - 1, bisect_right(ys, fy) - 1)
         return tuple(
-            0 <= i < nx and 0 <= j < ny and self.painted[i * ny + j] == 1
+            0 <= i < nx and 0 <= j < ny and self.columns[i] >> j & 1 == 1
             for i in cols
             for j in rows
         )
@@ -613,11 +592,13 @@ class _Coverage:
 class Rectilinear2D(ToricDomain):
     """Connected union of axis-aligned rectangles touching a coordinate axis.
 
-    After the type and axis checks the constructor builds the union's
-    coverage grid (``_Coverage``) once; the grid refuses a disconnected
-    union, and the staircase test, ``cube_inclusion``, membership,
-    boundary tests and ``cl_slices`` all read it.  It is kept in the
-    instance ``__dict__`` beside the ``rects`` field, like the cached
+    The constructor scales every rectangle coordinate once to an integer
+    over the lcm q of their denominators and builds the union's coverage
+    grid (``_Coverage``) on these integer boxes, as a polygon builds its
+    ``_Lattice``.  The grid refuses a disconnected union, and every
+    invariant, membership and boundary test reads it: ``Fraction`` values
+    appear only in the ``rects`` field and in the answers.  It is kept in
+    the instance ``__dict__`` beside the field, like the cached
     invariants, so it takes no part in equality, hashing or ``repr``.
     """
 
@@ -637,26 +618,29 @@ class Rectilinear2D(ToricDomain):
         for r in rects:
             if not isinstance(r, Rect):
                 raise DomainError("rects must be Rect instances")
-        if not any(r.x0 == 0 or r.y0 == 0 for r in rects):
+        coords = [c for r in rects for c in (r.x0, r.x1, r.y0, r.y1)]
+        q, flat = over_common_denominator(coords)
+        boxes = list(zip(flat[0::4], flat[1::4], flat[2::4], flat[3::4]))
+        if not any(x0 == 0 or y0 == 0 for x0, _, y0, _ in boxes):
             raise DomainError(
                 "union must contain a neighborhood of a boundary-axis point"
             )
         object.__setattr__(self, "rects", rects)
-        object.__setattr__(self, "_grid", _Coverage(rects))
+        object.__setattr__(self, "_grid", _Coverage(q, boxes))
 
     @cached_property
     def delta(self) -> Fraction:
-        hits = [
-            top for r in self.rects if max(r.x0, r.y0) <= (top := min(r.x1, r.y1))
-        ]
+        boxes = self._grid.boxes
+        hits = [min(x1, y1) for x0, x1, y0, y1 in boxes if max(x0, y0) <= min(x1, y1)]
         if not hits:
             raise InapplicableError("diagonal does not meet the domain")
-        return max(hits)
+        return Fraction(max(hits), self._grid.q)
 
     @cached_property
     def eta(self) -> Fraction:
         # Per rectangle the smallest coordinate is largest at the top-right corner.
-        return max(min(r.x1, r.y1) for r in self.rects)
+        grid = self._grid
+        return Fraction(max(min(x1, y1) for _, x1, _, y1 in grid.boxes), grid.q)
 
     @cached_property
     def is_monotone(self) -> bool:
@@ -674,7 +658,9 @@ class Rectilinear2D(ToricDomain):
 
     @property
     def cylinder_cover(self) -> Fraction:
-        return min(max(r.x1 for r in self.rects), max(r.y1 for r in self.rects))
+        grid = self._grid
+        top = min(max(b[1] for b in grid.boxes), max(b[3] for b in grid.boxes))
+        return Fraction(top, grid.q)
 
     def contains(self, p) -> bool:
         # Some cell whose closure holds p is painted.
@@ -703,18 +689,9 @@ class Rectilinear2D(ToricDomain):
         return {"rects": len(self.rects)}
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rects": [
-                {
-                    "x0": format_rational(r.x0),
-                    "x1": format_rational(r.x1),
-                    "y0": format_rational(r.y0),
-                    "y1": format_rational(r.y1),
-                }
-                for r in self.rects
-            ],
-        }
+        return {"kind": self.kind, "rects": [
+            {k: format_rational(getattr(r, k)) for k in _CORNERS} for r in self.rects
+        ]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Rectilinear2D":
@@ -729,7 +706,7 @@ class Rectilinear2D(ToricDomain):
             if not isinstance(item, dict):
                 raise DomainError(f"rectangle is not an object: {item!r}")
             try:
-                rects.append(Rect(item["x0"], item["x1"], item["y0"], item["y1"]))
+                rects.append(Rect(*(item[k] for k in _CORNERS)))
             except KeyError as exc:
                 raise DomainError(f"rectangle missing corner field {exc}")
         return cls(tuple(rects))

@@ -24,15 +24,17 @@ Everything is evaluated in exact rational arithmetic: for these shape
 classes all suprema are attained at vertices, edge intersections or grid
 corners, so no tolerances are needed.
 
-A rectangle union is answered from one coordinate-compressed coverage
-grid: the distinct rectangle coordinates (and 0) cut the quadrant into
-cells, and one byte per cell records whether a rectangle paints it.  The
-grid is built once per ``Rectilinear2D``, by its constructor, from each
-rectangle's integer rank box on the grid lines, which also decides
-connectivity; the staircase test and ``cube_inclusion`` are read off it
-in one pass over the cells, and membership and boundary tests bisect
-the grid lines.  The cost of a union's invariants therefore depends on
-the number of rectangles, not on the size of their coordinates.
+A rectangle union is answered on one integer lattice, like a polygon:
+its constructor scales every rectangle coordinate once to an integer
+over the lcm q of their denominators.  The distinct scaled coordinates
+(and 0) cut the quadrant into the cells of one coverage grid, and one bit
+per cell records whether a rectangle paints it; the integer boxes also
+decide connectivity.  The staircase test and ``cube_inclusion`` are read
+off the grid in one pass over its columns, ``delta``, ``eta`` and the
+cylinder cover off the integer boxes, and membership and boundary tests
+bisect the grid lines at floor(p q) and ceil(p q).  The cost of a
+union's invariants therefore depends on the number of rectangles, not
+on the size of their coordinates.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from fractions import Fraction
 
 from .domains import Polygon2D, ToricDomain, _checked, _require_polygon
 from .errors import InapplicableError
-from .rationals import is_integer
+from .rationals import is_integer, parse_rational
 
 
 def support(domain: Polygon2D, v) -> Fraction:
@@ -52,7 +54,7 @@ def support(domain: Polygon2D, v) -> Fraction:
     integer pair; any other kind of domain raises ``InapplicableError``.
     """
     _require_polygon("support values are defined on polygon domains", domain)
-    vx, vy = v
+    vx, vy = _pair(v, "support direction must be an integer pair")
     if not (is_integer(vx) and is_integer(vy)):
         raise InapplicableError(f"support direction must be an integer pair, got {v!r}")
     if vx == 0 and vy == 0:
@@ -110,9 +112,32 @@ def cube_inclusion(domain: ToricDomain) -> Fraction:
     return _checked(domain).cube_inclusion
 
 
+def _pair(p, refusal: str) -> tuple:
+    """The two items of p, or ``InapplicableError`` for anything but a pair.
+
+    A string would unpack into its characters: "10" is not (1, 0).
+    """
+    try:
+        x, y = () if isinstance(p, str) else p
+    except (TypeError, ValueError):
+        raise InapplicableError(f"{refusal}, got {p!r}") from None
+    return x, y
+
+
+def _point(p) -> tuple:
+    """A planar point as a pair of Fractions, coerced through ``parse_rational``."""
+    x, y = _pair(p, "a point must be a coordinate pair")
+    return parse_rational(x), parse_rational(y)
+
+
 def domain_contains(domain: ToricDomain, p) -> bool:
-    """Closed membership test for 2-dimensional domains."""
-    return _checked(domain).contains(p)
+    """Closed membership test for 2-dimensional domains.
+
+    ``p`` must be a pair (``InapplicableError`` otherwise) of rationals,
+    each coerced through ``parse_rational``, so a float raises
+    ``DomainError``.
+    """
+    return _checked(domain).contains(_point(p))
 
 
 def domain_on_boundary(domain: ToricDomain, p) -> bool:
@@ -123,6 +148,7 @@ def domain_on_boundary(domain: ToricDomain, p) -> bool:
     polygon's integer lattice.  For a rectangle union, p is on the
     boundary iff at least one but not all of the four grid cells meeting
     its corners are painted; the cells are found by bisecting the grid
-    lines, so the test costs O(log(rectangles)) comparisons.
+    lines, so the test costs O(log(rectangles)) comparisons.  ``p`` is
+    checked and coerced as in ``domain_contains``.
     """
-    return _checked(domain).on_boundary(p)
+    return _checked(domain).on_boundary(_point(p))

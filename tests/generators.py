@@ -27,6 +27,11 @@ def make_staircase(rng: random.Random, max_den: int = 20) -> Rectilinear2D:
     return Rectilinear2D(rects)
 
 
+def rects_meet(a: Rect, b: Rect) -> bool:
+    """Whether two closed rectangles meet, edge and corner contacts included."""
+    return a.x0 <= b.x1 and b.x0 <= a.x1 and a.y0 <= b.y1 and b.y0 <= a.y1
+
+
 def make_touching_union(rng: random.Random) -> Rectilinear2D:
     """Rectangles on a 1/4 grid, so edges coincide and corners touch."""
     q = lambda lo, hi: Fraction(rng.randint(lo, hi), 4)
@@ -37,7 +42,7 @@ def make_touching_union(rng: random.Random) -> Rectilinear2D:
         x0 = rng.choice((base.x0, base.x1, q(0, 8)))
         y0 = rng.choice((base.y0, base.y1, q(0, 8)))
         cand = Rect(x0, x0 + q(1, 6), y0, y0 + q(1, 6))
-        if any(cand.intersects(r) for r in rects):
+        if any(rects_meet(cand, r) for r in rects):
             rects.append(cand)
     return Rectilinear2D(tuple(rects))
 

@@ -37,6 +37,7 @@ from generators import (
     make_staircase,
     make_touching_union,
     make_weakly_convex_polygon,
+    rects_meet,
 )
 
 F = Fraction
@@ -60,8 +61,10 @@ def test_support_examples(om310):
 def test_support_zero_vector(om310):
     with pytest.raises(InapplicableError, match="nonzero"):
         support(om310, (0, 0))
-    # A bool is an int to Python, but not a direction component.
-    for v in ((True, False), (1, True), (1.5, 0), ("1", 0), (F(1), 0)):
+    # A bool is an int to Python, but not a direction component; a
+    # direction is a pair.
+    for v in ((True, False), (1, True), (1.5, 0), ("1", 0), (F(1), 0),
+              (1, 2, 3), (1,), 5, None, "12"):
         with pytest.raises(InapplicableError, match="integer pair"):
             support(om310, v)
 
@@ -140,7 +143,7 @@ def _random_rectilinear(rng):
         w = F(rng.randint(1, 6), 4)
         h = F(rng.randint(1, 6), 4)
         cand = Rect(x0, x0 + w, y0, y0 + h)
-        if any(cand.intersects(r) for r in rects):
+        if any(rects_meet(cand, r) for r in rects):
             rects.append(cand)
     return Rectilinear2D(tuple(rects))
 
@@ -225,6 +228,35 @@ def test_delta_eta_monotone_under_scaling():
         smaller = Polygon2D(tuple((lam * x, lam * y) for x, y in poly.vertices))
         assert delta(smaller) == lam * delta(poly) <= delta(poly)
         assert eta(smaller) <= eta(poly)
+
+
+def _scaled(dom, c):
+    if isinstance(dom, Polygon2D):
+        return Polygon2D(tuple((c * x, c * y) for x, y in dom.vertices))
+    return Rectilinear2D(tuple(Rect(c * r.x0, c * r.x1, c * r.y0, c * r.y1) for r in dom.rects))
+
+
+@given(seed=st.integers(0, 2**32), num=st.integers(1, 10**9), den=st.integers(1, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_invariants_scale_with_the_domain(seed, num, den):
+    # Scaling by c > 0 scales the radii, the inscribed cube and the slab,
+    # and keeps the monotone test and the c_L rule; the certificate's
+    # bracket and witness scale with the domain.
+    rng, c = random.Random(seed), F(num, den)
+    domains = [make_weakly_convex_polygon(rng), make_monotone_polygon(rng),
+               make_staircase(rng, max_den=10**6), make_touching_union(rng),
+               _random_rectilinear(rng)]
+    for dom in domains:
+        big = _scaled(dom, c)
+        for f in (delta, eta, cube_inclusion):
+            assert f(big) == c * f(dom), (dom, c, f)
+        assert big.cylinder_cover == c * dom.cylinder_cover
+        assert is_monotone(big) == is_monotone(dom)
+        mine, theirs = lagrangian_capacity(dom), lagrangian_capacity(big)
+        assert theirs.rule is mine.rule, (dom, c)
+        assert (theirs.lower, theirs.upper) == (c * mine.lower, c * mine.upper)
+        assert theirs.witness == (None if mine.witness is None
+                                  else tuple(c * w for w in mine.witness))
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +377,40 @@ def test_boundary_predicates(om310):
     assert not domain_on_boundary(cross_domain, (F(3, 4), F(3, 4)))
 
 
+CROSS = Rectilinear2D((Rect(F(0), F(1), F(0), F(1, 2)), Rect(F(0), F(1, 2), F(0), F(1))))
+
+BAD_POINTS = [
+    (5, InapplicableError, "coordinate pair"),
+    (None, InapplicableError, "coordinate pair"),
+    ((1,), InapplicableError, "coordinate pair"),
+    ((1, 2, 3), InapplicableError, "coordinate pair"),
+    ("10", InapplicableError, "coordinate pair"),
+    ((0.5, 0.25), DomainError, "not a rational"),
+    ((F(1, 2), 0.25), DomainError, "not a rational"),
+    ((True, 0), DomainError, "not a rational"),
+    (("1.5", "0"), DomainError, "not a rational"),
+]
+
+
+@pytest.mark.parametrize("point,error,message", BAD_POINTS,
+                         ids=[repr(p) for p, _, _ in BAD_POINTS])
+def test_membership_refuses_bad_points(om310, point, error, message):
+    for dom in (om310, CROSS):
+        for probe in (domain_contains, domain_on_boundary):
+            with pytest.raises(error, match=message):
+                probe(dom, point)
+
+
+def test_membership_coerces_rational_coordinates(om310):
+    for dom in (om310, CROSS):
+        for raw, exact in [(("1", "0"), (F(1), F(0))), (("1/2", "1/2"), (F(1, 2), F(1, 2))),
+                           ([1, F(1, 4)], (F(1), F(1, 4))), ((F(1, 5), "1/5"), (F(1, 5),) * 2)]:
+            for probe in (domain_contains, domain_on_boundary):
+                assert probe(dom, raw) == probe(dom, exact), (dom, raw)
+    assert not domain_contains(om310, ("1", "0"))
+    assert domain_on_boundary(om310, ("1/2", "1/2"))
+
+
 CORNER_TOUCHING = [
     Rectilinear2D((Rect(F(0), F(1), F(0), F(1)), Rect(F(1), F(2), F(1), F(2)))),
     Rectilinear2D((
@@ -439,11 +505,21 @@ def test_cached_invariants_keep_value_semantics():
             assert (theirs.q, theirs.points) == (mine.q, mine.points)
             assert mine.q == math.lcm(*(c.denominator for v in dom.vertices for c in v))
         if isinstance(dom, Rectilinear2D):
-            assert vars(fresh)["_grid"] is not vars(dom)["_grid"]
+            # The union's lattice: q is the lcm of the rectangles'
+            # denominators, and the grid lines and boxes are ints.
+            mine, theirs = vars(dom)["_grid"], vars(fresh)["_grid"]
+            assert theirs is not mine
+            coords = [(r.x0, r.x1, r.y0, r.y1) for r in dom.rects]
+            assert mine.q == math.lcm(*(c.denominator for box in coords for c in box))
+            assert all(type(c) is int for c in mine.xs + mine.ys)
+            assert all(type(c) is int for box in mine.boxes for c in box)
+            assert mine.boxes == [tuple(c * mine.q for c in box) for box in coords]
             # Equal rectangles in other forms make an equal union.
             again = Rectilinear2D(tuple(
                 Rect(*(str(c) for c in (r.x0, r.x1, r.y0, r.y1))) for r in dom.rects
             ))
+            for other in (theirs, vars(again)["_grid"]):
+                assert (other.q, other.boxes) == (mine.q, mine.boxes)
             assert again == dom and hash(again) == hash(dom)
             assert repr(again) == repr(dom)
             assert serialize_domain(again) == serialize_domain(dom)
