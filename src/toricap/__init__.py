@@ -5,127 +5,106 @@ classes (standard families, weakly convex polygons, rectangle unions):
 diagonal and min-coordinate radii, inscribed-cube sizes, certified
 Lagrangian capacities, boundary-slope cube-capacity bounds, and a
 combinatorial obstruction search for cube embeddings.
-"""
 
-from .capacities import (
-    CapacityReport,
-    Interval,
-    XaCheck,
-    capacity_report,
-    omega_a,
-    report_to_dict,
-    sweep_to_csv,
-    verify_xa,
-)
-from .domains import (
-    Polygon2D,
-    Rect,
-    Rectilinear2D,
-    StandardDomain,
-    ToricDomain,
-    domain_from_dict,
-    domain_to_dict,
-    is_weakly_convex,
-    parse_domain,
-    serialize_domain,
-    square_polygon,
-)
-from .ech import (
-    CombOrbit,
-    CombOrbitSet,
-    LeqResult,
-    SearchReport,
-    SearchStatus,
-    SearchWitness,
-    action,
-    cross_term,
-    cube_bound,
-    enumerate_orbit_sets,
-    enumeration_truncated,
-    finite_d_bound,
-    format_orbit_set,
-    leq_relation,
-    obstruction_search,
-    orbit_invariants,
-    parse_orbit_set,
-    verify_witness,
-)
-from .errors import DomainError, InapplicableError, ToricapError
-from .geometry import (
-    cube_inclusion,
-    delta,
-    domain_contains,
-    domain_on_boundary,
-    eta,
-    is_monotone,
-    support,
-)
-from .lagrangian import (
-    CLCertificate,
-    CLRule,
-    a_min_brute,
-    a_min_closed,
-    cube_normalized_value,
-    lagrangian_capacity,
-)
-from .rationals import format_rational, parse_rational
+``import toricap`` loads none of the layer modules.  The first access to
+a public name (``toricap.capacity_report``, ``from toricap import
+delta``, ``from toricap import *``) or to a layer module imports every
+layer once and binds each public name as a plain module global, so later
+accesses are ordinary attribute reads.  The ``toricap`` command imports
+only the layers that its subcommand runs (see :mod:`toricap.cli`).
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CLCertificate",
-    "CLRule",
-    "CapacityReport",
-    "CombOrbit",
-    "CombOrbitSet",
-    "DomainError",
-    "InapplicableError",
-    "Interval",
-    "LeqResult",
-    "Polygon2D",
-    "Rect",
-    "Rectilinear2D",
-    "SearchReport",
-    "SearchStatus",
-    "SearchWitness",
-    "StandardDomain",
-    "ToricDomain",
-    "ToricapError",
-    "XaCheck",
-    "a_min_brute",
-    "a_min_closed",
-    "action",
-    "capacity_report",
-    "cross_term",
-    "cube_bound",
-    "cube_inclusion",
-    "cube_normalized_value",
-    "delta",
-    "domain_contains",
-    "domain_from_dict",
-    "domain_on_boundary",
-    "domain_to_dict",
-    "enumerate_orbit_sets",
-    "enumeration_truncated",
-    "eta",
-    "finite_d_bound",
-    "format_orbit_set",
-    "format_rational",
-    "is_monotone",
-    "is_weakly_convex",
-    "lagrangian_capacity",
-    "leq_relation",
-    "obstruction_search",
-    "omega_a",
-    "orbit_invariants",
-    "parse_domain",
-    "parse_orbit_set",
-    "parse_rational",
-    "report_to_dict",
-    "serialize_domain",
-    "square_polygon",
-    "support",
-    "sweep_to_csv",
-    "verify_witness",
-    "verify_xa",
-]
+# Each public name, listed under the layer module that defines it.
+_EXPORTS = {
+    "capacities": (
+        "CapacityReport",
+        "XaCheck",
+        "capacity_report",
+        "omega_a",
+        "report_to_dict",
+        "sweep_to_csv",
+        "verify_xa",
+    ),
+    "domains": (
+        "Polygon2D",
+        "Rect",
+        "Rectilinear2D",
+        "StandardDomain",
+        "ToricDomain",
+        "domain_from_dict",
+        "domain_to_dict",
+        "is_weakly_convex",
+        "parse_domain",
+        "serialize_domain",
+        "square_polygon",
+    ),
+    "ech": (
+        "CombOrbit",
+        "CombOrbitSet",
+        "LeqResult",
+        "SearchReport",
+        "SearchStatus",
+        "SearchWitness",
+        "action",
+        "cross_term",
+        "enumerate_orbit_sets",
+        "enumeration_truncated",
+        "finite_d_bound",
+        "format_orbit_set",
+        "leq_relation",
+        "obstruction_search",
+        "orbit_invariants",
+        "parse_orbit_set",
+        "verify_witness",
+    ),
+    "errors": ("DomainError", "InapplicableError", "ToricapError"),
+    "geometry": (
+        "cube_bound",
+        "cube_inclusion",
+        "delta",
+        "domain_contains",
+        "domain_on_boundary",
+        "eta",
+        "is_monotone",
+        "support",
+    ),
+    "lagrangian": (
+        "CLCertificate",
+        "CLRule",
+        "a_min_brute",
+        "a_min_closed",
+        "cube_normalized_value",
+        "lagrangian_capacity",
+    ),
+    "rationals": ("Interval", "format_rational", "parse_rational"),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def _load_public_names() -> None:
+    """Import every layer and bind its public names in this module."""
+    from importlib import import_module
+
+    namespace = globals()
+    for module, names in _EXPORTS.items():
+        layer = import_module(f"{__name__}.{module}")
+        namespace.update((name, getattr(layer, name)) for name in names)
+    # Every public name and layer module is a global now.  CPython does
+    # not specialise attribute reads on a module that has a ``__getattr__``,
+    # so dropping it keeps reads such as ``toricap.delta`` on the fast path;
+    # an unknown name then raises the default AttributeError.
+    namespace.pop("__getattr__", None)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS and name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_public_names()
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -18,9 +18,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .domains import Polygon2D, ToricDomain
-from .ech import cube_bound
 from .errors import DomainError, InapplicableError
-from .geometry import cube_inclusion, delta, eta, is_monotone
+from .geometry import cube_bound, cube_inclusion, delta, eta, is_monotone
 from .lagrangian import CLCertificate, lagrangian_capacity
 from .rationals import Interval, format_rational, parse_rational
 

@@ -9,6 +9,12 @@ empty.  Exit status 0 means success, 1 a refused computation (a
 precondition or hypothesis does not hold, or the ``amin`` oracle
 disagrees), 2 an input error; failures print one machine-parsable
 ``error: ...`` line on stderr.
+
+A CLI process starts with only the domain parser, the error types and
+the rational helpers loaded; each ``_cmd_*`` imports the layers it runs
+(``info`` geometry, ``report`` and ``xa`` capacities, ``bound``
+capacities and ech, ``obstruct`` ech, ``amin`` lagrangian), so no
+subcommand pays to load a layer that it does not use.
 """
 
 from __future__ import annotations
@@ -19,26 +25,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .capacities import (
-    CSV_COLUMNS,
-    _csv_text,
-    capacity_report,
-    report_csv_row,
-    report_to_dict,
-    sweep_to_csv,
-    verify_xa,
-)
 from .domains import parse_domain
-from .ech import (
-    cube_bound,
-    finite_d_bound,
-    format_orbit_set,
-    obstruction_search,
-    parse_orbit_set,
-)
 from .errors import DomainError, InapplicableError, ToricapError
-from .geometry import delta, eta, is_monotone
-from .lagrangian import a_min_brute, a_min_closed
 from .rationals import format_rational, parse_rational
 
 DEFAULT_BOUND_DEGREES = (3, 9, 30, 90, 300)
@@ -103,6 +91,8 @@ def _parse_sweep(spec: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_info(args) -> tuple[str, int]:
+    from .geometry import delta, eta, is_monotone
+
     domain = _load_domain(args.file)
     fields = {"kind": domain.kind, "n": domain.n, **domain.summary(),
               "monotone": is_monotone(domain),
@@ -123,6 +113,14 @@ def _interval_cell(iv, decimal) -> str:
 
 
 def _cmd_report(args) -> tuple[str, int]:
+    from .capacities import (
+        CSV_COLUMNS,
+        _csv_text,
+        capacity_report,
+        report_csv_row,
+        report_to_dict,
+    )
+
     report = capacity_report(_load_domain(args.file))
     if args.format == "json":
         return json.dumps(report_to_dict(report), indent=2) + "\n", 0
@@ -151,6 +149,8 @@ def _cmd_report(args) -> tuple[str, int]:
 
 
 def _cmd_xa(args) -> tuple[str, int]:
+    from .capacities import report_to_dict, sweep_to_csv, verify_xa
+
     values = [parse_rational(a) for a in args.a or []]
     if args.sweep:
         values.extend(_parse_sweep(args.sweep))
@@ -198,6 +198,10 @@ def _cmd_xa(args) -> tuple[str, int]:
 
 
 def _cmd_bound(args) -> tuple[str, int]:
+    from .capacities import capacity_report
+    from .ech import finite_d_bound
+    from .geometry import cube_bound
+
     domain = _load_domain(args.file)
     dec = args.decimal
     bound = cube_bound(domain)
@@ -214,6 +218,8 @@ def _cmd_bound(args) -> tuple[str, int]:
 
 
 def _cmd_obstruct(args) -> tuple[str, int]:
+    from .ech import format_orbit_set, obstruction_search, parse_orbit_set
+
     source = _load_domain(args.source)
     target = _load_domain(args.target)
     report = obstruction_search(
@@ -248,6 +254,8 @@ def _cmd_obstruct(args) -> tuple[str, int]:
 
 
 def _cmd_amin(args) -> tuple[str, int]:
+    from .lagrangian import a_min_brute, a_min_closed
+
     coords = [parse_rational(c) for c in args.x.split(",") if c.strip() != ""]
     if not coords:
         raise DomainError("amin needs --x 'P/Q,P/Q,...'")

@@ -15,12 +15,9 @@ On top of these the module provides:
 * ``leq_relation`` -- the three-condition comparison (index equality,
   action inequality, and the writhe-type count inequality) that an
   embedding forces on matched orbit-set factors;
-* ``cube_bound`` -- the closed-form upper bound (x-intercept +
-  y-intercept)/2 for the cube capacity of a weakly convex domain whose
-  first and last boundary edges are at least diagonal-steep;
 * ``finite_d_bound`` -- the weakest inequality any admissible factor of
   the canonical degree-d test product can impose, a certified upper
-  bound converging to ``cube_bound`` from above;
+  bound converging to ``geometry.cube_bound`` from above;
 * ``enumerate_orbit_sets`` and ``obstruction_search`` -- a bounded
   feasibility search for the factor decompositions that an embedding
   would have to admit, returning a verifiable witness, a within-bounds
@@ -62,7 +59,7 @@ from typing import Iterator, Optional
 
 from .domains import Polygon2D, _require_polygon
 from .errors import DomainError, InapplicableError
-from .geometry import delta, support
+from .geometry import cube_bound, delta, support
 from .rationals import is_count, is_integer, over_common_denominator, parse_rational
 
 
@@ -267,33 +264,6 @@ def leq_relation(
     return LeqResult(True, None)
 
 
-def _slope_condition(domain: Polygon2D) -> bool:
-    # Both end edges at least diagonal-steep: direction (dx, dy) with
-    # dx <= dy.  This makes the supports of (1,-1) and (-1,1) attain
-    # exactly the two axis intercepts.  The lattice edges are the chain's
-    # edges scaled by q > 0, so they compare alike.
-    edges = domain._lattice.edges
-    dx0, dy0 = edges[0]
-    dx1, dy1 = edges[-1]
-    return dx0 <= dy0 and dx1 <= dy1
-
-
-def cube_bound(domain: Polygon2D) -> Fraction:
-    """Closed-form upper bound (x-intercept + y-intercept)/2 for the cube capacity.
-
-    Requires the boundary chain to leave the x-axis and arrive at the
-    y-axis at least diagonally (edge direction dx <= dy at both ends);
-    otherwise, or on a domain of another kind, the call refuses.
-    """
-    _require_polygon("the boundary-slope bound applies to polygon domains", domain)
-    if not _slope_condition(domain):
-        raise InapplicableError(
-            "tangent-slope condition fails: both end edges must satisfy dx <= dy"
-        )
-    q, points = domain._lattice.q, domain._lattice.points
-    return Fraction(points[0][0] + points[-1][1], 2 * q)
-
-
 def finite_d_bound(domain: Polygon2D, d: int) -> Fraction:
     """Certified cube-capacity bound extracted from the degree-d test product.
 
@@ -301,7 +271,11 @@ def finite_d_bound(domain: Polygon2D, d: int) -> Fraction:
     a < (d_i * (x0 + y1) + k) / (2 d_i + 3 k - 1) for some k in {0, 1, 2}
     and some integer d_i in [ceil(d/3), d]; the max over all admissible
     pairs is therefore a sound upper bound.  It is non-increasing in d
-    and converges to ``cube_bound`` from above.
+    and converges to ``geometry.cube_bound`` from above.
+
+    Like ``cube_bound``, the bound is backed by the paper's theorem for
+    cube sources, applied to the degree-d test product, and not by
+    ``obstruction_search``: no search runs here.
     """
     if not is_count(d):
         raise InapplicableError(f"degree must be an integer >= 1, got {d!r}")

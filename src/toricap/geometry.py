@@ -12,11 +12,14 @@ The quantities computed here are:
   boundary has nonnegative components;
 * ``cube_inclusion`` -- the largest a with [0, a]^n contained in the
   region;
+* ``cube_bound`` -- the closed-form upper bound (x-intercept +
+  y-intercept)/2 for the cube capacity of a weakly convex polygon whose
+  first and last boundary edges are at least diagonal-steep;
 * ``domain_contains`` and ``domain_on_boundary`` -- closed membership
   and boundary tests for planar domains; the tests check the
   Lagrangian-capacity rules and their witnesses against them.
 
-Everything but ``support`` is answered by the domain's own kind: each
+Everything but ``support`` and ``cube_bound`` is answered by the domain's own kind: each
 function checks that its argument is a ``ToricDomain`` (``DomainError``
 otherwise) and reads the member of the same name, which every instance
 computes at most once (see :mod:`toricap.domains` for the protocol).
@@ -152,3 +155,37 @@ def domain_on_boundary(domain: ToricDomain, p) -> bool:
     checked and coerced as in ``domain_contains``.
     """
     return _checked(domain).on_boundary(_point(p))
+
+
+def _slope_condition(domain: Polygon2D) -> bool:
+    # Both end edges at least diagonal-steep: direction (dx, dy) with
+    # dx <= dy.  This makes the supports of (1,-1) and (-1,1) attain
+    # exactly the two axis intercepts.  The lattice edges are the chain's
+    # edges scaled by q > 0, so they compare alike.
+    edges = domain._lattice.edges
+    dx0, dy0 = edges[0]
+    dx1, dy1 = edges[-1]
+    return dx0 <= dy0 and dx1 <= dy1
+
+
+def cube_bound(domain: Polygon2D) -> Fraction:
+    """Closed-form upper bound (x-intercept + y-intercept)/2 for the cube capacity.
+
+    Requires the boundary chain to leave the x-axis and arrive at the
+    y-axis at least diagonally (edge direction dx <= dy at both ends);
+    otherwise, or on a domain of another kind, the call refuses.
+
+    The bound is backed by the paper's theorem for cube sources: the
+    degree-d obstructions to embedding a cube (``ech.finite_d_bound``)
+    are certified upper bounds that decrease to this value.  It is not
+    backed by ``ech.obstruction_search``, whose statuses are claims about
+    the combinatorial model under its bounds.  It reads only the
+    polygon's integer lattice, so it needs nothing from the ECH model.
+    """
+    _require_polygon("the boundary-slope bound applies to polygon domains", domain)
+    if not _slope_condition(domain):
+        raise InapplicableError(
+            "tangent-slope condition fails: both end edges must satisfy dx <= dy"
+        )
+    q, points = domain._lattice.q, domain._lattice.points
+    return Fraction(points[0][0] + points[-1][1], 2 * q)

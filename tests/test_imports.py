@@ -1,26 +1,32 @@
-"""Static hygiene: every module-level import in the package is used,
+"""Static hygiene: every import in the package is used, functions import
+only where a CLI subcommand or the package's name loader loads a layer,
 every module-level private name is read by some module of the package,
 and only ``cli.main`` writes to stdout or stderr.
 
 There is no linter among the dependencies, so this scans the syntax
-trees itself.  ``__init__.py`` is exempt from the import check, since its
-imports are the public re-exports, and so are ``from __future__``
-imports.
+trees itself.  ``from __future__`` imports are exempt from the unused
+check.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toricap"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+# The module-level functions that may import, by module: each CLI
+# subcommand imports the layers it runs, and the package's loader imports
+# every layer on the first use of a public name.
+LAZY_IMPORTERS = {"cli.py": r"_cmd_\w+", "__init__.py": "_load_public_names"}
 
 
-def _imported_names(tree: ast.Module) -> dict:
-    """Name bound by each module-level import, mapped to its line."""
+def _imported_names(statements) -> dict:
+    """Name bound by each import among ``statements``, mapped to its line."""
     bound = {}
-    for node in tree.body:
+    for node in statements:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 bound[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -30,8 +36,32 @@ def _imported_names(tree: ast.Module) -> dict:
     return bound
 
 
-def _used_names(tree: ast.Module) -> set:
-    """Every name the module reads, including inside string annotations
+def _scopes(tree: ast.Module):
+    """(name, imports, reader) for the module and each module-level function.
+
+    The module's imports are its top-level import statements, a
+    function's are the import statements anywhere in it; the reader is
+    the node whose names count as uses of them.
+    """
+    yield "<module>", _imported_names(tree.body), tree
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, _imported_names(ast.walk(node)), node
+
+
+def _unused_imports(tree: ast.Module) -> dict:
+    """The unused imported names of each scope that has any, mapped to their lines."""
+    unused = {}
+    for scope, bound, reader in _scopes(tree):
+        used = _used_names(reader)
+        names = {name: line for name, line in bound.items() if name not in used}
+        if names:
+            unused[scope] = names
+    return unused
+
+
+def _used_names(tree: ast.AST) -> set:
+    """Every name the tree reads, including inside string annotations
     and the entries of ``__all__``."""
     used = set()
     for node in ast.walk(tree):
@@ -55,10 +85,7 @@ def test_package_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    used = _used_names(tree)
-    unused = {
-        name: line for name, line in _imported_names(tree).items() if name not in used
-    }
+    unused = _unused_imports(tree)
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
@@ -69,10 +96,57 @@ def test_scan_flags_an_unused_import():
         "from typing import Iterable, Optional\n"
         "def f(x: 'Optional[int]'):\n"
         "    return json.dumps(x)\n"
+        "def _cmd_g():\n"
+        "    from .layer import used, unused\n"
+        "    if used():\n"
+        "        import re\n"
+        "        return re\n"
     )
-    bound = _imported_names(tree)
-    assert bound.keys() == {"json", "os", "Iterable", "Optional"}
-    assert {n for n in bound if n not in _used_names(tree)} == {"os", "Iterable"}
+    assert _imported_names(tree.body).keys() == {"json", "os", "Iterable", "Optional"}
+    assert _unused_imports(tree) == {"<module>": {"os": 2, "Iterable": 3},
+                                     "_cmd_g": {"unused": 7}}
+
+
+def _function_imports(tree: ast.Module) -> dict:
+    """Lines of the imports inside each module-level function or class, by its name."""
+    found = {}
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            lines = [node.lineno for node in ast.walk(top)
+                     if isinstance(node, (ast.Import, ast.ImportFrom))]
+            if lines:
+                found[top.name] = lines
+    return found
+
+
+def _misplaced_imports(tree: ast.Module, allowed: str | None) -> dict:
+    """The function imports outside the functions whose names match ``allowed``."""
+    return {name: lines for name, lines in _function_imports(tree).items()
+            if allowed is None or not re.fullmatch(allowed, name)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_functions_import_only_where_layers_load_lazily(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    misplaced = _misplaced_imports(tree, LAZY_IMPORTERS.get(path.name))
+    assert not misplaced, f"{path.name}: imports inside functions {misplaced}"
+
+
+def test_function_import_scan_flags_misplaced_imports():
+    tree = ast.parse(
+        "import json\n"
+        "def _cmd_info():\n"
+        "    from .geometry import delta\n"
+        "    return delta\n"
+        "def helper():\n"
+        "    import os\n"
+        "class Thing:\n"
+        "    def method(self):\n"
+        "        from .ech import action\n"
+    )
+    assert _function_imports(tree) == {"_cmd_info": [3], "helper": [6], "Thing": [9]}
+    assert _misplaced_imports(tree, r"_cmd_\w+") == {"helper": [6], "Thing": [9]}
+    assert _misplaced_imports(tree, None) == _function_imports(tree)
 
 
 def _private_definitions(tree: ast.Module) -> dict:

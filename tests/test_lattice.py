@@ -27,8 +27,7 @@ from toricap import (
     square_polygon,
 )
 from toricap.domains import _canonical_chain
-from toricap.ech import _slope_condition
-from toricap.geometry import cube_inclusion, delta, eta, is_monotone, support
+from toricap.geometry import _slope_condition, cube_inclusion, delta, eta, is_monotone, support
 from toricap.rationals import parse_rational
 
 from generators import (
