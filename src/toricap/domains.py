@@ -57,7 +57,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, InapplicableError
-from .rationals import format_rational, over_common_denominator, parse_rational
+from .rationals import format_rational, is_count, over_common_denominator, parse_rational
 
 STANDARD_KINDS = ("ball", "cylinder", "cube", "nduc")
 ZERO = Fraction(0)
@@ -99,7 +99,7 @@ class StandardDomain(ToricDomain):
     def __post_init__(self):
         if self.kind not in STANDARD_KINDS:
             raise DomainError(f"unknown standard domain kind: {self.kind!r}")
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
+        if not is_count(self.n):
             raise DomainError(f"dimension must be an integer >= 1, got {self.n!r}")
         object.__setattr__(self, "a", parse_rational(self.a))
         if self.a <= 0:
@@ -455,9 +455,6 @@ class Rect:
             raise DomainError(
                 f"degenerate rectangle [{self.x0},{self.x1}]x[{self.y0},{self.y1}]"
             )
-
-    def contains(self, p) -> bool:
-        return self.x0 <= p[0] <= self.x1 and self.y0 <= p[1] <= self.y1
 
 
 def _floor_ceil(v: Fraction, q: int) -> tuple:

@@ -35,15 +35,10 @@ vector ``c`` is the linear plus quadratic form
 vectors that pass every integer test, so the cost of a search grows with
 the size of its multiplicity box, not with the denominators.
 
-The enumeration for a search slot is also bounded below on ``x + y``.
-Condition (iii) of ``leq_relation`` asks ``x + y - h/2`` of the source
-set to reach ``x' + y' + m' - 1`` of the target factor, and
-``x + y >= x + y - h/2``, so every set that passes has ``x + y`` at least
-that floor.  A branch is cut when even the best ratio of ``x + y`` to
-action among the remaining candidates, spent on the whole remaining
-budget (the linear-programming relaxation), cannot reach the floor; no
-cut branch holds a set that ``leq_relation`` would accept, so each
-slot's list of matches is unchanged, in the same order.
+A search slot decides each condition of ``leq_relation`` once, in its
+enumeration: the index target is (i), the action cap (ii), and the count
+floor ``x + y - h/2 >= x' + y' + m' - 1`` (iii).  ``verify_witness`` is
+the independent replay of a witness.
 """
 
 from __future__ import annotations
@@ -51,6 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -207,10 +203,16 @@ def parse_orbit_set(text: str) -> CombOrbitSet:
             raise DomainError(f"bad orbit factor: {part.strip()!r}")
         marker, xs, ys, ms = m.groups()
         s = 1 if marker == "e" else 0
-        mult = int(ms) if ms is not None else 1
+        try:
+            mult, x, y = (int(t) for t in (ms or "1", xs, ys))
+        except ValueError:
+            raise DomainError(
+                f"orbit factor {part.strip()[:12]}... has an integer of more than "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
         if mult < 1:
             raise DomainError(f"multiplicity must be >= 1 in {part.strip()!r}")
-        orbit = CombOrbit((int(xs), int(ys)), s)
+        orbit = CombOrbit((x, y), s)
         if orbit in seen:
             raise DomainError(f"duplicate orbit in literal: {part.strip()!r}")
         seen.add(orbit)
@@ -279,8 +281,7 @@ def finite_d_bound(domain: Polygon2D, d: int) -> Fraction:
     """
     if not is_count(d):
         raise InapplicableError(f"degree must be an integer >= 1, got {d!r}")
-    cube_bound(domain)  # validates the slope precondition
-    s = domain.x_intercept + domain.y_intercept
+    s = 2 * cube_bound(domain)  # x0 + y1; cube_bound validates the slope precondition
     # For fixed k the bound is a Moebius function of d_i whose denominator
     # stays positive for d_i >= 1, hence monotone there: the maximum over
     # the range is attained at one of its two ends.
@@ -362,7 +363,7 @@ def enumerate_orbit_sets(
     index_target: int,
     vmax: int,
     include_axis_orbits: bool = True,
-    min_xy: Optional[int] = None,
+    min_count: Optional[int] = None,
 ) -> Iterator[CombOrbitSet]:
     """All orbit sets within the direction bound, action cap and index target.
 
@@ -381,14 +382,15 @@ def enumerate_orbit_sets(
     candidates ``j`` already chosen.  A ``CombOrbitSet`` is built only
     for a vector whose index equals the target.
 
-    With ``min_xy`` set, only sets with ``x + y >= min_xy`` are yielded,
-    and the recursion carries ``x + y`` as it carries the index.  A branch
-    whose remaining budget ``r`` cannot close the gap even at the best
-    ratio ``g/c`` of ``x + y`` per scaled cost among the remaining
-    candidates (``(min_xy - xy) * c > r * g``, with the empty choice
-    ``(0, 1)`` included) is cut: that ratio bounds what any completion
-    adds, so no set with ``x + y >= min_xy`` is lost, and the sets that
-    remain come in the same order.
+    With ``min_count`` set, only sets with ``2 (x + y) - h >= 2 min_count``
+    are yielded: condition (iii) of ``leq_relation`` when ``min_count`` is
+    ``x' + y' + m' - 1`` of the target factor.  The recursion carries
+    ``x + y`` and ``h`` as it carries the index.  A branch is cut when even
+    the best ratio ``g/c`` of ``x + y`` per scaled cost among the remaining
+    candidates and the empty choice ``(0, 1)``, spent on the whole
+    remaining budget ``r``, cannot reach the floor
+    (``(min_count - xy) * c > r * g``); since ``h >= 0``, no cut branch
+    holds a set that meets it.
     """
     _require_polygon(_POLYGON_ONLY, domain)
     if not is_count(vmax):
@@ -397,8 +399,8 @@ def enumerate_orbit_sets(
         )
     if not is_integer(index_target):
         raise InapplicableError(f"index target must be an integer, got {index_target!r}")
-    if min_xy is not None and not is_integer(min_xy):
-        raise InapplicableError(f"x + y floor must be an integer, got {min_xy!r}")
+    if min_count is not None and not is_integer(min_count):
+        raise InapplicableError(f"count floor must be an integer, got {min_count!r}")
     cap = parse_rational(action_cap)
     if cap <= 0:
         return iter(())
@@ -407,44 +409,46 @@ def enumerate_orbit_sets(
     scale, scaled = over_common_denominator([cap] + [sup for _, sup in candidates])
     budget, cost = scaled[0], scaled[1:]
     linear, cross = _index_form(orbits)
+    gain = [o.v[0] + o.v[1] for o in orbits]
     # cheapest[i]: least cost among candidates i, i+1, ...; once the
     # remaining budget is below it, every later multiplicity is 0.
     cheapest = [budget + 1] * (len(orbits) + 1)
-    for i in range(len(orbits) - 1, -1, -1):
-        cheapest[i] = min(cost[i], cheapest[i + 1])
-    gain = [o.v[0] + o.v[1] for o in orbits]
     # best[i]: the (gain, cost) pair of largest gain/cost among candidates
     # i, i+1, ... and the empty choice (0, 1).  No completion of a prefix
     # with budget r left adds more than r * gain/cost to x + y.
     best = [(0, 1)] * (len(orbits) + 1)
     for i in range(len(orbits) - 1, -1, -1):
+        cheapest[i] = min(cost[i], cheapest[i + 1])
         g, c = best[i + 1]
         best[i] = (gain[i], cost[i]) if gain[i] * c > g * cost[i] else (g, c)
     chosen: list = []  # (candidate position, multiplicity)
 
-    def rec(i: int, remaining: int, index: int, xy: int):
-        if min_xy is not None:
+    def rec(i: int, remaining: int, index: int, xy: int, h: int):
+        if min_count is not None:
             g, c = best[i]
-            if (min_xy - xy) * c > remaining * g:
+            if (min_count - xy) * c > remaining * g:
                 return
         if remaining < cheapest[i]:
-            if chosen and index == index_target and (min_xy is None or xy >= min_xy):
+            if (chosen and index == index_target
+                    and (min_count is None or 2 * xy - h >= 2 * min_count)):
                 yield CombOrbitSet(tuple((orbits[j], m) for j, m in chosen))
             return
-        yield from rec(i + 1, remaining, index, xy)
+        yield from rec(i + 1, remaining, index, xy, h)
         max_m = remaining // cost[i]
         if orbits[i].s == 0:
             max_m = min(max_m, 1)
         row = cross[i]
         base = linear[i] + 2 * sum(m * row[j] for j, m in chosen)
         diagonal = row[i]
+        # A hyperbolic candidate (s = 0) is taken at most once and adds 1 to h.
+        h_i = h + 1 - orbits[i].s
         for m in range(1, max_m + 1):
             chosen.append((i, m))
             index_m = index + m * (base + m * diagonal)
-            yield from rec(i + 1, remaining - m * cost[i], index_m, xy + m * gain[i])
+            yield from rec(i + 1, remaining - m * cost[i], index_m, xy + m * gain[i], h_i)
             chosen.pop()
 
-    return rec(0, budget, 0, 0)
+    return rec(0, budget, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -484,30 +488,25 @@ class SearchReport:
     obstructed_a: Optional[Fraction]
 
 
-def _subset_indices_ok(index, cross, match=None) -> bool:
-    """Whether every nonempty sub-product of a factor list has positive index.
+def _nonempty_subsets(items):
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, k) for k in range(1, len(items) + 1)
+    )
 
-    ``index[j]`` is the index of factor j and ``cross[i][j]``, read for
-    i < j only, the cross term of factors i and j; by index additivity a
-    sub-product over S has index
-    ``sum_{j in S} index[j] + 2 sum_{i < j in S} cross[i][j]``.  With
-    ``match = (index, cross)`` of a second factor list of the same
-    length, every sub-product index must also equal its counterpart.
+
+def _sub_products_match(alpha_factors, alpha_prime_factors) -> bool:
+    """Whether every nonempty sub-product, multiplied out, has positive
+    index on the target side and the same index on the source side.
+
+    Neither list may repeat a hyperbolic orbit across its factors.
     """
-    n = len(index)
-    for mask in range(1, 1 << n):
-        members = [j for j in range(n) if mask >> j & 1]
-        pairs = list(itertools.combinations(members, 2))
-        total = sum(index[j] for j in members)
-        total += 2 * sum(cross[i][j] for i, j in pairs)
-        if total <= 0:
+    for members in _nonempty_subsets(range(len(alpha_factors))):
+        index, index_prime = (
+            orbit_invariants(_product_all(f[j] for j in members)).index
+            for f in (alpha_factors, alpha_prime_factors)
+        )
+        if index_prime <= 0 or index != index_prime:
             return False
-        if match is not None:
-            other_index, other_cross = match
-            other = sum(other_index[j] for j in members)
-            other += 2 * sum(other_cross[i][j] for i, j in pairs)
-            if other != total:
-                return False
     return True
 
 
@@ -547,11 +546,12 @@ def verify_witness(
         if af[i] == af[j] or pf[i] == pf[j]:
             if _shares_orbits(af[i], af[j], s=1):
                 return False
-    idx_a = [orbit_invariants(f).index for f in af]
-    idx_p = [orbit_invariants(f).index for f in pf]
-    cr_a = [[cross_term(a, b) for b in af] for a in af]
-    cr_p = [[cross_term(a, b) for b in pf] for a in pf]
-    return _subset_indices_ok(idx_p, cr_p, match=(idx_a, cr_a))
+    return _sub_products_match(af, pf)
+
+
+# The most nonempty sub-products of a test set that a search walks; each
+# one is a multiplicity vector over the test set's factors.
+_SUB_PRODUCT_LIMIT = 1_000_000
 
 
 def obstruction_search(
@@ -564,8 +564,9 @@ def obstruction_search(
 ) -> SearchReport:
     """Bounded search for the factor decompositions an embedding must admit.
 
-    The test set must have positive index and no hyperbolic factors.
-    Every factorization of it into at most ``lmax`` parts is considered.
+    The test set must have positive index, no hyperbolic factors and at
+    most ``_SUB_PRODUCT_LIMIT`` nonempty sub-products.  Every factorization
+    of it into at most ``lmax`` parts is considered.
     A sound per-factor inequality closes most branches without touching
     the direction bound: the source action of any matching factor is at
     least the source diagonal radius times (x' + y' + m' - 1), so factors
@@ -577,22 +578,18 @@ def obstruction_search(
     factors, visited in ``itertools.product`` order.  The target supports
     of the factor directions and the source diagonal radius are scaled to
     integers over one common denominator, so the index (a quadratic form),
-    the target action (a dot product) and the pruning inequality are
-    integer arithmetic; a ``CombOrbitSet`` and its ``Fraction`` action cap
-    are built only for the vectors that survive, and the factorization
-    search subtracts the kept vectors.
+    the target action and x' + y' + m' - 1 (dot products) and the pruning
+    inequality are integer arithmetic.  A factor stays a vector until its
+    slot is enumerated or a witness is built.  A slot's enumeration, with
+    the factor's index, target action and ``min_count = x' + y' + m' - 1``,
+    decides conditions (i)-(iii) of ``leq_relation``, so its sets are the
+    slot's matches; ``verify_witness`` replays the witness.
 
     Outcomes: a re-verified ``FeasibleWitness``; or
     ``InfeasibleWithinBounds`` when exhaustion never depended on the
     direction bound truncating affordable candidates; or ``Inconclusive``
     when it did.  Within-bounds infeasibility is an obstruction claim for
     this combinatorial model and these bounds only.
-
-    Each slot's enumeration runs with ``min_xy = x' + y' + m' - 1``, the
-    target side of condition (iii): a source set matching the slot has
-    ``x + y >= x + y - h/2 >= x' + y' + m' - 1``, so the floor drops only
-    sets that ``leq_relation`` would reject, and the slot's matches,
-    hence the report, are the same as without it.
     """
     _require_polygon("obstruction search runs on polygon domains", source, target)
     if not (is_count(vmax) and is_count(lmax)):
@@ -607,12 +604,17 @@ def obstruction_search(
         )
     if inv.h != 0:
         raise InapplicableError("test orbit set must have no hyperbolic factors")
+    target_vec = tuple(m for _, m in alpha_prime.factors)
+    total = math.prod(m + 1 for m in target_vec) - 1
+    if total > _SUB_PRODUCT_LIMIT:
+        raise InapplicableError(
+            f"test orbit set has {total} nonempty sub-products, more than the "
+            f"limit of {_SUB_PRODUCT_LIMIT}"
+        )
 
     basis = alpha_prime.orbits()
-    target_vec = tuple(m for _, m in alpha_prime.factors)
     linear, cross = _index_form(basis)
-    vxs = [o.v[0] for o in basis]
-    vys = [o.v[1] for o in basis]
+    weight = [o.v[0] + o.v[1] + 1 for o in basis]
     scale, scaled = over_common_denominator(
         [delta(source)] + [support(target, o.v) for o in basis]
     )
@@ -621,67 +623,58 @@ def obstruction_search(
     def vector_cross(a, b) -> int:
         return sum(ai * sum(map(mul, b, cross[i])) for i, ai in enumerate(a) if ai)
 
-    candidates = []
+    def index_of(vec) -> int:
+        return sum(map(mul, vec, linear)) + vector_cross(vec, vec)
+
+    def orbit_set(vec) -> CombOrbitSet:
+        return CombOrbitSet(tuple((o, c) for o, c in zip(basis, vec) if c))
+
+    candidates = []  # (vector, index, x' + y' + m' - 1, scaled target action)
     pruned = 0
-    total = 0
     vectors = itertools.product(*(range(m + 1) for m in target_vec))
     next(vectors)  # the empty product
     for vec in vectors:
-        total += 1
-        index = sum(map(mul, vec, linear)) + vector_cross(vec, vec)
+        index = index_of(vec)
         if index <= 0:
             continue
-        x = sum(map(mul, vec, vxs))
-        y = sum(map(mul, vec, vys))
-        m = sum(vec)
+        count = sum(map(mul, vec, weight)) - 1
         cap = sum(map(mul, vec, cost))
-        if radius * (x + y + m - 1) > cap:
+        if radius * count > cap:
             pruned += 1
             continue
-        sub = CombOrbitSet(tuple((o, c) for o, c in zip(basis, vec) if c))
-        # h = 0: the test set has no hyperbolic factors (checked above).
-        numbers = OrbitNumbers(x=x, y=y, index=index, m=m, h=0)
-        candidates.append((sub, numbers, Fraction(cap, scale), vec))
+        candidates.append((vec, index, count, cap))
     # Deterministic ordering: larger factors first so single-factor
     # decompositions are tried before fine splittings.
-    candidates.sort(key=lambda c: (-c[1].m, c[3]))
+    candidates.sort(key=lambda c: (-sum(c[0]), c[0]))
 
-    max_part = max((c[1].m for c in candidates), default=0)
+    max_part = max((sum(c[0]) for c in candidates), default=0)
 
     enumerations_run = 0
     truncated_run = False
     factorizations = 0
     enum_cache: dict = {}
 
-    def slot_candidates(factor: CombOrbitSet, numbers: OrbitNumbers, cap: Fraction):
+    def slot_matches(vec, index, count, cap):
         nonlocal enumerations_run, truncated_run
-        key = factor
-        if key in enum_cache:
-            return enum_cache[key]
-        enumerations_run += 1
-        if enumeration_truncated(source, cap):
-            truncated_run = True
-        found = [
-            a
-            for a in enumerate_orbit_sets(
-                source, cap, numbers.index, vmax, include_axis_orbits,
-                min_xy=numbers.x + numbers.y + numbers.m - 1,
-            )
-            if leq_relation(source, target, a, factor).holds
-        ]
-        enum_cache[key] = found
-        return found
+        if vec not in enum_cache:
+            enumerations_run += 1
+            cap = Fraction(cap, scale)
+            if enumeration_truncated(source, cap):
+                truncated_run = True
+            enum_cache[vec] = list(enumerate_orbit_sets(
+                source, cap, index, vmax, include_axis_orbits, min_count=count,
+            ))
+        return enum_cache[vec]
 
-    def assign(slots, cr_p):
+    def assign(slots, vecs):
         """Pick one source set per slot satisfying the joint conditions."""
-        pf = [s[0] for s in slots]
         options = []
-        for factor, numbers, cap, _ in slots:
-            found = slot_candidates(factor, numbers, cap)
+        for slot in slots:
+            found = slot_matches(*slot)
             if not found:
                 return None
             options.append(found)
-
+        cr_p = [[vector_cross(a, b) for b in vecs] for a in vecs]
         chosen: list = []
 
         def clashes(i: int, t: int, a) -> bool:
@@ -690,14 +683,14 @@ def obstruction_search(
             # counterpart iff every pair's cross terms do; the target side
             # is already checked positive.
             return (
-                (chosen[i] == a or pf[i] == pf[t]) and _shares_orbits(chosen[i], a, s=1)
+                (chosen[i] == a or vecs[i] == vecs[t]) and _shares_orbits(chosen[i], a, s=1)
                 # A witness must not repeat a hyperbolic orbit.
                 or _shares_orbits(chosen[i], a, s=0)
                 or cross_term(chosen[i], a) != cr_p[i][t]
             )
 
         def rec(t: int):
-            if t == len(slots):
+            if t == len(vecs):
                 return True
             for a in options[t]:
                 if any(clashes(i, t, a) for i in range(t)):
@@ -708,33 +701,30 @@ def obstruction_search(
                 chosen.pop()
             return False
 
-        if rec(0):
-            return list(chosen)
-        return None
+        return chosen if rec(0) else None
 
     def factorizations_dfs(start: int, remaining, slots):
         nonlocal factorizations
         if not any(remaining):
             factorizations += 1
-            idx_p = [s[1].index for s in slots]
-            cr_p = [[vector_cross(a[3], b[3]) for b in slots] for a in slots]
-            if not _subset_indices_ok(idx_p, cr_p):
+            vecs = [s[0] for s in slots]
+            subsets = _nonempty_subsets(vecs)
+            if any(index_of([sum(c) for c in zip(*sub)]) <= 0 for sub in subsets):
                 return None
-            picked = assign(slots, cr_p)
-            if picked is not None:
-                return SearchWitness(
-                    alpha=_product_all(picked),
-                    alpha_factors=tuple(picked),
-                    alpha_prime_factors=tuple(s[0] for s in slots),
-                )
-            return None
+            picked = assign(slots, vecs)
+            if picked is None:
+                return None
+            return SearchWitness(
+                alpha=_product_all(picked),
+                alpha_factors=tuple(picked),
+                alpha_prime_factors=tuple(orbit_set(v) for v in vecs),
+            )
         if len(slots) == lmax:
             return None
-        need = sum(remaining)
-        if need > (lmax - len(slots)) * max_part:
+        if sum(remaining) > (lmax - len(slots)) * max_part:
             return None
         for i in range(start, len(candidates)):
-            vec = candidates[i][3]
+            vec = candidates[i][0]
             if any(v > r for v, r in zip(vec, remaining)):
                 continue
             new_remaining = tuple(r - v for r, v in zip(remaining, vec))

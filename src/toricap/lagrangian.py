@@ -175,13 +175,12 @@ def _lattice_witness(domain) -> Optional[tuple]:
 
 # Each definite rule returns its witness, or None when it does not apply.
 # A kind lists its rules by name (``cl_rules``); CLRule is a str enum, so a
-# name keys ``_RULES`` as well, and ``_RULE_MEMBERS`` maps it to its member.
+# name keys ``_RULES`` as well, and ``CLRule(name)`` is its member.
 _RULES = {
     CLRule.MONOTONE_DIAGONAL: _monotone_diagonal,
     CLRule.ETA_ON_BOUNDARY: _eta_on_boundary,
     CLRule.LATTICE_WITNESS: _lattice_witness,
 }
-_RULE_MEMBERS = {rule.value: rule for rule in _RULES}
 
 
 def lagrangian_capacity(domain: ToricDomain) -> CLCertificate:
@@ -204,7 +203,7 @@ def lagrangian_capacity(domain: ToricDomain) -> CLCertificate:
         witness = _RULES[name](domain)
         if witness is not None:
             value = min(witness)
-            return CLCertificate(value, value, _RULE_MEMBERS[name], witness)
+            return CLCertificate(value, value, CLRule(name), witness)
     d = delta(domain)
     lower = max(a_min_closed(p) for p in [(d, d), *domain.cl_candidates])
     return CLCertificate(lower, eta(domain), CLRule.INTERVAL_ONLY, None)

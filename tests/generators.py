@@ -32,6 +32,11 @@ def rects_meet(a: Rect, b: Rect) -> bool:
     return a.x0 <= b.x1 and b.x0 <= a.x1 and a.y0 <= b.y1 and b.y0 <= a.y1
 
 
+def rect_contains(r: Rect, p) -> bool:
+    """Whether the closed rectangle ``r`` holds the point ``p``."""
+    return r.x0 <= p[0] <= r.x1 and r.y0 <= p[1] <= r.y1
+
+
 def make_touching_union(rng: random.Random) -> Rectilinear2D:
     """Rectangles on a 1/4 grid, so edges coincide and corners touch."""
     q = lambda lo, hi: Fraction(rng.randint(lo, hi), 4)

@@ -392,6 +392,15 @@ ERROR_CASES = {
     "report-latin1": (["report", "{latin1}"], 2, "error: domain file '{latin1}' is not "
                       "UTF-8: invalid continuation byte at byte 62"),
     "info-deep": (["info", "{deep}"], 2, "error: invalid JSON: nested too deeply"),
+    "obstruct-digits": (["obstruct", "--source", "{omega}", "--target", "{omega}",
+                         "--alpha", "e(1,1)^" + "9" * 5000, "--vmax", "2", "--lmax", "2"],
+                        2, "error: orbit factor e(1,1)^99999... has an integer of more "
+                        f"than {DIGIT_LIMIT} digits"),
+    # A multiplicity whose sub-products no search can walk.
+    "obstruct-box": (["obstruct", "--source", "{omega}", "--target", "{omega}",
+                      "--alpha", "e(1,1)^99999999999", "--vmax", "2", "--lmax", "2"],
+                     1, "error: test orbit set has 99999999999 nonempty sub-products, "
+                     "more than the limit of 1000000"),
 }
 
 

@@ -35,6 +35,7 @@ from toricap import (
     verify_witness,
 )
 
+from toricap import ech
 from toricap.ech import candidate_orbits
 
 from generators import make_orbit_set, make_weakly_convex_polygon
@@ -323,13 +324,15 @@ def test_enumerate_matches_fraction_recursion():
             got = list(enumerate_orbit_sets(dom, cap, target, vmax, axis))
             reference = _enumerate_reference(dom, cap, target, vmax, axis)
             assert got == reference
-            # The pruned enumeration is the reference filtered by x + y >= floor.
-            floor = floors.randint(-2, 4)
+            # The pruned enumeration is the reference filtered by
+            # x + y - h/2 >= floor.
+            floor = floors.randint(-2, 2)
             pruned = list(enumerate_orbit_sets(dom, cap, target, vmax, axis,
-                                               min_xy=floor))
+                                               min_count=floor))
             wanted = [
                 a for a in reference
-                if orbit_invariants(a).x + orbit_invariants(a).y >= floor
+                if 2 * (orbit_invariants(a).x + orbit_invariants(a).y)
+                - orbit_invariants(a).h >= 2 * floor
             ]
             assert pruned == wanted
             cases += 1
@@ -339,6 +342,91 @@ def test_enumerate_matches_fraction_recursion():
             split += 0 < len(pruned) < len(got)
     assert cases == 160 and yielded > 400 and hyperbolic > 100
     assert 100 < kept < yielded - 100 and split >= 10
+
+
+def test_count_floor_matches_leq_relation():
+    # With the action cap, index target and count floor of a target factor,
+    # the enumeration yields exactly the reference sets that leq_relation
+    # accepts against that factor, in the same order.
+    rng = random.Random(71)
+    cases = matched = rejected = 0
+    while cases < 60:
+        source = make_weakly_convex_polygon(rng)
+        target = rng.choice([source, omega_a(F(3, 10)), make_weakly_convex_polygon(rng)])
+        factor = make_orbit_set(rng, vmax=2, max_mult=2, elliptic_only=True, max_size=2)
+        n = orbit_invariants(factor)
+        cap = action(target, factor)
+        vmax, axis = rng.randint(1, 2), rng.random() < 0.7
+        supports = [sup for _, sup in candidate_orbits(source, cap, vmax, axis)]
+        if not supports or cap > 6 * min(supports):
+            continue  # keeps the Fraction reference small
+        got = list(enumerate_orbit_sets(source, cap, n.index, vmax, axis,
+                                        min_count=n.x + n.y + n.m - 1))
+        reference = _enumerate_reference(source, cap, n.index, vmax, axis)
+        wanted = [a for a in reference if leq_relation(source, target, a, factor).holds]
+        assert got == wanted
+        cases += 1
+        matched += len(got)
+        rejected += len(reference) - len(wanted)
+    assert matched >= 20 and rejected >= 20
+
+
+def _subset_indices_reference(alpha_factors, alpha_prime_factors):
+    """Sub-product indices by additivity: over S, the sum of the factor
+    indices plus twice the cross terms of the pairs in S."""
+    def indices(factors):
+        index = [orbit_invariants(f).index for f in factors]
+        cross = [[cross_term(a, b) for b in factors] for a in factors]
+        return index, cross
+
+    (idx_a, cr_a), (idx_p, cr_p) = indices(alpha_factors), indices(alpha_prime_factors)
+    n = len(idx_p)
+    for mask in range(1, 1 << n):
+        members = [j for j in range(n) if mask >> j & 1]
+        pairs = list(itertools.combinations(members, 2))
+        total = sum(idx_p[j] for j in members) + 2 * sum(cr_p[i][j] for i, j in pairs)
+        other = sum(idx_a[j] for j in members) + 2 * sum(cr_a[i][j] for i, j in pairs)
+        if total <= 0 or other != total:
+            return False
+    return True
+
+
+def _swap_directions(alpha):
+    return CombOrbitSet(tuple((CombOrbit((o.v[1], o.v[0]), o.s), m) for o, m in alpha.factors))
+
+
+def _orbit_set_of_index(rng, index, forbidden):
+    """A random orbit set of the given index, hyperbolic orbits allowed."""
+    while True:
+        alpha = make_orbit_set(rng, vmax=2, max_mult=2, max_size=2, forbidden=forbidden)
+        if orbit_invariants(alpha).index == index:
+            return alpha
+
+
+def test_sub_product_check_matches_additivity():
+    # verify_witness multiplies each sub-product out; on random factor
+    # lists and their mutants it must agree with the additivity sums.
+    rng = random.Random(73)
+    outcomes = []
+    for _ in range(300):
+        pf = [make_orbit_set(rng, vmax=2, max_mult=2, elliptic_only=True, max_size=2)
+              for _ in range(rng.randint(1, 3))]
+        af = list(pf)
+        j = rng.randrange(len(af))
+        mutation = rng.randrange(3)
+        if mutation == 1:
+            # Swapping x and y keeps the factor's own index, not its cross terms.
+            af[j] = _swap_directions(af[j])
+        elif mutation == 2:
+            # Another set of the same index; no two factors share a hyperbolic orbit.
+            used = {o for f in af for o in f.orbits() if o.s == 0}
+            af[j] = _orbit_set_of_index(rng, orbit_invariants(af[j]).index, used)
+        got = ech._sub_products_match(af, pf)
+        assert got == _subset_indices_reference(af, pf)
+        outcomes.append((mutation, got))
+    for mutation in range(3):
+        assert sum(o == (mutation, True) for o in outcomes) >= 10
+        assert sum(o == (mutation, False) for o in outcomes) >= 10
 
 
 def test_enumeration_truncated_flag(om310):
@@ -377,10 +465,10 @@ def test_search_hypothesis_violations(om310):
         with pytest.raises(InapplicableError, match="index target"):
             list(enumerate_orbit_sets(om310, F(1), bad, vmax=2))
     for bad in (F(1, 2), 0.5, False):
-        with pytest.raises(InapplicableError, match="x \\+ y floor"):
-            list(enumerate_orbit_sets(om310, F(1), 4, vmax=2, min_xy=bad))
+        with pytest.raises(InapplicableError, match="count floor"):
+            list(enumerate_orbit_sets(om310, F(1), 4, vmax=2, min_count=bad))
     # Negative integers are valid targets and floors.
-    found = list(enumerate_orbit_sets(om310, F(1), -1, vmax=2, min_xy=-3))
+    found = list(enumerate_orbit_sets(om310, F(1), -1, vmax=2, min_count=-3))
     assert found and all(orbit_invariants(a).index == -1 for a in found)
 
 
@@ -529,6 +617,20 @@ def test_search_rejects_split_with_unequal_subproduct_index():
     report = obstruction_search(dom, dom, parse_orbit_set("e(0,1)^2"), vmax=1, lmax=2)
     assert report.status is SearchStatus.INCONCLUSIVE
     assert report.bounds_used.factorizations_explored == 2
+
+
+def test_search_drops_split_with_nonpositive_subproduct_index():
+    # The third of the three factorizations, (e(1,0) * e(2,-1))^2 times
+    # e(-1,0) * e(1,0), has the sub-product e(1,0)^2 * e(2,-1)^2 of index 0:
+    # it is dropped before its slots are enumerated, which would run one
+    # more enumeration.
+    dom = square_polygon(F(1, 2))
+    alpha = parse_orbit_set("e(2,-1)^2 * e(1,0)^3 * e(-1,0)")
+    assert orbit_invariants(parse_orbit_set("e(1,0)^2 * e(2,-1)^2")).index == 0
+    report = obstruction_search(dom, dom, alpha, vmax=1, lmax=3)
+    assert report.status is SearchStatus.INCONCLUSIVE
+    assert report.bounds_used.factorizations_explored == 3
+    assert report.bounds_used.enumerations_run == 2
 
 
 def _factor_counters_reference(source, target, alpha_prime):

@@ -37,6 +37,7 @@ from generators import (
     make_staircase,
     make_touching_union,
     make_weakly_convex_polygon,
+    rect_contains,
     rects_meet,
 )
 
@@ -129,7 +130,7 @@ def test_eta_rectilinear_matches_grid_oracle():
             min(x, y)
             for x in xs
             for y in ys
-            if any(r.contains((x, y)) for r in dom.rects)
+            if any(rect_contains(r, (x, y)) for r in dom.rects)
         )
         assert eta(dom) == best
 
