@@ -256,9 +256,13 @@ def _cmd_obstruct(args) -> tuple[str, int]:
 def _cmd_amin(args) -> tuple[str, int]:
     from .lagrangian import a_min_brute, a_min_closed
 
-    coords = [parse_rational(c) for c in args.x.split(",") if c.strip() != ""]
-    if not coords:
+    if not args.x.strip():
         raise DomainError("amin needs --x 'P/Q,P/Q,...'")
+    items = args.x.split(",")
+    # Dropping an empty item would answer for a point of lower dimension.
+    if any(not c.strip() for c in items):
+        raise DomainError("amin --x has an empty coordinate; give --x 'P/Q,P/Q,...'")
+    coords = [parse_rational(c) for c in items]
     dec = args.decimal
     closed = a_min_closed(coords)
     lines = [f"closed: {_fmt(closed, dec)}"]

@@ -445,13 +445,20 @@ class Rect:
     y1: Fraction
 
     def __post_init__(self):
+        ratios = []
         for name in _CORNERS:
-            c = parse_rational(getattr(self, name))
+            value = getattr(self, name)
+            c = parse_rational(value)
+            n, d = c.as_integer_ratio()
             # A Fraction's sign is its numerator's (the denominator is > 0).
-            if c.numerator < 0:
+            if n < 0:
                 raise DomainError("rectangle must lie in the positive quadrant")
-            object.__setattr__(self, name, c)
-        if not (self.x0 < self.x1 and self.y0 < self.y1):
+            if c is not value:
+                object.__setattr__(self, name, c)
+            ratios.append((n, d))
+        (x0n, x0d), (x1n, x1d), (y0n, y0d), (y1n, y1d) = ratios
+        # p/q < r/s iff p s < r q, for q, s > 0.
+        if not (x0n * x1d < x1n * x0d and y0n * y1d < y1n * y0d):
             raise DomainError(
                 f"degenerate rectangle [{self.x0},{self.x1}]x[{self.y0},{self.y1}]"
             )
@@ -699,13 +706,25 @@ class Rectilinear2D(ToricDomain):
         if not isinstance(raw, list):
             raise DomainError("'rects' must be a list of rectangle objects")
         rects = []
+        # Corner strings repeat within a document (axis zeros, shared
+        # edges), so each distinct string is parsed once.  Only str keys
+        # go in: JSON 0, false and 0.0 are one dict key (1, true and 1.0
+        # another), so other values reach Rect unparsed and Rect judges them.
+        parsed = {}
         for item in raw:
             if not isinstance(item, dict):
                 raise DomainError(f"rectangle is not an object: {item!r}")
             try:
-                rects.append(Rect(*(item[k] for k in _CORNERS)))
+                corners = [item[k] for k in _CORNERS]
             except KeyError as exc:
                 raise DomainError(f"rectangle missing corner field {exc}")
+            for j, c in enumerate(corners):
+                if type(c) is str:
+                    value = parsed.get(c)
+                    if value is None:
+                        value = parsed[c] = parse_rational(c)
+                    corners[j] = value
+            rects.append(Rect(*corners))
         return cls(tuple(rects))
 
 

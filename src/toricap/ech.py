@@ -424,29 +424,38 @@ def enumerate_orbit_sets(
     chosen: list = []  # (candidate position, multiplicity)
 
     def rec(i: int, remaining: int, index: int, xy: int, h: int):
-        if min_count is not None:
-            g, c = best[i]
-            if (min_count - xy) * c > remaining * g:
-                return
-        if remaining < cheapest[i]:
-            if (chosen and index == index_target
-                    and (min_count is None or 2 * xy - h >= 2 * min_count)):
-                yield CombOrbitSet(tuple((orbits[j], m) for j, m in chosen))
-            return
-        yield from rec(i + 1, remaining, index, xy, h)
-        max_m = remaining // cost[i]
-        if orbits[i].s == 0:
-            max_m = min(max_m, 1)
-        row = cross[i]
-        base = linear[i] + 2 * sum(m * row[j] for j, m in chosen)
-        diagonal = row[i]
-        # A hyperbolic candidate (s = 0) is taken at most once and adds 1 to h.
-        h_i = h + 1 - orbits[i].s
-        for m in range(1, max_m + 1):
-            chosen.append((i, m))
-            index_m = index + m * (base + m * diagonal)
-            yield from rec(i + 1, remaining - m * cost[i], index_m, xy + m * gain[i], h_i)
-            chosen.pop()
+        # Multiplicity 0 leaves the state as it is, so the run of zeros
+        # from i is walked in a loop, with each position's cut and leaf
+        # tests, up to the position k where one of them ends it.  Each
+        # position before k then branches on m >= 1, from k - 1 back to
+        # i: the order in which one call per position would yield.  The
+        # recursion goes one level deeper per nonzero multiplicity only.
+        k = i
+        while True:
+            if min_count is not None:
+                g, c = best[k]
+                if (min_count - xy) * c > remaining * g:
+                    break
+            if remaining < cheapest[k]:
+                if (chosen and index == index_target
+                        and (min_count is None or 2 * xy - h >= 2 * min_count)):
+                    yield CombOrbitSet(tuple((orbits[j], m) for j, m in chosen))
+                break
+            k += 1
+        for p in range(k - 1, i - 1, -1):
+            max_m = remaining // cost[p]
+            if orbits[p].s == 0:
+                max_m = min(max_m, 1)
+            row = cross[p]
+            base = linear[p] + 2 * sum(m * row[j] for j, m in chosen)
+            diagonal = row[p]
+            # A hyperbolic candidate (s = 0) is taken at most once and adds 1 to h.
+            h_p = h + 1 - orbits[p].s
+            for m in range(1, max_m + 1):
+                chosen.append((p, m))
+                index_m = index + m * (base + m * diagonal)
+                yield from rec(p + 1, remaining - m * cost[p], index_m, xy + m * gain[p], h_p)
+                chosen.pop()
 
     return rec(0, budget, 0, 0, 0)
 

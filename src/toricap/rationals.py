@@ -44,9 +44,13 @@ def parse_rational(value) -> Fraction:
         m = _RATIONAL_RE.match(value)
         if not m:
             raise DomainError(f"not a rational 'p/q' string: {value!r}")
+        num, den = m.groups()
         try:
-            num = int(m.group(1))
-            den = int(m.group(2)) if m.group(2) is not None else 1
+            num = int(num)
+            if den is None:
+                # An integer is already in lowest terms: no gcd to take.
+                return Fraction(num)
+            den = int(den)
         except ValueError:
             raise DomainError(
                 f"rational {value.strip()[:12]}... has an integer of more than "
@@ -77,8 +81,9 @@ def is_count(value) -> bool:
 def over_common_denominator(values) -> tuple:
     """``(q, [v * q for v in values])``: q is the lcm of the denominators,
     so every scaled value is an ``int``."""
-    q = math.lcm(*(v.denominator for v in values))
-    return q, [v.numerator * (q // v.denominator) for v in values]
+    ratios = [v.as_integer_ratio() for v in values]
+    q = math.lcm(*(d for _, d in ratios))
+    return q, [n * (q // d) for n, d in ratios]
 
 
 def format_rational(value: Fraction) -> str:

@@ -182,6 +182,17 @@ def test_obstruct_feasible(omega_file):
     assert "alpha: e(1,1)" in cp.stdout
 
 
+def test_obstruct_feasible_at_large_vmax(omega_file):
+    # Over a thousand candidate orbits: the enumeration recurses once per
+    # chosen orbit, not once per candidate, so it stays within the stack.
+    cp = run_cli(
+        "obstruct", "--source", omega_file, "--target", omega_file,
+        "--alpha", "e(1,1)", "--vmax", "200", "--lmax", "1",
+    )
+    assert cp.returncode == 0, cp.stderr
+    assert "status: FeasibleWitness" in cp.stdout
+
+
 def test_obstruct_infeasible(square_half_file, omega_file):
     cp = run_cli(
         "obstruct", "--source", square_half_file, "--target", omega_file,
@@ -364,6 +375,8 @@ ERROR_FILES = {
     "latin1": '{"kind": "polygon2d", "vertices": [["1", "0"], ["0", "1"]], '
               '"n\u00e9": 1}'.encode("latin-1"),
     "deep": "[" * 200_000 + "]" * 200_000,
+    "false": '{"kind": "rectilinear2d", "rects": [{"x0": "0", "x1": "1", "y0": "0", '
+             '"y1": "1"}, {"x0": false, "x1": "1", "y0": "0", "y1": "2"}]}',
 }
 
 DIGIT_LIMIT = sys.get_int_max_str_digits()
@@ -382,6 +395,12 @@ ERROR_CASES = {
                  "error: obstruction search runs on polygon domains"),
     "amin": (["amin", "--x", "0,1/2"], 1, "error: fiber position coordinates must "
              "be positive (torus fibers live over the open quadrant)"),
+    # An empty item would otherwise drop a coordinate.
+    "amin-empty": (["amin", "--x", "1/2,,1/3"], 2,
+                   "error: amin --x has an empty coordinate; give --x 'P/Q,P/Q,...'"),
+    "amin-blank": (["amin", "--x", ""], 2, "error: amin needs --x 'P/Q,P/Q,...'"),
+    # A JSON false equals the corner string "0" before it, and is still refused.
+    "info-false": (["info", "{false}"], 2, "error: not a rational: False"),
     # Inputs that Python itself refuses to decode.
     "info-digits": (["info", "{digits}"], 2, "error: rational 100000000000... has "
                     f"an integer of more than {DIGIT_LIMIT} digits"),

@@ -1,7 +1,9 @@
 """Domain construction, validation, and the JSON round trip."""
 
+import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,17 +17,21 @@ from toricap import (
     StandardDomain,
     a_min_brute,
     a_min_closed,
+    capacity_report,
     domain_to_dict,
     enumerate_orbit_sets,
     enumeration_truncated,
     is_weakly_convex,
     omega_a,
     parse_domain,
+    parse_rational,
+    report_to_dict,
     serialize_domain,
     square_polygon,
     verify_xa,
 )
 
+from toricap import domains
 from toricap.ech import candidate_orbits
 from toricap.rationals import format_rational, over_common_denominator
 
@@ -221,6 +227,141 @@ def test_rect_validation():
     r = Rect(0, 1, 0, "1/2")
     assert r == Rect(Fraction(0), Fraction(1), Fraction(0), Fraction(1, 2))
     assert all(type(c) is Fraction for c in (r.x0, r.x1, r.y0, r.y1))
+
+
+DEGENERATE = "degenerate rectangle [{},{}]x[{},{}]"
+QUADRANT = "rectangle must lie in the positive quadrant"
+TINY = Fraction(1, 10**31)
+# (corner as given, its value): equal values in several forms, and values
+# that first differ past the 30th digit; then negatives in several forms.
+RECT_CORNERS = [
+    ("0", Fraction(0)), ("-0", Fraction(0)), (0, Fraction(0)), ("0/7", Fraction(0)),
+    ("1/3", Fraction(1, 3)), ("2/6", Fraction(1, 3)), (Fraction(1, 3), Fraction(1, 3)),
+    (" 1/3 ", Fraction(1, 3)), ("1", Fraction(1)), (1, Fraction(1)), ("+1", Fraction(1)),
+    (f"{10**31 + 1}/{10**31}", 1 + TINY), (f"{10**31 - 1}/{10**31}", 1 - TINY),
+    (Fraction(1, 3) + TINY, Fraction(1, 3) + TINY), ("7", Fraction(7)),
+]
+NEGATIVE_CORNERS = [
+    ("-1/3", Fraction(-1, 3)), ("1/-3", Fraction(-1, 3)), (-2, Fraction(-2)),
+    (-TINY, -TINY), (f"-1/{10**31}", -TINY),
+]
+
+
+def test_rect_matches_fraction_oracle():
+    rng = random.Random(89)
+    outcomes = Counter()
+    for _ in range(2000):
+        drawn = [rng.choice(RECT_CORNERS) for _ in range(4)]
+        if rng.random() < 0.3:
+            drawn[rng.randrange(4)] = rng.choice(NEGATIVE_CORNERS)
+        x0, x1, y0, y1 = values = [v for _, v in drawn]
+        try:
+            r = Rect(*(c for c, _ in drawn))
+        except DomainError as exc:
+            refusal = str(exc)
+        else:
+            refusal = None
+        if any(v < 0 for v in values):
+            assert refusal == QUADRANT, drawn
+            outcomes["quadrant"] += 1
+        elif not (x0 < x1 and y0 < y1):
+            assert refusal == DEGENERATE.format(*values), drawn
+            outcomes["degenerate"] += 1
+        else:
+            assert refusal is None, drawn
+            assert [r.x0, r.x1, r.y0, r.y1] == values
+            assert all(type(c) is Fraction for c in (r.x0, r.x1, r.y0, r.y1))
+            outcomes["accepted"] += 1
+    assert min(outcomes.values()) >= 200, outcomes
+
+
+def test_parse_rational_integers():
+    for text, value in (("7", 7), ("+7", 7), ("-0", 0), (" 12 ", 12), ("-3", -3)):
+        parsed = parse_rational(text)
+        assert type(parsed) is Fraction
+        assert parsed == value and parsed.denominator == 1
+    huge = "1" + "0" * sys.get_int_max_str_digits()
+    for text in (huge, f" +{huge} "):
+        with pytest.raises(DomainError, match="digits"):
+            parse_rational(text)
+
+
+def _corner_forms(value):
+    """Strings and ints that parse to ``value``."""
+    p, q = value.numerator, value.denominator
+    forms = [f"{p}/{q}", f" {p}/{q} ", f"{2 * p}/{2 * q}"]
+    if q == 1:
+        forms += [str(p), p]
+    if p == 0:
+        forms += ["0", "0/5", "-0", 0]
+    return forms
+
+
+def test_from_dict_parses_each_corner_string_once():
+    # Each document spells the corners of a union in mixed forms, repeating
+    # strings; it builds the domain that independently parsed Rects build.
+    rng = random.Random(97)
+    repeated = 0
+    for case in range(120):
+        union = [make_staircase, make_touching_union][case % 2](rng)
+        doc = {"kind": "rectilinear2d", "rects": [
+            {k: rng.choice(_corner_forms(getattr(r, k))) for k in ("x0", "x1", "y0", "y1")}
+            for r in union.rects
+        ]}
+        corners = [c for item in doc["rects"] for c in item.values() if type(c) is str]
+        repeated += len(corners) - len(set(corners))
+        built = Rectilinear2D.from_dict(doc)
+        expected = Rectilinear2D(tuple(
+            Rect(item["x0"], item["x1"], item["y0"], item["y1"]) for item in doc["rects"]
+        ))
+        assert built == expected == union
+        assert hash(built) == hash(expected)
+        assert built.to_dict() == expected.to_dict() == union.to_dict()
+        assert parse_domain(json.dumps(doc)) == built
+        assert (report_to_dict(capacity_report(built))
+                == report_to_dict(capacity_report(expected)))
+    assert repeated >= 200
+
+
+@pytest.mark.parametrize("bad", [False, True, 0.0, 1.0, [0]])
+@pytest.mark.parametrize("zero, one", [("0", "1"), (0, 1)])
+def test_from_dict_refuses_non_strings_after_equal_values(bad, zero, one):
+    # JSON false, 0.0 and [0] follow a corner 0, true and 1.0 a corner 1;
+    # false == 0 == 0.0 as dict keys, and a float or bool is still refused.
+    for slot in ("x0", "x1"):
+        second = {"x0": zero, "x1": one, "y0": zero, "y1": "2", slot: bad}
+        doc = {"kind": "rectilinear2d",
+               "rects": [{"x0": zero, "x1": one, "y0": zero, "y1": one}, second]}
+        with pytest.raises(DomainError, match="not a rational"):
+            Rectilinear2D.from_dict(doc)
+        with pytest.raises(DomainError, match="not a rational"):
+            parse_domain(json.dumps(doc))
+
+
+def test_from_dict_parse_count_on_a_staircase(monkeypatch):
+    # A timing-free guard on the saving: one parse per distinct corner
+    # string, however often the string repeats.
+    steps = 32
+    xs = [Fraction(k, 7) for k in range(1, steps + 1)]
+    ys = [Fraction(k, 11) for k in range(steps, 0, -1)]
+    doc = {"kind": "rectilinear2d", "rects": [
+        {"x0": "0", "x1": format_rational(x), "y0": "0", "y1": format_rational(y)}
+        for x, y in zip(xs, ys)
+    ]}
+    calls = Counter()
+    parse = domains.parse_rational
+
+    def counting(value):
+        if isinstance(value, str):
+            calls[value] += 1
+        return parse(value)
+
+    monkeypatch.setattr(domains, "parse_rational", counting)
+    dom = Rectilinear2D.from_dict(doc)
+    distinct = {c for item in doc["rects"] for c in item.values()}
+    # "0", and "1" and "2" in both axes, repeat.
+    assert len(dom.rects) == steps and len(distinct) == 2 * steps - 1
+    assert calls == Counter(dict.fromkeys(distinct, 1))
 
 
 def test_rectilinear_validation():

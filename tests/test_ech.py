@@ -371,6 +371,74 @@ def test_count_floor_matches_leq_relation():
     assert matched >= 20 and rejected >= 20
 
 
+def _enumerate_one_call_per_candidate(domain, cap, index_target, vmax,
+                                      include_axis_orbits, min_count):
+    """The integer enumeration with one recursive call per candidate
+    position, multiplicity 0 included: its depth grows with the number of
+    candidates, which the library's loop over runs of zeros avoids."""
+    candidates = candidate_orbits(domain, cap, vmax, include_axis_orbits)
+    orbits = [o for o, _ in candidates]
+    _, scaled = ech.over_common_denominator([cap] + [sup for _, sup in candidates])
+    budget, cost = scaled[0], scaled[1:]
+    linear, cross = ech._index_form(orbits)
+    gain = [o.v[0] + o.v[1] for o in orbits]
+    cheapest = [budget + 1] * (len(orbits) + 1)
+    best = [(0, 1)] * (len(orbits) + 1)
+    for i in range(len(orbits) - 1, -1, -1):
+        cheapest[i] = min(cost[i], cheapest[i + 1])
+        g, c = best[i + 1]
+        best[i] = (gain[i], cost[i]) if gain[i] * c > g * cost[i] else (g, c)
+    chosen, out = [], []
+
+    def rec(i, remaining, index, xy, h):
+        if min_count is not None:
+            g, c = best[i]
+            if (min_count - xy) * c > remaining * g:
+                return
+        if remaining < cheapest[i]:
+            if (chosen and index == index_target
+                    and (min_count is None or 2 * xy - h >= 2 * min_count)):
+                out.append(CombOrbitSet(tuple((orbits[j], m) for j, m in chosen)))
+            return
+        rec(i + 1, remaining, index, xy, h)
+        max_m = remaining // cost[i]
+        if orbits[i].s == 0:
+            max_m = min(max_m, 1)
+        row = cross[i]
+        base = linear[i] + 2 * sum(m * row[j] for j, m in chosen)
+        h_i = h + 1 - orbits[i].s
+        for m in range(1, max_m + 1):
+            chosen.append((i, m))
+            rec(i + 1, remaining - m * cost[i], index + m * (base + m * row[i]),
+                xy + m * gain[i], h_i)
+            chosen.pop()
+
+    rec(0, budget, 0, 0, 0)
+    return out
+
+
+def test_enumerate_matches_one_call_per_candidate():
+    # The same sets in the same order as the recursion that descends once
+    # per candidate, with and without a count floor.
+    rng = random.Random(83)
+    yielded = floored = 0
+    for _ in range(60):
+        dom = make_weakly_convex_polygon(rng)
+        vmax, axis = rng.randint(1, 3), rng.random() < 0.7
+        cheapest = min(
+            (sup for _, sup in candidate_orbits(dom, F(10**6), vmax, axis)),
+            default=F(1),
+        )
+        cap = cheapest * F(rng.randint(2, 10), 2)
+        target = rng.randint(-2, 8)
+        floor = rng.choice((None, -1, 0, 1, 2, 3))
+        got = list(enumerate_orbit_sets(dom, cap, target, vmax, axis, min_count=floor))
+        assert got == _enumerate_one_call_per_candidate(dom, cap, target, vmax, axis, floor)
+        yielded += len(got)
+        floored += floor is not None and len(got) > 0
+    assert yielded > 300 and floored >= 10
+
+
 def _subset_indices_reference(alpha_factors, alpha_prime_factors):
     """Sub-product indices by additivity: over S, the sum of the factor
     indices plus twice the cross terms of the pairs in S."""
