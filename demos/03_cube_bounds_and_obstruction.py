@@ -35,9 +35,11 @@ print(f"  witness = {format_orbit_set(report.witness.alpha)}")
 print()
 
 # Infeasible case: the half cube cannot embed into the a = 3/10 domain.
-# At degree 30 the finite-degree bound is 8/19 < 1/2, and the search
-# exhausts every decomposition without ever touching the direction
-# bound, certifying the obstruction within these limits.
+# At degree 30 the finite-degree bound is 8/19 < 1/2, which certifies it.
+# The search closes every decomposition into at most lmax = 3 factors
+# without touching the direction bound; decompositions into more factors
+# are not searched, so its claim holds within these limits only (at
+# degree 3, lmax = 8 turns the same search Inconclusive).
 alpha = parse_orbit_set("e(1,-1)^30 * e(-1,1)^30 * e(1,1)^2")
 report = obstruction_search(square_polygon(F(1, 2)), om, alpha, vmax=3, lmax=3)
 print(f"half cube into the a = 3/10 polygon, test set degree 30:")

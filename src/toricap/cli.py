@@ -228,7 +228,6 @@ def _cmd_obstruct(args) -> tuple[str, int]:
         parse_orbit_set(args.alpha),
         vmax=args.vmax,
         lmax=args.lmax,
-        include_axis_orbits=not args.no_axis_orbits,
     )
     lines = [f"status: {report.status.value}"]
     w = report.witness
@@ -240,10 +239,11 @@ def _cmd_obstruct(args) -> tuple[str, int]:
         ]
     if report.obstructed_a is not None:
         lines.append(f"obstructed cube size: {format_rational(report.obstructed_a)}")
+    if report.reason is not None:
+        lines.append(f"reason: {report.reason}")
     b = report.bounds_used
     lines += [
-        "bounds: "
-        f"vmax={b.vmax} lmax={b.lmax} axis_orbits={str(b.include_axis_orbits).lower()}",
+        f"bounds: vmax={b.vmax} lmax={b.lmax}",
         "search: "
         f"candidate_factors={b.candidate_factors} pruned={b.factors_pruned} "
         f"factorizations={b.factorizations_explored} "
@@ -330,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bound on orbit direction components")
     p.add_argument("--lmax", required=True, type=int,
                    help="bound on the number of factors")
-    p.add_argument("--no-axis-orbits", action="store_true",
-                   help="exclude the axis directions (1,0) and (0,1)")
     p.set_defaults(func=_cmd_obstruct)
 
     p = sub.add_parser("amin", parents=[decimal],

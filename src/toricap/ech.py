@@ -22,7 +22,7 @@ On top of these the module provides:
   feasibility search for the factor decompositions that an embedding
   would have to admit, returning a verifiable witness, a within-bounds
   exhaustion certificate, or an inconclusive report when truncation
-  could have hidden a witness.
+  could have hidden a witness or the source fits in the target.
 
 The search runs on integer multiplicity vectors over a fixed list of
 orbits (the factors of the test set, or the candidate orbits of an
@@ -296,24 +296,7 @@ def finite_d_bound(domain: Polygon2D, d: int) -> Fraction:
 # Bounded enumeration of orbit sets
 # ---------------------------------------------------------------------------
 
-def _primitive_directions(vmax: int, include_axis_orbits: bool):
-    for x in range(-vmax, vmax + 1):
-        for y in range(-vmax, vmax + 1):
-            if (x, y) == (0, 0) or (x < 0 and y < 0):
-                continue
-            if math.gcd(abs(x), abs(y)) != 1:
-                continue
-            if not include_axis_orbits and (x, y) in ((1, 0), (0, 1)):
-                continue
-            yield (x, y)
-
-
-def candidate_orbits(
-    domain: Polygon2D,
-    action_cap: Fraction,
-    vmax: int,
-    include_axis_orbits: bool = True,
-):
+def candidate_orbits(domain: Polygon2D, action_cap: Fraction, vmax: int):
     """Orbits usable under the action cap: positive support not exceeding it.
 
     Directions of nonpositive support are excluded: every closed orbit
@@ -323,7 +306,10 @@ def candidate_orbits(
     _require_polygon(_POLYGON_ONLY, domain)
     cap = parse_rational(action_cap)
     out = []
-    for v in sorted(_primitive_directions(vmax, include_axis_orbits)):
+    for v in itertools.product(range(-vmax, vmax + 1), repeat=2):
+        # gcd(0, 0) = 0 drops the origin with the non-primitive directions.
+        if math.gcd(*v) != 1 or (v[0] < 0 and v[1] < 0):
+            continue
         sup = support(domain, v)
         if 0 < sup <= cap:
             for s in (0, 1):
@@ -362,7 +348,6 @@ def enumerate_orbit_sets(
     action_cap: Fraction,
     index_target: int,
     vmax: int,
-    include_axis_orbits: bool = True,
     min_count: Optional[int] = None,
 ) -> Iterator[CombOrbitSet]:
     """All orbit sets within the direction bound, action cap and index target.
@@ -404,7 +389,7 @@ def enumerate_orbit_sets(
     cap = parse_rational(action_cap)
     if cap <= 0:
         return iter(())
-    candidates = candidate_orbits(domain, cap, vmax, include_axis_orbits)
+    candidates = candidate_orbits(domain, cap, vmax)
     orbits = [o for o, _ in candidates]
     scale, scaled = over_common_denominator([cap] + [sup for _, sup in candidates])
     budget, cost = scaled[0], scaled[1:]
@@ -481,7 +466,6 @@ class SearchWitness:
 class SearchBounds:
     vmax: int
     lmax: int
-    include_axis_orbits: bool
     candidate_factors: int
     factors_pruned: int
     factorizations_explored: int
@@ -495,6 +479,7 @@ class SearchReport:
     witness: Optional[SearchWitness]
     bounds_used: SearchBounds
     obstructed_a: Optional[Fraction]
+    reason: Optional[str] = None
 
 
 def _nonempty_subsets(items):
@@ -569,7 +554,6 @@ def obstruction_search(
     alpha_prime: CombOrbitSet,
     vmax: int,
     lmax: int,
-    include_axis_orbits: bool = True,
 ) -> SearchReport:
     """Bounded search for the factor decompositions an embedding must admit.
 
@@ -594,11 +578,14 @@ def obstruction_search(
     decides conditions (i)-(iii) of ``leq_relation``, so its sets are the
     slot's matches; ``verify_witness`` replays the witness.
 
-    Outcomes: a re-verified ``FeasibleWitness``; or
-    ``InfeasibleWithinBounds`` when exhaustion never depended on the
-    direction bound truncating affordable candidates; or ``Inconclusive``
-    when it did.  Within-bounds infeasibility is an obstruction claim for
-    this combinatorial model and these bounds only.
+    Outcomes: a re-verified ``FeasibleWitness``; ``Inconclusive`` when a
+    slot's enumeration had the direction bound exclude affordable
+    candidates, or when the source lies in the target or in its mirror,
+    which ``reason`` then names; else ``InfeasibleWithinBounds``.  That
+    claim holds for this combinatorial model and these bounds only, ``lmax``
+    included: factorizations into more than ``lmax`` parts are dropped
+    unreported, and half cube -> Omega_{3/10} at degree 3 is infeasible at
+    ``lmax`` 3 but ``Inconclusive`` at ``lmax`` 8.
     """
     _require_polygon("obstruction search runs on polygon domains", source, target)
     if not (is_count(vmax) and is_count(lmax)):
@@ -671,7 +658,7 @@ def obstruction_search(
             if enumeration_truncated(source, cap):
                 truncated_run = True
             enum_cache[vec] = list(enumerate_orbit_sets(
-                source, cap, index, vmax, include_axis_orbits, min_count=count,
+                source, cap, index, vmax, min_count=count,
             ))
         return enum_cache[vec]
 
@@ -752,7 +739,6 @@ def obstruction_search(
     bounds = SearchBounds(
         vmax=vmax,
         lmax=lmax,
-        include_axis_orbits=include_axis_orbits,
         candidate_factors=total,
         factors_pruned=pruned,
         factorizations_explored=factorizations,
@@ -763,8 +749,14 @@ def obstruction_search(
         return SearchReport(SearchStatus.FEASIBLE_WITNESS, witness, bounds, None)
     if truncated_run:
         return SearchReport(SearchStatus.INCONCLUSIVE, None, bounds, None)
-    # A moment-square source [0, a]^2 names the cube size a that is obstructed.
     v = source.vertices
+    # Both polygons are convex and hold the origin, so the source lies in the
+    # target, or in its mirror (x, y) -> (y, x), iff its chain vertices do.
+    if any(all(map(target.contains, c)) for c in (v, [p[::-1] for p in v])):
+        return SearchReport(SearchStatus.INCONCLUSIVE, None, bounds, None,
+                            "the source lies in the target or in its mirror "
+                            "(x, y) -> (y, x), so it embeds")
+    # A moment-square source [0, a]^2 names the cube size a that is obstructed.
     a = v[0][0]
     square = v == ((a, 0), (a, a), (0, a))
     return SearchReport(

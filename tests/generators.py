@@ -27,6 +27,14 @@ def make_staircase(rng: random.Random, max_den: int = 20) -> Rectilinear2D:
     return Rectilinear2D(rects)
 
 
+def scaled(domain, c: Fraction):
+    """The polygon or rectangle union c * domain."""
+    if isinstance(domain, Polygon2D):
+        return Polygon2D(tuple((c * x, c * y) for x, y in domain.vertices))
+    return Rectilinear2D(tuple(Rect(c * r.x0, c * r.x1, c * r.y0, c * r.y1)
+                               for r in domain.rects))
+
+
 def rects_meet(a: Rect, b: Rect) -> bool:
     """Whether two closed rectangles meet, edge and corner contacts included."""
     return a.x0 <= b.x1 and b.x0 <= a.x1 and a.y0 <= b.y1 and b.y0 <= a.y1

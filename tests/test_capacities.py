@@ -8,11 +8,14 @@ import pytest
 from toricap import (
     CLRule,
     DomainError,
+    Polygon2D,
     Rect,
     Rectilinear2D,
     StandardDomain,
     capacity_report,
+    cube_inclusion,
     delta,
+    eta,
     is_monotone,
     omega_a,
     report_to_dict,
@@ -22,7 +25,7 @@ from toricap import (
 )
 from toricap.capacities import CSV_COLUMNS
 
-from generators import make_monotone_polygon, make_staircase, make_weakly_convex_polygon
+from generators import make_monotone_polygon, make_staircase, make_weakly_convex_polygon, scaled
 
 F = Fraction
 
@@ -171,3 +174,77 @@ def test_sweep_csv_columns():
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert lines[1] == "1/5,1/2,1/2,1/2,1/2,1/2,1/2,1/2,false"
     assert lines[2] == "3/10,1/2,1/2,1/2,2/5,2/5,1/2,1/2,false"
+
+
+# ---------------------------------------------------------------------------
+# capacity axioms
+# ---------------------------------------------------------------------------
+
+CAPACITIES = ("c_P", "c_N", "c_L", "c_B", "c_Z")
+
+
+def _staircase_in(rng, polygon):
+    """An origin staircase, halved until every rectangle corner lies in the polygon.
+
+    The polygon is convex, so it then holds every rectangle whole.
+    """
+    stairs = make_staircase(rng)
+    while not all(polygon.contains(p) for r in stairs.rects
+                  for p in ((r.x1, 0), (r.x1, r.y1), (0, r.y1))):
+        stairs = scaled(stairs, F(1, 2))
+    return stairs
+
+
+def _included_pairs(rng, count):
+    """(X, Y) with X inside Y, across polygons, unions and standard domains."""
+    pairs = []
+    for _ in range(count):
+        make = rng.choice((make_monotone_polygon, make_weakly_convex_polygon))
+        polygon = make(rng)
+        stairs = _staircase_in(rng, polygon)
+        pairs.append((stairs, polygon))
+        for x in (polygon, stairs):
+            pairs += [(x, scaled(x, c)) for c in (F(1), F(11, 10), F(2))]
+            side = cube_inclusion(x)
+            pairs += [(square_polygon(side), x), (StandardDomain("cube", 2, side), x)]
+            pairs.append((x, StandardDomain("nduc", 2, eta(x))))
+    return pairs
+
+
+def test_capacity_brackets_are_monotone_under_inclusion():
+    # A capacity cannot shrink under inclusion: X inside Y forces
+    # c(X) <= c(Y), so no lower end of X may pass an upper end of Y.
+    rng = random.Random(2027)
+    reports = {}
+
+    def report(domain):
+        if domain not in reports:
+            reports[domain] = capacity_report(domain)
+        return reports[domain]
+
+    pairs = _included_pairs(rng, 120)
+    compared = 0
+    for x, y in pairs:
+        for name in CAPACITIES:
+            lower, upper = getattr(report(x), name).lower, getattr(report(y), name).upper
+            if upper is not None:
+                assert lower <= upper, (name, x, y)
+                compared += 1
+    assert len(pairs) >= 1500 and compared >= 6000
+
+
+@pytest.mark.parametrize("domain", [square_polygon(1), StandardDomain("cube", 2, 1)]
+                         + [StandardDomain("nduc", n, 1) for n in (2, 3, 5)])
+def test_cube_normalized_brackets_pinch_at_one(domain):
+    report = capacity_report(domain)
+    for name in ("c_P", "c_N", "c_L"):
+        bracket = getattr(report, name)
+        assert bracket.lower == bracket.upper == 1
+
+
+@pytest.mark.parametrize("domain", [Polygon2D(((F(1), F(0)), (F(0), F(1))))]
+                         + [StandardDomain("ball", n, 1) for n in (2, 3, 5)])
+def test_ball_normalized_brackets_hold_one(domain):
+    report = capacity_report(domain)
+    for bracket in (report.c_B, report.c_Z):
+        assert bracket.lower <= 1 and (bracket.upper is None or 1 <= bracket.upper)

@@ -202,6 +202,22 @@ def test_obstruct_infeasible(square_half_file, omega_file):
     assert cp.returncode == 0, cp.stderr
     assert "status: InfeasibleWithinBounds" in cp.stdout
     assert "obstructed cube size: 1/2" in cp.stdout
+    assert "bounds: vmax=3 lmax=3\n" in cp.stdout
+    assert "reason:" not in cp.stdout
+
+
+def test_obstruct_inclusion_prints_reason(square_half_file):
+    cp = run_cli(
+        "obstruct", "--source", square_half_file, "--target", square_half_file,
+        "--alpha", "e(-1,0) * e(0,-1)", "--vmax", "2", "--lmax", "2",
+    )
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.splitlines()[:3] == [
+        "status: Inconclusive",
+        "reason: the source lies in the target or in its mirror (x, y) -> (y, x), "
+        "so it embeds",
+        "bounds: vmax=2 lmax=2",
+    ]
 
 
 def test_amin_oracle():

@@ -38,7 +38,9 @@ from toricap import (
 from toricap import ech
 from toricap.ech import candidate_orbits
 
-from generators import make_orbit_set, make_weakly_convex_polygon
+from generators import (
+    make_monotone_polygon, make_orbit_set, make_weakly_convex_polygon, scaled,
+)
 
 F = Fraction
 
@@ -282,9 +284,9 @@ def test_enumerate_deterministic_and_filtered(om310):
         )
 
 
-def _enumerate_reference(domain, cap, index_target, vmax, include_axis_orbits):
+def _enumerate_reference(domain, cap, index_target, vmax):
     """Fraction recursion over the candidates, index tested at every leaf."""
-    candidates = candidate_orbits(domain, cap, vmax, include_axis_orbits)
+    candidates = candidate_orbits(domain, cap, vmax)
     out = []
 
     def rec(i, remaining, chosen):
@@ -312,23 +314,22 @@ def test_enumerate_matches_fraction_recursion():
     rng = random.Random(59)
     floors = random.Random(67)  # its own stream: the cases above stay as they were
     cases = yielded = hyperbolic = kept = split = 0
-    for _ in range(40):
+    for _ in range(80):
         dom = make_weakly_convex_polygon(rng)
-        for vmax, axis in itertools.product((1, 2), (True, False)):
+        for vmax in (1, 2):
             cheapest = min(
-                (sup for _, sup in candidate_orbits(dom, F(10**6), vmax, axis)),
+                (sup for _, sup in candidate_orbits(dom, F(10**6), vmax)),
                 default=F(1),
             )
             cap = cheapest * F(rng.randint(2, 12 if vmax == 1 else 8), 2)
             target = rng.randint(-2, 8)
-            got = list(enumerate_orbit_sets(dom, cap, target, vmax, axis))
-            reference = _enumerate_reference(dom, cap, target, vmax, axis)
+            got = list(enumerate_orbit_sets(dom, cap, target, vmax))
+            reference = _enumerate_reference(dom, cap, target, vmax)
             assert got == reference
             # The pruned enumeration is the reference filtered by
             # x + y - h/2 >= floor.
             floor = floors.randint(-2, 2)
-            pruned = list(enumerate_orbit_sets(dom, cap, target, vmax, axis,
-                                               min_count=floor))
+            pruned = list(enumerate_orbit_sets(dom, cap, target, vmax, min_count=floor))
             wanted = [
                 a for a in reference
                 if 2 * (orbit_invariants(a).x + orbit_invariants(a).y)
@@ -356,13 +357,13 @@ def test_count_floor_matches_leq_relation():
         factor = make_orbit_set(rng, vmax=2, max_mult=2, elliptic_only=True, max_size=2)
         n = orbit_invariants(factor)
         cap = action(target, factor)
-        vmax, axis = rng.randint(1, 2), rng.random() < 0.7
-        supports = [sup for _, sup in candidate_orbits(source, cap, vmax, axis)]
+        vmax = rng.randint(1, 2)
+        supports = [sup for _, sup in candidate_orbits(source, cap, vmax)]
         if not supports or cap > 6 * min(supports):
             continue  # keeps the Fraction reference small
-        got = list(enumerate_orbit_sets(source, cap, n.index, vmax, axis,
+        got = list(enumerate_orbit_sets(source, cap, n.index, vmax,
                                         min_count=n.x + n.y + n.m - 1))
-        reference = _enumerate_reference(source, cap, n.index, vmax, axis)
+        reference = _enumerate_reference(source, cap, n.index, vmax)
         wanted = [a for a in reference if leq_relation(source, target, a, factor).holds]
         assert got == wanted
         cases += 1
@@ -371,12 +372,11 @@ def test_count_floor_matches_leq_relation():
     assert matched >= 20 and rejected >= 20
 
 
-def _enumerate_one_call_per_candidate(domain, cap, index_target, vmax,
-                                      include_axis_orbits, min_count):
+def _enumerate_one_call_per_candidate(domain, cap, index_target, vmax, min_count):
     """The integer enumeration with one recursive call per candidate
     position, multiplicity 0 included: its depth grows with the number of
     candidates, which the library's loop over runs of zeros avoids."""
-    candidates = candidate_orbits(domain, cap, vmax, include_axis_orbits)
+    candidates = candidate_orbits(domain, cap, vmax)
     orbits = [o for o, _ in candidates]
     _, scaled = ech.over_common_denominator([cap] + [sup for _, sup in candidates])
     budget, cost = scaled[0], scaled[1:]
@@ -424,16 +424,16 @@ def test_enumerate_matches_one_call_per_candidate():
     yielded = floored = 0
     for _ in range(60):
         dom = make_weakly_convex_polygon(rng)
-        vmax, axis = rng.randint(1, 3), rng.random() < 0.7
+        vmax = rng.randint(1, 3)
         cheapest = min(
-            (sup for _, sup in candidate_orbits(dom, F(10**6), vmax, axis)),
+            (sup for _, sup in candidate_orbits(dom, F(10**6), vmax)),
             default=F(1),
         )
         cap = cheapest * F(rng.randint(2, 10), 2)
         target = rng.randint(-2, 8)
         floor = rng.choice((None, -1, 0, 1, 2, 3))
-        got = list(enumerate_orbit_sets(dom, cap, target, vmax, axis, min_count=floor))
-        assert got == _enumerate_one_call_per_candidate(dom, cap, target, vmax, axis, floor)
+        got = list(enumerate_orbit_sets(dom, cap, target, vmax, min_count=floor))
+        assert got == _enumerate_one_call_per_candidate(dom, cap, target, vmax, floor)
         yielded += len(got)
         floored += floor is not None and len(got) > 0
     assert yielded > 300 and floored >= 10
@@ -497,6 +497,43 @@ def test_sub_product_check_matches_additivity():
         assert sum(o == (mutation, False) for o in outcomes) >= 10
 
 
+def _ellipsoid(a, b):
+    return Polygon2D(((F(a), F(0)), (F(0), F(b))))
+
+
+def _polydisk(a, b):
+    return Polygon2D(((F(a), F(0)), (F(a), F(b)), (F(0), F(b))))
+
+
+def _ech_capacity(domain, a, b, k):
+    """The k-th ECH capacity of E(a, b) or P(a, b) in closed form."""
+    sums = [(a * m + b * n, (m + 1) * (n + 1)) for m in range(k + 1) for n in range(k + 1)]
+    if domain is _ellipsoid:
+        return sorted(v for v, _ in sums)[k]
+    return min(v for v, count in sums if count >= k + 1)
+
+
+@pytest.mark.parametrize("domain, a, b", [(_ellipsoid, 1, 1), (_ellipsoid, 1, 2),
+                                          (_ellipsoid, 2, 3), (_polydisk, 1, 1),
+                                          (_polydisk, 1, 2)])
+def test_first_quadrant_sets_reach_ech_capacities(domain, a, b):
+    # For a convex toric domain, the k-th ECH capacity is the least action
+    # of an orbit set of index 2k (Hutchings, "Quantitative embedded contact
+    # homology", J. Differential Geom. 2011).  Over the sets whose
+    # directions lie in the closed first quadrant, the enumeration meets the
+    # closed forms.  The model's other directions can undercut them: on
+    # P(1, 1), h(-3,1) * h(1,-3) has index 8 and action 2, below c_4 = 3.
+    dom = domain(a, b)
+    for k in range(1, 11):
+        c_k = _ech_capacity(domain, a, b, k)
+        actions = [
+            action(dom, alpha)
+            for alpha in enumerate_orbit_sets(dom, F(c_k), 2 * k, vmax=3)
+            if all(x >= 0 and y >= 0 for x, y in (o.v for o in alpha.orbits()))
+        ]
+        assert min(actions) == c_k
+
+
 def test_enumeration_truncated_flag(om310):
     assert enumeration_truncated(om310, F(2, 5))
     assert not enumeration_truncated(om310, F(1, 5))
@@ -541,12 +578,18 @@ def test_search_hypothesis_violations(om310):
 
 
 def test_search_cube_obstruction_small(om310):
-    # d = 30 already certifies obstruction of the half cube at vmax = 3.
+    # At d = 30 the action/index inequality closes every factor that
+    # factorizations into at most lmax = 3 parts use, without enumerating
+    # directions.  The claim rests on that lmax cut: the test set has
+    # factorizations into up to 62 parts, and at d = 3 the same search is
+    # Inconclusive at lmax 8.  The half cube does not fit in Omega_{3/10},
+    # so the inclusion gate does not fire.
     alpha = parse_orbit_set("e(1,-1)^30 * e(-1,1)^30 * e(1,1)^2")
     report = obstruction_search(square_polygon(F(1, 2)), om310, alpha,
                                 vmax=3, lmax=3)
     assert report.status is SearchStatus.INFEASIBLE_WITHIN_BOUNDS
     assert report.obstructed_a == F(1, 2)
+    assert report.reason is None
     assert report.bounds_used.enumerations_run == 0
     assert not report.bounds_used.enumeration_truncated
 
@@ -571,6 +614,57 @@ def test_search_inclusion_d3_returns_witness(om310):
     for (source, target), report in zip(cases, reports):
         assert report.status is SearchStatus.FEASIBLE_WITNESS
         assert verify_witness(source, target, report.witness, alpha)
+
+
+def test_search_names_the_inclusion(om310):
+    # Each source lies in its target, or in the target's mirror for the
+    # rectangles, so no test set may obstruct it.  Without a truncated
+    # enumeration to make it Inconclusive, the search names the inclusion.
+    reflection = "e(-1,0) * e(0,-1)"
+    degree = lambda d: f"e(1,-1)^{d} * e(-1,1)^{d} * e(1,1)^2"
+    bigger = scaled(om310, F(6, 5))
+    cases = [(square_polygon(F(1, 2)), square_polygon(F(1, 2)), reflection, 2),
+             (_polydisk(1, 2), _polydisk(2, 1), reflection, 2),
+             (om310, om310, degree(3), 3), (om310, om310, degree(10), 3),
+             (om310, bigger, degree(3), 3), (om310, bigger, degree(10), 3),
+             (om310, bigger, degree(30), 3)]
+    named = 0
+    for source, target, alpha, limit in cases:
+        report = obstruction_search(source, target, parse_orbit_set(alpha),
+                                    vmax=limit, lmax=limit)
+        assert report.status is SearchStatus.INCONCLUSIVE
+        assert report.obstructed_a is None
+        assert (report.reason is None) == report.bounds_used.enumeration_truncated
+        named += report.reason is not None
+    assert named == 5
+
+
+def test_search_never_obstructs_x_in_scaled_x():
+    # X -> X and X -> (11/10) X are inclusions.  X -> 2 X is left out:
+    # without a search budget, some of those searches run for seconds.
+    rng = random.Random(2026)
+    makers = (make_monotone_polygon, make_weakly_convex_polygon,
+              lambda r: omega_a(F(r.randint(1, 11), 24)),
+              lambda r: square_polygon(F(r.randint(1, 8), 4)))
+    searches = named = 0
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(30)
+    try:
+        for _ in range(120):
+            dom = makers[rng.randrange(len(makers))](rng)
+            alpha = make_orbit_set(rng, vmax=2, max_mult=2, elliptic_only=True,
+                                   max_size=2)
+            if orbit_invariants(alpha).index <= 0:
+                continue
+            for c in (F(1), F(11, 10)):
+                report = obstruction_search(dom, scaled(dom, c), alpha, vmax=2, lmax=2)
+                assert report.status is not SearchStatus.INFEASIBLE_WITHIN_BOUNDS
+                searches += 1
+                named += report.reason is not None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert searches >= 100 and named >= 8
 
 
 def test_search_inconclusive_when_truncation_matters(om310):
@@ -730,10 +824,9 @@ def test_search_factor_counters_match_brute_loop(om310):
                                max_size=3)
         if orbit_invariants(alpha).index <= 0:
             continue
-        # The counters do not depend on the direction bounds; without the
-        # axis orbits the enumeration that follows them stays small.
-        report = obstruction_search(source, target, alpha, vmax=1, lmax=1,
-                                    include_axis_orbits=False)
+        # The counters do not depend on the direction bounds; at the
+        # smallest ones the enumeration that follows them stays small.
+        report = obstruction_search(source, target, alpha, vmax=1, lmax=1)
         total, pruned = _factor_counters_reference(source, target, alpha)
         assert report.bounds_used.candidate_factors == total
         assert report.bounds_used.factors_pruned == pruned
