@@ -74,7 +74,7 @@ def capacity_report(domain: ToricDomain) -> CapacityReport:
     notes.append("c_P lower: inscribed cube (exact inclusion)")
     cp_upper = e
     cp_upper_note = "c_P upper: containment in the min-coordinate region"
-    if domain.has_slope_bound:
+    if isinstance(domain, Polygon2D):
         try:
             cb = cube_bound(domain)
         except InapplicableError:

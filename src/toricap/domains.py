@@ -28,8 +28,7 @@ class (plus its entry in ``_KINDS``):
 * ``kind``, ``n``, ``to_dict()``, ``from_dict(data)``, ``summary()``;
 * ``delta``, ``eta``, ``is_monotone``, ``cube_inclusion`` (read through
   :mod:`toricap.geometry`), ``contains(p)``, ``on_boundary(p)``;
-* ``simplex_inclusion``, ``cylinder_cover`` and ``has_slope_bound`` for
-  :mod:`toricap.capacities`;
+* ``simplex_inclusion`` and ``cylinder_cover`` for :mod:`toricap.capacities`;
 * ``cl_rules``, ``cl_slices(e)``, ``cl_candidates`` for
   :mod:`toricap.lagrangian`: the order of the Lagrangian-capacity rules,
   the closed intervals [lo, hi] where the domain meets the lines y = e
@@ -42,8 +41,9 @@ the dataclass fields, so equality, hashing, ``repr`` and serialization
 ignore them; a member that raises caches nothing and raises again.  The
 structures a constructor builds (a polygon's ``_lattice``, a union's
 ``_grid``) are kept there too.  All types are immutable values.
-Constructors coerce every rational field through ``parse_rational``; a
-dimension ``n`` must be an int, not a bool.
+Constructors coerce every rational field through ``parse_rational``, and
+the planar ``contains`` and ``on_boundary`` coerce their point the same way
+(``_point``); a dimension ``n`` must be an int, not a bool.
 """
 
 from __future__ import annotations
@@ -57,7 +57,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, InapplicableError
-from .rationals import format_rational, is_count, over_common_denominator, parse_rational
+from .rationals import (
+    as_items, as_pair, format_rational, is_count, over_common_denominator, parse_rational,
+)
 
 STANDARD_KINDS = ("ball", "cylinder", "cube", "nduc")
 ZERO = Fraction(0)
@@ -65,8 +67,6 @@ ZERO = Fraction(0)
 
 class ToricDomain:
     """Base class of the domain kinds; the module docstring lists the protocol."""
-
-    has_slope_bound = False
 
 
 def _checked(domain) -> ToricDomain:
@@ -145,6 +145,12 @@ class StandardDomain(ToricDomain):
         return cls(data["kind"], n, a)
 
 
+def _point(p) -> tuple:
+    """A planar point as a pair of Fractions, coerced through ``parse_rational``."""
+    x, y = as_pair(p, InapplicableError, "a point must be a coordinate pair, got {!r}")
+    return parse_rational(x), parse_rational(y)
+
+
 def _cross(u, v) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
@@ -182,14 +188,10 @@ def _canonical_chain(vertices) -> tuple:
     and its ``_Lattice``.  The coordinates are scaled to integers once,
     and every check compares those.
     """
-    pts = []
-    for v in vertices:
-        try:
-            # A string would unpack into its characters: "10" is not (1, 0).
-            x, y = () if isinstance(v, str) else v
-        except (TypeError, ValueError):
-            raise DomainError(f"vertex is not a coordinate pair: {v!r}")
-        pts.append((parse_rational(x), parse_rational(y)))
+    vertices = as_items(vertices, DomainError, "vertices must be a sequence, got {!r}")
+    refusal = "vertex is not a coordinate pair: {!r}"
+    pairs = (as_pair(v, DomainError, refusal) for v in vertices)
+    pts = [(parse_rational(x), parse_rational(y)) for x, y in pairs]
     q, flat = over_common_denominator([c for p in pts for c in p])
     ints = list(zip(flat[0::2], flat[1::2]))
     # Drop exact consecutive duplicates before any edge-based checks.
@@ -281,7 +283,6 @@ class Polygon2D(ToricDomain):
 
     kind = "polygon2d"
     n = 2
-    has_slope_bound = True
     cl_rules = ("MonotoneDiagonal", "EtaOnBoundary", "LatticeWitness")
 
     def __post_init__(self):
@@ -361,7 +362,7 @@ class Polygon2D(ToricDomain):
         return Fraction(top, self._lattice.q)
 
     def contains(self, p) -> bool:
-        x, y = p
+        x, y = _point(p)
         if x < 0 or y < 0:
             return False
         q = self._lattice.q
@@ -370,9 +371,9 @@ class Polygon2D(ToricDomain):
     def on_boundary(self, p) -> bool:
         # A point of the closed region is on its boundary iff it lies on an
         # axis or makes some edge's halfplane tight.
+        x, y = p = _point(p)
         if not self.contains(p):
             return False
-        x, y = p
         q = self._lattice.q
         return x == 0 or y == 0 or any(
             q * (a * x + b * y) == c for a, b, c in self._halfplanes
@@ -411,9 +412,6 @@ class Polygon2D(ToricDomain):
             raise DomainError("polygon2d document missing 'vertices'")
         if not isinstance(raw, list):
             raise DomainError("'vertices' must be a list of coordinate pairs")
-        for item in raw:
-            if not isinstance(item, list) or len(item) != 2:
-                raise DomainError(f"vertex is not a coordinate pair: {item!r}")
         return cls(raw)
 
 
@@ -616,7 +614,7 @@ class Rectilinear2D(ToricDomain):
     cl_rules = ("LatticeWitness", "MonotoneDiagonal", "EtaOnBoundary")
 
     def __post_init__(self):
-        rects = tuple(self.rects)
+        rects = as_items(self.rects, DomainError, "rects must be a sequence, got {!r}")
         if not rects:
             raise DomainError("rectilinear domain needs at least one rectangle")
         for r in rects:
@@ -668,11 +666,11 @@ class Rectilinear2D(ToricDomain):
 
     def contains(self, p) -> bool:
         # Some cell whose closure holds p is painted.
-        return any(self._grid.quadrants(p))
+        return any(self._grid.quadrants(_point(p)))
 
     def on_boundary(self, p) -> bool:
         # p is interior iff all four cells meeting its corners are painted.
-        quadrants = self._grid.quadrants(p)
+        quadrants = self._grid.quadrants(_point(p))
         return any(quadrants) and not all(quadrants)
 
     def cl_slices(self, e: Fraction) -> tuple:

@@ -56,7 +56,9 @@ from typing import Iterator, Optional
 from .domains import Polygon2D, _require_polygon
 from .errors import DomainError, InapplicableError
 from .geometry import cube_bound, delta, support
-from .rationals import is_count, is_integer, over_common_denominator, parse_rational
+from .rationals import (
+    as_items, as_pair, is_count, is_integer, over_common_denominator, parse_rational,
+)
 
 
 _POLYGON_ONLY = "orbit-set actions are defined on polygon domains"
@@ -74,9 +76,10 @@ class CombOrbit:
     s: int
 
     def __post_init__(self):
-        x, y = self.v
+        refusal = "orbit direction must be an integer pair, got {!r}"
+        x, y = as_pair(self.v, DomainError, refusal)
         if not (is_integer(x) and is_integer(y)):
-            raise DomainError(f"orbit direction must be an integer pair, got {self.v!r}")
+            raise DomainError(refusal.format(self.v))
         if (x, y) == (0, 0):
             raise DomainError("orbit direction must be nonzero")
         if math.gcd(abs(x), abs(y)) != 1:
@@ -101,11 +104,15 @@ class CombOrbitSet:
     factors: tuple  # of (CombOrbit, multiplicity)
 
     def __post_init__(self):
-        factors = tuple(sorted(self.factors, key=lambda f: f[0].key))
+        refusal = "factors must pair a CombOrbit with a multiplicity, got {!r}"
+        items = as_items(self.factors, DomainError, refusal)
+        factors = [as_pair(f, DomainError, refusal) for f in items]
+        for f in factors:
+            if not isinstance(f[0], CombOrbit):
+                raise DomainError(refusal.format(f))
+        factors = tuple(sorted(factors, key=lambda f: f[0].key))
         seen = set()
         for orbit, m in factors:
-            if not isinstance(orbit, CombOrbit):
-                raise DomainError("factors must pair a CombOrbit with a multiplicity")
             if not is_count(m):
                 raise DomainError(f"multiplicity must be an integer >= 1, got {m!r}")
             if orbit.s == 0 and m != 1:
@@ -304,6 +311,8 @@ def candidate_orbits(domain: Polygon2D, action_cap: Fraction, vmax: int):
     directions, hyperbolic first, give the canonical orbit order.
     """
     _require_polygon(_POLYGON_ONLY, domain)
+    if not is_count(vmax):
+        raise InapplicableError(f"direction bound must be an integer >= 1, got {vmax!r}")
     cap = parse_rational(action_cap)
     out = []
     for v in itertools.product(range(-vmax, vmax + 1), repeat=2):

@@ -46,7 +46,7 @@ from fractions import Fraction
 
 from .domains import Polygon2D, ToricDomain, _checked, _require_polygon
 from .errors import InapplicableError
-from .rationals import is_integer, parse_rational
+from .rationals import as_pair, is_integer
 
 
 def support(domain: Polygon2D, v) -> Fraction:
@@ -57,9 +57,10 @@ def support(domain: Polygon2D, v) -> Fraction:
     integer pair; any other kind of domain raises ``InapplicableError``.
     """
     _require_polygon("support values are defined on polygon domains", domain)
-    vx, vy = _pair(v, "support direction must be an integer pair")
+    refusal = "support direction must be an integer pair, got {!r}"
+    vx, vy = as_pair(v, InapplicableError, refusal)
     if not (is_integer(vx) and is_integer(vy)):
-        raise InapplicableError(f"support direction must be an integer pair, got {v!r}")
+        raise InapplicableError(refusal.format(v))
     if vx == 0 and vy == 0:
         raise InapplicableError("support direction must be nonzero")
     lattice = domain._lattice
@@ -115,24 +116,6 @@ def cube_inclusion(domain: ToricDomain) -> Fraction:
     return _checked(domain).cube_inclusion
 
 
-def _pair(p, refusal: str) -> tuple:
-    """The two items of p, or ``InapplicableError`` for anything but a pair.
-
-    A string would unpack into its characters: "10" is not (1, 0).
-    """
-    try:
-        x, y = () if isinstance(p, str) else p
-    except (TypeError, ValueError):
-        raise InapplicableError(f"{refusal}, got {p!r}") from None
-    return x, y
-
-
-def _point(p) -> tuple:
-    """A planar point as a pair of Fractions, coerced through ``parse_rational``."""
-    x, y = _pair(p, "a point must be a coordinate pair")
-    return parse_rational(x), parse_rational(y)
-
-
 def domain_contains(domain: ToricDomain, p) -> bool:
     """Closed membership test for 2-dimensional domains.
 
@@ -140,7 +123,7 @@ def domain_contains(domain: ToricDomain, p) -> bool:
     each coerced through ``parse_rational``, so a float raises
     ``DomainError``.
     """
-    return _checked(domain).contains(_point(p))
+    return _checked(domain).contains(p)
 
 
 def domain_on_boundary(domain: ToricDomain, p) -> bool:
@@ -154,7 +137,7 @@ def domain_on_boundary(domain: ToricDomain, p) -> bool:
     lines, so the test costs O(log(rectangles)) comparisons.  ``p`` is
     checked and coerced as in ``domain_contains``.
     """
-    return _checked(domain).on_boundary(_point(p))
+    return _checked(domain).on_boundary(p)
 
 
 def _slope_condition(domain: Polygon2D) -> bool:

@@ -40,9 +40,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .domains import ToricDomain, _checked
-from .errors import InapplicableError
+from .errors import DomainError, InapplicableError
 from .geometry import delta, eta, is_monotone
-from .rationals import Interval, is_count, over_common_denominator, parse_rational
+from .rationals import Interval, as_items, is_count, over_common_denominator, parse_rational
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +50,8 @@ from .rationals import Interval, is_count, over_common_denominator, parse_ration
 # ---------------------------------------------------------------------------
 
 def _check_positive(x) -> tuple:
-    pt = tuple(parse_rational(c) for c in x)
+    refusal = "fiber position must be a sequence of rationals, got {!r}"
+    pt = tuple(map(parse_rational, as_items(x, DomainError, refusal)))
     if not pt:
         raise InapplicableError("fiber position must have at least one coordinate")
     if any(c <= 0 for c in pt):

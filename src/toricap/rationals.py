@@ -7,11 +7,13 @@ also accepted on input).
 
 ``parse_rational`` is the one place where a caller's value becomes a
 ``Fraction``: every constructor and entry point that takes a rational, from
-a domain file or the Python API, coerces it here.  ``over_common_denominator``
-is the one place where rationals are scaled to integers, so that a loop
-over them can run in ``int`` arithmetic.  ``Interval`` is the one closed
-rational bracket type: every capacity bound in a report is one, and so is
-the Lagrangian-capacity certificate.
+a domain file or the Python API, coerces it here.  ``as_pair`` is the one
+place that decides what a pair is, for every vertex, point and direction a
+caller hands in, and ``as_items`` what a sequence of them is.
+``over_common_denominator`` is the one place where rationals are scaled to
+integers, so that a loop over them can run in ``int`` arithmetic.
+``Interval`` is the one closed rational bracket type: every capacity bound
+in a report is one, and so is the Lagrangian-capacity certificate.
 
 Python refuses to convert integers of more than ``sys.get_int_max_str_digits()``
 decimal digits (4300 by default) between ``str`` and ``int``; a longer input
@@ -68,6 +70,33 @@ def parse_rational(value) -> Fraction:
     raise DomainError(f"not a rational: {value!r}")
 
 
+def as_pair(value, error: type, refusal: str) -> tuple:
+    """The two items of a pair, or ``error(refusal.format(value))``.
+
+    A pair unpacks into exactly two items and is neither a ``str`` nor a
+    ``dict``, which would unpack into characters and keys: "10" is not
+    (1, 0).  The refusal is formatted only for a value that is refused.
+    """
+    try:
+        x, y = () if isinstance(value, (str, dict)) else value
+    except (TypeError, ValueError):
+        raise error(refusal.format(value)) from None
+    return x, y
+
+
+def as_items(value, error: type, refusal: str) -> tuple:
+    """The items of a sequence as a tuple, or ``error(refusal.format(value))``.
+
+    A sequence iterates and, like a pair, is neither a ``str`` nor a ``dict``.
+    """
+    if not isinstance(value, (str, dict)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise error(refusal.format(value))
+
+
 def is_integer(value) -> bool:
     """Whether ``value`` is an int (a bool is an int, but not an integer here)."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -99,12 +128,20 @@ def format_rational(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed rational bracket; exact when it pinches to a point."""
+    """Closed rational bracket; exact when it pinches to a point.
+
+    Both ends are coerced through ``parse_rational``.
+    """
 
     lower: Fraction
     upper: Optional[Fraction]  # None = no finite upper bound claimed
 
     def __post_init__(self):
+        # Every bracket a report builds has Fraction ends already.
+        if type(self.lower) is not Fraction:
+            object.__setattr__(self, "lower", parse_rational(self.lower))
+        if self.upper is not None and type(self.upper) is not Fraction:
+            object.__setattr__(self, "upper", parse_rational(self.upper))
         if self.upper is not None and self.lower > self.upper:
             raise ValueError(f"empty interval [{self.lower}, {self.upper}]")
 

@@ -195,6 +195,20 @@ def _staircase_in(rng, polygon):
     return stairs
 
 
+def _polygon_in(rng, stairs):
+    """A generated polygon, halved until its bounding box fits in one
+    rectangle of the origin staircase.
+
+    The rectangle holds the origin, so it then holds the polygon whole.
+    """
+    polygon = rng.choice((make_monotone_polygon, make_weakly_convex_polygon))(rng)
+    r = rng.choice(stairs.rects)
+    while not (max(x for x, _ in polygon.vertices) <= r.x1
+               and max(y for _, y in polygon.vertices) <= r.y1):
+        polygon = scaled(polygon, F(1, 2))
+    return polygon
+
+
 def _included_pairs(rng, count):
     """(X, Y) with X inside Y, across polygons, unions and standard domains."""
     pairs = []
@@ -208,6 +222,8 @@ def _included_pairs(rng, count):
             side = cube_inclusion(x)
             pairs += [(square_polygon(side), x), (StandardDomain("cube", 2, side), x)]
             pairs.append((x, StandardDomain("nduc", 2, eta(x))))
+        outer = make_staircase(rng)
+        pairs.append((_polygon_in(rng, outer), outer))
     return pairs
 
 

@@ -9,8 +9,11 @@ from fractions import Fraction
 import pytest
 
 from toricap import (
+    CLCertificate,
+    CLRule,
     DomainError,
     InapplicableError,
+    Interval,
     Polygon2D,
     Rect,
     Rectilinear2D,
@@ -85,6 +88,13 @@ RATIONAL_ENTRY_POINTS = [
         "enumeration_truncated",
         lambda v: enumeration_truncated(square_polygon(1), v),
         [Fraction(1), Fraction(1, 2)],
+    ),
+    ("Interval lower", lambda v: Interval(v, None), [Fraction(0), Fraction(1, 2)]),
+    ("Interval upper", lambda v: Interval(0, v), [Fraction(1), Fraction(3, 2)]),
+    (
+        "CLCertificate",
+        lambda v: CLCertificate(v, v, CLRule.MONOTONE_DIAGONAL, None),
+        [Fraction(1), Fraction(3, 2)],
     ),
 ]
 
@@ -208,6 +218,10 @@ def test_is_weakly_convex_examples():
         [(1, 0), (Fraction(1, 2), Fraction(1, 2)), (2, 1), (0, 1)]
     )
     assert is_weakly_convex([(1, 0), (0, 1)])
+    for bad in (5, None, "10"):
+        assert not is_weakly_convex(bad)
+        with pytest.raises(DomainError, match="vertices must be a sequence"):
+            Polygon2D(bad)
 
 
 def test_rect_validation():
@@ -374,6 +388,9 @@ def test_rectilinear_validation():
         Rectilinear2D((r3,))
     touching = Rect(Fraction(1), Fraction(2), Fraction(0), Fraction(1))
     assert Rectilinear2D((r1, touching))
+    for bad in (5, None, {r1: 1}):
+        with pytest.raises(DomainError, match="rects must be a sequence"):
+            Rectilinear2D(bad)
 
 
 def _oracle_connected(boxes) -> bool:

@@ -36,7 +36,7 @@ from toricap import (
 )
 
 from toricap import ech
-from toricap.ech import candidate_orbits
+from toricap.ech import EMPTY_ORBIT_SET, candidate_orbits
 
 from generators import (
     make_monotone_polygon, make_orbit_set, make_weakly_convex_polygon, scaled,
@@ -61,7 +61,7 @@ def test_orbit_validation():
         CombOrbit((-1, -1), 1)
     with pytest.raises(DomainError, match="nonzero"):
         CombOrbit((0, 0), 1)
-    for bad in ((True, False), (1.0, 0), (1, False)):
+    for bad in ((True, False), (1.0, 0), (1, False), 5, (1,), (1, 0, 0), "10", {1: 0, 0: 1}):
         with pytest.raises(DomainError, match="integer pair"):
             CombOrbit(bad, 1)
     for bad in (True, 1.0, 2):
@@ -81,6 +81,10 @@ def test_orbit_set_validation():
     for bad in (0, True, 2.0):
         with pytest.raises(DomainError, match=">= 1"):
             CombOrbitSet(((e11, bad),))
+    # Each factor's shape is checked before the factors are sorted.
+    for bad in (5, None, "ab", ((1, 2),), ((e11,),), ((e11, 1, 1),), ((e11, 1), 5)):
+        with pytest.raises(DomainError, match="must pair a CombOrbit"):
+            CombOrbitSet(bad)
 
 
 def test_literal_round_trip():
@@ -563,9 +567,11 @@ def test_search_hypothesis_violations(om310):
         for limits in ({"vmax": bad, "lmax": 2}, {"vmax": 2, "lmax": bad}):
             with pytest.raises(InapplicableError, match="invalid search limits"):
                 obstruction_search(om310, om310, parse_orbit_set("e(1,1)"), **limits)
-    for bad in (0, True, 2.0):
+    for bad in (0, True, 2.0, 2.5):
         with pytest.raises(InapplicableError, match="direction bound"):
             list(enumerate_orbit_sets(om310, F(1), 4, vmax=bad))
+        with pytest.raises(InapplicableError, match="direction bound"):
+            candidate_orbits(om310, F(1), bad)
     for bad in (3.0, True, F(3)):
         with pytest.raises(InapplicableError, match="index target"):
             list(enumerate_orbit_sets(om310, F(1), bad, vmax=2))
@@ -738,6 +744,21 @@ def test_verify_witness_rejects_tampering(om310):
     bad5 = SearchWitness(alpha=parse_orbit_set("e(1,1)^2"), alpha_factors=(h, h),
                          alpha_prime_factors=(e11, e11))
     assert not verify_witness(om310, om310, bad5, parse_orbit_set("e(1,1)^2"))
+    # An empty witness against an empty test set: no factor to match.
+    empty = SearchWitness(alpha=EMPTY_ORBIT_SET, alpha_factors=(), alpha_prime_factors=())
+    assert not verify_witness(om310, om310, empty, EMPTY_ORBIT_SET)
+    # e(1,1) <= e(1,1) from the square 4 into Omega_3/10 fails the action
+    # inequality (ii), though every sub-product index matches.
+    assert not leq_relation(big, om310, e11, e11).holds
+    bad6 = SearchWitness(alpha=e11, alpha_factors=(e11,), alpha_prime_factors=(e11,))
+    assert not verify_witness(big, om310, bad6, e11)
+    # Equal factors sharing the elliptic orbit e(1,1), from Omega_3/10 into
+    # the square 4, where every matched pair holds.
+    e11_2 = parse_orbit_set("e(1,1)^2")
+    assert leq_relation(om310, big, e11, e11).holds
+    bad7 = SearchWitness(alpha=e11_2, alpha_factors=(e11, e11),
+                         alpha_prime_factors=(e11, e11))
+    assert not verify_witness(om310, big, bad7, e11_2)
 
 
 NON_POLYGONS = {

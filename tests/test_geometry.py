@@ -386,7 +386,10 @@ BAD_POINTS = [
     ((1,), InapplicableError, "coordinate pair"),
     ((1, 2, 3), InapplicableError, "coordinate pair"),
     ("10", InapplicableError, "coordinate pair"),
+    ({"a": 1, "b": 2}, InapplicableError, "coordinate pair"),
+    ({"1": 0, "0": 1}, InapplicableError, "coordinate pair"),
     ((0.5, 0.25), DomainError, "not a rational"),
+    ((0.5, 0.1), DomainError, "not a rational"),
     ((F(1, 2), 0.25), DomainError, "not a rational"),
     ((True, 0), DomainError, "not a rational"),
     (("1.5", "0"), DomainError, "not a rational"),
@@ -396,18 +399,25 @@ BAD_POINTS = [
 @pytest.mark.parametrize("point,error,message", BAD_POINTS,
                          ids=[repr(p) for p, _, _ in BAD_POINTS])
 def test_membership_refuses_bad_points(om310, point, error, message):
+    # The members refuse a point with the wrappers' exception and message.
     for dom in (om310, CROSS):
-        for probe in (domain_contains, domain_on_boundary):
-            with pytest.raises(error, match=message):
+        refusals = set()
+        for probe in (domain_contains, domain_on_boundary,
+                      type(dom).contains, type(dom).on_boundary):
+            with pytest.raises(error, match=message) as refused:
                 probe(dom, point)
+            refusals.add((refused.type, str(refused.value)))
+        assert len(refusals) == 1, refusals
 
 
 def test_membership_coerces_rational_coordinates(om310):
     for dom in (om310, CROSS):
         for raw, exact in [(("1", "0"), (F(1), F(0))), (("1/2", "1/2"), (F(1, 2), F(1, 2))),
-                           ([1, F(1, 4)], (F(1), F(1, 4))), ((F(1, 5), "1/5"), (F(1, 5),) * 2)]:
-            for probe in (domain_contains, domain_on_boundary):
-                assert probe(dom, raw) == probe(dom, exact), (dom, raw)
+                           ([1, F(1, 4)], (F(1), F(1, 4))), ((F(1, 5), "1/5"), (F(1, 5),) * 2),
+                           (("1/2", "1/10"), (F(1, 2), F(1, 10)))]:
+            for wrapper, member in ((domain_contains, dom.contains),
+                                    (domain_on_boundary, dom.on_boundary)):
+                assert wrapper(dom, raw) == member(raw) == wrapper(dom, exact), (dom, raw)
     assert not domain_contains(om310, ("1", "0"))
     assert domain_on_boundary(om310, ("1/2", "1/2"))
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from toricap import (
     CLRule,
+    DomainError,
     InapplicableError,
     Polygon2D,
     Rect,
@@ -79,6 +80,11 @@ def test_a_min_errors():
         a_min_brute([F(1, 2), F(1, 3)], 2000)  # 4001^2 > 16,000,000 points
     with pytest.raises(InapplicableError):
         a_min_closed([])
+    for bad in (5, None, "12", {"1": 0}):
+        with pytest.raises(DomainError, match="fiber position must be a sequence"):
+            a_min_closed(bad)
+        with pytest.raises(DomainError, match="fiber position must be a sequence"):
+            a_min_brute(bad, 2)
 
 
 @given(common_denominator_points())
@@ -87,7 +93,7 @@ def test_a_min_oracle_agreement(coords):
     assert a_min_closed(coords) == a_min_brute(coords, 50)
 
 
-def test_a_min_brute_python_fallback_agrees():
+def test_a_min_brute_agrees_on_big_integers():
     # Numerators beyond 64 bits: the sumset is exact for big integers.
     coords = [F(3 * 2**61, 1), F(2**61, 3)]
     assert a_min_brute(coords, 2) == a_min_closed(coords) == F(2**61, 3)

@@ -59,7 +59,7 @@ def oracle_chain(vertices) -> tuple:
     pts = []
     for v in vertices:
         try:
-            x, y = () if isinstance(v, str) else v
+            x, y = () if isinstance(v, (str, dict)) else v
         except (TypeError, ValueError):
             raise DomainError(f"vertex is not a coordinate pair: {v!r}")
         pts.append((parse_rational(x), parse_rational(y)))
@@ -248,6 +248,7 @@ def test_generated_chains_cover_both_eta_cases():
 # survive deduplication), and a vertex on an axis inside the chain.
 REFUSALS = {
     "pair": [("1", "0"), "10", ("0", "1")],
+    "pair-dict": [("1", "0"), {"1": "1", "0": "1"}, ("0", "1")],
     "distinct": [(F(1, 3), 0), ("1/3", "0")],
     "first": [(1, F(1, 5)), (1, 1), (0, 1)],
     "last": [(1, 0), (1, 1), (F(1, 5), 1)],
