@@ -29,6 +29,7 @@ class (plus its entry in ``_KINDS``):
 * ``delta``, ``eta``, ``is_monotone``, ``cube_inclusion`` (read through
   :mod:`toricap.geometry`), ``contains(p)``, ``on_boundary(p)``;
 * ``simplex_inclusion`` and ``cylinder_cover`` for :mod:`toricap.capacities`;
+* on polygons only, ``support(v)`` and ``cube_bound`` for :mod:`toricap.geometry`;
 * ``cl_rules``, ``cl_slices(e)``, ``cl_candidates`` for
   :mod:`toricap.lagrangian`: the order of the Lagrangian-capacity rules,
   the closed intervals [lo, hi] where the domain meets the lines y = e
@@ -58,7 +59,8 @@ from functools import cached_property
 
 from .errors import DomainError, InapplicableError
 from .rationals import (
-    as_items, as_pair, format_rational, is_count, over_common_denominator, parse_rational,
+    as_items, as_pair, format_rational, is_count, is_integer, over_common_denominator,
+    parse_rational,
 )
 
 STANDARD_KINDS = ("ball", "cylinder", "cube", "nduc")
@@ -354,6 +356,31 @@ class Polygon2D(ToricDomain):
     def simplex_inclusion(self) -> Fraction:
         # By convexity both axis corners inside pull the hypotenuse inside.
         return self._min_intercept()
+
+    def support(self, v) -> Fraction:
+        """Max of v . p over the chain, for a nonzero integer pair ``v``."""
+        refusal = "support direction must be an integer pair, got {!r}"
+        vx, vy = as_pair(v, InapplicableError, refusal)
+        if not (is_integer(vx) and is_integer(vy)):
+            raise InapplicableError(refusal.format(v))
+        if vx == 0 and vy == 0:
+            raise InapplicableError("support direction must be nonzero")
+        top = max(vx * x + vy * y for x, y in self._lattice.points)
+        return Fraction(top, self._lattice.q)
+
+    @cached_property
+    def cube_bound(self) -> Fraction:
+        # Both end edges at least diagonal-steep, direction (dx, dy) with
+        # dx <= dy, make the supports of (1,-1) and (-1,1) attain exactly the
+        # two axis intercepts.  The lattice edges are the chain's edges
+        # scaled by q > 0, so they compare alike.
+        (dx0, dy0), (dx1, dy1) = self._lattice.edges[0], self._lattice.edges[-1]
+        if dx0 > dy0 or dx1 > dy1:
+            raise InapplicableError(
+                "tangent-slope condition fails: both end edges must satisfy dx <= dy"
+            )
+        points = self._lattice.points
+        return Fraction(points[0][0] + points[-1][1], 2 * self._lattice.q)
 
     @property
     def cylinder_cover(self) -> Fraction:

@@ -592,9 +592,15 @@ def obstruction_search(
     candidates, or when the source lies in the target or in its mirror,
     which ``reason`` then names; else ``InfeasibleWithinBounds``.  That
     claim holds for this combinatorial model and these bounds only, ``lmax``
-    included: factorizations into more than ``lmax`` parts are dropped
-    unreported, and half cube -> Omega_{3/10} at degree 3 is infeasible at
-    ``lmax`` 3 but ``Inconclusive`` at ``lmax`` 8.
+    included.  The factorization walk is the one place where ``lmax``
+    drops a branch: a remainder that ``lmax - len(slots)`` more parts of
+    the largest candidate size cannot cover is dropped unreported, so
+    half cube -> Omega_{3/10} at degree 3 is infeasible at ``lmax`` 3 but
+    ``Inconclusive`` at ``lmax`` 8.
+
+    ``enumerations_run`` counts the slots whose enumeration ran, and
+    ``enumeration_truncated`` says whether some enumerated slot's cap
+    reaches the source's smaller intercept.
     """
     _require_polygon("obstruction search runs on polygon domains", source, target)
     if not (is_count(vmax) and is_count(lmax)):
@@ -654,93 +660,64 @@ def obstruction_search(
 
     max_part = max((sum(c[0]) for c in candidates), default=0)
 
-    enumerations_run = 0
-    truncated_run = False
-    factorizations = 0
+    def factorizations(start: int, remaining, slots):
+        """Each factorization of ``remaining`` into candidates from ``start``
+        on, appended to ``slots``, in depth-first order."""
+        if not any(remaining):
+            yield slots
+        # The lmax cut: no part is larger than max_part, so lmax - len(slots)
+        # more parts cannot cover a larger remainder (none can at lmax).
+        elif sum(remaining) <= (lmax - len(slots)) * max_part:
+            for i in range(start, len(candidates)):
+                vec = candidates[i][0]
+                if all(v <= r for v, r in zip(vec, remaining)):
+                    rest = tuple(r - v for r, v in zip(remaining, vec))
+                    yield from factorizations(i, rest, slots + (candidates[i],))
+
     enum_cache: dict = {}
 
-    def slot_matches(vec, index, count, cap):
-        nonlocal enumerations_run, truncated_run
-        if vec not in enum_cache:
-            enumerations_run += 1
-            cap = Fraction(cap, scale)
-            if enumeration_truncated(source, cap):
-                truncated_run = True
-            enum_cache[vec] = list(enumerate_orbit_sets(
-                source, cap, index, vmax, min_count=count,
+    def slot_matches(slot):
+        if slot not in enum_cache:
+            _, index, count, cap = slot
+            enum_cache[slot] = list(enumerate_orbit_sets(
+                source, Fraction(cap, scale), index, vmax, min_count=count,
             ))
-        return enum_cache[vec]
+        return enum_cache[slot]
 
-    def assign(slots, vecs):
-        """Pick one source set per slot satisfying the joint conditions."""
-        options = []
-        for slot in slots:
-            found = slot_matches(*slot)
-            if not found:
-                return None
-            options.append(found)
-        cr_p = [[vector_cross(a, b) for b in vecs] for a in vecs]
-        chosen: list = []
-
-        def clashes(i: int, t: int, a) -> bool:
+    def assignments(options, vecs, cr_p, chosen=()):
+        """Each choice of one source set per slot that meets the joint conditions."""
+        t = len(chosen)
+        if t == len(vecs):
+            yield chosen
+            return
+        for a in options[t]:
             # Each source set has its slot's index, which the enumeration
             # targets, so every sub-product index matches its target-side
             # counterpart iff every pair's cross terms do; the target side
-            # is already checked positive.
-            return (
-                (chosen[i] == a or vecs[i] == vecs[t]) and _shares_orbits(chosen[i], a, s=1)
-                # A witness must not repeat a hyperbolic orbit.
-                or _shares_orbits(chosen[i], a, s=0)
-                or cross_term(chosen[i], a) != cr_p[i][t]
-            )
+            # is already checked positive.  A witness must not repeat a
+            # hyperbolic orbit.
+            if not any(
+                (c == a or vecs[i] == vecs[t]) and _shares_orbits(c, a, s=1)
+                or _shares_orbits(c, a, s=0)
+                or cross_term(c, a) != cr_p[i][t]
+                for i, c in enumerate(chosen)
+            ):
+                yield from assignments(options, vecs, cr_p, chosen + (a,))
 
-        def rec(t: int):
-            if t == len(vecs):
-                return True
-            for a in options[t]:
-                if any(clashes(i, t, a) for i in range(t)):
-                    continue
-                chosen.append(a)
-                if rec(t + 1):
-                    return True
-                chosen.pop()
-            return False
-
-        return chosen if rec(0) else None
-
-    def factorizations_dfs(start: int, remaining, slots):
-        nonlocal factorizations
-        if not any(remaining):
-            factorizations += 1
-            vecs = [s[0] for s in slots]
-            subsets = _nonempty_subsets(vecs)
-            if any(index_of([sum(c) for c in zip(*sub)]) <= 0 for sub in subsets):
-                return None
-            picked = assign(slots, vecs)
-            if picked is None:
-                return None
-            return SearchWitness(
-                alpha=_product_all(picked),
-                alpha_factors=tuple(picked),
-                alpha_prime_factors=tuple(orbit_set(v) for v in vecs),
-            )
-        if len(slots) == lmax:
-            return None
-        if sum(remaining) > (lmax - len(slots)) * max_part:
-            return None
-        for i in range(start, len(candidates)):
-            vec = candidates[i][0]
-            if any(v > r for v, r in zip(vec, remaining)):
-                continue
-            new_remaining = tuple(r - v for r, v in zip(remaining, vec))
-            slots.append(candidates[i])
-            result = factorizations_dfs(i, new_remaining, slots)
-            if result is not None:
-                return result
-            slots.pop()
-        return None
-
-    witness = factorizations_dfs(0, target_vec, [])
+    explored, witness = 0, None
+    for explored, slots in enumerate(factorizations(0, target_vec, ()), 1):
+        vecs = [s[0] for s in slots]
+        if any(index_of([sum(c) for c in zip(*sub)]) <= 0 for sub in _nonempty_subsets(vecs)):
+            continue
+        # Slots are enumerated in order up to the first one with no match.
+        options = list(itertools.takewhile(bool, map(slot_matches, slots)))
+        if len(options) < len(slots):
+            continue
+        cr_p = [[vector_cross(a, b) for b in vecs] for a in vecs]
+        picked = next(assignments(options, vecs, cr_p), None)
+        if picked is not None:
+            witness = SearchWitness(_product_all(picked), picked, tuple(map(orbit_set, vecs)))
+            break
 
     if witness is not None and not verify_witness(source, target, witness, alpha_prime):
         raise AssertionError("internal error: witness failed re-verification")
@@ -750,13 +727,15 @@ def obstruction_search(
         lmax=lmax,
         candidate_factors=total,
         factors_pruned=pruned,
-        factorizations_explored=factorizations,
-        enumerations_run=enumerations_run,
-        enumeration_truncated=truncated_run,
+        factorizations_explored=explored,
+        enumerations_run=len(enum_cache),
+        enumeration_truncated=any(
+            enumeration_truncated(source, Fraction(slot[3], scale)) for slot in enum_cache
+        ),
     )
     if witness is not None:
         return SearchReport(SearchStatus.FEASIBLE_WITNESS, witness, bounds, None)
-    if truncated_run:
+    if bounds.enumeration_truncated:
         return SearchReport(SearchStatus.INCONCLUSIVE, None, bounds, None)
     v = source.vertices
     # Both polygons are convex and hold the origin, so the source lies in the

@@ -19,10 +19,10 @@ The quantities computed here are:
   and boundary tests for planar domains; the tests check the
   Lagrangian-capacity rules and their witnesses against them.
 
-Everything but ``support`` and ``cube_bound`` is answered by the domain's own kind: each
-function checks that its argument is a ``ToricDomain`` (``DomainError``
-otherwise) and reads the member of the same name, which every instance
-computes at most once (see :mod:`toricap.domains` for the protocol).
+Everything is answered by the domain's own kind: each function checks
+its argument (a ``ToricDomain``, else ``DomainError``; a polygon for
+``support`` and ``cube_bound``, else ``InapplicableError``) and reads the
+member of the same name (see :mod:`toricap.domains` for the protocol).
 Everything is evaluated in exact rational arithmetic: for these shape
 classes all suprema are attained at vertices, edge intersections or grid
 corners, so no tolerances are needed.
@@ -45,8 +45,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .domains import Polygon2D, ToricDomain, _checked, _require_polygon
-from .errors import InapplicableError
-from .rationals import as_pair, is_integer
 
 
 def support(domain: Polygon2D, v) -> Fraction:
@@ -57,14 +55,7 @@ def support(domain: Polygon2D, v) -> Fraction:
     integer pair; any other kind of domain raises ``InapplicableError``.
     """
     _require_polygon("support values are defined on polygon domains", domain)
-    refusal = "support direction must be an integer pair, got {!r}"
-    vx, vy = as_pair(v, InapplicableError, refusal)
-    if not (is_integer(vx) and is_integer(vy)):
-        raise InapplicableError(refusal.format(v))
-    if vx == 0 and vy == 0:
-        raise InapplicableError("support direction must be nonzero")
-    lattice = domain._lattice
-    return Fraction(max(vx * x + vy * y for x, y in lattice.points), lattice.q)
+    return domain.support(v)
 
 
 def delta(domain: ToricDomain) -> Fraction:
@@ -140,17 +131,6 @@ def domain_on_boundary(domain: ToricDomain, p) -> bool:
     return _checked(domain).on_boundary(p)
 
 
-def _slope_condition(domain: Polygon2D) -> bool:
-    # Both end edges at least diagonal-steep: direction (dx, dy) with
-    # dx <= dy.  This makes the supports of (1,-1) and (-1,1) attain
-    # exactly the two axis intercepts.  The lattice edges are the chain's
-    # edges scaled by q > 0, so they compare alike.
-    edges = domain._lattice.edges
-    dx0, dy0 = edges[0]
-    dx1, dy1 = edges[-1]
-    return dx0 <= dy0 and dx1 <= dy1
-
-
 def cube_bound(domain: Polygon2D) -> Fraction:
     """Closed-form upper bound (x-intercept + y-intercept)/2 for the cube capacity.
 
@@ -163,12 +143,8 @@ def cube_bound(domain: Polygon2D) -> Fraction:
     are certified upper bounds that decrease to this value.  It is not
     backed by ``ech.obstruction_search``, whose statuses are claims about
     the combinatorial model under its bounds.  It reads only the
-    polygon's integer lattice, so it needs nothing from the ECH model.
+    polygon's integer lattice, so it needs nothing from the ECH model;
+    a polygon computes it at most once.
     """
     _require_polygon("the boundary-slope bound applies to polygon domains", domain)
-    if not _slope_condition(domain):
-        raise InapplicableError(
-            "tangent-slope condition fails: both end edges must satisfy dx <= dy"
-        )
-    q, points = domain._lattice.q, domain._lattice.points
-    return Fraction(points[0][0] + points[-1][1], 2 * q)
+    return domain.cube_bound

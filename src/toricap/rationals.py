@@ -70,15 +70,21 @@ def parse_rational(value) -> Fraction:
     raise DomainError(f"not a rational: {value!r}")
 
 
+# A str iterates over its characters, a dict over its keys, and a set or
+# frozenset in hash order: none of them is a pair or a sequence of items.
+# The types are concrete, not ABCs, since every polygon vertex is checked.
+_NOT_SEQUENCES = (str, dict, set, frozenset)
+
+
 def as_pair(value, error: type, refusal: str) -> tuple:
     """The two items of a pair, or ``error(refusal.format(value))``.
 
-    A pair unpacks into exactly two items and is neither a ``str`` nor a
-    ``dict``, which would unpack into characters and keys: "10" is not
-    (1, 0).  The refusal is formatted only for a value that is refused.
+    A pair unpacks into exactly two items and is none of
+    ``_NOT_SEQUENCES``: "10" is not (1, 0), and {-2, 1} unpacks in hash
+    order.  The refusal is formatted only for a value that is refused.
     """
     try:
-        x, y = () if isinstance(value, (str, dict)) else value
+        x, y = () if isinstance(value, _NOT_SEQUENCES) else value
     except (TypeError, ValueError):
         raise error(refusal.format(value)) from None
     return x, y
@@ -87,9 +93,9 @@ def as_pair(value, error: type, refusal: str) -> tuple:
 def as_items(value, error: type, refusal: str) -> tuple:
     """The items of a sequence as a tuple, or ``error(refusal.format(value))``.
 
-    A sequence iterates and, like a pair, is neither a ``str`` nor a ``dict``.
+    A sequence iterates and, like a pair, is none of ``_NOT_SEQUENCES``.
     """
-    if not isinstance(value, (str, dict)):
+    if not isinstance(value, _NOT_SEQUENCES):
         try:
             return tuple(value)
         except TypeError:

@@ -195,9 +195,11 @@ def test_polygon_invariants():
             ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1, 2)),
              (Fraction(0), Fraction(1)))
         )
-    # A string vertex is not unpacked into its characters.
-    with pytest.raises(DomainError, match="coordinate pair"):
-        Polygon2D(("10", (1, 1), (0, 1)))
+    # A string vertex is not unpacked into its characters, nor a set vertex
+    # in hash order.
+    for bad in ("10", {Fraction(3, 2), Fraction(1, 2)}, frozenset({1, 2})):
+        with pytest.raises(DomainError, match="coordinate pair"):
+            Polygon2D(((2, 0), bad, (0, 2)))
     assert not is_weakly_convex(["10", (0, 1)])
 
 
@@ -218,7 +220,7 @@ def test_is_weakly_convex_examples():
         [(1, 0), (Fraction(1, 2), Fraction(1, 2)), (2, 1), (0, 1)]
     )
     assert is_weakly_convex([(1, 0), (0, 1)])
-    for bad in (5, None, "10"):
+    for bad in (5, None, "10", {(2, 0), (1, 1), (0, 2)}, frozenset({(1, 0), (0, 1)})):
         assert not is_weakly_convex(bad)
         with pytest.raises(DomainError, match="vertices must be a sequence"):
             Polygon2D(bad)
@@ -388,7 +390,7 @@ def test_rectilinear_validation():
         Rectilinear2D((r3,))
     touching = Rect(Fraction(1), Fraction(2), Fraction(0), Fraction(1))
     assert Rectilinear2D((r1, touching))
-    for bad in (5, None, {r1: 1}):
+    for bad in (5, None, {r1: 1}, {r1}, frozenset({r1, touching})):
         with pytest.raises(DomainError, match="rects must be a sequence"):
             Rectilinear2D(bad)
 

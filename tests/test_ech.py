@@ -20,6 +20,7 @@ from toricap import (
     action,
     cross_term,
     cube_bound,
+    cube_inclusion,
     delta,
     enumerate_orbit_sets,
     enumeration_truncated,
@@ -61,7 +62,8 @@ def test_orbit_validation():
         CombOrbit((-1, -1), 1)
     with pytest.raises(DomainError, match="nonzero"):
         CombOrbit((0, 0), 1)
-    for bad in ((True, False), (1.0, 0), (1, False), 5, (1,), (1, 0, 0), "10", {1: 0, 0: 1}):
+    for bad in ((True, False), (1.0, 0), (1, False), 5, (1,), (1, 0, 0), "10", {1: 0, 0: 1},
+                {1, -2}, frozenset({0, 1})):
         with pytest.raises(DomainError, match="integer pair"):
             CombOrbit(bad, 1)
     for bad in (True, 1.0, 2):
@@ -82,7 +84,8 @@ def test_orbit_set_validation():
         with pytest.raises(DomainError, match=">= 1"):
             CombOrbitSet(((e11, bad),))
     # Each factor's shape is checked before the factors are sorted.
-    for bad in (5, None, "ab", ((1, 2),), ((e11,),), ((e11, 1, 1),), ((e11, 1), 5)):
+    for bad in (5, None, "ab", ((1, 2),), ((e11,),), ((e11, 1, 1),), ((e11, 1), 5),
+                {(e11, 1)}, ((e11, 1), frozenset({e11, 2}))):
         with pytest.raises(DomainError, match="must pair a CombOrbit"):
             CombOrbitSet(bad)
 
@@ -645,13 +648,16 @@ def test_search_names_the_inclusion(om310):
     assert named == 5
 
 
+_POLYGON_MAKERS = (make_monotone_polygon, make_weakly_convex_polygon,
+                   lambda r: omega_a(F(r.randint(1, 11), 24)),
+                   lambda r: square_polygon(F(r.randint(1, 8), 4)))
+
+
 def test_search_never_obstructs_x_in_scaled_x():
     # X -> X and X -> (11/10) X are inclusions.  X -> 2 X is left out:
     # without a search budget, some of those searches run for seconds.
     rng = random.Random(2026)
-    makers = (make_monotone_polygon, make_weakly_convex_polygon,
-              lambda r: omega_a(F(r.randint(1, 11), 24)),
-              lambda r: square_polygon(F(r.randint(1, 8), 4)))
+    makers = _POLYGON_MAKERS
     searches = named = 0
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.alarm(30)
@@ -671,6 +677,80 @@ def test_search_never_obstructs_x_in_scaled_x():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert searches >= 100 and named >= 8
+
+
+class _PastAlarm(Exception):
+    pass
+
+
+def _raise_past_alarm(signum, frame):
+    raise _PastAlarm
+
+
+def _search_within(seconds, source, target, alpha):
+    """The vmax = 1, lmax = 2 search, or None when it runs past ``seconds``.
+
+    Without a search budget a few seeded searches run for seconds; the
+    property tests below leave those out of their count.
+    """
+    previous = signal.signal(signal.SIGALRM, _raise_past_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return obstruction_search(source, target, alpha, vmax=1, lmax=2)
+    except _PastAlarm:
+        return None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_shrinking_the_source_keeps_a_witness():
+    # Shrinking the source only lowers its supports and delta, and the pair
+    # conditions do not read the source: every FeasibleWitness X -> Y stays
+    # one from (9/10) X, (1/2) X and the inscribed square of X.
+    rng = random.Random(2027)
+    checks = 0
+    for _ in range(120):
+        x = _POLYGON_MAKERS[rng.randrange(len(_POLYGON_MAKERS))](rng)
+        y = scaled(x, rng.choice((F(1), F(11, 10))))
+        alpha = make_orbit_set(rng, vmax=2, max_mult=2, elliptic_only=True, max_size=2)
+        if orbit_invariants(alpha).index <= 0:
+            continue
+        report = _search_within(0.05, x, y, alpha)
+        if report is None or report.status is not SearchStatus.FEASIBLE_WITNESS:
+            continue
+        for smaller in (scaled(x, F(9, 10)), scaled(x, F(1, 2)),
+                        square_polygon(cube_inclusion(x))):
+            report = _search_within(0.05, smaller, y, alpha)
+            if report is not None:
+                assert report.status is SearchStatus.FEASIBLE_WITNESS, (smaller, y, alpha)
+                checks += 1
+    assert checks >= 60
+
+
+def test_search_never_obstructs_a_general_inclusion():
+    # X lies in Y: X is the inscribed square of Y, or another generated
+    # polygon halved until its vertices lie in Y (so all of it does, as Y
+    # is convex and holds the origin).
+    rng = random.Random(2028)
+    makers = (make_monotone_polygon, make_weakly_convex_polygon)
+    checks = 0
+    for _ in range(240):
+        y = makers[rng.randrange(2)](rng)
+        if rng.randrange(2):
+            x = square_polygon(cube_inclusion(y))
+        else:
+            x = makers[rng.randrange(2)](rng)
+            while not all(map(y.contains, x.vertices)):
+                x = scaled(x, F(1, 2))
+        alpha = make_orbit_set(rng, vmax=1, max_mult=2, elliptic_only=True, max_size=2)
+        if orbit_invariants(alpha).index <= 0:
+            continue
+        report = _search_within(0.05, x, y, alpha)
+        if report is not None:
+            assert report.status is not SearchStatus.INFEASIBLE_WITHIN_BOUNDS, (x, y, alpha)
+            checks += 1
+    assert checks >= 100
 
 
 def test_search_inconclusive_when_truncation_matters(om310):

@@ -65,7 +65,7 @@ def test_support_zero_vector(om310):
     # A bool is an int to Python, but not a direction component; a
     # direction is a pair.
     for v in ((True, False), (1, True), (1.5, 0), ("1", 0), (F(1), 0),
-              (1, 2, 3), (1,), 5, None, "12"):
+              (1, 2, 3), (1,), 5, None, "12", {-2, 1}, frozenset({1, 2})):
         with pytest.raises(InapplicableError, match="integer pair"):
             support(om310, v)
 
@@ -388,6 +388,8 @@ BAD_POINTS = [
     ("10", InapplicableError, "coordinate pair"),
     ({"a": 1, "b": 2}, InapplicableError, "coordinate pair"),
     ({"1": 0, "0": 1}, InapplicableError, "coordinate pair"),
+    ({F(3, 2), F(1, 5)}, InapplicableError, "coordinate pair"),
+    (frozenset({0, 1}), InapplicableError, "coordinate pair"),
     ((0.5, 0.25), DomainError, "not a rational"),
     ((0.5, 0.1), DomainError, "not a rational"),
     ((F(1, 2), 0.25), DomainError, "not a rational"),

@@ -80,7 +80,7 @@ def test_a_min_errors():
         a_min_brute([F(1, 2), F(1, 3)], 2000)  # 4001^2 > 16,000,000 points
     with pytest.raises(InapplicableError):
         a_min_closed([])
-    for bad in (5, None, "12", {"1": 0}):
+    for bad in (5, None, "12", {"1": 0}, {F(1, 2), F(1, 3)}, frozenset({F(1, 2)})):
         with pytest.raises(DomainError, match="fiber position must be a sequence"):
             a_min_closed(bad)
         with pytest.raises(DomainError, match="fiber position must be a sequence"):

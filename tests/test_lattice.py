@@ -27,7 +27,7 @@ from toricap import (
     square_polygon,
 )
 from toricap.domains import _canonical_chain
-from toricap.geometry import _slope_condition, cube_inclusion, delta, eta, is_monotone, support
+from toricap.geometry import cube_bound, cube_inclusion, delta, eta, is_monotone, support
 from toricap.rationals import parse_rational
 
 from generators import (
@@ -155,9 +155,18 @@ def oracle_answers(chain, levels, points, directions) -> dict:
         "on_boundary": [
             any(oracle_on_segment(p, a, b) for a, b in zip(loop, loop[1:])) for p in points
         ],
-        "slope_condition": edges[0][0] <= edges[0][1] and edges[-1][0] <= edges[-1][1],
+        "cube_bound": (x0 + y1) / 2
+        if edges[0][0] <= edges[0][1] and edges[-1][0] <= edges[-1][1]
+        else "tangent-slope condition fails: both end edges must satisfy dx <= dy",
         "support": [max(vx * x + vy * y for x, y in chain) for vx, vy in directions],
     }
+
+
+def _value_or_refusal(f, *args):
+    try:
+        return f(*args)
+    except InapplicableError as exc:
+        return str(exc)
 
 
 def lattice_answers(dom, levels, points, directions) -> dict:
@@ -172,7 +181,7 @@ def lattice_answers(dom, levels, points, directions) -> dict:
         "cl_slices": [tuple(dom.cl_slices(e)) for e in levels],
         "contains": [dom.contains(p) for p in points],
         "on_boundary": [dom.on_boundary(p) for p in points],
-        "slope_condition": _slope_condition(dom),
+        "cube_bound": _value_or_refusal(cube_bound, dom),
         "support": [support(dom, v) for v in directions],
     }
 
