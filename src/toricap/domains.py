@@ -472,14 +472,15 @@ class Rect:
     def __post_init__(self):
         ratios = []
         for name in _CORNERS:
-            value = getattr(self, name)
-            c = parse_rational(value)
+            c = getattr(self, name)
+            # Corners read from a document are Fractions already.
+            if type(c) is not Fraction:
+                c = parse_rational(c)
+                object.__setattr__(self, name, c)
             n, d = c.as_integer_ratio()
             # A Fraction's sign is its numerator's (the denominator is > 0).
             if n < 0:
                 raise DomainError("rectangle must lie in the positive quadrant")
-            if c is not value:
-                object.__setattr__(self, name, c)
             ratios.append((n, d))
         (x0n, x0d), (x1n, x1d), (y0n, y0d), (y1n, y1d) = ratios
         # p/q < r/s iff p s < r q, for q, s > 0.

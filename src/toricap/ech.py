@@ -32,8 +32,13 @@ denominators, so action is an integer dot product.  The index of a
 vector ``c`` is the linear plus quadratic form
 ``sum_i c_i (x_i + y_i + s_i) + sum_i sum_j c_i c_j max(x_i y_j, x_j y_i)``.
 ``CombOrbitSet`` objects and ``Fraction`` values are built only for the
-vectors that pass every integer test, so the cost of a search grows with
-the size of its multiplicity box, not with the denominators.
+vectors that pass every integer test, so the cost of a search does not
+grow with the denominators.  The sub-products of the test set are scanned
+a row at a time: along one factor's multiplicity the index is a quadratic
+and the action test linear, so each row's survivors are read off in
+closed form, and that phase costs one step per row plus one per survivor,
+not one per vector of the box.  The enumeration still visits the
+multiplicity vectors that the action cap allows over the candidate orbits.
 
 A search slot decides each condition of ``leq_relation`` once, in its
 enumeration: the index target is (i), the action cap (ii), and the count
@@ -557,6 +562,111 @@ def verify_witness(
 _SUB_PRODUCT_LIMIT = 1_000_000
 
 
+def _nonpositive_run(a: int, b: int, c: int):
+    """The integers t with ``a t^2 + b t + c <= 0``, for ``a > 0``.
+
+    They form one run, returned as its ends ``(lo, hi)`` (``lo > hi`` when
+    it is empty): the ceiling of the smaller real root ``(-b - sqrt D) / 2a``
+    and the floor of the larger, ``D = b^2 - 4ac``.  For an integer ``n``
+    and ``q >= 1``, ``floor((n + sqrt D) / q) = floor((n + isqrt(D)) / q)``,
+    so both ends are exact integer divisions.
+    """
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return 1, 0
+    r = math.isqrt(disc)
+    return -((b + r) // (2 * a)), (r - b) // (2 * a)
+
+
+def _sub_product_candidates(box, linear, cross, weight, cost, radius):
+    """The sub-products that pass the index and action tests, and the
+    number of those that the action test alone fails.
+
+    A sub-product is a nonzero vector ``c <= box`` over the factors.  It is
+    a candidate when its index (the form ``linear``, ``cross``) is
+    positive and ``radius * (weight . c - 1) <= cost . c``; one of positive
+    index that fails the second test is pruned.  Candidates are
+    ``(c, index, weight . c - 1, cost . c)``, larger ``sum(c)`` first, then
+    by ``c``.
+
+    The box is scanned row by row along a factor ``k`` of largest
+    multiplicity.  With ``t = c_k`` the rest of the row fixed, the index is
+    ``i0 + i1 t + x_k y_k t^2`` and the action test reads
+    ``slope * t <= room``.  So the kept ``t`` are one run, and the ``t`` of
+    positive index are one run, or when ``x_k y_k > 0`` the complement of
+    the run where the index is nonpositive; every run end is an integer
+    division or a ``_nonpositive_run``.  When ``x_k y_k = 0`` factor ``k``
+    is an elliptic axis direction, so ``i1 >= 0`` and the index does not
+    fall along the row.  Only candidates are built, so the cost is
+    ``box / (box[k] + 1)`` rows plus the candidates.  The empty product has
+    index 0, so no row needs to skip it.
+    """
+    k = max(range(len(box)), key=box.__getitem__)
+    m, square = box[k], cross[k][k]
+    rows = itertools.product(*((0,) if i == k else range(b + 1) for i, b in enumerate(box)))
+    candidates, pruned = [], 0
+    for row in rows:
+        i0 = sum(ci * (linear[i] + sum(map(mul, row, cross[i])))
+                 for i, ci in enumerate(row) if ci)
+        i1 = linear[k] + 2 * sum(map(mul, row, cross[k]))
+        count0 = sum(map(mul, row, weight)) - 1
+        cap0 = sum(map(mul, row, cost))
+        slope, room = radius * weight[k] - cost[k], cap0 - radius * count0
+        if slope > 0:
+            keep_lo, keep_hi = 0, room // slope
+        elif slope < 0:
+            keep_lo, keep_hi = -(room // -slope), m
+        else:
+            keep_lo, keep_hi = 0, (m if room >= 0 else -1)
+        if square > 0:
+            lo, hi = _nonpositive_run(square, i1, i0)
+            runs = ((0, lo - 1), (hi + 1, m))
+        elif square < 0:
+            # index > 0 iff -index + 1 <= 0
+            runs = (_nonpositive_run(-square, -i1, 1 - i0),)
+        elif i1 > 0:
+            runs = ((-((i0 - 1) // i1), m),)
+        else:
+            runs = ((0, m if i0 > 0 else -1),)
+        for lo, hi in runs:
+            lo, hi = max(lo, 0), min(hi, m)
+            if lo > hi:
+                continue
+            first, last = max(lo, keep_lo), min(hi, keep_hi)
+            pruned += hi - lo + 1 - max(last - first + 1, 0)
+            for t in range(first, last + 1):
+                candidates.append((row[:k] + (t,) + row[k + 1:], i0 + t * (i1 + t * square),
+                                   count0 + t * weight[k], cap0 + t * cost[k]))
+    candidates.sort(key=lambda c: (-sum(c[0]), c[0]))
+    return candidates, pruned
+
+
+def _assignments(options, vecs, cr_p, chosen=()):
+    """Each choice of one source set per slot that meets the joint conditions.
+
+    ``options[t]`` holds the matches of slot ``t``, whose target-side factor
+    vector is ``vecs[t]``; ``cr_p[i][t]`` is the cross term of the target-side
+    factors of slots ``i`` and ``t``.
+    """
+    t = len(chosen)
+    if t == len(vecs):
+        yield chosen
+        return
+    for a in options[t]:
+        # Each source set has its slot's index, which the enumeration
+        # targets, so every sub-product index matches its target-side
+        # counterpart iff every pair's cross terms do; the target side
+        # is already checked positive.  A witness must not repeat a
+        # hyperbolic orbit.
+        if not any(
+            (c == a or vecs[i] == vecs[t]) and _shares_orbits(c, a, s=1)
+            or _shares_orbits(c, a, s=0)
+            or cross_term(c, a) != cr_p[i][t]
+            for i, c in enumerate(chosen)
+        ):
+            yield from _assignments(options, vecs, cr_p, chosen + (a,))
+
+
 def obstruction_search(
     source: Polygon2D,
     target: Polygon2D,
@@ -577,11 +687,14 @@ def obstruction_search(
     enumeration and checked against all pairwise and subset conditions.
 
     Sub-products of the test set are its multiplicity vectors over its
-    factors, visited in ``itertools.product`` order.  The target supports
-    of the factor directions and the source diagonal radius are scaled to
-    integers over one common denominator, so the index (a quadratic form),
-    the target action and x' + y' + m' - 1 (dot products) and the pruning
-    inequality are integer arithmetic.  A factor stays a vector until its
+    factors.  The target supports of the factor directions and the source
+    diagonal radius are scaled to integers over one common denominator, so
+    the index (a quadratic form), the target action and x' + y' + m' - 1
+    (dot products) and the pruning inequality are integer arithmetic.
+    ``_sub_product_candidates`` scans the box in rows along the factor of
+    largest multiplicity m_k and decides each row's index and pruning
+    tests in closed form, so this phase costs ``box / (m_k + 1)`` rows
+    plus the surviving vectors.  A factor stays a vector until its
     slot is enumerated or a witness is built.  A slot's enumeration, with
     the factor's index, target action and ``min_count = x' + y' + m' - 1``,
     decides conditions (i)-(iii) of ``leq_relation``, so its sets are the
@@ -640,24 +753,11 @@ def obstruction_search(
     def orbit_set(vec) -> CombOrbitSet:
         return CombOrbitSet(tuple((o, c) for o, c in zip(basis, vec) if c))
 
-    candidates = []  # (vector, index, x' + y' + m' - 1, scaled target action)
-    pruned = 0
-    vectors = itertools.product(*(range(m + 1) for m in target_vec))
-    next(vectors)  # the empty product
-    for vec in vectors:
-        index = index_of(vec)
-        if index <= 0:
-            continue
-        count = sum(map(mul, vec, weight)) - 1
-        cap = sum(map(mul, vec, cost))
-        if radius * count > cap:
-            pruned += 1
-            continue
-        candidates.append((vec, index, count, cap))
-    # Deterministic ordering: larger factors first so single-factor
-    # decompositions are tried before fine splittings.
-    candidates.sort(key=lambda c: (-sum(c[0]), c[0]))
-
+    # (vector, index, x' + y' + m' - 1, scaled target action), larger
+    # factors first so single-factor decompositions are tried before fine
+    # splittings.
+    candidates, pruned = _sub_product_candidates(target_vec, linear, cross, weight,
+                                                 cost, radius)
     max_part = max((sum(c[0]) for c in candidates), default=0)
 
     def factorizations(start: int, remaining, slots):
@@ -684,26 +784,6 @@ def obstruction_search(
             ))
         return enum_cache[slot]
 
-    def assignments(options, vecs, cr_p, chosen=()):
-        """Each choice of one source set per slot that meets the joint conditions."""
-        t = len(chosen)
-        if t == len(vecs):
-            yield chosen
-            return
-        for a in options[t]:
-            # Each source set has its slot's index, which the enumeration
-            # targets, so every sub-product index matches its target-side
-            # counterpart iff every pair's cross terms do; the target side
-            # is already checked positive.  A witness must not repeat a
-            # hyperbolic orbit.
-            if not any(
-                (c == a or vecs[i] == vecs[t]) and _shares_orbits(c, a, s=1)
-                or _shares_orbits(c, a, s=0)
-                or cross_term(c, a) != cr_p[i][t]
-                for i, c in enumerate(chosen)
-            ):
-                yield from assignments(options, vecs, cr_p, chosen + (a,))
-
     explored, witness = 0, None
     for explored, slots in enumerate(factorizations(0, target_vec, ()), 1):
         vecs = [s[0] for s in slots]
@@ -714,7 +794,7 @@ def obstruction_search(
         if len(options) < len(slots):
             continue
         cr_p = [[vector_cross(a, b) for b in vecs] for a in vecs]
-        picked = next(assignments(options, vecs, cr_p), None)
+        picked = next(_assignments(options, vecs, cr_p), None)
         if picked is not None:
             witness = SearchWitness(_product_all(picked), picked, tuple(map(orbit_set, vecs)))
             break

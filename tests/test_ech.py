@@ -1,9 +1,12 @@
 """Orbit sets, index/action algebra, bounds, and the obstruction search."""
 
 import itertools
+import math
 import random
 import signal
+from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -38,9 +41,10 @@ from toricap import (
 
 from toricap import ech
 from toricap.ech import EMPTY_ORBIT_SET, candidate_orbits
+from toricap.rationals import over_common_denominator
 
 from generators import (
-    make_monotone_polygon, make_orbit_set, make_weakly_convex_polygon, scaled,
+    make_monotone_polygon, make_orbit, make_orbit_set, make_weakly_convex_polygon, scaled,
 )
 
 F = Fraction
@@ -604,7 +608,7 @@ def test_search_cube_obstruction_small(om310):
 
 
 def _on_alarm(signum, frame):
-    raise TimeoutError("obstruction search ran past its 30 s alarm")
+    raise TimeoutError("obstruction search ran past its alarm")
 
 
 def test_search_inclusion_d3_returns_witness(om310):
@@ -896,6 +900,25 @@ def test_search_drops_split_with_nonpositive_subproduct_index():
     assert report.bounds_used.enumerations_run == 2
 
 
+def test_assignment_refuses_a_shared_hyperbolic_orbit():
+    # Two slots of e(0,1), whose cross term is 0.  Each source set has the
+    # slot's index 2 and meets its count floor 1, the pair's cross term is 0
+    # and they share no elliptic orbit; but both hold h(-1,1), so their
+    # product repeats a hyperbolic orbit and is no orbit set.
+    slot = parse_orbit_set("e(0,1)")
+    c = parse_orbit_set("h(-1,1) * e(-1,1)^2 * h(1,1)")
+    a = parse_orbit_set("h(-1,1) * h(0,1) * e(0,1)")
+    for s in (c, a):
+        n = orbit_invariants(s)
+        assert n.index == orbit_invariants(slot).index == 2
+        assert 2 * (n.x + n.y) - n.h >= 2
+    assert cross_term(c, a) == cross_term(slot, slot) == 0
+    assert not ech._shares_orbits(c, a, s=1)
+    with pytest.raises(DomainError, match="hyperbolic"):
+        c.product(a)
+    assert list(ech._assignments([[c], [a]], [(1,), (1,)], [[0, 0], [0, 0]])) == []
+
+
 def _factor_counters_reference(source, target, alpha_prime):
     """Count every nonempty sub-product and those the action inequality prunes."""
     total = pruned = 0
@@ -934,3 +957,82 @@ def test_search_factor_counters_match_brute_loop(om310):
         cases += 1
         pruned_any += pruned > 0
     assert pruned_any >= 5
+
+
+def test_half_cube_search_cost_depends_on_size_not_degree(om310):
+    # At d = 576 the test set has 998,786 nonempty sub-products, just under
+    # the limit.  The row scan visits 3 * 577 rows and builds the 7 vectors
+    # that survive, where one step per vector ran for seconds.
+    alpha = parse_orbit_set("e(1,-1)^576 * e(-1,1)^576 * e(1,1)^2")
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(2)
+    try:
+        report = obstruction_search(square_polygon(F(1, 2)), om310, alpha, vmax=3, lmax=3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert report.status is SearchStatus.INFEASIBLE_WITHIN_BOUNDS
+    assert report.obstructed_a == F(1, 2)
+    assert report.bounds_used.candidate_factors == 998_786
+    assert report.bounds_used.factors_pruned == 124_749
+
+
+def _sub_products_reference(box, linear, cross, weight, cost, radius):
+    """One step per nonzero vector of the box, in ``itertools.product`` order."""
+    candidates, pruned = [], 0
+    for vec in itertools.product(*(range(m + 1) for m in box)):
+        index = sum(map(mul, vec, linear)) + sum(
+            ci * cj * cross[i][j] for i, ci in enumerate(vec) for j, cj in enumerate(vec)
+        )
+        if not any(vec) or index <= 0:
+            continue
+        count = sum(map(mul, vec, weight)) - 1
+        cap = sum(map(mul, vec, cost))
+        if radius * count > cap:
+            pruned += 1
+        else:
+            candidates.append((vec, index, count, cap))
+    candidates.sort(key=lambda c: (-sum(c[0]), c[0]))
+    return candidates, pruned
+
+
+def test_nonpositive_run_matches_brute_force():
+    for a, b, c in itertools.product(range(1, 5), range(-12, 13), range(-12, 13)):
+        lo, hi = ech._nonpositive_run(a, b, c)
+        assert [t for t in range(-30, 31) if a * t * t + b * t + c <= 0] == list(
+            range(lo, hi + 1)
+        ), (a, b, c)
+
+
+def test_row_scan_matches_per_vector_loop():
+    # The scanned factor is the first of largest multiplicity; its x y
+    # decides whether a row's positive-index values are a run or the
+    # complement of one, and the sign of the row's slope which end of the
+    # run the action test cuts.
+    rng = random.Random(83)
+    sign = lambda v: (v > 0) - (v < 0)
+    seen = Counter()
+    for _ in range(2000):
+        source, target = (_POLYGON_MAKERS[rng.randrange(len(_POLYGON_MAKERS))](rng)
+                          for _ in range(2))
+        orbits = sorted({make_orbit(rng, vmax=rng.choice((1, 3)), elliptic_only=True)
+                         for _ in range(rng.randint(1, 4))}, key=lambda o: o.key)
+        while True:
+            box = tuple(rng.randint(1, rng.choice((2, 6, 40))) for _ in orbits)
+            if math.prod(m + 1 for m in box) <= 300:
+                break
+        linear, cross = ech._index_form(orbits)
+        weight = [o.v[0] + o.v[1] + 1 for o in orbits]
+        _, scaled_values = over_common_denominator(
+            [delta(source)] + [support(target, o.v) for o in orbits]
+        )
+        form = (box, linear, cross, weight, scaled_values[1:], scaled_values[0])
+        candidates, pruned = ech._sub_product_candidates(*form)
+        assert (candidates, pruned) == _sub_products_reference(*form), form
+        k = box.index(max(box))
+        seen["xy", sign(cross[k][k])] += 1
+        seen["slope", sign(form[5] * weight[k] - form[4][k])] += 1
+        seen["pruned"] += pruned > 0
+        seen["kept"] += bool(candidates)
+    assert min(seen[key] for key in (("xy", -1), ("xy", 0), ("xy", 1), ("slope", -1),
+                                      ("slope", 1), "pruned", "kept")) >= 200, seen
