@@ -29,7 +29,8 @@ class (plus its entry in ``_KINDS``):
 * ``delta``, ``eta``, ``is_monotone``, ``cube_inclusion`` (read through
   :mod:`toricap.geometry`), ``contains(p)``, ``on_boundary(p)``;
 * ``simplex_inclusion`` and ``cylinder_cover`` for :mod:`toricap.capacities`;
-* on polygons only, ``support(v)`` and ``cube_bound`` for :mod:`toricap.geometry`;
+* on polygons only, ``support(v)`` and ``cube_bound`` for :mod:`toricap.geometry`,
+  and ``affordable_directions(cap, vmax)`` for :mod:`toricap.ech`;
 * ``cl_rules``, ``cl_slices(e)``, ``cl_candidates`` for
   :mod:`toricap.lagrangian`: the order of the Lagrangian-capacity rules,
   the closed intervals [lo, hi] where the domain meets the lines y = e
@@ -367,6 +368,32 @@ class Polygon2D(ToricDomain):
             raise InapplicableError("support direction must be nonzero")
         top = max(vx * x + vy * y for x, y in self._lattice.points)
         return Fraction(top, self._lattice.q)
+
+    def affordable_directions(self, cap: Fraction, vmax: int) -> tuple:
+        """The primitive integer directions v with |v_x|, |v_y| <= vmax and
+        0 < support(v) <= cap, sorted, as ``(q, [(v_x, v_y, top)])`` with
+        ``support(v) = top / q``.
+
+        With cap = N / D the test reads top * D <= N * q at every chain
+        point, so each row v_x gets its interval of v_y from the chain in
+        integers.  A row v_x <= 0 needs v_y >= 1 for a positive support, so
+        it costs at least the y-intercept, and a row v_x >= 1 at least v_x
+        times the x-intercept; a cap below both intercepts leaves no row.
+        The walk takes one step per row and one per direction of a row's
+        interval, each O(vertices).
+        """
+        q, points = self._lattice.q, self._lattice.points
+        budget, den = cap.numerator * q, cap.denominator
+        first = -vmax if points[-1][1] * den <= budget else 1
+        last = min(vmax, budget // (points[0][0] * den))
+        out = []
+        for vx in range(first, last + 1):
+            # Every chain point after the first has y > 0.
+            top_y = min(vmax, *((budget - vx * x * den) // (y * den) for x, y in points[1:]))
+            for vy in range(1 if vx <= 0 else -vmax, top_y + 1):
+                if math.gcd(vx, vy) == 1:
+                    out.append((vx, vy, max(vx * x + vy * y for x, y in points)))
+        return q, out
 
     @cached_property
     def cube_bound(self) -> Fraction:

@@ -26,10 +26,10 @@ On top of these the module provides:
 
 The search runs on integer multiplicity vectors over a fixed list of
 orbits (the factors of the test set, or the candidate orbits of an
-enumeration).  Supports are computed once per list and scaled, together
-with the action cap or the source diagonal radius, by the lcm of their
-denominators, so action is an integer dot product.  The index of a
-vector ``c`` is the linear plus quadratic form
+enumeration).  Supports are computed once per list and scaled to
+integers, together with the action cap or the source diagonal radius,
+over one common denominator, so action is an integer dot product.  The
+index of a vector ``c`` is the linear plus quadratic form
 ``sum_i c_i (x_i + y_i + s_i) + sum_i sum_j c_i c_j max(x_i y_j, x_j y_i)``.
 ``CombOrbitSet`` objects and ``Fraction`` values are built only for the
 vectors that pass every integer test, so the cost of a search does not
@@ -37,8 +37,10 @@ grow with the denominators.  The sub-products of the test set are scanned
 a row at a time: along one factor's multiplicity the index is a quadratic
 and the action test linear, so each row's survivors are read off in
 closed form, and that phase costs one step per row plus one per survivor,
-not one per vector of the box.  The enumeration still visits the
-multiplicity vectors that the action cap allows over the candidate orbits.
+not one per vector of the box.  A slot's enumeration reads only the
+affordable directions off the source lattice, and branches only on the
+multiplicities that its count cut on (iii) leaves open; with no index
+bound, it still visits every such vector that the action cap allows.
 
 A search slot decides each condition of ``leq_relation`` once, in its
 enumeration: the index target is (i), the action cap (ii), and the count
@@ -313,22 +315,17 @@ def candidate_orbits(domain: Polygon2D, action_cap: Fraction, vmax: int):
 
     Directions of nonpositive support are excluded: every closed orbit
     contributes a positive period, so they cannot occur.  Sorted
-    directions, hyperbolic first, give the canonical orbit order.
+    directions, hyperbolic first, give the canonical orbit order; they
+    come from ``Polygon2D.affordable_directions``.
     """
     _require_polygon(_POLYGON_ONLY, domain)
     if not is_count(vmax):
         raise InapplicableError(f"direction bound must be an integer >= 1, got {vmax!r}")
-    cap = parse_rational(action_cap)
-    out = []
-    for v in itertools.product(range(-vmax, vmax + 1), repeat=2):
-        # gcd(0, 0) = 0 drops the origin with the non-primitive directions.
-        if math.gcd(*v) != 1 or (v[0] < 0 and v[1] < 0):
-            continue
-        sup = support(domain, v)
-        if 0 < sup <= cap:
-            for s in (0, 1):
-                out.append((CombOrbit(v, s), sup))
-    return out
+    q, directions = domain.affordable_directions(parse_rational(action_cap), vmax)
+    return [
+        (CombOrbit((vx, vy), s), Fraction(top, q))
+        for vx, vy, top in directions for s in (0, 1)
+    ]
 
 
 def enumeration_truncated(domain: Polygon2D, action_cap: Fraction) -> bool:
@@ -368,28 +365,34 @@ def enumerate_orbit_sets(
 
     Deterministic and duplicate-free: sets are emitted in lexicographic
     order of their multiplicity vector over the canonically sorted
-    candidate list.  Within the stated bounds no valid set is skipped
-    (multiplicities are finite because every candidate costs a positive
-    action); ``enumeration_truncated`` reports whether the direction
-    bound itself may exclude affordable candidates.
+    candidate list of ``candidate_orbits``.  Within the stated bounds no
+    valid set is skipped (multiplicities are finite because every
+    candidate costs a positive action); ``enumeration_truncated`` reports
+    whether the direction bound itself may exclude affordable candidates.
 
-    The candidate supports and the cap are scaled to integers over the
-    lcm of their denominators, so the largest multiplicity of a candidate
-    is ``remaining // cost``.  The index is carried down the recursion:
-    adding ``m`` copies of candidate ``i`` adds
-    ``m * linear_i + m^2 * x_i y_i + 2 m * sum_j m_j cross_ij`` over the
-    candidates ``j`` already chosen.  A ``CombOrbitSet`` is built only
-    for a vector whose index equals the target.
+    With the cap ``N / D`` and the source's lattice denominator ``q``, a
+    direction of support ``top / q`` costs ``top * D`` against the budget
+    ``N * q``; every test below is homogeneous in the costs and the budget,
+    so this integer scale decides as any other would.  The largest
+    multiplicity of a candidate is ``remaining // cost``.  The index is
+    carried down the recursion: adding ``m`` copies of candidate ``i`` adds
+    ``m * (x_i + y_i + s_i) + m^2 * x_i y_i + 2 m * sum_j m_j max(x_i y_j,
+    x_j y_i)`` over the candidates ``j`` already chosen.  Orbit objects are
+    built only for a vector that is yielded.
 
     With ``min_count`` set, only sets with ``2 (x + y) - h >= 2 min_count``
     are yielded: condition (iii) of ``leq_relation`` when ``min_count`` is
     ``x' + y' + m' - 1`` of the target factor.  The recursion carries
-    ``x + y`` and ``h`` as it carries the index.  A branch is cut when even
-    the best ratio ``g/c`` of ``x + y`` per scaled cost among the remaining
-    candidates and the empty choice ``(0, 1)``, spent on the whole
-    remaining budget ``r``, cannot reach the floor
-    (``(min_count - xy) * c > r * g``); since ``h >= 0``, no cut branch
-    holds a set that meets it.
+    ``x + y`` and ``h`` as it carries the index.  No completion of a branch
+    with budget ``r`` left adds more than ``r * g/c`` to ``x + y``, where
+    ``g/c`` is the best ratio of ``x + y`` per cost among the remaining
+    candidates and the empty choice ``(0, 1)``, and ``h`` only grows along
+    a branch; so a branch with ``(2 (min_count - xy) + h) * c > 2 r g``
+    holds no set that meets the floor, and is cut.  After ``m`` copies of
+    candidate ``p`` the child's cut reads ``e > m * d``, where ``d``
+    depends on ``p`` alone and ``e`` on the branch's state, so the
+    multiplicities whose child survives it are one run with closed-form
+    ends, and only those are branched on.
     """
     _require_polygon(_POLYGON_ONLY, domain)
     if not is_count(vmax):
@@ -401,28 +404,32 @@ def enumerate_orbit_sets(
     if min_count is not None and not is_integer(min_count):
         raise InapplicableError(f"count floor must be an integer, got {min_count!r}")
     cap = parse_rational(action_cap)
-    if cap <= 0:
-        return iter(())
-    candidates = candidate_orbits(domain, cap, vmax)
-    orbits = [o for o, _ in candidates]
-    scale, scaled = over_common_denominator([cap] + [sup for _, sup in candidates])
-    budget, cost = scaled[0], scaled[1:]
-    linear, cross = _index_form(orbits)
-    gain = [o.v[0] + o.v[1] for o in orbits]
+    q, directions = domain.affordable_directions(cap, vmax)
+    budget = cap.numerator * q
+    # (x, y, s, cost) in the order of candidate_orbits.
+    candidates = [
+        (vx, vy, s, top * cap.denominator) for vx, vy, top in directions for s in (0, 1)
+    ]
     # cheapest[i]: least cost among candidates i, i+1, ...; once the
     # remaining budget is below it, every later multiplicity is 0.
-    cheapest = [budget + 1] * (len(orbits) + 1)
-    # best[i]: the (gain, cost) pair of largest gain/cost among candidates
-    # i, i+1, ... and the empty choice (0, 1).  No completion of a prefix
-    # with budget r left adds more than r * gain/cost to x + y.
-    best = [(0, 1)] * (len(orbits) + 1)
-    for i in range(len(orbits) - 1, -1, -1):
-        cheapest[i] = min(cost[i], cheapest[i + 1])
-        g, c = best[i + 1]
-        best[i] = (gain[i], cost[i]) if gain[i] * c > g * cost[i] else (g, c)
-    chosen: list = []  # (candidate position, multiplicity)
+    cheapest = [budget + 1] * (len(candidates) + 1)
+    # best[i]: (2 g, c) for the largest ratio g/c of gain x + y per cost
+    # among candidates i, i+1, ... and the empty choice (0, 1).
+    best = [(0, 1)] * (len(candidates) + 1)
+    # slope[p]: with m copies of candidate p, the cut of the child at p + 1
+    # reads e > m * slope[p], where e depends on the branch's state only.
+    slope = [0] * len(candidates)
+    for i in range(len(candidates) - 1, -1, -1):
+        x, y, _, cost = candidates[i]
+        cheapest[i] = min(cost, cheapest[i + 1])
+        g2, c = best[i + 1]
+        slope[i] = 2 * (x + y) * c - cost * g2
+        best[i] = (2 * (x + y), cost) if 2 * (x + y) * c > g2 * cost else (g2, c)
+    chosen: list = []  # (candidate, multiplicity)
 
     def rec(i: int, remaining: int, index: int, xy: int, h: int):
+        # Twice what x + y - h/2 still lacks of the floor; h only grows.
+        short = None if min_count is None else 2 * (min_count - xy) + h
         # Multiplicity 0 leaves the state as it is, so the run of zeros
         # from i is walked in a loop, with each position's cut and leaf
         # tests, up to the position k where one of them ends it.  Each
@@ -431,29 +438,43 @@ def enumerate_orbit_sets(
         # recursion goes one level deeper per nonzero multiplicity only.
         k = i
         while True:
-            if min_count is not None:
-                g, c = best[k]
-                if (min_count - xy) * c > remaining * g:
+            if short is not None:
+                g2, c = best[k]
+                if short * c > remaining * g2:
                     break
             if remaining < cheapest[k]:
-                if (chosen and index == index_target
-                        and (min_count is None or 2 * xy - h >= 2 * min_count)):
-                    yield CombOrbitSet(tuple((orbits[j], m) for j, m in chosen))
+                if chosen and index == index_target and (short is None or short <= 0):
+                    yield CombOrbitSet(tuple(
+                        (CombOrbit((x, y), s), m) for (x, y, s, _), m in chosen
+                    ))
                 break
             k += 1
         for p in range(k - 1, i - 1, -1):
-            max_m = remaining // cost[p]
-            if orbits[p].s == 0:
-                max_m = min(max_m, 1)
-            row = cross[p]
-            base = linear[p] + 2 * sum(m * row[j] for j, m in chosen)
-            diagonal = row[p]
-            # A hyperbolic candidate (s = 0) is taken at most once and adds 1 to h.
-            h_p = h + 1 - orbits[p].s
-            for m in range(1, max_m + 1):
-                chosen.append((p, m))
-                index_m = index + m * (base + m * diagonal)
-                yield from rec(p + 1, remaining - m * cost[p], index_m, xy + m * gain[p], h_p)
+            candidate = x, y, s, cost = candidates[p]
+            lo, hi, gain, h_p = 1, remaining // cost, x + y, h + 1 - s
+            if s == 0 and hi > 1:
+                # A hyperbolic candidate is taken at most once and adds 1 to h.
+                hi = 1
+            if short is not None:
+                g2, c = best[p + 1]
+                e, d = (short + 1 - s) * c - remaining * g2, slope[p]
+                if d > 0:
+                    lo = max(lo, -(-e // d))
+                elif d < 0:
+                    hi = min(hi, e // d)
+                elif e > 0:
+                    continue
+            if lo > hi:
+                continue
+            cross = 0  # sum_j m_j max(x y_j, x_j y) over the chosen candidates j
+            for (x_j, y_j, _, _), m in chosen:
+                a, b = x * y_j, x_j * y
+                cross += m * (a if a > b else b)
+            base, diagonal = gain + s + 2 * cross, x * y
+            for m in range(lo, hi + 1):
+                chosen.append((candidate, m))
+                yield from rec(p + 1, remaining - m * cost, index + m * (base + m * diagonal),
+                               xy + m * gain, h_p)
                 chosen.pop()
 
     return rec(0, budget, 0, 0, 0)

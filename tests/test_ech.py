@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import signal
+import sys
 from collections import Counter
 from fractions import Fraction
 from operator import mul
@@ -448,6 +449,131 @@ def test_enumerate_matches_one_call_per_candidate():
         yielded += len(got)
         floored += floor is not None and len(got) > 0
     assert yielded > 300 and floored >= 10
+
+
+def _candidate_orbits_reference(domain, cap, vmax):
+    """Every pair of the (2 vmax + 1)^2 box, its support tested one at a time."""
+    out = []
+    for v in itertools.product(range(-vmax, vmax + 1), repeat=2):
+        if math.gcd(*v) != 1 or (v[0] < 0 and v[1] < 0):
+            continue
+        sup = support(domain, v)
+        if 0 < sup <= cap:
+            for s in (0, 1):
+                out.append((CombOrbit(v, s), sup))
+    return out
+
+
+def test_candidate_orbits_match_box_walk():
+    # The row walk finds the orbits, order and supports of the box walk,
+    # for caps below, at and above each intercept.
+    rng = random.Random(97)
+    cases = empty = 0
+    for _ in range(150):
+        dom = _POLYGON_MAKERS[rng.randrange(len(_POLYGON_MAKERS))](rng)
+        vmax = rng.randint(1, 6)
+        for intercept in (dom.x_intercept, dom.y_intercept):
+            for cap in (intercept * F(rng.randint(1, 9), 10), intercept,
+                        intercept * F(rng.randint(11, 40), 10)):
+                got = candidate_orbits(dom, cap, vmax)
+                assert got == _candidate_orbits_reference(dom, cap, vmax)
+                assert all(type(sup) is Fraction for _, sup in got)
+                cases += 1
+                empty += not got
+    assert cases == 900 and 100 < empty < 800
+
+
+def test_slot_below_smaller_intercept_closes_at_once(om310):
+    # Every affordable direction costs at least one intercept (2/5 on both
+    # axes here), so a smaller cap has no candidate at any direction bound.
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(1)
+    try:
+        orbits = candidate_orbits(om310, F(1, 3), 10**9)
+        sets = [list(enumerate_orbit_sets(om310, F(1, 3), target, 10**9, min_count=floor))
+                for target in (1, 4) for floor in (None, 0)]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert orbits == [] and sets == [[]] * 4
+    assert not enumeration_truncated(om310, F(1, 3))
+
+
+def test_count_cut_counts_hyperbolic_orbits():
+    # On the square 1/2 every first-quadrant direction adds 2 to x + y per
+    # unit of action, the best rate, so a floor of twice the cap admits no
+    # hyperbolic orbit: each one adds 1/2 to h.  The cut counts the h of
+    # the orbits already chosen and ends those branches at once.  A cut
+    # that ignored h walked every mix of hyperbolic and elliptic
+    # first-quadrant orbits: 23 s on a 2-vCPU machine where this takes 0.2 s.
+    square = square_polygon(F(1, 2))
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(1)
+    try:
+        sets = list(enumerate_orbit_sets(square, F(160), 26080, 1, min_count=320))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert list(map(format_orbit_set, sets)) == [
+        "e(1,1)^160",
+        "e(1,0)^214 * e(1,1)^53",
+        "e(0,1)^11 * e(1,0)^231 * e(1,1)^39",
+        "e(0,1)^214 * e(1,1)^53",
+        "e(0,1)^231 * e(1,0)^11 * e(1,1)^39",
+    ]
+
+
+def _child_calls(run):
+    """Runs ``run()`` and returns the calls of the enumeration's recursion
+    below the first one of each enumeration, and how many of them the count
+    cut ends on entry."""
+    rec = next(c for c in ech.enumerate_orbit_sets.__code__.co_consts
+               if getattr(c, "co_name", None) == "rec")
+    seen, counts = set(), Counter()
+
+    def profile(frame, event, arg):
+        # A generator's frame reports a "call" on every resumption.
+        if event != "call" or frame.f_code is not rec or frame in seen:
+            return
+        seen.add(frame)
+        f = frame.f_locals
+        if f["chosen"]:  # a child: the first call of an enumeration has chosen nothing
+            # The best gain x + y per cost among the candidates left, or 0.
+            rate = max([F(0)] + [F(x + y, cost) for x, y, _, cost in f["candidates"][f["i"]:]])
+            counts["calls"] += 1
+            counts["cut"] += 2 * (f["min_count"] - f["xy"]) + f["h"] > 2 * f["remaining"] * rate
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return counts["calls"], counts["cut"]
+
+
+def test_enumeration_makes_no_child_call_that_its_cut_ends():
+    # The multiplicities whose child the count cut would end on entry are
+    # never branched on, with or without hyperbolic orbits in the branch.
+    rng = random.Random(89)
+    calls = 0
+    for _ in range(40):
+        dom = _POLYGON_MAKERS[rng.randrange(len(_POLYGON_MAKERS))](rng)
+        vmax = rng.randint(1, 3)
+        cap = min(dom.x_intercept, dom.y_intercept) * F(rng.randint(8, 30), 8)
+        floor = rng.randint(0, 6)
+        made, cut = _child_calls(
+            lambda: list(enumerate_orbit_sets(dom, cap, rng.randint(0, 12), vmax, min_count=floor)))
+        assert cut == 0
+        calls += made
+    om310 = omega_a(F(3, 10))
+    alpha = parse_orbit_set("e(1,-1)^3 * e(-1,1)^3 * e(1,1)^2")
+    for source, target in ((square_polygon(F(1, 2)), square_polygon(F(1, 2))),
+                           (square_polygon(F(2, 5)), om310)):
+        made, cut = _child_calls(lambda: obstruction_search(source, target, alpha, 3, 3))
+        assert cut == 0
+        calls += made
+    assert calls > 2000
 
 
 def _subset_indices_reference(alpha_factors, alpha_prime_factors):
