@@ -118,7 +118,7 @@ REPORT_DOCS = {
 }
 
 
-@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 @pytest.mark.parametrize("name", sorted(REPORT_DOCS))
 def test_report_golden(tmp_path, name, fmt):
     # One domain of each kind; Omega_3/10 has eta = delta, so the polygon
@@ -127,7 +127,7 @@ def test_report_golden(tmp_path, name, fmt):
     path.write_text(json.dumps(REPORT_DOCS[name]))
     cp = run_cli("report", str(path), "--format", fmt)
     assert cp.returncode == 0, cp.stderr
-    suffix = "txt" if fmt == "table" else "json"
+    suffix = "txt" if fmt == "table" else fmt
     assert cp.stdout == (GOLDEN / f"report_{name}.{suffix}").read_text()
 
 

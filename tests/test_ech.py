@@ -1,5 +1,6 @@
 """Orbit sets, index/action algebra, bounds, and the obstruction search."""
 
+import contextlib
 import itertools
 import math
 import random
@@ -54,6 +55,33 @@ F = Fraction
 @pytest.fixture
 def om310():
     return omega_a(F(3, 10))
+
+
+class DeadlinePassed(TimeoutError):
+    """A block ran past the seconds that its ``deadline`` gave it."""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise ``DeadlinePassed`` in the block once ``seconds`` of wall time pass.
+
+    An alarm that lands after the block ends but before the timer is
+    disarmed raises from the ``with`` statement itself, so a caller that
+    reads the exception catches it outside the block.  The previous
+    SIGALRM handler comes back either way.
+    """
+    def on_alarm(signum, frame):
+        raise DeadlinePassed(f"ran past its {seconds} s deadline")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        yield
+    finally:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        finally:
+            signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +514,10 @@ def test_candidate_orbits_match_box_walk():
 def test_slot_below_smaller_intercept_closes_at_once(om310):
     # Every affordable direction costs at least one intercept (2/5 on both
     # axes here), so a smaller cap has no candidate at any direction bound.
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(1)
-    try:
+    with deadline(1):
         orbits = candidate_orbits(om310, F(1, 3), 10**9)
         sets = [list(enumerate_orbit_sets(om310, F(1, 3), target, 10**9, min_count=floor))
                 for target in (1, 4) for floor in (None, 0)]
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert orbits == [] and sets == [[]] * 4
     assert not enumeration_truncated(om310, F(1, 3))
 
@@ -507,13 +530,8 @@ def test_count_cut_counts_hyperbolic_orbits():
     # that ignored h walked every mix of hyperbolic and elliptic
     # first-quadrant orbits: 23 s on a 2-vCPU machine where this takes 0.2 s.
     square = square_polygon(F(1, 2))
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(1)
-    try:
+    with deadline(1):
         sets = list(enumerate_orbit_sets(square, F(160), 26080, 1, min_count=320))
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert list(map(format_orbit_set, sets)) == [
         "e(1,1)^160",
         "e(1,0)^214 * e(1,1)^53",
@@ -733,23 +751,14 @@ def test_search_cube_obstruction_small(om310):
     assert not report.bounds_used.enumeration_truncated
 
 
-def _on_alarm(signum, frame):
-    raise TimeoutError("obstruction search ran past its alarm")
-
-
 def test_search_inclusion_d3_returns_witness(om310):
     # Inclusions that the per-factor pruning does not close: the slot
     # enumerations must finish, and an inclusion is never obstructed.
     alpha = parse_orbit_set("e(1,-1)^3 * e(-1,1)^3 * e(1,1)^2")
     cases = [(square_polygon(F(1, 2)), square_polygon(F(1, 2))),
              (square_polygon(F(2, 5)), om310)]
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(30)
-    try:
+    with deadline(30):
         reports = [obstruction_search(s, t, alpha, vmax=3, lmax=3) for s, t in cases]
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     for (source, target), report in zip(cases, reports):
         assert report.status is SearchStatus.FEASIBLE_WITNESS
         assert verify_witness(source, target, report.witness, alpha)
@@ -789,9 +798,7 @@ def test_search_never_obstructs_x_in_scaled_x():
     rng = random.Random(2026)
     makers = _POLYGON_MAKERS
     searches = named = 0
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(30)
-    try:
+    with deadline(30):
         for _ in range(120):
             dom = makers[rng.randrange(len(makers))](rng)
             alpha = make_orbit_set(rng, vmax=2, max_mult=2, elliptic_only=True,
@@ -803,18 +810,7 @@ def test_search_never_obstructs_x_in_scaled_x():
                 assert report.status is not SearchStatus.INFEASIBLE_WITHIN_BOUNDS
                 searches += 1
                 named += report.reason is not None
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert searches >= 100 and named >= 8
-
-
-class _PastAlarm(Exception):
-    pass
-
-
-def _raise_past_alarm(signum, frame):
-    raise _PastAlarm
 
 
 def _search_within(seconds, source, target, alpha):
@@ -823,15 +819,27 @@ def _search_within(seconds, source, target, alpha):
     Without a search budget a few seeded searches run for seconds; the
     property tests below leave those out of their count.
     """
-    previous = signal.signal(signal.SIGALRM, _raise_past_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        return obstruction_search(source, target, alpha, vmax=1, lmax=2)
-    except _PastAlarm:
+        with deadline(seconds):
+            return obstruction_search(source, target, alpha, vmax=1, lmax=2)
+    except DeadlinePassed:
         return None
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+
+
+def test_search_within_reads_a_late_alarm_as_past(monkeypatch, om310):
+    # The alarm can land after the search returns but before the timer is
+    # disarmed: the deadline exception then comes from the disarm itself.
+    arm = signal.setitimer
+
+    def disarm_late(which, seconds, interval=0.0):
+        arm(which, seconds, interval)
+        if seconds == 0:
+            raise DeadlinePassed("landed while disarming")
+
+    before = signal.getsignal(signal.SIGALRM)
+    monkeypatch.setattr(signal, "setitimer", disarm_late)
+    assert _search_within(30, om310, om310, parse_orbit_set("e(1,1)")) is None
+    assert signal.getsignal(signal.SIGALRM) is before
 
 
 def test_shrinking_the_source_keeps_a_witness():
@@ -1090,13 +1098,8 @@ def test_half_cube_search_cost_depends_on_size_not_degree(om310):
     # the limit.  The row scan visits 3 * 577 rows and builds the 7 vectors
     # that survive, where one step per vector ran for seconds.
     alpha = parse_orbit_set("e(1,-1)^576 * e(-1,1)^576 * e(1,1)^2")
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(2)
-    try:
+    with deadline(2):
         report = obstruction_search(square_polygon(F(1, 2)), om310, alpha, vmax=3, lmax=3)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert report.status is SearchStatus.INFEASIBLE_WITHIN_BOUNDS
     assert report.obstructed_a == F(1, 2)
     assert report.bounds_used.candidate_factors == 998_786

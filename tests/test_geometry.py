@@ -6,7 +6,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from toricap import (
     CLRule,
@@ -39,6 +38,7 @@ from generators import (
     make_weakly_convex_polygon,
     rect_contains,
     rects_meet,
+    scaled,
 )
 
 F = Fraction
@@ -74,26 +74,31 @@ rng_polygons = [
     make_weakly_convex_polygon(random.Random(seed)) for seed in range(12)
 ] + [make_monotone_polygon(random.Random(seed)) for seed in range(12)]
 
-
-@given(
-    poly=st.sampled_from(rng_polygons),
-    v=st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda v: v != (0, 0)),
-    k=st.integers(1, 5),
-)
-def test_support_homogeneous(poly, v, k):
-    assert support(poly, (k * v[0], k * v[1])) == k * support(poly, v)
+DIRECTIONS = [(x, y) for x in range(-6, 7) for y in range(-6, 7) if (x, y) != (0, 0)]
 
 
-@given(
-    poly=st.sampled_from(rng_polygons),
-    v=st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda v: v != (0, 0)),
-    w=st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda v: v != (0, 0)),
-)
-def test_support_subadditive(poly, v, w):
-    s = (v[0] + w[0], v[1] + w[1])
-    if s == (0, 0):
-        return
-    assert support(poly, s) <= support(poly, v) + support(poly, w)
+def test_support_homogeneous():
+    for poly in rng_polygons:
+        for v in DIRECTIONS:
+            once = support(poly, v)
+            for k in range(1, 6):
+                assert support(poly, (k * v[0], k * v[1])) == k * once, (poly, v, k)
+
+
+def test_support_subadditive():
+    rng = random.Random(73)
+    corners = [(x, y) for x in (-6, 6) for y in (-6, 6)]
+    pairs = [(v, w) for v in corners for w in corners]
+    pairs += [(rng.choice(DIRECTIONS), rng.choice(DIRECTIONS)) for _ in range(100)]
+    checks = 0
+    for v, w in pairs:
+        s = (v[0] + w[0], v[1] + w[1])
+        if s == (0, 0):
+            continue
+        poly = rng.choice(rng_polygons)
+        assert support(poly, s) <= support(poly, v) + support(poly, w), (poly, v, w)
+        checks += 1
+    assert checks >= 100
 
 
 # ---------------------------------------------------------------------------
@@ -231,33 +236,27 @@ def test_delta_eta_monotone_under_scaling():
         assert eta(smaller) <= eta(poly)
 
 
-def _scaled(dom, c):
-    if isinstance(dom, Polygon2D):
-        return Polygon2D(tuple((c * x, c * y) for x, y in dom.vertices))
-    return Rectilinear2D(tuple(Rect(c * r.x0, c * r.x1, c * r.y0, c * r.y1) for r in dom.rects))
-
-
-@given(seed=st.integers(0, 2**32), num=st.integers(1, 10**9), den=st.integers(1, 10**9))
-@settings(max_examples=40, deadline=None)
-def test_invariants_scale_with_the_domain(seed, num, den):
+def test_invariants_scale_with_the_domain():
     # Scaling by c > 0 scales the radii, the inscribed cube and the slab,
     # and keeps the monotone test and the c_L rule; the certificate's
     # bracket and witness scale with the domain.
-    rng, c = random.Random(seed), F(num, den)
-    domains = [make_weakly_convex_polygon(rng), make_monotone_polygon(rng),
-               make_staircase(rng, max_den=10**6), make_touching_union(rng),
-               _random_rectilinear(rng)]
-    for dom in domains:
-        big = _scaled(dom, c)
-        for f in (delta, eta, cube_inclusion):
-            assert f(big) == c * f(dom), (dom, c, f)
-        assert big.cylinder_cover == c * dom.cylinder_cover
-        assert is_monotone(big) == is_monotone(dom)
-        mine, theirs = lagrangian_capacity(dom), lagrangian_capacity(big)
-        assert theirs.rule is mine.rule, (dom, c)
-        assert (theirs.lower, theirs.upper) == (c * mine.lower, c * mine.upper)
-        assert theirs.witness == (None if mine.witness is None
-                                  else tuple(c * w for w in mine.witness))
+    rng = random.Random(79)
+    ends = [F(num, den) for num in (1, 10**9) for den in (1, 10**9)]
+    for c in ends + [F(rng.randint(1, 10**9), rng.randint(1, 10**9)) for _ in range(36)]:
+        domains = [make_weakly_convex_polygon(rng), make_monotone_polygon(rng),
+                   make_staircase(rng, max_den=10**6), make_touching_union(rng),
+                   _random_rectilinear(rng)]
+        for dom in domains:
+            big = scaled(dom, c)
+            for f in (delta, eta, cube_inclusion):
+                assert f(big) == c * f(dom), (dom, c, f)
+            assert big.cylinder_cover == c * dom.cylinder_cover
+            assert is_monotone(big) == is_monotone(dom)
+            mine, theirs = lagrangian_capacity(dom), lagrangian_capacity(big)
+            assert theirs.rule is mine.rule, (dom, c)
+            assert (theirs.lower, theirs.upper) == (c * mine.lower, c * mine.upper)
+            assert theirs.witness == (None if mine.witness is None
+                                      else tuple(c * w for w in mine.witness))
 
 
 # ---------------------------------------------------------------------------
