@@ -13,19 +13,16 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .domains import Polygon2D, ToricDomain
 from .errors import DomainError, InapplicableError
 from .geometry import cube_bound, cube_inclusion, delta, eta, is_monotone
 from .lagrangian import CLCertificate, lagrangian_capacity
-from .rationals import Interval, format_rational, parse_rational
+from .rationals import Interval, Value, format_rational, parse_rational
 
 
-@dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(Value):
     delta: Fraction
     eta: Fraction
     c_L: CLCertificate
@@ -116,8 +113,7 @@ def capacity_report(domain: ToricDomain) -> CapacityReport:
     )
 
 
-@dataclass(frozen=True)
-class XaCheck:
+class XaCheck(Value):
     a: Fraction
     passed: bool
     expected_cp: Fraction
@@ -204,7 +200,7 @@ def _cl_cell(cert: CLCertificate) -> str:
     return f"{format_rational(cert.lower)}..{format_rational(cert.upper)}"
 
 
-def report_csv_row(report: CapacityReport, a: Optional[Fraction] = None) -> list:
+def report_csv_row(report: CapacityReport, a: Fraction | None = None) -> list:
     row = [
         "" if a is None else format_rational(a),
         format_rational(report.delta),

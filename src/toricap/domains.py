@@ -38,11 +38,12 @@ class (plus its entry in ``_KINDS``):
   positions of an interval.
 
 The invariants are ``functools.cached_property`` members, computed at
-most once per instance and kept in the instance ``__dict__``, outside
-the dataclass fields, so equality, hashing, ``repr`` and serialization
-ignore them; a member that raises caches nothing and raises again.  The
-structures a constructor builds (a polygon's ``_lattice``, a union's
-``_grid``) are kept there too.  All types are immutable values.
+most once per instance and kept in the instance ``__dict__`` beside the
+fields that ``rationals.Value`` compares, hashes and shows, so equality,
+hashing, ``repr`` and serialization ignore them; a member that raises
+caches nothing and raises again.  The structures a constructor builds (a
+polygon's ``_lattice``, a union's ``_grid``) are kept there too.  All
+types are immutable values.
 Constructors coerce every rational field through ``parse_rational``, and
 the planar ``contains`` and ``on_boundary`` coerce their point the same way
 (``_point``); a dimension ``n`` must be an int, not a bool.
@@ -54,13 +55,12 @@ import json
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, InapplicableError
 from .rationals import (
-    as_items, as_pair, format_rational, is_count, is_integer, over_common_denominator,
+    Value, as_items, as_pair, format_rational, is_count, is_integer, over_common_denominator,
     parse_rational,
 )
 
@@ -68,7 +68,7 @@ STANDARD_KINDS = ("ball", "cylinder", "cube", "nduc")
 ZERO = Fraction(0)
 
 
-class ToricDomain:
+class ToricDomain(Value):
     """Base class of the domain kinds; the module docstring lists the protocol."""
 
 
@@ -85,7 +85,6 @@ def _require_polygon(refusal: str, *domains) -> None:
         raise InapplicableError(refusal)
 
 
-@dataclass(frozen=True)
 class StandardDomain(ToricDomain):
     """One of the four standard moment regions, of size ``a`` in dimension ``n``."""
 
@@ -99,14 +98,15 @@ class StandardDomain(ToricDomain):
     is_monotone = True
     cl_rules = ("MonotoneDiagonal",)
 
-    def __post_init__(self):
-        if self.kind not in STANDARD_KINDS:
-            raise DomainError(f"unknown standard domain kind: {self.kind!r}")
-        if not is_count(self.n):
-            raise DomainError(f"dimension must be an integer >= 1, got {self.n!r}")
-        object.__setattr__(self, "a", parse_rational(self.a))
-        if self.a <= 0:
-            raise DomainError(f"size must be positive, got {self.a}")
+    def __init__(self, kind, n, a):
+        if kind not in STANDARD_KINDS:
+            raise DomainError(f"unknown standard domain kind: {kind!r}")
+        if not is_count(n):
+            raise DomainError(f"dimension must be an integer >= 1, got {n!r}")
+        a = parse_rational(a)
+        if a <= 0:
+            raise DomainError(f"size must be positive, got {a}")
+        self.__dict__.update(kind=kind, n=n, a=a)
 
     @cached_property
     def delta(self) -> Fraction:
@@ -269,7 +269,6 @@ def _chord(planes, level: Fraction, q: int) -> list:
     return [(Fraction(lo[0], lo[1] * scale), Fraction(hi[0], hi[1] * scale))]
 
 
-@dataclass(frozen=True)
 class Polygon2D(ToricDomain):
     """Weakly convex planar domain, stored as its canonical boundary chain.
 
@@ -288,10 +287,9 @@ class Polygon2D(ToricDomain):
     n = 2
     cl_rules = ("MonotoneDiagonal", "EtaOnBoundary", "LatticeWitness")
 
-    def __post_init__(self):
-        chain, lattice = _canonical_chain(self.vertices)
-        object.__setattr__(self, "vertices", chain)
-        object.__setattr__(self, "_lattice", lattice)
+    def __init__(self, vertices):
+        chain, lattice = _canonical_chain(vertices)
+        self.__dict__.update(vertices=chain, _lattice=lattice)
 
     @property
     def x_intercept(self) -> Fraction:
@@ -487,8 +485,7 @@ def is_weakly_convex(vertices_or_polygon) -> bool:
 _CORNERS = ("x0", "x1", "y0", "y1")
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(Value):
     """Closed axis-aligned rectangle [x0, x1] x [y0, y1]."""
 
     x0: Fraction
@@ -496,25 +493,25 @@ class Rect:
     y0: Fraction
     y1: Fraction
 
-    def __post_init__(self):
+    def __init__(self, x0, x1, y0, y1):
+        corners = []
         ratios = []
-        for name in _CORNERS:
-            c = getattr(self, name)
+        for c in (x0, x1, y0, y1):
             # Corners read from a document are Fractions already.
             if type(c) is not Fraction:
                 c = parse_rational(c)
-                object.__setattr__(self, name, c)
             n, d = c.as_integer_ratio()
             # A Fraction's sign is its numerator's (the denominator is > 0).
             if n < 0:
                 raise DomainError("rectangle must lie in the positive quadrant")
+            corners.append(c)
             ratios.append((n, d))
+        x0, x1, y0, y1 = corners
         (x0n, x0d), (x1n, x1d), (y0n, y0d), (y1n, y1d) = ratios
         # p/q < r/s iff p s < r q, for q, s > 0.
         if not (x0n * x1d < x1n * x0d and y0n * y1d < y1n * y0d):
-            raise DomainError(
-                f"degenerate rectangle [{self.x0},{self.x1}]x[{self.y0},{self.y1}]"
-            )
+            raise DomainError(f"degenerate rectangle [{x0},{x1}]x[{y0},{y1}]")
+        self.__dict__.update(x0=x0, x1=x1, y0=y0, y1=y1)
 
 
 def _floor_ceil(v: Fraction, q: int) -> tuple:
@@ -645,7 +642,6 @@ class _Coverage:
         )
 
 
-@dataclass(frozen=True)
 class Rectilinear2D(ToricDomain):
     """Connected union of axis-aligned rectangles touching a coordinate axis.
 
@@ -668,8 +664,8 @@ class Rectilinear2D(ToricDomain):
     # value either way, since a staircase has diagonal radius equal to eta).
     cl_rules = ("LatticeWitness", "MonotoneDiagonal", "EtaOnBoundary")
 
-    def __post_init__(self):
-        rects = as_items(self.rects, DomainError, "rects must be a sequence, got {!r}")
+    def __init__(self, rects):
+        rects = as_items(rects, DomainError, "rects must be a sequence, got {!r}")
         if not rects:
             raise DomainError("rectilinear domain needs at least one rectangle")
         for r in rects:
@@ -682,8 +678,7 @@ class Rectilinear2D(ToricDomain):
             raise DomainError(
                 "union must contain a neighborhood of a boundary-axis point"
             )
-        object.__setattr__(self, "rects", rects)
-        object.__setattr__(self, "_grid", _Coverage(q, boxes))
+        self.__dict__.update(rects=rects, _grid=_Coverage(q, boxes))
 
     @cached_property
     def delta(self) -> Fraction:

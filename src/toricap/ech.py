@@ -54,17 +54,16 @@ import itertools
 import math
 import re
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
 from operator import mul
-from typing import Iterator, Optional
 
 from .domains import Polygon2D, _require_polygon
 from .errors import DomainError, InapplicableError
 from .geometry import cube_bound, delta, support
 from .rationals import (
-    as_items, as_pair, is_count, is_integer, over_common_denominator, parse_rational,
+    Value, as_items, as_pair, is_count, is_integer, over_common_denominator, parse_rational,
 )
 
 
@@ -75,44 +74,42 @@ _POLYGON_ONLY = "orbit-set actions are defined on polygon domains"
 # Orbits and orbit sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CombOrbit:
+class CombOrbit(Value):
     """Primitive direction (x, y) with elliptic marker s = 1 or hyperbolic s = 0."""
 
     v: tuple
     s: int
 
-    def __post_init__(self):
+    def __init__(self, v, s):
         refusal = "orbit direction must be an integer pair, got {!r}"
-        x, y = as_pair(self.v, DomainError, refusal)
+        x, y = as_pair(v, DomainError, refusal)
         if not (is_integer(x) and is_integer(y)):
-            raise DomainError(refusal.format(self.v))
+            raise DomainError(refusal.format(v))
         if (x, y) == (0, 0):
             raise DomainError("orbit direction must be nonzero")
         if math.gcd(abs(x), abs(y)) != 1:
-            raise DomainError(f"orbit direction {self.v} is not primitive")
+            raise DomainError(f"orbit direction {v} is not primitive")
         if x < 0 and y < 0:
             raise DomainError(
-                f"orbit direction {self.v} must have a nonnegative component"
+                f"orbit direction {v} must have a nonnegative component"
             )
-        if not is_integer(self.s) or self.s not in (0, 1):
-            raise DomainError(f"orbit marker must be 0 or 1, got {self.s!r}")
-        object.__setattr__(self, "v", (x, y))
+        if not is_integer(s) or s not in (0, 1):
+            raise DomainError(f"orbit marker must be 0 or 1, got {s!r}")
+        self.__dict__.update(v=(x, y), s=s)
 
     @property
     def key(self):
         return (self.v[0], self.v[1], self.s)
 
 
-@dataclass(frozen=True)
-class CombOrbitSet:
+class CombOrbitSet(Value):
     """Formal product of distinct orbits with multiplicities, canonically sorted."""
 
     factors: tuple  # of (CombOrbit, multiplicity)
 
-    def __post_init__(self):
+    def __init__(self, factors):
         refusal = "factors must pair a CombOrbit with a multiplicity, got {!r}"
-        items = as_items(self.factors, DomainError, refusal)
+        items = as_items(factors, DomainError, refusal)
         factors = [as_pair(f, DomainError, refusal) for f in items]
         for f in factors:
             if not isinstance(f[0], CombOrbit):
@@ -127,7 +124,7 @@ class CombOrbitSet:
             if orbit in seen:
                 raise DomainError(f"repeated orbit {orbit} in orbit set")
             seen.add(orbit)
-        object.__setattr__(self, "factors", factors)
+        self.__dict__.update(factors=factors)
 
     def __bool__(self):
         return bool(self.factors)
@@ -146,13 +143,15 @@ class CombOrbitSet:
 EMPTY_ORBIT_SET = CombOrbitSet(())
 
 
-@dataclass(frozen=True)
-class OrbitNumbers:
+class OrbitNumbers(Value):
     x: int
     y: int
     index: int
     m: int
     h: int
+
+    def __init__(self, x, y, index, m, h):
+        self.__dict__.update(x=x, y=y, index=index, m=m, h=h)
 
 
 def orbit_invariants(alpha: CombOrbitSet) -> OrbitNumbers:
@@ -248,10 +247,9 @@ def format_orbit_set(alpha: CombOrbitSet) -> str:
 # Factor comparison and closed-form bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LeqResult:
+class LeqResult(Value):
     holds: bool
-    failed: Optional[str]  # "i" | "ii" | "iii" when not holding
+    failed: str | None  # "i" | "ii" | "iii" when not holding
 
 
 def leq_relation(
@@ -359,7 +357,7 @@ def enumerate_orbit_sets(
     action_cap: Fraction,
     index_target: int,
     vmax: int,
-    min_count: Optional[int] = None,
+    min_count: int | None = None,
 ) -> Iterator[CombOrbitSet]:
     """All orbit sets within the direction bound, action cap and index target.
 
@@ -490,15 +488,13 @@ class SearchStatus(str, Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class SearchWitness:
+class SearchWitness(Value):
     alpha: CombOrbitSet
     alpha_factors: tuple
     alpha_prime_factors: tuple
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(Value):
     vmax: int
     lmax: int
     candidate_factors: int
@@ -508,13 +504,12 @@ class SearchBounds:
     enumeration_truncated: bool
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(Value):
     status: SearchStatus
-    witness: Optional[SearchWitness]
+    witness: SearchWitness | None
     bounds_used: SearchBounds
-    obstructed_a: Optional[Fraction]
-    reason: Optional[str] = None
+    obstructed_a: Fraction | None
+    reason: str | None = None
 
 
 def _nonempty_subsets(items):

@@ -34,10 +34,9 @@ of an interval (``cl_candidates``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .domains import ToricDomain, _checked
 from .errors import DomainError, InapplicableError
@@ -118,7 +117,6 @@ class CLRule(str, Enum):
     INTERVAL_ONLY = "IntervalOnly"
 
 
-@dataclass(frozen=True)
 class CLCertificate(Interval):
     """Auditable Lagrangian-capacity result: a bracket, its rule and its witness.
 
@@ -128,31 +126,32 @@ class CLCertificate(Interval):
     """
 
     rule: CLRule
-    witness: Optional[tuple]
+    witness: tuple | None
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.rule is not CLRule.INTERVAL_ONLY and not self.exact:
-            raise ValueError(f"rule {self.rule.value} needs a pinched bracket")
+    def __init__(self, lower, upper, rule, witness):
+        super().__init__(lower, upper)
+        if rule is not CLRule.INTERVAL_ONLY and not self.exact:
+            raise ValueError(f"rule {rule.value} needs a pinched bracket")
+        self.__dict__.update(rule=rule, witness=witness)
 
     @property
-    def value(self) -> Optional[Fraction]:
+    def value(self) -> Fraction | None:
         """The certified capacity, or None when only the bracket is claimed."""
         return None if self.rule is CLRule.INTERVAL_ONLY else self.lower
 
 
-def _monotone_diagonal(domain) -> Optional[tuple]:
+def _monotone_diagonal(domain) -> tuple | None:
     return (delta(domain),) * domain.n if is_monotone(domain) else None
 
 
-def _eta_on_boundary(domain) -> Optional[tuple]:
+def _eta_on_boundary(domain) -> tuple | None:
     # (eta, eta) lies in the domain iff delta reaches eta, and then on its
     # boundary, since no domain point has a larger smallest coordinate.
     e = eta(domain)
     return (e, e) if delta(domain) == e else None
 
 
-def _lattice_witness(domain) -> Optional[tuple]:
+def _lattice_witness(domain) -> tuple | None:
     """Lexicographically largest boundary point (k1*eta, k2*eta) other than (eta, eta).
 
     The candidates are (k*eta, eta), then (eta, k*eta), for k >= 2.  Every

@@ -14,6 +14,7 @@ caller hands in, and ``as_items`` what a sequence of them is.
 integers, so that a loop over them can run in ``int`` arithmetic.
 ``Interval`` is the one closed rational bracket type: every capacity bound
 in a report is one, and so is the Lagrangian-capacity certificate.
+``Value`` is the base of every immutable value type in the package.
 
 Python refuses to convert integers of more than ``sys.get_int_max_str_digits()``
 decimal digits (4300 by default) between ``str`` and ``int``; a longer input
@@ -25,9 +26,8 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from operator import attrgetter
 
 from .errors import DomainError, InapplicableError
 
@@ -132,24 +132,107 @@ def format_rational(value: Fraction) -> str:
         ) from None
 
 
-@dataclass(frozen=True)
-class Interval:
+class Value:
+    """Base of the package's immutable value types.
+
+    A subclass declares its fields as class annotations, after those of
+    its base, and ``__init_subclass__`` reads them once into ``_fields``.
+    It also builds the class's ``__eq__`` and ``__hash__`` once, over one
+    ``attrgetter`` of the fields: equality holds only between instances
+    of one class, and the hash is that of the tuple of fields.  ``repr``
+    shows the fields alone, so what a cached property or a constructor
+    keeps beside them in the instance ``__dict__`` takes no part in
+    equality, hashing or ``repr``.  Instances refuse assignment and
+    deletion; a constructor writes each field once into ``self.__dict__``.
+
+    The generic constructor takes the fields by position or by name; a
+    field with a class-level value defaults to it.  A class built often,
+    or one that checks or coerces its fields, defines its own ``__init__``.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        inherited = cls._fields
+        fields = inherited + tuple(n for n in cls.__annotations__ if n not in inherited)
+        cls._fields = fields
+        if not fields:
+            return
+        key = attrgetter(*fields)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        if len(fields) == 1:
+            def __hash__(self):
+                return hash((key(self),))
+        else:
+            def __hash__(self):
+                return hash(key(self))
+
+        cls.__eq__ = __eq__
+        cls.__hash__ = __hash__
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            values = _field_values(type(self), args, kwargs)
+        else:
+            values = dict(zip(fields, args))
+        self.__dict__.update(values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__qualname__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__qualname__} is immutable")
+
+
+def _field_values(cls, args, kwargs) -> dict:
+    """The fields of ``cls(*args, **kwargs)`` by name, or ``TypeError``."""
+    fields = cls._fields
+    if len(args) > len(fields):
+        raise TypeError(f"{cls.__qualname__}() takes {len(fields)} arguments, got {len(args)}")
+    values = dict(zip(fields, args))
+    for name, value in kwargs.items():
+        if name not in fields or name in values:
+            raise TypeError(f"{cls.__qualname__}() got an unexpected or repeated argument {name!r}")
+        values[name] = value
+    for name in fields[len(args):]:
+        if name not in values:
+            try:
+                values[name] = getattr(cls, name)
+            except AttributeError:
+                raise TypeError(f"{cls.__qualname__}() missing argument {name!r}") from None
+    return values
+
+
+class Interval(Value):
     """Closed rational bracket; exact when it pinches to a point.
 
     Both ends are coerced through ``parse_rational``.
     """
 
     lower: Fraction
-    upper: Optional[Fraction]  # None = no finite upper bound claimed
+    upper: Fraction | None  # None = no finite upper bound claimed
 
-    def __post_init__(self):
+    def __init__(self, lower, upper):
         # Every bracket a report builds has Fraction ends already.
-        if type(self.lower) is not Fraction:
-            object.__setattr__(self, "lower", parse_rational(self.lower))
-        if self.upper is not None and type(self.upper) is not Fraction:
-            object.__setattr__(self, "upper", parse_rational(self.upper))
-        if self.upper is not None and self.lower > self.upper:
-            raise ValueError(f"empty interval [{self.lower}, {self.upper}]")
+        if type(lower) is not Fraction:
+            lower = parse_rational(lower)
+        if upper is not None:
+            if type(upper) is not Fraction:
+                upper = parse_rational(upper)
+            if lower > upper:
+                raise ValueError(f"empty interval [{lower}, {upper}]")
+        self.__dict__.update(lower=lower, upper=upper)
 
     @property
     def exact(self) -> bool:

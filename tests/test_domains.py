@@ -1,6 +1,8 @@
 """Domain construction, validation, and the JSON round trip."""
 
+import copy
 import json
+import pickle
 import random
 import sys
 from collections import Counter
@@ -20,13 +22,18 @@ from toricap import (
     StandardDomain,
     a_min_brute,
     a_min_closed,
+    CombOrbit,
     capacity_report,
     domain_to_dict,
     enumerate_orbit_sets,
     enumeration_truncated,
     is_weakly_convex,
+    lagrangian_capacity,
+    leq_relation,
+    obstruction_search,
     omega_a,
     parse_domain,
+    parse_orbit_set,
     parse_rational,
     report_to_dict,
     serialize_domain,
@@ -35,7 +42,7 @@ from toricap import (
 )
 
 from toricap import domains
-from toricap.ech import candidate_orbits
+from toricap.ech import candidate_orbits, orbit_invariants
 from toricap.rationals import format_rational, over_common_denominator
 
 from generators import (
@@ -536,3 +543,111 @@ def test_serialize_lowest_terms():
     data = domain_to_dict(dom)
     assert data["vertices"][0] == ["1/2", "0"]
     assert data["vertices"][1] == ["0", "2"]
+
+
+_ORBIT_SET_REPR = "CombOrbitSet(factors=((CombOrbit(v=(1, 1), s=1), 1),))"
+_WITNESS_REPR = (
+    f"SearchWitness(alpha={_ORBIT_SET_REPR}, alpha_factors=({_ORBIT_SET_REPR},), "
+    f"alpha_prime_factors=({_ORBIT_SET_REPR},))"
+)
+_BOUNDS_REPR = (
+    "SearchBounds(vmax=2, lmax=2, candidate_factors=1, factors_pruned=0, "
+    "factorizations_explored=1, enumerations_run=1, enumeration_truncated=True)"
+)
+# Square 1/2 -> Omega_3/10 with e(1,1), vmax = lmax = 2.
+_SEARCH_REPR = (
+    "SearchReport(status=<SearchStatus.FEASIBLE_WITNESS: 'FeasibleWitness'>, "
+    f"witness={_WITNESS_REPR}, bounds_used={_BOUNDS_REPR}, obstructed_a=None, reason=None)"
+)
+_CUBE_REPORT_REPR = (
+    "CapacityReport(delta=Fraction(1, 1), eta=Fraction(1, 1), "
+    "c_L=CLCertificate(lower=Fraction(1, 1), upper=Fraction(1, 1), "
+    "rule=<CLRule.MONOTONE_DIAGONAL: 'MonotoneDiagonal'>, "
+    "witness=(Fraction(1, 1), Fraction(1, 1))), "
+    "c_P=Interval(lower=Fraction(1, 1), upper=Fraction(1, 1)), "
+    "c_N=Interval(lower=Fraction(1, 1), upper=Fraction(1, 1)), monotone=True, "
+    "c_B=Interval(lower=Fraction(1, 1), upper=Fraction(1, 1)), "
+    "c_Z=Interval(lower=Fraction(1, 1), upper=Fraction(1, 1)), "
+    "notes=('c_P lower: inscribed cube (exact inclusion)', "
+    "'c_P upper: containment in the min-coordinate region', "
+    "'c_N upper: the domain fits the min-coordinate region at eta', "
+    "'c_L: rule MonotoneDiagonal', "
+    "'monotone domain: every cube-normalized capacity equals delta', "
+    "'c_B/c_Z: trivial inclusion bracket only (not certified by this library)'))"
+)
+
+
+def _values_and_reprs():
+    """One instance of each of the 15 value types, with its repr."""
+    half = Fraction(1, 2)
+    search = obstruction_search(square_polygon(half), omega_a(Fraction(3, 10)),
+                                parse_orbit_set("e(1,1)"), vmax=2, lmax=2)
+    xa = verify_xa(Fraction(1, 3))
+    rect = Rect(0, 1, 0, "1/2")
+    rect_repr = "Rect(x0=Fraction(0, 1), x1=Fraction(1, 1), y0=Fraction(0, 1), y1=Fraction(1, 2))"
+    return [
+        (Interval(half, None), "Interval(lower=Fraction(1, 2), upper=None)"),
+        (lagrangian_capacity(square_polygon(half)),
+         "CLCertificate(lower=Fraction(1, 2), upper=Fraction(1, 2), "
+         "rule=<CLRule.MONOTONE_DIAGONAL: 'MonotoneDiagonal'>, "
+         "witness=(Fraction(1, 2), Fraction(1, 2)))"),
+        (StandardDomain("ball", 2, 1), "StandardDomain(kind='ball', n=2, a=Fraction(1, 1))"),
+        (Polygon2D(((1, 0), (half, half), (0, 1))),
+         "Polygon2D(vertices=((Fraction(1, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 1))))"),
+        (rect, rect_repr),
+        (Rectilinear2D((rect,)), f"Rectilinear2D(rects=({rect_repr},))"),
+        (capacity_report(StandardDomain("cube", 2, 1)), _CUBE_REPORT_REPR),
+        (xa, "XaCheck(a=Fraction(1, 3), passed=True, expected_cp=Fraction(1, 3), "
+             f"expected_cl=Fraction(1, 2), expected_cn=Fraction(1, 2), report={xa.report!r})"),
+        (CombOrbit((1, -1), 1), "CombOrbit(v=(1, -1), s=1)"),
+        (parse_orbit_set("e(1,0)^2 * h(0,1)"),
+         "CombOrbitSet(factors=((CombOrbit(v=(0, 1), s=0), 1), (CombOrbit(v=(1, 0), s=1), 2)))"),
+        (orbit_invariants(parse_orbit_set("e(1,1)^2")),
+         "OrbitNumbers(x=2, y=2, index=10, m=2, h=0)"),
+        (leq_relation(square_polygon(half), omega_a(Fraction(3, 10)),
+                      parse_orbit_set("e(1,1)"), parse_orbit_set("e(1,1)")),
+         "LeqResult(holds=True, failed=None)"),
+        (search.witness, _WITNESS_REPR),
+        (search.bounds_used, _BOUNDS_REPR),
+        (search, _SEARCH_REPR),
+    ]
+
+
+def test_value_types_keep_dataclass_semantics():
+    pairs = _values_and_reprs()
+    values = [value for value, _ in pairs]
+    assert len({type(value) for value in values}) == 15
+    for value, text in pairs:
+        cls = type(value)
+        assert repr(value) == text
+        fields = {name: getattr(value, name) for name in cls._fields}
+        assert hash(value) == hash(tuple(fields.values()))
+        # Construction by name, and by position, gives an equal value.
+        assert cls(**fields) == value == cls(*fields.values())
+        assert value != object() and value != tuple(fields.values())
+        first = cls._fields[0]
+        with pytest.raises(TypeError):
+            cls(**{name: v for name, v in fields.items() if name != first})
+        with pytest.raises(TypeError):
+            cls(**fields, unknown=1)
+        for name in (first, "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, fields[first])
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert getattr(value, first) is fields[first]
+        for again in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                      copy.deepcopy(value)):
+            assert type(again) is cls and again == value and hash(again) == hash(value)
+            assert repr(again) == text
+    # Equality holds only between instances of one class, even when one
+    # class extends the other and the shared fields agree.
+    for a in values:
+        for b in values:
+            assert (a == b) == (a is b)
+    bracket = Interval(Fraction(1), Fraction(1))
+    certificate = CLCertificate(Fraction(1), Fraction(1), CLRule.MONOTONE_DIAGONAL,
+                                (Fraction(1), Fraction(1)))
+    assert bracket != certificate and certificate != bracket
+    assert bracket.__eq__(certificate) is NotImplemented
+    assert CLCertificate._fields == ("lower", "upper", "rule", "witness")

@@ -1,9 +1,11 @@
 """Which layers ``import toricap`` and each CLI subcommand load.
 
 ``import toricap`` loads no layer module until a public name is used, and
-each subcommand imports only the layers it runs.  Module loading is
-process-wide state, so every check on it runs in a fresh child
-interpreter.
+each subcommand imports only the layers it runs.  No toricap process loads
+``dataclasses``, ``inspect`` or ``typing``.  Module loading is process-wide
+state, so every check on it runs in a fresh child interpreter, started
+with ``-S`` so that ``site`` preloads nothing; the conftest puts the
+package's ``src`` directory on its ``PYTHONPATH``.
 """
 
 import importlib
@@ -20,19 +22,26 @@ import toricap
 CLI_BASE = {"toricap", "toricap.cli", "toricap.domains", "toricap.errors",
             "toricap.rationals"}
 
+# Standard-library modules that no toricap process needs: the value types
+# are built without ``dataclasses`` (which loads ``inspect``), and
+# ``typing`` names appear only in annotations, which are never evaluated.
+HEAVY = ("dataclasses", "inspect", "typing")
+
 # Runs the CLI in-process with stdout captured, then prints the exit
-# status and the loaded toricap modules as one JSON line.
-RUN_CLI = """
+# status, the loaded toricap modules and the loaded HEAVY modules as one
+# JSON line.
+RUN_CLI = f"""
 import contextlib, io, json, sys
 from toricap.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     status = main(sys.argv[1:])
-print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("toricap"))]))
+print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("toricap")),
+                  [m for m in {HEAVY!r} if m in sys.modules]]))
 """
 
 
 def _child(code: str, *args: str) -> str:
-    cp = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+    cp = subprocess.run([sys.executable, "-S", "-c", code, *args], capture_output=True,
                         text=True, timeout=60)
     assert cp.returncode == 0, cp.stderr
     return cp.stdout
@@ -71,9 +80,10 @@ SUBCOMMANDS = [
 @pytest.mark.parametrize("argv, layers", SUBCOMMANDS, ids=[a[0] for a, _ in SUBCOMMANDS])
 def test_subcommand_loads_only_its_layers(argv, layers, omega_file):
     argv = [arg.format(omega=omega_file) for arg in argv]
-    status, loaded = json.loads(_child(RUN_CLI, *argv))
+    status, loaded, heavy = json.loads(_child(RUN_CLI, *argv))
     assert status == 0
     assert set(loaded) == CLI_BASE | {f"toricap.{layer}" for layer in layers}
+    assert heavy == []
 
 
 @pytest.mark.parametrize("first", ["delta", "ech"])
@@ -84,8 +94,10 @@ def test_first_access_binds_the_whole_namespace(first):
             "names = vars(toricap)\n"
             "print(all(name in names for name in toricap.__all__))\n"
             "print(all(layer in names for layer in toricap._EXPORTS))\n"
-            "print('__getattr__' in names)")
-    assert _child(code).splitlines() == ["True", "True", "False"]
+            "print('__getattr__' in names)\n"
+            "import sys\n"
+            f"print([m for m in {HEAVY!r} if m in sys.modules])")
+    assert _child(code).splitlines() == ["True", "True", "False", "[]"]
 
 
 def test_public_names_are_their_defining_objects():
