@@ -37,7 +37,7 @@ class (plus its entry in ``_KINDS``):
   (in x) and x = e (in y), by decreasing hi, and the candidate fiber
   positions of an interval.
 
-The invariants are ``functools.cached_property`` members, computed at
+The invariants are ``rationals.cached_member`` members, computed at
 most once per instance and kept in the instance ``__dict__`` beside the
 fields that ``rationals.Value`` compares, hashes and shows, so equality,
 hashing, ``repr`` and serialization ignore them; a member that raises
@@ -56,12 +56,11 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import DomainError, InapplicableError
 from .rationals import (
-    Value, as_items, as_pair, format_rational, is_count, is_integer, over_common_denominator,
-    parse_rational,
+    Value, as_items, as_pair, cached_member, format_rational, is_count, is_integer,
+    over_common_denominator, parse_rational,
 )
 
 STANDARD_KINDS = ("ball", "cylinder", "cube", "nduc")
@@ -108,7 +107,7 @@ class StandardDomain(ToricDomain):
             raise DomainError(f"size must be positive, got {a}")
         self.__dict__.update(kind=kind, n=n, a=a)
 
-    @cached_property
+    @cached_member
     def delta(self) -> Fraction:
         # The cylinder, cube and NDUC all meet the diagonal at a.
         return self.a / self.n if self.kind == "ball" else self.a
@@ -299,7 +298,7 @@ class Polygon2D(ToricDomain):
     def y_intercept(self) -> Fraction:
         return self.vertices[-1][1]
 
-    @cached_property
+    @cached_member
     def _halfplanes(self) -> tuple:
         # The region is the closed quadrant cut by the halfplanes
         # a x + b y <= c / q, one per edge; the normal (a, b) is the edge
@@ -309,7 +308,7 @@ class Polygon2D(ToricDomain):
             for (x, y), (dx, dy) in zip(self._lattice.points, self._lattice.edges)
         )
 
-    @cached_property
+    @cached_member
     def _diagonal(self) -> tuple:
         # The diagonal ray exits through a chain edge whose outward normal
         # has positive coordinate sum s; the tightest such edge gives
@@ -321,12 +320,12 @@ class Polygon2D(ToricDomain):
                 best = (c, s)
         return best
 
-    @cached_property
+    @cached_member
     def delta(self) -> Fraction:
         c, s = self._diagonal
         return Fraction(c, s * self._lattice.q)
 
-    @cached_property
+    @cached_member
     def eta(self) -> Fraction:
         # min(x, y) is concave, so over the convex region its maximum sits
         # on the diagonal, at (delta, delta), or at a vertex of the chain.
@@ -334,7 +333,7 @@ class Polygon2D(ToricDomain):
         top = max(min(p) for p in self._lattice.points)
         return self.delta if top * s <= c else Fraction(top, self._lattice.q)
 
-    @cached_property
+    @cached_member
     def is_monotone(self) -> bool:
         return all(dx <= 0 and dy >= 0 for dx, dy in self._lattice.edges)
 
@@ -342,7 +341,7 @@ class Polygon2D(ToricDomain):
         points = self._lattice.points
         return self.x_intercept if points[0][0] <= points[-1][1] else self.y_intercept
 
-    @cached_property
+    @cached_member
     def cube_inclusion(self) -> Fraction:
         # By convexity the square [0, a]^2 is inside iff its corners are.
         c, s = self._diagonal
@@ -393,7 +392,7 @@ class Polygon2D(ToricDomain):
                     out.append((vx, vy, max(vx * x + vy * y for x, y in points)))
         return q, out
 
-    @cached_property
+    @cached_member
     def cube_bound(self) -> Fraction:
         # Both end edges at least diagonal-steep, direction (dx, dy) with
         # dx <= dy, make the supports of (1,-1) and (-1,1) attain exactly the
@@ -680,7 +679,7 @@ class Rectilinear2D(ToricDomain):
             )
         self.__dict__.update(rects=rects, _grid=_Coverage(q, boxes))
 
-    @cached_property
+    @cached_member
     def delta(self) -> Fraction:
         boxes = self._grid.boxes
         hits = [min(x1, y1) for x0, x1, y0, y1 in boxes if max(x0, y0) <= min(x1, y1)]
@@ -688,17 +687,17 @@ class Rectilinear2D(ToricDomain):
             raise InapplicableError("diagonal does not meet the domain")
         return Fraction(max(hits), self._grid.q)
 
-    @cached_property
+    @cached_member
     def eta(self) -> Fraction:
         # Per rectangle the smallest coordinate is largest at the top-right corner.
         grid = self._grid
         return Fraction(max(min(x1, y1) for _, x1, _, y1 in grid.boxes), grid.q)
 
-    @cached_property
+    @cached_member
     def is_monotone(self) -> bool:
         return self._grid.staircase
 
-    @cached_property
+    @cached_member
     def cube_inclusion(self) -> Fraction:
         return self._grid.cube
 

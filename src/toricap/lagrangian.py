@@ -175,12 +175,13 @@ def _lattice_witness(domain) -> tuple | None:
 
 # Each definite rule returns its witness, or None when it does not apply.
 # A kind lists its rules by name (``cl_rules``); CLRule is a str enum, so a
-# name keys ``_RULES`` as well, and ``CLRule(name)`` is its member.
+# name keys ``_RULES`` as well, and ``_MEMBERS`` maps it to its member.
 _RULES = {
     CLRule.MONOTONE_DIAGONAL: _monotone_diagonal,
     CLRule.ETA_ON_BOUNDARY: _eta_on_boundary,
     CLRule.LATTICE_WITNESS: _lattice_witness,
 }
+_MEMBERS = {rule.value: rule for rule in CLRule}
 
 
 def lagrangian_capacity(domain: ToricDomain) -> CLCertificate:
@@ -194,18 +195,25 @@ def lagrangian_capacity(domain: ToricDomain) -> CLCertificate:
     delta for MonotoneDiagonal, eta for the two shell rules.
 
     Otherwise the certificate is an ``IntervalOnly`` bracket.  Its lower
-    end is the best fiber-torus area among candidate positions (the
-    diagonal point and the domain's ``cl_candidates``: polygon vertices,
-    or rectangle corners); its upper end is eta, since the domain sits
-    inside the min-coordinate region of that size.
+    end is the best fiber-torus area (``a_min_closed``) among candidate
+    positions (the diagonal point and the domain's ``cl_candidates``:
+    polygon vertices, or rectangle corners), read off one common
+    denominator; its upper end is eta, since the domain sits inside the
+    min-coordinate region of that size.
     """
     for name in _checked(domain).cl_rules:
         witness = _RULES[name](domain)
         if witness is not None:
             value = min(witness)
-            return CLCertificate(value, value, CLRule(name), witness)
+            return CLCertificate(value, value, _MEMBERS[name], witness)
+    # Every candidate is a positive pair, and gcd(X, Y) / q is its
+    # ``a_min_closed`` for any common denominator q of its coordinates, so
+    # one q serves every candidate.
     d = delta(domain)
-    lower = max(a_min_closed(p) for p in [(d, d), *domain.cl_candidates])
+    q, flat = over_common_denominator(
+        [c for p in [(d, d), *domain.cl_candidates] for c in p]
+    )
+    lower = Fraction(max(map(math.gcd, flat[0::2], flat[1::2])), q)
     return CLCertificate(lower, eta(domain), CLRule.INTERVAL_ONLY, None)
 
 

@@ -14,7 +14,8 @@ caller hands in, and ``as_items`` what a sequence of them is.
 integers, so that a loop over them can run in ``int`` arithmetic.
 ``Interval`` is the one closed rational bracket type: every capacity bound
 in a report is one, and so is the Lagrangian-capacity certificate.
-``Value`` is the base of every immutable value type in the package.
+``Value`` is the base of every immutable value type in the package, and
+``cached_member`` the one way such a value caches what it computes.
 
 Python refuses to convert integers of more than ``sys.get_int_max_str_digits()``
 decimal digits (4300 by default) between ``str`` and ``int``; a longer input
@@ -140,13 +141,15 @@ class Value:
     It also builds the class's ``__eq__`` and ``__hash__`` once, over one
     ``attrgetter`` of the fields: equality holds only between instances
     of one class, and the hash is that of the tuple of fields.  ``repr``
-    shows the fields alone, so what a cached property or a constructor
+    shows the fields alone, so what a ``cached_member`` or a constructor
     keeps beside them in the instance ``__dict__`` takes no part in
     equality, hashing or ``repr``.  Instances refuse assignment and
     deletion; a constructor writes each field once into ``self.__dict__``.
 
     The generic constructor takes the fields by position or by name; a
-    field with a class-level value defaults to it.  A class built often,
+    field with a class-level value defaults to it.  Every field by
+    position, or every field by name in field order, is stored as given;
+    any other call is checked by ``_field_values``.  A class built often,
     or one that checks or coerces its fields, defines its own ``__init__``.
     """
 
@@ -178,10 +181,12 @@ class Value:
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
-        if kwargs or len(args) != len(fields):
-            values = _field_values(type(self), args, kwargs)
-        else:
+        if not args and tuple(kwargs) == fields:
+            values = kwargs
+        elif not kwargs and len(args) == len(fields):
             values = dict(zip(fields, args))
+        else:
+            values = _field_values(type(self), args, kwargs)
         self.__dict__.update(values)
 
     def __repr__(self):
@@ -193,6 +198,33 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: {type(self).__qualname__} is immutable")
+
+
+class cached_member:
+    """A member computed on its first read and kept in the instance ``__dict__``.
+
+    A non-data descriptor: once the instance ``__dict__`` holds the name,
+    attribute lookup finds the value there and never calls ``__get__``
+    again.  Unlike ``functools.cached_property`` before Python 3.12, it
+    takes no lock, and it writes the ``__dict__`` directly, past
+    ``Value.__setattr__``.  A member that raises caches nothing and raises
+    again on the next read.  Two threads that read a member at once may
+    both compute it; a member must therefore be a pure function of the
+    instance, so that both store equal values.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def _field_values(cls, args, kwargs) -> dict:
@@ -215,9 +247,12 @@ def _field_values(cls, args, kwargs) -> dict:
 
 
 class Interval(Value):
-    """Closed rational bracket; exact when it pinches to a point.
+    """Closed rational bracket; ``exact`` when it pinches to a point.
 
-    Both ends are coerced through ``parse_rational``.
+    Both ends are coerced through ``parse_rational``.  The constructor
+    orders the ends once, in integers, and keeps ``exact`` as a plain
+    ``bool`` in the instance ``__dict__`` beside the fields, so it takes
+    no part in equality, hashing or ``repr``.
     """
 
     lower: Fraction
@@ -227,13 +262,15 @@ class Interval(Value):
         # Every bracket a report builds has Fraction ends already.
         if type(lower) is not Fraction:
             lower = parse_rational(lower)
+        exact = False
         if upper is not None:
             if type(upper) is not Fraction:
                 upper = parse_rational(upper)
-            if lower > upper:
+            # p/q <= r/s iff p s <= r q, for q, s > 0.
+            ln, ld = lower.as_integer_ratio()
+            un, ud = upper.as_integer_ratio()
+            left, right = ln * ud, un * ld
+            if left > right:
                 raise ValueError(f"empty interval [{lower}, {upper}]")
-        self.__dict__.update(lower=lower, upper=upper)
-
-    @property
-    def exact(self) -> bool:
-        return self.upper is not None and self.lower == self.upper
+            exact = left == right
+        self.__dict__.update(lower=lower, upper=upper, exact=exact)

@@ -13,6 +13,7 @@ import pytest
 from toricap import (
     CLCertificate,
     CLRule,
+    CapacityReport,
     DomainError,
     InapplicableError,
     Interval,
@@ -42,7 +43,7 @@ from toricap import (
 )
 
 from toricap import domains
-from toricap.ech import candidate_orbits, orbit_invariants
+from toricap.ech import SearchBounds, candidate_orbits, orbit_invariants
 from toricap.rationals import format_rational, over_common_denominator
 
 from generators import (
@@ -651,3 +652,88 @@ def test_value_types_keep_dataclass_semantics():
     assert bracket != certificate and certificate != bracket
     assert bracket.__eq__(certificate) is NotImplemented
     assert CLCertificate._fields == ("lower", "upper", "rule", "witness")
+
+
+def _random_rational(rng) -> Fraction:
+    """A rational of either sign with a denominator of 1 to 12 digits."""
+    digits = rng.randint(1, 12)
+    den = rng.randrange(10 ** (digits - 1), 10**digits)
+    return Fraction(rng.randint(-3 * den, 3 * den), den)
+
+
+def test_interval_matches_fraction_oracle():
+    # Equal ends, ends a hair apart, and ends drawn apart, each end given
+    # as a Fraction, a "p/q" string or (for an integer) an int.
+    rng = random.Random(61)
+    outcomes = Counter()
+    definite = [rule for rule in CLRule if rule is not CLRule.INTERVAL_ONLY]
+    for _ in range(3000):
+        lower = _random_rational(rng)
+        upper = rng.choice([
+            lower, lower + Fraction(1, 10**24), lower - Fraction(1, 10**24),
+            _random_rational(rng), Fraction(rng.randint(-3, 3)), None,
+        ])
+        if rng.random() < 0.2:
+            lower = Fraction(rng.randint(-3, 3))
+        given = [rng.choice(_forms(v)) if v is not None else None for v in (lower, upper)]
+        empty = upper is not None and lower > upper
+        try:
+            iv = Interval(*given)
+        except ValueError as exc:
+            assert empty and str(exc) == f"empty interval [{lower}, {upper}]", given
+            outcomes["empty"] += 1
+            continue
+        assert not empty, given
+        assert (iv.lower, iv.upper) == (lower, upper)
+        assert type(iv.exact) is bool and iv.exact == (upper is not None and lower == upper)
+        outcomes["exact" if iv.exact else "open" if upper is not None else "unbounded"] += 1
+        # The flag sits beside the fields: a round trip keeps it, and it
+        # takes no part in repr, equality or hashing.
+        assert "exact" not in Interval._fields and "exact" not in repr(iv)
+        for again in (pickle.loads(pickle.dumps(iv)), copy.copy(iv), copy.deepcopy(iv)):
+            assert again.exact is iv.exact and again == iv and hash(again) == hash(iv)
+        assert Interval(lower, upper) == iv and hash(Interval(lower, upper)) == hash(iv)
+        # Only an IntervalOnly certificate may leave a gap.
+        for rule in definite:
+            if iv.exact:
+                assert CLCertificate(*given, rule, (lower, lower)).exact
+            else:
+                with pytest.raises(ValueError, match="needs a pinched bracket"):
+                    CLCertificate(*given, rule, (lower, lower))
+        if upper is not None:
+            cert = CLCertificate(*given, CLRule.INTERVAL_ONLY, None)
+            assert cert.exact is iv.exact and cert.value is None
+    assert min(outcomes.values()) >= 200, outcomes
+
+
+def test_keyword_constructor_contract():
+    rng = random.Random(67)
+    report = capacity_report(omega_a(Fraction(3, 10)))
+    bounds = SearchBounds(vmax=2, lmax=3, candidate_factors=5, factors_pruned=1,
+                          factorizations_explored=4, enumerations_run=2,
+                          enumeration_truncated=False)
+    for value in (report, bounds):
+        cls = type(value)
+        fields = {name: getattr(value, name) for name in cls._fields}
+        first, *rest = cls._fields
+        ordered = cls(**fields)
+        names = list(fields)
+        for _ in range(5):
+            rng.shuffle(names)
+            shuffled = cls(**{name: fields[name] for name in names})
+            for built in (ordered, shuffled, cls(fields[first], **{n: fields[n] for n in rest})):
+                assert built == value and hash(built) == hash(value)
+                assert repr(built) == repr(value)
+                assert vars(built) == fields
+        # Unknown, missing and repeated arguments are refused, also when
+        # the number of keywords is right.
+        for args, kwargs in (
+            ((), {**fields, "unknown": 1}),
+            ((), {**{n: fields[n] for n in rest}, "unknown": 1}),
+            ((), {n: fields[n] for n in rest}),
+            ((), {n: fields[n] for n in cls._fields[:-1]}),
+            ((fields[first],), fields),
+            ((fields[first],), {first: fields[first], **{n: fields[n] for n in rest[:-1]}}),
+        ):
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)

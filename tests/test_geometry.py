@@ -29,6 +29,7 @@ from toricap import (
 )
 from toricap.domains import STANDARD_KINDS
 from toricap.geometry import domain_contains, domain_on_boundary
+from toricap.rationals import cached_member
 
 from generators import (
     make_monotone_polygon,
@@ -552,15 +553,31 @@ def test_cached_invariants_keep_value_semantics():
 
 
 def test_raising_invariant_raises_again():
+    # The first edge (2, 1) is shallower than the diagonal, and the union
+    # misses the diagonal: each member raises on every read and caches
+    # nothing in the instance.
+    shallow = Polygon2D(((2, 0), (4, 1), (0, 3)))
     off_diagonal = Rectilinear2D(
         (Rect(F(2), F(4), F(0), F(1, 4)), Rect(F(3), F(4), F(0), F(1)))
     )
-    for _ in range(2):
-        with pytest.raises(InapplicableError, match="diagonal"):
-            delta(off_diagonal)
+    for dom, name, match in ((shallow, "cube_bound", "tangent-slope"),
+                             (off_diagonal, "delta", "diagonal")):
+        before = dict(vars(dom))
+        for _ in range(2):
+            with pytest.raises(InapplicableError, match=match):
+                getattr(dom, name)
+        assert vars(dom) == before and name not in vars(dom)
     assert eta(off_diagonal) == 1  # the other invariants still answer
     with pytest.raises(InapplicableError, match="diagonal"):
         capacity_report(off_diagonal)
+    # A successful read keeps its value in the instance; the class keeps
+    # the descriptor.
+    for dom, name in ((shallow, "delta"), (off_diagonal, "eta"),
+                      (omega_a(F(3, 10)), "cube_bound")):
+        value = getattr(dom, name)
+        assert isinstance(vars(type(dom))[name], cached_member)
+        assert getattr(type(dom), name) is vars(type(dom))[name]
+        assert vars(dom)[name] is value and getattr(dom, name) is value
 
 
 @pytest.mark.parametrize(

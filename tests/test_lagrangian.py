@@ -33,6 +33,8 @@ from generators import (
     make_staircase,
     make_touching_union,
     make_weakly_convex_polygon,
+    random_fraction,
+    scaled,
 )
 
 F = Fraction
@@ -184,26 +186,37 @@ def test_cascade_interval_only():
 
 def test_certificate_bracket_invariants():
     # Oracle: a definite certificate is pinched at the minimal fiber area of
-    # its witness, a point of the domain; an interval leaves a gap.
+    # its witness, a point of the domain; an interval leaves a gap, and its
+    # lower end is the best a_min_closed of the diagonal point and the
+    # candidates, each on its own.  Large denominators give the candidates
+    # a common denominator far from each one's own.
     rng = random.Random(31)
     domains = [make_weakly_convex_polygon(rng) for _ in range(400)]
     domains += [make_monotone_polygon(rng) for _ in range(200)]
     domains += [make_staircase(rng) for _ in range(200)]
     domains += [make_touching_union(rng) for _ in range(400)]
     domains += [omega_a(F(k, 97)) for k in range(1, 49)]
+    domains += [make_weakly_convex_polygon(rng, 10**6) for _ in range(400)]
+    domains += [scaled(make_touching_union(rng), random_fraction(rng, 10**6))
+                for _ in range(300)]
     rules = set()
+    interval_kinds = set()
     for dom in domains:
         cert = lagrangian_capacity(dom)
         rules.add(cert.rule)
         if cert.rule is CLRule.INTERVAL_ONLY:
             assert cert.value is None and cert.witness is None, dom
             assert cert.lower < cert.upper == eta(dom), dom
+            d = delta(dom)
+            assert cert.lower == max(a_min_closed(p) for p in [(d, d), *dom.cl_candidates]), dom
+            interval_kinds.add(type(dom))
         else:
             w = cert.witness
             assert cert.lower == cert.upper == cert.value == min(w) == a_min_closed(w), dom
             assert domain_contains(dom, w), dom
             assert cert.value <= eta(dom), dom
     assert rules == set(CLRule)
+    assert interval_kinds == {Polygon2D, Rectilinear2D}
 
 
 def test_monotone_consistency():
