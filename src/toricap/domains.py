@@ -11,7 +11,8 @@ Three kinds of domain are supported:
   segments are implicit.  The chain is required to be convex, which makes
   the domain weakly convex by construction.  The constructor scales the
   chain once to integers over the lcm of its denominators (``_Lattice``);
-  the validation and the invariants run in ``int`` arithmetic on it, and
+  the validation, the invariants and the point queries (on a point scaled
+  by its own denominators) run in ``int`` arithmetic on it, and
   ``Fraction`` values appear only in the ``vertices`` field and in the
   answers.
 * ``Rectilinear2D`` -- a finite union of axis-aligned rectangles in the
@@ -196,15 +197,14 @@ def _canonical_chain(vertices) -> tuple:
     pts = [(parse_rational(x), parse_rational(y)) for x, y in pairs]
     q, flat = over_common_denominator([c for p in pts for c in p])
     ints = list(zip(flat[0::2], flat[1::2]))
-    # Drop exact consecutive duplicates before any edge-based checks.
-    deduped = [i for i, p in enumerate(ints) if i == 0 or p != ints[i - 1]]
-    if len(deduped) < 2:
-        raise DomainError("vertex chain needs at least two distinct vertices")
-    # Remove collinear midpoints (forward collinearity only; a collinear
-    # backtrack is a degenerate chain, caught by the convexity check).
-    chain = [deduped[0]]
-    for i in deduped[1:]:
-        p = ints[i]
+    # One sweep drops exact consecutive duplicates (the last kept vertex
+    # always equals the previous input vertex) and collinear midpoints
+    # (forward collinearity only; a collinear backtrack is a degenerate
+    # chain, caught by the convexity check).
+    chain = []
+    for i, p in enumerate(ints):
+        if chain and p == ints[chain[-1]]:
+            continue
         while len(chain) >= 2:
             a, b = ints[chain[-2]], ints[chain[-1]]
             e1 = (b[0] - a[0], b[1] - a[1])
@@ -214,6 +214,8 @@ def _canonical_chain(vertices) -> tuple:
             else:
                 break
         chain.append(i)
+    if len(chain) < 2:
+        raise DomainError("vertex chain needs at least two distinct vertices")
     points = [ints[i] for i in chain]
     first, last = points[0], points[-1]
     if first[1] != 0 or first[0] <= 0:
@@ -412,23 +414,20 @@ class Polygon2D(ToricDomain):
         top = min(max(x for x, _ in points), max(y for _, y in points))
         return Fraction(top, self._lattice.q)
 
+    def _least_slack(self, p) -> int:
+        # With p = (xn / xd, yn / yd), the slacks of x >= 0, y >= 0 and of
+        # each halfplane a x + b y <= c / q, each times a positive integer
+        # (the last ones times xd yd q): the least is negative off the
+        # closed region and 0 on its boundary.
+        (xn, xd), (yn, yd) = (c.as_integer_ratio() for c in _point(p))
+        d, u, v = xd * yd, self._lattice.q * xn * yd, self._lattice.q * yn * xd
+        return min(xn, yn, *(c * d - a * u - b * v for a, b, c in self._halfplanes))
+
     def contains(self, p) -> bool:
-        x, y = _point(p)
-        if x < 0 or y < 0:
-            return False
-        q = self._lattice.q
-        return all(q * (a * x + b * y) <= c for a, b, c in self._halfplanes)
+        return self._least_slack(p) >= 0
 
     def on_boundary(self, p) -> bool:
-        # A point of the closed region is on its boundary iff it lies on an
-        # axis or makes some edge's halfplane tight.
-        x, y = p = _point(p)
-        if not self.contains(p):
-            return False
-        q = self._lattice.q
-        return x == 0 or y == 0 or any(
-            q * (a * x + b * y) == c for a, b, c in self._halfplanes
-        )
+        return self._least_slack(p) == 0
 
     def cl_slices(self, e: Fraction) -> tuple:
         # The first edge leaves the x-axis upwards and the last one reaches

@@ -8,7 +8,9 @@ Five integer invariants are attached to an orbit set, and a rational
 action is attached relative to a weakly convex polygon: the
 multiplicity-weighted sum of the support values of the directions over
 the boundary chain.  Every function here that takes a domain refuses any
-other kind of domain with ``InapplicableError``.
+other kind of domain with ``InapplicableError``, and every one that takes
+an orbit set, a witness or an orbit-set literal refuses a value of another
+type with ``DomainError`` (``_require``).
 
 On top of these the module provides:
 
@@ -68,6 +70,13 @@ from .rationals import (
 
 
 _POLYGON_ONLY = "orbit-set actions are defined on polygon domains"
+
+
+def _require(kind: type, *values) -> None:
+    """``DomainError`` unless every value is a ``kind``."""
+    for value in values:
+        if not isinstance(value, kind):
+            raise DomainError(f"expected a {kind.__name__}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +159,6 @@ class OrbitNumbers(Value):
     m: int
     h: int
 
-    def __init__(self, x, y, index, m, h):
-        self.__dict__.update(x=x, y=y, index=index, m=m, h=h)
-
 
 def orbit_invariants(alpha: CombOrbitSet) -> OrbitNumbers:
     """The five integers attached to an orbit set.
@@ -161,6 +167,7 @@ def orbit_invariants(alpha: CombOrbitSet) -> OrbitNumbers:
     (including i = j) of m_i m_j max(x_i y_j, x_j y_i), plus the sum of
     s_i m_i.  ``h`` counts hyperbolic factors.
     """
+    _require(CombOrbitSet, alpha)
     fx = [(o.v[0], o.v[1], o.s, m) for o, m in alpha.factors]
     x = sum(m * vx for vx, _, _, m in fx)
     y = sum(m * vy for _, vy, _, m in fx)
@@ -180,6 +187,7 @@ def cross_term(alpha: CombOrbitSet, beta: CombOrbitSet) -> int:
     The index of any formal product satisfies
     I(a * b) = I(a) + I(b) + 2 * cross_term(a, b).
     """
+    _require(CombOrbitSet, alpha, beta)
     total = 0
     for o1, m1 in alpha.factors:
         for o2, m2 in beta.factors:
@@ -190,6 +198,7 @@ def cross_term(alpha: CombOrbitSet, beta: CombOrbitSet) -> int:
 def action(domain: Polygon2D, alpha: CombOrbitSet) -> Fraction:
     """Multiplicity-weighted sum of support values of the orbit directions."""
     _require_polygon(_POLYGON_ONLY, domain)
+    _require(CombOrbitSet, alpha)
     return sum(
         (m * support(domain, o.v) for o, m in alpha.factors),
         start=Fraction(0),
@@ -207,6 +216,7 @@ _FACTOR_RE = re.compile(
 
 def parse_orbit_set(text: str) -> CombOrbitSet:
     """Parse literals like ``e(1,-1)^3 * e(-1,1)^3 * e(1,1)^2`` or ``h(1,0)``."""
+    _require(str, text)
     parts = text.split("*")
     factors = []
     seen = set()
@@ -234,6 +244,7 @@ def parse_orbit_set(text: str) -> CombOrbitSet:
 
 
 def format_orbit_set(alpha: CombOrbitSet) -> str:
+    _require(CombOrbitSet, alpha)
     if not alpha.factors:
         return "1"
     parts = []
@@ -265,6 +276,7 @@ def leq_relation(
     target side, compared over the rationals to honor the h/2 term.
     """
     _require_polygon(_POLYGON_ONLY, source, target)
+    _require(CombOrbitSet, alpha, alpha_prime)
     a = orbit_invariants(alpha)
     b = orbit_invariants(alpha_prime)
     if a.index != b.index:
@@ -553,6 +565,8 @@ def verify_witness(
     equal factors on either side share no elliptic orbits, and that every
     nonempty sub-product has equal, positive index on both sides.
     """
+    _require(SearchWitness, witness)
+    _require(CombOrbitSet, alpha_prime)
     af = witness.alpha_factors
     pf = witness.alpha_prime_factors
     if len(af) != len(pf) or not af:
@@ -732,6 +746,7 @@ def obstruction_search(
     reaches the source's smaller intercept.
     """
     _require_polygon("obstruction search runs on polygon domains", source, target)
+    _require(CombOrbitSet, alpha_prime)
     if not (is_count(vmax) and is_count(lmax)):
         raise InapplicableError(
             f"invalid search limits: vmax={vmax!r}, lmax={lmax!r} "

@@ -112,7 +112,9 @@ def domain_contains(domain: ToricDomain, p) -> bool:
 
     ``p`` must be a pair (``InapplicableError`` otherwise) of rationals,
     each coerced through ``parse_rational``, so a float raises
-    ``DomainError``.
+    ``DomainError``.  A polygon scales p by its own denominators, and p
+    is in the closed region iff its least integer slack to the axes and
+    the chain's edge halfplanes is >= 0.
     """
     return _checked(domain).contains(p)
 
@@ -120,13 +122,13 @@ def domain_contains(domain: ToricDomain, p) -> bool:
 def domain_on_boundary(domain: ToricDomain, p) -> bool:
     """Boundary membership test for 2-dimensional domains.
 
-    A polygon point is on the boundary iff it is in the closed region and
-    on an axis or on the line of some chain edge, compared on the
-    polygon's integer lattice.  For a rectangle union, p is on the
-    boundary iff at least one but not all of the four grid cells meeting
-    its corners are painted; the cells are found by bisecting the grid
-    lines, so the test costs O(log(rectangles)) comparisons.  ``p`` is
-    checked and coerced as in ``domain_contains``.
+    A polygon point is on the boundary iff the least slack of the same
+    integer pass as ``domain_contains`` is 0: p is in the closed region
+    and on an axis or on the line of some chain edge.  For a rectangle
+    union, p is on the boundary iff at least one but not all of the four
+    grid cells meeting its corners are painted; the cells are found by
+    bisecting the grid lines, so the test costs O(log(rectangles))
+    comparisons.  ``p`` is checked and coerced as in ``domain_contains``.
     """
     return _checked(domain).on_boundary(p)
 

@@ -147,10 +147,12 @@ class Value:
     deletion; a constructor writes each field once into ``self.__dict__``.
 
     The generic constructor takes the fields by position or by name; a
-    field with a class-level value defaults to it.  Every field by
-    position, or every field by name in field order, is stored as given;
-    any other call is checked by ``_field_values``.  A class built often,
-    or one that checks or coerces its fields, defines its own ``__init__``.
+    field with a class-level value defaults to it.  Only every field by
+    name in field order is stored as given, without a check; any other
+    call, positional ones included, goes through ``_field_values``.  A
+    record built often (``ech.OrbitNumbers``, once per ``orbit_invariants``
+    call) is built that way and has no constructor of its own; a class
+    that checks or coerces its fields defines its own ``__init__``.
     """
 
     _fields = ()
@@ -180,14 +182,9 @@ class Value:
         cls.__hash__ = __hash__
 
     def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if not args and tuple(kwargs) == fields:
-            values = kwargs
-        elif not kwargs and len(args) == len(fields):
-            values = dict(zip(fields, args))
-        else:
-            values = _field_values(type(self), args, kwargs)
-        self.__dict__.update(values)
+        if args or tuple(kwargs) != self._fields:
+            kwargs = _field_values(type(self), args, kwargs)
+        self.__dict__.update(kwargs)
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

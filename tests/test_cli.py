@@ -115,6 +115,7 @@ REPORT_DOCS = {
         {"x0": "0", "x1": "2", "y0": "0", "y1": "1"},
         {"x0": "0", "x1": "1", "y0": "0", "y1": "3/2"},
         {"x0": "0", "x1": "1/2", "y0": "0", "y1": "5/2"}]},
+    "interval": {"kind": "polygon2d", "vertices": [["1", "0"], ["3", "5"], ["0", "6"]]},
 }
 
 
@@ -122,7 +123,8 @@ REPORT_DOCS = {
 @pytest.mark.parametrize("name", sorted(REPORT_DOCS))
 def test_report_golden(tmp_path, name, fmt):
     # One domain of each kind; Omega_3/10 has eta = delta, so the polygon
-    # golden does not depend on how eta is found.
+    # golden does not depend on how eta is found.  The chain (1,0), (3,5),
+    # (0,6) has no definite c_L: its golden prints the IntervalOnly bracket.
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(REPORT_DOCS[name]))
     cp = run_cli("report", str(path), "--format", fmt)

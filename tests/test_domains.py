@@ -721,7 +721,8 @@ def test_keyword_constructor_contract():
         for _ in range(5):
             rng.shuffle(names)
             shuffled = cls(**{name: fields[name] for name in names})
-            for built in (ordered, shuffled, cls(fields[first], **{n: fields[n] for n in rest})):
+            for built in (ordered, shuffled, cls(*fields.values()),
+                          cls(fields[first], **{n: fields[n] for n in rest})):
                 assert built == value and hash(built) == hash(value)
                 assert repr(built) == repr(value)
                 assert vars(built) == fields
@@ -734,6 +735,7 @@ def test_keyword_constructor_contract():
             ((), {n: fields[n] for n in cls._fields[:-1]}),
             ((fields[first],), fields),
             ((fields[first],), {first: fields[first], **{n: fields[n] for n in rest[:-1]}}),
+            ((*fields.values(), fields[first]), {}),
         ):
             with pytest.raises(TypeError):
                 cls(*args, **kwargs)

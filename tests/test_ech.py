@@ -1010,6 +1010,48 @@ def test_polygon_only_functions_refuse_other_kinds(om310, kind, call):
         POLYGON_ONLY_CALLS[call](NON_POLYGONS[kind], om310, alpha)
 
 
+E11 = parse_orbit_set("e(1,1)")
+
+NON_ORBIT_SETS = {
+    "str": "e(1,1)",
+    "none": None,
+    "int": 5,
+    "orbit": CombOrbit((1, 1), 1),
+    "pairs": ((CombOrbit((1, 1), 1), 1),),
+}
+
+# Each call with x in place of one of its orbit sets (of the witness in
+# verify_witness, of the literal in parse_orbit_set), and the x it accepts.
+ORBIT_SET_CALLS = {
+    "orbit_invariants": (lambda d, x: orbit_invariants(x), E11),
+    "cross_term_first": (lambda d, x: cross_term(x, E11), E11),
+    "cross_term_second": (lambda d, x: cross_term(E11, x), E11),
+    "action": (lambda d, x: action(d, x), E11),
+    "format_orbit_set": (lambda d, x: format_orbit_set(x), E11),
+    "leq_relation_source": (lambda d, x: leq_relation(d, d, x, E11), E11),
+    "leq_relation_target": (lambda d, x: leq_relation(d, d, E11, x), E11),
+    "obstruction_search": (lambda d, x: obstruction_search(d, d, x, 2, 2), E11),
+    "verify_witness": (lambda d, x: verify_witness(d, d, x, E11),
+                       ech.SearchWitness(E11, (E11,), (E11,))),
+    "verify_witness_test_set": (
+        lambda d, x: verify_witness(d, d, ech.SearchWitness(E11, (E11,), (E11,)), x), E11),
+    "parse_orbit_set": (lambda d, x: parse_orbit_set(x), "e(1,1)"),
+}
+
+
+@pytest.mark.parametrize("call,kind", [
+    (call, kind) for call in sorted(ORBIT_SET_CALLS) for kind in sorted(NON_ORBIT_SETS)
+    # A literal is the one str that parse_orbit_set takes.
+    if (call, kind) != ("parse_orbit_set", "str")
+])
+def test_orbit_set_functions_refuse_other_values(om310, call, kind):
+    # Each call succeeds with the value it takes in place of the other value.
+    run, accepted = ORBIT_SET_CALLS[call]
+    run(om310, accepted)
+    with pytest.raises(DomainError, match="expected a"):
+        run(om310, NON_ORBIT_SETS[kind])
+
+
 def test_search_rejects_split_with_unequal_subproduct_index():
     # The split e(0,1) * e(0,1) has source sets matching each slot, but
     # none whose product has the index of e(0,1)^2; the search must reject

@@ -213,8 +213,10 @@ CHAINS = _chains()
 def _probes(chain, rng):
     """Lines at delta, at the smaller coordinate of each vertex (eta is one
     of these) and at random levels; vertices, edge midpoints, points on
-    and past the axis segments, and random points, in and out of the
-    polygon."""
+    and past the axis segments, each edge's line continued one edge length
+    past either end (on a halfplane's line, off the region), and random
+    points, in and out of the polygon, some over denominators coprime to
+    the chain's lattice."""
     d = min(c / (nu[0] + nu[1]) for nu, c in oracle_halfplanes(chain) if nu[0] + nu[1] > 0)
     top = max(max(v) for v in chain)
     levels = [d, top, F(1, 10**9)] + [min(v) for v in chain]
@@ -225,6 +227,15 @@ def _probes(chain, rng):
                for _ in range(6)]
     x0, y1 = chain[0][0], chain[-1][1]
     points += [(F(0), F(0)), (x0 / 3, F(0)), (2 * x0, F(0)), (F(0), y1 / 3), (F(0), 2 * y1)]
+    points += [(2 * b[0] - a[0], 2 * b[1] - a[1])
+               for p, q in zip(chain, chain[1:]) for a, b in ((p, q), (q, p))]
+    lattice = math.lcm(*(c.denominator for v in chain for c in v))
+    dx, dy = [n for n in (7919, 7907, 7901, 7883) if lattice % n][:2]
+    points += [(F(top * dx * rng.randint(-50, 1100) // 1000, dx),
+                F(top * dy * rng.randint(-50, 1100) // 1000, dy)) for _ in range(6)]
+    # Beside each edge midpoint, by 1/dx of the lattice step in x.
+    points += [((p[0] + q[0]) / 2 + s * F(1, dx * lattice), (p[1] + q[1]) / 2)
+               for p, q in zip(chain, chain[1:]) for s in (-1, 1)]
     return levels, points
 
 
@@ -241,7 +252,12 @@ def test_lattice_matches_fraction_oracle(chain):
     assert dom.vertices == chain and dom == Polygon2D(chain)
     levels, points = _probes(chain, rng)
     mine = lattice_answers(dom, levels, points, DIRECTIONS)
-    assert mine == oracle_answers(chain, levels, points, DIRECTIONS)
+    expected = oracle_answers(chain, levels, points, DIRECTIONS)
+    assert mine == expected
+    # The same points as "p/q" string pairs.
+    texts = [(str(x), str(y)) for x, y in points]
+    assert [dom.contains(p) for p in texts] == expected["contains"]
+    assert [dom.on_boundary(p) for p in texts] == expected["on_boundary"]
     assert all(type(mine[k]) is Fraction for k in
                ("delta", "eta", "cube_inclusion", "simplex_inclusion", "cylinder_cover"))
 
