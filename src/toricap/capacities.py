@@ -200,9 +200,9 @@ def _cl_cell(cert: CLCertificate) -> str:
     return f"{format_rational(cert.lower)}..{format_rational(cert.upper)}"
 
 
-def report_csv_row(report: CapacityReport, a: Fraction | None = None) -> list:
-    row = [
-        "" if a is None else format_rational(a),
+def report_csv_row(report: CapacityReport) -> list:
+    """The report's cells under ``CSV_COLUMNS[1:]``; a sweep adds the "a" cell."""
+    return [
         format_rational(report.delta),
         format_rational(report.eta),
         _cl_cell(report.c_L),
@@ -212,7 +212,6 @@ def report_csv_row(report: CapacityReport, a: Fraction | None = None) -> list:
         format_rational(report.c_N.upper),
         "true" if report.monotone else "false",
     ]
-    return row
 
 
 def _csv_text(rows) -> str:
@@ -224,4 +223,6 @@ def _csv_text(rows) -> str:
 
 def sweep_to_csv(rows) -> str:
     """CSV document for (a, report) pairs using the documented columns."""
-    return _csv_text([CSV_COLUMNS, *(report_csv_row(report, a) for a, report in rows)])
+    return _csv_text([
+        CSV_COLUMNS, *([format_rational(a), *report_csv_row(report)] for a, report in rows)
+    ])

@@ -126,7 +126,7 @@ def _cmd_report(args) -> tuple[str, int]:
         return json.dumps(report_to_dict(report), indent=2) + "\n", 0
     if args.format == "csv":
         # A single report has no family parameter: drop the "a" column.
-        return _csv_text([CSV_COLUMNS[1:], report_csv_row(report)[1:]]), 0
+        return _csv_text([CSV_COLUMNS[1:], report_csv_row(report)]), 0
     dec = args.decimal
     cert = report.c_L
     lines = [

@@ -36,7 +36,7 @@ class (plus its entry in ``_KINDS``):
   :mod:`toricap.lagrangian`: the order of the Lagrangian-capacity rules,
   the closed intervals [lo, hi] where the domain meets the lines y = e
   (in x) and x = e (in y), by decreasing hi, and the candidate fiber
-  positions of an interval.
+  positions of an interval, as integer points over the lattice's ``q``.
 
 The invariants are ``rationals.cached_member`` members, computed at
 most once per instance and kept in the instance ``__dict__`` beside the
@@ -65,7 +65,6 @@ from .rationals import (
 )
 
 STANDARD_KINDS = ("ball", "cylinder", "cube", "nduc")
-ZERO = Fraction(0)
 
 
 class ToricDomain(Value):
@@ -439,9 +438,9 @@ class Polygon2D(ToricDomain):
         )
 
     @property
-    def cl_candidates(self) -> list:
+    def cl_candidates(self) -> tuple:
         # The intermediate vertices, the ones with positive coordinates.
-        return list(self.vertices[1:-1])
+        return self._lattice.q, self._lattice.points[1:-1]
 
     def summary(self) -> dict:
         return {"vertices": len(self.vertices), "weakly_convex": True}
@@ -726,12 +725,12 @@ class Rectilinear2D(ToricDomain):
         return self._grid.slices(e, False), self._grid.slices(e, True)
 
     @property
-    def cl_candidates(self) -> list:
+    def cl_candidates(self) -> tuple:
         # A rectangle's corners lie in the closed union.
-        return [
+        return self._grid.q, [
             p
-            for r in self.rects
-            for p in ((r.x1, r.y1), (r.x0, r.y0), (r.x0, r.y1), (r.x1, r.y0))
+            for x0, x1, y0, y1 in self._grid.boxes
+            for p in ((x1, y1), (x0, y0), (x0, y1), (x1, y0))
             if p[0] > 0 and p[1] > 0
         ]
 
@@ -816,6 +815,8 @@ def domain_to_dict(domain: ToricDomain) -> dict:
 
 def parse_domain(text: str) -> ToricDomain:
     """Parse a UTF-8 JSON domain document; see the README for the schema."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise DomainError(f"domain document must be text, got {type(text).__name__}")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

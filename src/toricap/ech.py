@@ -9,8 +9,8 @@ action is attached relative to a weakly convex polygon: the
 multiplicity-weighted sum of the support values of the directions over
 the boundary chain.  Every function here that takes a domain refuses any
 other kind of domain with ``InapplicableError``, and every one that takes
-an orbit set, a witness or an orbit-set literal refuses a value of another
-type with ``DomainError`` (``_require``).
+an orbit set, a witness (down to its factor lists) or an orbit-set literal
+refuses a value of another type with ``DomainError`` (``_require``).
 
 On top of these the module provides:
 
@@ -143,6 +143,7 @@ class CombOrbitSet(Value):
 
     def product(self, other: "CombOrbitSet") -> "CombOrbitSet":
         """Formal product: multiplicities of shared orbits add."""
+        _require(CombOrbitSet, other)
         merged = {o: m for o, m in self.factors}
         for o, m in other.factors:
             merged[o] = merged.get(o, 0) + m
@@ -320,22 +321,32 @@ def finite_d_bound(domain: Polygon2D, d: int) -> Fraction:
 # Bounded enumeration of orbit sets
 # ---------------------------------------------------------------------------
 
-def candidate_orbits(domain: Polygon2D, action_cap: Fraction, vmax: int):
-    """Orbits usable under the action cap: positive support not exceeding it.
-
-    Directions of nonpositive support are excluded: every closed orbit
-    contributes a positive period, so they cannot occur.  Sorted
-    directions, hyperbolic first, give the canonical orbit order; they
-    come from ``Polygon2D.affordable_directions``.
+def _candidates(domain: Polygon2D, action_cap: Fraction, vmax: int) -> tuple:
+    """``(scale, budget, table)``: the candidates ``(x, y, s, cost)`` of
+    support ``cost / scale`` under the cap ``budget / scale``, in the
+    canonical orbit order (sorted directions, hyperbolic first).  For the
+    cap ``N / D`` and the lattice denominator ``q``, the scale is ``q * D``.
     """
     _require_polygon(_POLYGON_ONLY, domain)
     if not is_count(vmax):
         raise InapplicableError(f"direction bound must be an integer >= 1, got {vmax!r}")
-    q, directions = domain.affordable_directions(parse_rational(action_cap), vmax)
-    return [
-        (CombOrbit((vx, vy), s), Fraction(top, q))
-        for vx, vy, top in directions for s in (0, 1)
+    cap = parse_rational(action_cap)
+    q, directions = domain.affordable_directions(cap, vmax)
+    den = cap.denominator
+    return q * den, cap.numerator * q, [
+        (vx, vy, s, top * den) for vx, vy, top in directions for s in (0, 1)
     ]
+
+
+def candidate_orbits(domain: Polygon2D, action_cap: Fraction, vmax: int):
+    """Orbits usable under the action cap: positive support not exceeding it.
+
+    Directions of nonpositive support are excluded: every closed orbit
+    contributes a positive period, so they cannot occur.  Each orbit comes
+    with its support, read off the table of ``_candidates`` in its order.
+    """
+    scale, _, table = _candidates(domain, action_cap, vmax)
+    return [(CombOrbit((x, y), s), Fraction(cost, scale)) for x, y, s, cost in table]
 
 
 def enumeration_truncated(domain: Polygon2D, action_cap: Fraction) -> bool:
@@ -374,16 +385,14 @@ def enumerate_orbit_sets(
     """All orbit sets within the direction bound, action cap and index target.
 
     Deterministic and duplicate-free: sets are emitted in lexicographic
-    order of their multiplicity vector over the canonically sorted
-    candidate list of ``candidate_orbits``.  Within the stated bounds no
-    valid set is skipped (multiplicities are finite because every
-    candidate costs a positive action); ``enumeration_truncated`` reports
-    whether the direction bound itself may exclude affordable candidates.
+    order of their multiplicity vector over the candidate table of
+    ``_candidates``.  Within the stated bounds no valid set is skipped
+    (multiplicities are finite because every candidate costs a positive
+    action); ``enumeration_truncated`` reports whether the direction bound
+    itself may exclude affordable candidates.
 
-    With the cap ``N / D`` and the source's lattice denominator ``q``, a
-    direction of support ``top / q`` costs ``top * D`` against the budget
-    ``N * q``; every test below is homogeneous in the costs and the budget,
-    so this integer scale decides as any other would.  The largest
+    Every test below is homogeneous in the table's costs and budget, so
+    its integer scale decides as any other would.  The largest
     multiplicity of a candidate is ``remaining // cost``.  The index is
     carried down the recursion: adding ``m`` copies of candidate ``i`` adds
     ``m * (x_i + y_i + s_i) + m^2 * x_i y_i + 2 m * sum_j m_j max(x_i y_j,
@@ -404,22 +413,11 @@ def enumerate_orbit_sets(
     multiplicities whose child survives it are one run with closed-form
     ends, and only those are branched on.
     """
-    _require_polygon(_POLYGON_ONLY, domain)
-    if not is_count(vmax):
-        raise InapplicableError(
-            f"direction bound must be an integer >= 1, got {vmax!r}"
-        )
+    _, budget, candidates = _candidates(domain, action_cap, vmax)
     if not is_integer(index_target):
         raise InapplicableError(f"index target must be an integer, got {index_target!r}")
     if min_count is not None and not is_integer(min_count):
         raise InapplicableError(f"count floor must be an integer, got {min_count!r}")
-    cap = parse_rational(action_cap)
-    q, directions = domain.affordable_directions(cap, vmax)
-    budget = cap.numerator * q
-    # (x, y, s, cost) in the order of candidate_orbits.
-    candidates = [
-        (vx, vy, s, top * cap.denominator) for vx, vy, top in directions for s in (0, 1)
-    ]
     # cheapest[i]: least cost among candidates i, i+1, ...; once the
     # remaining budget is below it, every later multiplicity is 0.
     cheapest = [budget + 1] * (len(candidates) + 1)
@@ -566,9 +564,9 @@ def verify_witness(
     nonempty sub-product has equal, positive index on both sides.
     """
     _require(SearchWitness, witness)
-    _require(CombOrbitSet, alpha_prime)
-    af = witness.alpha_factors
-    pf = witness.alpha_prime_factors
+    af, pf = (as_items(f, DomainError, "expected a sequence of orbit sets, got {!r}")
+              for f in (witness.alpha_factors, witness.alpha_prime_factors))
+    _require(CombOrbitSet, witness.alpha, alpha_prime, *af, *pf)
     if len(af) != len(pf) or not af:
         return False
     pairs = list(itertools.combinations(range(len(af)), 2))
@@ -833,6 +831,10 @@ def obstruction_search(
     if witness is not None and not verify_witness(source, target, witness, alpha_prime):
         raise AssertionError("internal error: witness failed re-verification")
 
+    # Truncation is monotone in the cap, so some slot's enumeration was
+    # truncated iff the one with the largest cap was; with no slot
+    # enumerated, the cap 0 is below both intercepts.
+    largest_cap = max((slot[3] for slot in enum_cache), default=0)
     bounds = SearchBounds(
         vmax=vmax,
         lmax=lmax,
@@ -840,9 +842,7 @@ def obstruction_search(
         factors_pruned=pruned,
         factorizations_explored=explored,
         enumerations_run=len(enum_cache),
-        enumeration_truncated=any(
-            enumeration_truncated(source, Fraction(slot[3], scale)) for slot in enum_cache
-        ),
+        enumeration_truncated=enumeration_truncated(source, Fraction(largest_cap, scale)),
     )
     if witness is not None:
         return SearchReport(SearchStatus.FEASIBLE_WITNESS, witness, bounds, None)

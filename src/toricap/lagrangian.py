@@ -28,7 +28,7 @@ so every domain point on the shell min(x, y) = eta is a boundary point,
 and both shell rules are closed forms at eta, with no boundary tests.
 Each domain kind fixes the order of the definite rules (``cl_rules``) and
 supplies the shell intervals (``cl_slices``) and the candidate positions
-of an interval (``cl_candidates``).
+of an interval (``cl_candidates``, integer points on its own lattice).
 """
 
 from __future__ import annotations
@@ -129,6 +129,8 @@ class CLCertificate(Interval):
     witness: tuple | None
 
     def __init__(self, lower, upper, rule, witness):
+        if not isinstance(rule, CLRule):
+            raise DomainError(f"rule must be a CLRule member, got {rule!r}")
         super().__init__(lower, upper)
         if rule is not CLRule.INTERVAL_ONLY and not self.exact:
             raise ValueError(f"rule {rule.value} needs a pinched bracket")
@@ -194,26 +196,21 @@ def lagrangian_capacity(domain: ToricDomain) -> CLCertificate:
     the witness's minimal fiber area, which is its smallest coordinate:
     delta for MonotoneDiagonal, eta for the two shell rules.
 
-    Otherwise the certificate is an ``IntervalOnly`` bracket.  Its lower
-    end is the best fiber-torus area (``a_min_closed``) among candidate
-    positions (the diagonal point and the domain's ``cl_candidates``:
-    polygon vertices, or rectangle corners), read off one common
-    denominator; its upper end is eta, since the domain sits inside the
-    min-coordinate region of that size.
+    Otherwise the certificate is an ``IntervalOnly`` bracket from the best
+    fiber-torus area (``a_min_closed``) of the diagonal point, delta, and of
+    the domain's ``cl_candidates`` (X, Y) over q, gcd(X, Y) / q each, up to
+    eta: the domain sits inside the min-coordinate region of that size.
     """
     for name in _checked(domain).cl_rules:
         witness = _RULES[name](domain)
         if witness is not None:
             value = min(witness)
             return CLCertificate(value, value, _MEMBERS[name], witness)
-    # Every candidate is a positive pair, and gcd(X, Y) / q is its
-    # ``a_min_closed`` for any common denominator q of its coordinates, so
-    # one q serves every candidate.
-    d = delta(domain)
-    q, flat = over_common_denominator(
-        [c for p in [(d, d), *domain.cl_candidates] for c in p]
-    )
-    lower = Fraction(max(map(math.gcd, flat[0::2], flat[1::2])), q)
+    # A candidate (X / q, Y / q) on the domain's lattice has the
+    # ``a_min_closed`` gcd(X, Y) / q; the diagonal point's is delta.
+    q, points = domain.cl_candidates
+    best = max((math.gcd(x, y) for x, y in points), default=0)
+    lower = max(delta(domain), Fraction(best, q))
     return CLCertificate(lower, eta(domain), CLRule.INTERVAL_ONLY, None)
 
 

@@ -193,6 +193,15 @@ def test_parse_rejects_bad_json():
         parse_domain("{not json")
 
 
+def test_parse_refuses_a_document_that_is_not_text():
+    doc = '{"kind":"cube","n":2,"a":"1"}'
+    for text in (doc, doc.encode(), bytearray(doc.encode())):
+        assert parse_domain(text) == StandardDomain("cube", 2, Fraction(1))
+    for bad in (None, 5, json.loads(doc), [doc]):
+        with pytest.raises(DomainError, match="domain document must be text"):
+            parse_domain(bad)
+
+
 def test_polygon_invariants():
     with pytest.raises(DomainError, match="x-axis"):
         Polygon2D(((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))))
@@ -704,6 +713,14 @@ def test_interval_matches_fraction_oracle():
             cert = CLCertificate(*given, CLRule.INTERVAL_ONLY, None)
             assert cert.exact is iv.exact and cert.value is None
     assert min(outcomes.values()) >= 200, outcomes
+
+
+def test_certificate_refuses_a_rule_that_is_not_a_member():
+    # The member's name, None and other values, on a pinched and an open bracket.
+    for rule in ("IntervalOnly", "MonotoneDiagonal", None, 3):
+        for bracket in ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(2))):
+            with pytest.raises(DomainError, match="rule must be a CLRule member"):
+                CLCertificate(*bracket, rule, None)
 
 
 def test_keyword_constructor_contract():

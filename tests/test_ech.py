@@ -1020,8 +1020,9 @@ NON_ORBIT_SETS = {
     "pairs": ((CombOrbit((1, 1), 1), 1),),
 }
 
-# Each call with x in place of one of its orbit sets (of the witness in
-# verify_witness, of the literal in parse_orbit_set), and the x it accepts.
+# Each call with x in place of one of its orbit sets (of the witness, of a
+# witness's orbit set or factor list in verify_witness, of the literal in
+# parse_orbit_set), and the x it accepts.
 ORBIT_SET_CALLS = {
     "orbit_invariants": (lambda d, x: orbit_invariants(x), E11),
     "cross_term_first": (lambda d, x: cross_term(x, E11), E11),
@@ -1035,6 +1036,17 @@ ORBIT_SET_CALLS = {
                        ech.SearchWitness(E11, (E11,), (E11,))),
     "verify_witness_test_set": (
         lambda d, x: verify_witness(d, d, ech.SearchWitness(E11, (E11,), (E11,)), x), E11),
+    "verify_witness_alpha": (
+        lambda d, x: verify_witness(d, d, ech.SearchWitness(x, (E11,), (E11,)), E11), E11),
+    "verify_witness_alpha_factor": (
+        lambda d, x: verify_witness(d, d, ech.SearchWitness(E11, (x,), (E11,)), E11), E11),
+    "verify_witness_alpha_prime_factor": (
+        lambda d, x: verify_witness(d, d, ech.SearchWitness(E11, (E11,), (x,)), E11), E11),
+    "verify_witness_alpha_factors": (
+        lambda d, x: verify_witness(d, d, ech.SearchWitness(E11, x, (E11,)), E11), (E11,)),
+    "verify_witness_alpha_prime_factors": (
+        lambda d, x: verify_witness(d, d, ech.SearchWitness(E11, (E11,), x), E11), (E11,)),
+    "product": (lambda d, x: E11.product(x), E11),
     "parse_orbit_set": (lambda d, x: parse_orbit_set(x), "e(1,1)"),
 }
 

@@ -1,7 +1,7 @@
 """Static hygiene: every import in the package is used, functions import
 only where a CLI subcommand or the package's name loader loads a layer,
-every module-level private name is read by some module of the package,
-and only ``cli.main`` writes to stdout or stderr.
+every module-level private name and every module-level constant is read
+by some module of the package, and only ``cli.main`` writes to stdout or stderr.
 
 There is no linter among the dependencies, so this scans the syntax
 trees itself.  ``from __future__`` imports are exempt from the unused
@@ -149,6 +149,14 @@ def test_function_import_scan_flags_misplaced_imports():
     assert _misplaced_imports(tree, None) == _function_imports(tree)
 
 
+def _assigned_names(node: ast.stmt) -> list:
+    """The names a statement assigns ([] unless it is an assignment)."""
+    if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def _private_definitions(tree: ast.Module) -> dict:
     """Module-level private function, class and constant names, mapped to their line.
 
@@ -158,15 +166,26 @@ def _private_definitions(tree: ast.Module) -> dict:
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
-            continue
+            names = _assigned_names(node)
         for name in names:
             if name.startswith("_") and not name.startswith("__"):
                 defined[name] = node.lineno
     return defined
+
+
+def _constants(tree: ast.Module) -> dict:
+    """Module-level constant names, public or private, mapped to their line.
+
+    A constant is a name a module-level assignment binds; dunder names such
+    as ``__all__`` and ``__version__`` are read by Python or by tools.
+    """
+    return {
+        name: node.lineno
+        for node in tree.body
+        for name in _assigned_names(node)
+        if not name.startswith("__")
+    }
 
 
 def _read_names(tree: ast.Module) -> set:
@@ -182,21 +201,34 @@ def _read_names(tree: ast.Module) -> set:
     return read
 
 
-def test_no_orphaned_private_names():
-    # Only the package's own modules count as readers: a helper that only
-    # the tests still call is orphaned.
+def _unread(definitions) -> list:
+    """``module:line name`` of each name ``definitions(tree)`` finds in a
+    package module that no package module reads.
+
+    Only the package's own modules count as readers: a helper or constant
+    that only the tests still read is orphaned.
+    """
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in MODULES
     }
     read = set().union(*map(_read_names, trees.values()))
-    orphans = [
+    return [
         f"{module}:{line} {name}"
         for module, tree in trees.items()
-        for name, line in _private_definitions(tree).items()
+        for name, line in definitions(tree).items()
         if name not in read
     ]
+
+
+def test_no_orphaned_private_names():
+    orphans = _unread(_private_definitions)
     assert not orphans, f"private names no module reads: {orphans}"
+
+
+def test_no_unread_module_constants():
+    unread = _unread(_constants)
+    assert not unread, f"module-level constants no module reads: {unread}"
 
 
 def test_private_scan_flags_an_orphan():
@@ -217,6 +249,24 @@ def test_private_scan_flags_an_orphan():
     assert defined.keys() == {"_LIMIT", "_a", "_b", "_used", "_orphan", "_Helper"}
     read = _read_names(tree) | _read_names(ast.parse("from pkg.mod import _Helper\n"))
     assert {name for name in defined if name not in read} == {"_b", "_orphan"}
+
+
+def test_constant_scan_flags_an_unread_constant():
+    tree = ast.parse(
+        "LIMIT = 3\n"
+        "ZERO: int = 0\n"
+        "A, (B, _c) = 1, (2, 3)\n"
+        "__version__ = '1'\n"
+        "def f():\n"
+        "    local = 1\n"
+        "    return LIMIT + _c + local\n"
+        "class Thing:\n"
+        "    FIELD = 1\n"
+    )
+    defined = _constants(tree)
+    assert defined == {"LIMIT": 1, "ZERO": 2, "A": 3, "B": 3, "_c": 3}
+    read = _read_names(tree) | _read_names(ast.parse("from pkg.mod import B\n"))
+    assert {name for name in defined if name not in read} == {"ZERO", "A"}
 
 
 def _output_sites(tree: ast.Module, skip: str | None = None) -> list:

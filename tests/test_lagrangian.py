@@ -208,7 +208,9 @@ def test_certificate_bracket_invariants():
             assert cert.value is None and cert.witness is None, dom
             assert cert.lower < cert.upper == eta(dom), dom
             d = delta(dom)
-            assert cert.lower == max(a_min_closed(p) for p in [(d, d), *dom.cl_candidates]), dom
+            q, points = dom.cl_candidates
+            candidates = [(d, d), *((Fraction(x, q), Fraction(y, q)) for x, y in points)]
+            assert cert.lower == max(a_min_closed(p) for p in candidates), dom
             interval_kinds.add(type(dom))
         else:
             w = cert.witness

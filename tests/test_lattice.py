@@ -169,6 +169,13 @@ def _value_or_refusal(f, *args):
         return str(exc)
 
 
+def _candidate_fractions(dom) -> list:
+    """``cl_candidates``, integer points over the lattice's q, as Fraction pairs."""
+    q, points = dom.cl_candidates
+    assert all(type(c) is int for c in (q, *(c for p in points for c in p)))
+    return [(Fraction(x, q), Fraction(y, q)) for x, y in points]
+
+
 def lattice_answers(dom, levels, points, directions) -> dict:
     return {
         "delta": delta(dom),
@@ -177,7 +184,7 @@ def lattice_answers(dom, levels, points, directions) -> dict:
         "cube_inclusion": cube_inclusion(dom),
         "simplex_inclusion": dom.simplex_inclusion,
         "cylinder_cover": dom.cylinder_cover,
-        "cl_candidates": dom.cl_candidates,
+        "cl_candidates": _candidate_fractions(dom),
         "cl_slices": [tuple(dom.cl_slices(e)) for e in levels],
         "contains": [dom.contains(p) for p in points],
         "on_boundary": [dom.on_boundary(p) for p in points],
@@ -456,7 +463,7 @@ def union_lattice_answers(dom, levels, points) -> dict:
         "cube_inclusion": cube_inclusion(dom),
         "simplex_inclusion": dom.simplex_inclusion,
         "cylinder_cover": dom.cylinder_cover,
-        "cl_candidates": dom.cl_candidates,
+        "cl_candidates": _candidate_fractions(dom),
         "cl_slices": [tuple(list(s) for s in dom.cl_slices(e)) for e in levels],
         "contains": [dom.contains(p) for p in points],
         "on_boundary": [dom.on_boundary(p) for p in points],
