@@ -9,18 +9,18 @@ Three kinds of domain are supported:
   vertices with positive coordinates, listed counterclockwise from the
   x-axis intercept to the y-axis intercept.  The origin and the two axis
   segments are implicit.  The chain is required to be convex, which makes
-  the domain weakly convex by construction.  The constructor scales the
-  chain once to integers over the lcm of its denominators (``_Lattice``);
-  the validation, the invariants and the point queries (on a point scaled
-  by its own denominators) run in ``int`` arithmetic on it, and
-  ``Fraction`` values appear only in the ``vertices`` field and in the
-  answers.
+  the domain weakly convex by construction.  The constructor reads the
+  chain straight to integers over the lcm of its denominators
+  (``_Lattice``); the validation, the invariants and the point queries
+  (on a point scaled by its own denominators) run in ``int`` arithmetic
+  on it, and the ``vertices`` field is read off it when asked for.
 * ``Rectilinear2D`` -- a finite union of axis-aligned rectangles in the
   closed positive quadrant; the union must be connected and contain a
   neighborhood of a point on a coordinate axis.  Like a polygon, it is
-  validated and answered on one integer lattice: the constructor scales
-  the rectangles once to integer boxes over the lcm of their
-  denominators and builds its coverage grid (``_Coverage``) on them.
+  validated and answered on one integer lattice: the constructor reads
+  the corners straight to integer boxes over the lcm of their
+  denominators and builds its coverage grid (``_Coverage``) on them, and
+  the ``rects`` field is read off the grid when asked for.
 
 Each kind derives from the plain base class ``ToricDomain`` and answers
 everything that depends on its kind itself, so a new kind is one new
@@ -45,9 +45,11 @@ hashing, ``repr`` and serialization ignore them; a member that raises
 caches nothing and raises again.  The structures a constructor builds (a
 polygon's ``_lattice``, a union's ``_grid``) are kept there too.  All
 types are immutable values.
-Constructors coerce every rational field through ``parse_rational``, and
-the planar ``contains`` and ``on_boundary`` coerce their point the same way
-(``_point``); a dimension ``n`` must be an int, not a bool.
+Constructors read every rational through the one parser of
+``rationals`` (``parse_rational``, or ``over_common_denominator`` for a
+planar lattice), and the planar ``contains`` and ``on_boundary`` coerce
+their point the same way (``_point``); a dimension ``n`` must be an int,
+not a bool.
 """
 
 from __future__ import annotations
@@ -180,21 +182,22 @@ class _Lattice:
         ]
 
 
-def _canonical_chain(vertices) -> tuple:
+def _canonical_chain(vertices) -> _Lattice:
     """Validate and canonicalize a boundary vertex chain.
 
     Consecutive duplicate vertices and collinear midpoints are removed;
     every other defect raises ``DomainError`` naming the violated
-    invariant.  The result is the canonical counterclockwise chain from
-    the x-axis intercept to the y-axis intercept, as ``Fraction`` pairs,
-    and its ``_Lattice``.  The coordinates are scaled to integers once,
-    and every check compares those.
+    invariant.  The result is the ``_Lattice`` of the canonical
+    counterclockwise chain from the x-axis intercept to the y-axis
+    intercept.  The coordinates are read straight to integers, vertex by
+    vertex, so the first bad vertex or number in chain order is refused,
+    and every check compares those integers.
     """
     vertices = as_items(vertices, DomainError, "vertices must be a sequence, got {!r}")
     refusal = "vertex is not a coordinate pair: {!r}"
-    pairs = (as_pair(v, DomainError, refusal) for v in vertices)
-    pts = [(parse_rational(x), parse_rational(y)) for x, y in pairs]
-    q, flat = over_common_denominator([c for p in pts for c in p])
+    q, flat = over_common_denominator(
+        c for v in vertices for c in as_pair(v, DomainError, refusal)
+    )
     ints = list(zip(flat[0::2], flat[1::2]))
     # One sweep drops exact consecutive duplicates (the last kept vertex
     # always equals the previous input vertex) and collinear midpoints
@@ -225,11 +228,10 @@ def _canonical_chain(vertices) -> tuple:
         raise DomainError(
             "last vertex must be the y-axis intercept (x = 0, y > 0)"
         )
-    for i, p in zip(chain[1:-1], points[1:-1]):
-        if p[0] <= 0 or p[1] <= 0:
-            raise DomainError(
-                f"intermediate vertex {pts[i]} must have positive coordinates"
-            )
+    for x, y in points[1:-1]:
+        if x <= 0 or y <= 0:
+            vertex = (Fraction(x, q), Fraction(y, q))
+            raise DomainError(f"intermediate vertex {vertex} must have positive coordinates")
     # q over the gcd of q and the chain's integers is the lcm of the chain's
     # own denominators, so the lattice depends on the canonical chain alone.
     g = math.gcd(q, *(c for p in points for c in p))
@@ -239,7 +241,7 @@ def _canonical_chain(vertices) -> tuple:
     for e1, e2 in zip(lattice.edges, lattice.edges[1:]):
         if _cross(e1, e2) <= 0:
             raise DomainError("vertex chain not convex/ordered (non-left turn)")
-    return tuple(pts[i] for i in chain), lattice
+    return lattice
 
 
 def _chord(planes, level: Fraction, q: int) -> list:
@@ -272,13 +274,13 @@ def _chord(planes, level: Fraction, q: int) -> list:
 class Polygon2D(ToricDomain):
     """Weakly convex planar domain, stored as its canonical boundary chain.
 
-    The ``vertices`` field holds the chain as ``Fraction`` pairs.  The
-    constructor also keeps the chain scaled to integers over the lcm q of
-    its denominators (a ``_Lattice``) in the instance ``__dict__``, beside
-    the field, so it takes no part in equality, hashing, ``repr`` or
-    serialization.  The validation and every invariant read the integers:
-    comparisons become cross-multiplications, and each answer is built as
-    one ``Fraction`` (or is a vertex coordinate already held).
+    The constructor builds only the chain scaled to integers over the lcm
+    q of its denominators (a ``_Lattice``), in the instance ``__dict__``.
+    The ``vertices`` field, the chain as ``Fraction`` pairs, is read off
+    the lattice when a caller asks for it, so equality, hashing, ``repr``
+    and serialization see the field alone.  The validation and every
+    invariant read the integers: comparisons become cross-multiplications,
+    and each answer is built as one ``Fraction``.
     """
 
     vertices: tuple
@@ -288,16 +290,20 @@ class Polygon2D(ToricDomain):
     cl_rules = ("MonotoneDiagonal", "EtaOnBoundary", "LatticeWitness")
 
     def __init__(self, vertices):
-        chain, lattice = _canonical_chain(vertices)
-        self.__dict__.update(vertices=chain, _lattice=lattice)
+        self.__dict__["_lattice"] = _canonical_chain(vertices)
+
+    @cached_member
+    def vertices(self) -> tuple:
+        q = self._lattice.q
+        return tuple((Fraction(x, q), Fraction(y, q)) for x, y in self._lattice.points)
 
     @property
     def x_intercept(self) -> Fraction:
-        return self.vertices[0][0]
+        return Fraction(self._lattice.points[0][0], self._lattice.q)
 
     @property
     def y_intercept(self) -> Fraction:
-        return self.vertices[-1][1]
+        return Fraction(self._lattice.points[-1][1], self._lattice.q)
 
     @cached_member
     def _halfplanes(self) -> tuple:
@@ -443,7 +449,7 @@ class Polygon2D(ToricDomain):
         return self._lattice.q, self._lattice.points[1:-1]
 
     def summary(self) -> dict:
-        return {"vertices": len(self.vertices), "weakly_convex": True}
+        return {"vertices": len(self._lattice.points), "weakly_convex": True}
 
     def to_dict(self) -> dict:
         return {
@@ -482,6 +488,15 @@ def is_weakly_convex(vertices_or_polygon) -> bool:
 _CORNERS = ("x0", "x1", "y0", "y1")
 
 
+def _check_box(q: int, x0: int, x1: int, y0: int, y1: int) -> None:
+    """Refuse the box [x0, x1] x [y0, y1] / q off the quadrant or of no area."""
+    if x0 < 0 or x1 < 0 or y0 < 0 or y1 < 0:
+        raise DomainError("rectangle must lie in the positive quadrant")
+    if not (x0 < x1 and y0 < y1):
+        a, b, c, d = (Fraction(v, q) for v in (x0, x1, y0, y1))
+        raise DomainError(f"degenerate rectangle [{a},{b}]x[{c},{d}]")
+
+
 class Rect(Value):
     """Closed axis-aligned rectangle [x0, x1] x [y0, y1]."""
 
@@ -491,24 +506,10 @@ class Rect(Value):
     y1: Fraction
 
     def __init__(self, x0, x1, y0, y1):
-        corners = []
-        ratios = []
-        for c in (x0, x1, y0, y1):
-            # Corners read from a document are Fractions already.
-            if type(c) is not Fraction:
-                c = parse_rational(c)
-            n, d = c.as_integer_ratio()
-            # A Fraction's sign is its numerator's (the denominator is > 0).
-            if n < 0:
-                raise DomainError("rectangle must lie in the positive quadrant")
-            corners.append(c)
-            ratios.append((n, d))
-        x0, x1, y0, y1 = corners
-        (x0n, x0d), (x1n, x1d), (y0n, y0d), (y1n, y1d) = ratios
-        # p/q < r/s iff p s < r q, for q, s > 0.
-        if not (x0n * x1d < x1n * x0d and y0n * y1d < y1n * y0d):
-            raise DomainError(f"degenerate rectangle [{x0},{x1}]x[{y0},{y1}]")
-        self.__dict__.update(x0=x0, x1=x1, y0=y0, y1=y1)
+        corners = tuple(map(parse_rational, (x0, x1, y0, y1)))
+        q, box = over_common_denominator(corners)
+        _check_box(q, *box)
+        self.__dict__.update(zip(_CORNERS, corners))
 
 
 def _floor_ceil(v: Fraction, q: int) -> tuple:
@@ -554,24 +555,32 @@ def _connected(boxes) -> bool:
 class _Coverage:
     """Coordinate-compressed cell coverage of a rectangle union, on one integer lattice.
 
-    Rectangle k is ``boxes[k] / q``: q is the lcm of the denominators of
-    the rectangles' coordinates, and ``boxes[k]`` holds the integers
-    (x0, x1, y0, y1).  Scaling by q > 0 keeps every order and equality,
-    so everything is read off the integer boxes in ``int`` arithmetic:
-    connectivity, by a sweep over the boxes, and the painted cells.
+    The constructor reads the flat list of corners (x0, x1, y0, y1 per
+    rectangle) straight to integers: rectangle k is ``boxes[k] / q``, q the
+    least common denominator.  It refuses, in this order, no rectangle, a
+    bad box, a union off both axes and a disconnected union.  Scaling by
+    q > 0 keeps every order and equality, so connectivity and the painted
+    cells are read off the integer boxes in ``int`` arithmetic.
     ``xs`` and ``ys`` are the sorted distinct integer coordinates together
     with 0, and a dict ranks each box's coordinates on them.  Cell (i, j)
     is the open box between ``xs[i]``, ``xs[i + 1]`` and ``ys[j]``,
     ``ys[j + 1]``; every rectangle is a block of whole cells, so a cell is
     covered by the closed union iff some rectangle paints it, and the
     union is the closure of its painted cells.  ``columns[i]`` is column i
-    as a bit mask: bit j is set iff cell (i, j) is painted.  A
-    disconnected union raises ``DomainError`` before any cell is painted.
+    as a bit mask: bit j is set iff cell (i, j) is painted.
     """
 
     __slots__ = ("q", "boxes", "xs", "ys", "columns", "staircase", "cube")
 
-    def __init__(self, q: int, boxes: list):
+    def __init__(self, corners: list):
+        if not corners:
+            raise DomainError("rectilinear domain needs at least one rectangle")
+        q, flat = over_common_denominator(corners)
+        boxes = list(zip(flat[0::4], flat[1::4], flat[2::4], flat[3::4]))
+        for box in boxes:
+            _check_box(q, *box)
+        if not any(x0 == 0 or y0 == 0 for x0, _, y0, _ in boxes):
+            raise DomainError("union must contain a neighborhood of a boundary-axis point")
         if not _connected(boxes):
             raise DomainError("rectangle union is not connected")
         xs = sorted({0, *(b[0] for b in boxes), *(b[1] for b in boxes)})
@@ -642,14 +651,13 @@ class _Coverage:
 class Rectilinear2D(ToricDomain):
     """Connected union of axis-aligned rectangles touching a coordinate axis.
 
-    The constructor scales every rectangle coordinate once to an integer
-    over the lcm q of their denominators and builds the union's coverage
-    grid (``_Coverage``) on these integer boxes, as a polygon builds its
-    ``_Lattice``.  The grid refuses a disconnected union, and every
-    invariant, membership and boundary test reads it: ``Fraction`` values
-    appear only in the ``rects`` field and in the answers.  It is kept in
-    the instance ``__dict__`` beside the field, like the cached
-    invariants, so it takes no part in equality, hashing or ``repr``.
+    The constructor builds only the union's coverage grid (``_Coverage``),
+    the rectangles as integer boxes over the lcm q of their denominators,
+    as a polygon builds its ``_Lattice``; the grid checks every box and
+    the union, and every invariant, membership and boundary test reads it.
+    The ``rects`` field, the rectangles as ``Rect`` values, is read off the
+    grid when a caller asks for it, so equality, hashing, ``repr`` and
+    serialization see the field alone.
     """
 
     rects: tuple
@@ -663,19 +671,14 @@ class Rectilinear2D(ToricDomain):
 
     def __init__(self, rects):
         rects = as_items(rects, DomainError, "rects must be a sequence, got {!r}")
-        if not rects:
-            raise DomainError("rectilinear domain needs at least one rectangle")
-        for r in rects:
-            if not isinstance(r, Rect):
-                raise DomainError("rects must be Rect instances")
-        coords = [c for r in rects for c in (r.x0, r.x1, r.y0, r.y1)]
-        q, flat = over_common_denominator(coords)
-        boxes = list(zip(flat[0::4], flat[1::4], flat[2::4], flat[3::4]))
-        if not any(x0 == 0 or y0 == 0 for x0, _, y0, _ in boxes):
-            raise DomainError(
-                "union must contain a neighborhood of a boundary-axis point"
-            )
-        self.__dict__.update(rects=rects, _grid=_Coverage(q, boxes))
+        if not all(isinstance(r, Rect) for r in rects):
+            raise DomainError("rects must be Rect instances")
+        self.__dict__["_grid"] = _Coverage([c for r in rects for c in (r.x0, r.x1, r.y0, r.y1)])
+
+    @cached_member
+    def rects(self) -> tuple:
+        q = self._grid.q
+        return tuple(Rect(*(Fraction(c, q) for c in box)) for box in self._grid.boxes)
 
     @cached_member
     def delta(self) -> Fraction:
@@ -735,7 +738,7 @@ class Rectilinear2D(ToricDomain):
         ]
 
     def summary(self) -> dict:
-        return {"rects": len(self.rects)}
+        return {"rects": len(self._grid.boxes)}
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "rects": [
@@ -750,27 +753,19 @@ class Rectilinear2D(ToricDomain):
             raise DomainError("rectilinear2d document missing 'rects'")
         if not isinstance(raw, list):
             raise DomainError("'rects' must be a list of rectangle objects")
-        rects = []
-        # Corner strings repeat within a document (axis zeros, shared
-        # edges), so each distinct string is parsed once.  Only str keys
-        # go in: JSON 0, false and 0.0 are one dict key (1, true and 1.0
-        # another), so other values reach Rect unparsed and Rect judges them.
-        parsed = {}
+        corners = []
         for item in raw:
             if not isinstance(item, dict):
                 raise DomainError(f"rectangle is not an object: {item!r}")
             try:
-                corners = [item[k] for k in _CORNERS]
+                corners += [item[k] for k in _CORNERS]
             except KeyError as exc:
                 raise DomainError(f"rectangle missing corner field {exc}")
-            for j, c in enumerate(corners):
-                if type(c) is str:
-                    value = parsed.get(c)
-                    if value is None:
-                        value = parsed[c] = parse_rational(c)
-                    corners[j] = value
-            rects.append(Rect(*corners))
-        return cls(tuple(rects))
+        # The grid reads the document's values; no Rect is built until a
+        # caller reads ``rects``.
+        domain = cls.__new__(cls)
+        domain.__dict__["_grid"] = _Coverage(corners)
+        return domain
 
 
 _KINDS = {
@@ -796,7 +791,7 @@ def domain_from_dict(data: dict) -> ToricDomain:
     """Build a domain from a decoded JSON document.
 
     Only the document's shape is checked here; the constructors validate
-    the raw field values and coerce them through ``parse_rational``.
+    the raw field values and read them through the parser of ``rationals``.
     """
     if not isinstance(data, dict):
         raise DomainError("domain document must be a JSON object")
@@ -821,6 +816,8 @@ def parse_domain(text: str) -> ToricDomain:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:  # a ValueError too, so caught first
+        raise DomainError(f"invalid JSON: the bytes are not valid {exc.encoding}") from None
     except ValueError:
         # The decoder's int() refuses a literal past Python's digit limit.
         raise DomainError(

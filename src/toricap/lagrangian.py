@@ -123,6 +123,9 @@ class CLCertificate(Interval):
     A definite rule pins the bracket at the minimal fiber area of its
     ``witness``, the fiber-torus position backing the value; for
     ``IntervalOnly`` only the bracket is claimed and there is no witness.
+    A definite witness is a non-empty sequence of rationals (n of them for
+    a domain of dimension n), coerced through ``parse_rational`` into a
+    tuple, whose smallest coordinate is the pinned value.
     """
 
     rule: CLRule
@@ -132,8 +135,21 @@ class CLCertificate(Interval):
         if not isinstance(rule, CLRule):
             raise DomainError(f"rule must be a CLRule member, got {rule!r}")
         super().__init__(lower, upper)
-        if rule is not CLRule.INTERVAL_ONLY and not self.exact:
+        if rule is CLRule.INTERVAL_ONLY:
+            if witness is not None:
+                raise DomainError(f"an IntervalOnly certificate has no witness, got {witness!r}")
+        elif not self.exact:
             raise ValueError(f"rule {rule.value} needs a pinched bracket")
+        else:
+            refusal = "witness must be a non-empty sequence of rationals, got {!r}"
+            point = tuple(map(parse_rational, as_items(witness, DomainError, refusal)))
+            if not point:
+                raise DomainError(refusal.format(witness))
+            if min(point) != self.lower:
+                raise DomainError(
+                    f"witness smallest coordinate {min(point)} is not the value {self.lower}"
+                )
+            witness = point
         self.__dict__.update(rule=rule, witness=witness)
 
     @property

@@ -5,13 +5,13 @@ nothing on the computation path ever touches floating point.  The wire
 format for a rational is the string "p/q" or "p" (plain integers are
 also accepted on input).
 
-``parse_rational`` is the one place where a caller's value becomes a
-``Fraction``: every constructor and entry point that takes a rational, from
-a domain file or the Python API, coerces it here.  ``as_pair`` is the one
-place that decides what a pair is, for every vertex, point and direction a
+One parser (``_ratio``) reads every rational a caller hands in, and two
+entry points sit on it.  ``parse_rational`` makes one ``Fraction``, and
+``over_common_denominator`` scales many rationals to integers over one q,
+so that a loop over them runs in ``int`` arithmetic; a domain document's
+numbers go that way, straight to integers.  ``as_pair`` is the one place
+that decides what a pair is, for every vertex, point and direction a
 caller hands in, and ``as_items`` what a sequence of them is.
-``over_common_denominator`` is the one place where rationals are scaled to
-integers, so that a loop over them can run in ``int`` arithmetic.
 ``Interval`` is the one closed rational bracket type: every capacity bound
 in a report is one, and so is the Lagrangian-capacity certificate.
 ``Value`` is the base of every immutable value type in the package, and
@@ -35,40 +35,39 @@ from .errors import DomainError, InapplicableError
 _RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+)\s*)?$")
 
 
-def parse_rational(value) -> Fraction:
-    """Parse "p/q" or "p" (or a plain int / Fraction) into a Fraction.
-
-    Floats, bools and decimal strings are rejected with ``DomainError``:
-    accepting them would hide representation error behind exact
-    arithmetic.
-    """
-    # Strings (domain files) first: the ABC isinstance check against Fraction is slow.
+def _ratio(value) -> tuple:
+    """``(n, d)``, d > 0 and not reduced, for "p/q", "p", an int or a Fraction."""
     if isinstance(value, str):
         m = _RATIONAL_RE.match(value)
         if not m:
             raise DomainError(f"not a rational 'p/q' string: {value!r}")
         num, den = m.groups()
         try:
-            num = int(num)
-            if den is None:
-                # An integer is already in lowest terms: no gcd to take.
-                return Fraction(num)
-            den = int(den)
+            n, d = int(num), 1 if den is None else int(den)
         except ValueError:
             raise DomainError(
                 f"rational {value.strip()[:12]}... has an integer of more than "
                 f"{sys.get_int_max_str_digits()} digits"
             ) from None
-        if den == 0:
+        if d == 0:
             raise DomainError(f"zero denominator in rational: {value!r}")
-        return Fraction(num, den)
+        return (-n, -d) if d < 0 else (n, d)
+    if isinstance(value, Fraction):
+        return value.as_integer_ratio()
+    if is_integer(value):
+        return value, 1
+    raise DomainError(f"not a rational: {value!r}")
+
+
+def parse_rational(value) -> Fraction:
+    """Parse "p/q" or "p" (or a plain int / Fraction) into a Fraction.
+
+    Floats, bools and decimal strings are a ``DomainError``: accepting them
+    would hide representation error behind exact arithmetic.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise DomainError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    raise DomainError(f"not a rational: {value!r}")
+    return Fraction(*_ratio(value))
 
 
 # A str iterates over its characters, a dict over its keys, and a set or
@@ -115,11 +114,15 @@ def is_count(value) -> bool:
 
 
 def over_common_denominator(values) -> tuple:
-    """``(q, [v * q for v in values])``: q is the lcm of the denominators,
-    so every scaled value is an ``int``."""
-    ratios = [v.as_integer_ratio() for v in values]
+    """``(q, [v * q for v in values])`` for the least q that makes every
+    scaled value an ``int``, so "2/4" and "1/2" give the same q."""
+    ratios = [_ratio(v) for v in values]
     q = math.lcm(*(d for _, d in ratios))
-    return q, [n * (q // d) for n, d in ratios]
+    scaled = [n * (q // d) for n, d in ratios]
+    g = math.gcd(q, *scaled)
+    if g > 1:
+        q, scaled = q // g, [n // g for n in scaled]
+    return q, scaled
 
 
 def format_rational(value: Fraction) -> str:
@@ -256,13 +259,10 @@ class Interval(Value):
     upper: Fraction | None  # None = no finite upper bound claimed
 
     def __init__(self, lower, upper):
-        # Every bracket a report builds has Fraction ends already.
-        if type(lower) is not Fraction:
-            lower = parse_rational(lower)
+        lower = parse_rational(lower)
         exact = False
         if upper is not None:
-            if type(upper) is not Fraction:
-                upper = parse_rational(upper)
+            upper = parse_rational(upper)
             # p/q <= r/s iff p s <= r q, for q, s > 0.
             ln, ld = lower.as_integer_ratio()
             un, ud = upper.as_integer_ratio()

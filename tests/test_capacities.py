@@ -25,7 +25,13 @@ from toricap import (
 )
 from toricap.capacities import CSV_COLUMNS
 
-from generators import make_monotone_polygon, make_staircase, make_weakly_convex_polygon, scaled
+from generators import (
+    make_monotone_polygon,
+    make_staircase,
+    make_touching_union,
+    make_weakly_convex_polygon,
+    scaled,
+)
 
 F = Fraction
 
@@ -264,3 +270,28 @@ def test_ball_normalized_brackets_hold_one(domain):
     report = capacity_report(domain)
     for bracket in (report.c_B, report.c_Z):
         assert bracket.lower <= 1 and (bracket.upper is None or 1 <= bracket.upper)
+
+
+# Recorded floors: how many of seeds 0-399 give an exact c_P, c_N and c_L.
+# A rise raises the floor; a correctness fix that un-pinches a value lowers
+# it, with the reason recorded in CHANGES.md.
+PINCHED_FLOORS = {
+    make_weakly_convex_polygon: (160, 339, 339),
+    make_touching_union: (186, 381, 381),
+    make_monotone_polygon: (400, 400, 400),
+    make_staircase: (400, 400, 400),
+}
+
+
+def test_pinched_bracket_floors():
+    counts, floors = {}, {}
+    for make, floor in PINCHED_FLOORS.items():
+        pinched = [0, 0, 0]
+        for seed in range(400):
+            rep = capacity_report(make(random.Random(seed)))
+            for k, bracket in enumerate((rep.c_P, rep.c_N, rep.c_L)):
+                pinched[k] += bracket.exact
+        counts[make.__name__], floors[make.__name__] = tuple(pinched), floor
+    assert all(
+        n >= f for name in counts for n, f in zip(counts[name], floors[name])
+    ), (counts, floors)

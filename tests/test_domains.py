@@ -42,7 +42,8 @@ from toricap import (
     verify_xa,
 )
 
-from toricap import domains
+from toricap import domains, rationals
+from toricap.capacities import certificate_to_dict
 from toricap.ech import SearchBounds, candidate_orbits, orbit_invariants
 from toricap.rationals import format_rational, over_common_denominator
 
@@ -101,7 +102,7 @@ RATIONAL_ENTRY_POINTS = [
     ("Interval upper", lambda v: Interval(0, v), [Fraction(1), Fraction(3, 2)]),
     (
         "CLCertificate",
-        lambda v: CLCertificate(v, v, CLRule.MONOTONE_DIAGONAL, None),
+        lambda v: CLCertificate(v, v, CLRule.MONOTONE_DIAGONAL, (v, v)),
         [Fraction(1), Fraction(3, 2)],
     ),
 ]
@@ -294,6 +295,13 @@ def test_rect_matches_fraction_oracle():
             refusal = str(exc)
         else:
             refusal = None
+        if refusal is not None:
+            # A union document reads the same corners onto its grid, and the
+            # grid shares Rect's box check.
+            item = dict(zip(("x0", "x1", "y0", "y1"), (c for c, _ in drawn)))
+            with pytest.raises(DomainError) as refused:
+                Rectilinear2D.from_dict({"kind": "rectilinear2d", "rects": [item]})
+            assert str(refused.value) == refusal, drawn
         if any(v < 0 for v in values):
             assert refusal == QUADRANT, drawn
             outcomes["quadrant"] += 1
@@ -372,8 +380,9 @@ def test_from_dict_refuses_non_strings_after_equal_values(bad, zero, one):
 
 
 def test_from_dict_parse_count_on_a_staircase(monkeypatch):
-    # A timing-free guard on the saving: one parse per distinct corner
-    # string, however often the string repeats.
+    # A timing-free guard on the document path: the corners go straight to
+    # the integer grid, with no parse_rational call and no Rect, until a
+    # caller reads ``rects``.
     steps = 32
     xs = [Fraction(k, 7) for k in range(1, steps + 1)]
     ys = [Fraction(k, 11) for k in range(steps, 0, -1)]
@@ -382,19 +391,28 @@ def test_from_dict_parse_count_on_a_staircase(monkeypatch):
         for x, y in zip(xs, ys)
     ]}
     calls = Counter()
-    parse = domains.parse_rational
 
-    def counting(value):
-        if isinstance(value, str):
-            calls[value] += 1
-        return parse(value)
+    def counting(name, func):
+        def call(*args):
+            calls[name] += 1
+            return func(*args)
+        return call
 
-    monkeypatch.setattr(domains, "parse_rational", counting)
+    for module in (domains, rationals):
+        monkeypatch.setattr(module, "parse_rational",
+                            counting("parse_rational", module.parse_rational))
+    monkeypatch.setattr(domains, "Rect", counting("Rect", domains.Rect))
     dom = Rectilinear2D.from_dict(doc)
-    distinct = {c for item in doc["rects"] for c in item.values()}
-    # "0", and "1" and "2" in both axes, repeat.
-    assert len(dom.rects) == steps and len(distinct) == 2 * steps - 1
-    assert calls == Counter(dict.fromkeys(distinct, 1))
+    assert not calls and "rects" not in vars(dom)
+    assert dom.summary() == {"rects": steps}
+    assert dom.delta == max(min(x, y) for x, y in zip(xs, ys))
+    assert not calls
+    rects = dom.rects
+    assert calls["Rect"] == steps
+    monkeypatch.undo()
+    expected = Rectilinear2D(tuple(Rect(0, x, 0, y) for x, y in zip(xs, ys)))
+    assert rects == expected.rects and dom == expected and hash(dom) == hash(expected)
+    assert dom.to_dict() == expected.to_dict() == doc
 
 
 def test_rectilinear_validation():
@@ -721,6 +739,42 @@ def test_certificate_refuses_a_rule_that_is_not_a_member():
         for bracket in ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(2))):
             with pytest.raises(DomainError, match="rule must be a CLRule member"):
                 CLCertificate(*bracket, rule, None)
+
+
+def test_certificate_checks_its_witness():
+    one, two = Fraction(1), Fraction(2)
+    refusals = [
+        ((one, two, CLRule.INTERVAL_ONLY, (1, 1)), "IntervalOnly certificate has no witness"),
+        ((one, one, CLRule.MONOTONE_DIAGONAL, "x"), "non-empty sequence of rationals"),
+        ((one, one, CLRule.MONOTONE_DIAGONAL, None), "non-empty sequence of rationals"),
+        ((one, one, CLRule.ETA_ON_BOUNDARY, ()), "non-empty sequence of rationals"),
+        ((one, one, CLRule.LATTICE_WITNESS, (1, 0.5)), "not a rational"),
+        ((one, one, CLRule.LATTICE_WITNESS, (3, 2)), "smallest coordinate 2 is not the value 1"),
+        ((one, one, CLRule.ETA_ON_BOUNDARY, ("1/2", 1)), "smallest coordinate 1/2"),
+    ]
+    for args, message in refusals:
+        with pytest.raises(DomainError, match=message):
+            CLCertificate(*args)
+    # A definite witness is coerced to a tuple of Fractions, of any length
+    # and sign; the smallest coordinate is the value.
+    cert = CLCertificate("-1/2", "-1/2", CLRule.MONOTONE_DIAGONAL, ["-1/2", 3, "-1/2"])
+    assert cert.witness == (Fraction(-1, 2), Fraction(3), Fraction(-1, 2))
+    assert all(type(c) is Fraction for c in cert.witness)
+    assert certificate_to_dict(cert)["witness"] == ["-1/2", "3", "-1/2"]
+    assert CLCertificate(one, one, CLRule.LATTICE_WITNESS, [1]).witness == (one,)
+
+
+def test_parse_names_the_encoding_error():
+    # Bytes that are not valid in the detected encoding (UTF-8 here) are
+    # named as such, not as a number past the digit limit.
+    for text in (b"\x80abc", b'{"kind":"cube","n":2,"a":"1\xff"}'):
+        with pytest.raises(DomainError, match="the bytes are not valid utf-8"):
+            parse_domain(text)
+    limit = sys.get_int_max_str_digits()
+    for text in ('{"kind":"cube","n":2,"a":1%s}' % ("0" * limit),
+                 b'{"kind":"cube","n":2,"a":1%s}' % (b"0" * limit)):
+        with pytest.raises(DomainError, match=f"a number has more than {limit} digits"):
+            parse_domain(text)
 
 
 def test_keyword_constructor_contract():

@@ -1,5 +1,6 @@
 """Support values, diagonal/min-coordinate radii, monotonicity, cube inclusion."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -22,6 +23,7 @@ from toricap import (
     is_monotone,
     lagrangian_capacity,
     omega_a,
+    parse_domain,
     report_to_dict,
     serialize_domain,
     square_polygon,
@@ -493,6 +495,17 @@ def test_cached_invariants_keep_value_semantics():
     domains += [make_weakly_convex_polygon(rng) for _ in range(10)]
     domains += CORNER_TOUCHING + [make_touching_union(rng) for _ in range(10)]
     domains += [make_staircase(rng) for _ in range(5)]
+    # Unreduced strings: q is still the lcm of the lowest-terms denominators,
+    # 4 and 12, not 8 and 72 (and the loop checks it as for every domain).
+    domains += [
+        Polygon2D((("2/4", "0"), ("6/8", "2/8"), ("0", "10/20"))),
+        parse_domain(json.dumps({"kind": "rectilinear2d", "rects": [
+            {"x0": "0", "x1": "4/6", "y0": "0/3", "y1": "2/8"},
+            {"x0": "0/9", "x1": "3/9", "y0": "0", "y1": "6/4"},
+        ]})),
+    ]
+    unreduced_polygon, unreduced_union = domains[-2:]
+    assert vars(unreduced_polygon)["_lattice"].q == 4 and vars(unreduced_union)["_grid"].q == 12
     for dom in domains:
         if isinstance(dom, Rectilinear2D):
             # The coverage grid is built by the constructor, beside the fields.
@@ -515,11 +528,19 @@ def test_cached_invariants_keep_value_semantics():
         assert serialize_domain(fresh) == serialize_domain(dom)
         # A second read, and a fresh instance, give the same answers.
         assert _answers(dom) == answers == _answers(fresh)
+        # So does the domain read back from its own document.
+        reread = parse_domain(serialize_domain(dom))
+        assert reread == dom and hash(reread) == hash(dom), dom
+        assert repr(reread) == repr(dom)
+        assert serialize_domain(reread) == serialize_domain(dom)
+        assert _answers(reread) == answers
         if isinstance(dom, Polygon2D):
             # The lattice is a function of the field: the same q and integers.
             mine, theirs = vars(dom)["_lattice"], vars(fresh)["_lattice"]
             assert theirs is not mine
-            assert (theirs.q, theirs.points) == (mine.q, mine.points)
+            for other in (theirs, vars(reread)["_lattice"]):
+                assert (other.q, other.points) == (mine.q, mine.points)
+            assert dom.cl_candidates == reread.cl_candidates == (mine.q, mine.points[1:-1])
             assert mine.q == math.lcm(*(c.denominator for v in dom.vertices for c in v))
         if isinstance(dom, Rectilinear2D):
             # The union's lattice: q is the lcm of the rectangles'
@@ -535,7 +556,7 @@ def test_cached_invariants_keep_value_semantics():
             again = Rectilinear2D(tuple(
                 Rect(*(str(c) for c in (r.x0, r.x1, r.y0, r.y1))) for r in dom.rects
             ))
-            for other in (theirs, vars(again)["_grid"]):
+            for other in (theirs, vars(again)["_grid"], vars(reread)["_grid"]):
                 assert (other.q, other.boxes) == (mine.q, mine.boxes)
             assert again == dom and hash(again) == hash(dom)
             assert repr(again) == repr(dom)
