@@ -51,7 +51,6 @@ _EXPORTS = {
         "cross_term",
         "enumerate_orbit_sets",
         "enumeration_truncated",
-        "finite_d_bound",
         "format_orbit_set",
         "leq_relation",
         "obstruction_search",
@@ -67,6 +66,7 @@ _EXPORTS = {
         "domain_contains",
         "domain_on_boundary",
         "eta",
+        "finite_d_bound",
         "is_monotone",
         "support",
     ),

@@ -12,9 +12,9 @@ disagrees), 2 an input error; failures print one machine-parsable
 
 A CLI process starts with only the domain parser, the error types and
 the rational helpers loaded; each ``_cmd_*`` imports the layers it runs
-(``info`` geometry, ``report`` and ``xa`` capacities, ``bound``
-capacities and ech, ``obstruct`` ech, ``amin`` lagrangian), so no
-subcommand pays to load a layer that it does not use.
+(``info`` geometry, ``report``, ``xa`` and ``bound`` capacities,
+``obstruct`` ech, ``amin`` lagrangian), so no subcommand pays to load a
+layer that it does not use.
 """
 
 from __future__ import annotations
@@ -199,8 +199,7 @@ def _cmd_xa(args) -> tuple[str, int]:
 
 def _cmd_bound(args) -> tuple[str, int]:
     from .capacities import capacity_report
-    from .ech import finite_d_bound
-    from .geometry import cube_bound
+    from .geometry import cube_bound, finite_d_bound
 
     domain = _load_domain(args.file)
     dec = args.decimal

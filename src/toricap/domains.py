@@ -506,10 +506,9 @@ class Rect(Value):
     y1: Fraction
 
     def __init__(self, x0, x1, y0, y1):
-        corners = tuple(map(parse_rational, (x0, x1, y0, y1)))
-        q, box = over_common_denominator(corners)
+        q, box = over_common_denominator((x0, x1, y0, y1))
         _check_box(q, *box)
-        self.__dict__.update(zip(_CORNERS, corners))
+        self.__dict__.update(zip(_CORNERS, (Fraction(c, q) for c in box)))
 
 
 def _floor_ceil(v: Fraction, q: int) -> tuple:
@@ -656,8 +655,8 @@ class Rectilinear2D(ToricDomain):
     as a polygon builds its ``_Lattice``; the grid checks every box and
     the union, and every invariant, membership and boundary test reads it.
     The ``rects`` field, the rectangles as ``Rect`` values, is read off the
-    grid when a caller asks for it, so equality, hashing, ``repr`` and
-    serialization see the field alone.
+    grid when a caller asks for it, so equality, hashing and ``repr`` see
+    the field alone; ``to_dict`` formats the grid's boxes and builds none.
     """
 
     rects: tuple
@@ -741,8 +740,10 @@ class Rectilinear2D(ToricDomain):
         return {"rects": len(self._grid.boxes)}
 
     def to_dict(self) -> dict:
+        q = self._grid.q
         return {"kind": self.kind, "rects": [
-            {k: format_rational(getattr(r, k)) for k in _CORNERS} for r in self.rects
+            dict(zip(_CORNERS, (format_rational(Fraction(c, q)) for c in box)))
+            for box in self._grid.boxes
         ]}
 
     @classmethod

@@ -17,9 +17,6 @@ On top of these the module provides:
 * ``leq_relation`` -- the three-condition comparison (index equality,
   action inequality, and the writhe-type count inequality) that an
   embedding forces on matched orbit-set factors;
-* ``finite_d_bound`` -- the weakest inequality any admissible factor of
-  the canonical degree-d test product can impose, a certified upper
-  bound converging to ``geometry.cube_bound`` from above;
 * ``enumerate_orbit_sets`` and ``obstruction_search`` -- a bounded
   feasibility search for the factor decompositions that an embedding
   would have to admit, returning a verifiable witness, a within-bounds
@@ -63,7 +60,7 @@ from operator import mul
 
 from .domains import Polygon2D, _require_polygon
 from .errors import DomainError, InapplicableError
-from .geometry import cube_bound, delta, support
+from .geometry import delta, support
 from .rationals import (
     Value, as_items, as_pair, is_count, is_integer, over_common_denominator, parse_rational,
 )
@@ -289,32 +286,6 @@ def leq_relation(
     if lhs < rhs:
         return LeqResult(False, "iii")
     return LeqResult(True, None)
-
-
-def finite_d_bound(domain: Polygon2D, d: int) -> Fraction:
-    """Certified cube-capacity bound extracted from the degree-d test product.
-
-    Any admissible factor forces the inequality
-    a < (d_i * (x0 + y1) + k) / (2 d_i + 3 k - 1) for some k in {0, 1, 2}
-    and some integer d_i in [ceil(d/3), d]; the max over all admissible
-    pairs is therefore a sound upper bound.  It is non-increasing in d
-    and converges to ``geometry.cube_bound`` from above.
-
-    Like ``cube_bound``, the bound is backed by the paper's theorem for
-    cube sources, applied to the degree-d test product, and not by
-    ``obstruction_search``: no search runs here.
-    """
-    if not is_count(d):
-        raise InapplicableError(f"degree must be an integer >= 1, got {d!r}")
-    s = 2 * cube_bound(domain)  # x0 + y1; cube_bound validates the slope precondition
-    # For fixed k the bound is a Moebius function of d_i whose denominator
-    # stays positive for d_i >= 1, hence monotone there: the maximum over
-    # the range is attained at one of its two ends.
-    return max(
-        Fraction(di * s + k, 2 * di + 3 * k - 1)
-        for di in (-(-d // 3), d)
-        for k in (0, 1, 2)
-    )
 
 
 # ---------------------------------------------------------------------------

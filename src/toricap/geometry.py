@@ -15,29 +15,27 @@ The quantities computed here are:
 * ``cube_bound`` -- the closed-form upper bound (x-intercept +
   y-intercept)/2 for the cube capacity of a weakly convex polygon whose
   first and last boundary edges are at least diagonal-steep;
+* ``finite_d_bound`` -- the weakest inequality any admissible factor of
+  the canonical degree-d test product can impose, an upper bound that
+  decreases to ``cube_bound`` as d grows;
 * ``domain_contains`` and ``domain_on_boundary`` -- closed membership
   and boundary tests for planar domains; the tests check the
   Lagrangian-capacity rules and their witnesses against them.
 
 Everything is answered by the domain's own kind: each function checks
 its argument (a ``ToricDomain``, else ``DomainError``; a polygon for
-``support`` and ``cube_bound``, else ``InapplicableError``) and reads the
-member of the same name (see :mod:`toricap.domains` for the protocol).
-Everything is evaluated in exact rational arithmetic: for these shape
-classes all suprema are attained at vertices, edge intersections or grid
-corners, so no tolerances are needed.
+``support`` and the two cube bounds, else ``InapplicableError``) and
+reads the member of the same name (see :mod:`toricap.domains` for the
+protocol).  Everything is evaluated in exact rational arithmetic: for
+these shape classes all suprema are attained at vertices, edge
+intersections or grid corners, so no tolerances are needed.
 
-A rectangle union is answered on one integer lattice, like a polygon:
-its constructor scales every rectangle coordinate once to an integer
-over the lcm q of their denominators.  The distinct scaled coordinates
-(and 0) cut the quadrant into the cells of one coverage grid, and one bit
-per cell records whether a rectangle paints it; the integer boxes also
-decide connectivity.  The staircase test and ``cube_inclusion`` are read
-off the grid in one pass over its columns, ``delta``, ``eta`` and the
-cylinder cover off the integer boxes, and membership and boundary tests
-bisect the grid lines at floor(p q) and ceil(p q).  The cost of a
-union's invariants therefore depends on the number of rectangles, not
-on the size of their coordinates.
+The two cube bounds are certified by the paper's theorem for cube
+sources: the degree-d obstructions to embedding a cube are upper bounds
+for its capacity that decrease to ``cube_bound``.  They read only the
+polygon's integer lattice and run no search, so they do not rest on
+``ech.obstruction_search``, whose statuses are claims about the
+combinatorial model under its bounds.
 """
 
 from __future__ import annotations
@@ -45,6 +43,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .domains import Polygon2D, ToricDomain, _checked, _require_polygon
+from .errors import InapplicableError
+from .rationals import is_count
 
 
 def support(domain: Polygon2D, v) -> Fraction:
@@ -140,13 +140,29 @@ def cube_bound(domain: Polygon2D) -> Fraction:
     y-axis at least diagonally (edge direction dx <= dy at both ends);
     otherwise, or on a domain of another kind, the call refuses.
 
-    The bound is backed by the paper's theorem for cube sources: the
-    degree-d obstructions to embedding a cube (``ech.finite_d_bound``)
-    are certified upper bounds that decrease to this value.  It is not
-    backed by ``ech.obstruction_search``, whose statuses are claims about
-    the combinatorial model under its bounds.  It reads only the
-    polygon's integer lattice, so it needs nothing from the ECH model;
-    a polygon computes it at most once.
+    A polygon computes it at most once.
     """
     _require_polygon("the boundary-slope bound applies to polygon domains", domain)
     return domain.cube_bound
+
+
+def finite_d_bound(domain: Polygon2D, d: int) -> Fraction:
+    """Certified cube-capacity bound extracted from the degree-d test product.
+
+    Any admissible factor forces the inequality
+    a < (d_i * (x0 + y1) + k) / (2 d_i + 3 k - 1) for some k in {0, 1, 2}
+    and some integer d_i in [ceil(d/3), d]; the max over all admissible
+    pairs is therefore a sound upper bound.  It is non-increasing in d
+    and converges to ``cube_bound`` from above.
+    """
+    if not is_count(d):
+        raise InapplicableError(f"degree must be an integer >= 1, got {d!r}")
+    s = 2 * cube_bound(domain)  # x0 + y1; cube_bound validates the slope precondition
+    # For fixed k the bound is a Moebius function of d_i whose denominator
+    # stays positive for d_i >= 1, hence monotone there: the maximum over
+    # the range is attained at one of its two ends.
+    return max(
+        Fraction(di * s + k, 2 * di + 3 * k - 1)
+        for di in (-(-d // 3), d)
+        for k in (0, 1, 2)
+    )

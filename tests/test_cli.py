@@ -395,6 +395,7 @@ ERROR_FILES = {
     "deep": "[" * 200_000 + "]" * 200_000,
     "false": '{"kind": "rectilinear2d", "rects": [{"x0": "0", "x1": "1", "y0": "0", '
              '"y1": "1"}, {"x0": false, "x1": "1", "y0": "0", "y1": "2"}]}',
+    "novertices": '{"kind": "polygon2d"}',
 }
 
 DIGIT_LIMIT = sys.get_int_max_str_digits()
@@ -419,6 +420,8 @@ ERROR_CASES = {
     "amin-blank": (["amin", "--x", ""], 2, "error: amin needs --x 'P/Q,P/Q,...'"),
     # A JSON false equals the corner string "0" before it, and is still refused.
     "info-false": (["info", "{false}"], 2, "error: not a rational: False"),
+    "info-novertices": (["info", "{novertices}"], 2,
+                        "error: polygon2d document missing 'vertices'"),
     # Inputs that Python itself refuses to decode.
     "info-digits": (["info", "{digits}"], 2, "error: rational 100000000000... has "
                     f"an integer of more than {DIGIT_LIMIT} digits"),
@@ -433,6 +436,9 @@ ERROR_CASES = {
                          "--alpha", "e(1,1)^" + "9" * 5000, "--vmax", "2", "--lmax", "2"],
                         2, "error: orbit factor e(1,1)^99999... has an integer of more "
                         f"than {DIGIT_LIMIT} digits"),
+    "obstruct-zero": (["obstruct", "--source", "{omega}", "--target", "{omega}",
+                       "--alpha", "e(1,1)^0", "--vmax", "2", "--lmax", "2"],
+                      2, "error: multiplicity must be >= 1 in 'e(1,1)^0'"),
     # A multiplicity whose sub-products no search can walk.
     "obstruct-box": (["obstruct", "--source", "{omega}", "--target", "{omega}",
                       "--alpha", "e(1,1)^99999999999", "--vmax", "2", "--lmax", "2"],

@@ -203,6 +203,35 @@ def test_parse_refuses_a_document_that_is_not_text():
             parse_domain(bad)
 
 
+# Malformed documents and constructor calls, each with its exact refusal.
+REFUSALS = [
+    ("[]", "domain document must be a JSON object"),
+    ("{}", "domain document missing 'kind'"),
+    ('{"kind":"cube"}', "standard domain missing field 'n'"),
+    ('{"kind":"cube","n":2}', "standard domain missing field 'a'"),
+    ('{"kind":"cube","n":2,"a":"1/0"}', "zero denominator in rational: '1/0'"),
+    ('{"kind":"polygon2d"}', "polygon2d document missing 'vertices'"),
+    ('{"kind":"polygon2d","vertices":{}}', "'vertices' must be a list of coordinate pairs"),
+    ('{"kind":"rectilinear2d"}', "rectilinear2d document missing 'rects'"),
+    ('{"kind":"rectilinear2d","rects":{}}', "'rects' must be a list of rectangle objects"),
+    ('{"kind":"rectilinear2d","rects":[]}', "rectilinear domain needs at least one rectangle"),
+    ('{"kind":"rectilinear2d","rects":[5]}', "rectangle is not an object: 5"),
+    ('{"kind":"rectilinear2d","rects":[{"x0":"0","x1":"1","y0":"0"}]}',
+     "rectangle missing corner field 'y1'"),
+    (lambda: Rectilinear2D([]), "rectilinear domain needs at least one rectangle"),
+    (lambda: Rectilinear2D([5]), "rects must be Rect instances"),
+    (lambda: square_polygon(0), "square side must be positive, got 0"),
+    (lambda: StandardDomain("torus", 2, 1), "unknown standard domain kind: 'torus'"),
+]
+
+
+@pytest.mark.parametrize("source, message", REFUSALS)
+def test_malformed_input_refusals(source, message):
+    with pytest.raises(DomainError) as info:
+        source() if callable(source) else parse_domain(source)
+    assert str(info.value) == message
+
+
 def test_polygon_invariants():
     with pytest.raises(DomainError, match="x-axis"):
         Polygon2D(((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))))
@@ -406,9 +435,13 @@ def test_from_dict_parse_count_on_a_staircase(monkeypatch):
     assert not calls and "rects" not in vars(dom)
     assert dom.summary() == {"rects": steps}
     assert dom.delta == max(min(x, y) for x, y in zip(xs, ys))
+    # Serialization reads the grid's boxes too, and gives the document back.
+    text = json.dumps(doc)
+    assert serialize_domain(parse_domain(text)) == text
     assert not calls
     rects = dom.rects
-    assert calls["Rect"] == steps
+    # Each Rect reads its corners once, through the lattice and not parse_rational.
+    assert calls == Counter(Rect=steps)
     monkeypatch.undo()
     expected = Rectilinear2D(tuple(Rect(0, x, 0, y) for x, y in zip(xs, ys)))
     assert rects == expected.rects and dom == expected and hash(dom) == hash(expected)

@@ -813,6 +813,27 @@ def test_search_never_obstructs_x_in_scaled_x():
     assert searches >= 100 and named >= 8
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1 step 2: the search still obstructs E(1,4) -> B(c) with test "
+    "sets of zero target support; refusing such a factor flips this test"))
+@pytest.mark.parametrize("lam", [F(1, 2), F(1), F(5)])
+@pytest.mark.parametrize("c", [F(3), F(21, 10)])
+def test_search_never_obstructs_a_known_embedding(lam, c):
+    # E(1,4) embeds in B(c) for every c > 2 (McDuff-Schlenk, Ann. of Math.
+    # 2012), and neither it nor its mirror lies in B(c); nor do the scaled
+    # copies.  A refused test set claims nothing.
+    source = Polygon2D(((lam, 0), (0, 4 * lam)))
+    target = Polygon2D(((lam * c, 0), (0, lam * c)))
+    for text in ("e(-1,0) * e(0,-1)", "e(-1,0)^2 * e(0,-1)^2"):
+        for bound in (2, 3):
+            try:
+                report = obstruction_search(source, target, parse_orbit_set(text),
+                                            vmax=bound, lmax=bound)
+            except InapplicableError:
+                continue
+            assert report.status is not SearchStatus.INFEASIBLE_WITHIN_BOUNDS, (text, bound)
+
+
 def _search_within(seconds, source, target, alpha):
     """The vmax = 1, lmax = 2 search, or None when it runs past ``seconds``.
 

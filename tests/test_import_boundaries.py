@@ -70,7 +70,7 @@ SUBCOMMANDS = [
     (["info", "{omega}"], {"geometry"}),
     (["report", "{omega}"], {"capacities", "geometry", "lagrangian"}),
     (["xa", "--a", "1/3"], {"capacities", "geometry", "lagrangian"}),
-    (["bound", "{omega}"], {"capacities", "ech", "geometry", "lagrangian"}),
+    (["bound", "{omega}"], {"capacities", "geometry", "lagrangian"}),
     (["obstruct", "--source", "{omega}", "--target", "{omega}", "--alpha", "e(1,1)",
       "--vmax", "2", "--lmax", "2"], {"ech", "geometry"}),
     (["amin", "--x", "2/3,1/2", "--brute", "5"], {"geometry", "lagrangian"}),
@@ -109,8 +109,8 @@ def test_public_names_are_their_defining_objects():
             assert obj.__module__ == layer.__name__, name
     assert sorted(toricap.__all__) == toricap.__all__
     assert len(set(toricap.__all__)) == len(toricap.__all__)
-    # ech imports cube_bound from geometry: one object under three names.
-    assert importlib.import_module("toricap.ech").cube_bound is toricap.cube_bound
+    # ech imports delta from geometry: one object under three names.
+    assert importlib.import_module("toricap.ech").delta is toricap.delta
 
 
 def test_star_import_binds_every_public_name():
