@@ -370,8 +370,16 @@ class Polygon2D(ToricDomain):
             raise InapplicableError(refusal.format(v))
         if vx == 0 and vy == 0:
             raise InapplicableError("support direction must be nonzero")
-        top = max(vx * x + vy * y for x, y in self._lattice.points)
-        return Fraction(top, self._lattice.q)
+        q, (top,) = self._supports(((vx, vy),))
+        return Fraction(top, q)
+
+    def _supports(self, directions) -> tuple:
+        """``(q, [top])`` with ``support(v) = top / q`` for each integer pair
+        ``v`` of ``directions``, unchecked, so that a caller can add
+        supports as integers."""
+        points = self._lattice.points
+        return self._lattice.q, [max(vx * x + vy * y for x, y in points)
+                                 for vx, vy in directions]
 
     def affordable_directions(self, cap: Fraction, vmax: int) -> tuple:
         """The primitive integer directions v with |v_x|, |v_y| <= vmax and

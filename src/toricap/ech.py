@@ -81,7 +81,12 @@ def _require(kind: type, *values) -> None:
 # ---------------------------------------------------------------------------
 
 class CombOrbit(Value):
-    """Primitive direction (x, y) with elliptic marker s = 1 or hyperbolic s = 0."""
+    """Primitive direction (x, y) with elliptic marker s = 1 or hyperbolic s = 0.
+
+    The constructor keeps ``key``, the tuple ``(x, y, s)`` that orders the
+    factors of an orbit set, in the instance ``__dict__`` beside the
+    fields, so it takes no part in equality, hashing or ``repr``.
+    """
 
     v: tuple
     s: int
@@ -101,15 +106,19 @@ class CombOrbit(Value):
             )
         if not is_integer(s) or s not in (0, 1):
             raise DomainError(f"orbit marker must be 0 or 1, got {s!r}")
-        self.__dict__.update(v=(x, y), s=s)
+        self.__dict__.update(v=(x, y), s=s, key=(x, y, s))
 
-    @property
-    def key(self):
-        return (self.v[0], self.v[1], self.s)
+
+def _by_key(factor):
+    return factor[0].key
 
 
 class CombOrbitSet(Value):
-    """Formal product of distinct orbits with multiplicities, canonically sorted."""
+    """Formal product of distinct orbits with multiplicities, canonically sorted.
+
+    The factors are sorted by their orbits' ``key``, so a repeated orbit
+    shows as two equal neighbours; no orbit is hashed.
+    """
 
     factors: tuple  # of (CombOrbit, multiplicity)
 
@@ -120,17 +129,17 @@ class CombOrbitSet(Value):
         for f in factors:
             if not isinstance(f[0], CombOrbit):
                 raise DomainError(refusal.format(f))
-        factors = tuple(sorted(factors, key=lambda f: f[0].key))
-        seen = set()
+        factors.sort(key=_by_key)
+        previous = None
         for orbit, m in factors:
             if not is_count(m):
                 raise DomainError(f"multiplicity must be an integer >= 1, got {m!r}")
             if orbit.s == 0 and m != 1:
                 raise DomainError("hyperbolic (s = 0) orbits must have multiplicity 1")
-            if orbit in seen:
+            if orbit.key == previous:
                 raise DomainError(f"repeated orbit {orbit} in orbit set")
-            seen.add(orbit)
-        self.__dict__.update(factors=factors)
+            previous = orbit.key
+        self.__dict__.update(factors=tuple(factors))
 
     def __bool__(self):
         return bool(self.factors)
@@ -139,12 +148,24 @@ class CombOrbitSet(Value):
         return tuple(o for o, _ in self.factors)
 
     def product(self, other: "CombOrbitSet") -> "CombOrbitSet":
-        """Formal product: multiplicities of shared orbits add."""
+        """Formal product: multiplicities of shared orbits add.
+
+        An empty operand gives the other one back.  Otherwise the two
+        sorted factor lists are merged on their keys, and the constructor
+        refuses an orbit shared at multiplicity 2 if it is hyperbolic.
+        """
         _require(CombOrbitSet, other)
-        merged = {o: m for o, m in self.factors}
-        for o, m in other.factors:
-            merged[o] = merged.get(o, 0) + m
-        return CombOrbitSet(tuple(merged.items()))
+        if not other.factors:
+            return self
+        if not self.factors:
+            return other
+        merged = []
+        for orbit, m in sorted(self.factors + other.factors, key=_by_key):
+            if merged and merged[-1][0].key == orbit.key:
+                merged[-1] = (merged[-1][0], merged[-1][1] + m)
+            else:
+                merged.append((orbit, m))
+        return CombOrbitSet(merged)
 
 
 EMPTY_ORBIT_SET = CombOrbitSet(())
@@ -163,20 +184,23 @@ def orbit_invariants(alpha: CombOrbitSet) -> OrbitNumbers:
 
     ``index`` is x + y + the double sum over ordered factor pairs
     (including i = j) of m_i m_j max(x_i y_j, x_j y_i), plus the sum of
-    s_i m_i.  ``h`` counts hyperbolic factors.
+    s_i m_i.  ``h`` counts hyperbolic factors.  One pass over the factors
+    adds each factor's terms, its pairs with the factors before it counted
+    twice.
     """
     _require(CombOrbitSet, alpha)
-    fx = [(o.v[0], o.v[1], o.s, m) for o, m in alpha.factors]
-    x = sum(m * vx for vx, _, _, m in fx)
-    y = sum(m * vy for _, vy, _, m in fx)
-    double = 0
-    for vx1, vy1, _, m1 in fx:
-        for vx2, vy2, _, m2 in fx:
-            double += m1 * m2 * max(vx1 * vy2, vx2 * vy1)
-    s_term = sum(s * m for _, _, s, m in fx)
-    total_m = sum(m for _, _, _, m in fx)
-    h = sum(1 for _, _, s, _ in fx if s == 0)
-    return OrbitNumbers(x=x, y=y, index=x + y + double + s_term, m=total_m, h=h)
+    x = y = index = m = h = 0
+    before = []  # (x_j, y_j, m_j) of the factors already passed
+    for orbit, c in alpha.factors:
+        vx, vy, s = orbit.key
+        cross = 0
+        for wx, wy, cw in before:
+            a, b = vx * wy, wx * vy
+            cross += cw * (a if a > b else b)
+        index += c * (vx + vy + s + c * vx * vy + 2 * cross)
+        x, y, m, h = x + c * vx, y + c * vy, m + c, h + 1 - s
+        before.append((vx, vy, c))
+    return OrbitNumbers(x=x, y=y, index=index, m=m, h=h)
 
 
 def cross_term(alpha: CombOrbitSet, beta: CombOrbitSet) -> int:
@@ -194,13 +218,15 @@ def cross_term(alpha: CombOrbitSet, beta: CombOrbitSet) -> int:
 
 
 def action(domain: Polygon2D, alpha: CombOrbitSet) -> Fraction:
-    """Multiplicity-weighted sum of support values of the orbit directions."""
+    """Multiplicity-weighted sum of support values of the orbit directions.
+
+    The supports are summed as integers on the polygon's lattice, and the
+    sum is divided by the lattice's q once.
+    """
     _require_polygon(_POLYGON_ONLY, domain)
     _require(CombOrbitSet, alpha)
-    return sum(
-        (m * support(domain, o.v) for o, m in alpha.factors),
-        start=Fraction(0),
-    )
+    q, tops = domain._supports(o.v for o, _ in alpha.factors)
+    return Fraction(sum(map(mul, tops, (m for _, m in alpha.factors))), q)
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +297,20 @@ def leq_relation(
 
     (i) equal index; (ii) source action <= target action; (iii)
     x + y - h/2 on the source side at least x' + y' + m' - 1 on the
-    target side, compared over the rationals to honor the h/2 term.
+    target side, decided in integers as 2(x + y) - h against
+    2(x' + y' + m' - 1).
     """
     _require_polygon(_POLYGON_ONLY, source, target)
     _require(CombOrbitSet, alpha, alpha_prime)
     a = orbit_invariants(alpha)
     b = orbit_invariants(alpha_prime)
     if a.index != b.index:
-        return LeqResult(False, "i")
+        return LeqResult(holds=False, failed="i")
     if action(source, alpha) > action(target, alpha_prime):
-        return LeqResult(False, "ii")
-    lhs = Fraction(2 * (a.x + a.y) - a.h, 2)
-    rhs = b.x + b.y + b.m - 1
-    if lhs < rhs:
-        return LeqResult(False, "iii")
-    return LeqResult(True, None)
+        return LeqResult(holds=False, failed="ii")
+    if 2 * (a.x + a.y) - a.h < 2 * (b.x + b.y + b.m - 1):
+        return LeqResult(holds=False, failed="iii")
+    return LeqResult(holds=True, failed=None)
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +541,8 @@ def _sub_products_match(alpha_factors, alpha_prime_factors) -> bool:
 
 
 def _shares_orbits(a: CombOrbitSet, b: CombOrbitSet, s: int) -> bool:
-    mine = {o for o in a.orbits() if o.s == s}
-    return any(o in mine for o in b.orbits() if o.s == s)
+    mine = {o.key for o in a.orbits() if o.s == s}
+    return any(o.key in mine for o in b.orbits() if o.s == s)
 
 
 def verify_witness(
@@ -596,46 +621,66 @@ def _sub_product_candidates(box, linear, cross, weight, cost, radius):
     the run where the index is nonpositive; every run end is an integer
     division or a ``_nonpositive_run``.  When ``x_k y_k = 0`` factor ``k``
     is an elliptic axis direction, so ``i1 >= 0`` and the index does not
-    fall along the row.  Only candidates are built, so the cost is
-    ``box / (box[k] + 1)`` rows plus the candidates.  The empty product has
+    fall along the row.  Only candidates are built.  The empty product has
     index 0, so no row needs to skip it.
+
+    The rows are walked with ``itertools.product`` over the outer
+    coordinates and, inside that, along the largest free coordinate ``j``
+    (none when the box has one factor).  A step in ``c_j`` adds
+    ``cost[j]`` to the row's cap, ``weight[j]`` to its count and
+    ``2 cross[k][j]`` to ``i1``, and the step of ``i0`` itself grows by
+    ``2 cross[j][j]``.  So a row costs a fixed number of integer operations
+    after the first of its run along ``j``, and the phase costs
+    ``box / (box[k] + 1)`` rows plus the candidates.
     """
     k = max(range(len(box)), key=box.__getitem__)
     m, square = box[k], cross[k][k]
-    rows = itertools.product(*((0,) if i == k else range(b + 1) for i, b in enumerate(box)))
+    # With one factor, j = k is held at 0 and the walk along it is one row.
+    j = max((i for i in range(len(box)) if i != k), key=box.__getitem__, default=k)
+    steps = box[j] if j != k else 0
+    outer = itertools.product(*((0,) if i in (j, k) else range(b + 1)
+                                for i, b in enumerate(box)))
+    slope = radius * weight[k] - cost[k]
+    step_i1, curve = 2 * cross[k][j], 2 * cross[j][j]
     candidates, pruned = [], 0
-    for row in rows:
-        i0 = sum(ci * (linear[i] + sum(map(mul, row, cross[i])))
-                 for i, ci in enumerate(row) if ci)
-        i1 = linear[k] + 2 * sum(map(mul, row, cross[k]))
-        count0 = sum(map(mul, row, weight)) - 1
-        cap0 = sum(map(mul, row, cost))
-        slope, room = radius * weight[k] - cost[k], cap0 - radius * count0
-        if slope > 0:
-            keep_lo, keep_hi = 0, room // slope
-        elif slope < 0:
-            keep_lo, keep_hi = -(room // -slope), m
-        else:
-            keep_lo, keep_hi = 0, (m if room >= 0 else -1)
-        if square > 0:
-            lo, hi = _nonpositive_run(square, i1, i0)
-            runs = ((0, lo - 1), (hi + 1, m))
-        elif square < 0:
-            # index > 0 iff -index + 1 <= 0
-            runs = (_nonpositive_run(-square, -i1, 1 - i0),)
-        elif i1 > 0:
-            runs = ((-((i0 - 1) // i1), m),)
-        else:
-            runs = ((0, m if i0 > 0 else -1),)
-        for lo, hi in runs:
-            lo, hi = max(lo, 0), min(hi, m)
-            if lo > hi:
-                continue
-            first, last = max(lo, keep_lo), min(hi, keep_hi)
-            pruned += hi - lo + 1 - max(last - first + 1, 0)
-            for t in range(first, last + 1):
-                candidates.append((row[:k] + (t,) + row[k + 1:], i0 + t * (i1 + t * square),
-                                   count0 + t * weight[k], cap0 + t * cost[k]))
+    for base in outer:
+        i0 = sum(ci * (linear[i] + sum(map(mul, base, cross[i])))
+                 for i, ci in enumerate(base) if ci)
+        i1 = linear[k] + 2 * sum(map(mul, base, cross[k]))
+        count0 = sum(map(mul, base, weight)) - 1
+        cap0 = sum(map(mul, base, cost))
+        step_i0 = linear[j] + 2 * sum(map(mul, base, cross[j])) + cross[j][j]
+        for cj in range(steps + 1):
+            room = cap0 - radius * count0
+            if slope > 0:
+                keep_lo, keep_hi = 0, room // slope
+            elif slope < 0:
+                keep_lo, keep_hi = -(room // -slope), m
+            else:
+                keep_lo, keep_hi = 0, (m if room >= 0 else -1)
+            if square > 0:
+                lo, hi = _nonpositive_run(square, i1, i0)
+                runs = ((0, lo - 1), (hi + 1, m))
+            elif square < 0:
+                # index > 0 iff -index + 1 <= 0
+                runs = (_nonpositive_run(-square, -i1, 1 - i0),)
+            elif i1 > 0:
+                runs = ((-((i0 - 1) // i1), m),)
+            else:
+                runs = ((0, m if i0 > 0 else -1),)
+            for lo, hi in runs:
+                lo, hi = max(lo, 0), min(hi, m)
+                if lo > hi:
+                    continue
+                first, last = max(lo, keep_lo), min(hi, keep_hi)
+                pruned += hi - lo + 1 - max(last - first + 1, 0)
+                for t in range(first, last + 1):
+                    vec = list(base)
+                    vec[j], vec[k] = cj, t
+                    candidates.append((tuple(vec), i0 + t * (i1 + t * square),
+                                       count0 + t * weight[k], cap0 + t * cost[k]))
+            i0, step_i0 = i0 + step_i0, step_i0 + curve
+            i1, count0, cap0 = i1 + step_i1, count0 + weight[j], cap0 + cost[j]
     candidates.sort(key=lambda c: (-sum(c[0]), c[0]))
     return candidates, pruned
 
@@ -692,12 +737,14 @@ def obstruction_search(
     (dot products) and the pruning inequality are integer arithmetic.
     ``_sub_product_candidates`` scans the box in rows along the factor of
     largest multiplicity m_k and decides each row's index and pruning
-    tests in closed form, so this phase costs ``box / (m_k + 1)`` rows
-    plus the surviving vectors.  A factor stays a vector until its
-    slot is enumerated or a witness is built.  A slot's enumeration, with
-    the factor's index, target action and ``min_count = x' + y' + m' - 1``,
-    decides conditions (i)-(iii) of ``leq_relation``, so its sets are the
-    slot's matches; ``verify_witness`` replays the witness.
+    tests in closed form.  It steps from row to row along the next-largest
+    factor, so a row costs a fixed number of integer operations, and this
+    phase costs ``box / (m_k + 1)`` rows plus the surviving vectors.  A
+    factor stays a vector until its slot is enumerated or a witness is
+    built.  A slot's enumeration, with the factor's index, target action
+    and ``min_count = x' + y' + m' - 1``, decides conditions (i)-(iii) of
+    ``leq_relation``, so its sets are the slot's matches;
+    ``verify_witness`` replays the witness.
 
     Outcomes: a re-verified ``FeasibleWitness``; ``Inconclusive`` when a
     slot's enumeration had the direction bound exclude affordable

@@ -1,8 +1,10 @@
 """Orbit sets, index/action algebra, bounds, and the obstruction search."""
 
 import contextlib
+import copy
 import itertools
 import math
+import pickle
 import random
 import signal
 import sys
@@ -226,6 +228,161 @@ def test_leq_action_failure(om310):
     res = leq_relation(om310, smaller, e11, e11)
     assert not res.holds and res.failed == "ii"
     assert leq_relation(smaller, om310, e11, e11).holds
+
+
+# ---------------------------------------------------------------------------
+# the orbit-set algebra against its defining formulas
+# ---------------------------------------------------------------------------
+
+def _invariants_reference(alpha):
+    """The five integers by their generator sums, over ordered factor pairs."""
+    fx = [(o.v[0], o.v[1], o.s, m) for o, m in alpha.factors]
+    x = sum(m * vx for vx, _, _, m in fx)
+    y = sum(m * vy for _, vy, _, m in fx)
+    double = sum(m1 * m2 * max(x1 * y2, x2 * y1)
+                 for x1, y1, _, m1 in fx for x2, y2, _, m2 in fx)
+    s_term = sum(s * m for _, _, s, m in fx)
+    return (x, y, x + y + double + s_term, sum(m for *_, m in fx),
+            sum(1 for _, _, s, _ in fx if s == 0))
+
+
+def _action_reference(domain, alpha):
+    """A ``Fraction`` sum of the supports."""
+    return sum((m * support(domain, o.v) for o, m in alpha.factors), start=F(0))
+
+
+def _leq_reference(source, target, alpha, alpha_prime):
+    """The comparison with (iii) over the rationals: x + y - h/2 against
+    x' + y' + m' - 1."""
+    _, _, index, _, _ = a = _invariants_reference(alpha)
+    _, _, index_prime, _, _ = b = _invariants_reference(alpha_prime)
+    if index != index_prime:
+        return "i"
+    if _action_reference(source, alpha) > _action_reference(target, alpha_prime):
+        return "ii"
+    if a[0] + a[1] - F(a[4], 2) < b[0] + b[1] + b[3] - 1:
+        return "iii"
+    return None
+
+
+def _product_reference(alpha, beta):
+    """Multiplicities of shared orbits added in a dict, through the constructor."""
+    merged = dict(alpha.factors)
+    for o, m in beta.factors:
+        merged[o] = merged.get(o, 0) + m
+    return CombOrbitSet(tuple(merged.items()))
+
+
+def test_orbit_set_algebra_matches_formula_oracle(om310):
+    rng = random.Random(97)
+    sets = [make_orbit_set(rng, vmax=rng.choice((1, 2, 3)), max_mult=3) for _ in range(240)]
+    sets.append(EMPTY_ORBIT_SET)
+    by_index = {}
+    for alpha in sets:
+        numbers = orbit_invariants(alpha)
+        assert (numbers.x, numbers.y, numbers.index, numbers.m, numbers.h) == (
+            _invariants_reference(alpha))
+        by_index.setdefault(numbers.index, []).append(alpha)
+    polygons = [om310, square_polygon(F(1, 2))]
+    polygons += [make_weakly_convex_polygon(rng) for _ in range(8)]
+    polygons += [make_monotone_polygon(rng, max_den=40) for _ in range(8)]
+    for domain in polygons:
+        for alpha in sets:
+            got = action(domain, alpha)
+            assert type(got) is F and got == _action_reference(domain, alpha)
+    outcomes = Counter()
+    for _ in range(3000):
+        source, target = rng.choice(polygons), rng.choice(polygons)
+        alpha = rng.choice(sets)
+        # Half the pairs share an index, so (ii) and (iii) are reached.
+        pool = by_index[orbit_invariants(alpha).index] if rng.random() < 0.5 else sets
+        alpha_prime = rng.choice(pool)
+        res = leq_relation(source, target, alpha, alpha_prime)
+        want = _leq_reference(source, target, alpha, alpha_prime)
+        assert (res.holds, res.failed) == (want is None, want), (alpha, alpha_prime)
+        outcomes[want] += 1
+        # h odd puts the two sides of (iii) half an integer apart.
+        outcomes["odd h"] += want in (None, "iii") and orbit_invariants(alpha).h % 2 == 1
+    assert min(outcomes[k] for k in ("i", "ii", "iii", None, "odd h")) >= 50, outcomes
+    products = Counter()
+    for _ in range(1500):
+        alpha = EMPTY_ORBIT_SET if rng.random() < 0.05 else rng.choice(sets)
+        beta = rng.choice(sets)
+        if rng.random() < 0.3:
+            # Share orbits with alpha, hyperbolic ones included.
+            beta = CombOrbitSet(rng.sample(alpha.factors, rng.randint(0, len(alpha.factors))))
+        try:
+            want = _product_reference(alpha, beta)
+        except DomainError as exc:
+            assert "multiplicity 1" in str(exc)
+            with pytest.raises(DomainError, match="multiplicity 1"):
+                alpha.product(beta)
+            products["shared hyperbolic"] += 1
+            continue
+        got = alpha.product(beta)
+        assert got == want and got.factors == want.factors
+        assert [o.key for o, _ in got.factors] == sorted(o.key for o, _ in got.factors)
+        products["shared"] += bool(set(alpha.orbits()) & set(beta.orbits()))
+        if not beta:
+            assert got is alpha
+            products["empty right"] += 1
+        elif not alpha:
+            assert got is beta
+            products["empty left"] += 1
+    assert min(products[k] for k in ("shared hyperbolic", "shared")) >= 100, products
+    assert min(products[k] for k in ("empty left", "empty right")) >= 30, products
+
+
+def test_orbit_key_sits_beside_the_fields():
+    rng = random.Random(101)
+    for _ in range(50):
+        orbit = make_orbit(rng)
+        text = repr(orbit)
+        assert orbit.key == (*orbit.v, orbit.s) and type(orbit.key) is tuple
+        assert "key" not in CombOrbit._fields and "key" not in text
+        assert hash(orbit) == hash((orbit.v, orbit.s))
+        for again in (pickle.loads(pickle.dumps(orbit)), copy.copy(orbit),
+                      copy.deepcopy(orbit)):
+            assert again.key == orbit.key and again == orbit and hash(again) == hash(orbit)
+            assert repr(again) == text
+        # A different key leaves equality, hashing and repr as they were.
+        other = copy.copy(orbit)
+        other.__dict__["key"] = (0, 0, 0)
+        assert other == orbit and hash(other) == hash(orbit) and repr(other) == text
+        with pytest.raises(AttributeError):
+            orbit.key = (0, 0, 0)
+
+
+def test_orbit_set_algebra_hashes_no_orbit(monkeypatch):
+    # A timing-free guard: the constructor finds a repeated orbit among
+    # sorted neighbours, and a product merges on keys, so neither hashes a
+    # CombOrbit; nor does a search that finds and replays a witness.
+    calls = Counter()
+    hash_orbit = CombOrbit.__hash__
+
+    def counting(self):
+        calls["hash"] += 1
+        return hash_orbit(self)
+
+    e1, e2, e3 = (CombOrbit(v, 1) for v in ((1, -1), (-1, 1), (1, 1)))
+    h10 = CombOrbit((1, 0), 0)
+    test_set = parse_orbit_set("e(1,-1)^3 * e(-1,1)^3 * e(1,1)^2")
+    monkeypatch.setattr(CombOrbit, "__hash__", counting)
+    alpha = CombOrbitSet([(e3, 2), (e1, 1), (h10, 1)])
+    beta = CombOrbitSet(((e2, 3), (e3, 1)))
+    assert alpha.product(beta) == beta.product(alpha) == CombOrbitSet(
+        ((e1, 1), (e2, 3), (e3, 3), (h10, 1)))
+    assert alpha.product(EMPTY_ORBIT_SET) is alpha and EMPTY_ORBIT_SET.product(beta) is beta
+    with pytest.raises(DomainError, match="repeated"):
+        CombOrbitSet(((e3, 1), (e1, 1), (e3, 2)))
+    with pytest.raises(DomainError, match="multiplicity 1"):
+        alpha.product(CombOrbitSet(((h10, 1),)))
+    half = square_polygon(F(1, 2))
+    report = obstruction_search(half, half, test_set, vmax=3, lmax=3)
+    assert report.status is SearchStatus.FEASIBLE_WITNESS
+    assert not calls
+    monkeypatch.undo()
+    assert hash(alpha) == hash((alpha.factors,))
 
 
 # ---------------------------------------------------------------------------
@@ -1212,7 +1369,9 @@ def test_row_scan_matches_per_vector_loop():
     # The scanned factor is the first of largest multiplicity; its x y
     # decides whether a row's positive-index values are a run or the
     # complement of one, and the sign of the row's slope which end of the
-    # run the action test cuts.
+    # run the action test cuts.  The rows are walked along the largest
+    # other factor j, whose steps move i1 by 2 cross[k][j] and bend the
+    # index by cross[j][j]; a one-factor box has no such walk.
     rng = random.Random(83)
     sign = lambda v: (v > 0) - (v < 0)
     seen = Counter()
@@ -1234,9 +1393,17 @@ def test_row_scan_matches_per_vector_loop():
         candidates, pruned = ech._sub_product_candidates(*form)
         assert (candidates, pruned) == _sub_products_reference(*form), form
         k = box.index(max(box))
+        free = [i for i in range(len(box)) if i != k]
+        if free:
+            j = max(free, key=box.__getitem__)
+            seen["inner", box[j] >= 3 and cross[k][j] != 0] += 1
+            seen["inner xy", sign(cross[j][j])] += 1
+        else:
+            seen["one factor"] += 1
         seen["xy", sign(cross[k][k])] += 1
         seen["slope", sign(form[5] * weight[k] - form[4][k])] += 1
         seen["pruned"] += pruned > 0
         seen["kept"] += bool(candidates)
     assert min(seen[key] for key in (("xy", -1), ("xy", 0), ("xy", 1), ("slope", -1),
-                                      ("slope", 1), "pruned", "kept")) >= 200, seen
+                                      ("slope", 1), "pruned", "kept", "one factor",
+                                      ("inner", True), ("inner xy", -1))) >= 200, seen
