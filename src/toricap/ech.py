@@ -38,13 +38,14 @@ and the action test linear, so each row's survivors are read off in
 closed form, and that phase costs one step per row plus one per survivor,
 not one per vector of the box.  A slot's enumeration reads only the
 affordable directions off the source lattice, and branches only on the
-multiplicities that its count cut on (iii) leaves open; with no index
-bound, it still visits every such vector that the action cap allows.
+multiplicities that its count cut on (iii) leaves open.  It has no index
+bound, but the search runs it only as far as its witness walk reads.
 
 A search slot decides each condition of ``leq_relation`` once, in its
 enumeration: the index target is (i), the action cap (ii), and the count
 floor ``x + y - h/2 >= x' + y' + m' - 1`` (iii).  ``verify_witness`` is
-the independent replay of a witness.
+the independent replay of a witness, from the invariants of each
+factor and of each sub-product of two or more factors.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ from operator import mul
 
 from .domains import Polygon2D, _require_polygon
 from .errors import DomainError, InapplicableError
-from .geometry import delta, support
+from .geometry import delta
 from .rationals import (
-    Value, as_items, as_pair, is_count, is_integer, over_common_denominator, parse_rational,
+    Value, as_items, as_pair, is_count, is_integer, parse_rational,
 )
 
 
@@ -302,15 +303,21 @@ def leq_relation(
     """
     _require_polygon(_POLYGON_ONLY, source, target)
     _require(CombOrbitSet, alpha, alpha_prime)
-    a = orbit_invariants(alpha)
-    b = orbit_invariants(alpha_prime)
+    failed = _leq_failure(source, target, alpha, alpha_prime,
+                          orbit_invariants(alpha), orbit_invariants(alpha_prime))
+    return LeqResult(holds=failed is None, failed=failed)
+
+
+def _leq_failure(source, target, alpha, alpha_prime, a, b) -> str | None:
+    """The first condition of ``leq_relation`` that fails, given the
+    invariants ``a`` of ``alpha`` and ``b`` of ``alpha_prime``; else None."""
     if a.index != b.index:
-        return LeqResult(holds=False, failed="i")
+        return "i"
     if action(source, alpha) > action(target, alpha_prime):
-        return LeqResult(holds=False, failed="ii")
+        return "ii"
     if 2 * (a.x + a.y) - a.h < 2 * (b.x + b.y + b.m - 1):
-        return LeqResult(holds=False, failed="iii")
-    return LeqResult(holds=True, failed=None)
+        return "iii"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -518,19 +525,25 @@ class SearchReport(Value):
     reason: str | None = None
 
 
-def _nonempty_subsets(items):
+def _subsets(items, least=1):
+    """The sub-tuples of ``items`` with at least ``least`` members."""
     return itertools.chain.from_iterable(
-        itertools.combinations(items, k) for k in range(1, len(items) + 1)
+        itertools.combinations(items, k) for k in range(least, len(items) + 1)
     )
 
 
-def _sub_products_match(alpha_factors, alpha_prime_factors) -> bool:
-    """Whether every nonempty sub-product, multiplied out, has positive
-    index on the target side and the same index on the source side.
+def _sub_products_match(alpha_factors, alpha_prime_factors, numbers) -> bool:
+    """Whether every nonempty sub-product has positive index on the target
+    side and the same index on the source side.
 
-    Neither list may repeat a hyperbolic orbit across its factors.
+    ``numbers[j]`` holds the invariants of the ``j``-th factor on either
+    side, which give the one-factor sub-products; only the sub-products
+    of two or more factors are multiplied out.  Neither list may repeat a
+    hyperbolic orbit across its factors.
     """
-    for members in _nonempty_subsets(range(len(alpha_factors))):
+    if any(n_p.index <= 0 or n.index != n_p.index for n, n_p in numbers):
+        return False
+    for members in _subsets(range(len(alpha_factors)), least=2):
         index, index_prime = (
             orbit_invariants(_product_all(f[j] for j in members)).index
             for f in (alpha_factors, alpha_prime_factors)
@@ -557,7 +570,8 @@ def verify_witness(
     lists multiply back to the witness orbit set and to the given test
     set, that each matched pair satisfies the comparison relation, that
     equal factors on either side share no elliptic orbits, and that every
-    nonempty sub-product has equal, positive index on both sides.
+    nonempty sub-product has equal, positive index on both sides.  Each
+    factor's invariants are computed once, for both of its checks.
     """
     _require(SearchWitness, witness)
     af, pf = (as_items(f, DomainError, "expected a sequence of orbit sets, got {!r}")
@@ -571,14 +585,15 @@ def verify_witness(
         return False
     if _product_all(af) != witness.alpha or _product_all(pf) != alpha_prime:
         return False
-    for a, p in zip(af, pf):
-        if not leq_relation(source, target, a, p).holds:
-            return False
+    _require_polygon(_POLYGON_ONLY, source, target)
+    numbers = [(orbit_invariants(a), orbit_invariants(p)) for a, p in zip(af, pf)]
+    if any(_leq_failure(source, target, a, p, *n) for a, p, n in zip(af, pf, numbers)):
+        return False
     for i, j in pairs:
         if af[i] == af[j] or pf[i] == pf[j]:
             if _shares_orbits(af[i], af[j], s=1):
                 return False
-    return _sub_products_match(af, pf)
+    return _sub_products_match(af, pf, numbers)
 
 
 # The most nonempty sub-products of a test set that a search walks; each
@@ -685,6 +700,32 @@ def _sub_product_candidates(box, linear, cross, weight, cost, radius):
     return candidates, pruned
 
 
+class _Matches:
+    """A slot's matches, pulled from its enumeration only as far as a
+    reader iterates.
+
+    The sets already pulled are kept in order, so every iteration reads
+    the same sequence, and iterations may nest: each reads the kept sets,
+    then pulls the next one from the enumeration.
+    """
+
+    def __init__(self, sets: Iterator[CombOrbitSet]):
+        self._sets, self._kept = sets, []
+
+    def __iter__(self):
+        kept = self._kept
+        for i in itertools.count():
+            if i == len(kept):
+                pulled = next(self._sets, None)
+                if pulled is None:
+                    return
+                kept.append(pulled)
+            yield kept[i]
+
+    def __bool__(self):
+        return next(iter(self), None) is not None
+
+
 def _assignments(options, vecs, cr_p, chosen=()):
     """Each choice of one source set per slot that meets the joint conditions.
 
@@ -732,9 +773,10 @@ def obstruction_search(
 
     Sub-products of the test set are its multiplicity vectors over its
     factors.  The target supports of the factor directions and the source
-    diagonal radius are scaled to integers over one common denominator, so
-    the index (a quadratic form), the target action and x' + y' + m' - 1
-    (dot products) and the pruning inequality are integer arithmetic.
+    diagonal radius are read as integers over one scale, the product of
+    the target lattice's q and the radius's denominator, so the index (a
+    quadratic form), the target action and x' + y' + m' - 1 (dot
+    products) and the pruning inequality are integer arithmetic.
     ``_sub_product_candidates`` scans the box in rows along the factor of
     largest multiplicity m_k and decides each row's index and pruning
     tests in closed form.  It steps from row to row along the next-largest
@@ -744,7 +786,12 @@ def obstruction_search(
     built.  A slot's enumeration, with the factor's index, target action
     and ``min_count = x' + y' + m' - 1``, decides conditions (i)-(iii) of
     ``leq_relation``, so its sets are the slot's matches;
-    ``verify_witness`` replays the witness.
+    ``verify_witness`` replays the witness.  Matches are pulled only as
+    far as the walk reads them (``_Matches``): one per slot to see that it
+    has any, more only while no choice among those pulled fits.  Slots of
+    equal index, count floor and cap share one enumeration.  The order is
+    the enumeration's either way, so the witness is the one that running
+    every slot to the end would give.
 
     Outcomes: a re-verified ``FeasibleWitness``; ``Inconclusive`` when a
     slot's enumeration had the direction bound exclude affordable
@@ -757,9 +804,10 @@ def obstruction_search(
     half cube -> Omega_{3/10} at degree 3 is infeasible at ``lmax`` 3 but
     ``Inconclusive`` at ``lmax`` 8.
 
-    ``enumerations_run`` counts the slots whose enumeration ran, and
-    ``enumeration_truncated`` says whether some enumerated slot's cap
-    reaches the source's smaller intercept.
+    ``enumerations_run`` counts the slots whose matches were asked for,
+    each once, however far their enumeration ran and whether or not it
+    is shared with another slot; ``enumeration_truncated`` says whether
+    some such slot's cap reaches the source's smaller intercept.
     """
     _require_polygon("obstruction search runs on polygon domains", source, target)
     _require(CombOrbitSet, alpha_prime)
@@ -786,10 +834,12 @@ def obstruction_search(
     basis = alpha_prime.orbits()
     linear, cross = _index_form(basis)
     weight = [o.v[0] + o.v[1] + 1 for o in basis]
-    scale, scaled = over_common_denominator(
-        [delta(source)] + [support(target, o.v) for o in basis]
-    )
-    radius, cost = scaled[0], scaled[1:]
+    # The source's diagonal radius n / d and the target supports top / q,
+    # all over the scale d q.
+    diagonal = delta(source)
+    q, tops = target._supports(o.v for o in basis)
+    scale, radius = diagonal.denominator * q, diagonal.numerator * q
+    cost = [top * diagonal.denominator for top in tops]
 
     def vector_cross(a, b) -> int:
         return sum(ai * sum(map(mul, b, cross[i])) for i, ai in enumerate(a) if ai)
@@ -821,22 +871,26 @@ def obstruction_search(
                     rest = tuple(r - v for r, v in zip(remaining, vec))
                     yield from factorizations(i, rest, slots + (candidates[i],))
 
-    enum_cache: dict = {}
+    # The slots whose matches were asked for, and the matches of each
+    # (index, count, cap), which the slots of those values share.
+    asked, matches = set(), {}
 
     def slot_matches(slot):
-        if slot not in enum_cache:
-            _, index, count, cap = slot
-            enum_cache[slot] = list(enumerate_orbit_sets(
+        asked.add(slot)
+        key = index, count, cap = slot[1:]
+        if key not in matches:
+            matches[key] = _Matches(enumerate_orbit_sets(
                 source, Fraction(cap, scale), index, vmax, min_count=count,
             ))
-        return enum_cache[slot]
+        return matches[key]
 
     explored, witness = 0, None
     for explored, slots in enumerate(factorizations(0, target_vec, ()), 1):
         vecs = [s[0] for s in slots]
-        if any(index_of([sum(c) for c in zip(*sub)]) <= 0 for sub in _nonempty_subsets(vecs)):
+        if any(index_of([sum(c) for c in zip(*sub)]) <= 0 for sub in _subsets(vecs)):
             continue
-        # Slots are enumerated in order up to the first one with no match.
+        # Each slot's first match is pulled, in slot order, up to the first
+        # slot with none.
         options = list(itertools.takewhile(bool, map(slot_matches, slots)))
         if len(options) < len(slots):
             continue
@@ -852,14 +906,14 @@ def obstruction_search(
     # Truncation is monotone in the cap, so some slot's enumeration was
     # truncated iff the one with the largest cap was; with no slot
     # enumerated, the cap 0 is below both intercepts.
-    largest_cap = max((slot[3] for slot in enum_cache), default=0)
+    largest_cap = max((slot[3] for slot in asked), default=0)
     bounds = SearchBounds(
         vmax=vmax,
         lmax=lmax,
         candidate_factors=total,
         factors_pruned=pruned,
         factorizations_explored=explored,
-        enumerations_run=len(enum_cache),
+        enumerations_run=len(asked),
         enumeration_truncated=enumeration_truncated(source, Fraction(largest_cap, scale)),
     )
     if witness is not None:

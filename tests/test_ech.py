@@ -575,7 +575,7 @@ def _enumerate_one_call_per_candidate(domain, cap, index_target, vmax, min_count
     candidates, which the library's loop over runs of zeros avoids."""
     candidates = candidate_orbits(domain, cap, vmax)
     orbits = [o for o, _ in candidates]
-    _, scaled = ech.over_common_denominator([cap] + [sup for _, sup in candidates])
+    _, scaled = over_common_denominator([cap] + [sup for _, sup in candidates])
     budget, cost = scaled[0], scaled[1:]
     linear, cross = ech._index_form(orbits)
     gain = [o.v[0] + o.v[1] for o in orbits]
@@ -748,6 +748,14 @@ def test_enumeration_makes_no_child_call_that_its_cut_ends():
         made, cut = _child_calls(lambda: obstruction_search(source, target, alpha, 3, 3))
         assert cut == 0
         calls += made
+    # The search stops each slot's enumeration at the sets its walk reads;
+    # the largest slot of each of the two searches above, run to the end.
+    for dom, cap, index, floor in ((square_polygon(F(1, 2)), F(3), 6, 5),
+                                   (om310, F(22, 5), 40, 11)):
+        made, cut = _child_calls(
+            lambda: list(enumerate_orbit_sets(dom, cap, index, 3, min_count=floor)))
+        assert cut == 0
+        calls += made
     assert calls > 2000
 
 
@@ -784,7 +792,8 @@ def _orbit_set_of_index(rng, index, forbidden):
 
 
 def test_sub_product_check_matches_additivity():
-    # verify_witness multiplies each sub-product out; on random factor
+    # verify_witness reads the one-factor sub-products off the factors'
+    # invariants and multiplies the larger ones out; on random factor
     # lists and their mutants it must agree with the additivity sums.
     rng = random.Random(73)
     outcomes = []
@@ -801,7 +810,8 @@ def test_sub_product_check_matches_additivity():
             # Another set of the same index; no two factors share a hyperbolic orbit.
             used = {o for f in af for o in f.orbits() if o.s == 0}
             af[j] = _orbit_set_of_index(rng, orbit_invariants(af[j]).index, used)
-        got = ech._sub_products_match(af, pf)
+        numbers = [(orbit_invariants(a), orbit_invariants(p)) for a, p in zip(af, pf)]
+        got = ech._sub_products_match(af, pf, numbers)
         assert got == _subset_indices_reference(af, pf)
         outcomes.append((mutation, got))
     for mutation in range(3):
@@ -921,6 +931,29 @@ def test_search_inclusion_d3_returns_witness(om310):
         assert verify_witness(source, target, report.witness, alpha)
 
 
+def test_found_runaway_searches_return_a_witness(om310):
+    # Each target cap is large against the source's supports, so each
+    # search's one slot has a long enumeration; its first match is the
+    # witness, and the search must stop there.
+    cases = [
+        (square_polygon(F(1, 10)), om310, "e(1,-1)^3 * e(-1,1)^3 * e(1,1)^2", 3, 3),
+        (square_polygon(F(1)),
+         Polygon2D(((F(449, 90), 0), (F(53, 9), F(3, 5)), (F(398, 63), F(36, 35)),
+                    (F(26, 9), F(76, 35)), (F(2, 9), F(88, 105)), (0, F(124, 315)))),
+         "e(1,0)^3 * e(1,2)^2", 2, 3),
+        (Polygon2D(((F(1, 6), 0), (F(7, 12), F(5, 12)), (F(5, 12), F(7, 12)), (0, F(1, 6)))),
+         Polygon2D(((F(3, 4), 0), (F(15, 8), F(3, 8)), (2, F(3, 4)), (2, F(7, 4)),
+                    (0, F(11, 4)))),
+         "e(0,1)^2", 3, 3),
+    ]
+    for source, target, text, vmax, lmax in cases:
+        alpha = parse_orbit_set(text)
+        with deadline(2):
+            report = obstruction_search(source, target, alpha, vmax=vmax, lmax=lmax)
+        assert report.status is SearchStatus.FEASIBLE_WITNESS, text
+        assert verify_witness(source, target, report.witness, alpha)
+
+
 def test_search_names_the_inclusion(om310):
     # Each source lies in its target, or in the target's mirror for the
     # rectangles, so no test set may obstruct it.  Without a truncated
@@ -950,8 +983,9 @@ _POLYGON_MAKERS = (make_monotone_polygon, make_weakly_convex_polygon,
 
 
 def test_search_never_obstructs_x_in_scaled_x():
-    # X -> X and X -> (11/10) X are inclusions.  X -> 2 X is left out:
-    # without a search budget, some of those searches run for seconds.
+    # X -> X, X -> (11/10) X and X -> 2 X are inclusions.  The large caps
+    # of X -> 2 X give long slot enumerations, which a search must stop at
+    # its witness to meet the deadline.
     rng = random.Random(2026)
     makers = _POLYGON_MAKERS
     searches = named = 0
@@ -962,12 +996,12 @@ def test_search_never_obstructs_x_in_scaled_x():
                                    max_size=2)
             if orbit_invariants(alpha).index <= 0:
                 continue
-            for c in (F(1), F(11, 10)):
+            for c in (F(1), F(11, 10), F(2)):
                 report = obstruction_search(dom, scaled(dom, c), alpha, vmax=2, lmax=2)
                 assert report.status is not SearchStatus.INFEASIBLE_WITHIN_BOUNDS
                 searches += 1
                 named += report.reason is not None
-    assert searches >= 100 and named >= 8
+    assert searches >= 198 and named >= 10
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -991,11 +1025,40 @@ def test_search_never_obstructs_a_known_embedding(lam, c):
             assert report.status is not SearchStatus.INFEASIBLE_WITHIN_BOUNDS, (text, bound)
 
 
+def test_search_returns_on_the_e14_sample():
+    # E(1,4) -> B(3) with the 22 elliptic test sets of one or two distinct
+    # orbits in the directions (1,0), (0,1), (1,1), (-1,0), (0,-1), (1,-1),
+    # (-1,1) of positive index, and 128 seeded random ones, at vmax = lmax
+    # = 2 and 3, must return: together they take about half a second on a
+    # 2-vCPU machine.  A refused test set (index <= 0) claims nothing.
+    directions = [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (1, -1), (-1, 1)]
+    sets = [CombOrbitSet(tuple((CombOrbit(v, 1), 1) for v in members))
+            for size in (1, 2) for members in itertools.combinations(directions, size)]
+    sets = [alpha for alpha in sets if orbit_invariants(alpha).index > 0]
+    assert len(sets) == 22
+    rng = random.Random(1)
+    sets += [make_orbit_set(rng, vmax=2, elliptic_only=True) for _ in range(128)]
+    source, target = Polygon2D(((1, 0), (0, 4))), Polygon2D(((3, 0), (0, 3)))
+    statuses = Counter()
+    with deadline(20):
+        for bound in (2, 3):
+            for alpha in sets:
+                try:
+                    report = obstruction_search(source, target, alpha, vmax=bound, lmax=bound)
+                except InapplicableError:
+                    statuses["refused"] += 1
+                    continue
+                statuses[report.status] += 1
+                if report.witness is not None:
+                    assert verify_witness(source, target, report.witness, alpha)
+    assert statuses["refused"] < 100 and statuses[SearchStatus.FEASIBLE_WITNESS] >= 200
+
+
 def _search_within(seconds, source, target, alpha):
     """The vmax = 1, lmax = 2 search, or None when it runs past ``seconds``.
 
-    Without a search budget a few seeded searches run for seconds; the
-    property tests below leave those out of their count.
+    The search has no budget yet.  The property tests below count the
+    searches that return, and their floors are every search they make.
     """
     try:
         with deadline(seconds):
@@ -1032,16 +1095,16 @@ def test_shrinking_the_source_keeps_a_witness():
         alpha = make_orbit_set(rng, vmax=2, max_mult=2, elliptic_only=True, max_size=2)
         if orbit_invariants(alpha).index <= 0:
             continue
-        report = _search_within(0.05, x, y, alpha)
+        report = _search_within(0.5, x, y, alpha)
         if report is None or report.status is not SearchStatus.FEASIBLE_WITNESS:
             continue
         for smaller in (scaled(x, F(9, 10)), scaled(x, F(1, 2)),
                         square_polygon(cube_inclusion(x))):
-            report = _search_within(0.05, smaller, y, alpha)
+            report = _search_within(0.5, smaller, y, alpha)
             if report is not None:
                 assert report.status is SearchStatus.FEASIBLE_WITNESS, (smaller, y, alpha)
                 checks += 1
-    assert checks >= 60
+    assert checks >= 90
 
 
 def test_search_never_obstructs_a_general_inclusion():
@@ -1062,11 +1125,11 @@ def test_search_never_obstructs_a_general_inclusion():
         alpha = make_orbit_set(rng, vmax=1, max_mult=2, elliptic_only=True, max_size=2)
         if orbit_invariants(alpha).index <= 0:
             continue
-        report = _search_within(0.05, x, y, alpha)
+        report = _search_within(0.5, x, y, alpha)
         if report is not None:
             assert report.status is not SearchStatus.INFEASIBLE_WITHIN_BOUNDS, (x, y, alpha)
             checks += 1
-    assert checks >= 100
+    assert checks >= 159
 
 
 def test_search_inconclusive_when_truncation_matters(om310):
@@ -1264,6 +1327,66 @@ def test_search_drops_split_with_nonpositive_subproduct_index():
     assert report.status is SearchStatus.INCONCLUSIVE
     assert report.bounds_used.factorizations_explored == 3
     assert report.bounds_used.enumerations_run == 2
+
+
+def test_lazy_matches_give_the_report_of_exhausted_slots(monkeypatch):
+    # The search pulls a slot's matches only as far as its walk reads
+    # them, and slots of one index, count floor and cap share one
+    # enumeration.  With every enumeration run to the end into a list, as
+    # before, each report is the same.  Every lazy search returns within
+    # 1 s; an exhaustive one that runs past 0.05 s is left out.
+    rng = random.Random(2029)
+    cases = []
+    while len(cases) < 120:
+        x = _POLYGON_MAKERS[rng.randrange(len(_POLYGON_MAKERS))](rng)
+        y = rng.choice((x, scaled(x, F(11, 10)), scaled(x, F(2)),
+                        _POLYGON_MAKERS[rng.randrange(len(_POLYGON_MAKERS))](rng)))
+        alpha = make_orbit_set(rng, vmax=2, max_mult=2, elliptic_only=True, max_size=3)
+        if orbit_invariants(alpha).index > 0:
+            cases.append((x, y, alpha, rng.randint(1, 2), rng.randint(1, 3)))
+
+    def reports(seconds):
+        out = []
+        for x, y, alpha, vmax, lmax in cases:
+            try:
+                with deadline(seconds):
+                    out.append(obstruction_search(x, y, alpha, vmax=vmax, lmax=lmax))
+            except DeadlinePassed:
+                out.append(None)
+        return out
+
+    lazy = reports(1)
+    enumerate_all = ech.enumerate_orbit_sets
+    monkeypatch.setattr(ech, "enumerate_orbit_sets",
+                        lambda *args, **kwargs: iter(list(enumerate_all(*args, **kwargs))))
+    compared = [(a, b) for a, b in zip(lazy, reports(0.05)) if a is not None and b is not None]
+    assert all(a == b for a, b in compared)
+    statuses = Counter(a.status for a, _ in compared)
+    assert None not in lazy and len(compared) >= 80
+    assert min(statuses[status] for status in SearchStatus) >= 5, statuses
+
+
+def test_slots_sharing_one_enumeration_nest():
+    # Two slots of e(0,1) share one enumeration, and the assignment walk
+    # iterates it inside itself.  The emptiness test pulls one set, and
+    # every walk reads the sets in the enumeration's order.
+    square = square_polygon(F(1, 2))
+    sets = list(enumerate_orbit_sets(square, F(2), 2, 2, min_count=1))
+    pulled = []
+
+    def enumeration():
+        for alpha in sets:
+            pulled.append(alpha)
+            yield alpha
+
+    matches = ech._Matches(enumeration())
+    assert matches and len(pulled) == 1
+    slots = ([matches, matches], [(1,), (1,)], [[0, 0], [0, 0]])
+    first = next(ech._assignments(*slots))
+    everything = list(ech._assignments([sets, sets], *slots[1:]))
+    assert first == everything[0] and list(ech._assignments(*slots)) == everything
+    assert pulled == sets and len(everything) >= 10
+    assert [(a, b) for a in matches for b in matches] == list(itertools.product(sets, repeat=2))
 
 
 def test_assignment_refuses_a_shared_hyperbolic_orbit():
