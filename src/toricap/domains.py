@@ -32,11 +32,14 @@ class (plus its entry in ``_KINDS``):
 * ``simplex_inclusion`` and ``cylinder_cover`` for :mod:`toricap.capacities`;
 * on polygons only, ``support(v)`` and ``cube_bound`` for :mod:`toricap.geometry`,
   and ``affordable_directions(cap, vmax)`` for :mod:`toricap.ech`;
-* ``cl_rules``, ``cl_slices(e)``, ``cl_candidates`` for
-  :mod:`toricap.lagrangian`: the order of the Lagrangian-capacity rules,
-  the closed intervals [lo, hi] where the domain meets the lines y = e
-  (in x) and x = e (in y), by decreasing hi, and the candidate fiber
-  positions of an interval, as integer points over the lattice's ``q``.
+* ``cl_rules``, ``cl_slices(e, across)``, ``cl_candidates`` for
+  :mod:`toricap.lagrangian`: the order of the Lagrangian-capacity rules;
+  the closed intervals where the domain meets the line y = e (in x), or
+  x = e (in y) when ``across``, as ``(s, [(lo, hi), ...])``, integer pairs
+  over one scale s > 0 for the intervals [lo / s, hi / s], by decreasing
+  hi (a union's s is its lattice's ``q``, a polygon's that of its one
+  chord); and the candidate fiber positions of an interval, as integer
+  points over the lattice's ``q``.
 
 The invariants are ``rationals.cached_member`` members, computed at
 most once per instance and kept in the instance ``__dict__`` beside the
@@ -59,6 +62,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import itemgetter, lt
 
 from .errors import DomainError, InapplicableError
 from .rationals import (
@@ -244,14 +248,15 @@ def _canonical_chain(vertices) -> _Lattice:
     return lattice
 
 
-def _chord(planes, level: Fraction, q: int) -> list:
-    """[(lo, hi)] where the line y = level meets the region cut from x >= 0
-    by the lattice halfplanes ``(a, b, c)``: a x + b y <= c / q, or [] if
-    it misses.
+def _chord(planes, level: Fraction, q: int) -> tuple:
+    """``(s, [(lo, hi)])``, [lo / s, hi / s] being where the line y = level
+    meets the region cut from x >= 0 by the lattice halfplanes ``(a, b, c)``:
+    a x + b y <= c / q; ``(s, [])`` if it misses.
 
     With level = m / n, each plane bounds x by room / (a n q), where
     room = c n - b q m; the bounds are kept as integer pairs (numerator,
-    positive denominator) and compared by cross-multiplying.
+    positive denominator) and compared by cross-multiplying.  The chord
+    lo0 / lo1 to hi0 / hi1, over n q, is returned over s = lo1 hi1 n q.
     """
     m, n = level.numerator, level.denominator
     lo, hi = (0, 1), None
@@ -264,11 +269,10 @@ def _chord(planes, level: Fraction, q: int) -> list:
             if room * lo[1] < lo[0] * a:  # -room / -a > lo
                 lo = (-room, -a)
         elif room < 0:
-            return []
+            return n * q, []
     if lo[0] * hi[1] > hi[0] * lo[1]:
-        return []
-    scale = n * q
-    return [(Fraction(lo[0], lo[1] * scale), Fraction(hi[0], hi[1] * scale))]
+        return n * q, []
+    return lo[1] * hi[1] * n * q, [(lo[0] * hi[1], hi[0] * lo[1])]
 
 
 class Polygon2D(ToricDomain):
@@ -442,14 +446,14 @@ class Polygon2D(ToricDomain):
     def on_boundary(self, p) -> bool:
         return self._least_slack(p) == 0
 
-    def cl_slices(self, e: Fraction) -> tuple:
+    def cl_slices(self, e: Fraction, across: bool) -> tuple:
         # The first edge leaves the x-axis upwards and the last one reaches
         # the y-axis leftwards, so some plane bounds each chord from above.
-        planes, q = self._halfplanes, self._lattice.q
-        return (
-            _chord(planes, e, q),
-            _chord([(b, a, c) for a, b, c in planes], e, q),
-        )
+        # Across, x and y swap roles.
+        planes = self._halfplanes
+        if across:
+            planes = [(b, a, c) for a, b, c in planes]
+        return _chord(planes, e, self._lattice.q)
 
     @property
     def cl_candidates(self) -> tuple:
@@ -494,6 +498,9 @@ def is_weakly_convex(vertices_or_polygon) -> bool:
 
 
 _CORNERS = ("x0", "x1", "y0", "y1")
+# A rectangle object's corners in that order; a missing one raises the
+# ``KeyError`` of the first, in that order too.
+_corners = itemgetter(*_CORNERS)
 
 
 def _check_box(q: int, x0: int, x1: int, y0: int, y1: int) -> None:
@@ -532,27 +539,27 @@ def _connected(boxes) -> bool:
     overlap on both axes.  Boxes are swept in order of their left edges,
     and each is compared only with the later boxes that start at or before
     its right edge; a union-find counts the merges still needed, and the
-    sweep stops when none is.
+    sweep stops when none is.  A box's root is found once, before its
+    comparisons: a merge hangs the other root below it, so it stays a root.
     """
     boxes = sorted(boxes)
     parent = list(range(len(boxes)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     needed = len(boxes) - 1
     for a, (_, x1, y0, y1) in enumerate(boxes):
+        # Roots are found by path halving.
+        ra = a
+        while parent[ra] != ra:
+            parent[ra] = ra = parent[parent[ra]]
         for b in range(a + 1, len(boxes)):
             bx0, _, by0, by1 = boxes[b]
             if bx0 > x1:
                 break
             if by0 <= y1 and y0 <= by1:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
+                rb = b
+                while parent[rb] != rb:
+                    parent[rb] = rb = parent[parent[rb]]
+                if rb != ra:
+                    parent[rb] = ra
                     needed -= 1
                     if not needed:
                         return True
@@ -574,33 +581,48 @@ class _Coverage:
     ``ys[j + 1]``; every rectangle is a block of whole cells, so a cell is
     covered by the closed union iff some rectangle paints it, and the
     union is the closure of its painted cells.  ``columns[i]`` is column i
-    as a bit mask: bit j is set iff cell (i, j) is painted.
+    as a bit mask: bit j is set iff cell (i, j) is painted.  The painting
+    pass also keeps ``eta``, the largest smallest coordinate of a box's
+    top-right corner, and ``diagonal``, the same over the boxes that meet
+    the diagonal (0 when none does), both over q.
     """
 
-    __slots__ = ("q", "boxes", "xs", "ys", "columns", "staircase", "cube")
+    __slots__ = ("q", "boxes", "xs", "ys", "columns", "staircase", "cube", "diagonal", "eta")
 
     def __init__(self, corners: list):
         if not corners:
             raise DomainError("rectilinear domain needs at least one rectangle")
         q, flat = over_common_denominator(corners)
-        boxes = list(zip(flat[0::4], flat[1::4], flat[2::4], flat[3::4]))
-        for box in boxes:
-            _check_box(q, *box)
-        if not any(x0 == 0 or y0 == 0 for x0, _, y0, _ in boxes):
+        x0s, x1s, y0s, y1s = flat[0::4], flat[1::4], flat[2::4], flat[3::4]
+        # One pass over all corners; the box-by-box check runs only to name
+        # the first bad box.
+        if min(flat) < 0 or not (all(map(lt, x0s, x1s)) and all(map(lt, y0s, y1s))):
+            for box in zip(x0s, x1s, y0s, y1s):
+                _check_box(q, *box)
+        if not (0 in x0s or 0 in y0s):
             raise DomainError("union must contain a neighborhood of a boundary-axis point")
+        boxes = list(zip(x0s, x1s, y0s, y1s))
         if not _connected(boxes):
             raise DomainError("rectangle union is not connected")
-        xs = sorted({0, *(b[0] for b in boxes), *(b[1] for b in boxes)})
-        ys = sorted({0, *(b[2] for b in boxes), *(b[3] for b in boxes)})
-        xr = {x: i for i, x in enumerate(xs)}
-        yr = {y: j for j, y in enumerate(ys)}
+        xs = sorted({0, *x0s, *x1s})
+        ys = sorted({0, *y0s, *y1s})
+        xr = dict(zip(xs, range(len(xs))))
+        yr = dict(zip(ys, range(len(ys))))
         columns = [0] * (len(xs) - 1)
+        diagonal = eta = 0
         for x0, x1, y0, y1 in boxes:
-            j0 = yr[y0]
-            run = ((1 << (yr[y1] - j0)) - 1) << j0
+            run = (1 << yr[y1]) - (1 << yr[y0])
             for i in range(xr[x0], xr[x1]):
                 columns[i] |= run
+            # A box meets the diagonal iff its bottom-left corner's larger
+            # coordinate is at most its top-right corner's smaller one.
+            top = x1 if x1 < y1 else y1
+            if top > eta:
+                eta = top
+            if top > diagonal and x0 <= top and y0 <= top:
+                diagonal = top
         self.q, self.boxes, self.xs, self.ys, self.columns = q, boxes, xs, ys, columns
+        self.diagonal, self.eta = diagonal, eta
         # Down-closed means every column is painted on a prefix of its
         # cells, and the prefixes never grow from left to right.
         # cube: the growing square [0, a]^2 first meets an unpainted cell
@@ -613,7 +635,9 @@ class _Coverage:
             # The lowest unset bit: adding 1 carries through the set ones below it.
             h = (column ^ (column + 1)).bit_length() - 1
             if h < ny:
-                cube = min(cube, max(xs[i], ys[h]))
+                corner = xs[i] if xs[i] > ys[h] else ys[h]
+                if corner < cube:
+                    cube = corner
                 if column >> h:
                     staircase = False
             if h > height:
@@ -621,20 +645,21 @@ class _Coverage:
             height = h
         self.staircase, self.cube = staircase, Fraction(cube, q)
 
-    def slices(self, level: Fraction, across: bool):
-        """Generator of [lo, hi] of each rectangle meeting the line y = level
-        (x = level when ``across``) by decreasing hi.
+    def slices(self, level: Fraction, across: bool) -> tuple:
+        """``(q, [(lo, hi), ...])``: the interval [lo / q, hi / q] of each
+        rectangle meeting the line y = level (x = level when ``across``),
+        by decreasing hi.
 
         A box meets the line iff its lower side is at most floor(level q)
         and its upper side at least ceil(level q).
         """
         below, above = _floor_ceil(level, self.q)
-        boxes = self.boxes
         if across:
-            boxes = [(y0, y1, x0, x1) for x0, x1, y0, y1 in boxes]
-        hits = [(hi, lo) for lo, hi, b0, b1 in boxes if b0 <= below and b1 >= above]
-        for hi, lo in sorted(hits, reverse=True):
-            yield Fraction(lo, self.q), Fraction(hi, self.q)
+            hits = [(y1, y0) for x0, x1, y0, y1 in self.boxes if x0 <= below and x1 >= above]
+        else:
+            hits = [(x1, x0) for x0, x1, y0, y1 in self.boxes if y0 <= below and y1 >= above]
+        hits.sort(reverse=True)
+        return self.q, [(lo, hi) for hi, lo in hits]
 
     def quadrants(self, p) -> tuple:
         """Whether each of the four cells meeting the corners of p is painted.
@@ -689,17 +714,15 @@ class Rectilinear2D(ToricDomain):
 
     @cached_member
     def delta(self) -> Fraction:
-        boxes = self._grid.boxes
-        hits = [min(x1, y1) for x0, x1, y0, y1 in boxes if max(x0, y0) <= min(x1, y1)]
-        if not hits:
+        grid = self._grid
+        if not grid.diagonal:
             raise InapplicableError("diagonal does not meet the domain")
-        return Fraction(max(hits), self._grid.q)
+        return Fraction(grid.diagonal, grid.q)
 
     @cached_member
     def eta(self) -> Fraction:
         # Per rectangle the smallest coordinate is largest at the top-right corner.
-        grid = self._grid
-        return Fraction(max(min(x1, y1) for _, x1, _, y1 in grid.boxes), grid.q)
+        return Fraction(self._grid.eta, self._grid.q)
 
     @cached_member
     def is_monotone(self) -> bool:
@@ -717,9 +740,10 @@ class Rectilinear2D(ToricDomain):
 
     @property
     def cylinder_cover(self) -> Fraction:
+        # Every box has x0 < x1 and y0 < y1, so the last grid lines are the
+        # largest x1 and y1.
         grid = self._grid
-        top = min(max(b[1] for b in grid.boxes), max(b[3] for b in grid.boxes))
-        return Fraction(top, grid.q)
+        return Fraction(min(grid.xs[-1], grid.ys[-1]), grid.q)
 
     def contains(self, p) -> bool:
         # Some cell whose closure holds p is painted.
@@ -730,9 +754,8 @@ class Rectilinear2D(ToricDomain):
         quadrants = self._grid.quadrants(_point(p))
         return any(quadrants) and not all(quadrants)
 
-    def cl_slices(self, e: Fraction) -> tuple:
-        # Generators: the column is read only when the row has no witness.
-        return self._grid.slices(e, False), self._grid.slices(e, True)
+    def cl_slices(self, e: Fraction, across: bool) -> tuple:
+        return self._grid.slices(e, across)
 
     @property
     def cl_candidates(self) -> tuple:
@@ -767,7 +790,7 @@ class Rectilinear2D(ToricDomain):
             if not isinstance(item, dict):
                 raise DomainError(f"rectangle is not an object: {item!r}")
             try:
-                corners += [item[k] for k in _CORNERS]
+                corners += _corners(item)
             except KeyError as exc:
                 raise DomainError(f"rectangle missing corner field {exc}")
         # The grid reads the document's values; no Rect is built until a

@@ -795,8 +795,13 @@ def obstruction_search(
 
     Outcomes: a re-verified ``FeasibleWitness``; ``Inconclusive`` when a
     slot's enumeration had the direction bound exclude affordable
-    candidates, or when the source lies in the target or in its mirror,
-    which ``reason`` then names; else ``InfeasibleWithinBounds``.  That
+    candidates, when the source lies in the target or in its mirror, or
+    else when some factor of the test set has target support <= 0, the
+    last two with a ``reason`` that names the inclusion or the factor;
+    else ``InfeasibleWithinBounds``.  A factor of non-positive target
+    support costs nothing in the target, and with such factors the model
+    obstructs embeddings that exist: E(1,4) -> B(c) for c > 2 (McDuff and
+    Schlenk) with ``e(-1,0) * e(0,-1)``.  That
     claim holds for this combinatorial model and these bounds only, ``lmax``
     included.  The factorization walk is the one place where ``lmax``
     drops a branch: a remainder that ``lmax - len(slots)`` more parts of
@@ -927,6 +932,14 @@ def obstruction_search(
         return SearchReport(SearchStatus.INCONCLUSIVE, None, bounds, None,
                             "the source lies in the target or in its mirror "
                             "(x, y) -> (y, x), so it embeds")
+    # A factor that costs nothing in the target backs no claim: with such
+    # factors the model obstructs E(1,4) -> B(3), which embeds.
+    for orbit, top in zip(basis, tops):
+        if top <= 0:
+            x, y = orbit.v
+            return SearchReport(SearchStatus.INCONCLUSIVE, None, bounds, None,
+                                f"factor e({x},{y}) of the test set has target support "
+                                f"{Fraction(top, q)} <= 0, so the model backs no claim")
     # A moment-square source [0, a]^2 names the cube size a that is obstructed.
     a = v[0][0]
     square = v == ((a, 0), (a, a), (0, a))

@@ -27,8 +27,10 @@ minimal fiber area.  No domain point has a smallest coordinate above eta,
 so every domain point on the shell min(x, y) = eta is a boundary point,
 and both shell rules are closed forms at eta, with no boundary tests.
 Each domain kind fixes the order of the definite rules (``cl_rules``) and
-supplies the shell intervals (``cl_slices``) and the candidate positions
-of an interval (``cl_candidates``, integer points on its own lattice).
+supplies the shell intervals (``cl_slices``, integer pairs over one scale
+per line, so the lattice witness is decided in ``int`` arithmetic) and
+the candidate positions of an interval (``cl_candidates``, integer points
+on its own lattice).
 """
 
 from __future__ import annotations
@@ -174,20 +176,25 @@ def _lattice_witness(domain) -> tuple | None:
 
     The candidates are (k*eta, eta), then (eta, k*eta), for k >= 2.  Every
     domain point on these lines is a boundary point, so an interval
-    [lo, hi] of ``cl_slices`` offers k = hi // eta when k*eta >= lo.  The
+    [lo / s, hi / s] of ``cl_slices`` offers k = floor(hi / (s eta)) when
+    k*eta >= lo / s; with eta = en / ed both tests run in integers.  The
     intervals come by decreasing hi, so the first offer is the largest k,
     and the scan of a line stops at the first hi below 2*eta; the column
-    is read only when the row has no witness.
+    is read only when the row has no witness.  Only the witness is a
+    ``Fraction``.
     """
     e = eta(domain)
-    row, column = domain.cl_slices(e)
-    for slices, point in ((row, lambda t: (t, e)), (column, lambda t: (e, t))):
+    en, ed = e.numerator, e.denominator
+    for across in (False, True):
+        s, slices = domain.cl_slices(e, across)
+        step = s * en
         for lo, hi in slices:
-            k = hi // e
+            k = hi * ed // step
             if k < 2:
                 break
-            if k * e >= lo:
-                return point(k * e)
+            if k * step >= lo * ed:
+                t = Fraction(k * en, ed)
+                return (e, t) if across else (t, e)
     return None
 
 

@@ -6,10 +6,14 @@ format for a rational is the string "p/q" or "p" (plain integers are
 also accepted on input).
 
 One parser (``_ratio``) reads every rational a caller hands in, and two
-entry points sit on it.  ``parse_rational`` makes one ``Fraction``, and
-``over_common_denominator`` scales many rationals to integers over one q,
-so that a loop over them runs in ``int`` arithmetic; a domain document's
-numbers go that way, straight to integers.  ``as_pair`` is the one place
+entry points sit on it.  It splits a string at its "/" and reads both
+sides with ``int``; a string with a "_" or one that ``int`` refuses goes
+to a regular expression, which alone decides its value or its refusal,
+so both ways give the same pair or the same message.  ``parse_rational``
+makes one ``Fraction``, and ``over_common_denominator`` scales many
+rationals to integers over one q, so that a loop over them runs in
+``int`` arithmetic; a domain document's numbers go that way, straight to
+integers.  ``as_pair`` is the one place
 that decides what a pair is, for every vertex, point and direction a
 caller hands in, and ``as_items`` what a sequence of them is.
 ``Interval`` is the one closed rational bracket type: every capacity bound
@@ -35,20 +39,40 @@ from .errors import DomainError, InapplicableError
 _RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+)\s*)?$")
 
 
+def _pattern_ratio(value: str) -> tuple:
+    """``(n, d)`` of a string read by the regular expression, or its refusal."""
+    m = _RATIONAL_RE.match(value)
+    if not m:
+        raise DomainError(f"not a rational 'p/q' string: {value!r}") from None
+    num, den = m.groups()
+    try:
+        return int(num), 1 if den is None else int(den)
+    except ValueError:
+        raise DomainError(
+            f"rational {value.strip()[:12]}... has an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def _ratio(value) -> tuple:
-    """``(n, d)``, d > 0 and not reduced, for "p/q", "p", an int or a Fraction."""
+    """``(n, d)``, d > 0 and not reduced, for "p/q", "p", an int or a Fraction.
+
+    A string is first split at its "/" and read by ``int``.  What ``int``
+    accepts, the regular expression accepts with the same value, except
+    underscores between digits, so a string with a "_" skips this step.
+    Any string that ``int`` refuses goes the regular expression's way,
+    which alone decides its value or its refusal: ``int`` strips fewer
+    characters (``"\\x1c"`` to ``"\\x1f"``) than ``\\s`` does.
+    """
     if isinstance(value, str):
-        m = _RATIONAL_RE.match(value)
-        if not m:
-            raise DomainError(f"not a rational 'p/q' string: {value!r}")
-        num, den = m.groups()
-        try:
-            n, d = int(num), 1 if den is None else int(den)
-        except ValueError:
-            raise DomainError(
-                f"rational {value.strip()[:12]}... has an integer of more than "
-                f"{sys.get_int_max_str_digits()} digits"
-            ) from None
+        if "_" in value:
+            n, d = _pattern_ratio(value)
+        else:
+            num, slash, den = value.partition("/")
+            try:
+                n, d = int(num), int(den) if slash else 1
+            except ValueError:
+                n, d = _pattern_ratio(value)
         if d == 0:
             raise DomainError(f"zero denominator in rational: {value!r}")
         return (-n, -d) if d < 0 else (n, d)

@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -354,6 +355,84 @@ def test_parse_rational_integers():
     for text in (huge, f" +{huge} "):
         with pytest.raises(DomainError, match="digits"):
             parse_rational(text)
+
+
+# The parser as it was before its int() fast path: a test-local oracle.
+_ORACLE_RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+)\s*)?$")
+
+
+def _oracle_ratio(value: str) -> tuple:
+    m = _ORACLE_RATIONAL_RE.match(value)
+    if not m:
+        raise DomainError(f"not a rational 'p/q' string: {value!r}")
+    num, den = m.groups()
+    try:
+        n, d = int(num), 1 if den is None else int(den)
+    except ValueError:
+        raise DomainError(
+            f"rational {value.strip()[:12]}... has an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+    if d == 0:
+        raise DomainError(f"zero denominator in rational: {value!r}")
+    return (-n, -d) if d < 0 else (n, d)
+
+
+def _pair_or_message(parse, text):
+    try:
+        return parse(text)
+    except DomainError as exc:
+        return str(exc)
+
+
+# Pieces of the fuzzed strings: digits (ASCII, Arabic-Indic, fullwidth),
+# whitespace that both int() and \s strip, whitespace that only \s strips
+# ("\x1c" to "\x1f"), NEL, NUL, signs, "/", "_" and non-numbers.
+_SPACES = [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\xa0", " ", "　",
+           "\x1c", "\x1d", "\x1e", "\x1f", "\x85"]
+_DIGITS = list("0123456789") + ["١", "٠", "１", "０"]
+_NOISE = ["+", "-", "/", "_", "\x00", ".", "e", "a", "x", "--", "//", "0x", "²"]
+
+
+def _fuzzed_rational(rng) -> str:
+    def spaces():
+        return "".join(rng.choice(_SPACES) for _ in range(rng.choice((0, 0, 1, 2))))
+
+    def integer():
+        digits = "".join(rng.choice(_DIGITS[:10] if rng.random() < 0.8 else _DIGITS)
+                         for _ in range(rng.randint(0 if rng.random() < 0.05 else 1, 6)))
+        if rng.random() < 0.1:
+            digits = digits[:1] + "_" + digits[1:]
+        return rng.choice(("", "", "+", "-")) + digits
+
+    text = spaces() + integer() + spaces()
+    if rng.random() < 0.6:
+        text += "/" + spaces() + integer() + spaces()
+    if rng.random() < 0.15:
+        i = rng.randint(0, len(text))
+        text = text[:i] + rng.choice(_NOISE + _SPACES) + text[i:]
+    return text
+
+
+def test_parser_matches_the_regular_expression_oracle():
+    # Every string gives the oracle's (n, d), not reduced, or its message.
+    limit = sys.get_int_max_str_digits()
+    texts = ["1/0", " 1/0 ", "\x1c1/0\x1f", "\x851/0\x85", "\t-3/-0\n", "1_000", "1/1_0",
+             "١/２", " １０ ", "\x1c7", "7\x1f", "\x00", "1\x00", "1/\x00",
+             "", "/", "1/", "/1", "+", "-/-", "1//2", "1/2/3", "+-1", "1 /2", "1/ 2",
+             "- 1", "1.0", "1e3", "\x85-4/6\x85", "\xa012/-8　",
+             "9" * (limit + 1), " +" + "9" * (limit + 1) + "/7 ", "7/" + "3" * (limit + 5),
+             "1" * limit + "/" + "2" * limit, "\x1c" + "5" * (limit + 1)]
+    rng = random.Random(3107)
+    texts += [_fuzzed_rational(rng) for _ in range(20_000)]
+    outcomes = Counter()
+    for text in texts:
+        expected = _pair_or_message(_oracle_ratio, text)
+        assert _pair_or_message(rationals._ratio, text) == expected, repr(text)
+        outcomes[expected.split(" ")[0] if isinstance(expected, str) else "pair"] += 1
+    # Accepted pairs, non-rationals, zero denominators and the digit limit.
+    assert set(outcomes) == {"pair", "not", "zero", "rational"}, outcomes
+    assert min(outcomes.values()) >= 4, outcomes
 
 
 def _corner_forms(value):

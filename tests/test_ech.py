@@ -25,6 +25,7 @@ from toricap import (
     SearchStatus,
     StandardDomain,
     action,
+    capacity_report,
     cross_term,
     cube_bound,
     cube_inclusion,
@@ -1004,25 +1005,42 @@ def test_search_never_obstructs_x_in_scaled_x():
     assert searches >= 198 and named >= 10
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 1 step 2: the search still obstructs E(1,4) -> B(c) with test "
-    "sets of zero target support; refusing such a factor flips this test"))
+# lambda E(1, a) embeds in lambda B(c) at each (a, c) here, by McDuff and
+# Schlenk (Ann. of Math. 2012): c(4) = 2, and c(a) = sqrt(a) for a >= (17/6)^2.
+KNOWN_EMBEDDINGS = [(4, F(21, 10)), (4, F(3)), (9, F(31, 10)), (16, F(41, 10)),
+                    (25, F(51, 10))]
+
+
 @pytest.mark.parametrize("lam", [F(1, 2), F(1), F(5)])
-@pytest.mark.parametrize("c", [F(3), F(21, 10)])
-def test_search_never_obstructs_a_known_embedding(lam, c):
-    # E(1,4) embeds in B(c) for every c > 2 (McDuff-Schlenk, Ann. of Math.
-    # 2012), and neither it nor its mirror lies in B(c); nor do the scaled
-    # copies.  A refused test set claims nothing.
-    source = Polygon2D(((lam, 0), (0, 4 * lam)))
+@pytest.mark.parametrize("a, c", KNOWN_EMBEDDINGS)
+def test_search_never_obstructs_a_known_embedding(lam, a, c):
+    # Neither E(1,a) nor its mirror lies in B(c), nor do the scaled copies,
+    # so the inclusion check cannot decide these.  Every factor of both
+    # test sets has target support 0 on a ball, and the search names it.
+    # A refused test set claims nothing.
+    source = Polygon2D(((lam, 0), (0, a * lam)))
     target = Polygon2D(((lam * c, 0), (0, lam * c)))
-    for text in ("e(-1,0) * e(0,-1)", "e(-1,0)^2 * e(0,-1)^2"):
-        for bound in (2, 3):
-            try:
-                report = obstruction_search(source, target, parse_orbit_set(text),
-                                            vmax=bound, lmax=bound)
-            except InapplicableError:
-                continue
-            assert report.status is not SearchStatus.INFEASIBLE_WITHIN_BOUNDS, (text, bound)
+    chain = source.vertices
+    assert not any(all(map(target.contains, v)) for v in (chain, [p[::-1] for p in chain]))
+    reasons = set()
+    with deadline(10):
+        for text in ("e(-1,0) * e(0,-1)", "e(-1,0)^2 * e(0,-1)^2"):
+            for bound in (2, 3):
+                try:
+                    report = obstruction_search(source, target, parse_orbit_set(text),
+                                                vmax=bound, lmax=bound)
+                except InapplicableError:
+                    continue
+                assert report.status is not SearchStatus.INFEASIBLE_WITHIN_BOUNDS, (text, bound)
+                reasons.add(report.reason)
+    assert reasons == {"factor e(-1,0) of the test set has target support 0 <= 0, "
+                       "so the model backs no claim"}, reasons
+    # A capacity cannot shrink under an embedding: no lower end of the
+    # source's brackets passes an upper end of the target's.
+    x, y = capacity_report(source), capacity_report(target)
+    for name in ("c_P", "c_N", "c_L", "c_B", "c_Z"):
+        upper = getattr(y, name).upper
+        assert upper is not None and getattr(x, name).lower <= upper, name
 
 
 def test_search_returns_on_the_e14_sample():

@@ -258,17 +258,45 @@ def _translated(dom, dx, dy):
     ))
 
 
+def _two_digit_staircase(rng, steps):
+    """``steps`` boxes on the origin, x up and y down, each corner over its
+    own denominator of 2 digits, so that q, their lcm, runs to 60 bits and
+    more.  The x corners lie in [1/10, 3] and the y corners in [1/10, 1] or
+    [1/10, 3]: a row witness needs a box twice as wide as eta."""
+    def corners(top):
+        values = set()
+        while len(values) < steps:
+            den = rng.randint(10, 99)
+            values.add(F(rng.randint(den // 10 + 1, top * den), den))
+        return sorted(values)
+
+    xs, ys = corners(3), corners(rng.choice((1, 3)))[::-1]
+    return Rectilinear2D(tuple(Rect(F(0), x, F(0), y) for x, y in zip(xs, ys)))
+
+
 def test_lattice_witness_matches_scan_on_unions():
     # Besides the unions on the 1/4 grid, their translates off the
-    # diagonal, where eta is attained away from it.
+    # diagonal, where eta is attained away from it, and staircases whose
+    # corners have 2-digit denominators, with q of 60 bits or more.
     rng = random.Random(43)
     unions = [make_touching_union(rng) for _ in range(150)]
     unions += [_translated(dom, F(rng.randint(1, 12), 4), F(rng.randint(0, 3), 4))
                for dom in unions[:60]]
     assert any(all(max(r.x0, r.y0) > min(r.x1, r.y1) for r in dom.rects)
                for dom in unions)
+    stairs = []
+    while len(stairs) < 40:
+        dom = _two_digit_staircase(rng, rng.choice((8, 16, 24, 32)))
+        if vars(dom)["_grid"].q.bit_length() >= 60:
+            stairs.append(dom)
+    unions += stairs
+    unions += [_translated(dom, F(rng.randint(1, 99), rng.randint(10, 99)), F(0))
+               for dom in stairs[:10]]
+    witnesses = {dom: _lattice_witness(dom) for dom in unions}
     for dom in unions:
-        assert _lattice_witness(dom) == _scan_witness(dom, eta(dom)), dom
+        assert witnesses[dom] == _scan_witness(dom, eta(dom)), dom
+    # The staircases find a witness on some and none on others.
+    assert {witnesses[dom] is None for dom in stairs} == {True, False}
 
 
 def test_lattice_witness_matches_scan_on_polygons():

@@ -175,6 +175,18 @@ def _candidate_fractions(dom) -> list:
     return [(Fraction(x, q), Fraction(y, q)) for x, y in points]
 
 
+def _slice_fractions(dom, e) -> tuple:
+    """``cl_slices`` at ``e`` along and across, integer pairs over one scale
+    per line, as lists of Fraction pairs."""
+    lines = []
+    for across in (False, True):
+        s, slices = dom.cl_slices(e, across)
+        assert all(type(c) is int for c in (s, *(c for p in slices for c in p)))
+        assert s > 0
+        lines.append([(Fraction(lo, s), Fraction(hi, s)) for lo, hi in slices])
+    return tuple(lines)
+
+
 def lattice_answers(dom, levels, points, directions) -> dict:
     return {
         "delta": delta(dom),
@@ -184,7 +196,7 @@ def lattice_answers(dom, levels, points, directions) -> dict:
         "simplex_inclusion": dom.simplex_inclusion,
         "cylinder_cover": dom.cylinder_cover,
         "cl_candidates": _candidate_fractions(dom),
-        "cl_slices": [tuple(dom.cl_slices(e)) for e in levels],
+        "cl_slices": [_slice_fractions(dom, e) for e in levels],
         "contains": [dom.contains(p) for p in points],
         "on_boundary": [dom.on_boundary(p) for p in points],
         "cube_bound": _value_or_refusal(cube_bound, dom),
@@ -463,7 +475,7 @@ def union_lattice_answers(dom, levels, points) -> dict:
         "simplex_inclusion": dom.simplex_inclusion,
         "cylinder_cover": dom.cylinder_cover,
         "cl_candidates": _candidate_fractions(dom),
-        "cl_slices": [tuple(list(s) for s in dom.cl_slices(e)) for e in levels],
+        "cl_slices": [_slice_fractions(dom, e) for e in levels],
         "contains": [dom.contains(p) for p in points],
         "on_boundary": [dom.on_boundary(p) for p in points],
     }
