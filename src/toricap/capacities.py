@@ -2,11 +2,11 @@
 
 ``capacity_report`` aggregates the exact invariants into one auditable
 record: the diagonal and min-coordinate radii, a Lagrangian-capacity
-certificate, and interval bounds for the cube and NDUC capacities, each
-bound annotated with the argument that produced it.  ``omega_a`` builds
-the one-parameter family of weakly convex, non-monotone polygons on
-which the cube and NDUC capacities separate, and ``verify_xa`` checks
-the family's closed-form values end to end.
+certificate, and cube and NDUC brackets whose ``sources`` name the argument
+behind each bound; ``SOURCES`` states each in one line, and the notes are
+those statements.  ``omega_a`` builds the one-parameter family of weakly
+convex, non-monotone polygons on which the cube and NDUC capacities
+separate, and ``verify_xa`` checks the family's closed forms end to end.
 """
 
 from __future__ import annotations
@@ -18,8 +18,25 @@ from fractions import Fraction
 from .domains import Polygon2D, ToricDomain
 from .errors import DomainError, InapplicableError
 from .geometry import cube_bound, cube_inclusion, delta, eta, is_monotone
-from .lagrangian import CLCertificate, lagrangian_capacity
+from .lagrangian import CLCertificate, CLRule, lagrangian_capacity
 from .rationals import Interval, Value, format_rational, parse_rational
+
+
+# Every cube-normalized capacity lies between c_P, the smallest, and c_N,
+# the largest.  Each argument behind a report's bounds, by name, with its
+# one-line statement; a report's notes are these statements.
+SOURCES = {
+    "inscribed_cube": "c_P lower: inscribed cube (exact inclusion)",
+    "slope_bound_inapplicable": "c_P upper: boundary-slope bound inapplicable; "
+        "falling back to the min-coordinate radius",
+    "min_coordinate_region": "c_P upper: containment in the min-coordinate region",
+    "slope_bound": "c_P upper: boundary tangent-slope bound",
+    "c_L_below_c_N": "c_N lower: the lower end of c_L, since c_L <= c_N",
+    "nduc_containment": "c_N upper: the domain fits the min-coordinate region at eta",
+    **{rule.value: f"c_L: rule {rule.value}" for rule in CLRule},
+    "monotone": "monotone domain: every cube-normalized capacity equals delta",
+    "trivial_bracket": "c_B/c_Z: trivial inclusion bracket only (not certified by this library)",
+}
 
 
 class CapacityReport(Value):
@@ -31,7 +48,11 @@ class CapacityReport(Value):
     monotone: bool
     c_B: Interval
     c_Z: Interval
-    notes: tuple
+    sources: tuple  # names in SOURCES, in note order
+
+    @property
+    def notes(self) -> tuple:
+        return tuple(map(SOURCES.__getitem__, self.sources))
 
 
 def omega_a(a: Fraction) -> Polygon2D:
@@ -60,56 +81,36 @@ def capacity_report(domain: ToricDomain) -> CapacityReport:
     below with the min-coordinate radius from above, tightened by the
     boundary-slope bound when its precondition holds.  The NDUC bracket
     runs from the Lagrangian lower bound to the min-coordinate radius.
+    Only the names in ``sources`` are picked here; ``SOURCES`` words them.
     """
     d = delta(domain)
     e = eta(domain)
     mono = is_monotone(domain)
     cert = lagrangian_capacity(domain)
-    notes = []
-
-    cp_lower = cube_inclusion(domain)
-    notes.append("c_P lower: inscribed cube (exact inclusion)")
+    sources = ["inscribed_cube"]
     cp_upper = e
-    cp_upper_note = "c_P upper: containment in the min-coordinate region"
     if isinstance(domain, Polygon2D):
         try:
-            cb = cube_bound(domain)
+            cp_upper = min(e, cube_bound(domain))
         except InapplicableError:
-            notes.append(
-                "c_P upper: boundary-slope bound inapplicable; "
-                "falling back to the min-coordinate radius"
-            )
-        else:
-            if cb < cp_upper:
-                cp_upper = cb
-                cp_upper_note = "c_P upper: boundary tangent-slope bound"
-    notes.append(cp_upper_note)
-
-    cn_lower = cert.lower
-    cn_upper = e
-    notes.append("c_N upper: the domain fits the min-coordinate region at eta")
-    notes.append(f"c_L: rule {cert.rule.value}")
+            sources.append("slope_bound_inapplicable")
+    sources += ["slope_bound" if cp_upper < e else "min_coordinate_region",
+                "c_L_below_c_N", "nduc_containment", cert.rule.value]
     if mono:
-        notes.append(
-            "monotone domain: every cube-normalized capacity equals delta"
-        )
+        sources.append("monotone")
+    sources.append("trivial_bracket")
 
     c_b = Interval(domain.simplex_inclusion, domain.cylinder_cover)
-    c_z = c_b
-    notes.append(
-        "c_B/c_Z: trivial inclusion bracket only (not certified by this library)"
-    )
-
     return CapacityReport(
         delta=d,
         eta=e,
         c_L=cert,
-        c_P=Interval(cp_lower, cp_upper),
-        c_N=Interval(cn_lower, cn_upper),
+        c_P=Interval(cube_inclusion(domain), cp_upper),
+        c_N=Interval(cert.lower, e),
         monotone=mono,
         c_B=c_b,
-        c_Z=c_z,
-        notes=tuple(notes),
+        c_Z=c_b,
+        sources=tuple(sources),
     )
 
 

@@ -402,19 +402,22 @@ def enumerate_orbit_sets(
     x_j y_i)`` over the candidates ``j`` already chosen.  Orbit objects are
     built only for a vector that is yielded.
 
-    With ``min_count`` set, only sets with ``2 (x + y) - h >= 2 min_count``
-    are yielded: condition (iii) of ``leq_relation`` when ``min_count`` is
-    ``x' + y' + m' - 1`` of the target factor.  The recursion carries
-    ``x + y`` and ``h`` as it carries the index.  No completion of a branch
-    with budget ``r`` left adds more than ``r * g/c`` to ``x + y``, where
-    ``g/c`` is the best ratio of ``x + y`` per cost among the remaining
-    candidates and the empty choice ``(0, 1)``, and ``h`` only grows along
-    a branch; so a branch with ``(2 (min_count - xy) + h) * c > 2 r g``
-    holds no set that meets the floor, and is cut.  After ``m`` copies of
-    candidate ``p`` the child's cut reads ``e > m * d``, where ``d``
+    Only sets with ``2 (x + y) - h >= 2 min_count`` are yielded: condition
+    (iii) of ``leq_relation`` when ``min_count`` is ``x' + y' + m' - 1`` of
+    the target factor.  A copy of a candidate adds at least ``-(2 vmax + 1)``
+    to ``2 (x + y) - h``, since ``x + y >= 1 - vmax``, and a set within the
+    cap has at most ``budget // cheapest[0]`` copies; so ``None`` stands for
+    the floor ``-(vmax + 1) * (budget // cheapest[0])``, which no set misses.
+    The recursion carries ``x + y`` and ``h`` as it carries the index.  No
+    completion of a branch with budget ``r`` left adds more than ``r * g/c``
+    to ``x + y``, where ``g/c`` is the best ratio of ``x + y`` per cost among
+    the remaining candidates and the empty choice ``(0, 1)``, and ``h`` only
+    grows along a branch; so a branch with ``(2 (min_count - xy) + h) * c >
+    2 r g`` holds no set that meets the floor, and is cut.  After ``m`` copies
+    of candidate ``p`` the child's cut reads ``e > m * d``, where ``d``
     depends on ``p`` alone and ``e`` on the branch's state, so the
-    multiplicities whose child survives it are one run with closed-form
-    ends, and only those are branched on.
+    multiplicities whose child survives it are one run with closed-form ends,
+    and only those are branched on.
     """
     _, budget, candidates = _candidates(domain, action_cap, vmax)
     if not is_integer(index_target):
@@ -436,11 +439,12 @@ def enumerate_orbit_sets(
         g2, c = best[i + 1]
         slope[i] = 2 * (x + y) * c - cost * g2
         best[i] = (2 * (x + y), cost) if 2 * (x + y) * c > g2 * cost else (g2, c)
+    min_count = -(vmax + 1) * (budget // cheapest[0]) if min_count is None else min_count
     chosen: list = []  # (candidate, multiplicity)
 
     def rec(i: int, remaining: int, index: int, xy: int, h: int):
         # Twice what x + y - h/2 still lacks of the floor; h only grows.
-        short = None if min_count is None else 2 * (min_count - xy) + h
+        short = 2 * (min_count - xy) + h
         # Multiplicity 0 leaves the state as it is, so the run of zeros
         # from i is walked in a loop, with each position's cut and leaf
         # tests, up to the position k where one of them ends it.  Each
@@ -449,12 +453,11 @@ def enumerate_orbit_sets(
         # recursion goes one level deeper per nonzero multiplicity only.
         k = i
         while True:
-            if short is not None:
-                g2, c = best[k]
-                if short * c > remaining * g2:
-                    break
+            g2, c = best[k]
+            if short * c > remaining * g2:
+                break
             if remaining < cheapest[k]:
-                if chosen and index == index_target and (short is None or short <= 0):
+                if chosen and index == index_target and short <= 0:
                     yield CombOrbitSet(tuple(
                         (CombOrbit((x, y), s), m) for (x, y, s, _), m in chosen
                     ))
@@ -466,15 +469,14 @@ def enumerate_orbit_sets(
             if s == 0 and hi > 1:
                 # A hyperbolic candidate is taken at most once and adds 1 to h.
                 hi = 1
-            if short is not None:
-                g2, c = best[p + 1]
-                e, d = (short + 1 - s) * c - remaining * g2, slope[p]
-                if d > 0:
-                    lo = max(lo, -(-e // d))
-                elif d < 0:
-                    hi = min(hi, e // d)
-                elif e > 0:
-                    continue
+            g2, c = best[p + 1]
+            e, d = (short + 1 - s) * c - remaining * g2, slope[p]
+            if d > 0:
+                lo = max(lo, -(-e // d))
+            elif d < 0:
+                hi = min(hi, e // d)
+            elif e > 0:
+                continue
             if lo > hi:
                 continue
             cross = 0  # sum_j m_j max(x y_j, x_j y) over the chosen candidates j

@@ -1,7 +1,9 @@
 """Report assembly, the pinched-corner family, and serialization."""
 
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +25,7 @@ from toricap import (
     sweep_to_csv,
     verify_xa,
 )
-from toricap.capacities import CSV_COLUMNS
+from toricap.capacities import CSV_COLUMNS, SOURCES
 
 from generators import (
     make_monotone_polygon,
@@ -32,6 +34,8 @@ from generators import (
     make_weakly_convex_polygon,
     scaled,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 F = Fraction
 
@@ -180,6 +184,53 @@ def test_sweep_csv_columns():
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert lines[1] == "1/5,1/2,1/2,1/2,1/2,1/2,1/2,1/2,false"
     assert lines[2] == "3/10,1/2,1/2,1/2,2/5,2/5,1/2,1/2,false"
+
+
+# ---------------------------------------------------------------------------
+# the arguments behind the bracket ends
+# ---------------------------------------------------------------------------
+
+# The sources that may set each printed end of a report.
+END_SOURCES = {
+    "c_P lower": {"inscribed_cube"},
+    "c_P upper": {"min_coordinate_region", "slope_bound"},
+    "c_N lower": {"c_L_below_c_N"},
+    "c_N upper": {"nduc_containment"},
+    "c_L": {rule.value for rule in CLRule},
+}
+
+
+def test_each_end_has_one_source_from_the_table():
+    assert all(SOURCES[name].startswith(end)
+               for end, names in END_SOURCES.items() for name in names)
+    rng = random.Random(2032)
+    domains = [make_weakly_convex_polygon(rng) for _ in range(80)]
+    # The first edge runs further than it climbs, so the slope bound does not apply.
+    domains.append(Polygon2D(((1, 0), (2, F(1, 2)), (0, 2))))
+    domains += [make_touching_union(rng) for _ in range(80)]
+    domains += [make_staircase(rng) for _ in range(20)]
+    domains += [StandardDomain(kind, n, F(3, 2))
+                for kind in ("ball", "cylinder", "cube", "nduc") for n in (2, 3)]
+    domains += [omega_a(F(k, 40)) for k in range(1, 20)]
+    seen = set()
+    for dom in domains:
+        r = capacity_report(dom)
+        assert set(r.sources) <= SOURCES.keys(), r.sources
+        for end, names in END_SOURCES.items():
+            assert sum(name in names for name in r.sources) == 1, (end, r.sources)
+        assert r.notes == tuple(SOURCES[name] for name in r.sources)
+        assert ("slope_bound" in r.sources) == (r.c_P.upper < r.eta), dom
+        seen.update(r.sources)
+    # No statement of the table goes unused.
+    assert seen == SOURCES.keys(), SOURCES.keys() - seen
+
+
+def test_readme_states_exactly_the_source_table():
+    section = README.read_text().split("## Guarantees and their limits\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    stated = re.findall(r"^  - `([^`]+)`:", section, re.MULTILINE)
+    assert len(stated) == len(set(stated))
+    assert set(stated) == set(SOURCES.values())
 
 
 # ---------------------------------------------------------------------------

@@ -708,12 +708,8 @@ _CUBE_REPORT_REPR = (
     "c_N=Interval(lower=Fraction(1, 1), upper=Fraction(1, 1)), monotone=True, "
     "c_B=Interval(lower=Fraction(1, 1), upper=Fraction(1, 1)), "
     "c_Z=Interval(lower=Fraction(1, 1), upper=Fraction(1, 1)), "
-    "notes=('c_P lower: inscribed cube (exact inclusion)', "
-    "'c_P upper: containment in the min-coordinate region', "
-    "'c_N upper: the domain fits the min-coordinate region at eta', "
-    "'c_L: rule MonotoneDiagonal', "
-    "'monotone domain: every cube-normalized capacity equals delta', "
-    "'c_B/c_Z: trivial inclusion bracket only (not certified by this library)'))"
+    "sources=('inscribed_cube', 'min_coordinate_region', 'c_L_below_c_N', "
+    "'nduc_containment', 'MonotoneDiagonal', 'monotone', 'trivial_bracket'))"
 )
 
 

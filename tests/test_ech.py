@@ -1014,12 +1014,20 @@ KNOWN_EMBEDDINGS = [(4, F(21, 10)), (4, F(3)), (9, F(31, 10)), (16, F(41, 10)),
 @pytest.mark.parametrize("lam", [F(1, 2), F(1), F(5)])
 @pytest.mark.parametrize("a, c", KNOWN_EMBEDDINGS)
 def test_search_never_obstructs_a_known_embedding(lam, a, c):
-    # Neither E(1,a) nor its mirror lies in B(c), nor do the scaled copies,
-    # so the inclusion check cannot decide these.  Every factor of both
-    # test sets has target support 0 on a ball, and the search names it.
-    # A refused test set claims nothing.
-    source = Polygon2D(((lam, 0), (0, a * lam)))
-    target = Polygon2D(((lam * c, 0), (0, lam * c)))
+    # lam E(1,a) -> lam B(c), and at lam = 1 two pairs built from it by
+    # inclusions: (9/10) E(1,a) -> B(c) and E(1,a) -> B(c + 1/10).
+    pairs = [(lam, lam * c)]
+    if lam == 1:
+        pairs += [(F(9, 10), c), (F(1), c + F(1, 10))]
+    for s, t in pairs:
+        _check_known_embedding(Polygon2D(((s, 0), (0, a * s))), Polygon2D(((t, 0), (0, t))))
+
+
+def _check_known_embedding(source, target):
+    # Neither the ellipsoid nor its mirror lies in the ball, so the
+    # inclusion check cannot decide the pair.  Every factor of both test
+    # sets has target support 0 on a ball, and the search names it.  A
+    # refused test set claims nothing.
     chain = source.vertices
     assert not any(all(map(target.contains, v)) for v in (chain, [p[::-1] for p in chain]))
     reasons = set()
@@ -1036,8 +1044,10 @@ def test_search_never_obstructs_a_known_embedding(lam, a, c):
     assert reasons == {"factor e(-1,0) of the test set has target support 0 <= 0, "
                        "so the model backs no claim"}, reasons
     # A capacity cannot shrink under an embedding: no lower end of the
-    # source's brackets passes an upper end of the target's.
+    # source's brackets passes an upper end of the target's.  The c_N
+    # lower end is c_L's, by the source c_L_below_c_N.
     x, y = capacity_report(source), capacity_report(target)
+    assert "c_L_below_c_N" in x.sources
     for name in ("c_P", "c_N", "c_L", "c_B", "c_Z"):
         upper = getattr(y, name).upper
         assert upper is not None and getattr(x, name).lower <= upper, name
