@@ -11,8 +11,6 @@ separate, and ``verify_xa`` checks the family's closed forms end to end.
 
 from __future__ import annotations
 
-import csv
-import io
 from fractions import Fraction
 
 from .domains import Polygon2D, ToricDomain
@@ -88,14 +86,15 @@ def capacity_report(domain: ToricDomain) -> CapacityReport:
     mono = is_monotone(domain)
     cert = lagrangian_capacity(domain)
     sources = ["inscribed_cube"]
-    cp_upper = e
+    cp_upper, cp_source = e, "min_coordinate_region"
     if isinstance(domain, Polygon2D):
         try:
-            cp_upper = min(e, cube_bound(domain))
+            bound = cube_bound(domain)
+            if bound < e:
+                cp_upper, cp_source = bound, "slope_bound"
         except InapplicableError:
             sources.append("slope_bound_inapplicable")
-    sources += ["slope_bound" if cp_upper < e else "min_coordinate_region",
-                "c_L_below_c_N", "nduc_containment", cert.rule.value]
+    sources += [cp_source, "c_L_below_c_N", "nduc_containment", cert.rule.value]
     if mono:
         sources.append("monotone")
     sources.append("trivial_bracket")
@@ -217,6 +216,9 @@ def report_csv_row(report: CapacityReport) -> list:
 
 def _csv_text(rows) -> str:
     """CSV document, one newline-terminated line per row of cells."""
+    import csv  # only a CSV output loads csv
+    import io
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()

@@ -159,14 +159,6 @@ def _point(p) -> tuple:
     return parse_rational(x), parse_rational(y)
 
 
-def _cross(u, v) -> int:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _dot(u, v) -> int:
-    return u[0] * v[0] + u[1] * v[1]
-
-
 class _Lattice:
     """A polygon's boundary chain scaled to integers.
 
@@ -199,30 +191,33 @@ def _canonical_chain(vertices) -> _Lattice:
     """
     vertices = as_items(vertices, DomainError, "vertices must be a sequence, got {!r}")
     refusal = "vertex is not a coordinate pair: {!r}"
-    q, flat = over_common_denominator(
-        c for v in vertices for c in as_pair(v, DomainError, refusal)
-    )
-    ints = list(zip(flat[0::2], flat[1::2]))
+    coords = []
+    for v in vertices:
+        try:
+            coords += as_pair(v, DomainError, refusal)
+        except DomainError:
+            over_common_denominator(coords)  # a bad number before it is refused first
+            raise
+    q, flat = over_common_denominator(coords)
     # One sweep drops exact consecutive duplicates (the last kept vertex
     # always equals the previous input vertex) and collinear midpoints
     # (forward collinearity only; a collinear backtrack is a degenerate
     # chain, caught by the convexity check).
-    chain = []
-    for i, p in enumerate(ints):
-        if chain and p == ints[chain[-1]]:
+    points = []
+    for p in zip(flat[0::2], flat[1::2]):
+        if points and p == points[-1]:
             continue
-        while len(chain) >= 2:
-            a, b = ints[chain[-2]], ints[chain[-1]]
-            e1 = (b[0] - a[0], b[1] - a[1])
-            e2 = (p[0] - b[0], p[1] - b[1])
-            if _cross(e1, e2) == 0 and _dot(e1, e2) > 0:
-                chain.pop()
+        px, py = p
+        while len(points) >= 2:
+            (ax, ay), (bx, by) = points[-2], points[-1]
+            ux, uy, vx, vy = bx - ax, by - ay, px - bx, py - by
+            if ux * vy == uy * vx and ux * vx + uy * vy > 0:
+                points.pop()
             else:
                 break
-        chain.append(i)
-    if len(chain) < 2:
+        points.append(p)
+    if len(points) < 2:
         raise DomainError("vertex chain needs at least two distinct vertices")
-    points = [ints[i] for i in chain]
     first, last = points[0], points[-1]
     if first[1] != 0 or first[0] <= 0:
         raise DomainError(
@@ -242,8 +237,8 @@ def _canonical_chain(vertices) -> _Lattice:
     if g > 1:
         q, points = q // g, [(x // g, y // g) for x, y in points]
     lattice = _Lattice(q, points)
-    for e1, e2 in zip(lattice.edges, lattice.edges[1:]):
-        if _cross(e1, e2) <= 0:
+    for (ux, uy), (vx, vy) in zip(lattice.edges, lattice.edges[1:]):
+        if ux * vy <= uy * vx:
             raise DomainError("vertex chain not convex/ordered (non-left turn)")
     return lattice
 

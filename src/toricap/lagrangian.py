@@ -128,6 +128,12 @@ class CLCertificate(Interval):
     A definite witness is a non-empty sequence of rationals (n of them for
     a domain of dimension n), coerced through ``parse_rational`` into a
     tuple, whose smallest coordinate is the pinned value.
+
+    ``lagrangian_capacity`` stores the certificate its rule proved
+    (``_proved``) instead of calling this constructor: the rule's witness
+    is already a tuple of ``Fraction``s, and the value is its smallest
+    coordinate, so every check here holds by construction.  The stored
+    certificate equals the checked one, field for field.
     """
 
     rule: CLRule
@@ -153,6 +159,14 @@ class CLCertificate(Interval):
                 )
             witness = point
         self.__dict__.update(rule=rule, witness=witness)
+
+    @classmethod
+    def _proved(cls, rule: CLRule, witness: tuple) -> CLCertificate:
+        """The certificate pinned at min(witness), for a rule's own witness."""
+        cert = cls.__new__(cls)
+        value = min(witness)
+        cert.__dict__.update(lower=value, upper=value, exact=True, rule=rule, witness=witness)
+        return cert
 
     @property
     def value(self) -> Fraction | None:
@@ -227,8 +241,7 @@ def lagrangian_capacity(domain: ToricDomain) -> CLCertificate:
     for name in _checked(domain).cl_rules:
         witness = _RULES[name](domain)
         if witness is not None:
-            value = min(witness)
-            return CLCertificate(value, value, _MEMBERS[name], witness)
+            return CLCertificate._proved(_MEMBERS[name], witness)
     # A candidate (X / q, Y / q) on the domain's lattice has the
     # ``a_min_closed`` gcd(X, Y) / q; the diagonal point's is delta.
     q, points = domain.cl_candidates

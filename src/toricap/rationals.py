@@ -139,8 +139,24 @@ def is_count(value) -> bool:
 
 def over_common_denominator(values) -> tuple:
     """``(q, [v * q for v in values])`` for the least q that makes every
-    scaled value an ``int``, so "2/4" and "1/2" give the same q."""
-    ratios = [_ratio(v) for v in values]
+    scaled value an ``int``, so "2/4" and "1/2" give the same q.
+
+    Each distinct string is read once: a document repeats its values ("0"
+    in both intercepts and in every staircase corner), and a repeat reuses
+    the pair of its first reading.  Every other value goes to ``_ratio``
+    each time, so an unhashable one is never hashed; the values are read in
+    order, and the first bad one is refused.
+    """
+    pairs = {}
+    ratios = []
+    for v in values:
+        if type(v) is str:
+            r = pairs.get(v)
+            if r is None:
+                r = pairs[v] = _ratio(v)
+        else:
+            r = _ratio(v)
+        ratios.append(r)
     q = math.lcm(*(d for _, d in ratios))
     scaled = [n * (q // d) for n, d in ratios]
     g = math.gcd(q, *scaled)

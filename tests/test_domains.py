@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import pickle
 import random
 import re
@@ -178,6 +179,22 @@ def test_over_common_denominator():
     assert q == 12 and scaled == [2, -9, 60, 0]
     assert all(type(n) is int for n in scaled)
     assert [Fraction(n, q) for n in scaled] == values
+    # Repeated strings are read once, beside other values read each time;
+    # the parser alone is the oracle for each value.
+    values = ["0", "3/4", 2, "0", Fraction(5, 6), "2/4", "3/4", "1/-2", " 5/7 ", "0", "3/4"]
+    expected = [Fraction(*rationals._ratio(v)) for v in values]
+    q, scaled = over_common_denominator(values)
+    assert q == 84 == math.lcm(*(v.denominator for v in expected))
+    assert all(type(n) is int for n in scaled)
+    assert [Fraction(n, q) for n in scaled] == expected
+    # The first bad value is refused, after a repeated good string and
+    # before any later bad one; a list is never hashed.
+    for bad, message in (("1/0", "zero denominator in rational: '1/0'"),
+                         ("1_0", "not a rational 'p/q' string: '1_0'"),
+                         ([1, 2], "not a rational: [1, 2]")):
+        with pytest.raises(DomainError) as refused:
+            over_common_denominator(["3/4", 1, "3/4", bad, "1/0", [3]])
+        assert str(refused.value) == message
 
 
 def test_parse_rejects_zero_size():
@@ -249,6 +266,12 @@ def test_polygon_invariants():
         with pytest.raises(DomainError, match="coordinate pair"):
             Polygon2D(((2, 0), bad, (0, 2)))
     assert not is_weakly_convex(["10", (0, 1)])
+    # The first bad vertex or number in chain order is refused.
+    for chain, message in ((((2, 0), ("1/0", 1), "10"), "zero denominator in rational: '1/0'"),
+                           (((2, 0), "10", ("1/0", 1)), "vertex is not a coordinate pair: '10'")):
+        with pytest.raises(DomainError) as refused:
+            Polygon2D(chain)
+        assert str(refused.value) == message
 
 
 def test_collinear_midpoints_removed():

@@ -1,7 +1,8 @@
 """Which layers ``import toricap`` and each CLI subcommand load.
 
 ``import toricap`` loads no layer module until a public name is used, and
-each subcommand imports only the layers it runs.  No toricap process loads
+each subcommand imports only the layers it runs; only a CSV output loads
+``csv``.  No toricap process loads
 ``dataclasses``, ``inspect`` or ``typing``.  Module loading is process-wide
 state, so every check on it runs in a fresh child interpreter, started
 with ``-S`` so that ``site`` preloads nothing; the conftest puts the
@@ -28,15 +29,15 @@ CLI_BASE = {"toricap", "toricap.cli", "toricap.domains", "toricap.errors",
 HEAVY = ("dataclasses", "inspect", "typing")
 
 # Runs the CLI in-process with stdout captured, then prints the exit
-# status, the loaded toricap modules and the loaded HEAVY modules as one
-# JSON line.
+# status, the loaded toricap modules, the loaded HEAVY modules and whether
+# ``csv`` is loaded as one JSON line.
 RUN_CLI = f"""
 import contextlib, io, json, sys
 from toricap.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     status = main(sys.argv[1:])
 print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("toricap")),
-                  [m for m in {HEAVY!r} if m in sys.modules]]))
+                  [m for m in {HEAVY!r} if m in sys.modules], "csv" in sys.modules]))
 """
 
 
@@ -80,10 +81,19 @@ SUBCOMMANDS = [
 @pytest.mark.parametrize("argv, layers", SUBCOMMANDS, ids=[a[0] for a, _ in SUBCOMMANDS])
 def test_subcommand_loads_only_its_layers(argv, layers, omega_file):
     argv = [arg.format(omega=omega_file) for arg in argv]
-    status, loaded, heavy = json.loads(_child(RUN_CLI, *argv))
+    status, loaded, heavy, loads_csv = json.loads(_child(RUN_CLI, *argv))
     assert status == 0
     assert set(loaded) == CLI_BASE | {f"toricap.{layer}" for layer in layers}
     assert heavy == []
+    assert not loads_csv
+
+
+def test_only_csv_output_loads_csv(omega_file):
+    status, loaded, heavy, loads_csv = json.loads(
+        _child(RUN_CLI, "report", "--format", "csv", omega_file))
+    assert status == 0 and loads_csv and heavy == []
+    assert set(loaded) == CLI_BASE | {"toricap.capacities", "toricap.geometry",
+                                      "toricap.lagrangian"}
 
 
 @pytest.mark.parametrize("first", ["delta", "ech"])

@@ -1,12 +1,15 @@
 """Fiber-area arithmetic and the capacity certificate cascade."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from toricap import (
+    CLCertificate,
     CLRule,
     DomainError,
     InapplicableError,
@@ -217,6 +220,16 @@ def test_certificate_bracket_invariants():
             assert cert.lower == cert.upper == cert.value == min(w) == a_min_closed(w), dom
             assert domain_contains(dom, w), dom
             assert cert.value <= eta(dom), dom
+            # The certificate a rule proved is stored without the public
+            # constructor's checks; that constructor is the oracle for them.
+            checked = CLCertificate(cert.lower, cert.upper, cert.rule, w)
+            assert cert == checked and hash(cert) == hash(checked), dom
+            assert repr(cert) == repr(checked) and vars(cert) == vars(checked), dom
+            assert cert.exact is True, dom
+            assert type(w) is tuple and all(type(c) is Fraction for c in w), dom
+            for again in (pickle.loads(pickle.dumps(cert)), copy.copy(cert),
+                          copy.deepcopy(cert)):
+                assert again == cert and hash(again) == hash(cert) and again.exact, dom
     assert rules == set(CLRule)
     assert interval_kinds == {Polygon2D, Rectilinear2D}
 
