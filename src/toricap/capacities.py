@@ -99,7 +99,6 @@ def capacity_report(domain: ToricDomain) -> CapacityReport:
         sources.append("monotone")
     sources.append("trivial_bracket")
 
-    c_b = Interval(domain.simplex_inclusion, domain.cylinder_cover)
     return CapacityReport(
         delta=d,
         eta=e,
@@ -107,8 +106,8 @@ def capacity_report(domain: ToricDomain) -> CapacityReport:
         c_P=Interval(cube_inclusion(domain), cp_upper),
         c_N=Interval(cert.lower, e),
         monotone=mono,
-        c_B=c_b,
-        c_Z=c_b,
+        c_B=domain.inclusion_bracket,
+        c_Z=domain.inclusion_bracket,
         sources=tuple(sources),
     )
 
@@ -155,17 +154,19 @@ def verify_xa(a: Fraction) -> XaCheck:
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _ends(iv: Interval) -> tuple:
+    """A bracket's ends as text, the upper one ``None`` when it is unbounded."""
+    return format_rational(iv.lower), None if iv.upper is None else format_rational(iv.upper)
+
+
 def _interval_to_dict(iv: Interval) -> dict:
-    return {
-        "lower": format_rational(iv.lower),
-        "upper": None if iv.upper is None else format_rational(iv.upper),
-        "exact": iv.exact,
-    }
+    lower, upper = _ends(iv)
+    return {"lower": lower, "upper": upper, "exact": iv.exact}
 
 
 def certificate_to_dict(cert: CLCertificate) -> dict:
     # A definite certificate's value is its lower end.
-    lower = format_rational(cert.lower)
+    lower, upper = _ends(cert)
     return {
         "value": None if cert.value is None else lower,
         "rule": cert.rule.value,
@@ -173,7 +174,7 @@ def certificate_to_dict(cert: CLCertificate) -> dict:
         if cert.witness is None
         else [format_rational(c) for c in cert.witness],
         "lower": lower,
-        "upper": format_rational(cert.upper),
+        "upper": upper,
     }
 
 
@@ -195,9 +196,9 @@ CSV_COLUMNS = ("a", "delta", "eta", "cL", "cP_lo", "cP_hi", "cN_lo", "cN_hi", "m
 
 
 def _cl_cell(cert: CLCertificate) -> str:
-    if cert.value is not None:
-        return format_rational(cert.value)
-    return f"{format_rational(cert.lower)}..{format_rational(cert.upper)}"
+    # A definite certificate's value is its lower end.
+    lower, upper = _ends(cert)
+    return lower if cert.value is not None else f"{lower}..{upper or 'unbounded'}"
 
 
 def report_csv_row(report: CapacityReport) -> list:
@@ -206,22 +207,20 @@ def report_csv_row(report: CapacityReport) -> list:
         format_rational(report.delta),
         format_rational(report.eta),
         _cl_cell(report.c_L),
-        format_rational(report.c_P.lower),
-        format_rational(report.c_P.upper),
-        format_rational(report.c_N.lower),
-        format_rational(report.c_N.upper),
+        *_ends(report.c_P),
+        *_ends(report.c_N),
         "true" if report.monotone else "false",
     ]
 
 
 def _csv_text(rows) -> str:
-    """CSV document, one newline-terminated line per row of cells."""
-    import csv  # only a CSV output loads csv
-    import io
+    """CSV document, one newline-terminated line per row of cells.
 
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    Every cell is a rational, a ``lo..hi`` bracket, ``true``/``false`` or a
+    column name, so none holds a comma, a quote or a line break and no
+    cell needs quoting.
+    """
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def sweep_to_csv(rows) -> str:

@@ -29,7 +29,9 @@ class (plus its entry in ``_KINDS``):
 * ``kind``, ``n``, ``to_dict()``, ``from_dict(data)``, ``summary()``;
 * ``delta``, ``eta``, ``is_monotone``, ``cube_inclusion`` (read through
   :mod:`toricap.geometry`), ``contains(p)``, ``on_boundary(p)``;
-* ``simplex_inclusion`` and ``cylinder_cover`` for :mod:`toricap.capacities`;
+* ``inclusion_bracket`` for :mod:`toricap.capacities`: the trivial c_B/c_Z
+  bracket, an ``Interval`` from a simplex inside the domain to a cylinder
+  around it;
 * on polygons only, ``support(v)`` and ``cube_bound`` for :mod:`toricap.geometry`,
   and ``affordable_directions(cap, vmax)`` for :mod:`toricap.ech`;
 * ``cl_rules``, ``cl_slices(e, across)``, ``cl_candidates`` for
@@ -66,8 +68,8 @@ from operator import itemgetter, lt
 
 from .errors import DomainError, InapplicableError
 from .rationals import (
-    Value, as_items, as_pair, cached_member, format_rational, is_count, is_integer,
-    over_common_denominator, parse_rational,
+    Interval, Value, as_items, as_pair, cached_member, format_rational, is_count,
+    is_integer, over_common_denominator, parse_rational,
 )
 
 STANDARD_KINDS = ("ball", "cylinder", "cube", "nduc")
@@ -122,15 +124,13 @@ class StandardDomain(ToricDomain):
     # the inscribed cube of every standard region.
     eta = cube_inclusion = property(lambda self: self.delta)
 
-    @property
-    def simplex_inclusion(self) -> Fraction:
-        # In the NDUC the simplex corner can ride one cylinder.
-        return self.n * self.a if self.kind == "nduc" else self.a
-
-    @property
-    def cylinder_cover(self):
-        # The union-of-cylinders region fits in no slab.
-        return None if self.kind == "nduc" else self.a
+    @cached_member
+    def inclusion_bracket(self) -> Interval:
+        # In the NDUC the simplex corner can ride one cylinder, and the
+        # union-of-cylinders region fits in no slab.
+        if self.kind == "nduc":
+            return Interval(self.n * self.a, None)
+        return Interval(self.a, self.a)
 
     def contains(self, p):
         raise InapplicableError("membership test implemented for planar domains only")
@@ -343,23 +343,12 @@ class Polygon2D(ToricDomain):
     def is_monotone(self) -> bool:
         return all(dx <= 0 and dy >= 0 for dx, dy in self._lattice.edges)
 
-    def _min_intercept(self) -> Fraction:
-        points = self._lattice.points
-        return self.x_intercept if points[0][0] <= points[-1][1] else self.y_intercept
-
     @cached_member
     def cube_inclusion(self) -> Fraction:
         # By convexity the square [0, a]^2 is inside iff its corners are.
         c, s = self._diagonal
-        points = self._lattice.points
-        if c <= min(points[0][0], points[-1][1]) * s:
-            return self.delta
-        return self._min_intercept()
-
-    @property
-    def simplex_inclusion(self) -> Fraction:
-        # By convexity both axis corners inside pull the hypotenuse inside.
-        return self._min_intercept()
+        side = min(self._lattice.points[0][0], self._lattice.points[-1][1])
+        return self.delta if c <= side * s else Fraction(side, self._lattice.q)
 
     def support(self, v) -> Fraction:
         """Max of v . p over the chain, for a nonzero integer pair ``v``."""
@@ -420,11 +409,14 @@ class Polygon2D(ToricDomain):
         points = self._lattice.points
         return Fraction(points[0][0] + points[-1][1], 2 * self._lattice.q)
 
-    @property
-    def cylinder_cover(self) -> Fraction:
+    @cached_member
+    def inclusion_bracket(self) -> Interval:
+        # By convexity both axis corners inside pull the simplex's
+        # hypotenuse inside; the domain lies in the slab of its smaller extent.
         points = self._lattice.points
+        side = min(points[0][0], points[-1][1])
         top = min(max(x for x, _ in points), max(y for _, y in points))
-        return Fraction(top, self._lattice.q)
+        return Interval(Fraction(side, self._lattice.q), Fraction(top, self._lattice.q))
 
     def _least_slack(self, p) -> int:
         # With p = (xn / xd, yn / yd), the slacks of x >= 0, y >= 0 and of
@@ -727,18 +719,13 @@ class Rectilinear2D(ToricDomain):
     def cube_inclusion(self) -> Fraction:
         return self._grid.cube
 
-    @property
-    def simplex_inclusion(self) -> Fraction:
+    @cached_member
+    def inclusion_bracket(self) -> Interval:
         # Conservative for non-convex unions: the inscribed square contains
-        # the simplex of the same size.
-        return self.cube_inclusion
-
-    @property
-    def cylinder_cover(self) -> Fraction:
-        # Every box has x0 < x1 and y0 < y1, so the last grid lines are the
-        # largest x1 and y1.
+        # the simplex of the same size.  Every box has x0 < x1 and y0 < y1,
+        # so the last grid lines are the largest x1 and y1.
         grid = self._grid
-        return Fraction(min(grid.xs[-1], grid.ys[-1]), grid.q)
+        return Interval(grid.cube, Fraction(min(grid.xs[-1], grid.ys[-1]), grid.q))
 
     def contains(self, p) -> bool:
         # Some cell whose closure holds p is painted.

@@ -114,6 +114,9 @@ def _by_key(factor):
     return factor[0].key
 
 
+_HYPERBOLIC_ONCE = "hyperbolic (s = 0) orbits must have multiplicity 1"
+
+
 class CombOrbitSet(Value):
     """Formal product of distinct orbits with multiplicities, canonically sorted.
 
@@ -136,7 +139,7 @@ class CombOrbitSet(Value):
             if not is_count(m):
                 raise DomainError(f"multiplicity must be an integer >= 1, got {m!r}")
             if orbit.s == 0 and m != 1:
-                raise DomainError("hyperbolic (s = 0) orbits must have multiplicity 1")
+                raise DomainError(_HYPERBOLIC_ONCE)
             if orbit.key == previous:
                 raise DomainError(f"repeated orbit {orbit} in orbit set")
             previous = orbit.key
@@ -151,25 +154,15 @@ class CombOrbitSet(Value):
     def product(self, other: "CombOrbitSet") -> "CombOrbitSet":
         """Formal product: multiplicities of shared orbits add.
 
-        An empty operand gives the other one back.  Otherwise the two
-        sorted factor lists are merged on their keys, and the constructor
-        refuses an orbit shared at multiplicity 2 if it is hyperbolic.
+        An empty operand gives the other one back; otherwise this is
+        ``_product_all`` of the two.
         """
         _require(CombOrbitSet, other)
         if not other.factors:
             return self
         if not self.factors:
             return other
-        merged = []
-        for orbit, m in sorted(self.factors + other.factors, key=_by_key):
-            if merged and merged[-1][0].key == orbit.key:
-                merged[-1] = (merged[-1][0], merged[-1][1] + m)
-            else:
-                merged.append((orbit, m))
-        return CombOrbitSet(merged)
-
-
-EMPTY_ORBIT_SET = CombOrbitSet(())
+        return _product_all((self, other))
 
 
 class OrbitNumbers(Value):
@@ -851,9 +844,6 @@ def obstruction_search(
     def vector_cross(a, b) -> int:
         return sum(ai * sum(map(mul, b, cross[i])) for i, ai in enumerate(a) if ai)
 
-    def index_of(vec) -> int:
-        return sum(map(mul, vec, linear)) + vector_cross(vec, vec)
-
     def orbit_set(vec) -> CombOrbitSet:
         return CombOrbitSet(tuple((o, c) for o, c in zip(basis, vec) if c))
 
@@ -894,14 +884,18 @@ def obstruction_search(
     explored, witness = 0, None
     for explored, slots in enumerate(factorizations(0, target_vec, ()), 1):
         vecs = [s[0] for s in slots]
-        if any(index_of([sum(c) for c in zip(*sub)]) <= 0 for sub in _subsets(vecs)):
+        cr_p = [[vector_cross(a, b) for b in vecs] for a in vecs]
+        # A subset's index is its slots' indexes plus twice its pairs'
+        # cross terms; a single slot's index is positive already.
+        if any(sum(slots[i][1] for i in sub)
+               + 2 * sum(cr_p[i][j] for i, j in itertools.combinations(sub, 2)) <= 0
+               for sub in _subsets(range(len(slots)), least=2)):
             continue
         # Each slot's first match is pulled, in slot order, up to the first
         # slot with none.
         options = list(itertools.takewhile(bool, map(slot_matches, slots)))
         if len(options) < len(slots):
             continue
-        cr_p = [[vector_cross(a, b) for b in vecs] for a in vecs]
         picked = next(_assignments(options, vecs, cr_p), None)
         if picked is not None:
             witness = SearchWitness(_product_all(picked), picked, tuple(map(orbit_set, vecs)))
@@ -951,7 +945,22 @@ def obstruction_search(
 
 
 def _product_all(sets) -> CombOrbitSet:
-    out = EMPTY_ORBIT_SET
-    for s in sets:
-        out = out.product(s)
-    return out
+    """Formal product of orbit sets.
+
+    The factors of all the sets are sorted once and merged on their keys,
+    multiplicities adding.  Each set passed the constructor's checks, so
+    the merged factors pass them too unless two sets share a hyperbolic
+    orbit; that alone is refused here, and the factors are stored as
+    merged.
+    """
+    merged = []
+    for orbit, m in sorted((f for s in sets for f in s.factors), key=_by_key):
+        if merged and merged[-1][0].key == orbit.key:
+            if not orbit.s:
+                raise DomainError(_HYPERBOLIC_ONCE)
+            merged[-1] = (orbit, merged[-1][1] + m)
+        else:
+            merged.append((orbit, m))
+    product = CombOrbitSet.__new__(CombOrbitSet)
+    product.__dict__["factors"] = tuple(merged)
+    return product

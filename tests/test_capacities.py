@@ -1,5 +1,7 @@
 """Report assembly, the pinched-corner family, and serialization."""
 
+import csv
+import io
 import random
 import re
 from fractions import Fraction
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from toricap import (
+    CLCertificate,
     CLRule,
     DomainError,
     Polygon2D,
@@ -25,7 +28,9 @@ from toricap import (
     sweep_to_csv,
     verify_xa,
 )
-from toricap.capacities import CSV_COLUMNS, SOURCES
+from toricap.capacities import (
+    CSV_COLUMNS, SOURCES, _cl_cell, _csv_text, certificate_to_dict, report_csv_row,
+)
 
 from generators import (
     make_monotone_polygon,
@@ -83,6 +88,27 @@ def test_report_nduc():
     assert r.c_P.exact and r.c_P.lower == F(7, 3)
     assert r.c_N.exact and r.c_N.lower == F(7, 3)
     assert r.c_Z.upper is None  # no slab covers the union of cylinders
+
+
+def test_inclusion_bracket_is_one_member_per_domain():
+    # Each kind builds its trivial bracket once, and a report's c_B and
+    # c_Z are that one Interval.
+    rng = random.Random(59)
+    expected = {
+        StandardDomain("nduc", 3, F(2, 7)): (F(6, 7), None),
+        StandardDomain("ball", 3, F(2, 7)): (F(2, 7), F(2, 7)),
+        StandardDomain("cylinder", 2, F(2, 7)): (F(2, 7), F(2, 7)),
+        StandardDomain("cube", 4, F(2, 7)): (F(2, 7), F(2, 7)),
+        omega_a(F(3, 10)): (F(2, 5), F(7, 10)),
+        Rectilinear2D((Rect(0, 3, 0, F(1, 2)), Rect(0, F(1, 3), 0, 2))): (F(1, 2), 2),
+    }
+    for dom, ends in expected.items():
+        assert (dom.inclusion_bracket.lower, dom.inclusion_bracket.upper) == ends
+    domains = [*expected, make_weakly_convex_polygon(rng), make_touching_union(rng)]
+    for dom in domains:
+        report = capacity_report(dom)
+        assert report.c_B is report.c_Z is dom.inclusion_bracket
+        assert capacity_report(dom).c_B is report.c_B
 
 
 def test_report_interval_invariants():
@@ -184,6 +210,31 @@ def test_sweep_csv_columns():
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert lines[1] == "1/5,1/2,1/2,1/2,1/2,1/2,1/2,1/2,false"
     assert lines[2] == "3/10,1/2,1/2,1/2,2/5,2/5,1/2,1/2,false"
+
+
+def test_unbounded_certificate_end_renders_alike():
+    # An unbounded upper end is JSON null in every bracket, and the CSV
+    # cell names it with the word the text report uses.
+    cert = CLCertificate("1/2", None, CLRule.INTERVAL_ONLY, None)
+    data = certificate_to_dict(cert)
+    assert data["upper"] is None and data["lower"] == "1/2" and data["value"] is None
+    assert _cl_cell(cert) == "1/2..unbounded"
+    assert _cl_cell(CLCertificate("1/2", "3/4", CLRule.INTERVAL_ONLY, None)) == "1/2..3/4"
+    nduc = report_to_dict(capacity_report(StandardDomain("nduc", 2, 1)))
+    assert nduc["c_B"] == {"lower": "2", "upper": None, "exact": False}
+
+
+def test_csv_rows_need_no_quoting():
+    # Joining the cells gives what the csv module writes for them.
+    rng = random.Random(61)
+    domains = [make_weakly_convex_polygon(rng, max_den=10**9) for _ in range(20)]
+    domains += [make_touching_union(rng) for _ in range(20)]
+    domains += [StandardDomain(kind, 3, F(-7, -11)) for kind in ("ball", "nduc")]
+    rows = [CSV_COLUMNS[1:], *(report_csv_row(capacity_report(d)) for d in domains)]
+    rows.append(["1/2..unbounded", "-3/4", "true", "false", "0", "12", "1", "2"])
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert _csv_text(rows) == buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

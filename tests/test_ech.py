@@ -45,7 +45,7 @@ from toricap import (
 )
 
 from toricap import ech
-from toricap.ech import EMPTY_ORBIT_SET, candidate_orbits
+from toricap.ech import candidate_orbits
 from toricap.rationals import over_common_denominator
 
 from generators import (
@@ -53,6 +53,7 @@ from generators import (
 )
 
 F = Fraction
+EMPTY_ORBIT_SET = CombOrbitSet(())
 
 
 @pytest.fixture
@@ -132,6 +133,7 @@ def test_literal_round_trip():
     assert format_orbit_set(alpha) == text
     assert parse_orbit_set(format_orbit_set(alpha)) == alpha
     assert format_orbit_set(parse_orbit_set("h(1,0)")) == "h(1,0)"
+    assert format_orbit_set(EMPTY_ORBIT_SET) == "1"
 
 
 def test_literal_errors():
@@ -332,6 +334,27 @@ def test_orbit_set_algebra_matches_formula_oracle(om310):
             products["empty left"] += 1
     assert min(products[k] for k in ("shared hyperbolic", "shared")) >= 100, products
     assert min(products[k] for k in ("empty left", "empty right")) >= 30, products
+
+
+def test_product_of_many_sets_merges_once():
+    # One sort and merge over all the sets equals the pairwise reference
+    # folded over them, and refuses a shared hyperbolic orbit alike.
+    rng = random.Random(103)
+    refused = 0
+    for _ in range(400):
+        sets = [make_orbit_set(rng, vmax=2, max_mult=2) for _ in range(rng.randint(0, 5))]
+        want = EMPTY_ORBIT_SET
+        try:
+            for alpha in sets:
+                want = _product_reference(want, alpha)
+        except DomainError:
+            refused += 1
+            with pytest.raises(DomainError, match="multiplicity 1"):
+                ech._product_all(sets)
+            continue
+        got = ech._product_all(sets)
+        assert got == want and got.factors == want.factors
+    assert 50 <= refused <= 350, refused
 
 
 def test_orbit_key_sits_beside_the_fields():

@@ -252,7 +252,7 @@ def test_invariants_scale_with_the_domain():
             big = scaled(dom, c)
             for f in (delta, eta, cube_inclusion):
                 assert f(big) == c * f(dom), (dom, c, f)
-            assert big.cylinder_cover == c * dom.cylinder_cover
+            assert big.inclusion_bracket.upper == c * dom.inclusion_bracket.upper
             assert is_monotone(big) == is_monotone(dom)
             mine, theirs = lagrangian_capacity(dom), lagrangian_capacity(big)
             assert theirs.rule is mine.rule, (dom, c)

@@ -139,8 +139,8 @@ def oracle_answers(chain, levels, points, directions) -> dict:
         "eta": max(d, *(min(v) for v in chain)),
         "is_monotone": all(dx <= 0 and dy >= 0 for dx, dy in edges),
         "cube_inclusion": min(d, x0, y1),
-        "simplex_inclusion": min(x0, y1),
-        "cylinder_cover": min(max(x for x, _ in chain), max(y for _, y in chain)),
+        "inclusion_lower": min(x0, y1),
+        "inclusion_upper": min(max(x for x, _ in chain), max(y for _, y in chain)),
         "cl_candidates": [p for p in chain if p[0] > 0 and p[1] > 0],
         "cl_slices": [
             (oracle_chord(planes, e),
@@ -193,8 +193,8 @@ def lattice_answers(dom, levels, points, directions) -> dict:
         "eta": eta(dom),
         "is_monotone": is_monotone(dom),
         "cube_inclusion": cube_inclusion(dom),
-        "simplex_inclusion": dom.simplex_inclusion,
-        "cylinder_cover": dom.cylinder_cover,
+        "inclusion_lower": dom.inclusion_bracket.lower,
+        "inclusion_upper": dom.inclusion_bracket.upper,
         "cl_candidates": _candidate_fractions(dom),
         "cl_slices": [_slice_fractions(dom, e) for e in levels],
         "contains": [dom.contains(p) for p in points],
@@ -277,7 +277,7 @@ def test_lattice_matches_fraction_oracle(chain):
     assert [dom.contains(p) for p in texts] == expected["contains"]
     assert [dom.on_boundary(p) for p in texts] == expected["on_boundary"]
     assert all(type(mine[k]) is Fraction for k in
-               ("delta", "eta", "cube_inclusion", "simplex_inclusion", "cylinder_cover"))
+               ("delta", "eta", "cube_inclusion", "inclusion_lower", "inclusion_upper"))
 
 
 def test_generated_chains_cover_both_eta_cases():
@@ -448,8 +448,8 @@ def oracle_union_answers(rects, levels, points) -> dict:
         "eta": max(min(r.x1, r.y1) for r in rects),
         "is_monotone": grid["staircase"],
         "cube_inclusion": grid["cube"],
-        "simplex_inclusion": grid["cube"],
-        "cylinder_cover": min(max(r.x1 for r in rects), max(r.y1 for r in rects)),
+        "inclusion_lower": grid["cube"],
+        "inclusion_upper": min(max(r.x1 for r in rects), max(r.y1 for r in rects)),
         "cl_candidates": [
             p for r in rects for p in ((r.x1, r.y1), (r.x0, r.y0), (r.x0, r.y1), (r.x1, r.y0))
             if p[0] > 0 and p[1] > 0
@@ -472,8 +472,8 @@ def union_lattice_answers(dom, levels, points) -> dict:
         "eta": eta(dom),
         "is_monotone": is_monotone(dom),
         "cube_inclusion": cube_inclusion(dom),
-        "simplex_inclusion": dom.simplex_inclusion,
-        "cylinder_cover": dom.cylinder_cover,
+        "inclusion_lower": dom.inclusion_bracket.lower,
+        "inclusion_upper": dom.inclusion_bracket.upper,
         "cl_candidates": _candidate_fractions(dom),
         "cl_slices": [_slice_fractions(dom, e) for e in levels],
         "contains": [dom.contains(p) for p in points],
@@ -569,7 +569,7 @@ def test_union_lattice_matches_fraction_oracle(family):
         mine = union_lattice_answers(dom, levels, points)
         assert mine == oracle_union_answers(dom.rects, levels, points), rects
         assert all(type(mine[k]) is Fraction for k in
-                   ("eta", "cube_inclusion", "simplex_inclusion", "cylinder_cover"))
+                   ("eta", "cube_inclusion", "inclusion_lower", "inclusion_upper"))
 
 
 def test_union_families_reach_every_branch():
@@ -580,7 +580,7 @@ def test_union_families_reach_every_branch():
     # Some unions answer delta = eta, some eta > delta, and the cube
     # inclusion is capped by a gap in some column and by the extent in others.
     assert {delta(d) == eta(d) for d in unions} == {True, False}
-    assert {cube_inclusion(d) == d.cylinder_cover for d in unions} == {True, False}
+    assert {cube_inclusion(d) == d.inclusion_bracket.upper for d in unions} == {True, False}
 
 
 def _union_refusal(rects):
