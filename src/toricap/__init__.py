@@ -29,8 +29,6 @@ _EXPORTS = {
     ),
     "domains": (
         "Polygon2D",
-        "Rect",
-        "Rectilinear2D",
         "StandardDomain",
         "ToricDomain",
         "domain_from_dict",
@@ -79,6 +77,7 @@ _EXPORTS = {
         "lagrangian_capacity",
     ),
     "rationals": ("Interval", "format_rational", "parse_rational"),
+    "unions": ("Rect", "Rectilinear2D"),
 }
 
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)

@@ -14,7 +14,8 @@ A CLI process starts with only the domain parser, the error types and
 the rational helpers loaded; each ``_cmd_*`` imports the layers it runs
 (``info`` geometry, ``report``, ``xa`` and ``bound`` capacities,
 ``obstruct`` ech, ``amin`` lagrangian), so no subcommand pays to load a
-layer that it does not use.
+layer that it does not use.  The parser loads the rectangle-union kind
+only when it reads a union document.
 """
 
 from __future__ import annotations

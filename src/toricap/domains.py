@@ -14,17 +14,17 @@ Three kinds of domain are supported:
   (``_Lattice``); the validation, the invariants and the point queries
   (on a point scaled by its own denominators) run in ``int`` arithmetic
   on it, and the ``vertices`` field is read off it when asked for.
-* ``Rectilinear2D`` -- a finite union of axis-aligned rectangles in the
-  closed positive quadrant; the union must be connected and contain a
-  neighborhood of a point on a coordinate axis.  Like a polygon, it is
-  validated and answered on one integer lattice: the constructor reads
-  the corners straight to integer boxes over the lcm of their
-  denominators and builds its coverage grid (``_Coverage``) on them, and
-  the ``rects`` field is read off the grid when asked for.
+* ``Rectilinear2D`` -- a connected finite union of axis-aligned
+  rectangles touching a coordinate axis, answered on one integer lattice
+  like a polygon.  It is defined in :mod:`toricap.unions`, which
+  ``domain_from_dict`` imports on the first ``"rectilinear2d"`` document
+  (``_load_union_kind``), so a process that reads no union never loads it.
 
 Each kind derives from the plain base class ``ToricDomain`` and answers
 everything that depends on its kind itself, so a new kind is one new
-class (plus its entry in ``_KINDS``):
+class plus its entry in the kind table ``_KINDS``, made where the class
+is defined or, for a kind in a module of its own, by a loader that
+``domain_from_dict`` calls on the kind's first document:
 
 * ``kind``, ``n``, ``to_dict()``, ``from_dict(data)``, ``summary()``;
 * ``delta``, ``eta``, ``is_monotone``, ``cube_inclusion`` (read through
@@ -62,9 +62,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from operator import itemgetter, lt
 
 from .errors import DomainError, InapplicableError
 from .rationals import (
@@ -484,309 +482,17 @@ def is_weakly_convex(vertices_or_polygon) -> bool:
     return True
 
 
-_CORNERS = ("x0", "x1", "y0", "y1")
-# A rectangle object's corners in that order; a missing one raises the
-# ``KeyError`` of the first, in that order too.
-_corners = itemgetter(*_CORNERS)
+_KINDS = {**dict.fromkeys(STANDARD_KINDS, StandardDomain), "polygon2d": Polygon2D}
+# The rectangle-union kind is defined in ``toricap.unions``, and enters
+# ``_KINDS`` when a process reads its first union document.
+_UNION_KIND = "rectilinear2d"
 
 
-def _check_box(q: int, x0: int, x1: int, y0: int, y1: int) -> None:
-    """Refuse the box [x0, x1] x [y0, y1] / q off the quadrant or of no area."""
-    if x0 < 0 or x1 < 0 or y0 < 0 or y1 < 0:
-        raise DomainError("rectangle must lie in the positive quadrant")
-    if not (x0 < x1 and y0 < y1):
-        a, b, c, d = (Fraction(v, q) for v in (x0, x1, y0, y1))
-        raise DomainError(f"degenerate rectangle [{a},{b}]x[{c},{d}]")
+def _load_union_kind() -> None:
+    """Import the rectangle-union kind and enter it in ``_KINDS``."""
+    from .unions import Rectilinear2D
 
-
-class Rect(Value):
-    """Closed axis-aligned rectangle [x0, x1] x [y0, y1]."""
-
-    x0: Fraction
-    x1: Fraction
-    y0: Fraction
-    y1: Fraction
-
-    def __init__(self, x0, x1, y0, y1):
-        q, box = over_common_denominator((x0, x1, y0, y1))
-        _check_box(q, *box)
-        self.__dict__.update(zip(_CORNERS, (Fraction(c, q) for c in box)))
-
-
-def _floor_ceil(v: Fraction, q: int) -> tuple:
-    """(floor(v q), ceil(v q)) for a rational v and an int q."""
-    scaled = v.numerator * q
-    return scaled // v.denominator, -(-scaled // v.denominator)
-
-
-def _connected(boxes) -> bool:
-    """Whether a union of closed integer boxes (x0, x1, y0, y1) is connected.
-
-    Two boxes meet, edge and corner contacts included, iff their ranges
-    overlap on both axes.  Boxes are swept in order of their left edges,
-    and each is compared only with the later boxes that start at or before
-    its right edge; a union-find counts the merges still needed, and the
-    sweep stops when none is.  A box's root is found once, before its
-    comparisons: a merge hangs the other root below it, so it stays a root.
-    """
-    boxes = sorted(boxes)
-    parent = list(range(len(boxes)))
-    needed = len(boxes) - 1
-    for a, (_, x1, y0, y1) in enumerate(boxes):
-        # Roots are found by path halving.
-        ra = a
-        while parent[ra] != ra:
-            parent[ra] = ra = parent[parent[ra]]
-        for b in range(a + 1, len(boxes)):
-            bx0, _, by0, by1 = boxes[b]
-            if bx0 > x1:
-                break
-            if by0 <= y1 and y0 <= by1:
-                rb = b
-                while parent[rb] != rb:
-                    parent[rb] = rb = parent[parent[rb]]
-                if rb != ra:
-                    parent[rb] = ra
-                    needed -= 1
-                    if not needed:
-                        return True
-    return not needed
-
-
-class _Coverage:
-    """Coordinate-compressed cell coverage of a rectangle union, on one integer lattice.
-
-    The constructor reads the flat list of corners (x0, x1, y0, y1 per
-    rectangle) straight to integers: rectangle k is ``boxes[k] / q``, q the
-    least common denominator.  It refuses, in this order, no rectangle, a
-    bad box, a union off both axes and a disconnected union.  Scaling by
-    q > 0 keeps every order and equality, so connectivity and the painted
-    cells are read off the integer boxes in ``int`` arithmetic.
-    ``xs`` and ``ys`` are the sorted distinct integer coordinates together
-    with 0, and a dict ranks each box's coordinates on them.  Cell (i, j)
-    is the open box between ``xs[i]``, ``xs[i + 1]`` and ``ys[j]``,
-    ``ys[j + 1]``; every rectangle is a block of whole cells, so a cell is
-    covered by the closed union iff some rectangle paints it, and the
-    union is the closure of its painted cells.  ``columns[i]`` is column i
-    as a bit mask: bit j is set iff cell (i, j) is painted.  The painting
-    pass also keeps ``eta``, the largest smallest coordinate of a box's
-    top-right corner, and ``diagonal``, the same over the boxes that meet
-    the diagonal (0 when none does), both over q.
-    """
-
-    __slots__ = ("q", "boxes", "xs", "ys", "columns", "staircase", "cube", "diagonal", "eta")
-
-    def __init__(self, corners: list):
-        if not corners:
-            raise DomainError("rectilinear domain needs at least one rectangle")
-        q, flat = over_common_denominator(corners)
-        x0s, x1s, y0s, y1s = flat[0::4], flat[1::4], flat[2::4], flat[3::4]
-        # One pass over all corners; the box-by-box check runs only to name
-        # the first bad box.
-        if min(flat) < 0 or not (all(map(lt, x0s, x1s)) and all(map(lt, y0s, y1s))):
-            for box in zip(x0s, x1s, y0s, y1s):
-                _check_box(q, *box)
-        if not (0 in x0s or 0 in y0s):
-            raise DomainError("union must contain a neighborhood of a boundary-axis point")
-        boxes = list(zip(x0s, x1s, y0s, y1s))
-        if not _connected(boxes):
-            raise DomainError("rectangle union is not connected")
-        xs = sorted({0, *x0s, *x1s})
-        ys = sorted({0, *y0s, *y1s})
-        xr = dict(zip(xs, range(len(xs))))
-        yr = dict(zip(ys, range(len(ys))))
-        columns = [0] * (len(xs) - 1)
-        diagonal = eta = 0
-        for x0, x1, y0, y1 in boxes:
-            run = (1 << yr[y1]) - (1 << yr[y0])
-            for i in range(xr[x0], xr[x1]):
-                columns[i] |= run
-            # A box meets the diagonal iff its bottom-left corner's larger
-            # coordinate is at most its top-right corner's smaller one.
-            top = x1 if x1 < y1 else y1
-            if top > eta:
-                eta = top
-            if top > diagonal and x0 <= top and y0 <= top:
-                diagonal = top
-        self.q, self.boxes, self.xs, self.ys, self.columns = q, boxes, xs, ys, columns
-        self.diagonal, self.eta = diagonal, eta
-        # Down-closed means every column is painted on a prefix of its
-        # cells, and the prefixes never grow from left to right.
-        # cube: the growing square [0, a]^2 first meets an unpainted cell
-        # (i, j) when a exceeds max(xs[i], ys[j]); in each column the
-        # lowest unpainted cell is the first one met.
-        staircase = True
-        cube = min(xs[-1], ys[-1])
-        height = ny = len(ys) - 1
-        for i, column in enumerate(columns):
-            # The lowest unset bit: adding 1 carries through the set ones below it.
-            h = (column ^ (column + 1)).bit_length() - 1
-            if h < ny:
-                corner = xs[i] if xs[i] > ys[h] else ys[h]
-                if corner < cube:
-                    cube = corner
-                if column >> h:
-                    staircase = False
-            if h > height:
-                staircase = False
-            height = h
-        self.staircase, self.cube = staircase, Fraction(cube, q)
-
-    def slices(self, level: Fraction, across: bool) -> tuple:
-        """``(q, [(lo, hi), ...])``: the interval [lo / q, hi / q] of each
-        rectangle meeting the line y = level (x = level when ``across``),
-        by decreasing hi.
-
-        A box meets the line iff its lower side is at most floor(level q)
-        and its upper side at least ceil(level q).
-        """
-        below, above = _floor_ceil(level, self.q)
-        if across:
-            hits = [(y1, y0) for x0, x1, y0, y1 in self.boxes if x0 <= below and x1 >= above]
-        else:
-            hits = [(x1, x0) for x0, x1, y0, y1 in self.boxes if y0 <= below and y1 >= above]
-        hits.sort(reverse=True)
-        return self.q, [(lo, hi) for hi, lo in hits]
-
-    def quadrants(self, p) -> tuple:
-        """Whether each of the four cells meeting the corners of p is painted.
-
-        The cell beside p in direction (sx, sy) is the one that contains
-        the points just right (sx > 0) or left (sx < 0) of p, and just
-        above or below it; a cell outside the grid counts as unpainted.
-        """
-        xs, ys = self.xs, self.ys
-        nx, ny = len(xs) - 1, len(ys) - 1
-        (fx, cx), (fy, cy) = _floor_ceil(p[0], self.q), _floor_ceil(p[1], self.q)
-        cols = (bisect_left(xs, cx) - 1, bisect_right(xs, fx) - 1)
-        rows = (bisect_left(ys, cy) - 1, bisect_right(ys, fy) - 1)
-        return tuple(
-            0 <= i < nx and 0 <= j < ny and self.columns[i] >> j & 1 == 1
-            for i in cols
-            for j in rows
-        )
-
-
-class Rectilinear2D(ToricDomain):
-    """Connected union of axis-aligned rectangles touching a coordinate axis.
-
-    The constructor builds only the union's coverage grid (``_Coverage``),
-    the rectangles as integer boxes over the lcm q of their denominators,
-    as a polygon builds its ``_Lattice``; the grid checks every box and
-    the union, and every invariant, membership and boundary test reads it.
-    The ``rects`` field, the rectangles as ``Rect`` values, is read off the
-    grid when a caller asks for it, so equality, hashing and ``repr`` see
-    the field alone; ``to_dict`` formats the grid's boxes and builds none.
-    """
-
-    rects: tuple
-
-    kind = "rectilinear2d"
-    n = 2
-    # The corner structure makes the fiber-torus witness the robust route,
-    # so a non-diagonal lattice witness is preferred when one exists (same
-    # value either way, since a staircase has diagonal radius equal to eta).
-    cl_rules = ("LatticeWitness", "MonotoneDiagonal", "EtaOnBoundary")
-
-    def __init__(self, rects):
-        rects = as_items(rects, DomainError, "rects must be a sequence, got {!r}")
-        if not all(isinstance(r, Rect) for r in rects):
-            raise DomainError("rects must be Rect instances")
-        self.__dict__["_grid"] = _Coverage([c for r in rects for c in (r.x0, r.x1, r.y0, r.y1)])
-
-    @cached_member
-    def rects(self) -> tuple:
-        q = self._grid.q
-        return tuple(Rect(*(Fraction(c, q) for c in box)) for box in self._grid.boxes)
-
-    @cached_member
-    def delta(self) -> Fraction:
-        grid = self._grid
-        if not grid.diagonal:
-            raise InapplicableError("diagonal does not meet the domain")
-        return Fraction(grid.diagonal, grid.q)
-
-    @cached_member
-    def eta(self) -> Fraction:
-        # Per rectangle the smallest coordinate is largest at the top-right corner.
-        return Fraction(self._grid.eta, self._grid.q)
-
-    @cached_member
-    def is_monotone(self) -> bool:
-        return self._grid.staircase
-
-    @cached_member
-    def cube_inclusion(self) -> Fraction:
-        return self._grid.cube
-
-    @cached_member
-    def inclusion_bracket(self) -> Interval:
-        # Conservative for non-convex unions: the inscribed square contains
-        # the simplex of the same size.  Every box has x0 < x1 and y0 < y1,
-        # so the last grid lines are the largest x1 and y1.
-        grid = self._grid
-        return Interval(grid.cube, Fraction(min(grid.xs[-1], grid.ys[-1]), grid.q))
-
-    def contains(self, p) -> bool:
-        # Some cell whose closure holds p is painted.
-        return any(self._grid.quadrants(_point(p)))
-
-    def on_boundary(self, p) -> bool:
-        # p is interior iff all four cells meeting its corners are painted.
-        quadrants = self._grid.quadrants(_point(p))
-        return any(quadrants) and not all(quadrants)
-
-    def cl_slices(self, e: Fraction, across: bool) -> tuple:
-        return self._grid.slices(e, across)
-
-    @property
-    def cl_candidates(self) -> tuple:
-        # A rectangle's corners lie in the closed union.
-        return self._grid.q, [
-            p
-            for x0, x1, y0, y1 in self._grid.boxes
-            for p in ((x1, y1), (x0, y0), (x0, y1), (x1, y0))
-            if p[0] > 0 and p[1] > 0
-        ]
-
-    def summary(self) -> dict:
-        return {"rects": len(self._grid.boxes)}
-
-    def to_dict(self) -> dict:
-        q = self._grid.q
-        return {"kind": self.kind, "rects": [
-            dict(zip(_CORNERS, (format_rational(Fraction(c, q)) for c in box)))
-            for box in self._grid.boxes
-        ]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Rectilinear2D":
-        try:
-            raw = data["rects"]
-        except KeyError:
-            raise DomainError("rectilinear2d document missing 'rects'")
-        if not isinstance(raw, list):
-            raise DomainError("'rects' must be a list of rectangle objects")
-        corners = []
-        for item in raw:
-            if not isinstance(item, dict):
-                raise DomainError(f"rectangle is not an object: {item!r}")
-            try:
-                corners += _corners(item)
-            except KeyError as exc:
-                raise DomainError(f"rectangle missing corner field {exc}")
-        # The grid reads the document's values; no Rect is built until a
-        # caller reads ``rects``.
-        domain = cls.__new__(cls)
-        domain.__dict__["_grid"] = _Coverage(corners)
-        return domain
-
-
-_KINDS = {
-    **dict.fromkeys(STANDARD_KINDS, StandardDomain),
-    "polygon2d": Polygon2D,
-    "rectilinear2d": Rectilinear2D,
-}
+    _KINDS[_UNION_KIND] = Rectilinear2D
 
 
 def square_polygon(a: Fraction) -> Polygon2D:
@@ -814,7 +520,9 @@ def domain_from_dict(data: dict) -> ToricDomain:
     except KeyError:
         raise DomainError("domain document missing 'kind'")
     if not isinstance(kind, str) or kind not in _KINDS:
-        raise DomainError(f"unknown domain kind: {kind!r}")
+        if kind != _UNION_KIND:
+            raise DomainError(f"unknown domain kind: {kind!r}")
+        _load_union_kind()
     return _KINDS[kind].from_dict(data)
 
 

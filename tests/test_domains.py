@@ -44,7 +44,7 @@ from toricap import (
     verify_xa,
 )
 
-from toricap import domains, rationals
+from toricap import domains, rationals, unions
 from toricap.capacities import certificate_to_dict
 from toricap.ech import SearchBounds, candidate_orbits, orbit_invariants
 from toricap.rationals import format_rational, over_common_denominator
@@ -529,10 +529,12 @@ def test_from_dict_parse_count_on_a_staircase(monkeypatch):
             return func(*args)
         return call
 
+    # ``unions`` defines Rect and reads the corners; it calls parse_rational
+    # only through the point coercion of ``domains``.
     for module in (domains, rationals):
         monkeypatch.setattr(module, "parse_rational",
                             counting("parse_rational", module.parse_rational))
-    monkeypatch.setattr(domains, "Rect", counting("Rect", domains.Rect))
+    monkeypatch.setattr(unions, "Rect", counting("Rect", unions.Rect))
     dom = Rectilinear2D.from_dict(doc)
     assert not calls and "rects" not in vars(dom)
     assert dom.summary() == {"rects": steps}

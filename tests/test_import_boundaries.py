@@ -1,7 +1,8 @@
 """Which layers ``import toricap`` and each CLI subcommand load.
 
-``import toricap`` loads no layer module until a public name is used, and
-each subcommand imports only the layers it runs.  No toricap process loads
+``import toricap`` loads no layer module until a public name is used,
+each subcommand imports only the layers it runs, and only a process that
+reads a union document loads the union kind.  No toricap process loads
 ``csv``, ``dataclasses``, ``inspect`` or ``typing``.  Module loading is process-wide
 state, so every check on it runs in a fresh child interpreter, started
 with ``-S`` so that ``site`` preloads nothing; the conftest puts the
@@ -58,6 +59,16 @@ def omega_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def union_file(tmp_path):
+    path = tmp_path / "union.json"
+    path.write_text(
+        '{"kind":"rectilinear2d","rects":[{"x0":"0","x1":"1","y0":"0","y1":"1/2"},'
+        '{"x0":"0","x1":"1/2","y0":"0","y1":"1"}]}'
+    )
+    return str(path)
+
+
 def test_import_toricap_loads_no_layer():
     # A misspelt name raises AttributeError without loading anything.
     code = ("import sys, toricap\n"
@@ -75,12 +86,16 @@ SUBCOMMANDS = [
     (["obstruct", "--source", "{omega}", "--target", "{omega}", "--alpha", "e(1,1)",
       "--vmax", "2", "--lmax", "2"], {"ech", "geometry"}),
     (["amin", "--x", "2/3,1/2", "--brute", "5"], {"geometry", "lagrangian"}),
+    # A union document loads the union kind too; no polygon case does.
+    (["info", "{union}"], {"geometry", "unions"}),
+    (["report", "{union}"], {"capacities", "geometry", "lagrangian", "unions"}),
 ]
 
 
-@pytest.mark.parametrize("argv, layers", SUBCOMMANDS, ids=[a[0] for a, _ in SUBCOMMANDS])
-def test_subcommand_loads_only_its_layers(argv, layers, omega_file):
-    argv = [arg.format(omega=omega_file) for arg in argv]
+@pytest.mark.parametrize("argv, layers", SUBCOMMANDS,
+                         ids=[a[0] + ("-union" if "{union}" in a else "") for a, _ in SUBCOMMANDS])
+def test_subcommand_loads_only_its_layers(argv, layers, omega_file, union_file):
+    argv = [arg.format(omega=omega_file, union=union_file) for arg in argv]
     status, loaded, heavy = json.loads(_child(RUN_CLI, *argv))
     assert status == 0
     assert set(loaded) == CLI_BASE | {f"toricap.{layer}" for layer in layers}
@@ -121,6 +136,10 @@ def test_public_names_are_their_defining_objects():
             assert obj.__module__ == layer.__name__, name
     assert sorted(toricap.__all__) == toricap.__all__
     assert len(set(toricap.__all__)) == len(toricap.__all__)
+    # The union kind is defined in its own module, and ``domains`` keeps no
+    # name for it.
+    assert toricap._EXPORTS["unions"] == ("Rect", "Rectilinear2D")
+    assert not {"Rect", "Rectilinear2D"} & set(vars(importlib.import_module("toricap.domains")))
     # ech imports delta from geometry: one object under three names.
     assert importlib.import_module("toricap.ech").delta is toricap.delta
 

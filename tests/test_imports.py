@@ -18,9 +18,11 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toricap"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 # The module-level functions that may import, by module: each CLI
-# subcommand imports the layers it runs, and the package's loader imports
-# every layer on the first use of a public name.
-LAZY_IMPORTERS = {"cli.py": r"_cmd_\w+", "__init__.py": "_load_public_names"}
+# subcommand imports the layers it runs, the package's loader imports
+# every layer on the first use of a public name, and the domain parser
+# imports the rectangle-union kind on the first union document.
+LAZY_IMPORTERS = {"cli.py": r"_cmd_\w+", "__init__.py": "_load_public_names",
+                  "domains.py": "_load_union_kind"}
 
 
 def _imported_names(statements) -> dict:
