@@ -2,10 +2,11 @@
 
 Subcommands: ``info``, ``report``, ``xa``, ``bound``, ``obstruct`` and
 ``amin``.  All numeric output is exact "p/q"; the ``--decimal N`` flag
-adds clearly-marked approximations for human convenience.  Each
-``_cmd_*`` returns its whole stdout text and exit status, and ``main``
-writes the text once the command has returned, so an error leaves stdout
-empty.  Exit status 0 means success, 1 a refused computation (a
+adds clearly-marked approximations to table output for human
+convenience, and ``report`` and ``xa`` refuse it with ``--format csv``
+or ``json``.  Each ``_cmd_*`` returns its whole stdout text and exit
+status, and ``main`` writes the text once the command has returned, so
+an error leaves stdout empty.  Exit status 0 means success, 1 a refused computation (a
 precondition or hypothesis does not hold, or the ``amin`` oracle
 disagrees), 2 an input error; failures print one machine-parsable
 ``error: ...`` line on stderr.
@@ -351,6 +352,9 @@ def main(argv=None) -> int:
             raise DomainError(
                 f"--decimal needs 0 <= N <= {DECIMAL_LIMIT}, got {decimal}"
             )
+        # CSV and JSON cells stay exact, so they have no room for an approximation.
+        if decimal is not None and getattr(args, "format", "table") != "table":
+            raise DomainError(f"--decimal applies to table output only, not --format {args.format}")
         output, status = args.func(args)
     except ToricapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,10 +10,10 @@ Three kinds of domain are supported:
   x-axis intercept to the y-axis intercept.  The origin and the two axis
   segments are implicit.  The chain is required to be convex, which makes
   the domain weakly convex by construction.  The constructor reads the
-  chain straight to integers over the lcm of its denominators
-  (``_Lattice``); the validation, the invariants and the point queries
-  (on a point scaled by its own denominators) run in ``int`` arithmetic
-  on it, and the ``vertices`` field is read off it when asked for.
+  chain straight to integers over the lcm of its denominators; the
+  validation, the invariants and the point queries (on a point scaled by
+  its own denominators) run in ``int`` arithmetic on them, and the
+  ``vertices`` field is read off them when asked for.
 * ``Rectilinear2D`` -- a connected finite union of axis-aligned
   rectangles touching a coordinate axis, answered on one integer lattice
   like a polygon.  It is defined in :mod:`toricap.unions`, which
@@ -47,9 +47,10 @@ The invariants are ``rationals.cached_member`` members, computed at
 most once per instance and kept in the instance ``__dict__`` beside the
 fields that ``rationals.Value`` compares, hashes and shows, so equality,
 hashing, ``repr`` and serialization ignore them; a member that raises
-caches nothing and raises again.  The structures a constructor builds (a
-polygon's ``_lattice``, a union's ``_grid``) are kept there too.  All
-types are immutable values.
+caches nothing and raises again.  A planar kind's constructor keeps its
+integer lattice there too, under private names (a polygon's ``_q``,
+``_points`` and ``_edges``), and so do the invariants a union's painting
+pass computes anyway.  All types are immutable values.
 Constructors read every rational through the one parser of
 ``rationals`` (``parse_rational``, or ``over_common_denominator`` for a
 planar lattice), and the planar ``contains`` and ``on_boundary`` coerce
@@ -157,35 +158,20 @@ def _point(p) -> tuple:
     return parse_rational(x), parse_rational(y)
 
 
-class _Lattice:
-    """A polygon's boundary chain scaled to integers.
-
-    Vertex i of the chain is ``points[i] / q``, where q is the lcm of the
-    denominators of the chain's coordinates, and ``edges[i]`` is
-    ``points[i + 1] - points[i]``.  Scaling by q > 0 keeps every sign,
-    order and ratio, so the chain's checks and invariants run on these
-    integers.
-    """
-
-    __slots__ = ("q", "points", "edges")
-
-    def __init__(self, q: int, points: list):
-        self.q, self.points = q, points
-        self.edges = [
-            (bx - ax, by - ay) for (ax, ay), (bx, by) in zip(points, points[1:])
-        ]
-
-
-def _canonical_chain(vertices) -> _Lattice:
+def _canonical_chain(vertices) -> dict:
     """Validate and canonicalize a boundary vertex chain.
 
     Consecutive duplicate vertices and collinear midpoints are removed;
     every other defect raises ``DomainError`` naming the violated
-    invariant.  The result is the ``_Lattice`` of the canonical
-    counterclockwise chain from the x-axis intercept to the y-axis
-    intercept.  The coordinates are read straight to integers, vertex by
-    vertex, so the first bad vertex or number in chain order is refused,
-    and every check compares those integers.
+    invariant.  The result is the canonical counterclockwise chain from
+    the x-axis intercept to the y-axis intercept, scaled to integers, by
+    the names a ``Polygon2D`` keeps it under: vertex i is
+    ``_points[i] / _q``, q the lcm of the denominators of the chain's
+    coordinates, and ``_edges[i]`` is ``_points[i + 1] - _points[i]``.
+    Scaling by q > 0 keeps every sign, order and ratio.  The coordinates
+    are read straight to integers, vertex by vertex, so the first bad
+    vertex or number in chain order is refused, and every check compares
+    those integers.
     """
     vertices = as_items(vertices, DomainError, "vertices must be a sequence, got {!r}")
     refusal = "vertex is not a coordinate pair: {!r}"
@@ -234,11 +220,11 @@ def _canonical_chain(vertices) -> _Lattice:
     g = math.gcd(q, *(c for p in points for c in p))
     if g > 1:
         q, points = q // g, [(x // g, y // g) for x, y in points]
-    lattice = _Lattice(q, points)
-    for (ux, uy), (vx, vy) in zip(lattice.edges, lattice.edges[1:]):
+    edges = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(points, points[1:])]
+    for (ux, uy), (vx, vy) in zip(edges, edges[1:]):
         if ux * vy <= uy * vx:
             raise DomainError("vertex chain not convex/ordered (non-left turn)")
-    return lattice
+    return {"_q": q, "_points": points, "_edges": edges}
 
 
 def _chord(planes, level: Fraction, q: int) -> tuple:
@@ -271,11 +257,12 @@ def _chord(planes, level: Fraction, q: int) -> tuple:
 class Polygon2D(ToricDomain):
     """Weakly convex planar domain, stored as its canonical boundary chain.
 
-    The constructor builds only the chain scaled to integers over the lcm
-    q of its denominators (a ``_Lattice``), in the instance ``__dict__``.
-    The ``vertices`` field, the chain as ``Fraction`` pairs, is read off
-    the lattice when a caller asks for it, so equality, hashing, ``repr``
-    and serialization see the field alone.  The validation and every
+    The constructor keeps only the chain scaled to integers over the lcm
+    q of its denominators, ``_q``, ``_points`` and ``_edges`` as
+    ``_canonical_chain`` returns them, in the instance ``__dict__``.  The
+    ``vertices`` field, the chain as ``Fraction`` pairs, is read off those
+    integers when a caller asks for it, so equality, hashing, ``repr`` and
+    serialization see the field alone.  The validation and every
     invariant read the integers: comparisons become cross-multiplications,
     and each answer is built as one ``Fraction``.
     """
@@ -287,20 +274,20 @@ class Polygon2D(ToricDomain):
     cl_rules = ("MonotoneDiagonal", "EtaOnBoundary", "LatticeWitness")
 
     def __init__(self, vertices):
-        self.__dict__["_lattice"] = _canonical_chain(vertices)
+        self.__dict__.update(_canonical_chain(vertices))
 
     @cached_member
     def vertices(self) -> tuple:
-        q = self._lattice.q
-        return tuple((Fraction(x, q), Fraction(y, q)) for x, y in self._lattice.points)
+        q = self._q
+        return tuple((Fraction(x, q), Fraction(y, q)) for x, y in self._points)
 
     @property
     def x_intercept(self) -> Fraction:
-        return Fraction(self._lattice.points[0][0], self._lattice.q)
+        return Fraction(self._points[0][0], self._q)
 
     @property
     def y_intercept(self) -> Fraction:
-        return Fraction(self._lattice.points[-1][1], self._lattice.q)
+        return Fraction(self._points[-1][1], self._q)
 
     @cached_member
     def _halfplanes(self) -> tuple:
@@ -309,7 +296,7 @@ class Polygon2D(ToricDomain):
         # direction turned by -90 degrees, pointing away from the region.
         return tuple(
             (dy, -dx, dy * x - dx * y)
-            for (x, y), (dx, dy) in zip(self._lattice.points, self._lattice.edges)
+            for (x, y), (dx, dy) in zip(self._points, self._edges)
         )
 
     @cached_member
@@ -327,26 +314,26 @@ class Polygon2D(ToricDomain):
     @cached_member
     def delta(self) -> Fraction:
         c, s = self._diagonal
-        return Fraction(c, s * self._lattice.q)
+        return Fraction(c, s * self._q)
 
     @cached_member
     def eta(self) -> Fraction:
         # min(x, y) is concave, so over the convex region its maximum sits
         # on the diagonal, at (delta, delta), or at a vertex of the chain.
         c, s = self._diagonal
-        top = max(min(p) for p in self._lattice.points)
-        return self.delta if top * s <= c else Fraction(top, self._lattice.q)
+        top = max(min(p) for p in self._points)
+        return self.delta if top * s <= c else Fraction(top, self._q)
 
     @cached_member
     def is_monotone(self) -> bool:
-        return all(dx <= 0 and dy >= 0 for dx, dy in self._lattice.edges)
+        return all(dx <= 0 and dy >= 0 for dx, dy in self._edges)
 
     @cached_member
     def cube_inclusion(self) -> Fraction:
         # By convexity the square [0, a]^2 is inside iff its corners are.
         c, s = self._diagonal
-        side = min(self._lattice.points[0][0], self._lattice.points[-1][1])
-        return self.delta if c <= side * s else Fraction(side, self._lattice.q)
+        side = min(self._points[0][0], self._points[-1][1])
+        return self.delta if c <= side * s else Fraction(side, self._q)
 
     def support(self, v) -> Fraction:
         """Max of v . p over the chain, for a nonzero integer pair ``v``."""
@@ -363,9 +350,8 @@ class Polygon2D(ToricDomain):
         """``(q, [top])`` with ``support(v) = top / q`` for each integer pair
         ``v`` of ``directions``, unchecked, so that a caller can add
         supports as integers."""
-        points = self._lattice.points
-        return self._lattice.q, [max(vx * x + vy * y for x, y in points)
-                                 for vx, vy in directions]
+        return self._q, [max(vx * x + vy * y for x, y in self._points)
+                         for vx, vy in directions]
 
     def affordable_directions(self, cap: Fraction, vmax: int) -> tuple:
         """The primitive integer directions v with |v_x|, |v_y| <= vmax and
@@ -380,7 +366,7 @@ class Polygon2D(ToricDomain):
         The walk takes one step per row and one per direction of a row's
         interval, each O(vertices).
         """
-        q, points = self._lattice.q, self._lattice.points
+        q, points = self._q, self._points
         budget, den = cap.numerator * q, cap.denominator
         first = -vmax if points[-1][1] * den <= budget else 1
         last = min(vmax, budget // (points[0][0] * den))
@@ -397,24 +383,23 @@ class Polygon2D(ToricDomain):
     def cube_bound(self) -> Fraction:
         # Both end edges at least diagonal-steep, direction (dx, dy) with
         # dx <= dy, make the supports of (1,-1) and (-1,1) attain exactly the
-        # two axis intercepts.  The lattice edges are the chain's edges
+        # two axis intercepts.  The integer edges are the chain's edges
         # scaled by q > 0, so they compare alike.
-        (dx0, dy0), (dx1, dy1) = self._lattice.edges[0], self._lattice.edges[-1]
+        (dx0, dy0), (dx1, dy1) = self._edges[0], self._edges[-1]
         if dx0 > dy0 or dx1 > dy1:
             raise InapplicableError(
                 "tangent-slope condition fails: both end edges must satisfy dx <= dy"
             )
-        points = self._lattice.points
-        return Fraction(points[0][0] + points[-1][1], 2 * self._lattice.q)
+        return Fraction(self._points[0][0] + self._points[-1][1], 2 * self._q)
 
     @cached_member
     def inclusion_bracket(self) -> Interval:
         # By convexity both axis corners inside pull the simplex's
         # hypotenuse inside; the domain lies in the slab of its smaller extent.
-        points = self._lattice.points
+        points = self._points
         side = min(points[0][0], points[-1][1])
         top = min(max(x for x, _ in points), max(y for _, y in points))
-        return Interval(Fraction(side, self._lattice.q), Fraction(top, self._lattice.q))
+        return Interval(Fraction(side, self._q), Fraction(top, self._q))
 
     def _least_slack(self, p) -> int:
         # With p = (xn / xd, yn / yd), the slacks of x >= 0, y >= 0 and of
@@ -422,7 +407,7 @@ class Polygon2D(ToricDomain):
         # (the last ones times xd yd q): the least is negative off the
         # closed region and 0 on its boundary.
         (xn, xd), (yn, yd) = (c.as_integer_ratio() for c in _point(p))
-        d, u, v = xd * yd, self._lattice.q * xn * yd, self._lattice.q * yn * xd
+        d, u, v = xd * yd, self._q * xn * yd, self._q * yn * xd
         return min(xn, yn, *(c * d - a * u - b * v for a, b, c in self._halfplanes))
 
     def contains(self, p) -> bool:
@@ -438,15 +423,15 @@ class Polygon2D(ToricDomain):
         planes = self._halfplanes
         if across:
             planes = [(b, a, c) for a, b, c in planes]
-        return _chord(planes, e, self._lattice.q)
+        return _chord(planes, e, self._q)
 
     @property
     def cl_candidates(self) -> tuple:
         # The intermediate vertices, the ones with positive coordinates.
-        return self._lattice.q, self._lattice.points[1:-1]
+        return self._q, self._points[1:-1]
 
     def summary(self) -> dict:
-        return {"vertices": len(self._lattice.points), "weakly_convex": True}
+        return {"vertices": len(self._points), "weakly_convex": True}
 
     def to_dict(self) -> dict:
         return {

@@ -36,6 +36,17 @@ for its capacity that decrease to ``cube_bound``.  They read only the
 polygon's integer lattice and run no search, so they do not rest on
 ``ech.obstruction_search``, whose statuses are claims about the
 combinatorial model under its bounds.
+
+That certificate is in doubt (ROADMAP item 20).  The hypothesis of the
+theorem cannot be read in this repository, which holds the paper's
+abstract alone, and two rows contradict the bound.  An open
+parallelogram p + A(0, s)^2 with A in GL(2, Z) inside the domain holds a
+polydisk P(s, s), so c_P >= s; yet ``cube_bound`` is 1/5 on Omega_{2/5},
+which holds the parallelogram with corner (0, 1/10), basis (1, 0),
+(1, 1) and side 3/10, and 1/10 on the strip polygon (1/10, 0),
+(2, 19/10), (19/10, 2), (0, 1/10), which holds the one with corner
+(1/2, 119/200), the same basis and side 19/100.  Strict xfails in
+``tests/test_capacities.py`` pin both rows.
 """
 
 from __future__ import annotations

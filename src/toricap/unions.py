@@ -5,8 +5,8 @@ closed positive quadrant; the union must be connected and contain a
 neighborhood of a point on a coordinate axis.  Like a polygon, it is
 validated and answered on one integer lattice: the constructor reads the
 corners straight to integer boxes over the lcm of their denominators and
-builds its coverage grid (``_Coverage``) on them, and the ``rects`` field
-is read off the grid when asked for.  The kind answers the protocol that
+paints its cell grid on them (``_coverage``), and the ``rects`` field is
+read off the boxes when asked for.  The kind answers the protocol that
 :mod:`toricap.domains` lists for every kind.
 
 The kind is a module of its own so that a process that reads no union
@@ -95,130 +95,97 @@ def _connected(boxes) -> bool:
     return not needed
 
 
-class _Coverage:
-    """Coordinate-compressed cell coverage of a rectangle union, on one integer lattice.
+def _coverage(corners: list) -> dict:
+    """The integer lattice of a rectangle union, by the names a
+    ``Rectilinear2D`` keeps it under.
 
-    The constructor reads the flat list of corners (x0, x1, y0, y1 per
-    rectangle) straight to integers: rectangle k is ``boxes[k] / q``, q the
-    least common denominator.  It refuses, in this order, no rectangle, a
-    bad box, a union off both axes and a disconnected union.  Scaling by
+    The flat list of corners (x0, x1, y0, y1 per rectangle) is read
+    straight to integers: rectangle k is ``_boxes[k] / _q``, q the least
+    common denominator.  It refuses, in this order, no rectangle, a bad
+    box, a union off both axes and a disconnected union.  Scaling by
     q > 0 keeps every order and equality, so connectivity and the painted
-    cells are read off the integer boxes in ``int`` arithmetic.
-    ``xs`` and ``ys`` are the sorted distinct integer coordinates together
-    with 0, and a dict ranks each box's coordinates on them.  Cell (i, j)
-    is the open box between ``xs[i]``, ``xs[i + 1]`` and ``ys[j]``,
-    ``ys[j + 1]``; every rectangle is a block of whole cells, so a cell is
-    covered by the closed union iff some rectangle paints it, and the
-    union is the closure of its painted cells.  ``columns[i]`` is column i
-    as a bit mask: bit j is set iff cell (i, j) is painted.  The painting
-    pass also keeps ``eta``, the largest smallest coordinate of a box's
-    top-right corner, and ``diagonal``, the same over the boxes that meet
-    the diagonal (0 when none does), both over q.
+    cells are read off the integer boxes in ``int`` arithmetic.  ``_xs``
+    and ``_ys`` are the sorted distinct integer coordinates together with
+    0, and a dict ranks each box's coordinates on them.  Cell (i, j) is
+    the open box between ``_xs[i]``, ``_xs[i + 1]`` and ``_ys[j]``,
+    ``_ys[j + 1]``; every rectangle is a block of whole cells, so a cell
+    is covered by the closed union iff some rectangle paints it, and the
+    union is the closure of its painted cells.  ``_columns[i]`` is column
+    i as a bit mask: bit j is set iff cell (i, j) is painted.  The
+    painting pass also finds ``eta``, the largest smallest coordinate of
+    a box's top-right corner, and ``_diagonal``, q times the same over
+    the boxes that meet the diagonal (0 when none does); the scan of the
+    columns after it finds ``is_monotone`` and ``cube_inclusion``.
     """
-
-    __slots__ = ("q", "boxes", "xs", "ys", "columns", "staircase", "cube", "diagonal", "eta")
-
-    def __init__(self, corners: list):
-        if not corners:
-            raise DomainError("rectilinear domain needs at least one rectangle")
-        q, flat = over_common_denominator(corners)
-        x0s, x1s, y0s, y1s = flat[0::4], flat[1::4], flat[2::4], flat[3::4]
-        # One pass over all corners; the box-by-box check runs only to name
-        # the first bad box.
-        if min(flat) < 0 or not (all(map(lt, x0s, x1s)) and all(map(lt, y0s, y1s))):
-            for box in zip(x0s, x1s, y0s, y1s):
-                _check_box(q, *box)
-        if not (0 in x0s or 0 in y0s):
-            raise DomainError("union must contain a neighborhood of a boundary-axis point")
-        boxes = list(zip(x0s, x1s, y0s, y1s))
-        if not _connected(boxes):
-            raise DomainError("rectangle union is not connected")
-        xs = sorted({0, *x0s, *x1s})
-        ys = sorted({0, *y0s, *y1s})
-        xr = dict(zip(xs, range(len(xs))))
-        yr = dict(zip(ys, range(len(ys))))
-        columns = [0] * (len(xs) - 1)
-        diagonal = eta = 0
-        for x0, x1, y0, y1 in boxes:
-            run = (1 << yr[y1]) - (1 << yr[y0])
-            for i in range(xr[x0], xr[x1]):
-                columns[i] |= run
-            # A box meets the diagonal iff its bottom-left corner's larger
-            # coordinate is at most its top-right corner's smaller one.
-            top = x1 if x1 < y1 else y1
-            if top > eta:
-                eta = top
-            if top > diagonal and x0 <= top and y0 <= top:
-                diagonal = top
-        self.q, self.boxes, self.xs, self.ys, self.columns = q, boxes, xs, ys, columns
-        self.diagonal, self.eta = diagonal, eta
-        # Down-closed means every column is painted on a prefix of its
-        # cells, and the prefixes never grow from left to right.
-        # cube: the growing square [0, a]^2 first meets an unpainted cell
-        # (i, j) when a exceeds max(xs[i], ys[j]); in each column the
-        # lowest unpainted cell is the first one met.
-        staircase = True
-        cube = min(xs[-1], ys[-1])
-        height = ny = len(ys) - 1
-        for i, column in enumerate(columns):
-            # The lowest unset bit: adding 1 carries through the set ones below it.
-            h = (column ^ (column + 1)).bit_length() - 1
-            if h < ny:
-                corner = xs[i] if xs[i] > ys[h] else ys[h]
-                if corner < cube:
-                    cube = corner
-                if column >> h:
-                    staircase = False
-            if h > height:
+    if not corners:
+        raise DomainError("rectilinear domain needs at least one rectangle")
+    q, flat = over_common_denominator(corners)
+    x0s, x1s, y0s, y1s = flat[0::4], flat[1::4], flat[2::4], flat[3::4]
+    # One pass over all corners; the box-by-box check runs only to name
+    # the first bad box.
+    if min(flat) < 0 or not (all(map(lt, x0s, x1s)) and all(map(lt, y0s, y1s))):
+        for box in zip(x0s, x1s, y0s, y1s):
+            _check_box(q, *box)
+    if not (0 in x0s or 0 in y0s):
+        raise DomainError("union must contain a neighborhood of a boundary-axis point")
+    boxes = list(zip(x0s, x1s, y0s, y1s))
+    if not _connected(boxes):
+        raise DomainError("rectangle union is not connected")
+    xs = sorted({0, *x0s, *x1s})
+    ys = sorted({0, *y0s, *y1s})
+    xr = dict(zip(xs, range(len(xs))))
+    yr = dict(zip(ys, range(len(ys))))
+    columns = [0] * (len(xs) - 1)
+    diagonal = eta = 0
+    for x0, x1, y0, y1 in boxes:
+        run = (1 << yr[y1]) - (1 << yr[y0])
+        for i in range(xr[x0], xr[x1]):
+            columns[i] |= run
+        # Per box the smallest coordinate is largest at the top-right
+        # corner, and a box meets the diagonal iff its bottom-left
+        # corner's larger coordinate is at most that corner's smaller one.
+        top = x1 if x1 < y1 else y1
+        if top > eta:
+            eta = top
+        if top > diagonal and x0 <= top and y0 <= top:
+            diagonal = top
+    # Down-closed means every column is painted on a prefix of its cells,
+    # and the prefixes never grow from left to right.
+    # cube: the growing square [0, a]^2 first meets an unpainted cell
+    # (i, j) when a exceeds max(xs[i], ys[j]); in each column the lowest
+    # unpainted cell is the first one met.
+    staircase = True
+    cube = min(xs[-1], ys[-1])
+    height = ny = len(ys) - 1
+    for i, column in enumerate(columns):
+        # The lowest unset bit: adding 1 carries through the set ones below it.
+        h = (column ^ (column + 1)).bit_length() - 1
+        if h < ny:
+            corner = xs[i] if xs[i] > ys[h] else ys[h]
+            if corner < cube:
+                cube = corner
+            if column >> h:
                 staircase = False
-            height = h
-        self.staircase, self.cube = staircase, Fraction(cube, q)
-
-    def slices(self, level: Fraction, across: bool) -> tuple:
-        """``(q, [(lo, hi), ...])``: the interval [lo / q, hi / q] of each
-        rectangle meeting the line y = level (x = level when ``across``),
-        by decreasing hi.
-
-        A box meets the line iff its lower side is at most floor(level q)
-        and its upper side at least ceil(level q).
-        """
-        below, above = _floor_ceil(level, self.q)
-        if across:
-            hits = [(y1, y0) for x0, x1, y0, y1 in self.boxes if x0 <= below and x1 >= above]
-        else:
-            hits = [(x1, x0) for x0, x1, y0, y1 in self.boxes if y0 <= below and y1 >= above]
-        hits.sort(reverse=True)
-        return self.q, [(lo, hi) for hi, lo in hits]
-
-    def quadrants(self, p) -> tuple:
-        """Whether each of the four cells meeting the corners of p is painted.
-
-        The cell beside p in direction (sx, sy) is the one that contains
-        the points just right (sx > 0) or left (sx < 0) of p, and just
-        above or below it; a cell outside the grid counts as unpainted.
-        """
-        xs, ys = self.xs, self.ys
-        nx, ny = len(xs) - 1, len(ys) - 1
-        (fx, cx), (fy, cy) = _floor_ceil(p[0], self.q), _floor_ceil(p[1], self.q)
-        cols = (bisect_left(xs, cx) - 1, bisect_right(xs, fx) - 1)
-        rows = (bisect_left(ys, cy) - 1, bisect_right(ys, fy) - 1)
-        return tuple(
-            0 <= i < nx and 0 <= j < ny and self.columns[i] >> j & 1 == 1
-            for i in cols
-            for j in rows
-        )
+        if h > height:
+            staircase = False
+        height = h
+    return {"_q": q, "_boxes": boxes, "_xs": xs, "_ys": ys, "_columns": columns,
+            "_diagonal": diagonal, "eta": Fraction(eta, q), "is_monotone": staircase,
+            "cube_inclusion": Fraction(cube, q)}
 
 
 class Rectilinear2D(ToricDomain):
     """Connected union of axis-aligned rectangles touching a coordinate axis.
 
-    The constructor builds only the union's coverage grid (``_Coverage``),
-    the rectangles as integer boxes over the lcm q of their denominators,
-    as a polygon builds its ``_Lattice``; the grid checks every box and
-    the union, and every invariant, membership and boundary test reads it.
-    The ``rects`` field, the rectangles as ``Rect`` values, is read off the
-    grid when a caller asks for it, so equality, hashing and ``repr`` see
-    the field alone; ``to_dict`` formats the grid's boxes and builds none.
+    The constructor keeps only what ``_coverage`` returns, in the instance
+    ``__dict__``: the rectangles as integer boxes over the lcm q of their
+    denominators and the painted cell grid on them, as a polygon keeps its
+    integer chain, and the invariants ``eta``, ``is_monotone`` and
+    ``cube_inclusion``, which the painting pass computes anyway.  Every
+    other invariant, membership and boundary test reads the grid.  The
+    ``rects`` field, the rectangles as ``Rect`` values, is read off the
+    boxes when a caller asks for it, so equality, hashing and ``repr`` see
+    the field alone; ``to_dict`` formats the boxes and builds no ``Rect``.
     """
 
     rects: tuple
@@ -234,71 +201,83 @@ class Rectilinear2D(ToricDomain):
         rects = as_items(rects, DomainError, "rects must be a sequence, got {!r}")
         if not all(isinstance(r, Rect) for r in rects):
             raise DomainError("rects must be Rect instances")
-        self.__dict__["_grid"] = _Coverage([c for r in rects for c in (r.x0, r.x1, r.y0, r.y1)])
+        self.__dict__.update(_coverage([c for r in rects for c in (r.x0, r.x1, r.y0, r.y1)]))
 
     @cached_member
     def rects(self) -> tuple:
-        q = self._grid.q
-        return tuple(Rect(*(Fraction(c, q) for c in box)) for box in self._grid.boxes)
+        q = self._q
+        return tuple(Rect(*(Fraction(c, q) for c in box)) for box in self._boxes)
 
     @cached_member
     def delta(self) -> Fraction:
-        grid = self._grid
-        if not grid.diagonal:
+        if not self._diagonal:
             raise InapplicableError("diagonal does not meet the domain")
-        return Fraction(grid.diagonal, grid.q)
-
-    @cached_member
-    def eta(self) -> Fraction:
-        # Per rectangle the smallest coordinate is largest at the top-right corner.
-        return Fraction(self._grid.eta, self._grid.q)
-
-    @cached_member
-    def is_monotone(self) -> bool:
-        return self._grid.staircase
-
-    @cached_member
-    def cube_inclusion(self) -> Fraction:
-        return self._grid.cube
+        return Fraction(self._diagonal, self._q)
 
     @cached_member
     def inclusion_bracket(self) -> Interval:
         # Conservative for non-convex unions: the inscribed square contains
         # the simplex of the same size.  Every box has x0 < x1 and y0 < y1,
         # so the last grid lines are the largest x1 and y1.
-        grid = self._grid
-        return Interval(grid.cube, Fraction(min(grid.xs[-1], grid.ys[-1]), grid.q))
+        return Interval(self.cube_inclusion, Fraction(min(self._xs[-1], self._ys[-1]), self._q))
+
+    def _quadrants(self, p) -> tuple:
+        """Whether each of the four cells meeting the corners of p is painted.
+
+        The cell beside p in direction (sx, sy) is the one that contains
+        the points just right (sx > 0) or left (sx < 0) of p, and just
+        above or below it; a cell outside the grid counts as unpainted.
+        """
+        x, y = _point(p)
+        xs, ys = self._xs, self._ys
+        nx, ny = len(xs) - 1, len(ys) - 1
+        (fx, cx), (fy, cy) = _floor_ceil(x, self._q), _floor_ceil(y, self._q)
+        cols = (bisect_left(xs, cx) - 1, bisect_right(xs, fx) - 1)
+        rows = (bisect_left(ys, cy) - 1, bisect_right(ys, fy) - 1)
+        return tuple(
+            0 <= i < nx and 0 <= j < ny and self._columns[i] >> j & 1 == 1
+            for i in cols
+            for j in rows
+        )
 
     def contains(self, p) -> bool:
         # Some cell whose closure holds p is painted.
-        return any(self._grid.quadrants(_point(p)))
+        return any(self._quadrants(p))
 
     def on_boundary(self, p) -> bool:
         # p is interior iff all four cells meeting its corners are painted.
-        quadrants = self._grid.quadrants(_point(p))
+        quadrants = self._quadrants(p)
         return any(quadrants) and not all(quadrants)
 
     def cl_slices(self, e: Fraction, across: bool) -> tuple:
-        return self._grid.slices(e, across)
+        # A box meets the line iff its lower side is at most floor(e q)
+        # and its upper side at least ceil(e q).
+        below, above = _floor_ceil(e, self._q)
+        if across:
+            hits = [(y1, y0) for x0, x1, y0, y1 in self._boxes if x0 <= below and x1 >= above]
+        else:
+            hits = [(x1, x0) for x0, x1, y0, y1 in self._boxes if y0 <= below and y1 >= above]
+        hits.sort(reverse=True)
+        return self._q, [(lo, hi) for hi, lo in hits]
 
     @property
     def cl_candidates(self) -> tuple:
         # A rectangle's corners lie in the closed union.
-        return self._grid.q, [
+        return self._q, [
             p
-            for x0, x1, y0, y1 in self._grid.boxes
+            for x0, x1, y0, y1 in self._boxes
             for p in ((x1, y1), (x0, y0), (x0, y1), (x1, y0))
             if p[0] > 0 and p[1] > 0
         ]
 
     def summary(self) -> dict:
-        return {"rects": len(self._grid.boxes)}
+        return {"rects": len(self._boxes)}
 
     def to_dict(self) -> dict:
-        q = self._grid.q
+        q = self._q
         return {"kind": self.kind, "rects": [
             dict(zip(_CORNERS, (format_rational(Fraction(c, q)) for c in box)))
-            for box in self._grid.boxes
+            for box in self._boxes
         ]}
 
     @classmethod
@@ -317,8 +296,8 @@ class Rectilinear2D(ToricDomain):
                 corners += _corners(item)
             except KeyError as exc:
                 raise DomainError(f"rectangle missing corner field {exc}")
-        # The grid reads the document's values; no Rect is built until a
-        # caller reads ``rects``.
+        # The lattice is read off the document's values; no Rect is built
+        # until a caller reads ``rects``.
         domain = cls.__new__(cls)
-        domain.__dict__["_grid"] = _Coverage(corners)
+        domain.__dict__.update(_coverage(corners))
         return domain

@@ -20,6 +20,7 @@ from toricap import (
     capacity_report,
     cube_inclusion,
     delta,
+    domain_contains,
     eta,
     is_monotone,
     omega_a,
@@ -151,6 +152,70 @@ def test_verify_xa_examples():
     assert verify_xa(F(1, 3)).expected_cp == F(1, 3)
     assert verify_xa(F(9, 20)).passed
     assert verify_xa(F(9, 20)).expected_cp == F(1, 10)
+
+
+# ROADMAP item 20: an open parallelogram p + A (0, s)^2 with A in GL(2, Z)
+# inside the domain gives a polydisk P(s, s) in X_Omega, so c_P >= s.  Each
+# row is a corner p, a basis (the columns of A) and a side s whose closed
+# parallelogram lies in the domain; by convexity its corners decide that.
+ITEM_20_ROWS = {
+    "omega_2/5": (omega_a(F(2, 5)), (F(0), F(1, 10)), ((1, 0), (1, 1)), F(3, 10)),
+    "strip": (Polygon2D((("1/10", "0"), ("2", "19/10"), ("19/10", "2"), ("0", "1/10"))),
+              (F(1, 2), F(119, 200)), ((1, 0), (1, 1)), F(19, 100)),
+}
+ITEM_20_REASON = ("ROADMAP item 20: the slope bound caps c_P below a unimodular "
+                  "parallelogram that lies in the domain")
+
+
+@pytest.mark.parametrize("row", sorted(ITEM_20_ROWS))
+def test_item_20_parallelogram_lies_in_the_domain(row):
+    dom, (px, py), ((ax, ay), (bx, by)), s = ITEM_20_ROWS[row]
+    assert abs(ax * by - ay * bx) == 1
+    for i, j in ((0, 0), (1, 0), (1, 1), (0, 1)):
+        assert domain_contains(dom, (px + s * (i * ax + j * bx), py + s * (i * ay + j * by)))
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param(row, marks=pytest.mark.xfail(strict=True, raises=AssertionError,
+                                              reason=ITEM_20_REASON))
+    for row in sorted(ITEM_20_ROWS)
+])
+def test_item_20_cp_upper_end_covers_the_parallelogram(row):
+    dom, _, _, s = ITEM_20_ROWS[row]
+    assert capacity_report(dom).c_P.upper >= s
+
+
+def test_readme_quick_start_runs_and_holds():
+    """The quick-start block runs, and each commented line's value and claim hold."""
+    section = README.read_text().split("## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    namespace.update(Fraction=Fraction, CLRule=CLRule)  # the names the comments use
+    checked = 0
+    for line in code.splitlines():
+        expression, _, comment = line.partition("  # ")
+        if not comment:
+            continue
+        # The comment's value runs up to its first ", " outside brackets;
+        # a "claim: expression" after it must be true.
+        depth, cut = 0, len(comment)
+        for k, char in enumerate(comment):
+            depth += (char in "([") - (char in ")]")
+            if depth == 0 and comment.startswith(", ", k):
+                cut = k
+                break
+        value, claim = comment[:cut], comment[cut + 2:]
+        assert eval(expression, namespace) == eval(value, namespace), line
+        if claim:
+            assert eval(claim.split(": ", 1)[1], namespace) is True, line
+        checked += 1
+    assert checked == 4
+    report = namespace["report"]
+    assert report.c_P.lower == F(2, 5) and report.c_P.exact
+    assert report.c_L.value == F(1, 2) and report.c_L.exact
+    assert report.c_L.rule is CLRule.ETA_ON_BOUNDARY
+    assert report.c_L.witness == (F(1, 2), F(1, 2))
 
 
 def test_verify_xa_crossover_exact():

@@ -86,6 +86,22 @@ def test_report_decimal_marked(omega_file):
     assert "2/5 (~0.400)" in cp.stdout
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["report", "xa"])
+def test_exit_2_on_decimal_with_machine_format(command, fmt, omega_file):
+    # CSV and JSON cells are exact only; --decimal is refused, not dropped.
+    args = {"report": ["report", omega_file], "xa": ["xa", "--a", "3/10"]}[command]
+    cp = run_cli(*args, "--format", fmt, "--decimal", "3")
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error:") and cp.stderr.count("\n") == 1
+    assert f"--format {fmt}" in cp.stderr
+    assert cp.stdout == ""
+    for ok in (["--format", fmt], ["--format", "table", "--decimal", "3"]):
+        cp = run_cli(*args, *ok)
+        assert cp.returncode == 0, cp.stderr
+    assert "(~0.400)" in cp.stdout
+
+
 @pytest.mark.parametrize("late", [False, True])
 def test_report_decimal_out_of_float_range(tmp_path, late):
     big = 10**400

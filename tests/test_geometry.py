@@ -485,6 +485,16 @@ def _fields_by_name(dom) -> dict:
     return {name: getattr(dom, name) for name in type(dom)._fields}
 
 
+# What each planar kind's constructor keeps beside its field, by name.
+POLYGON_LATTICE = ("_q", "_points", "_edges")
+UNION_LATTICE = ("_q", "_boxes", "_xs", "_ys", "_columns", "_diagonal")
+UNION_INVARIANTS = ("eta", "is_monotone", "cube_inclusion")
+
+
+def _by_name(instance_dict, names) -> tuple:
+    return tuple(instance_dict[name] for name in names)
+
+
 def test_cached_invariants_keep_value_semantics():
     rng = random.Random(53)
     domains = [StandardDomain(kind, n, F(5, 7)) for kind in STANDARD_KINDS for n in (1, 3)]
@@ -505,24 +515,30 @@ def test_cached_invariants_keep_value_semantics():
         ]})),
     ]
     unreduced_polygon, unreduced_union = domains[-2:]
-    assert vars(unreduced_polygon)["_lattice"].q == 4 and vars(unreduced_union)["_grid"].q == 12
+    assert vars(unreduced_polygon)["_q"] == 4 and vars(unreduced_union)["_q"] == 12
     for dom in domains:
         if isinstance(dom, Rectilinear2D):
-            # The coverage grid is built by the constructor, beside the fields.
-            assert "_grid" in vars(dom) and "_grid" not in repr(dom)
-            assert "_grid" not in type(dom)._fields
+            # The union's lattice and cell grid are built by the
+            # constructor, beside the fields.
+            for name in UNION_LATTICE:
+                assert name in vars(dom) and name not in repr(dom)
+                assert name not in type(dom)._fields
         if isinstance(dom, Polygon2D):
             # So is the integer lattice of the chain.
-            assert "_lattice" in vars(dom) and "_lattice" not in repr(dom)
-            assert "_lattice" not in type(dom)._fields
-            assert "_lattice" not in serialize_domain(dom)
+            for name in POLYGON_LATTICE:
+                assert name in vars(dom) and name not in repr(dom)
+                assert name not in type(dom)._fields
+                assert name not in serialize_domain(dom)
         answers = _answers(dom)
         # Computed once: the answers sit in the instance, beside the fields.
         cached = {"delta"} if isinstance(dom, StandardDomain) else {
             "delta", "eta", "is_monotone", "cube_inclusion"}
         assert cached <= vars(dom).keys(), dom
-        fresh = type(dom)(**_fields_by_name(dom))  # same fields, nothing cached
-        assert not vars(fresh).keys() & cached
+        # A union's painting pass finds three of them, so its constructor
+        # keeps those; nothing else is cached on a fresh instance.
+        stored = set(UNION_INVARIANTS) if isinstance(dom, Rectilinear2D) else set()
+        fresh = type(dom)(**_fields_by_name(dom))  # same fields, nothing read yet
+        assert vars(fresh).keys() & cached == stored
         assert fresh == dom and hash(fresh) == hash(dom), dom
         assert repr(fresh) == repr(dom)
         assert serialize_domain(fresh) == serialize_domain(dom)
@@ -536,28 +552,31 @@ def test_cached_invariants_keep_value_semantics():
         assert _answers(reread) == answers
         if isinstance(dom, Polygon2D):
             # The lattice is a function of the field: the same q and integers.
-            mine, theirs = vars(dom)["_lattice"], vars(fresh)["_lattice"]
-            assert theirs is not mine
-            for other in (theirs, vars(reread)["_lattice"]):
-                assert (other.q, other.points) == (mine.q, mine.points)
-            assert dom.cl_candidates == reread.cl_candidates == (mine.q, mine.points[1:-1])
-            assert mine.q == math.lcm(*(c.denominator for v in dom.vertices for c in v))
+            mine, theirs = vars(dom), vars(fresh)
+            assert theirs["_points"] is not mine["_points"]
+            for other in (theirs, vars(reread)):
+                assert _by_name(other, POLYGON_LATTICE) == _by_name(mine, POLYGON_LATTICE)
+            assert dom.cl_candidates == reread.cl_candidates == (mine["_q"], mine["_points"][1:-1])
+            assert mine["_q"] == math.lcm(*(c.denominator for v in dom.vertices for c in v))
         if isinstance(dom, Rectilinear2D):
             # The union's lattice: q is the lcm of the rectangles'
             # denominators, and the grid lines and boxes are ints.
-            mine, theirs = vars(dom)["_grid"], vars(fresh)["_grid"]
-            assert theirs is not mine
+            mine, theirs = vars(dom), vars(fresh)
+            assert theirs["_boxes"] is not mine["_boxes"]
+            q, boxes = mine["_q"], mine["_boxes"]
             coords = [(r.x0, r.x1, r.y0, r.y1) for r in dom.rects]
-            assert mine.q == math.lcm(*(c.denominator for box in coords for c in box))
-            assert all(type(c) is int for c in mine.xs + mine.ys)
-            assert all(type(c) is int for box in mine.boxes for c in box)
-            assert mine.boxes == [tuple(c * mine.q for c in box) for box in coords]
-            # Equal rectangles in other forms make an equal union.
+            assert q == math.lcm(*(c.denominator for box in coords for c in box))
+            assert all(type(c) is int for c in mine["_xs"] + mine["_ys"])
+            assert all(type(c) is int for box in boxes for c in box)
+            assert boxes == [tuple(c * q for c in box) for box in coords]
+            # Equal rectangles in other forms make an equal union, and the
+            # constructor and the document path keep the same lattice.
             again = Rectilinear2D(tuple(
                 Rect(*(str(c) for c in (r.x0, r.x1, r.y0, r.y1))) for r in dom.rects
             ))
-            for other in (theirs, vars(again)["_grid"], vars(reread)["_grid"]):
-                assert (other.q, other.boxes) == (mine.q, mine.boxes)
+            kept = UNION_LATTICE + UNION_INVARIANTS
+            for other in (theirs, vars(again), vars(reread)):
+                assert _by_name(other, kept) == _by_name(mine, kept)
             assert again == dom and hash(again) == hash(dom)
             assert repr(again) == repr(dom)
             assert serialize_domain(again) == serialize_domain(dom)
@@ -593,7 +612,7 @@ def test_raising_invariant_raises_again():
         capacity_report(off_diagonal)
     # A successful read keeps its value in the instance; the class keeps
     # the descriptor.
-    for dom, name in ((shallow, "delta"), (off_diagonal, "eta"),
+    for dom, name in ((shallow, "delta"), (off_diagonal, "inclusion_bracket"),
                       (omega_a(F(3, 10)), "cube_bound")):
         value = getattr(dom, name)
         assert isinstance(vars(type(dom))[name], cached_member)

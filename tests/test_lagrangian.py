@@ -300,7 +300,7 @@ def test_lattice_witness_matches_scan_on_unions():
     stairs = []
     while len(stairs) < 40:
         dom = _two_digit_staircase(rng, rng.choice((8, 16, 24, 32)))
-        if vars(dom)["_grid"].q.bit_length() >= 60:
+        if vars(dom)["_q"].bit_length() >= 60:
             stairs.append(dom)
     unions += stairs
     unions += [_translated(dom, F(rng.randint(1, 99), rng.randint(10, 99)), F(0))

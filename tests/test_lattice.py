@@ -562,9 +562,8 @@ def test_union_lattice_matches_fraction_oracle(family):
         raw = [Rect(*(str(c) for c in (r.x0, r.x1, r.y0, r.y1))) for r in rects]
         dom = Rectilinear2D(tuple(raw) + (raw[0],))
         assert dom.rects == rects + (rects[0],)
-        grid = vars(dom)["_grid"]
-        assert grid.q == math.lcm(*(c.denominator for r in rects for c in
-                                    (r.x0, r.x1, r.y0, r.y1)))
+        assert vars(dom)["_q"] == math.lcm(*(c.denominator for r in rects for c in
+                                             (r.x0, r.x1, r.y0, r.y1)))
         levels, points = _union_probes(rects, rng)
         mine = union_lattice_answers(dom, levels, points)
         assert mine == oracle_union_answers(dom.rects, levels, points), rects
@@ -576,7 +575,7 @@ def test_union_families_reach_every_branch():
     unions = [Rectilinear2D(rects) for family in UNION_FAMILIES.values() for rects in family]
     assert {is_monotone(d) for d in unions} == {True, False}
     # q runs past 10^30 on the prime unions.
-    assert max(vars(d)["_grid"].q for d in unions) > 10**30
+    assert max(vars(d)["_q"] for d in unions) > 10**30
     # Some unions answer delta = eta, some eta > delta, and the cube
     # inclusion is capped by a gap in some column and by the extent in others.
     assert {delta(d) == eta(d) for d in unions} == {True, False}
