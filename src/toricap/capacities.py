@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .domains import Polygon2D, ToricDomain
+from .domains import Polygon2D, ToricDomain, _checked
 from .errors import DomainError, InapplicableError
-from .geometry import cube_bound, cube_inclusion, delta, eta, is_monotone
 from .lagrangian import CLCertificate, CLRule, lagrangian_capacity
 from .rationals import Interval, Value, format_rational, parse_rational
 
@@ -80,16 +79,17 @@ def capacity_report(domain: ToricDomain) -> CapacityReport:
     boundary-slope bound when its precondition holds.  The NDUC bracket
     runs from the Lagrangian lower bound to the min-coordinate radius.
     Only the names in ``sources`` are picked here; ``SOURCES`` words them.
+    The domain is checked once, and its invariants are read as members.
     """
-    d = delta(domain)
-    e = eta(domain)
-    mono = is_monotone(domain)
+    d = _checked(domain).delta  # a union off the diagonal refuses here
+    e = domain.eta
+    mono = domain.is_monotone
     cert = lagrangian_capacity(domain)
     sources = ["inscribed_cube"]
     cp_upper, cp_source = e, "min_coordinate_region"
     if isinstance(domain, Polygon2D):
         try:
-            bound = cube_bound(domain)
+            bound = domain.cube_bound
             if bound < e:
                 cp_upper, cp_source = bound, "slope_bound"
         except InapplicableError:
@@ -103,7 +103,7 @@ def capacity_report(domain: ToricDomain) -> CapacityReport:
         delta=d,
         eta=e,
         c_L=cert,
-        c_P=Interval(cube_inclusion(domain), cp_upper),
+        c_P=Interval(domain.cube_inclusion, cp_upper),
         c_N=Interval(cert.lower, e),
         monotone=mono,
         c_B=domain.inclusion_bracket,

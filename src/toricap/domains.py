@@ -28,7 +28,8 @@ is defined or, for a kind in a module of its own, by a loader that
 
 * ``kind``, ``n``, ``to_dict()``, ``from_dict(data)``, ``summary()``;
 * ``delta``, ``eta``, ``is_monotone``, ``cube_inclusion`` (read through
-  :mod:`toricap.geometry`), ``contains(p)``, ``on_boundary(p)``;
+  :mod:`toricap.geometry`, and directly by the report and the c_L rules
+  once they have checked the domain), ``contains(p)``, ``on_boundary(p)``;
 * ``inclusion_bracket`` for :mod:`toricap.capacities`: the trivial c_B/c_Z
   bracket, an ``Interval`` from a simplex inside the domain to a cylinder
   around it;
@@ -43,14 +44,16 @@ is defined or, for a kind in a module of its own, by a loader that
   chord); and the candidate fiber positions of an interval, as integer
   points over the lattice's ``q``.
 
-The invariants are ``rationals.cached_member`` members, computed at
-most once per instance and kept in the instance ``__dict__`` beside the
-fields that ``rationals.Value`` compares, hashes and shows, so equality,
-hashing, ``repr`` and serialization ignore them; a member that raises
-caches nothing and raises again.  A planar kind's constructor keeps its
-integer lattice there too, under private names (a polygon's ``_q``,
-``_points`` and ``_edges``), and so do the invariants a union's painting
-pass computes anyway.  All types are immutable values.
+Every invariant is kept in the instance ``__dict__`` beside the fields
+that ``rationals.Value`` compares, hashes and shows, so equality,
+hashing, ``repr`` and serialization ignore it.  A planar kind's
+constructor keeps its integer lattice there, under private names (a
+polygon's ``_q``, ``_points`` and ``_edges``), and the invariants its
+pass over that lattice finds: all of a polygon's but ``cube_bound``, and
+a union's ``eta``, ``is_monotone`` and ``cube_inclusion``.  The others
+are ``rationals.cached_member`` members, computed at most once per
+instance; a member that raises caches nothing and raises again.  All
+types are immutable values.
 Constructors read every rational through the one parser of
 ``rationals`` (``parse_rational``, or ``over_common_denominator`` for a
 planar lattice), and the planar ``contains`` and ``on_boundary`` coerce
@@ -171,7 +174,11 @@ def _canonical_chain(vertices) -> dict:
     Scaling by q > 0 keeps every sign, order and ratio.  The coordinates
     are read straight to integers, vertex by vertex, so the first bad
     vertex or number in chain order is refused, and every check compares
-    those integers.
+    those integers.  After the last refusal the same integers give the
+    edge halfplanes ``_halfplanes``, the tightest of them on the diagonal
+    ``_diagonal``, and the invariants ``delta``, ``eta``, ``is_monotone``,
+    ``cube_inclusion`` and ``inclusion_bracket``, each built as
+    ``Fraction``s only at the end.
     """
     vertices = as_items(vertices, DomainError, "vertices must be a sequence, got {!r}")
     refusal = "vertex is not a coordinate pair: {!r}"
@@ -224,7 +231,37 @@ def _canonical_chain(vertices) -> dict:
     for (ux, uy), (vx, vy) in zip(edges, edges[1:]):
         if ux * vy <= uy * vx:
             raise DomainError("vertex chain not convex/ordered (non-left turn)")
-    return {"_q": q, "_points": points, "_edges": edges}
+    # The region is the closed quadrant cut by the halfplanes
+    # a x + b y <= c / q, one per edge; the normal (a, b) is the edge
+    # direction turned by -90 degrees, pointing away from the region.
+    planes = tuple((dy, -dx, dy * x - dx * y) for (x, y), (dx, dy) in zip(points, edges))
+    # The diagonal ray exits through a chain edge whose outward normal has
+    # positive coordinate sum s; the tightest such edge gives
+    # delta = c / (s q), kept as the pair (c, s).
+    best = None
+    for a, b, c in planes:
+        s = a + b
+        if s > 0 and (best is None or c * best[1] < best[0] * s):
+            best = (c, s)
+    c, s = best
+    delta = Fraction(c, s * q)
+    # min(x, y) is concave, so over the convex region its maximum sits on
+    # the diagonal, at (delta, delta), or at a vertex of the chain.
+    top = max(map(min, points))
+    # By convexity the square [0, a]^2 is inside iff its corners are, and
+    # both axis corners inside pull the simplex's hypotenuse inside; the
+    # domain lies in the slab of its smaller extent.
+    side = min(points[0][0], points[-1][1])
+    lower = Fraction(side, q)
+    extent = min(max(x for x, _ in points), max(y for _, y in points))
+    return {
+        "_q": q, "_points": points, "_edges": edges, "_halfplanes": planes, "_diagonal": best,
+        "delta": delta,
+        "eta": delta if top * s <= c else Fraction(top, q),
+        "is_monotone": all(dx <= 0 and dy >= 0 for dx, dy in edges),
+        "cube_inclusion": delta if c <= side * s else lower,
+        "inclusion_bracket": Interval(lower, Fraction(extent, q)),
+    }
 
 
 def _chord(planes, level: Fraction, q: int) -> tuple:
@@ -257,14 +294,17 @@ def _chord(planes, level: Fraction, q: int) -> tuple:
 class Polygon2D(ToricDomain):
     """Weakly convex planar domain, stored as its canonical boundary chain.
 
-    The constructor keeps only the chain scaled to integers over the lcm
-    q of its denominators, ``_q``, ``_points`` and ``_edges`` as
-    ``_canonical_chain`` returns them, in the instance ``__dict__``.  The
-    ``vertices`` field, the chain as ``Fraction`` pairs, is read off those
-    integers when a caller asks for it, so equality, hashing, ``repr`` and
-    serialization see the field alone.  The validation and every
-    invariant read the integers: comparisons become cross-multiplications,
-    and each answer is built as one ``Fraction``.
+    The constructor keeps what ``_canonical_chain`` returns, in the
+    instance ``__dict__``: the chain scaled to integers over the lcm q of
+    its denominators (``_q``, ``_points``, ``_edges``), its edge
+    halfplanes, and the invariants ``delta``, ``eta``, ``is_monotone``,
+    ``cube_inclusion`` and ``inclusion_bracket``, which the same pass over
+    those integers finds.  The ``vertices`` field, the chain as
+    ``Fraction`` pairs, is read off the integers when a caller asks for
+    it, so equality, hashing, ``repr`` and serialization see the field
+    alone.  ``cube_bound`` is also computed on its first read, since it
+    refuses a shallow end edge.  Every comparison is a
+    cross-multiplication, and each answer is built as one ``Fraction``.
     """
 
     vertices: tuple
@@ -288,52 +328,6 @@ class Polygon2D(ToricDomain):
     @property
     def y_intercept(self) -> Fraction:
         return Fraction(self._points[-1][1], self._q)
-
-    @cached_member
-    def _halfplanes(self) -> tuple:
-        # The region is the closed quadrant cut by the halfplanes
-        # a x + b y <= c / q, one per edge; the normal (a, b) is the edge
-        # direction turned by -90 degrees, pointing away from the region.
-        return tuple(
-            (dy, -dx, dy * x - dx * y)
-            for (x, y), (dx, dy) in zip(self._points, self._edges)
-        )
-
-    @cached_member
-    def _diagonal(self) -> tuple:
-        # The diagonal ray exits through a chain edge whose outward normal
-        # has positive coordinate sum s; the tightest such edge gives
-        # delta = c / (s q), kept here as the pair (c, s).
-        best = None
-        for a, b, c in self._halfplanes:
-            s = a + b
-            if s > 0 and (best is None or c * best[1] < best[0] * s):
-                best = (c, s)
-        return best
-
-    @cached_member
-    def delta(self) -> Fraction:
-        c, s = self._diagonal
-        return Fraction(c, s * self._q)
-
-    @cached_member
-    def eta(self) -> Fraction:
-        # min(x, y) is concave, so over the convex region its maximum sits
-        # on the diagonal, at (delta, delta), or at a vertex of the chain.
-        c, s = self._diagonal
-        top = max(min(p) for p in self._points)
-        return self.delta if top * s <= c else Fraction(top, self._q)
-
-    @cached_member
-    def is_monotone(self) -> bool:
-        return all(dx <= 0 and dy >= 0 for dx, dy in self._edges)
-
-    @cached_member
-    def cube_inclusion(self) -> Fraction:
-        # By convexity the square [0, a]^2 is inside iff its corners are.
-        c, s = self._diagonal
-        side = min(self._points[0][0], self._points[-1][1])
-        return self.delta if c <= side * s else Fraction(side, self._q)
 
     def support(self, v) -> Fraction:
         """Max of v . p over the chain, for a nonzero integer pair ``v``."""
@@ -391,15 +385,6 @@ class Polygon2D(ToricDomain):
                 "tangent-slope condition fails: both end edges must satisfy dx <= dy"
             )
         return Fraction(self._points[0][0] + self._points[-1][1], 2 * self._q)
-
-    @cached_member
-    def inclusion_bracket(self) -> Interval:
-        # By convexity both axis corners inside pull the simplex's
-        # hypotenuse inside; the domain lies in the slab of its smaller extent.
-        points = self._points
-        side = min(points[0][0], points[-1][1])
-        top = min(max(x for x, _ in points), max(y for _, y in points))
-        return Interval(Fraction(side, self._q), Fraction(top, self._q))
 
     def _least_slack(self, p) -> int:
         # With p = (xn / xd, yn / yd), the slacks of x >= 0, y >= 0 and of

@@ -39,14 +39,16 @@ combinatorial model under its bounds.
 
 That certificate is in doubt (ROADMAP item 20).  The hypothesis of the
 theorem cannot be read in this repository, which holds the paper's
-abstract alone, and two rows contradict the bound.  An open
+abstract alone, and three rows contradict the bound.  An open
 parallelogram p + A(0, s)^2 with A in GL(2, Z) inside the domain holds a
 polydisk P(s, s), so c_P >= s; yet ``cube_bound`` is 1/5 on Omega_{2/5},
 which holds the parallelogram with corner (0, 1/10), basis (1, 0),
-(1, 1) and side 3/10, and 1/10 on the strip polygon (1/10, 0),
+(1, 1) and side 3/10, 1/10 on the strip polygon (1/10, 0),
 (2, 19/10), (19/10, 2), (0, 1/10), which holds the one with corner
-(1/2, 119/200), the same basis and side 19/100.  Strict xfails in
-``tests/test_capacities.py`` pin both rows.
+(1/2, 119/200), the same basis and side 19/100, and 7/20 on the chain
+(11/20, 0), (5/4, 7/5), (0, 3/20), which holds the one with corner
+(53/50, 6/5), basis (-1, -2), (-1, -1) and side 2/5.  Strict xfails in
+``tests/test_capacities.py`` pin the three rows.
 """
 
 from __future__ import annotations

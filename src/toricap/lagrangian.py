@@ -42,7 +42,6 @@ from fractions import Fraction
 
 from .domains import ToricDomain, _checked
 from .errors import DomainError, InapplicableError
-from .geometry import delta, eta, is_monotone
 from .rationals import Interval, as_items, is_count, over_common_denominator, parse_rational
 
 
@@ -174,15 +173,17 @@ class CLCertificate(Interval):
         return None if self.rule is CLRule.INTERVAL_ONLY else self.lower
 
 
+# The rules read the domain's members directly: ``lagrangian_capacity``
+# has checked the domain before it calls them.
 def _monotone_diagonal(domain) -> tuple | None:
-    return (delta(domain),) * domain.n if is_monotone(domain) else None
+    return (domain.delta,) * domain.n if domain.is_monotone else None
 
 
 def _eta_on_boundary(domain) -> tuple | None:
     # (eta, eta) lies in the domain iff delta reaches eta, and then on its
     # boundary, since no domain point has a larger smallest coordinate.
-    e = eta(domain)
-    return (e, e) if delta(domain) == e else None
+    e = domain.eta
+    return (e, e) if domain.delta == e else None
 
 
 def _lattice_witness(domain) -> tuple | None:
@@ -197,7 +198,7 @@ def _lattice_witness(domain) -> tuple | None:
     is read only when the row has no witness.  Only the witness is a
     ``Fraction``.
     """
-    e = eta(domain)
+    e = domain.eta
     en, ed = e.numerator, e.denominator
     for across in (False, True):
         s, slices = domain.cl_slices(e, across)
@@ -246,8 +247,8 @@ def lagrangian_capacity(domain: ToricDomain) -> CLCertificate:
     # ``a_min_closed`` gcd(X, Y) / q; the diagonal point's is delta.
     q, points = domain.cl_candidates
     best = max((math.gcd(x, y) for x, y in points), default=0)
-    lower = max(delta(domain), Fraction(best, q))
-    return CLCertificate(lower, eta(domain), CLRule.INTERVAL_ONLY, None)
+    lower = max(domain.delta, Fraction(best, q))
+    return CLCertificate(lower, domain.eta, CLRule.INTERVAL_ONLY, None)
 
 
 def cube_normalized_value(domain: ToricDomain) -> Fraction:
@@ -257,8 +258,8 @@ def cube_normalized_value(domain: ToricDomain) -> Fraction:
     min-coordinate region at the diagonal radius, so the value is delta.
     Refuses non-monotone domains rather than guessing.
     """
-    if not is_monotone(domain):
+    if not _checked(domain).is_monotone:
         raise InapplicableError(
             "domain is not monotone: the cube-normalized collapse does not apply"
         )
-    return delta(domain)
+    return domain.delta

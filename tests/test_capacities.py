@@ -162,6 +162,9 @@ ITEM_20_ROWS = {
     "omega_2/5": (omega_a(F(2, 5)), (F(0), F(1, 10)), ((1, 0), (1, 1)), F(3, 10)),
     "strip": (Polygon2D((("1/10", "0"), ("2", "19/10"), ("19/10", "2"), ("0", "1/10"))),
               (F(1, 2), F(119, 200)), ((1, 0), (1, 1)), F(19, 100)),
+    # The chain of ``make_weakly_convex_polygon`` at seed 92; c_P <= 7/20.
+    "seed_92": (Polygon2D((("11/20", "0"), ("5/4", "7/5"), ("0", "3/20"))),
+                (F(53, 50), F(6, 5)), ((-1, -2), (-1, -1)), F(2, 5)),
 }
 ITEM_20_REASON = ("ROADMAP item 20: the slope bound caps c_P below a unimodular "
                   "parallelogram that lies in the domain")

@@ -978,6 +978,19 @@ def test_found_runaway_searches_return_a_witness(om310):
         assert verify_witness(source, target, report.witness, alpha)
 
 
+@pytest.mark.xfail(strict=True, raises=DeadlinePassed,
+                   reason="ROADMAP item 2: a search has no budget, and its cost "
+                          "grows with the test set's index")
+def test_search_cost_does_not_grow_with_the_index(om310):
+    # The half square into Omega_{3/10} with e(N, 1) returns a witness
+    # after one factorization and one enumeration at N = 25 and 30 (0.35 s
+    # and 0.7 s on a 2-vCPU machine), but at N = 100 it runs past a minute.
+    alpha = parse_orbit_set("e(100,1)")
+    with deadline(2):
+        report = obstruction_search(square_polygon(F(1, 2)), om310, alpha, vmax=2, lmax=2)
+    assert report.status is SearchStatus.FEASIBLE_WITNESS
+
+
 def test_search_names_the_inclusion(om310):
     # Each source lies in its target, or in the target's mirror for the
     # rectangles, so no test set may obstruct it.  Without a truncated

@@ -1,7 +1,9 @@
 """Support values, diagonal/min-coordinate radii, monotonicity, cube inclusion."""
 
+import copy
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -486,7 +488,8 @@ def _fields_by_name(dom) -> dict:
 
 
 # What each planar kind's constructor keeps beside its field, by name.
-POLYGON_LATTICE = ("_q", "_points", "_edges")
+POLYGON_LATTICE = ("_q", "_points", "_edges", "_halfplanes", "_diagonal")
+POLYGON_INVARIANTS = ("delta", "eta", "is_monotone", "cube_inclusion", "inclusion_bracket")
 UNION_LATTICE = ("_q", "_boxes", "_xs", "_ys", "_columns", "_diagonal")
 UNION_INVARIANTS = ("eta", "is_monotone", "cube_inclusion")
 
@@ -524,8 +527,8 @@ def test_cached_invariants_keep_value_semantics():
                 assert name in vars(dom) and name not in repr(dom)
                 assert name not in type(dom)._fields
         if isinstance(dom, Polygon2D):
-            # So is the integer lattice of the chain.
-            for name in POLYGON_LATTICE:
+            # So are the integer lattice of the chain and its invariants.
+            for name in POLYGON_LATTICE + POLYGON_INVARIANTS:
                 assert name in vars(dom) and name not in repr(dom)
                 assert name not in type(dom)._fields
                 assert name not in serialize_domain(dom)
@@ -534,11 +537,15 @@ def test_cached_invariants_keep_value_semantics():
         cached = {"delta"} if isinstance(dom, StandardDomain) else {
             "delta", "eta", "is_monotone", "cube_inclusion"}
         assert cached <= vars(dom).keys(), dom
-        # A union's painting pass finds three of them, so its constructor
-        # keeps those; nothing else is cached on a fresh instance.
-        stored = set(UNION_INVARIANTS) if isinstance(dom, Rectilinear2D) else set()
+        # A union's painting pass finds three of them and a polygon's chain
+        # pass all four, so their constructors keep those; nothing else is
+        # cached on a fresh instance.
+        stored = {Rectilinear2D: set(UNION_INVARIANTS), Polygon2D: cached}.get(type(dom), set())
         fresh = type(dom)(**_fields_by_name(dom))  # same fields, nothing read yet
         assert vars(fresh).keys() & cached == stored
+        if isinstance(dom, Polygon2D):
+            # A fresh polygon holds exactly what its constructor keeps.
+            assert vars(fresh).keys() == {*POLYGON_LATTICE, *POLYGON_INVARIANTS}
         assert fresh == dom and hash(fresh) == hash(dom), dom
         assert repr(fresh) == repr(dom)
         assert serialize_domain(fresh) == serialize_domain(dom)
@@ -554,8 +561,11 @@ def test_cached_invariants_keep_value_semantics():
             # The lattice is a function of the field: the same q and integers.
             mine, theirs = vars(dom), vars(fresh)
             assert theirs["_points"] is not mine["_points"]
+            kept = POLYGON_LATTICE + POLYGON_INVARIANTS
             for other in (theirs, vars(reread)):
-                assert _by_name(other, POLYGON_LATTICE) == _by_name(mine, POLYGON_LATTICE)
+                assert _by_name(other, kept) == _by_name(mine, kept)
+            c, s = mine["_diagonal"]
+            assert mine["delta"] == F(c, s * mine["_q"])
             assert dom.cl_candidates == reread.cl_candidates == (mine["_q"], mine["_points"][1:-1])
             assert mine["_q"] == math.lcm(*(c.denominator for v in dom.vertices for c in v))
         if isinstance(dom, Rectilinear2D):
@@ -592,6 +602,23 @@ def test_cached_invariants_keep_value_semantics():
                 probe(dom, (F(1, 2), F(1, 2)))
 
 
+def test_stored_invariants_travel_with_the_instance():
+    # Each planar kind's constructor keeps its invariants in the instance
+    # ``__dict__``; a pickle or copy carries them, and the copy answers as
+    # the original does.
+    rng = random.Random(61)
+    domains = [make_weakly_convex_polygon(rng) for _ in range(10)]
+    domains += [make_touching_union(rng) for _ in range(5)] + [make_staircase(rng) for _ in range(5)]
+    for dom in domains:
+        kept = POLYGON_INVARIANTS if isinstance(dom, Polygon2D) else UNION_INVARIANTS
+        report = capacity_report(dom)
+        for twin in (pickle.loads(pickle.dumps(dom)), copy.copy(dom), copy.deepcopy(dom)):
+            assert type(twin) is type(dom) and twin == dom and hash(twin) == hash(dom)
+            assert _by_name(vars(twin), kept) == _by_name(vars(dom), kept)
+            assert _answers(twin) == _answers(dom)
+            assert capacity_report(twin) == report
+
+
 def test_raising_invariant_raises_again():
     # The first edge (2, 1) is shallower than the diagonal, and the union
     # misses the diagonal: each member raises on every read and caches
@@ -612,7 +639,9 @@ def test_raising_invariant_raises_again():
         capacity_report(off_diagonal)
     # A successful read keeps its value in the instance; the class keeps
     # the descriptor.
-    for dom, name in ((shallow, "delta"), (off_diagonal, "inclusion_bracket"),
+    # A polygon's other invariants are kept by its constructor, not cached.
+    assert "delta" in vars(shallow) and "delta" not in vars(Polygon2D)
+    for dom, name in ((shallow, "vertices"), (off_diagonal, "inclusion_bracket"),
                       (omega_a(F(3, 10)), "cube_bound")):
         value = getattr(dom, name)
         assert isinstance(vars(type(dom))[name], cached_member)
