@@ -155,8 +155,14 @@ def verify_xa(a: Fraction) -> XaCheck:
 # ---------------------------------------------------------------------------
 
 def _ends(iv: Interval) -> tuple:
-    """A bracket's ends as text, the upper one ``None`` when it is unbounded."""
-    return format_rational(iv.lower), None if iv.upper is None else format_rational(iv.upper)
+    """A bracket's ends as text, the upper one ``None`` when it is unbounded.
+
+    A pinched bracket's two ends are one value, formatted once.
+    """
+    lower = format_rational(iv.lower)
+    if iv.exact:
+        return lower, lower
+    return lower, None if iv.upper is None else format_rational(iv.upper)
 
 
 def _interval_to_dict(iv: Interval) -> dict:
@@ -179,6 +185,9 @@ def certificate_to_dict(cert: CLCertificate) -> dict:
 
 
 def report_to_dict(report: CapacityReport) -> dict:
+    # Every kind reports its one inclusion bracket as both c_B and c_Z, so
+    # it is formatted once; c_Z gets a dict of its own all the same.
+    c_B = _interval_to_dict(report.c_B)
     return {
         "delta": format_rational(report.delta),
         "eta": format_rational(report.eta),
@@ -186,8 +195,8 @@ def report_to_dict(report: CapacityReport) -> dict:
         "c_P": _interval_to_dict(report.c_P),
         "c_N": _interval_to_dict(report.c_N),
         "monotone": report.monotone,
-        "c_B": _interval_to_dict(report.c_B),
-        "c_Z": _interval_to_dict(report.c_Z),
+        "c_B": c_B,
+        "c_Z": c_B.copy() if report.c_Z is report.c_B else _interval_to_dict(report.c_Z),
         "notes": list(report.notes),
     }
 

@@ -13,10 +13,10 @@ disagrees), 2 an input error; failures print one machine-parsable
 
 A CLI process starts with only the domain parser, the error types and
 the rational helpers loaded; each ``_cmd_*`` imports the layers it runs
-(``info`` geometry, ``report``, ``xa`` and ``bound`` capacities,
-``obstruct`` ech, ``amin`` lagrangian), so no subcommand pays to load a
-layer that it does not use.  The parser loads the rectangle-union kind
-only when it reads a union document.
+(``report``, ``xa`` and ``bound`` capacities, ``obstruct`` ech, ``amin``
+lagrangian; ``info`` reads the domain's own members and imports none), so
+no subcommand pays to load a layer that it does not use.  The parser
+loads the rectangle-union kind only when it reads a union document.
 """
 
 from __future__ import annotations
@@ -93,13 +93,13 @@ def _parse_sweep(spec: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_info(args) -> tuple[str, int]:
-    from .geometry import delta, eta, is_monotone
-
+    # The parser returns a checked domain, so its invariants are read as
+    # members; a union off the diagonal refuses at ``delta``.
     domain = _load_domain(args.file)
     fields = {"kind": domain.kind, "n": domain.n, **domain.summary(),
-              "monotone": is_monotone(domain),
-              "delta": format_rational(delta(domain)),
-              "eta": format_rational(eta(domain))}
+              "monotone": domain.is_monotone,
+              "delta": format_rational(domain.delta),
+              "eta": format_rational(domain.eta)}
     return _lines(
         f"{key}: {str(value).lower() if isinstance(value, bool) else str(value)}"
         for key, value in fields.items()

@@ -174,11 +174,11 @@ def _canonical_chain(vertices) -> dict:
     Scaling by q > 0 keeps every sign, order and ratio.  The coordinates
     are read straight to integers, vertex by vertex, so the first bad
     vertex or number in chain order is refused, and every check compares
-    those integers.  After the last refusal the same integers give the
-    edge halfplanes ``_halfplanes``, the tightest of them on the diagonal
-    ``_diagonal``, and the invariants ``delta``, ``eta``, ``is_monotone``,
-    ``cube_inclusion`` and ``inclusion_bracket``, each built as
-    ``Fraction``s only at the end.
+    those integers.  After the last vertex refusal one walk over the
+    chain's edges refuses the first non-left turn and, from the same
+    integers, gives the edge halfplanes ``_halfplanes`` and the invariants
+    ``delta``, ``eta``, ``is_monotone``, ``cube_inclusion`` and
+    ``inclusion_bracket``, each built as ``Fraction``s only at the end.
     """
     vertices = as_items(vertices, DomainError, "vertices must be a sequence, got {!r}")
     refusal = "vertex is not a coordinate pair: {!r}"
@@ -227,40 +227,57 @@ def _canonical_chain(vertices) -> dict:
     g = math.gcd(q, *(c for p in points for c in p))
     if g > 1:
         q, points = q // g, [(x // g, y // g) for x, y in points]
-    edges = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(points, points[1:])]
-    for (ux, uy), (vx, vy) in zip(edges, edges[1:]):
-        if ux * vy <= uy * vx:
-            raise DomainError("vertex chain not convex/ordered (non-left turn)")
-    # The region is the closed quadrant cut by the halfplanes
-    # a x + b y <= c / q, one per edge; the normal (a, b) is the edge
-    # direction turned by -90 degrees, pointing away from the region.
-    planes = tuple((dy, -dx, dy * x - dx * y) for (x, y), (dx, dy) in zip(points, edges))
-    # The diagonal ray exits through a chain edge whose outward normal has
+    # One walk over the edges refuses the first non-left turn and builds
+    # the edges and the halfplanes a x + b y <= c / q that cut the region
+    # from the closed quadrant, one per edge: the normal (a, b) is the edge
+    # direction turned by -90 degrees, pointing away from the region.  The
+    # first edge climbs off the x-axis (its end has y > 0), so the axis
+    # direction (1, 0) always turns left into it.
+    # The diagonal ray exits through an edge whose outward normal has
     # positive coordinate sum s; the tightest such edge gives
-    # delta = c / (s q), kept as the pair (c, s).
-    best = None
-    for a, b, c in planes:
-        s = a + b
-        if s > 0 and (best is None or c * best[1] < best[0] * s):
-            best = (c, s)
-    c, s = best
-    delta = Fraction(c, s * q)
+    # delta = c / (s q), kept as (best_c, best_s), which starts at (1, 0)
+    # so that every such edge beats it.
     # min(x, y) is concave, so over the convex region its maximum sits on
-    # the diagonal, at (delta, delta), or at a vertex of the chain.
-    top = max(map(min, points))
+    # the diagonal, at (delta, delta), or at a vertex of the chain, the
+    # largest at a vertex being ``top``; ``right`` and ``high`` are the
+    # region's extents in x and y.
+    edges, planes = [], []
+    best_c, best_s = 1, 0
+    is_monotone = True
+    (x, y), ux, uy = points[0], 1, 0
+    top, right, high = 0, x, 0
+    for bx, by in points[1:]:
+        dx, dy = bx - x, by - y
+        if ux * dy <= uy * dx:
+            raise DomainError("vertex chain not convex/ordered (non-left turn)")
+        c, s = dy * x - dx * y, dy - dx
+        edges.append((dx, dy))
+        planes.append((dy, -dx, c))
+        if s > 0 and c * best_s < best_c * s:
+            best_c, best_s = c, s
+        if dx > 0 or dy < 0:
+            is_monotone = False
+        low = bx if bx < by else by
+        if low > top:
+            top = low
+        if bx > right:
+            right = bx
+        if by > high:
+            high = by
+        x, y, ux, uy = bx, by, dx, dy
+    delta = Fraction(best_c, best_s * q)
     # By convexity the square [0, a]^2 is inside iff its corners are, and
     # both axis corners inside pull the simplex's hypotenuse inside; the
     # domain lies in the slab of its smaller extent.
     side = min(points[0][0], points[-1][1])
     lower = Fraction(side, q)
-    extent = min(max(x for x, _ in points), max(y for _, y in points))
     return {
-        "_q": q, "_points": points, "_edges": edges, "_halfplanes": planes, "_diagonal": best,
+        "_q": q, "_points": points, "_edges": edges, "_halfplanes": tuple(planes),
         "delta": delta,
-        "eta": delta if top * s <= c else Fraction(top, q),
-        "is_monotone": all(dx <= 0 and dy >= 0 for dx, dy in edges),
-        "cube_inclusion": delta if c <= side * s else lower,
-        "inclusion_bracket": Interval(lower, Fraction(extent, q)),
+        "eta": delta if top * best_s <= best_c else Fraction(top, q),
+        "is_monotone": is_monotone,
+        "cube_inclusion": delta if best_c <= side * best_s else lower,
+        "inclusion_bracket": Interval(lower, Fraction(min(right, high), q)),
     }
 
 
@@ -442,8 +459,11 @@ def is_weakly_convex(vertices_or_polygon) -> bool:
 
     True iff the data canonicalizes into a valid convex boundary chain
     connecting the two coordinate axes.  A ``Polygon2D`` instance always
-    passes (its constructor enforced the same invariants).
+    passes (its constructor enforced the same invariants), and its chain
+    is not checked again.
     """
+    if isinstance(vertices_or_polygon, Polygon2D):
+        return True
     vertices = getattr(vertices_or_polygon, "vertices", vertices_or_polygon)
     try:
         _canonical_chain(vertices)

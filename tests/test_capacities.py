@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import random
 import re
 from fractions import Fraction
@@ -32,6 +33,8 @@ from toricap import (
 from toricap.capacities import (
     CSV_COLUMNS, SOURCES, _cl_cell, _csv_text, certificate_to_dict, report_csv_row,
 )
+from toricap.domains import STANDARD_KINDS
+from toricap.rationals import format_rational
 
 from generators import (
     make_monotone_polygon,
@@ -110,6 +113,9 @@ def test_inclusion_bracket_is_one_member_per_domain():
         report = capacity_report(dom)
         assert report.c_B is report.c_Z is dom.inclusion_bracket
         assert capacity_report(dom).c_B is report.c_B
+        # The serialized brackets are equal, but each is a dict of its own.
+        data = report_to_dict(report)
+        assert data["c_B"] == data["c_Z"] and data["c_B"] is not data["c_Z"]
 
 
 def test_report_interval_invariants():
@@ -278,6 +284,70 @@ def test_sweep_csv_columns():
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert lines[1] == "1/5,1/2,1/2,1/2,1/2,1/2,1/2,1/2,false"
     assert lines[2] == "3/10,1/2,1/2,1/2,2/5,2/5,1/2,1/2,false"
+
+
+def _reference_ends(iv) -> tuple:
+    return format_rational(iv.lower), None if iv.upper is None else format_rational(iv.upper)
+
+
+def _reference_dict(report) -> dict:
+    """``report_to_dict`` with every end of every bracket formatted on its own."""
+    def bracket(iv):
+        lower, upper = _reference_ends(iv)
+        return {"lower": lower, "upper": upper, "exact": iv.exact}
+
+    cert = report.c_L
+    lower, upper = _reference_ends(cert)
+    return {
+        "delta": format_rational(report.delta),
+        "eta": format_rational(report.eta),
+        "c_L": {
+            "value": None if cert.value is None else format_rational(cert.value),
+            "rule": cert.rule.value,
+            "witness": None if cert.witness is None else list(map(format_rational, cert.witness)),
+            "lower": lower,
+            "upper": upper,
+        },
+        "c_P": bracket(report.c_P),
+        "c_N": bracket(report.c_N),
+        "monotone": report.monotone,
+        "c_B": bracket(report.c_B),
+        "c_Z": bracket(report.c_Z),
+        "notes": list(report.notes),
+    }
+
+
+def _reference_row(report) -> list:
+    cert = report.c_L
+    lower, upper = _reference_ends(cert)
+    cl = format_rational(cert.value) if cert.value is not None else (
+        f"{lower}..{'unbounded' if upper is None else upper}")
+    return [format_rational(report.delta), format_rational(report.eta), cl,
+            *_reference_ends(report.c_P), *_reference_ends(report.c_N),
+            str(report.monotone).lower()]
+
+
+def test_serialization_matches_end_by_end_reference():
+    rng = random.Random(3801)
+    family = [(F(k, 401), omega_a(F(k, 401))) for k in range(1, 201)]
+    domains = [make(rng) for make in (make_weakly_convex_polygon, make_monotone_polygon,
+                                      make_staircase, make_touching_union) for _ in range(20)]
+    domains += [make_weakly_convex_polygon(rng, max_den=10**9) for _ in range(10)]
+    domains += [StandardDomain(kind, n, F(2, 7)) for kind in STANDARD_KINDS for n in (1, 3)]
+    rows = family + [(F(i + 1, 7), dom) for i, dom in enumerate(domains)]
+    reports = [(a, capacity_report(dom)) for a, dom in rows]
+    for _, report in reports:
+        data = report_to_dict(report)
+        assert data == _reference_dict(report)
+        assert json.dumps(data) == json.dumps(_reference_dict(report))
+        assert report_csv_row(report) == _reference_row(report)
+    assert sweep_to_csv(reports) == "".join(
+        ",".join(row) + "\n"
+        for row in [CSV_COLUMNS, *([format_rational(a), *_reference_row(r)] for a, r in reports)]
+    )
+    # Both kinds of bracket occur: pinched ones, formatted once, and open ones.
+    assert {r.c_P.exact for _, r in reports} == {True, False}
+    assert {r.c_L.value is None for _, r in reports} == {True, False}
 
 
 def test_unbounded_certificate_end_renders_alike():

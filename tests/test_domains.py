@@ -297,6 +297,22 @@ def test_is_weakly_convex_examples():
             Polygon2D(bad)
 
 
+def test_is_weakly_convex_trusts_a_polygon(monkeypatch):
+    rng = random.Random(38)
+    polygons = [omega_a(Fraction(3, 10)), square_polygon(1)]
+    polygons += [make(rng) for make in (make_weakly_convex_polygon, make_monotone_polygon)
+                 for _ in range(5)]
+    calls = []
+    chain = domains._canonical_chain
+    monkeypatch.setattr(domains, "_canonical_chain", lambda v: calls.append(v) or chain(v))
+    assert all(is_weakly_convex(p) for p in polygons)
+    assert calls == [] and not any("vertices" in vars(p) for p in polygons)
+    # Raw vertex data still gets the full check.
+    assert is_weakly_convex(polygons[0].vertices) and len(calls) == 1
+    assert not is_weakly_convex([(1, 0), (Fraction(1, 2), Fraction(1, 2)), (2, 1), (0, 1)])
+    assert len(calls) == 2
+
+
 def test_rect_validation():
     with pytest.raises(DomainError, match="degenerate"):
         Rect(Fraction(1), Fraction(1), Fraction(0), Fraction(2))

@@ -488,7 +488,7 @@ def _fields_by_name(dom) -> dict:
 
 
 # What each planar kind's constructor keeps beside its field, by name.
-POLYGON_LATTICE = ("_q", "_points", "_edges", "_halfplanes", "_diagonal")
+POLYGON_LATTICE = ("_q", "_points", "_edges", "_halfplanes")
 POLYGON_INVARIANTS = ("delta", "eta", "is_monotone", "cube_inclusion", "inclusion_bracket")
 UNION_LATTICE = ("_q", "_boxes", "_xs", "_ys", "_columns", "_diagonal")
 UNION_INVARIANTS = ("eta", "is_monotone", "cube_inclusion")
@@ -564,8 +564,10 @@ def test_cached_invariants_keep_value_semantics():
             kept = POLYGON_LATTICE + POLYGON_INVARIANTS
             for other in (theirs, vars(reread)):
                 assert _by_name(other, kept) == _by_name(mine, kept)
-            c, s = mine["_diagonal"]
-            assert mine["delta"] == F(c, s * mine["_q"])
+            # delta is c / (s q) at the tightest halfplane a x + b y <= c / q
+            # whose outward normal has a positive coordinate sum s = a + b.
+            assert mine["delta"] == min(F(c, (a + b) * mine["_q"])
+                                        for a, b, c in mine["_halfplanes"] if a + b > 0)
             assert dom.cl_candidates == reread.cl_candidates == (mine["_q"], mine["_points"][1:-1])
             assert mine["_q"] == math.lcm(*(c.denominator for v in dom.vertices for c in v))
         if isinstance(dom, Rectilinear2D):

@@ -79,8 +79,8 @@ def test_import_toricap_loads_no_layer():
 
 # Each subcommand, and the layers it loads beyond CLI_BASE.
 SUBCOMMANDS = [
-    (["info", "{omega}"], {"geometry"}),
-    # A report reads the invariants as the domain's own members.
+    # Info and a report read the invariants as the domain's own members.
+    (["info", "{omega}"], set()),
     (["report", "{omega}"], {"capacities", "lagrangian"}),
     (["xa", "--a", "1/3"], {"capacities", "lagrangian"}),
     (["bound", "{omega}"], {"capacities", "geometry", "lagrangian"}),
@@ -88,7 +88,7 @@ SUBCOMMANDS = [
       "--vmax", "2", "--lmax", "2"], {"ech", "geometry"}),
     (["amin", "--x", "2/3,1/2", "--brute", "5"], {"lagrangian"}),
     # A union document loads the union kind too; no polygon case does.
-    (["info", "{union}"], {"geometry", "unions"}),
+    (["info", "{union}"], {"unions"}),
     (["report", "{union}"], {"capacities", "lagrangian", "unions"}),
 ]
 

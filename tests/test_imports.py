@@ -1,7 +1,8 @@
 """Static hygiene: every import in the package is used, functions import
 only where a CLI subcommand or the package's name loader loads a layer,
 every module-level private name and every module-level constant is read
-by some module of the package, and only ``cli.main`` writes to stdout or stderr.
+by some module of the package, every member a planar kind's builder
+returns is read outside it, and only ``cli.main`` writes to stdout or stderr.
 
 There is no linter among the dependencies, so this scans the syntax
 trees itself.  ``from __future__`` imports are exempt from the unused
@@ -271,20 +272,23 @@ def test_constant_scan_flags_an_unread_constant():
     assert {name for name in defined if name not in read} == {"ZERO", "A"}
 
 
-def _output_sites(tree: ast.Module, skip: str | None = None) -> list:
-    """Line of every use of ``print`` and every ``sys.stdout``/``sys.stderr``
-    reference (attribute or ``from sys import``), outside the module-level
-    function named ``skip``."""
+def _outside(tree: ast.Module, skip: str | None):
+    """Every node of the tree outside the module-level function named ``skip``."""
     skipped = {
         id(node)
         for top in tree.body
         if isinstance(top, ast.FunctionDef) and top.name == skip
         for node in ast.walk(top)
     }
+    return (node for node in ast.walk(tree) if id(node) not in skipped)
+
+
+def _output_sites(tree: ast.Module, skip: str | None = None) -> list:
+    """Line of every use of ``print`` and every ``sys.stdout``/``sys.stderr``
+    reference (attribute or ``from sys import``), outside the module-level
+    function named ``skip``."""
     sites = []
-    for node in ast.walk(tree):
-        if id(node) in skipped:
-            continue
+    for node in _outside(tree, skip):
         if isinstance(node, ast.Name) and node.id == "print":
             sites.append(node.lineno)
         elif (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
@@ -316,3 +320,80 @@ def test_output_scan_flags_writers():
     )
     assert _output_sites(tree, "main") == [2, 6, 7]
     assert _output_sites(tree) == [2, 4, 4, 6, 7]
+
+
+# The functions whose returned dict a planar kind's constructor keeps in
+# its instance ``__dict__``, by module.
+MEMBER_BUILDERS = {"domains.py": "_canonical_chain", "unions.py": "_coverage"}
+
+
+def _returned_keys(tree: ast.Module, builder: str) -> dict:
+    """The string keys of the dicts that the module-level function
+    ``builder`` returns, mapped to their line."""
+    function, = (node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == builder)
+    return {
+        key.value: key.lineno
+        for node in ast.walk(function)
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict)
+        for key in node.value.keys
+        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+    }
+
+
+def _attributes_read(tree: ast.Module, skip: str | None = None) -> set:
+    """Every attribute name the tree loads, outside the module-level function ``skip``."""
+    return {node.attr for node in _outside(tree, skip)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _unread_members(trees: dict, builders: dict) -> list:
+    """``module:line key`` of each key a builder returns that no code reads
+    as an attribute outside the builder.
+
+    A private key is the kind's own, so only its module's code counts as
+    a reader; a public key is an invariant of the domain protocol, read
+    anywhere in the package.  A name that another kind stores and reads
+    (the union's ``_diagonal``) does not hide a key its own module never
+    reads.
+    """
+    unread = []
+    for module, builder in builders.items():
+        own = _attributes_read(trees[module], builder)
+        anywhere = own.union(*(_attributes_read(tree) for name, tree in trees.items()
+                               if name != module))
+        unread += [f"{module}:{line} {key}"
+                   for key, line in _returned_keys(trees[module], builder).items()
+                   if key not in (own if key.startswith("_") else anywhere)]
+    return unread
+
+
+def test_every_stored_member_is_read():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in MODULES}
+    for module, builder in MEMBER_BUILDERS.items():
+        assert {"_q", "eta"} <= _returned_keys(trees[module], builder).keys(), builder
+    unread = _unread_members(trees, MEMBER_BUILDERS)
+    assert not unread, f"members no code reads outside their builder: {unread}"
+
+
+def test_member_scan_flags_an_unread_key():
+    kind = ast.parse(
+        "def build(x):\n"
+        "    if not x:\n"
+        "        raise ValueError(x._b)\n"
+        "    return {'_a': 0, 'c': 1, '_b': 2,\n"
+        "            'd': 3}\n"
+        "class Kind:\n"
+        "    def __init__(self):\n"
+        "        self.__dict__.update(build(1))\n"
+        "    def total(self):\n"
+        "        return self._a + self.d\n"
+    )
+    other = ast.parse("def f(kind):\n    return kind.c + kind._b + kind.d\n")
+    assert _returned_keys(kind, "build") == {"_a": 4, "c": 4, "_b": 4, "d": 5}
+    # ``_b`` is read only inside the builder and in another module.
+    assert _unread_members({"kind.py": kind, "other.py": other}, {"kind.py": "build"}) == [
+        "kind.py:4 _b"]
+    assert _unread_members({"kind.py": kind}, {"kind.py": "build"}) == [
+        "kind.py:4 c", "kind.py:4 _b"]

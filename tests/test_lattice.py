@@ -298,6 +298,9 @@ REFUSALS = {
     "intermediate": [(1, 0), (F(-1, 3), F(1, 2)), (0, 1)],
     "intermediate-on-axis": [(1, 0), (0, F(1, 2)), (0, 1)],
     "turn": [(1, 0), (F(1, 2), F(1, 2)), (1, 1), (0, 1)],
+    "turn-last": [(2, 0), (2, 2), (1, 2), (0, 3)],
+    # A non-left turn before a bad vertex: the vertex is refused first.
+    "turn-then-intermediate": [(1, 0), (F(1, 2), F(1, 2)), (1, 1), (F(-1, 3), F(1, 2)), (0, 1)],
 }
 
 
