@@ -171,14 +171,18 @@ def _interval_to_dict(iv: Interval) -> dict:
 
 
 def certificate_to_dict(cert: CLCertificate) -> dict:
-    # A definite certificate's value is its lower end.
+    # A definite certificate's value is its lower end.  A proved one's is
+    # min(witness), one of the witness's own coordinates, so a coordinate
+    # that is that end reuses its text; an identity test costs less than
+    # an equality test, which would cost about what formatting does.
     lower, upper = _ends(cert)
+    end = cert.lower
     return {
         "value": None if cert.value is None else lower,
         "rule": cert.rule.value,
         "witness": None
         if cert.witness is None
-        else [format_rational(c) for c in cert.witness],
+        else [lower if c is end else format_rational(c) for c in cert.witness],
         "lower": lower,
         "upper": upper,
     }

@@ -28,8 +28,9 @@ is defined or, for a kind in a module of its own, by a loader that
 
 * ``kind``, ``n``, ``to_dict()``, ``from_dict(data)``, ``summary()``;
 * ``delta``, ``eta``, ``is_monotone``, ``cube_inclusion`` (read through
-  :mod:`toricap.geometry`, and directly by the report and the c_L rules
-  once they have checked the domain), ``contains(p)``, ``on_boundary(p)``;
+  :mod:`toricap.geometry`, and directly by the report, the c_L rules and
+  the obstruction search once they have checked the domain),
+  ``contains(p)``, ``on_boundary(p)``;
 * ``inclusion_bracket`` for :mod:`toricap.capacities`: the trivial c_B/c_Z
   bracket, an ``Interval`` from a simplex inside the domain to a cylinder
   around it;
@@ -44,16 +45,17 @@ is defined or, for a kind in a module of its own, by a loader that
   chord); and the candidate fiber positions of an interval, as integer
   points over the lattice's ``q``.
 
-Every invariant is kept in the instance ``__dict__`` beside the fields
-that ``rationals.Value`` compares, hashes and shows, so equality,
-hashing, ``repr`` and serialization ignore it.  A planar kind's
-constructor keeps its integer lattice there, under private names (a
-polygon's ``_q``, ``_points`` and ``_edges``), and the invariants its
-pass over that lattice finds: all of a polygon's but ``cube_bound``, and
-a union's ``eta``, ``is_monotone`` and ``cube_inclusion``.  The others
-are ``rationals.cached_member`` members, computed at most once per
-instance; a member that raises caches nothing and raises again.  All
-types are immutable values.
+Every kind keeps one storage rule: its constructor computes every
+invariant that cannot refuse and keeps it in the instance ``__dict__``
+beside the fields that ``rationals.Value`` compares, hashes and shows,
+so equality, hashing, ``repr`` and serialization ignore it; a planar
+kind keeps its integer lattice there too, under private names (a
+polygon's ``_q``, ``_points`` and ``_halfplanes``).  Only four members
+are ``rationals.cached_member``s, computed on their first read: the two
+that refuse, a polygon's ``cube_bound`` and a union's ``delta`` (a
+member that raises caches nothing and raises again), and the two fields
+read back off the lattice, ``vertices`` and ``rects``.  All types are
+immutable values.
 Constructors read every rational through the one parser of
 ``rationals`` (``parse_rational``, or ``over_common_denominator`` for a
 planar lattice), and the planar ``contains`` and ``on_boundary`` coerce
@@ -115,24 +117,15 @@ class StandardDomain(ToricDomain):
         a = parse_rational(a)
         if a <= 0:
             raise DomainError(f"size must be positive, got {a}")
-        self.__dict__.update(kind=kind, n=n, a=a)
-
-    @cached_member
-    def delta(self) -> Fraction:
-        # The cylinder, cube and NDUC all meet the diagonal at a.
-        return self.a / self.n if self.kind == "ball" else self.a
-
-    # The diagonal point also realizes the largest smallest coordinate and
-    # the inscribed cube of every standard region.
-    eta = cube_inclusion = property(lambda self: self.delta)
-
-    @cached_member
-    def inclusion_bracket(self) -> Interval:
-        # In the NDUC the simplex corner can ride one cylinder, and the
-        # union-of-cylinders region fits in no slab.
-        if self.kind == "nduc":
-            return Interval(self.n * self.a, None)
-        return Interval(self.a, self.a)
+        # The cylinder, cube and NDUC all meet the diagonal at a, and the
+        # diagonal point also realizes the largest smallest coordinate and
+        # the inscribed cube of every standard region.  In the NDUC the
+        # simplex corner can ride one cylinder, and the union-of-cylinders
+        # region fits in no slab.
+        delta = a / n if kind == "ball" else a
+        bracket = Interval(n * a, None) if kind == "nduc" else Interval(a, a)
+        self.__dict__.update(kind=kind, n=n, a=a, delta=delta, eta=delta, cube_inclusion=delta,
+                             inclusion_bracket=bracket)
 
     def contains(self, p):
         raise InapplicableError("membership test implemented for planar domains only")
@@ -170,7 +163,7 @@ def _canonical_chain(vertices) -> dict:
     the x-axis intercept to the y-axis intercept, scaled to integers, by
     the names a ``Polygon2D`` keeps it under: vertex i is
     ``_points[i] / _q``, q the lcm of the denominators of the chain's
-    coordinates, and ``_edges[i]`` is ``_points[i + 1] - _points[i]``.
+    coordinates.
     Scaling by q > 0 keeps every sign, order and ratio.  The coordinates
     are read straight to integers, vertex by vertex, so the first bad
     vertex or number in chain order is refused, and every check compares
@@ -228,7 +221,7 @@ def _canonical_chain(vertices) -> dict:
     if g > 1:
         q, points = q // g, [(x // g, y // g) for x, y in points]
     # One walk over the edges refuses the first non-left turn and builds
-    # the edges and the halfplanes a x + b y <= c / q that cut the region
+    # the halfplanes a x + b y <= c / q that cut the region
     # from the closed quadrant, one per edge: the normal (a, b) is the edge
     # direction turned by -90 degrees, pointing away from the region.  The
     # first edge climbs off the x-axis (its end has y > 0), so the axis
@@ -241,7 +234,7 @@ def _canonical_chain(vertices) -> dict:
     # the diagonal, at (delta, delta), or at a vertex of the chain, the
     # largest at a vertex being ``top``; ``right`` and ``high`` are the
     # region's extents in x and y.
-    edges, planes = [], []
+    planes = []
     best_c, best_s = 1, 0
     is_monotone = True
     (x, y), ux, uy = points[0], 1, 0
@@ -251,7 +244,6 @@ def _canonical_chain(vertices) -> dict:
         if ux * dy <= uy * dx:
             raise DomainError("vertex chain not convex/ordered (non-left turn)")
         c, s = dy * x - dx * y, dy - dx
-        edges.append((dx, dy))
         planes.append((dy, -dx, c))
         if s > 0 and c * best_s < best_c * s:
             best_c, best_s = c, s
@@ -272,7 +264,7 @@ def _canonical_chain(vertices) -> dict:
     side = min(points[0][0], points[-1][1])
     lower = Fraction(side, q)
     return {
-        "_q": q, "_points": points, "_edges": edges, "_halfplanes": tuple(planes),
+        "_q": q, "_points": points, "_halfplanes": tuple(planes),
         "delta": delta,
         "eta": delta if top * best_s <= best_c else Fraction(top, q),
         "is_monotone": is_monotone,
@@ -311,17 +303,15 @@ def _chord(planes, level: Fraction, q: int) -> tuple:
 class Polygon2D(ToricDomain):
     """Weakly convex planar domain, stored as its canonical boundary chain.
 
-    The constructor keeps what ``_canonical_chain`` returns, in the
-    instance ``__dict__``: the chain scaled to integers over the lcm q of
-    its denominators (``_q``, ``_points``, ``_edges``), its edge
-    halfplanes, and the invariants ``delta``, ``eta``, ``is_monotone``,
-    ``cube_inclusion`` and ``inclusion_bracket``, which the same pass over
-    those integers finds.  The ``vertices`` field, the chain as
-    ``Fraction`` pairs, is read off the integers when a caller asks for
-    it, so equality, hashing, ``repr`` and serialization see the field
-    alone.  ``cube_bound`` is also computed on its first read, since it
-    refuses a shallow end edge.  Every comparison is a
-    cross-multiplication, and each answer is built as one ``Fraction``.
+    By the storage rule of every kind, the constructor keeps what
+    ``_canonical_chain`` returns: the chain scaled to integers over the
+    lcm q of its denominators (``_q``, ``_points``), its edge halfplanes
+    and every invariant but ``cube_bound``, which refuses a shallow end
+    edge and is computed on its first read.  So is the ``vertices``
+    field, the chain as ``Fraction`` pairs read off the integers, so
+    equality, hashing, ``repr`` and serialization see the field alone.
+    Every comparison is a cross-multiplication, and each answer is built
+    as one ``Fraction``.
     """
 
     vertices: tuple
@@ -394,14 +384,15 @@ class Polygon2D(ToricDomain):
     def cube_bound(self) -> Fraction:
         # Both end edges at least diagonal-steep, direction (dx, dy) with
         # dx <= dy, make the supports of (1,-1) and (-1,1) attain exactly the
-        # two axis intercepts.  The integer edges are the chain's edges
-        # scaled by q > 0, so they compare alike.
-        (dx0, dy0), (dx1, dy1) = self._edges[0], self._edges[-1]
-        if dx0 > dy0 or dx1 > dy1:
+        # two axis intercepts.  The end edges are read off the integer
+        # chain, the chain scaled by q > 0, so they compare alike.
+        points = self._points
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = points[:2] + points[-2:]
+        if x1 - x0 > y1 - y0 or x3 - x2 > y3 - y2:
             raise InapplicableError(
                 "tangent-slope condition fails: both end edges must satisfy dx <= dy"
             )
-        return Fraction(self._points[0][0] + self._points[-1][1], 2 * self._q)
+        return Fraction(x0 + y3, 2 * self._q)
 
     def _least_slack(self, p) -> int:
         # With p = (xn / xd, yn / yd), the slacks of x >= 0, y >= 0 and of

@@ -61,7 +61,6 @@ from operator import mul
 
 from .domains import Polygon2D, _require_polygon
 from .errors import DomainError, InapplicableError
-from .geometry import delta
 from .rationals import (
     Value, as_items, as_pair, is_count, is_integer, parse_rational,
 )
@@ -836,7 +835,7 @@ def obstruction_search(
     weight = [o.v[0] + o.v[1] + 1 for o in basis]
     # The source's diagonal radius n / d and the target supports top / q,
     # all over the scale d q.
-    diagonal = delta(source)
+    diagonal = source.delta
     q, tops = target._supports(o.v for o in basis)
     scale, radius = diagonal.denominator * q, diagonal.numerator * q
     cost = [top * diagonal.denominator for top in tops]

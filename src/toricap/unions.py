@@ -115,7 +115,8 @@ def _coverage(corners: list) -> dict:
     painting pass also finds ``eta``, the largest smallest coordinate of
     a box's top-right corner, and ``_diagonal``, q times the same over
     the boxes that meet the diagonal (0 when none does); the scan of the
-    columns after it finds ``is_monotone`` and ``cube_inclusion``.
+    columns after it finds ``is_monotone`` and ``cube_inclusion``, and
+    with the grid's extents ``inclusion_bracket``.
     """
     if not corners:
         raise DomainError("rectilinear domain needs at least one rectangle")
@@ -153,9 +154,11 @@ def _coverage(corners: list) -> dict:
     # and the prefixes never grow from left to right.
     # cube: the growing square [0, a]^2 first meets an unpainted cell
     # (i, j) when a exceeds max(xs[i], ys[j]); in each column the lowest
-    # unpainted cell is the first one met.
+    # unpainted cell is the first one met.  Every box has x0 < x1 and
+    # y0 < y1, so the last grid lines are the largest x1 and y1, and the
+    # union lies in the slab of the smaller one, ``extent``.
     staircase = True
-    cube = min(xs[-1], ys[-1])
+    cube = extent = min(xs[-1], ys[-1])
     height = ny = len(ys) - 1
     for i, column in enumerate(columns):
         # The lowest unset bit: adding 1 carries through the set ones below it.
@@ -169,23 +172,26 @@ def _coverage(corners: list) -> dict:
         if h > height:
             staircase = False
         height = h
+    # The inclusion bracket is conservative for non-convex unions: the
+    # inscribed square contains the simplex of the same size.
+    inscribed = Fraction(cube, q)
     return {"_q": q, "_boxes": boxes, "_xs": xs, "_ys": ys, "_columns": columns,
             "_diagonal": diagonal, "eta": Fraction(eta, q), "is_monotone": staircase,
-            "cube_inclusion": Fraction(cube, q)}
+            "cube_inclusion": inscribed,
+            "inclusion_bracket": Interval(inscribed, Fraction(extent, q))}
 
 
 class Rectilinear2D(ToricDomain):
     """Connected union of axis-aligned rectangles touching a coordinate axis.
 
-    The constructor keeps only what ``_coverage`` returns, in the instance
-    ``__dict__``: the rectangles as integer boxes over the lcm q of their
-    denominators and the painted cell grid on them, as a polygon keeps its
-    integer chain, and the invariants ``eta``, ``is_monotone`` and
-    ``cube_inclusion``, which the painting pass computes anyway.  Every
-    other invariant, membership and boundary test reads the grid.  The
-    ``rects`` field, the rectangles as ``Rect`` values, is read off the
-    boxes when a caller asks for it, so equality, hashing and ``repr`` see
-    the field alone; ``to_dict`` formats the boxes and builds no ``Rect``.
+    By the storage rule of every kind (see :mod:`toricap.domains`), the
+    constructor keeps what ``_coverage`` returns: the rectangles as
+    integer boxes over the lcm q of their denominators, the painted cell
+    grid on them, which membership and boundary tests read, and every
+    invariant but ``delta``, which refuses a union off the diagonal and is
+    computed on its first read.  So is the ``rects`` field, the rectangles
+    as ``Rect`` values read off the boxes, so equality, hashing and
+    ``repr`` see the field alone; ``to_dict`` builds no ``Rect``.
     """
 
     rects: tuple
@@ -213,13 +219,6 @@ class Rectilinear2D(ToricDomain):
         if not self._diagonal:
             raise InapplicableError("diagonal does not meet the domain")
         return Fraction(self._diagonal, self._q)
-
-    @cached_member
-    def inclusion_bracket(self) -> Interval:
-        # Conservative for non-convex unions: the inscribed square contains
-        # the simplex of the same size.  Every box has x0 < x1 and y0 < y1,
-        # so the last grid lines are the largest x1 and y1.
-        return Interval(self.cube_inclusion, Fraction(min(self._xs[-1], self._ys[-1]), self._q))
 
     def _quadrants(self, p) -> tuple:
         """Whether each of the four cells meeting the corners of p is painted.

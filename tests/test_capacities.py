@@ -30,6 +30,7 @@ from toricap import (
     sweep_to_csv,
     verify_xa,
 )
+from toricap import capacities
 from toricap.capacities import (
     CSV_COLUMNS, SOURCES, _cl_cell, _csv_text, certificate_to_dict, report_csv_row,
 )
@@ -348,6 +349,25 @@ def test_serialization_matches_end_by_end_reference():
     # Both kinds of bracket occur: pinched ones, formatted once, and open ones.
     assert {r.c_P.exact for _, r in reports} == {True, False}
     assert {r.c_L.value is None for _, r in reports} == {True, False}
+
+
+def test_witness_reuses_the_lower_end_text(monkeypatch):
+    # The EtaOnBoundary witness of Omega_{3/10} is (1/2, 1/2), the
+    # certificate's pinched value: one format_rational call makes every
+    # string of the certificate.
+    cert = capacity_report(omega_a(F(3, 10))).c_L
+    assert cert.rule is CLRule.ETA_ON_BOUNDARY and cert.witness == (cert.lower,) * 2
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return format_rational(value)
+
+    monkeypatch.setattr(capacities, "format_rational", counting)
+    data = certificate_to_dict(cert)
+    assert calls == [F(1, 2)]
+    assert data == {"value": "1/2", "rule": "EtaOnBoundary", "witness": ["1/2", "1/2"],
+                    "lower": "1/2", "upper": "1/2"}
 
 
 def test_unbounded_certificate_end_renders_alike():

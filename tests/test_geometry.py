@@ -33,7 +33,7 @@ from toricap import (
 )
 from toricap.domains import STANDARD_KINDS
 from toricap.geometry import domain_contains, domain_on_boundary
-from toricap.rationals import cached_member
+from toricap.rationals import Interval, cached_member
 
 from generators import (
     make_monotone_polygon,
@@ -487,11 +487,14 @@ def _fields_by_name(dom) -> dict:
     return {name: getattr(dom, name) for name in type(dom)._fields}
 
 
-# What each planar kind's constructor keeps beside its field, by name.
-POLYGON_LATTICE = ("_q", "_points", "_edges", "_halfplanes")
+# What each kind's constructor keeps beside its fields, by name.
+STANDARD_INVARIANTS = ("delta", "eta", "cube_inclusion", "inclusion_bracket")
+POLYGON_LATTICE = ("_q", "_points", "_halfplanes")
 POLYGON_INVARIANTS = ("delta", "eta", "is_monotone", "cube_inclusion", "inclusion_bracket")
 UNION_LATTICE = ("_q", "_boxes", "_xs", "_ys", "_columns", "_diagonal")
-UNION_INVARIANTS = ("eta", "is_monotone", "cube_inclusion")
+UNION_INVARIANTS = ("eta", "is_monotone", "cube_inclusion", "inclusion_bracket")
+KEPT_INVARIANTS = {StandardDomain: STANDARD_INVARIANTS, Polygon2D: POLYGON_INVARIANTS,
+                   Rectilinear2D: UNION_INVARIANTS}
 
 
 def _by_name(instance_dict, names) -> tuple:
@@ -534,18 +537,20 @@ def test_cached_invariants_keep_value_semantics():
                 assert name not in serialize_domain(dom)
         answers = _answers(dom)
         # Computed once: the answers sit in the instance, beside the fields.
-        cached = {"delta"} if isinstance(dom, StandardDomain) else {
-            "delta", "eta", "is_monotone", "cube_inclusion"}
+        cached = {"delta", *KEPT_INVARIANTS[type(dom)]}
         assert cached <= vars(dom).keys(), dom
-        # A union's painting pass finds three of them and a polygon's chain
-        # pass all four, so their constructors keep those; nothing else is
-        # cached on a fresh instance.
-        stored = {Rectilinear2D: set(UNION_INVARIANTS), Polygon2D: cached}.get(type(dom), set())
+        # One rule for every kind: the constructor keeps every invariant
+        # that cannot refuse, so a fresh instance holds all of them but a
+        # union's delta, which refuses off the diagonal.
+        stored = set(KEPT_INVARIANTS[type(dom)])
         fresh = type(dom)(**_fields_by_name(dom))  # same fields, nothing read yet
         assert vars(fresh).keys() & cached == stored
-        if isinstance(dom, Polygon2D):
-            # A fresh polygon holds exactly what its constructor keeps.
-            assert vars(fresh).keys() == {*POLYGON_LATTICE, *POLYGON_INVARIANTS}
+        # A fresh instance holds exactly what its constructor keeps: a
+        # standard region's fields, or a planar kind's lattice, whose field
+        # is read back off it on first use, and the invariants.
+        base = {StandardDomain: type(dom)._fields, Polygon2D: POLYGON_LATTICE,
+                Rectilinear2D: UNION_LATTICE}[type(dom)]
+        assert vars(fresh).keys() == {*base, *stored}
         assert fresh == dom and hash(fresh) == hash(dom), dom
         assert repr(fresh) == repr(dom)
         assert serialize_domain(fresh) == serialize_domain(dom)
@@ -605,14 +610,15 @@ def test_cached_invariants_keep_value_semantics():
 
 
 def test_stored_invariants_travel_with_the_instance():
-    # Each planar kind's constructor keeps its invariants in the instance
+    # Each kind's constructor keeps its invariants in the instance
     # ``__dict__``; a pickle or copy carries them, and the copy answers as
     # the original does.
     rng = random.Random(61)
-    domains = [make_weakly_convex_polygon(rng) for _ in range(10)]
+    domains = [StandardDomain(kind, n, F(5, 7)) for kind in STANDARD_KINDS for n in (1, 3)]
+    domains += [make_weakly_convex_polygon(rng) for _ in range(10)]
     domains += [make_touching_union(rng) for _ in range(5)] + [make_staircase(rng) for _ in range(5)]
     for dom in domains:
-        kept = POLYGON_INVARIANTS if isinstance(dom, Polygon2D) else UNION_INVARIANTS
+        kept = KEPT_INVARIANTS[type(dom)]
         report = capacity_report(dom)
         for twin in (pickle.loads(pickle.dumps(dom)), copy.copy(dom), copy.deepcopy(dom)):
             assert type(twin) is type(dom) and twin == dom and hash(twin) == hash(dom)
@@ -637,18 +643,34 @@ def test_raising_invariant_raises_again():
                 getattr(dom, name)
         assert vars(dom) == before and name not in vars(dom)
     assert eta(off_diagonal) == 1  # the other invariants still answer
+    assert off_diagonal.inclusion_bracket == Interval(F(0), F(1))
     with pytest.raises(InapplicableError, match="diagonal"):
         capacity_report(off_diagonal)
     # A successful read keeps its value in the instance; the class keeps
     # the descriptor.
     # A polygon's other invariants are kept by its constructor, not cached.
     assert "delta" in vars(shallow) and "delta" not in vars(Polygon2D)
-    for dom, name in ((shallow, "vertices"), (off_diagonal, "inclusion_bracket"),
+    for dom, name in ((shallow, "vertices"), (off_diagonal, "rects"),
                       (omega_a(F(3, 10)), "cube_bound")):
         value = getattr(dom, name)
         assert isinstance(vars(type(dom))[name], cached_member)
         assert getattr(type(dom), name) is vars(type(dom))[name]
         assert vars(dom)[name] is value and getattr(dom, name) is value
+
+
+def test_only_refusing_invariants_and_lattice_fields_are_cached():
+    # The storage rule of every kind: the constructor keeps every invariant
+    # that cannot refuse, so the only members computed on first read are
+    # the two that refuse and the two fields read back off the lattice.
+    cached = {
+        f"{cls.__name__}.{name}"
+        for cls in (StandardDomain, Polygon2D, Rectilinear2D)
+        for klass in cls.__mro__
+        for name, member in vars(klass).items()
+        if isinstance(member, cached_member)
+    }
+    assert cached == {"Polygon2D.vertices", "Polygon2D.cube_bound",
+                      "Rectilinear2D.rects", "Rectilinear2D.delta"}
 
 
 @pytest.mark.parametrize(

@@ -79,13 +79,14 @@ def test_import_toricap_loads_no_layer():
 
 # Each subcommand, and the layers it loads beyond CLI_BASE.
 SUBCOMMANDS = [
-    # Info and a report read the invariants as the domain's own members.
+    # Info, a report and the obstruction search read the invariants as the
+    # domain's own members.
     (["info", "{omega}"], set()),
     (["report", "{omega}"], {"capacities", "lagrangian"}),
     (["xa", "--a", "1/3"], {"capacities", "lagrangian"}),
     (["bound", "{omega}"], {"capacities", "geometry", "lagrangian"}),
     (["obstruct", "--source", "{omega}", "--target", "{omega}", "--alpha", "e(1,1)",
-      "--vmax", "2", "--lmax", "2"], {"ech", "geometry"}),
+      "--vmax", "2", "--lmax", "2"], {"ech"}),
     (["amin", "--x", "2/3,1/2", "--brute", "5"], {"lagrangian"}),
     # A union document loads the union kind too; no polygon case does.
     (["info", "{union}"], {"unions"}),
@@ -140,8 +141,6 @@ def test_public_names_are_their_defining_objects():
     # name for it.
     assert toricap._EXPORTS["unions"] == ("Rect", "Rectilinear2D")
     assert not {"Rect", "Rectilinear2D"} & set(vars(importlib.import_module("toricap.domains")))
-    # ech imports delta from geometry: one object under three names.
-    assert importlib.import_module("toricap.ech").delta is toricap.delta
 
 
 def test_star_import_binds_every_public_name():
