@@ -171,10 +171,8 @@ def _interval_to_dict(iv: Interval) -> dict:
 
 
 def certificate_to_dict(cert: CLCertificate) -> dict:
-    # A definite certificate's value is its lower end.  A proved one's is
-    # min(witness), one of the witness's own coordinates, so a coordinate
-    # that is that end reuses its text; an identity test costs less than
-    # an equality test, which would cost about what formatting does.
+    # A definite certificate's value is its lower end; a coordinate that
+    # is that very object (see ``CLCertificate._proved``) reuses its text.
     lower, upper = _ends(cert)
     end = cert.lower
     return {

@@ -161,7 +161,11 @@ class CLCertificate(Interval):
 
     @classmethod
     def _proved(cls, rule: CLRule, witness: tuple) -> CLCertificate:
-        """The certificate pinned at min(witness), for a rule's own witness."""
+        """The certificate pinned at min(witness), for a rule's own witness.
+
+        Both ends are that coordinate itself, not a copy, so
+        ``certificate_to_dict`` formats the coordinates that are it once.
+        """
         cert = cls.__new__(cls)
         value = min(witness)
         cert.__dict__.update(lower=value, upper=value, exact=True, rule=rule, witness=witness)

@@ -173,12 +173,15 @@ def _coverage(corners: list) -> dict:
             staircase = False
         height = h
     # The inclusion bracket is conservative for non-convex unions: the
-    # inscribed square contains the simplex of the same size.
+    # inscribed square contains the simplex of the same size.  Its ends are
+    # ordered in integers already (cube only shrinks from extent), so it is
+    # stored without coercing them again.
     inscribed = Fraction(cube, q)
+    bracket = Interval.__new__(Interval)
+    bracket.__dict__.update(lower=inscribed, upper=Fraction(extent, q), exact=cube == extent)
     return {"_q": q, "_boxes": boxes, "_xs": xs, "_ys": ys, "_columns": columns,
             "_diagonal": diagonal, "eta": Fraction(eta, q), "is_monotone": staircase,
-            "cube_inclusion": inscribed,
-            "inclusion_bracket": Interval(inscribed, Fraction(extent, q))}
+            "cube_inclusion": inscribed, "inclusion_bracket": bracket}
 
 
 class Rectilinear2D(ToricDomain):

@@ -529,8 +529,7 @@ def test_from_dict_refuses_non_strings_after_equal_values(bad, zero, one):
 def test_from_dict_parse_count_on_a_staircase(monkeypatch):
     # A timing-free guard on the document path: the corners go straight to
     # the integer grid, with no parse_rational call and no Rect, until a
-    # caller reads ``rects``.  The constructor's two parse_rational calls
-    # are the inclusion bracket's, an ``Interval`` coercing its two ends.
+    # caller reads ``rects``.
     steps = 32
     xs = [Fraction(k, 7) for k in range(1, steps + 1)]
     ys = [Fraction(k, 11) for k in range(steps, 0, -1)]
@@ -553,15 +552,13 @@ def test_from_dict_parse_count_on_a_staircase(monkeypatch):
                             counting("parse_rational", module.parse_rational))
     monkeypatch.setattr(unions, "Rect", counting("Rect", unions.Rect))
     dom = Rectilinear2D.from_dict(doc)
-    bracket = Counter(parse_rational=2)
-    assert calls == bracket and "rects" not in vars(dom)
+    assert not calls and "rects" not in vars(dom)
     assert dom.summary() == {"rects": steps}
     assert dom.delta == max(min(x, y) for x, y in zip(xs, ys))
     # Serialization reads the grid's boxes too, and gives the document back.
     text = json.dumps(doc)
     assert serialize_domain(parse_domain(text)) == text
-    assert calls == bracket + bracket
-    calls.clear()
+    assert not calls
     rects = dom.rects
     # Each Rect reads its corners once, through the lattice and not parse_rational.
     assert calls == Counter(Rect=steps)
