@@ -35,7 +35,7 @@ is defined or, for a kind in a module of its own, by a loader that
   bracket, an ``Interval`` from a simplex inside the domain to a cylinder
   around it;
 * on polygons only, ``support(v)`` and ``cube_bound`` for :mod:`toricap.geometry`,
-  and ``affordable_directions(cap, vmax)`` for :mod:`toricap.ech`;
+  and ``affordable_directions(num, den, vmax)`` for :mod:`toricap.ech`;
 * ``cl_rules``, ``cl_slices(e, across)``, ``cl_candidates`` for
   :mod:`toricap.lagrangian`: the order of the Lagrangian-capacity rules;
   the closed intervals where the domain meets the line y = e (in x), or
@@ -123,7 +123,8 @@ class StandardDomain(ToricDomain):
         # simplex corner can ride one cylinder, and the union-of-cylinders
         # region fits in no slab.
         delta = a / n if kind == "ball" else a
-        bracket = Interval(n * a, None) if kind == "nduc" else Interval(a, a)
+        bracket = (Interval._ordered(n * a, None, False) if kind == "nduc"
+                   else Interval._ordered(a, a, True))
         self.__dict__.update(kind=kind, n=n, a=a, delta=delta, eta=delta, cube_inclusion=delta,
                              inclusion_bracket=bracket)
 
@@ -260,8 +261,9 @@ def _canonical_chain(vertices) -> dict:
     delta = Fraction(best_c, best_s * q)
     # By convexity the square [0, a]^2 is inside iff its corners are, and
     # both axis corners inside pull the simplex's hypotenuse inside; the
-    # domain lies in the slab of its smaller extent.
-    side = min(points[0][0], points[-1][1])
+    # domain lies in the slab of its smaller extent.  The extents are maxima
+    # over chain points that include the intercepts, so the ends are ordered.
+    side, extent = min(points[0][0], points[-1][1]), min(right, high)
     lower = Fraction(side, q)
     return {
         "_q": q, "_points": points, "_halfplanes": tuple(planes),
@@ -269,7 +271,7 @@ def _canonical_chain(vertices) -> dict:
         "eta": delta if top * best_s <= best_c else Fraction(top, q),
         "is_monotone": is_monotone,
         "cube_inclusion": delta if best_c <= side * best_s else lower,
-        "inclusion_bracket": Interval(lower, Fraction(min(right, high), q)),
+        "inclusion_bracket": Interval._ordered(lower, Fraction(extent, q), side == extent),
     }
 
 
@@ -354,12 +356,12 @@ class Polygon2D(ToricDomain):
         return self._q, [max(vx * x + vy * y for x, y in self._points)
                          for vx, vy in directions]
 
-    def affordable_directions(self, cap: Fraction, vmax: int) -> tuple:
+    def affordable_directions(self, num: int, den: int, vmax: int) -> tuple:
         """The primitive integer directions v with |v_x|, |v_y| <= vmax and
-        0 < support(v) <= cap, sorted, as ``(q, [(v_x, v_y, top)])`` with
-        ``support(v) = top / q``.
+        0 < support(v) <= num / den (den >= 1), sorted, as ``(q, [(v_x, v_y,
+        top)])`` with ``support(v) = top / q``.
 
-        With cap = N / D the test reads top * D <= N * q at every chain
+        The test reads top * den <= num * q at every chain
         point, so each row v_x gets its interval of v_y from the chain in
         integers.  A row v_x <= 0 needs v_y >= 1 for a positive support, so
         it costs at least the y-intercept, and a row v_x >= 1 at least v_x
@@ -368,7 +370,7 @@ class Polygon2D(ToricDomain):
         interval, each O(vertices).
         """
         q, points = self._q, self._points
-        budget, den = cap.numerator * q, cap.denominator
+        budget = num * q
         first = -vmax if points[-1][1] * den <= budget else 1
         last = min(vmax, budget // (points[0][0] * den))
         out = []

@@ -45,7 +45,19 @@ A search slot decides each condition of ``leq_relation`` once, in its
 enumeration: the index target is (i), the action cap (ii), and the count
 floor ``x + y - h/2 >= x' + y' + m' - 1`` (iii).  ``verify_witness`` is
 the independent replay of a witness, from the invariants of each
-factor and of each sub-product of two or more factors.
+factor and of each sub-product of two or more factors.  A slot's cap
+reaches its enumeration as an integer pair, the truncation flag compares
+the smaller intercept with the largest cap by cross-multiplying, and so
+does (ii) with the two actions' integer sums over their lattices' q.
+
+The search builds its own orbit sets past the constructors' checks
+(``CombOrbit._checked``, ``CombOrbitSet._checked``), which they meet by
+construction: an enumeration's sets take candidates in table order, so
+their factors are sorted and distinct, with primitive directions that
+have a nonnegative component, m >= 1 and hyperbolic m = 1; a witness's
+target-side factors are sub-products of the checked test set, elliptic
+and in its order; and ``_product_all`` merges checked sets, refusing a
+shared hyperbolic orbit.
 """
 
 from __future__ import annotations
@@ -108,6 +120,14 @@ class CombOrbit(Value):
             raise DomainError(f"orbit marker must be 0 or 1, got {s!r}")
         self.__dict__.update(v=(x, y), s=s, key=(x, y, s))
 
+    @classmethod
+    def _checked(cls, x: int, y: int, s: int) -> CombOrbit:
+        """The orbit of a direction and marker that meet the constructor's
+        checks already, stored without them."""
+        orbit = cls.__new__(cls)
+        orbit.__dict__.update(v=(x, y), s=s, key=(x, y, s))
+        return orbit
+
 
 def _by_key(factor):
     return factor[0].key
@@ -143,6 +163,14 @@ class CombOrbitSet(Value):
                 raise DomainError(f"repeated orbit {orbit} in orbit set")
             previous = orbit.key
         self.__dict__.update(factors=tuple(factors))
+
+    @classmethod
+    def _checked(cls, factors: tuple) -> CombOrbitSet:
+        """The orbit set of a factor tuple that meets the constructor's
+        checks already and is sorted, stored as given."""
+        alpha = cls.__new__(cls)
+        alpha.__dict__.update(factors=factors)
+        return alpha
 
     def __bool__(self):
         return bool(self.factors)
@@ -218,8 +246,13 @@ def action(domain: Polygon2D, alpha: CombOrbitSet) -> Fraction:
     """
     _require_polygon(_POLYGON_ONLY, domain)
     _require(CombOrbitSet, alpha)
+    return Fraction(*_scaled_action(domain, alpha))
+
+
+def _scaled_action(domain: Polygon2D, alpha: CombOrbitSet) -> tuple:
+    """``(n, q)``, the action of ``alpha`` being ``n / q`` over the lattice's q."""
     q, tops = domain._supports(o.v for o, _ in alpha.factors)
-    return Fraction(sum(map(mul, tops, (m for _, m in alpha.factors))), q)
+    return sum(map(mul, tops, (m for _, m in alpha.factors))), q
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +338,8 @@ def _leq_failure(source, target, alpha, alpha_prime, a, b) -> str | None:
     invariants ``a`` of ``alpha`` and ``b`` of ``alpha_prime``; else None."""
     if a.index != b.index:
         return "i"
-    if action(source, alpha) > action(target, alpha_prime):
+    (n, q), (n_prime, q_prime) = _scaled_action(source, alpha), _scaled_action(target, alpha_prime)
+    if n * q_prime > n_prime * q:
         return "ii"
     if 2 * (a.x + a.y) - a.h < 2 * (b.x + b.y + b.m - 1):
         return "iii"
@@ -316,19 +350,22 @@ def _leq_failure(source, target, alpha, alpha_prime, a, b) -> str | None:
 # Bounded enumeration of orbit sets
 # ---------------------------------------------------------------------------
 
-def _candidates(domain: Polygon2D, action_cap: Fraction, vmax: int) -> tuple:
-    """``(scale, budget, table)``: the candidates ``(x, y, s, cost)`` of
-    support ``cost / scale`` under the cap ``budget / scale``, in the
-    canonical orbit order (sorted directions, hyperbolic first).  For the
-    cap ``N / D`` and the lattice denominator ``q``, the scale is ``q * D``.
-    """
+def _checked_cap(domain: Polygon2D, action_cap: Fraction, vmax: int) -> Fraction:
+    """The action cap as a ``Fraction``, for a polygon and a direction bound >= 1."""
     _require_polygon(_POLYGON_ONLY, domain)
     if not is_count(vmax):
         raise InapplicableError(f"direction bound must be an integer >= 1, got {vmax!r}")
-    cap = parse_rational(action_cap)
-    q, directions = domain.affordable_directions(cap, vmax)
-    den = cap.denominator
-    return q * den, cap.numerator * q, [
+    return parse_rational(action_cap)
+
+
+def _candidates(domain: Polygon2D, num: int, den: int, vmax: int) -> tuple:
+    """``(scale, budget, table)``: the candidates ``(x, y, s, cost)`` of
+    support ``cost / scale`` under the cap ``budget / scale = num / den``,
+    in the canonical orbit order (sorted directions, hyperbolic first).
+    For the lattice denominator ``q``, the scale is ``q * den``.
+    """
+    q, directions = domain.affordable_directions(num, den, vmax)
+    return q * den, num * q, [
         (vx, vy, s, top * den) for vx, vy, top in directions for s in (0, 1)
     ]
 
@@ -340,7 +377,8 @@ def candidate_orbits(domain: Polygon2D, action_cap: Fraction, vmax: int):
     contributes a positive period, so they cannot occur.  Each orbit comes
     with its support, read off the table of ``_candidates`` in its order.
     """
-    scale, _, table = _candidates(domain, action_cap, vmax)
+    cap = _checked_cap(domain, action_cap, vmax)
+    scale, _, table = _candidates(domain, cap.numerator, cap.denominator, vmax)
     return [(CombOrbit((x, y), s), Fraction(cost, scale)) for x, y, s, cost in table]
 
 
@@ -353,7 +391,15 @@ def enumeration_truncated(domain: Polygon2D, action_cap: Fraction) -> bool:
     when the cap reaches the smaller intercept.
     """
     _require_polygon(_POLYGON_ONLY, domain)
-    return min(domain.x_intercept, domain.y_intercept) <= parse_rational(action_cap)
+    cap = parse_rational(action_cap)
+    return _truncated(domain, cap.numerator, cap.denominator)
+
+
+def _truncated(domain: Polygon2D, num: int, den: int) -> bool:
+    """Whether the smaller intercept of ``domain`` is at most ``num / den``,
+    for ``den >= 1``, decided on the integer chain over its q."""
+    points = domain._points
+    return min(points[0][0], points[-1][1]) * den <= num * domain._q
 
 
 def _index_form(orbits):
@@ -400,22 +446,29 @@ def enumerate_orbit_sets(
     to ``2 (x + y) - h``, since ``x + y >= 1 - vmax``, and a set within the
     cap has at most ``budget // cheapest[0]`` copies; so ``None`` stands for
     the floor ``-(vmax + 1) * (budget // cheapest[0])``, which no set misses.
-    The recursion carries ``x + y`` and ``h`` as it carries the index.  No
-    completion of a branch with budget ``r`` left adds more than ``r * g/c``
-    to ``x + y``, where ``g/c`` is the best ratio of ``x + y`` per cost among
-    the remaining candidates and the empty choice ``(0, 1)``, and ``h`` only
-    grows along a branch; so a branch with ``(2 (min_count - xy) + h) * c >
-    2 r g`` holds no set that meets the floor, and is cut.  After ``m`` copies
-    of candidate ``p`` the child's cut reads ``e > m * d``, where ``d``
-    depends on ``p`` alone and ``e`` on the branch's state, so the
-    multiplicities whose child survives it are one run with closed-form ends,
-    and only those are branched on.
+    The recursion (``_extend``) carries ``x + y`` and ``h`` as it carries
+    the index.  No completion of a branch with budget ``r`` left adds more
+    than ``r * g/c`` to ``x + y``, where ``g/c`` is the best ratio of
+    ``x + y`` per cost among the remaining candidates and the empty choice
+    ``(0, 1)``, and ``h`` only grows along a branch; so a branch with
+    ``(2 (min_count - xy) + h) * c > 2 r g`` holds no set that meets the
+    floor, and is cut.  After ``m`` copies of candidate ``p`` the child's
+    cut reads ``e > m * d``, where ``d`` depends on ``p`` alone and ``e``
+    on the branch's state, so the multiplicities whose child survives it
+    are one run with closed-form ends, and only those are branched on.
     """
-    _, budget, candidates = _candidates(domain, action_cap, vmax)
+    cap = _checked_cap(domain, action_cap, vmax)
     if not is_integer(index_target):
         raise InapplicableError(f"index target must be an integer, got {index_target!r}")
     if min_count is not None and not is_integer(min_count):
         raise InapplicableError(f"count floor must be an integer, got {min_count!r}")
+    return _orbit_sets(domain, cap.numerator, cap.denominator, index_target, vmax, min_count)
+
+
+def _orbit_sets(domain, num, den, index_target, vmax, min_count) -> Iterator[CombOrbitSet]:
+    """``enumerate_orbit_sets`` under the cap ``num / den``, ``den >= 1``,
+    for arguments that it has checked."""
+    _, budget, candidates = _candidates(domain, num, den, vmax)
     # cheapest[i]: least cost among candidates i, i+1, ...; once the
     # remaining budget is below it, every later multiplicity is 0.
     cheapest = [budget + 1] * (len(candidates) + 1)
@@ -432,57 +485,64 @@ def enumerate_orbit_sets(
         slope[i] = 2 * (x + y) * c - cost * g2
         best[i] = (2 * (x + y), cost) if 2 * (x + y) * c > g2 * cost else (g2, c)
     min_count = -(vmax + 1) * (budget // cheapest[0]) if min_count is None else min_count
-    chosen: list = []  # (candidate, multiplicity)
+    # The last entry is the branch: (candidate, multiplicity) pairs.
+    run = candidates, cheapest, best, slope, index_target, min_count, []
+    return _extend(run, 0, budget, 0, 0, 0)
 
-    def rec(i: int, remaining: int, index: int, xy: int, h: int):
-        # Twice what x + y - h/2 still lacks of the floor; h only grows.
-        short = 2 * (min_count - xy) + h
-        # Multiplicity 0 leaves the state as it is, so the run of zeros
-        # from i is walked in a loop, with each position's cut and leaf
-        # tests, up to the position k where one of them ends it.  Each
-        # position before k then branches on m >= 1, from k - 1 back to
-        # i: the order in which one call per position would yield.  The
-        # recursion goes one level deeper per nonzero multiplicity only.
-        k = i
-        while True:
-            g2, c = best[k]
-            if short * c > remaining * g2:
-                break
-            if remaining < cheapest[k]:
-                if chosen and index == index_target and short <= 0:
-                    yield CombOrbitSet(tuple(
-                        (CombOrbit((x, y), s), m) for (x, y, s, _), m in chosen
-                    ))
-                break
-            k += 1
-        for p in range(k - 1, i - 1, -1):
-            candidate = x, y, s, cost = candidates[p]
-            lo, hi, gain, h_p = 1, remaining // cost, x + y, h + 1 - s
-            if s == 0 and hi > 1:
-                # A hyperbolic candidate is taken at most once and adds 1 to h.
-                hi = 1
-            g2, c = best[p + 1]
-            e, d = (short + 1 - s) * c - remaining * g2, slope[p]
-            if d > 0:
-                lo = max(lo, -(-e // d))
-            elif d < 0:
-                hi = min(hi, e // d)
-            elif e > 0:
-                continue
-            if lo > hi:
-                continue
-            cross = 0  # sum_j m_j max(x y_j, x_j y) over the chosen candidates j
-            for (x_j, y_j, _, _), m in chosen:
-                a, b = x * y_j, x_j * y
-                cross += m * (a if a > b else b)
-            base, diagonal = gain + s + 2 * cross, x * y
-            for m in range(lo, hi + 1):
-                chosen.append((candidate, m))
-                yield from rec(p + 1, remaining - m * cost, index + m * (base + m * diagonal),
-                               xy + m * gain, h_p)
-                chosen.pop()
 
-    return rec(0, budget, 0, 0, 0)
+def _extend(run: tuple, i: int, remaining: int, index: int, xy: int, h: int):
+    """The sets of an enumeration ``run`` that extend its branch with
+    candidates from ``i`` on, given the branch's budget left, index,
+    ``x + y`` and ``h``; handed its tables, so no closure refers to itself."""
+    candidates, cheapest, best, slope, index_target, min_count, chosen = run
+    # Twice what x + y - h/2 still lacks of the floor; h only grows.
+    short = 2 * (min_count - xy) + h
+    # Multiplicity 0 leaves the state as it is, so the run of zeros
+    # from i is walked in a loop, with each position's cut and leaf
+    # tests, up to the position k where one of them ends it.  Each
+    # position before k then branches on m >= 1, from k - 1 back to
+    # i: the order in which one call per position would yield.  The
+    # recursion goes one level deeper per nonzero multiplicity only.
+    k = i
+    while True:
+        g2, c = best[k]
+        if short * c > remaining * g2:
+            break
+        if remaining < cheapest[k]:
+            if chosen and index == index_target and short <= 0:
+                # The branch is in table order, so its factors are sorted
+                # and distinct, with m >= 1 and hyperbolic m = 1.
+                yield CombOrbitSet._checked(tuple([
+                    (CombOrbit._checked(x, y, s), m) for (x, y, s, _), m in chosen
+                ]))
+            break
+        k += 1
+    for p in range(k - 1, i - 1, -1):
+        candidate = x, y, s, cost = candidates[p]
+        lo, hi, gain, h_p = 1, remaining // cost, x + y, h + 1 - s
+        if s == 0 and hi > 1:
+            # A hyperbolic candidate is taken at most once and adds 1 to h.
+            hi = 1
+        g2, c = best[p + 1]
+        e, d = (short + 1 - s) * c - remaining * g2, slope[p]
+        if d > 0:
+            lo = max(lo, -(-e // d))
+        elif d < 0:
+            hi = min(hi, e // d)
+        elif e > 0:
+            continue
+        if lo > hi:
+            continue
+        cross = 0  # sum_j m_j max(x y_j, x_j y) over the chosen candidates j
+        for (x_j, y_j, _, _), m in chosen:
+            a, b = x * y_j, x_j * y
+            cross += m * (a if a > b else b)
+        base, diagonal = gain + s + 2 * cross, x * y
+        for m in range(lo, hi + 1):
+            chosen.append((candidate, m))
+            yield from _extend(run, p + 1, remaining - m * cost,
+                               index + m * (base + m * diagonal), xy + m * gain, h_p)
+            chosen.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -844,7 +904,8 @@ def obstruction_search(
         return sum(ai * sum(map(mul, b, cross[i])) for i, ai in enumerate(a) if ai)
 
     def orbit_set(vec) -> CombOrbitSet:
-        return CombOrbitSet(tuple((o, c) for o, c in zip(basis, vec) if c))
+        # A sub-product of the checked test set: its orbits in their order.
+        return CombOrbitSet._checked(tuple((o, c) for o, c in zip(basis, vec) if c))
 
     # (vector, index, x' + y' + m' - 1, scaled target action), larger
     # factors first so single-factor decompositions are tried before fine
@@ -852,20 +913,6 @@ def obstruction_search(
     candidates, pruned = _sub_product_candidates(target_vec, linear, cross, weight,
                                                  cost, radius)
     max_part = max((sum(c[0]) for c in candidates), default=0)
-
-    def factorizations(start: int, remaining, slots):
-        """Each factorization of ``remaining`` into candidates from ``start``
-        on, appended to ``slots``, in depth-first order."""
-        if not any(remaining):
-            yield slots
-        # The lmax cut: no part is larger than max_part, so lmax - len(slots)
-        # more parts cannot cover a larger remainder (none can at lmax).
-        elif sum(remaining) <= (lmax - len(slots)) * max_part:
-            for i in range(start, len(candidates)):
-                vec = candidates[i][0]
-                if all(v <= r for v, r in zip(vec, remaining)):
-                    rest = tuple(r - v for r, v in zip(remaining, vec))
-                    yield from factorizations(i, rest, slots + (candidates[i],))
 
     # The slots whose matches were asked for, and the matches of each
     # (index, count, cap), which the slots of those values share.
@@ -875,13 +922,12 @@ def obstruction_search(
         asked.add(slot)
         key = index, count, cap = slot[1:]
         if key not in matches:
-            matches[key] = _Matches(enumerate_orbit_sets(
-                source, Fraction(cap, scale), index, vmax, min_count=count,
-            ))
+            matches[key] = _Matches(_orbit_sets(source, cap, scale, index, vmax, count))
         return matches[key]
 
     explored, witness = 0, None
-    for explored, slots in enumerate(factorizations(0, target_vec, ()), 1):
+    walk = _factorizations(candidates, lmax, max_part, 0, target_vec, ())
+    for explored, slots in enumerate(walk, 1):
         vecs = [s[0] for s in slots]
         cr_p = [[vector_cross(a, b) for b in vecs] for a in vecs]
         # A subset's index is its slots' indexes plus twice its pairs'
@@ -897,7 +943,8 @@ def obstruction_search(
             continue
         picked = next(_assignments(options, vecs, cr_p), None)
         if picked is not None:
-            witness = SearchWitness(_product_all(picked), picked, tuple(map(orbit_set, vecs)))
+            witness = SearchWitness(alpha=_product_all(picked), alpha_factors=picked,
+                                    alpha_prime_factors=tuple(map(orbit_set, vecs)))
             break
 
     if witness is not None and not verify_witness(source, target, witness, alpha_prime):
@@ -914,33 +961,52 @@ def obstruction_search(
         factors_pruned=pruned,
         factorizations_explored=explored,
         enumerations_run=len(asked),
-        enumeration_truncated=enumeration_truncated(source, Fraction(largest_cap, scale)),
+        enumeration_truncated=_truncated(source, largest_cap, scale),
     )
+
+    def report(status, obstructed_a=None, reason=None) -> SearchReport:
+        return SearchReport(status=status, witness=witness, bounds_used=bounds,
+                            obstructed_a=obstructed_a, reason=reason)
+
     if witness is not None:
-        return SearchReport(SearchStatus.FEASIBLE_WITNESS, witness, bounds, None)
+        return report(SearchStatus.FEASIBLE_WITNESS)
     if bounds.enumeration_truncated:
-        return SearchReport(SearchStatus.INCONCLUSIVE, None, bounds, None)
+        return report(SearchStatus.INCONCLUSIVE)
     v = source.vertices
     # Both polygons are convex and hold the origin, so the source lies in the
     # target, or in its mirror (x, y) -> (y, x), iff its chain vertices do.
     if any(all(map(target.contains, c)) for c in (v, [p[::-1] for p in v])):
-        return SearchReport(SearchStatus.INCONCLUSIVE, None, bounds, None,
-                            "the source lies in the target or in its mirror "
-                            "(x, y) -> (y, x), so it embeds")
+        return report(SearchStatus.INCONCLUSIVE, reason="the source lies in the target or in "
+                      "its mirror (x, y) -> (y, x), so it embeds")
     # A factor that costs nothing in the target backs no claim: with such
     # factors the model obstructs E(1,4) -> B(3), which embeds.
     for orbit, top in zip(basis, tops):
         if top <= 0:
             x, y = orbit.v
-            return SearchReport(SearchStatus.INCONCLUSIVE, None, bounds, None,
-                                f"factor e({x},{y}) of the test set has target support "
-                                f"{Fraction(top, q)} <= 0, so the model backs no claim")
+            return report(SearchStatus.INCONCLUSIVE,
+                          reason=f"factor e({x},{y}) of the test set has target support "
+                          f"{Fraction(top, q)} <= 0, so the model backs no claim")
     # A moment-square source [0, a]^2 names the cube size a that is obstructed.
     a = v[0][0]
     square = v == ((a, 0), (a, a), (0, a))
-    return SearchReport(
-        SearchStatus.INFEASIBLE_WITHIN_BOUNDS, None, bounds, a if square else None
-    )
+    return report(SearchStatus.INFEASIBLE_WITHIN_BOUNDS, a if square else None)
+
+
+def _factorizations(candidates, lmax: int, max_part: int, start: int, remaining, slots):
+    """Each factorization of ``remaining`` into candidates from ``start``
+    on, appended to ``slots``, in depth-first order, up to ``lmax`` slots;
+    no candidate has more than ``max_part`` factors."""
+    if not any(remaining):
+        yield slots
+    # The lmax cut: no part is larger than max_part, so lmax - len(slots)
+    # more parts cannot cover a larger remainder (none can at lmax).
+    elif sum(remaining) <= (lmax - len(slots)) * max_part:
+        for i in range(start, len(candidates)):
+            vec = candidates[i][0]
+            if all(v <= r for v, r in zip(vec, remaining)):
+                rest = tuple(r - v for r, v in zip(remaining, vec))
+                yield from _factorizations(candidates, lmax, max_part, i, rest,
+                                           slots + (candidates[i],))
 
 
 def _product_all(sets) -> CombOrbitSet:
@@ -950,7 +1016,7 @@ def _product_all(sets) -> CombOrbitSet:
     multiplicities adding.  Each set passed the constructor's checks, so
     the merged factors pass them too unless two sets share a hyperbolic
     orbit; that alone is refused here, and the factors are stored as
-    merged.
+    merged (``CombOrbitSet._checked``).
     """
     merged = []
     for orbit, m in sorted((f for s in sets for f in s.factors), key=_by_key):
@@ -960,6 +1026,4 @@ def _product_all(sets) -> CombOrbitSet:
             merged[-1] = (orbit, merged[-1][1] + m)
         else:
             merged.append((orbit, m))
-    product = CombOrbitSet.__new__(CombOrbitSet)
-    product.__dict__["factors"] = tuple(merged)
-    return product
+    return CombOrbitSet._checked(tuple(merged))

@@ -292,7 +292,9 @@ class Interval(Value):
     Both ends are coerced through ``parse_rational``.  The constructor
     orders the ends once, in integers, and keeps ``exact`` as a plain
     ``bool`` in the instance ``__dict__`` beside the fields, so it takes
-    no part in equality, hashing or ``repr``.
+    no part in equality, hashing or ``repr``.  A domain constructor whose
+    ends are ``Fraction``s it has already ordered in integers stores its
+    bracket through ``_ordered`` instead.
     """
 
     lower: Fraction
@@ -311,3 +313,14 @@ class Interval(Value):
                 raise ValueError(f"empty interval [{lower}, {upper}]")
             exact = left == right
         self.__dict__.update(lower=lower, upper=upper, exact=exact)
+
+    @classmethod
+    def _ordered(cls, lower: Fraction, upper: Fraction | None, exact: bool) -> Interval:
+        """The bracket of ``Fraction`` ends that the caller has ordered,
+        ``exact`` saying whether they are equal, stored without a check.
+
+        It equals the bracket that the constructor builds from the same ends.
+        """
+        bracket = cls.__new__(cls)
+        bracket.__dict__.update(lower=lower, upper=upper, exact=exact)
+        return bracket

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import itertools
 import math
 import pickle
@@ -726,8 +727,7 @@ def _child_calls(run):
     """Runs ``run()`` and returns the calls of the enumeration's recursion
     below the first one of each enumeration, and how many of them the count
     cut ends on entry."""
-    rec = next(c for c in ech.enumerate_orbit_sets.__code__.co_consts
-               if getattr(c, "co_name", None) == "rec")
+    rec = ech._extend.__code__
     seen, counts = set(), Counter()
 
     def profile(frame, event, arg):
@@ -736,11 +736,12 @@ def _child_calls(run):
             return
         seen.add(frame)
         f = frame.f_locals
-        if f["chosen"]:  # a child: the first call of an enumeration has chosen nothing
+        candidates, *_, min_count, chosen = f["run"]
+        if chosen:  # a child: the first call of an enumeration has chosen nothing
             # The best gain x + y per cost among the candidates left, or 0.
-            rate = max([F(0)] + [F(x + y, cost) for x, y, _, cost in f["candidates"][f["i"]:]])
+            rate = max([F(0)] + [F(x + y, cost) for x, y, _, cost in candidates[f["i"]:]])
             counts["calls"] += 1
-            counts["cut"] += 2 * (f["min_count"] - f["xy"]) + f["h"] > 2 * f["remaining"] * rate
+            counts["cut"] += 2 * (min_count - f["xy"]) + f["h"] > 2 * f["remaining"] * rate
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -1230,6 +1231,71 @@ def test_search_randomized_witnesses_reverify():
     assert found >= 3  # the identity embedding yields plenty of witnesses
 
 
+def _rebuilds_alike(alpha):
+    """Whether an orbit set, and each of its orbits, equals its rebuild
+    through the public constructors, keys included."""
+    return CombOrbitSet(alpha.factors) == alpha and all(
+        CombOrbit(o.v, o.s) == o and o.key == (*o.v, o.s) for o, _ in alpha.factors
+    )
+
+
+def test_unchecked_builds_equal_their_checked_rebuilds():
+    # The enumeration yields, and a search's witness holds, orbit sets and
+    # orbits built without the constructors' checks; each is the value that
+    # the constructors build from its factors, in their order.
+    rng = random.Random(2040)
+    makers = (lambda r: omega_a(F(r.randint(1, 11), 24)),
+              lambda r: square_polygon(F(r.randint(1, 8), 4)),
+              make_weakly_convex_polygon)
+    yielded = witnesses = 0
+    with deadline(30):
+        for _ in range(150):
+            dom = rng.choice(makers)(rng)
+            cap = min(dom.x_intercept, dom.y_intercept) * F(rng.randint(8, 40), 8)
+            floor = rng.choice((None, -1, 0, 1, 2))
+            for alpha in enumerate_orbit_sets(dom, cap, rng.randint(0, 12), rng.randint(1, 3),
+                                              min_count=floor):
+                assert _rebuilds_alike(alpha), alpha
+                yielded += 1
+        for _ in range(150):
+            dom = rng.choice(makers)(rng)
+            alpha = make_orbit_set(rng, vmax=2, max_mult=2, elliptic_only=True, max_size=2)
+            if orbit_invariants(alpha).index <= 0:
+                continue
+            witness = obstruction_search(dom, dom, alpha, rng.randint(1, 2), 2).witness
+            if witness is not None:
+                witnesses += 1
+                for beta in (witness.alpha, *witness.alpha_factors, *witness.alpha_prime_factors):
+                    assert _rebuilds_alike(beta), beta
+    assert yielded >= 1000 and witnesses >= 30, (yielded, witnesses)
+
+
+def test_a_search_leaves_no_reference_cycles(om310):
+    # The enumeration's recursion and the factorization walk are
+    # module-level generators handed their tables, so a search frees what
+    # it built by reference counting alone and leaves the cyclic collector
+    # nothing: a small search, a half-cube search and the two d = 3
+    # inclusion searches.
+    half, d3 = square_polygon(F(1, 2)), parse_orbit_set("e(1,-1)^3 * e(-1,1)^3 * e(1,1)^2")
+    searches = [
+        (om310, om310, parse_orbit_set("e(1,1) * e(0,1)"), 2, 2),
+        (half, om310, parse_orbit_set("e(1,-1)^30 * e(-1,1)^30 * e(1,1)^2"), 3, 3),
+        (half, half, d3, 3, 3),
+        (square_polygon(F(2, 5)), om310, d3, 3, 3),
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        statuses = [obstruction_search(*search).status.value for search in searches]
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert statuses == ["FeasibleWitness", "InfeasibleWithinBounds",
+                        "FeasibleWitness", "FeasibleWitness"]
+
+
 def test_verify_witness_rejects_tampering(om310):
     report = obstruction_search(om310, om310, parse_orbit_set("e(1,1)"),
                                 vmax=3, lmax=3)
@@ -1420,9 +1486,8 @@ def test_lazy_matches_give_the_report_of_exhausted_slots(monkeypatch):
         return out
 
     lazy = reports(1)
-    enumerate_all = ech.enumerate_orbit_sets
-    monkeypatch.setattr(ech, "enumerate_orbit_sets",
-                        lambda *args, **kwargs: iter(list(enumerate_all(*args, **kwargs))))
+    enumerate_all = ech._orbit_sets
+    monkeypatch.setattr(ech, "_orbit_sets", lambda *args: iter(list(enumerate_all(*args))))
     compared = [(a, b) for a, b in zip(lazy, reports(0.05)) if a is not None and b is not None]
     assert all(a == b for a, b in compared)
     statuses = Counter(a.status for a, _ in compared)

@@ -2,7 +2,8 @@
 only where a CLI subcommand or the package's name loader loads a layer,
 every module-level private name and every module-level constant is read
 by some module of the package, every member a planar kind's builder
-returns is read outside it, and only ``cli.main`` writes to stdout or stderr.
+returns is read outside it, only ``cli.main`` writes to stdout or stderr,
+and a value type is built past its constructor only in its own class.
 
 There is no linter among the dependencies, so this scans the syntax
 trees itself.  ``from __future__`` imports are exempt from the unused
@@ -397,3 +398,71 @@ def test_member_scan_flags_an_unread_key():
         "kind.py:4 _b"]
     assert _unread_members({"kind.py": kind}, {"kind.py": "build"}) == [
         "kind.py:4 c", "kind.py:4 _b"]
+
+
+def _value_classes(trees) -> set:
+    """``Value`` and every class of the package derived from it, by name."""
+    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+             for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    values = {"Value"}
+    while True:
+        derived = {name for name, names in bases.items() if names & values} - values
+        if not derived:
+            return values
+        values |= derived
+
+
+def _unchecked_builds(tree: ast.Module, values: set) -> list:
+    """Line of each ``X.__new__`` call, X among ``values``, outside the
+    body of class X, and of each ``cls.__new__`` call outside every one of
+    their bodies."""
+    found = []
+
+    def visit(node, owners):
+        if isinstance(node, ast.ClassDef):
+            owners = owners | {node.name}
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "__new__" and isinstance(node.func.value, ast.Name)):
+            name = node.func.value.id
+            if name in values - owners or name == "cls" and not owners & values:
+                found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_value_types_are_built_unchecked_only_in_their_own_class():
+    # A value type built past its constructor goes through the class's own
+    # private builder (``CombOrbitSet._checked``, ``Interval._ordered``),
+    # which states why the constructor's checks hold.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in MODULES}
+    values = _value_classes(trees.values())
+    assert {"Interval", "CLCertificate", "CombOrbitSet", "Polygon2D", "SearchReport"} <= values
+    builds = {name: lines for name, tree in trees.items()
+              if (lines := _unchecked_builds(tree, values))}
+    assert not builds, f"Value subclasses built with __new__ outside their class: {builds}"
+
+
+def test_unchecked_build_scan_flags_outside_calls():
+    tree = ast.parse(
+        "class Value:\n"
+        "    pass\n"
+        "class Box(Value):\n"
+        "    @classmethod\n"
+        "    def _made(cls):\n"
+        "        return cls.__new__(cls), Box.__new__(Box)\n"
+        "class Wide(Box):\n"
+        "    def widen(self):\n"
+        "        return Box.__new__(Box)\n"
+        "class Plain:\n"
+        "    def copy(self):\n"
+        "        return Plain.__new__(Plain), cls.__new__(cls)\n"
+        "def build(cls):\n"
+        "    return Wide.__new__(Wide), cls.__new__(cls)\n"
+    )
+    values = _value_classes([tree])
+    assert values == {"Value", "Box", "Wide"}
+    assert _unchecked_builds(tree, values) == [9, 12, 14, 14]
