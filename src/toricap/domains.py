@@ -302,6 +302,19 @@ def _chord(planes, level: Fraction, q: int) -> tuple:
     return lo[1] * hi[1] * n * q, [(lo[0] * hi[1], hi[0] * lo[1])]
 
 
+def _top(points, vx: int, vy: int) -> int:
+    """``max(vx * x + vy * y)`` over a chain's integer points.  Chains are
+    a few points long, so a plain loop costs less than ``max`` over a
+    generator."""
+    x, y = points[0]
+    top = vx * x + vy * y
+    for x, y in points:
+        value = vx * x + vy * y
+        if value > top:
+            top = value
+    return top
+
+
 class Polygon2D(ToricDomain):
     """Weakly convex planar domain, stored as its canonical boundary chain.
 
@@ -353,8 +366,8 @@ class Polygon2D(ToricDomain):
         """``(q, [top])`` with ``support(v) = top / q`` for each integer pair
         ``v`` of ``directions``, unchecked, so that a caller can add
         supports as integers."""
-        return self._q, [max(vx * x + vy * y for x, y in self._points)
-                         for vx, vy in directions]
+        points = self._points
+        return self._q, [_top(points, vx, vy) for vx, vy in directions]
 
     def affordable_directions(self, num: int, den: int, vmax: int) -> tuple:
         """The primitive integer directions v with |v_x|, |v_y| <= vmax and
@@ -375,11 +388,15 @@ class Polygon2D(ToricDomain):
         last = min(vmax, budget // (points[0][0] * den))
         out = []
         for vx in range(first, last + 1):
+            top_y = vmax
             # Every chain point after the first has y > 0.
-            top_y = min(vmax, *((budget - vx * x * den) // (y * den) for x, y in points[1:]))
+            for x, y in points[1:]:
+                bound = (budget - vx * x * den) // (y * den)
+                if bound < top_y:
+                    top_y = bound
             for vy in range(1 if vx <= 0 else -vmax, top_y + 1):
                 if math.gcd(vx, vy) == 1:
-                    out.append((vx, vy, max(vx * x + vy * y for x, y in points)))
+                    out.append((vx, vy, _top(points, vx, vy)))
         return q, out
 
     @cached_member
@@ -407,6 +424,13 @@ class Polygon2D(ToricDomain):
 
     def contains(self, p) -> bool:
         return self._least_slack(p) >= 0
+
+    def _covers(self, q: int, points) -> bool:
+        """Whether the polygon holds each point ``(x / q, y / q)`` of
+        ``points``, integer pairs with x, y >= 0, read off its halfplanes
+        in integers."""
+        mine, planes = self._q, self._halfplanes
+        return all((a * x + b * y) * mine <= c * q for x, y in points for a, b, c in planes)
 
     def on_boundary(self, p) -> bool:
         return self._least_slack(p) == 0

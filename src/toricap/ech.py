@@ -49,6 +49,8 @@ factor and of each sub-product of two or more factors.  A slot's cap
 reaches its enumeration as an integer pair, the truncation flag compares
 the smaller intercept with the largest cap by cross-multiplying, and so
 does (ii) with the two actions' integer sums over their lattices' q.
+The inclusion gate reads the source's integer chain against the target's
+halfplanes (``Polygon2D._covers``).
 
 The search builds its own orbit sets past the constructors' checks
 (``CombOrbit._checked``, ``CombOrbitSet._checked``), which they meet by
@@ -478,12 +480,19 @@ def _orbit_sets(domain, num, den, index_target, vmax, min_count) -> Iterator[Com
     # slope[p]: with m copies of candidate p, the cut of the child at p + 1
     # reads e > m * slope[p], where e depends on the branch's state only.
     slope = [0] * len(candidates)
-    for i in range(len(candidates) - 1, -1, -1):
+    # Candidates i and i + 1 are one direction, hyperbolic then elliptic, so
+    # they share their gain and cost: after i + 1 takes its ratio into best,
+    # candidate i compares with an equal ratio (slope 0) or the same best.
+    for i in range(len(candidates) - 2, -1, -2):
         x, y, _, cost = candidates[i]
-        cheapest[i] = min(cost, cheapest[i + 1])
-        g2, c = best[i + 1]
-        slope[i] = 2 * (x + y) * c - cost * g2
-        best[i] = (2 * (x + y), cost) if 2 * (x + y) * c > g2 * cost else (g2, c)
+        cheapest[i] = cheapest[i + 1] = min(cost, cheapest[i + 2])
+        g2, c = best[i + 2]
+        slope[i + 1] = d = 2 * (x + y) * c - cost * g2
+        if d > 0:
+            best[i] = best[i + 1] = (2 * (x + y), cost)
+        else:
+            best[i] = best[i + 1] = g2, c
+            slope[i] = d
     min_count = -(vmax + 1) * (budget // cheapest[0]) if min_count is None else min_count
     # The last entry is the branch: (candidate, multiplicity) pairs.
     run = candidates, cheapest, best, slope, index_target, min_count, []
@@ -972,10 +981,10 @@ def obstruction_search(
         return report(SearchStatus.FEASIBLE_WITNESS)
     if bounds.enumeration_truncated:
         return report(SearchStatus.INCONCLUSIVE)
-    v = source.vertices
+    chain = source._points
     # Both polygons are convex and hold the origin, so the source lies in the
     # target, or in its mirror (x, y) -> (y, x), iff its chain vertices do.
-    if any(all(map(target.contains, c)) for c in (v, [p[::-1] for p in v])):
+    if any(target._covers(source._q, c) for c in (chain, [p[::-1] for p in chain])):
         return report(SearchStatus.INCONCLUSIVE, reason="the source lies in the target or in "
                       "its mirror (x, y) -> (y, x), so it embeds")
     # A factor that costs nothing in the target backs no claim: with such
@@ -987,9 +996,9 @@ def obstruction_search(
                           reason=f"factor e({x},{y}) of the test set has target support "
                           f"{Fraction(top, q)} <= 0, so the model backs no claim")
     # A moment-square source [0, a]^2 names the cube size a that is obstructed.
-    a = v[0][0]
-    square = v == ((a, 0), (a, a), (0, a))
-    return report(SearchStatus.INFEASIBLE_WITHIN_BOUNDS, a if square else None)
+    n = chain[0][0]
+    square = tuple(chain) == ((n, 0), (n, n), (0, n))
+    return report(SearchStatus.INFEASIBLE_WITHIN_BOUNDS, Fraction(n, source._q) if square else None)
 
 
 def _factorizations(candidates, lmax: int, max_part: int, start: int, remaining, slots):

@@ -280,6 +280,27 @@ def test_lattice_matches_fraction_oracle(chain):
                ("delta", "eta", "cube_inclusion", "inclusion_lower", "inclusion_upper"))
 
 
+def test_chain_cover_matches_contains_on_each_vertex():
+    # Polygon2D._covers reads another chain's integer points, over that
+    # chain's q, against its own halfplanes: the obstruction search's test
+    # of whether the source, or its mirror, lies in the target.  It must
+    # agree with contains on the Fraction vertices, boundary points included.
+    rng = random.Random(4040)
+    outcomes = []
+    for i, chain in enumerate(CHAINS):
+        target = Polygon2D(chain)
+        for other in CHAINS[i:i + 3]:
+            for c in (F(1), F(1, 2), F(rng.randint(1, 9), rng.randint(1, 9))):
+                source = Polygon2D([(c * x, c * y) for x, y in other])
+                for flip in (False, True):
+                    points = [p[::-1] if flip else p for p in source._points]
+                    vertices = [v[::-1] if flip else v for v in source.vertices]
+                    expected = all(map(target.contains, vertices))
+                    assert target._covers(source._q, points) == expected, (chain, other, c, flip)
+                    outcomes.append(expected)
+    assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
+
+
 def test_generated_chains_cover_both_eta_cases():
     # eta comes from the diagonal on some chains and from a vertex on others.
     kinds = {eta(Polygon2D(c)) == delta(Polygon2D(c)) for c in CHAINS}
