@@ -238,6 +238,31 @@ def test_obstruct_inclusion_prints_reason(square_half_file):
     ]
 
 
+OMEGA_310 = {"kind": "polygon2d",
+             "vertices": [["2/5", "0"], ["7/10", "3/10"], ["3/10", "7/10"], ["0", "2/5"]]}
+HALF_SQUARE = {"kind": "polygon2d", "vertices": [["1/2", "0"], ["1/2", "1/2"], ["0", "1/2"]]}
+# Each golden is the stdout of ``toricap obstruct`` on these documents; the
+# output names no file, so any path to the same documents prints it.
+OBSTRUCT_RUNS = {
+    "feasible": (OMEGA_310, OMEGA_310, "e(1,1)", 3, 3),
+    "halfcube": (HALF_SQUARE, OMEGA_310, "e(1,-1)^30 * e(-1,1)^30 * e(1,1)^2", 3, 3),
+    "inclusion": (HALF_SQUARE, HALF_SQUARE, "e(-1,0) * e(0,-1)", 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBSTRUCT_RUNS))
+def test_obstruct_golden(tmp_path, name):
+    source, target, alpha, vmax, lmax = OBSTRUCT_RUNS[name]
+    paths = []
+    for role, doc in (("source", source), ("target", target)):
+        paths.append(tmp_path / f"{role}.json")
+        paths[-1].write_text(json.dumps(doc))
+    cp = run_cli("obstruct", "--source", str(paths[0]), "--target", str(paths[1]),
+                 "--alpha", alpha, "--vmax", str(vmax), "--lmax", str(lmax))
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == (GOLDEN / f"obstruct_{name}.txt").read_text()
+
+
 def test_amin_oracle():
     cp = run_cli("amin", "--x", "1/2,1/2", "--brute", "50")
     assert cp.returncode == 0, cp.stderr
