@@ -24,7 +24,11 @@ Each kind derives from the plain base class ``ToricDomain`` and answers
 everything that depends on its kind itself, so a new kind is one new
 class plus its entry in the kind table ``_KINDS``, made where the class
 is defined or, for a kind in a module of its own, by a loader that
-``domain_from_dict`` calls on the kind's first document:
+``domain_from_dict`` calls on the kind's first document.  A kind keeps a
+member only when a caller reads it without knowing the domain's kind, or
+when two layers read it; a question that one layer asks of a domain it
+knows to be a polygon is answered in that layer, from the lattice the
+polygon keeps (``_q``, ``_points``, ``_halfplanes``).  The members:
 
 * ``kind``, ``n``, ``to_dict()``, ``from_dict(data)``, ``summary()``;
 * ``delta``, ``eta``, ``is_monotone``, ``cube_inclusion`` (read through
@@ -34,8 +38,11 @@ is defined or, for a kind in a module of its own, by a loader that
 * ``inclusion_bracket`` for :mod:`toricap.capacities`: the trivial c_B/c_Z
   bracket, an ``Interval`` from a simplex inside the domain to a cylinder
   around it;
-* on polygons only, ``support(v)`` and ``cube_bound`` for :mod:`toricap.geometry`,
-  and ``affordable_directions(num, den, vmax)`` for :mod:`toricap.ech`;
+* on polygons only, ``cube_bound`` for :mod:`toricap.geometry`, a member
+  because the polygon caches it; ``_supports(directions)``, read by
+  :mod:`toricap.geometry` and :mod:`toricap.ech`; and ``_least_slack(q,
+  points)``, the one halfplane pass behind ``contains``, ``on_boundary``
+  and the obstruction search's inclusion gate;
 * ``cl_rules``, ``cl_slices(e, across)``, ``cl_candidates`` for
   :mod:`toricap.lagrangian`: the order of the Lagrangian-capacity rules;
   the closed intervals where the domain meets the line y = e (in x), or
@@ -73,7 +80,7 @@ from fractions import Fraction
 from .errors import DomainError, InapplicableError
 from .rationals import (
     Interval, Value, as_items, as_pair, cached_member, format_rational, is_count,
-    is_integer, over_common_denominator, parse_rational,
+    over_common_denominator, parse_rational,
 )
 
 STANDARD_KINDS = ("ball", "cylinder", "cube", "nduc")
@@ -153,6 +160,12 @@ def _point(p) -> tuple:
     """A planar point as a pair of Fractions, coerced through ``parse_rational``."""
     x, y = as_pair(p, InapplicableError, "a point must be a coordinate pair, got {!r}")
     return parse_rational(x), parse_rational(y)
+
+
+def _lattice_point(p) -> tuple:
+    """``(q, [(x, y)])`` for the point p = (x / q, y / q), coerced by ``_point``."""
+    (xn, xd), (yn, yd) = (c.as_integer_ratio() for c in _point(p))
+    return xd * yd, ((xn * yd, yn * xd),)
 
 
 def _canonical_chain(vertices) -> dict:
@@ -351,53 +364,12 @@ class Polygon2D(ToricDomain):
     def y_intercept(self) -> Fraction:
         return Fraction(self._points[-1][1], self._q)
 
-    def support(self, v) -> Fraction:
-        """Max of v . p over the chain, for a nonzero integer pair ``v``."""
-        refusal = "support direction must be an integer pair, got {!r}"
-        vx, vy = as_pair(v, InapplicableError, refusal)
-        if not (is_integer(vx) and is_integer(vy)):
-            raise InapplicableError(refusal.format(v))
-        if vx == 0 and vy == 0:
-            raise InapplicableError("support direction must be nonzero")
-        q, (top,) = self._supports(((vx, vy),))
-        return Fraction(top, q)
-
     def _supports(self, directions) -> tuple:
         """``(q, [top])`` with ``support(v) = top / q`` for each integer pair
         ``v`` of ``directions``, unchecked, so that a caller can add
         supports as integers."""
         points = self._points
         return self._q, [_top(points, vx, vy) for vx, vy in directions]
-
-    def affordable_directions(self, num: int, den: int, vmax: int) -> tuple:
-        """The primitive integer directions v with |v_x|, |v_y| <= vmax and
-        0 < support(v) <= num / den (den >= 1), sorted, as ``(q, [(v_x, v_y,
-        top)])`` with ``support(v) = top / q``.
-
-        The test reads top * den <= num * q at every chain
-        point, so each row v_x gets its interval of v_y from the chain in
-        integers.  A row v_x <= 0 needs v_y >= 1 for a positive support, so
-        it costs at least the y-intercept, and a row v_x >= 1 at least v_x
-        times the x-intercept; a cap below both intercepts leaves no row.
-        The walk takes one step per row and one per direction of a row's
-        interval, each O(vertices).
-        """
-        q, points = self._q, self._points
-        budget = num * q
-        first = -vmax if points[-1][1] * den <= budget else 1
-        last = min(vmax, budget // (points[0][0] * den))
-        out = []
-        for vx in range(first, last + 1):
-            top_y = vmax
-            # Every chain point after the first has y > 0.
-            for x, y in points[1:]:
-                bound = (budget - vx * x * den) // (y * den)
-                if bound < top_y:
-                    top_y = bound
-            for vy in range(1 if vx <= 0 else -vmax, top_y + 1):
-                if math.gcd(vx, vy) == 1:
-                    out.append((vx, vy, _top(points, vx, vy)))
-        return q, out
 
     @cached_member
     def cube_bound(self) -> Fraction:
@@ -413,27 +385,29 @@ class Polygon2D(ToricDomain):
             )
         return Fraction(x0 + y3, 2 * self._q)
 
-    def _least_slack(self, p) -> int:
-        # With p = (xn / xd, yn / yd), the slacks of x >= 0, y >= 0 and of
-        # each halfplane a x + b y <= c / q, each times a positive integer
-        # (the last ones times xd yd q): the least is negative off the
-        # closed region and 0 on its boundary.
-        (xn, xd), (yn, yd) = (c.as_integer_ratio() for c in _point(p))
-        d, u, v = xd * yd, self._q * xn * yd, self._q * yn * xd
-        return min(xn, yn, *(c * d - a * u - b * v for a, b, c in self._halfplanes))
+    def _least_slack(self, q: int, points) -> int:
+        # The least slack over the points (x / q, y / q), integer pairs, of
+        # x >= 0, y >= 0 and of each halfplane a x + b y <= c / self._q, each
+        # times a positive integer: negative iff some point is off the closed
+        # region, else 0 iff one is on its boundary.  Chains are a few points
+        # long, so a plain loop costs less than ``min`` over generators.
+        mine, planes = self._q, self._halfplanes
+        least = None
+        for x, y in points:
+            slack = x if x < y else y
+            for a, b, c in planes:
+                room = c * q - (a * x + b * y) * mine
+                if room < slack:
+                    slack = room
+            if least is None or slack < least:
+                least = slack
+        return least
 
     def contains(self, p) -> bool:
-        return self._least_slack(p) >= 0
-
-    def _covers(self, q: int, points) -> bool:
-        """Whether the polygon holds each point ``(x / q, y / q)`` of
-        ``points``, integer pairs with x, y >= 0, read off its halfplanes
-        in integers."""
-        mine, planes = self._q, self._halfplanes
-        return all((a * x + b * y) * mine <= c * q for x, y in points for a, b, c in planes)
+        return self._least_slack(*_lattice_point(p)) >= 0
 
     def on_boundary(self, p) -> bool:
-        return self._least_slack(p) == 0
+        return self._least_slack(*_lattice_point(p)) == 0
 
     def cl_slices(self, e: Fraction, across: bool) -> tuple:
         # The first edge leaves the x-axis upwards and the last one reaches

@@ -36,9 +36,10 @@ grow with the denominators.  The sub-products of the test set are scanned
 a row at a time: along one factor's multiplicity the index is a quadratic
 and the action test linear, so each row's survivors are read off in
 closed form, and that phase costs one step per row plus one per survivor,
-not one per vector of the box.  A slot's enumeration reads only the
-affordable directions off the source lattice, and branches only on the
-multiplicities that its count cut on (iii) leaves open.  It has no index
+not one per vector of the box.  A slot's enumeration reads its table
+of affordable directions straight off the source's integer chain
+(``_candidates``), and branches only on the multiplicities that its
+count cut on (iii) leaves open.  It has no index
 bound, but the search runs it only as far as its witness walk reads.
 
 A search slot decides each condition of ``leq_relation`` once, in its
@@ -50,7 +51,7 @@ reaches its enumeration as an integer pair, the truncation flag compares
 the smaller intercept with the largest cap by cross-multiplying, and so
 does (ii) with the two actions' integer sums over their lattices' q.
 The inclusion gate reads the source's integer chain against the target's
-halfplanes (``Polygon2D._covers``).
+halfplanes in the pass that answers ``contains`` (``Polygon2D._least_slack``).
 
 The search builds its own orbit sets past the constructors' checks
 (``CombOrbit._checked``, ``CombOrbitSet._checked``), which they meet by
@@ -362,14 +363,33 @@ def _checked_cap(domain: Polygon2D, action_cap: Fraction, vmax: int) -> Fraction
 
 def _candidates(domain: Polygon2D, num: int, den: int, vmax: int) -> tuple:
     """``(scale, budget, table)``: the candidates ``(x, y, s, cost)`` of
-    support ``cost / scale`` under the cap ``budget / scale = num / den``,
-    in the canonical orbit order (sorted directions, hyperbolic first).
-    For the lattice denominator ``q``, the scale is ``q * den``.
-    """
-    q, directions = domain.affordable_directions(num, den, vmax)
-    return q * den, num * q, [
-        (vx, vy, s, top * den) for vx, vy, top in directions for s in (0, 1)
-    ]
+    support ``cost / scale`` under the cap ``budget / scale = num / den``
+    (den >= 1), both markers of each primitive direction with |x|, |y| <=
+    vmax and positive support, in the canonical orbit order (sorted
+    directions, hyperbolic first); the scale is ``q * den``, q the lattice's."""
+    q, points = domain._q, domain._points
+    budget = num * q
+    # A row x <= 0 needs y >= 1 for a positive support, so it costs at least
+    # the y-intercept, and a row x >= 1 at least x times the x-intercept.
+    first = -vmax if points[-1][1] * den <= budget else 1
+    last = min(vmax, budget // (points[0][0] * den))
+    directions = []
+    for x in range(first, last + 1):
+        # Each chain point p after the first (p_y > 0) bounds y by
+        # x p_x + y p_y <= num / den, in integers over q den.
+        top_y = vmax
+        for px, py in points[1:]:
+            bound = (budget - x * px * den) // (py * den)
+            if bound < top_y:
+                top_y = bound
+        for y in range(1 if x <= 0 else -vmax, top_y + 1):
+            if math.gcd(x, y) == 1:
+                directions.append((x, y))
+    _, tops = domain._supports(directions)
+    table = []
+    for (x, y), top in zip(directions, tops):
+        table += ((x, y, 0, top * den), (x, y, 1, top * den))
+    return q * den, budget, table
 
 
 def candidate_orbits(domain: Polygon2D, action_cap: Fraction, vmax: int):
@@ -984,7 +1004,7 @@ def obstruction_search(
     chain = source._points
     # Both polygons are convex and hold the origin, so the source lies in the
     # target, or in its mirror (x, y) -> (y, x), iff its chain vertices do.
-    if any(target._covers(source._q, c) for c in (chain, [p[::-1] for p in chain])):
+    if any(target._least_slack(source._q, c) >= 0 for c in (chain, [p[::-1] for p in chain])):
         return report(SearchStatus.INCONCLUSIVE, reason="the source lies in the target or in "
                       "its mirror (x, y) -> (y, x), so it embeds")
     # A factor that costs nothing in the target backs no claim: with such

@@ -25,9 +25,10 @@ The quantities computed here are:
 Everything is answered by the domain's own kind: each function checks
 its argument (a ``ToricDomain``, else ``DomainError``; a polygon for
 ``support`` and the two cube bounds, else ``InapplicableError``) and
-reads the member of the same name (see :mod:`toricap.domains` for the
-protocol).  Everything is evaluated in exact rational arithmetic: for
-these shape classes all suprema are attained at vertices, edge
+reads the member of the same name, or ``support`` checks its direction
+and reads the polygon's ``_supports`` (see :mod:`toricap.domains` for
+the protocol).  Everything is evaluated in exact rational arithmetic:
+for these shape classes all suprema are attained at vertices, edge
 intersections or grid corners, so no tolerances are needed.
 
 The two cube bounds are certified by the paper's theorem for cube
@@ -57,7 +58,7 @@ from fractions import Fraction
 
 from .domains import Polygon2D, ToricDomain, _checked, _require_polygon
 from .errors import InapplicableError
-from .rationals import is_count
+from .rationals import as_pair, is_count, is_integer
 
 
 def support(domain: Polygon2D, v) -> Fraction:
@@ -68,7 +69,14 @@ def support(domain: Polygon2D, v) -> Fraction:
     integer pair; any other kind of domain raises ``InapplicableError``.
     """
     _require_polygon("support values are defined on polygon domains", domain)
-    return domain.support(v)
+    refusal = "support direction must be an integer pair, got {!r}"
+    vx, vy = as_pair(v, InapplicableError, refusal)
+    if not (is_integer(vx) and is_integer(vy)):
+        raise InapplicableError(refusal.format(v))
+    if vx == 0 and vy == 0:
+        raise InapplicableError("support direction must be nonzero")
+    q, (top,) = domain._supports(((vx, vy),))
+    return Fraction(top, q)
 
 
 def delta(domain: ToricDomain) -> Fraction:

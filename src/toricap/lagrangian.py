@@ -218,14 +218,12 @@ def _lattice_witness(domain) -> tuple | None:
 
 
 # Each definite rule returns its witness, or None when it does not apply.
-# A kind lists its rules by name (``cl_rules``); CLRule is a str enum, so a
-# name keys ``_RULES`` as well, and ``_MEMBERS`` maps it to its member.
+# CLRule is a str enum, so the names a kind lists (``cl_rules``) key it.
 _RULES = {
     CLRule.MONOTONE_DIAGONAL: _monotone_diagonal,
     CLRule.ETA_ON_BOUNDARY: _eta_on_boundary,
     CLRule.LATTICE_WITNESS: _lattice_witness,
 }
-_MEMBERS = {rule.value: rule for rule in CLRule}
 
 
 def lagrangian_capacity(domain: ToricDomain) -> CLCertificate:
@@ -246,7 +244,7 @@ def lagrangian_capacity(domain: ToricDomain) -> CLCertificate:
     for name in _checked(domain).cl_rules:
         witness = _RULES[name](domain)
         if witness is not None:
-            return CLCertificate._proved(_MEMBERS[name], witness)
+            return CLCertificate._proved(CLRule(name), witness)
     # A candidate (X / q, Y / q) on the domain's lattice has the
     # ``a_min_closed`` gcd(X, Y) / q; the diagonal point's is delta.
     q, points = domain.cl_candidates

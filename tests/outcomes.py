@@ -26,8 +26,8 @@ or two orbits of positive index whose directions have components in
 {-1, 0, 1}, at vmax = lmax = 2; the half cube -> Omega_{3/10} at degree
 30; and the two degree-3 searches whose source lies in the target.
 
-Regenerate the file with ``python tests/outcomes.py`` from the
-repository root, and say in the change log why an outcome moved.
+Regenerate the file with ``python tests/outcomes.py``, and say in the
+change log why an outcome moved.
 """
 
 from __future__ import annotations

@@ -281,7 +281,7 @@ def test_lattice_matches_fraction_oracle(chain):
 
 
 def test_chain_cover_matches_contains_on_each_vertex():
-    # Polygon2D._covers reads another chain's integer points, over that
+    # Polygon2D._least_slack reads another chain's integer points, over that
     # chain's q, against its own halfplanes: the obstruction search's test
     # of whether the source, or its mirror, lies in the target.  It must
     # agree with contains on the Fraction vertices, boundary points included.
@@ -296,7 +296,7 @@ def test_chain_cover_matches_contains_on_each_vertex():
                     points = [p[::-1] if flip else p for p in source._points]
                     vertices = [v[::-1] if flip else v for v in source.vertices]
                     expected = all(map(target.contains, vertices))
-                    assert target._covers(source._q, points) == expected, (chain, other, c, flip)
+                    assert (target._least_slack(source._q, points) >= 0) == expected, (chain, other, c, flip)
                     outcomes.append(expected)
     assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
 
