@@ -172,7 +172,7 @@ def _interval_to_dict(iv: Interval) -> dict:
 
 def certificate_to_dict(cert: CLCertificate) -> dict:
     # A definite certificate's value is its lower end; a coordinate that
-    # is that very object (see ``CLCertificate._proved``) reuses its text.
+    # is that very object (see ``lagrangian_capacity``) reuses its text.
     lower, upper = _ends(cert)
     end = cert.lower
     return {

@@ -38,11 +38,11 @@ polygon keeps (``_q``, ``_points``, ``_halfplanes``).  The members:
 * ``inclusion_bracket`` for :mod:`toricap.capacities`: the trivial c_B/c_Z
   bracket, an ``Interval`` from a simplex inside the domain to a cylinder
   around it;
-* on polygons only, ``cube_bound`` for :mod:`toricap.geometry`, a member
-  because the polygon caches it; ``_supports(directions)``, read by
-  :mod:`toricap.geometry` and :mod:`toricap.ech`; and ``_least_slack(q,
-  points)``, the one halfplane pass behind ``contains``, ``on_boundary``
-  and the obstruction search's inclusion gate;
+* on polygons only, ``cube_bound``, read by :mod:`toricap.geometry` and
+  by the report in :mod:`toricap.capacities`; ``_supports(directions)``,
+  read by :mod:`toricap.geometry` and :mod:`toricap.ech`; and
+  ``_least_slack(q, points)``, the one halfplane pass behind ``contains``,
+  ``on_boundary`` and the obstruction search's inclusion gate;
 * ``cl_rules``, ``cl_slices(e, across)``, ``cl_candidates`` for
   :mod:`toricap.lagrangian`: the order of the Lagrangian-capacity rules;
   the closed intervals where the domain meets the line y = e (in x), or
@@ -58,7 +58,7 @@ beside the fields that ``rationals.Value`` compares, hashes and shows,
 so equality, hashing, ``repr`` and serialization ignore it; a planar
 kind keeps its integer lattice there too, under private names (a
 polygon's ``_q``, ``_points`` and ``_halfplanes``).  Only four members
-are ``rationals.cached_member``s, computed on their first read: the two
+are ``functools.cached_property``s, computed on their first read: the two
 that refuse, a polygon's ``cube_bound`` and a union's ``delta`` (a
 member that raises caches nothing and raises again), and the two fields
 read back off the lattice, ``vertices`` and ``rects``.  All types are
@@ -76,11 +76,12 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DomainError, InapplicableError
 from .rationals import (
-    Interval, Value, as_items, as_pair, cached_member, format_rational, is_count,
-    over_common_denominator, parse_rational,
+    Interval, Value, as_items, as_pair, format_rational, is_count, over_common_denominator,
+    parse_rational,
 )
 
 STANDARD_KINDS = ("ball", "cylinder", "cube", "nduc")
@@ -128,10 +129,11 @@ class StandardDomain(ToricDomain):
         # diagonal point also realizes the largest smallest coordinate and
         # the inscribed cube of every standard region.  In the NDUC the
         # simplex corner can ride one cylinder, and the union-of-cylinders
-        # region fits in no slab.
+        # region fits in no slab.  The ends are ``Fraction``s, ordered as
+        # they stand, so the bracket is stored past its checks.
         delta = a / n if kind == "ball" else a
-        bracket = (Interval._ordered(n * a, None, False) if kind == "nduc"
-                   else Interval._ordered(a, a, True))
+        bracket = (Interval._stored(lower=n * a, upper=None, exact=False) if kind == "nduc"
+                   else Interval._stored(lower=a, upper=a, exact=True))
         self.__dict__.update(kind=kind, n=n, a=a, delta=delta, eta=delta, cube_inclusion=delta,
                              inclusion_bracket=bracket)
 
@@ -284,7 +286,8 @@ def _canonical_chain(vertices) -> dict:
         "eta": delta if top * best_s <= best_c else Fraction(top, q),
         "is_monotone": is_monotone,
         "cube_inclusion": delta if best_c <= side * best_s else lower,
-        "inclusion_bracket": Interval._ordered(lower, Fraction(extent, q), side == extent),
+        "inclusion_bracket": Interval._stored(lower=lower, upper=Fraction(extent, q),
+                                              exact=side == extent),
     }
 
 
@@ -351,18 +354,10 @@ class Polygon2D(ToricDomain):
     def __init__(self, vertices):
         self.__dict__.update(_canonical_chain(vertices))
 
-    @cached_member
+    @cached_property
     def vertices(self) -> tuple:
         q = self._q
         return tuple((Fraction(x, q), Fraction(y, q)) for x, y in self._points)
-
-    @property
-    def x_intercept(self) -> Fraction:
-        return Fraction(self._points[0][0], self._q)
-
-    @property
-    def y_intercept(self) -> Fraction:
-        return Fraction(self._points[-1][1], self._q)
 
     def _supports(self, directions) -> tuple:
         """``(q, [top])`` with ``support(v) = top / q`` for each integer pair
@@ -371,7 +366,7 @@ class Polygon2D(ToricDomain):
         points = self._points
         return self._q, [_top(points, vx, vy) for vx, vy in directions]
 
-    @cached_member
+    @cached_property
     def cube_bound(self) -> Fraction:
         # Both end edges at least diagonal-steep, direction (dx, dy) with
         # dx <= dy, make the supports of (1,-1) and (-1,1) attain exactly the

@@ -53,14 +53,13 @@ does (ii) with the two actions' integer sums over their lattices' q.
 The inclusion gate reads the source's integer chain against the target's
 halfplanes in the pass that answers ``contains`` (``Polygon2D._least_slack``).
 
-The search builds its own orbit sets past the constructors' checks
-(``CombOrbit._checked``, ``CombOrbitSet._checked``), which they meet by
-construction: an enumeration's sets take candidates in table order, so
-their factors are sorted and distinct, with primitive directions that
-have a nonnegative component, m >= 1 and hyperbolic m = 1; a witness's
-target-side factors are sub-products of the checked test set, elliptic
-and in its order; and ``_product_all`` merges checked sets, refusing a
-shared hyperbolic orbit.
+The search builds its own orbits and orbit sets past the constructors'
+checks (``Value._stored``), which they meet by construction: an
+enumeration's sets take candidates in table order, so their factors are
+sorted and distinct, with primitive directions that have a nonnegative
+component, m >= 1 and hyperbolic m = 1; a witness's target-side factors
+are sub-products of the checked test set, elliptic and in its order; and
+``_product_all`` merges checked sets, refusing a shared hyperbolic orbit.
 """
 
 from __future__ import annotations
@@ -123,14 +122,6 @@ class CombOrbit(Value):
             raise DomainError(f"orbit marker must be 0 or 1, got {s!r}")
         self.__dict__.update(v=(x, y), s=s, key=(x, y, s))
 
-    @classmethod
-    def _checked(cls, x: int, y: int, s: int) -> CombOrbit:
-        """The orbit of a direction and marker that meet the constructor's
-        checks already, stored without them."""
-        orbit = cls.__new__(cls)
-        orbit.__dict__.update(v=(x, y), s=s, key=(x, y, s))
-        return orbit
-
 
 def _by_key(factor):
     return factor[0].key
@@ -166,14 +157,6 @@ class CombOrbitSet(Value):
                 raise DomainError(f"repeated orbit {orbit} in orbit set")
             previous = orbit.key
         self.__dict__.update(factors=tuple(factors))
-
-    @classmethod
-    def _checked(cls, factors: tuple) -> CombOrbitSet:
-        """The orbit set of a factor tuple that meets the constructor's
-        checks already and is sorted, stored as given."""
-        alpha = cls.__new__(cls)
-        alpha.__dict__.update(factors=factors)
-        return alpha
 
     def __bool__(self):
         return bool(self.factors)
@@ -484,6 +467,8 @@ def enumerate_orbit_sets(
         raise InapplicableError(f"index target must be an integer, got {index_target!r}")
     if min_count is not None and not is_integer(min_count):
         raise InapplicableError(f"count floor must be an integer, got {min_count!r}")
+    if cap < 0:
+        return iter(())  # every candidate costs a positive action
     return _orbit_sets(domain, cap.numerator, cap.denominator, index_target, vmax, min_count)
 
 
@@ -541,8 +526,9 @@ def _extend(run: tuple, i: int, remaining: int, index: int, xy: int, h: int):
             if chosen and index == index_target and short <= 0:
                 # The branch is in table order, so its factors are sorted
                 # and distinct, with m >= 1 and hyperbolic m = 1.
-                yield CombOrbitSet._checked(tuple([
-                    (CombOrbit._checked(x, y, s), m) for (x, y, s, _), m in chosen
+                yield CombOrbitSet._stored(factors=tuple([
+                    (CombOrbit._stored(v=(x, y), s=s, key=(x, y, s)), m)
+                    for (x, y, s, _), m in chosen
                 ]))
             break
         k += 1
@@ -934,7 +920,7 @@ def obstruction_search(
 
     def orbit_set(vec) -> CombOrbitSet:
         # A sub-product of the checked test set: its orbits in their order.
-        return CombOrbitSet._checked(tuple((o, c) for o, c in zip(basis, vec) if c))
+        return CombOrbitSet._stored(factors=tuple((o, c) for o, c in zip(basis, vec) if c))
 
     # (vector, index, x' + y' + m' - 1, scaled target action), larger
     # factors first so single-factor decompositions are tried before fine
@@ -1045,7 +1031,7 @@ def _product_all(sets) -> CombOrbitSet:
     multiplicities adding.  Each set passed the constructor's checks, so
     the merged factors pass them too unless two sets share a hyperbolic
     orbit; that alone is refused here, and the factors are stored as
-    merged (``CombOrbitSet._checked``).
+    merged (``Value._stored``).
     """
     merged = []
     for orbit, m in sorted((f for s in sets for f in s.factors), key=_by_key):
@@ -1055,4 +1041,4 @@ def _product_all(sets) -> CombOrbitSet:
             merged[-1] = (orbit, merged[-1][1] + m)
         else:
             merged.append((orbit, m))
-    return CombOrbitSet._checked(tuple(merged))
+    return CombOrbitSet._stored(factors=tuple(merged))

@@ -129,10 +129,10 @@ class CLCertificate(Interval):
     tuple, whose smallest coordinate is the pinned value.
 
     ``lagrangian_capacity`` stores the certificate its rule proved
-    (``_proved``) instead of calling this constructor: the rule's witness
-    is already a tuple of ``Fraction``s, and the value is its smallest
-    coordinate, so every check here holds by construction.  The stored
-    certificate equals the checked one, field for field.
+    (``Value._stored``) instead of calling this constructor: the rule's
+    witness is already a tuple of ``Fraction``s, and the value is its
+    smallest coordinate, so every check here holds by construction.  The
+    stored certificate equals the checked one, field for field.
     """
 
     rule: CLRule
@@ -158,18 +158,6 @@ class CLCertificate(Interval):
                 )
             witness = point
         self.__dict__.update(rule=rule, witness=witness)
-
-    @classmethod
-    def _proved(cls, rule: CLRule, witness: tuple) -> CLCertificate:
-        """The certificate pinned at min(witness), for a rule's own witness.
-
-        Both ends are that coordinate itself, not a copy, so
-        ``certificate_to_dict`` formats the coordinates that are it once.
-        """
-        cert = cls.__new__(cls)
-        value = min(witness)
-        cert.__dict__.update(lower=value, upper=value, exact=True, rule=rule, witness=witness)
-        return cert
 
     @property
     def value(self) -> Fraction | None:
@@ -244,7 +232,12 @@ def lagrangian_capacity(domain: ToricDomain) -> CLCertificate:
     for name in _checked(domain).cl_rules:
         witness = _RULES[name](domain)
         if witness is not None:
-            return CLCertificate._proved(CLRule(name), witness)
+            # Pinned at min(witness): both ends are that coordinate itself,
+            # not a copy, so ``certificate_to_dict`` formats the
+            # coordinates that are it once.
+            value = min(witness)
+            return CLCertificate._stored(lower=value, upper=value, exact=True,
+                                         rule=CLRule(name), witness=witness)
     # A candidate (X / q, Y / q) on the domain's lattice has the
     # ``a_min_closed`` gcd(X, Y) / q; the diagonal point's is delta.
     q, points = domain.cl_candidates

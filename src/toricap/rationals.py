@@ -19,7 +19,7 @@ caller hands in, and ``as_items`` what a sequence of them is.
 ``Interval`` is the one closed rational bracket type: every capacity bound
 in a report is one, and so is the Lagrangian-capacity certificate.
 ``Value`` is the base of every immutable value type in the package, and
-``cached_member`` the one way such a value caches what it computes.
+``Value._stored`` the one way to build such a value past its checks.
 
 Python refuses to convert integers of more than ``sys.get_int_max_str_digits()``
 decimal digits (4300 by default) between ``str`` and ``int``; a longer input
@@ -184,10 +184,11 @@ class Value:
     It also builds the class's ``__eq__`` and ``__hash__`` once, over one
     ``attrgetter`` of the fields: equality holds only between instances
     of one class, and the hash is that of the tuple of fields.  ``repr``
-    shows the fields alone, so what a ``cached_member`` or a constructor
-    keeps beside them in the instance ``__dict__`` takes no part in
-    equality, hashing or ``repr``.  Instances refuse assignment and
-    deletion; a constructor writes each field once into ``self.__dict__``.
+    shows the fields alone, so what a ``functools.cached_property`` or a
+    constructor keeps beside them in the instance ``__dict__`` takes no
+    part in equality, hashing or ``repr``.  Instances refuse assignment
+    and deletion; a constructor writes each field once into
+    ``self.__dict__``.
 
     The generic constructor takes the fields by position or by name; a
     field with a class-level value defaults to it.  Only every field by
@@ -229,6 +230,19 @@ class Value:
             kwargs = _field_values(type(self), args, kwargs)
         self.__dict__.update(kwargs)
 
+    @classmethod
+    def _stored(cls, **attrs):
+        """An instance whose ``__dict__`` holds ``attrs`` exactly as given,
+        built past every constructor check.
+
+        The one way to build a value unchecked: each call site states why
+        the checks it skips hold, and what it stores equals what the
+        constructor would store from the same data.
+        """
+        value = cls.__new__(cls)
+        value.__dict__.update(attrs)
+        return value
+
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
@@ -238,33 +252,6 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: {type(self).__qualname__} is immutable")
-
-
-class cached_member:
-    """A member computed on its first read and kept in the instance ``__dict__``.
-
-    A non-data descriptor: once the instance ``__dict__`` holds the name,
-    attribute lookup finds the value there and never calls ``__get__``
-    again.  Unlike ``functools.cached_property`` before Python 3.12, it
-    takes no lock, and it writes the ``__dict__`` directly, past
-    ``Value.__setattr__``.  A member that raises caches nothing and raises
-    again on the next read.  Two threads that read a member at once may
-    both compute it; a member must therefore be a pure function of the
-    instance, so that both store equal values.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
 
 
 def _field_values(cls, args, kwargs) -> dict:
@@ -294,7 +281,8 @@ class Interval(Value):
     ``bool`` in the instance ``__dict__`` beside the fields, so it takes
     no part in equality, hashing or ``repr``.  A domain constructor whose
     ends are ``Fraction``s it has already ordered in integers stores its
-    bracket through ``_ordered`` instead.
+    bracket through ``Value._stored`` instead, ``exact`` saying whether
+    they are equal.
     """
 
     lower: Fraction
@@ -313,14 +301,3 @@ class Interval(Value):
                 raise ValueError(f"empty interval [{lower}, {upper}]")
             exact = left == right
         self.__dict__.update(lower=lower, upper=upper, exact=exact)
-
-    @classmethod
-    def _ordered(cls, lower: Fraction, upper: Fraction | None, exact: bool) -> Interval:
-        """The bracket of ``Fraction`` ends that the caller has ordered,
-        ``exact`` saying whether they are equal, stored without a check.
-
-        It equals the bracket that the constructor builds from the same ends.
-        """
-        bracket = cls.__new__(cls)
-        bracket.__dict__.update(lower=lower, upper=upper, exact=exact)
-        return bracket

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter, lt
 
 from .domains import ToricDomain, _point
 from .errors import DomainError, InapplicableError
-from .rationals import (
-    Interval, Value, as_items, cached_member, format_rational, over_common_denominator,
-)
+from .rationals import Interval, Value, as_items, format_rational, over_common_denominator
 
 _CORNERS = ("x0", "x1", "y0", "y1")
 # A rectangle object's corners in that order; a missing one raises the
@@ -176,7 +175,7 @@ def _coverage(corners: list) -> dict:
     # inscribed square contains the simplex of the same size.  Its ends are
     # ordered in integers already (cube only shrinks from extent).
     inscribed = Fraction(cube, q)
-    bracket = Interval._ordered(inscribed, Fraction(extent, q), cube == extent)
+    bracket = Interval._stored(lower=inscribed, upper=Fraction(extent, q), exact=cube == extent)
     return {"_q": q, "_boxes": boxes, "_xs": xs, "_ys": ys, "_columns": columns,
             "_diagonal": diagonal, "eta": Fraction(eta, q), "is_monotone": staircase,
             "cube_inclusion": inscribed, "inclusion_bracket": bracket}
@@ -210,12 +209,12 @@ class Rectilinear2D(ToricDomain):
             raise DomainError("rects must be Rect instances")
         self.__dict__.update(_coverage([c for r in rects for c in (r.x0, r.x1, r.y0, r.y1)]))
 
-    @cached_member
+    @cached_property
     def rects(self) -> tuple:
         q = self._q
         return tuple(Rect(*(Fraction(c, q) for c in box)) for box in self._boxes)
 
-    @cached_member
+    @cached_property
     def delta(self) -> Fraction:
         if not self._diagonal:
             raise InapplicableError("diagonal does not meet the domain")
@@ -296,8 +295,7 @@ class Rectilinear2D(ToricDomain):
                 corners += _corners(item)
             except KeyError as exc:
                 raise DomainError(f"rectangle missing corner field {exc}")
-        # The lattice is read off the document's values; no Rect is built
-        # until a caller reads ``rects``.
-        domain = cls.__new__(cls)
-        domain.__dict__.update(_coverage(corners))
-        return domain
+        # The lattice is read off the document's values, and ``_coverage``
+        # makes the box check that ``Rect`` makes; no Rect is built until a
+        # caller reads ``rects``.
+        return cls._stored(**_coverage(corners))

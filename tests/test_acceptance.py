@@ -105,7 +105,7 @@ def test_criterion_4_cube_bound_and_finite_degree():
     for a in (F(3, 10), F(1, 3), F(2, 5)):
         ok &= cube_bound(omega_a(a)) == 1 - 2 * a
     dom = omega_a(F(3, 10))
-    s = dom.x_intercept + dom.y_intercept
+    s = dom.vertices[0][0] + dom.vertices[-1][1]
     values = {d: finite_d_bound(dom, d) for d in (3, 9, 30, 90, 300)}
     ok &= values[3] == F(4, 5)
     ok &= values[30] == F(8, 19)

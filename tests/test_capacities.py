@@ -35,7 +35,7 @@ from toricap.capacities import (
     CSV_COLUMNS, SOURCES, _cl_cell, _csv_text, certificate_to_dict, report_csv_row,
 )
 from toricap.domains import STANDARD_KINDS
-from toricap.rationals import format_rational
+from toricap.rationals import Interval, format_rational
 
 from generators import (
     make_monotone_polygon,
@@ -97,7 +97,9 @@ def test_report_nduc():
 
 def test_inclusion_bracket_is_one_member_per_domain():
     # Each kind builds its trivial bracket once, and a report's c_B and
-    # c_Z are that one Interval.
+    # c_Z are that one Interval.  It is stored past the constructor's
+    # checks, and keeps what the constructor keeps for its ends, ``exact``
+    # included, which takes no part in equality.
     rng = random.Random(59)
     expected = {
         StandardDomain("nduc", 3, F(2, 7)): (F(6, 7), None),
@@ -105,14 +107,20 @@ def test_inclusion_bracket_is_one_member_per_domain():
         StandardDomain("cylinder", 2, F(2, 7)): (F(2, 7), F(2, 7)),
         StandardDomain("cube", 4, F(2, 7)): (F(2, 7), F(2, 7)),
         omega_a(F(3, 10)): (F(2, 5), F(7, 10)),
+        square_polygon(F(3, 4)): (F(3, 4), F(3, 4)),
         Rectilinear2D((Rect(0, 3, 0, F(1, 2)), Rect(0, F(1, 3), 0, 2))): (F(1, 2), 2),
+        Rectilinear2D((Rect(0, F(3, 4), 0, F(3, 4)),)): (F(3, 4), F(3, 4)),
     }
     for dom, ends in expected.items():
         assert (dom.inclusion_bracket.lower, dom.inclusion_bracket.upper) == ends
     domains = [*expected, make_weakly_convex_polygon(rng), make_touching_union(rng)]
+    domains += [make(rng) for make in (make_monotone_polygon, make_weakly_convex_polygon,
+                                       make_staircase, make_touching_union) for _ in range(10)]
     for dom in domains:
+        bracket = dom.inclusion_bracket
+        assert vars(bracket) == vars(Interval(bracket.lower, bracket.upper))
         report = capacity_report(dom)
-        assert report.c_B is report.c_Z is dom.inclusion_bracket
+        assert report.c_B is report.c_Z is bracket
         assert capacity_report(dom).c_B is report.c_B
         # The serialized brackets are equal, but each is a dict of its own.
         data = report_to_dict(report)

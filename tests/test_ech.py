@@ -446,7 +446,7 @@ def test_finite_d_examples(om310):
 
 def test_finite_d_monotone_and_convergent(om310):
     bound = cube_bound(om310)
-    s = om310.x_intercept + om310.y_intercept
+    s = om310.vertices[0][0] + om310.vertices[-1][1]
     prev = None
     for d in (3, 9, 30, 90, 300):
         val = finite_d_bound(om310, d)
@@ -470,7 +470,7 @@ def test_finite_d_bound_matches_loop(om310):
             continue
         domains.append(dom)
     for dom in domains:
-        s = dom.x_intercept + dom.y_intercept
+        s = dom.vertices[0][0] + dom.vertices[-1][1]
         per_di = [None] + [
             max(F(di * s + k, 2 * di + 3 * k - 1) for k in (0, 1, 2))
             for di in range(1, 401)
@@ -491,6 +491,16 @@ def test_enumerate_examples():
     assert parse_orbit_set("h(1,0)") in sets
     assert parse_orbit_set("h(0,1)") in sets
     assert list(enumerate_orbit_sets(sq, F(0), 4, vmax=1)) == []
+
+
+def test_negative_cap_yields_no_orbit_set():
+    # Every candidate costs a positive action, so a negative cap has none,
+    # and the default count floor has no cheapest candidate to divide by.
+    sq = square_polygon(F(1))
+    for cap in (F(-1), F(-1, 2)):
+        assert candidate_orbits(sq, cap, 1) == []
+        for floor in (None, 0):
+            assert list(enumerate_orbit_sets(sq, cap, 0, vmax=1, min_count=floor)) == []
 
 
 def test_enumerate_deterministic_and_filtered(om310):
@@ -682,7 +692,7 @@ def test_candidate_orbits_match_box_walk():
     for _ in range(150):
         dom = _POLYGON_MAKERS[rng.randrange(len(_POLYGON_MAKERS))](rng)
         vmax = rng.randint(1, 6)
-        for intercept in (dom.x_intercept, dom.y_intercept):
+        for intercept in (dom.vertices[0][0], dom.vertices[-1][1]):
             for cap in (intercept * F(rng.randint(1, 9), 10), intercept,
                         intercept * F(rng.randint(11, 40), 10)):
                 got = candidate_orbits(dom, cap, vmax)
@@ -760,7 +770,7 @@ def test_enumeration_makes_no_child_call_that_its_cut_ends():
     for _ in range(40):
         dom = _POLYGON_MAKERS[rng.randrange(len(_POLYGON_MAKERS))](rng)
         vmax = rng.randint(1, 3)
-        cap = min(dom.x_intercept, dom.y_intercept) * F(rng.randint(8, 30), 8)
+        cap = min(dom.vertices[0][0], dom.vertices[-1][1]) * F(rng.randint(8, 30), 8)
         floor = rng.randint(0, 6)
         made, cut = _child_calls(
             lambda: list(enumerate_orbit_sets(dom, cap, rng.randint(0, 12), vmax, min_count=floor)))
@@ -1251,7 +1261,7 @@ def test_unchecked_builds_equal_their_checked_rebuilds():
     with deadline(30):
         for _ in range(150):
             dom = rng.choice(makers)(rng)
-            cap = min(dom.x_intercept, dom.y_intercept) * F(rng.randint(8, 40), 8)
+            cap = min(dom.vertices[0][0], dom.vertices[-1][1]) * F(rng.randint(8, 40), 8)
             floor = rng.choice((None, -1, 0, 1, 2))
             for alpha in enumerate_orbit_sets(dom, cap, rng.randint(0, 12), rng.randint(1, 3),
                                               min_count=floor):

@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -33,7 +34,7 @@ from toricap import (
 )
 from toricap.domains import STANDARD_KINDS
 from toricap.geometry import domain_contains, domain_on_boundary
-from toricap.rationals import Interval, cached_member
+from toricap.rationals import Interval
 
 from generators import (
     make_monotone_polygon,
@@ -653,7 +654,7 @@ def test_raising_invariant_raises_again():
     for dom, name in ((shallow, "vertices"), (off_diagonal, "rects"),
                       (omega_a(F(3, 10)), "cube_bound")):
         value = getattr(dom, name)
-        assert isinstance(vars(type(dom))[name], cached_member)
+        assert isinstance(vars(type(dom))[name], cached_property)
         assert getattr(type(dom), name) is vars(type(dom))[name]
         assert vars(dom)[name] is value and getattr(dom, name) is value
 
@@ -667,7 +668,7 @@ def test_only_refusing_invariants_and_lattice_fields_are_cached():
         for cls in (StandardDomain, Polygon2D, Rectilinear2D)
         for klass in cls.__mro__
         for name, member in vars(klass).items()
-        if isinstance(member, cached_member)
+        if isinstance(member, cached_property)
     }
     assert cached == {"Polygon2D.vertices", "Polygon2D.cube_bound",
                       "Rectilinear2D.rects", "Rectilinear2D.delta"}

@@ -3,7 +3,7 @@ only where a CLI subcommand or the package's name loader loads a layer,
 every module-level private name and every module-level constant is read
 by some module of the package, every member a planar kind's builder
 returns is read outside it, only ``cli.main`` writes to stdout or stderr,
-and a value type is built past its constructor only in its own class.
+and only ``rationals.Value._stored`` builds a value past its constructor.
 
 There is no linter among the dependencies, so this scans the syntax
 trees itself.  ``from __future__`` imports are exempt from the unused
@@ -400,69 +400,47 @@ def test_member_scan_flags_an_unread_key():
         "kind.py:4 c", "kind.py:4 _b"]
 
 
-def _value_classes(trees) -> set:
-    """``Value`` and every class of the package derived from it, by name."""
-    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
-             for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
-    values = {"Value"}
-    while True:
-        derived = {name for name, names in bases.items() if names & values} - values
-        if not derived:
-            return values
-        values |= derived
-
-
-def _unchecked_builds(tree: ast.Module, values: set) -> list:
-    """Line of each ``X.__new__`` call, X among ``values``, outside the
-    body of class X, and of each ``cls.__new__`` call outside every one of
-    their bodies."""
+def _new_reads(tree: ast.Module) -> list:
+    """``(line, scope)`` of each read of ``__new__``, as an attribute or as
+    a string, ``scope`` being the dotted names of the classes and functions
+    around it."""
     found = []
 
-    def visit(node, owners):
-        if isinstance(node, ast.ClassDef):
-            owners = owners | {node.name}
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "__new__" and isinstance(node.func.value, ast.Name)):
-            name = node.func.value.id
-            if name in values - owners or name == "cls" and not owners & values:
-                found.append(node.lineno)
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif (isinstance(node, ast.Attribute) and node.attr == "__new__"
+              or isinstance(node, ast.Constant) and node.value == "__new__"):
+            found.append((node.lineno, scope))
         for child in ast.iter_child_nodes(node):
-            visit(child, owners)
+            visit(child, scope)
 
-    visit(tree, frozenset())
+    visit(tree, "")
     return found
 
 
-def test_value_types_are_built_unchecked_only_in_their_own_class():
-    # A value type built past its constructor goes through the class's own
-    # private builder (``CombOrbitSet._checked``, ``Interval._ordered``),
-    # which states why the constructor's checks hold.
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-             for path in MODULES}
-    values = _value_classes(trees.values())
-    assert {"Interval", "CLCertificate", "CombOrbitSet", "Polygon2D", "SearchReport"} <= values
-    builds = {name: lines for name, tree in trees.items()
-              if (lines := _unchecked_builds(tree, values))}
-    assert not builds, f"Value subclasses built with __new__ outside their class: {builds}"
+def test_values_are_built_unchecked_only_by_value_stored():
+    # A value is built past its constructor only through ``Value._stored``,
+    # and each caller states why the checks it skips hold.
+    reads = [(path.name, scope) for path in MODULES
+             for _, scope in _new_reads(ast.parse(path.read_text(encoding="utf-8")))]
+    assert reads == [("rationals.py", "Value._stored")]
 
 
 def test_unchecked_build_scan_flags_outside_calls():
     tree = ast.parse(
         "class Value:\n"
-        "    pass\n"
+        "    @classmethod\n"
+        "    def _stored(cls, **attrs):\n"
+        "        return cls.__new__(cls)\n"
+        "    def copy(self):\n"
+        "        return type(self).__new__(type(self))\n"
         "class Box(Value):\n"
         "    @classmethod\n"
-        "    def _made(cls):\n"
-        "        return cls.__new__(cls), Box.__new__(Box)\n"
-        "class Wide(Box):\n"
-        "    def widen(self):\n"
-        "        return Box.__new__(Box)\n"
-        "class Plain:\n"
-        "    def copy(self):\n"
-        "        return Plain.__new__(Plain), cls.__new__(cls)\n"
+        "    def _stored(cls):\n"
+        "        return object.__new__(cls)\n"
         "def build(cls):\n"
-        "    return Wide.__new__(Wide), cls.__new__(cls)\n"
+        "    return getattr(cls, '__new__')(cls)\n"
     )
-    values = _value_classes([tree])
-    assert values == {"Value", "Box", "Wide"}
-    assert _unchecked_builds(tree, values) == [9, 12, 14, 14]
+    assert _new_reads(tree) == [(4, "Value._stored"), (6, "Value.copy"),
+                                (10, "Box._stored"), (12, "build")]
