@@ -53,21 +53,20 @@ polygon keeps (``_q``, ``_points``, ``_halfplanes``).  The members:
   points over the lattice's ``q``.
 
 Every kind keeps one storage rule: its constructor computes every
-invariant that cannot refuse and keeps it in the instance ``__dict__``
-beside the fields that ``rationals.Value`` compares, hashes and shows,
-so equality, hashing, ``repr`` and serialization ignore it; a planar
-kind keeps its integer lattice there too, under private names (a
-polygon's ``_q``, ``_points`` and ``_halfplanes``).  Only four members
-are ``functools.cached_property``s, computed on their first read: the two
-that refuse, a polygon's ``cube_bound`` and a union's ``delta`` (a
-member that raises caches nothing and raises again), and the two fields
-read back off the lattice, ``vertices`` and ``rects``.  All types are
-immutable values.
-Constructors read every rational through the one parser of
-``rationals`` (``parse_rational``, or ``over_common_denominator`` for a
-planar lattice), and the planar ``contains`` and ``on_boundary`` coerce
-their point the same way (``_point``); a dimension ``n`` must be an int,
-not a bool.
+invariant that exists and keeps it in the instance ``__dict__`` beside
+the fields that ``rationals.Value`` compares, hashes and shows, so
+equality, hashing, ``repr`` and serialization ignore it; a planar kind
+keeps its integer lattice there too (a polygon's ``_q``, ``_points`` and
+``_halfplanes``).  Where a polygon's ``cube_bound`` or a union's
+``delta`` does not exist, the class refuses it with a ``_Refused``
+member, as a standard region's class refuses ``contains`` and
+``on_boundary``.  Only the two fields read back off the lattice,
+``vertices`` and ``rects``, are computed on first read.  All types are
+immutable values.  Constructors read every rational through the one
+parser of ``rationals`` (``parse_rational``, or
+``over_common_denominator`` for a planar lattice), and the planar
+``contains`` and ``on_boundary`` coerce their point the same way
+(``_point``); a dimension ``n`` must be an int, not a bool.
 """
 
 from __future__ import annotations
@@ -89,6 +88,21 @@ STANDARD_KINDS = ("ball", "cylinder", "cube", "nduc")
 
 class ToricDomain(Value):
     """Base class of the domain kinds; the module docstring lists the protocol."""
+
+
+class _Refused:
+    """A member that a class refuses with ``InapplicableError`` on every
+    read.  It defines ``__get__`` alone, so a value that a constructor
+    stores under its name in the instance ``__dict__`` wins, at dict
+    speed; read off the class, it is the descriptor itself."""
+
+    def __init__(self, message: str):
+        self.message = message
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        raise InapplicableError(self.message)
 
 
 def _checked(domain) -> ToricDomain:
@@ -116,6 +130,8 @@ class StandardDomain(ToricDomain):
     # size), not a claim about smooth boundaries.
     is_monotone = True
     cl_rules = ("MonotoneDiagonal",)
+    contains = _Refused("membership test implemented for planar domains only")
+    on_boundary = _Refused("boundary test implemented for planar domains only")
 
     def __init__(self, kind, n, a):
         if kind not in STANDARD_KINDS:
@@ -136,12 +152,6 @@ class StandardDomain(ToricDomain):
                    else Interval._stored(lower=a, upper=a, exact=True))
         self.__dict__.update(kind=kind, n=n, a=a, delta=delta, eta=delta, cube_inclusion=delta,
                              inclusion_bracket=bracket)
-
-    def contains(self, p):
-        raise InapplicableError("membership test implemented for planar domains only")
-
-    def on_boundary(self, p):
-        raise InapplicableError("boundary test implemented for planar domains only")
 
     def summary(self) -> dict:
         return {"a": self.a}
@@ -174,20 +184,19 @@ def _canonical_chain(vertices) -> dict:
     """Validate and canonicalize a boundary vertex chain.
 
     Consecutive duplicate vertices and collinear midpoints are removed;
-    every other defect raises ``DomainError`` naming the violated
-    invariant.  The result is the canonical counterclockwise chain from
-    the x-axis intercept to the y-axis intercept, scaled to integers, by
-    the names a ``Polygon2D`` keeps it under: vertex i is
-    ``_points[i] / _q``, q the lcm of the denominators of the chain's
-    coordinates.
-    Scaling by q > 0 keeps every sign, order and ratio.  The coordinates
-    are read straight to integers, vertex by vertex, so the first bad
-    vertex or number in chain order is refused, and every check compares
-    those integers.  After the last vertex refusal one walk over the
-    chain's edges refuses the first non-left turn and, from the same
-    integers, gives the edge halfplanes ``_halfplanes`` and the invariants
-    ``delta``, ``eta``, ``is_monotone``, ``cube_inclusion`` and
-    ``inclusion_bracket``, each built as ``Fraction``s only at the end.
+    every other defect raises ``DomainError`` naming the violated invariant.
+    The result is the canonical counterclockwise chain from the x-axis
+    intercept to the y-axis intercept, scaled to integers, by the names a
+    ``Polygon2D`` keeps it under: vertex i is ``_points[i] / _q``, q the lcm
+    of the denominators of the chain's coordinates.  Scaling by q > 0 keeps
+    every sign, order and ratio.  The coordinates are read straight to
+    integers, vertex by vertex, so the first bad vertex or number in chain
+    order is refused, and every check compares those integers.  After the
+    last vertex refusal one walk over the chain's edges refuses the first
+    non-left turn and, from the same integers, gives the edge halfplanes
+    ``_halfplanes`` and the invariants ``delta``, ``eta``, ``is_monotone``,
+    ``cube_inclusion``, ``inclusion_bracket`` and, where it exists,
+    ``cube_bound``.
     """
     vertices = as_items(vertices, DomainError, "vertices must be a sequence, got {!r}")
     refusal = "vertex is not a coordinate pair: {!r}"
@@ -280,6 +289,11 @@ def _canonical_chain(vertices) -> dict:
     # over chain points that include the intercepts, so the ends are ordered.
     side, extent = min(points[0][0], points[-1][1]), min(right, high)
     lower = Fraction(side, q)
+    # Both end edges at least diagonal-steep, direction (dx, dy) with
+    # dx <= dy, make the supports of (1,-1) and (-1,1) attain exactly the
+    # two axis intercepts: the first point's x, and the y of the last
+    # point (x, y), where the walk ended on the last edge (ux, uy).
+    (x0, _), (x1, y1) = points[:2]
     return {
         "_q": q, "_points": points, "_halfplanes": tuple(planes),
         "delta": delta,
@@ -288,6 +302,7 @@ def _canonical_chain(vertices) -> dict:
         "cube_inclusion": delta if best_c <= side * best_s else lower,
         "inclusion_bracket": Interval._stored(lower=lower, upper=Fraction(extent, q),
                                               exact=side == extent),
+        **({"cube_bound": Fraction(x0 + y, 2 * q)} if x1 - x0 <= y1 and ux <= uy else {}),
     }
 
 
@@ -335,14 +350,14 @@ class Polygon2D(ToricDomain):
     """Weakly convex planar domain, stored as its canonical boundary chain.
 
     By the storage rule of every kind, the constructor keeps what
-    ``_canonical_chain`` returns: the chain scaled to integers over the
-    lcm q of its denominators (``_q``, ``_points``), its edge halfplanes
-    and every invariant but ``cube_bound``, which refuses a shallow end
-    edge and is computed on its first read.  So is the ``vertices``
-    field, the chain as ``Fraction`` pairs read off the integers, so
-    equality, hashing, ``repr`` and serialization see the field alone.
-    Every comparison is a cross-multiplication, and each answer is built
-    as one ``Fraction``.
+    ``_canonical_chain`` returns: the chain scaled to integers over the lcm
+    q of its denominators (``_q``, ``_points``), its edge halfplanes and
+    every invariant that exists; ``cube_bound`` needs both end edges at
+    least diagonal-steep, and the class refuses it otherwise.  The
+    ``vertices`` field, the chain as ``Fraction`` pairs read off the
+    integers, is computed on its first read, so equality, hashing, ``repr``
+    and serialization see the field alone.  Every comparison is a
+    cross-multiplication, and each answer is one ``Fraction``.
     """
 
     vertices: tuple
@@ -350,6 +365,7 @@ class Polygon2D(ToricDomain):
     kind = "polygon2d"
     n = 2
     cl_rules = ("MonotoneDiagonal", "EtaOnBoundary", "LatticeWitness")
+    cube_bound = _Refused("tangent-slope condition fails: both end edges must satisfy dx <= dy")
 
     def __init__(self, vertices):
         self.__dict__.update(_canonical_chain(vertices))
@@ -365,20 +381,6 @@ class Polygon2D(ToricDomain):
         supports as integers."""
         points = self._points
         return self._q, [_top(points, vx, vy) for vx, vy in directions]
-
-    @cached_property
-    def cube_bound(self) -> Fraction:
-        # Both end edges at least diagonal-steep, direction (dx, dy) with
-        # dx <= dy, make the supports of (1,-1) and (-1,1) attain exactly the
-        # two axis intercepts.  The end edges are read off the integer
-        # chain, the chain scaled by q > 0, so they compare alike.
-        points = self._points
-        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = points[:2] + points[-2:]
-        if x1 - x0 > y1 - y0 or x3 - x2 > y3 - y2:
-            raise InapplicableError(
-                "tangent-slope condition fails: both end edges must satisfy dx <= dy"
-            )
-        return Fraction(x0 + y3, 2 * self._q)
 
     def _least_slack(self, q: int, points) -> int:
         # The least slack over the points (x / q, y / q), integer pairs, of

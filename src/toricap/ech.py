@@ -283,11 +283,8 @@ def format_orbit_set(alpha: CombOrbitSet) -> str:
     _require(CombOrbitSet, alpha)
     if not alpha.factors:
         return "1"
-    parts = []
-    for o, m in alpha.factors:
-        head = ("e" if o.s == 1 else "h") + f"({o.v[0]},{o.v[1]})"
-        parts.append(head + (f"^{m}" if m > 1 else ""))
-    return " * ".join(parts)
+    return " * ".join(("e" if o.s else "h") + f"({o.v[0]},{o.v[1]})" + (f"^{m}" if m > 1 else "")
+                      for o, m in alpha.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +341,24 @@ def _checked_cap(domain: Polygon2D, action_cap: Fraction, vmax: int) -> Fraction
     return parse_rational(action_cap)
 
 
+# The most (x, y) pairs that one candidate table scans.
+_TABLE_LIMIT = 1_000_000
+
+
 def _candidates(domain: Polygon2D, num: int, den: int, vmax: int) -> tuple:
     """``(scale, budget, table)``: the candidates ``(x, y, s, cost)`` of
     support ``cost / scale`` under the cap ``budget / scale = num / den``
     (den >= 1), both markers of each primitive direction with |x|, |y| <=
     vmax and positive support, in the canonical orbit order (sorted
-    directions, hyperbolic first); the scale is ``q * den``, q the lattice's."""
+    directions, hyperbolic first); the scale is ``q * den``, q the lattice's.
+    A row that takes the pairs scanned past ``_TABLE_LIMIT`` is refused."""
     q, points = domain._q, domain._points
     budget = num * q
     # A row x <= 0 needs y >= 1 for a positive support, so it costs at least
     # the y-intercept, and a row x >= 1 at least x times the x-intercept.
     first = -vmax if points[-1][1] * den <= budget else 1
     last = min(vmax, budget // (points[0][0] * den))
-    directions = []
+    directions, scanned = [], 0
     for x in range(first, last + 1):
         # Each chain point p after the first (p_y > 0) bounds y by
         # x p_x + y p_y <= num / den, in integers over q den.
@@ -365,7 +367,12 @@ def _candidates(domain: Polygon2D, num: int, den: int, vmax: int) -> tuple:
             bound = (budget - x * px * den) // (py * den)
             if bound < top_y:
                 top_y = bound
-        for y in range(1 if x <= 0 else -vmax, top_y + 1):
+        low = 1 if x <= 0 else -vmax
+        scanned += max(top_y + 1 - low, 0)
+        if scanned > _TABLE_LIMIT:
+            raise InapplicableError(f"the candidate table at vmax={vmax} would scan more "
+                                    f"than the limit of {_TABLE_LIMIT} directions")
+        for y in range(low, top_y + 1):
             if math.gcd(x, y) == 1:
                 directions.append((x, y))
     _, tops = domain._supports(directions)
@@ -380,7 +387,8 @@ def candidate_orbits(domain: Polygon2D, action_cap: Fraction, vmax: int):
 
     Directions of nonpositive support are excluded: every closed orbit
     contributes a positive period, so they cannot occur.  Each orbit comes
-    with its support, read off the table of ``_candidates`` in its order.
+    with its support, read off the table of ``_candidates`` in its order
+    (refused past ``_TABLE_LIMIT`` pairs).
     """
     cap = _checked_cap(domain, action_cap, vmax)
     scale, _, table = _candidates(domain, cap.numerator, cap.denominator, vmax)
@@ -658,10 +666,9 @@ def verify_witness(
     numbers = [(orbit_invariants(a), orbit_invariants(p)) for a, p in zip(af, pf)]
     if any(_leq_failure(source, target, a, p, *n) for a, p, n in zip(af, pf, numbers)):
         return False
-    for i, j in pairs:
-        if af[i] == af[j] or pf[i] == pf[j]:
-            if _shares_orbits(af[i], af[j], s=1):
-                return False
+    if any((af[i] == af[j] or pf[i] == pf[j]) and _shares_orbits(af[i], af[j], s=1)
+           for i, j in pairs):
+        return False
     return _sub_products_match(af, pf, numbers)
 
 
@@ -830,14 +837,14 @@ def obstruction_search(
 ) -> SearchReport:
     """Bounded search for the factor decompositions an embedding must admit.
 
-    The test set must have positive index, no hyperbolic factors and at
-    most ``_SUB_PRODUCT_LIMIT`` nonempty sub-products.  Every factorization
-    of it into at most ``lmax`` parts is considered.
-    A sound per-factor inequality closes most branches without touching
-    the direction bound: the source action of any matching factor is at
-    least the source diagonal radius times (x' + y' + m' - 1), so factors
-    whose target action is below that threshold admit no match at any
-    direction bound.  Surviving slots are filled from the bounded
+    The test set must have positive index, no hyperbolic factors and at most
+    ``_SUB_PRODUCT_LIMIT`` nonempty sub-products, and a slot's table at most
+    ``_TABLE_LIMIT`` pairs.  Every factorization of it into at most ``lmax``
+    parts is considered.  A sound per-factor inequality closes most branches
+    without touching the direction bound: the source action of any matching
+    factor is at least the source diagonal radius times (x' + y' + m' - 1),
+    so factors whose target action is below that threshold admit no match at
+    any direction bound.  Surviving slots are filled from the bounded
     enumeration and checked against all pairwise and subset conditions.
 
     Sub-products of the test set are its multiplicity vectors over its

@@ -160,8 +160,6 @@ def cube_bound(domain: Polygon2D) -> Fraction:
     Requires the boundary chain to leave the x-axis and arrive at the
     y-axis at least diagonally (edge direction dx <= dy at both ends);
     otherwise, or on a domain of another kind, the call refuses.
-
-    A polygon computes it at most once.
     """
     _require_polygon("the boundary-slope bound applies to polygon domains", domain)
     return domain.cube_bound

@@ -21,8 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter, lt
 
-from .domains import ToricDomain, _point
-from .errors import DomainError, InapplicableError
+from .domains import ToricDomain, _Refused, _point
+from .errors import DomainError
 from .rationals import Interval, Value, as_items, format_rational, over_common_denominator
 
 _CORNERS = ("x0", "x1", "y0", "y1")
@@ -98,24 +98,23 @@ def _coverage(corners: list) -> dict:
     """The integer lattice of a rectangle union, by the names a
     ``Rectilinear2D`` keeps it under.
 
-    The flat list of corners (x0, x1, y0, y1 per rectangle) is read
-    straight to integers: rectangle k is ``_boxes[k] / _q``, q the least
-    common denominator.  It refuses, in this order, no rectangle, a bad
-    box, a union off both axes and a disconnected union.  Scaling by
-    q > 0 keeps every order and equality, so connectivity and the painted
-    cells are read off the integer boxes in ``int`` arithmetic.  ``_xs``
-    and ``_ys`` are the sorted distinct integer coordinates together with
-    0, and a dict ranks each box's coordinates on them.  Cell (i, j) is
-    the open box between ``_xs[i]``, ``_xs[i + 1]`` and ``_ys[j]``,
-    ``_ys[j + 1]``; every rectangle is a block of whole cells, so a cell
-    is covered by the closed union iff some rectangle paints it, and the
-    union is the closure of its painted cells.  ``_columns[i]`` is column
-    i as a bit mask: bit j is set iff cell (i, j) is painted.  The
-    painting pass also finds ``eta``, the largest smallest coordinate of
-    a box's top-right corner, and ``_diagonal``, q times the same over
-    the boxes that meet the diagonal (0 when none does); the scan of the
-    columns after it finds ``is_monotone`` and ``cube_inclusion``, and
-    with the grid's extents ``inclusion_bracket``.
+    The flat list of corners (x0, x1, y0, y1 per rectangle) is read straight
+    to integers: rectangle k is ``_boxes[k] / _q``, q the least common
+    denominator.  It refuses, in this order, no rectangle, a bad box, a
+    union off both axes and a disconnected union.  Scaling by q > 0 keeps
+    every order and equality, so connectivity and the painted cells are read
+    off the integer boxes in ``int`` arithmetic.  ``_xs`` and ``_ys`` are
+    the sorted distinct integer coordinates together with 0, and a dict
+    ranks each box's coordinates on them.  Cell (i, j) is the open box
+    between ``_xs[i]``, ``_xs[i + 1]`` and ``_ys[j]``, ``_ys[j + 1]``; every
+    rectangle is a block of whole cells, so a cell is covered by the closed
+    union iff some rectangle paints it, and the union is the closure of its
+    painted cells.  ``_columns[i]`` is column i as a bit mask: bit j is set
+    iff cell (i, j) is painted.  The painting pass also finds ``eta``, the
+    largest smallest coordinate of a box's top-right corner, and ``delta``,
+    the same over the boxes that meet the diagonal, returned only when some
+    box does; the scan of the columns after it finds ``is_monotone`` and
+    ``cube_inclusion``, and with the grid's extents ``inclusion_bracket``.
     """
     if not corners:
         raise DomainError("rectilinear domain needs at least one rectangle")
@@ -177,20 +176,21 @@ def _coverage(corners: list) -> dict:
     inscribed = Fraction(cube, q)
     bracket = Interval._stored(lower=inscribed, upper=Fraction(extent, q), exact=cube == extent)
     return {"_q": q, "_boxes": boxes, "_xs": xs, "_ys": ys, "_columns": columns,
-            "_diagonal": diagonal, "eta": Fraction(eta, q), "is_monotone": staircase,
-            "cube_inclusion": inscribed, "inclusion_bracket": bracket}
+            "eta": Fraction(eta, q), "is_monotone": staircase,
+            "cube_inclusion": inscribed, "inclusion_bracket": bracket,
+            **({"delta": Fraction(diagonal, q)} if diagonal else {})}
 
 
 class Rectilinear2D(ToricDomain):
     """Connected union of axis-aligned rectangles touching a coordinate axis.
 
     By the storage rule of every kind (see :mod:`toricap.domains`), the
-    constructor keeps what ``_coverage`` returns: the rectangles as
-    integer boxes over the lcm q of their denominators, the painted cell
-    grid on them, which membership and boundary tests read, and every
-    invariant but ``delta``, which refuses a union off the diagonal and is
-    computed on its first read.  So is the ``rects`` field, the rectangles
-    as ``Rect`` values read off the boxes, so equality, hashing and
+    constructor keeps what ``_coverage`` returns: the rectangles as integer
+    boxes over the lcm q of their denominators, the painted cell grid on
+    them, which membership and boundary tests read, and every invariant,
+    ``delta`` only when the union meets the diagonal; the class refuses it
+    otherwise.  The ``rects`` field, the rectangles as ``Rect`` values read
+    off the boxes, is computed on its first read, so equality, hashing and
     ``repr`` see the field alone; ``to_dict`` builds no ``Rect``.
     """
 
@@ -202,6 +202,7 @@ class Rectilinear2D(ToricDomain):
     # so a non-diagonal lattice witness is preferred when one exists (same
     # value either way, since a staircase has diagonal radius equal to eta).
     cl_rules = ("LatticeWitness", "MonotoneDiagonal", "EtaOnBoundary")
+    delta = _Refused("diagonal does not meet the domain")
 
     def __init__(self, rects):
         rects = as_items(rects, DomainError, "rects must be a sequence, got {!r}")
@@ -213,12 +214,6 @@ class Rectilinear2D(ToricDomain):
     def rects(self) -> tuple:
         q = self._q
         return tuple(Rect(*(Fraction(c, q) for c in box)) for box in self._boxes)
-
-    @cached_property
-    def delta(self) -> Fraction:
-        if not self._diagonal:
-            raise InapplicableError("diagonal does not meet the domain")
-        return Fraction(self._diagonal, self._q)
 
     def _quadrants(self, p) -> tuple:
         """Whether each of the four cells meeting the corners of p is painted.

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, golden files, and exit statuses."""
 
 import json
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -209,6 +210,31 @@ def test_obstruct_feasible_at_large_vmax(omega_file):
     )
     assert cp.returncode == 0, cp.stderr
     assert "status: FeasibleWitness" in cp.stdout
+
+
+def test_obstruct_refuses_an_oversized_candidate_table(tmp_path):
+    # At vmax 10^7 the unit square's slot would scan over 4 * 10^7 directions;
+    # the search refuses its table with one error line, in a child held to
+    # 512 MiB of address space.  ROADMAP's example size, vmax 10^5, answers.
+    path = tmp_path / "square.json"
+    path.write_text('{"kind":"polygon2d","vertices":[["1","0"],["1","1"],["0","1"]]}')
+    cap = 1 << 29
+
+    def run(vmax):
+        return subprocess.run(
+            [sys.executable, "-m", "toricap", "obstruct", "--source", str(path),
+             "--target", str(path), "--alpha", "e(1,1)", "--vmax", vmax, "--lmax", "1"],
+            capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+
+    cp = run("10000000")
+    assert (cp.returncode, cp.stdout) == (1, "")
+    assert cp.stderr == ("error: the candidate table at vmax=10000000 would scan more "
+                         "than the limit of 1000000 directions\n")
+    cp = run("100000")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.startswith("status: FeasibleWitness\n")
 
 
 def test_obstruct_infeasible(square_half_file, omega_file):

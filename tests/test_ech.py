@@ -714,6 +714,35 @@ def test_slot_below_smaller_intercept_closes_at_once(om310):
     assert not enumeration_truncated(om310, F(1, 3))
 
 
+def test_oversized_candidate_table_is_refused():
+    # At cap 1 the tall rectangle affords the row x = 1 alone, whose vmax + 1
+    # pairs (1, y), -vmax <= y <= 0, pass the limit of 1,000,000 at
+    # vmax = 10^6.  Every reader of the table refuses it before scanning the
+    # row, naming vmax and the limit; the search's slot of e(1,0) has cap 1.
+    tall = Polygon2D(((1, 0), (1, 10), (0, 10)))
+    refusal = r"vmax=1000000 would scan more than the limit of 1000000 directions"
+    with deadline(1):
+        for read in (lambda: candidate_orbits(tall, 1, 10**6),
+                     lambda: enumerate_orbit_sets(tall, 1, 1, 10**6),
+                     lambda: obstruction_search(tall, tall, parse_orbit_set("e(1,0)"), 10**6, 1)):
+            with pytest.raises(InapplicableError, match=refusal):
+                read()
+        # A row far longer than a machine-size integer is counted exactly too.
+        with pytest.raises(InapplicableError, match=r"vmax=10{20} would scan"):
+            candidate_orbits(tall, 1, 10**20)
+
+
+def test_candidate_table_limit_is_inclusive(monkeypatch):
+    # A table of exactly the limit's pairs is built, and one pair more is
+    # refused; the tall rectangle at cap 1 scans vmax + 1 pairs.
+    monkeypatch.setattr(ech, "_TABLE_LIMIT", 10)
+    tall = Polygon2D(((1, 0), (1, 10), (0, 10)))
+    assert [o.v for o, _ in candidate_orbits(tall, 1, 9)[::2]] == [(1, y) for y in range(-9, 1)]
+    assert next(enumerate_orbit_sets(tall, 1, 2, 9)) is not None
+    with pytest.raises(InapplicableError, match="vmax=10 would scan more than the limit of 10 "):
+        candidate_orbits(tall, 1, 10)
+
+
 def test_count_cut_counts_hyperbolic_orbits():
     # On the square 1/2 every first-quadrant direction adds 2 to x + y per
     # unit of action, the best rate, so a floor of twice the cap admits no

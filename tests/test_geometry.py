@@ -32,8 +32,8 @@ from toricap import (
     square_polygon,
     support,
 )
-from toricap.domains import STANDARD_KINDS
-from toricap.geometry import domain_contains, domain_on_boundary
+from toricap.domains import STANDARD_KINDS, _Refused
+from toricap.geometry import cube_bound, domain_contains, domain_on_boundary
 from toricap.rationals import Interval
 
 from generators import (
@@ -492,14 +492,29 @@ def _fields_by_name(dom) -> dict:
 STANDARD_INVARIANTS = ("delta", "eta", "cube_inclusion", "inclusion_bracket")
 POLYGON_LATTICE = ("_q", "_points", "_halfplanes")
 POLYGON_INVARIANTS = ("delta", "eta", "is_monotone", "cube_inclusion", "inclusion_bracket")
-UNION_LATTICE = ("_q", "_boxes", "_xs", "_ys", "_columns", "_diagonal")
+UNION_LATTICE = ("_q", "_boxes", "_xs", "_ys", "_columns")
 UNION_INVARIANTS = ("eta", "is_monotone", "cube_inclusion", "inclusion_bracket")
 KEPT_INVARIANTS = {StandardDomain: STANDARD_INVARIANTS, Polygon2D: POLYGON_INVARIANTS,
                    Rectilinear2D: UNION_INVARIANTS}
+# The invariants that exist for some instances only, by the ``geometry``
+# function that answers or refuses each.
+REFUSABLE = {"delta": delta, "cube_bound": cube_bound}
 
 
 def _by_name(instance_dict, names) -> tuple:
     return tuple(instance_dict[name] for name in names)
+
+
+def _answered(dom) -> tuple:
+    """The names of ``REFUSABLE`` that ``geometry`` answers for ``dom``, in order."""
+    names = []
+    for name, function in REFUSABLE.items():
+        try:
+            function(dom)
+        except InapplicableError:
+            continue
+        names.append(name)
+    return tuple(names)
 
 
 def test_cached_invariants_keep_value_semantics():
@@ -537,15 +552,15 @@ def test_cached_invariants_keep_value_semantics():
                 assert name not in type(dom)._fields
                 assert name not in serialize_domain(dom)
         answers = _answers(dom)
-        # Computed once: the answers sit in the instance, beside the fields.
-        cached = {"delta", *KEPT_INVARIANTS[type(dom)]}
-        assert cached <= vars(dom).keys(), dom
+        # The answers sit in the instance, beside the fields.
+        assert {"delta", *KEPT_INVARIANTS[type(dom)]} <= vars(dom).keys(), dom
         # One rule for every kind: the constructor keeps every invariant
-        # that cannot refuse, so a fresh instance holds all of them but a
-        # union's delta, which refuses off the diagonal.
-        stored = set(KEPT_INVARIANTS[type(dom)])
+        # that exists, so a fresh instance holds the kind's invariants, and
+        # a polygon's cube_bound or a union's delta exactly when
+        # ``geometry`` answers it.
+        optional = _answered(dom)
+        stored = {*KEPT_INVARIANTS[type(dom)], *optional}
         fresh = type(dom)(**_fields_by_name(dom))  # same fields, nothing read yet
-        assert vars(fresh).keys() & cached == stored
         # A fresh instance holds exactly what its constructor keeps: a
         # standard region's fields, or a planar kind's lattice, whose field
         # is read back off it on first use, and the invariants.
@@ -567,7 +582,7 @@ def test_cached_invariants_keep_value_semantics():
             # The lattice is a function of the field: the same q and integers.
             mine, theirs = vars(dom), vars(fresh)
             assert theirs["_points"] is not mine["_points"]
-            kept = POLYGON_LATTICE + POLYGON_INVARIANTS
+            kept = POLYGON_LATTICE + POLYGON_INVARIANTS + optional
             for other in (theirs, vars(reread)):
                 assert _by_name(other, kept) == _by_name(mine, kept)
             # delta is c / (s q) at the tightest halfplane a x + b y <= c / q
@@ -592,7 +607,7 @@ def test_cached_invariants_keep_value_semantics():
             again = Rectilinear2D(tuple(
                 Rect(*(str(c) for c in (r.x0, r.x1, r.y0, r.y1))) for r in dom.rects
             ))
-            kept = UNION_LATTICE + UNION_INVARIANTS
+            kept = UNION_LATTICE + UNION_INVARIANTS + optional
             for other in (theirs, vars(again), vars(reread)):
                 assert _by_name(other, kept) == _by_name(mine, kept)
             assert again == dom and hash(again) == hash(dom)
@@ -608,6 +623,25 @@ def test_cached_invariants_keep_value_semantics():
         for probe in (domain_contains, domain_on_boundary):
             with pytest.raises(InapplicableError, match="planar"):
                 probe(dom, (F(1, 2), F(1, 2)))
+    # On the seeded generators, Omega_a and unions moved off the diagonal,
+    # a refusable invariant is stored exactly where ``geometry`` answers it.
+    domains = [omega_a(F(k, 41)) for k in range(1, 21)]
+    domains += [make_weakly_convex_polygon(rng) for _ in range(40)]
+    domains += [make_monotone_polygon(rng) for _ in range(10)]
+    unions = [make_touching_union(rng) for _ in range(10)]
+    unions += [make_staircase(rng) for _ in range(5)]
+    domains += unions + [
+        Rectilinear2D(tuple(Rect(r.x0 + 10, r.x1 + 10, r.y0, r.y1) for r in dom.rects))
+        for dom in unions
+    ]
+    seen = set()
+    for dom in domains:
+        optional = _answered(dom)
+        assert vars(dom).keys() & REFUSABLE.keys() == set(optional), dom
+        seen.add((type(dom), optional))
+    # Each kind has instances with and without its refusable invariant.
+    assert seen == {(Polygon2D, ("delta", "cube_bound")), (Polygon2D, ("delta",)),
+                    (Rectilinear2D, ("delta",)), (Rectilinear2D, ())}
 
 
 def test_stored_invariants_travel_with_the_instance():
@@ -630,48 +664,75 @@ def test_stored_invariants_travel_with_the_instance():
 
 def test_raising_invariant_raises_again():
     # The first edge (2, 1) is shallower than the diagonal, and the union
-    # misses the diagonal: each member raises on every read and caches
-    # nothing in the instance.
+    # misses the diagonal: neither constructor stores the member, and its
+    # class refuses it on every read, storing nothing in the instance; so
+    # does a standard region's class its two planar tests.
     shallow = Polygon2D(((2, 0), (4, 1), (0, 3)))
     off_diagonal = Rectilinear2D(
         (Rect(F(2), F(4), F(0), F(1, 4)), Rect(F(3), F(4), F(0), F(1)))
     )
+    ball = StandardDomain("ball", 2, F(1))
     for dom, name, match in ((shallow, "cube_bound", "tangent-slope"),
-                             (off_diagonal, "delta", "diagonal")):
+                             (off_diagonal, "delta", "diagonal"),
+                             (ball, "contains", "membership test implemented for planar"),
+                             (ball, "on_boundary", "boundary test implemented for planar")):
         before = dict(vars(dom))
         for _ in range(2):
             with pytest.raises(InapplicableError, match=match):
                 getattr(dom, name)
         assert vars(dom) == before and name not in vars(dom)
+        # Read off the class, the refusal is the class's own member.
+        assert isinstance(vars(type(dom))[name], _Refused)
+        assert getattr(type(dom), name) is vars(type(dom))[name]
     assert eta(off_diagonal) == 1  # the other invariants still answer
     assert off_diagonal.inclusion_bracket == Interval(F(0), F(1))
     with pytest.raises(InapplicableError, match="diagonal"):
         capacity_report(off_diagonal)
-    # A successful read keeps its value in the instance; the class keeps
-    # the descriptor.
-    # A polygon's other invariants are kept by its constructor, not cached.
+    # Where the member exists the constructor stores it, and the stored
+    # value wins over the class's refusal.
+    omega = omega_a(F(3, 10))
+    on_diagonal = Rectilinear2D((Rect(F(0), F(1), F(0), F(1, 2)),))
+    assert vars(omega)["cube_bound"] == F(2, 5) and vars(on_diagonal)["delta"] == F(1, 2)
+    for dom, name in ((omega, "cube_bound"), (on_diagonal, "delta")):
+        assert getattr(dom, name) is vars(dom)[name]
+        assert isinstance(getattr(type(dom), name), _Refused)
+    # A polygon's other invariants are kept by its constructor, and the
+    # class has no member of their names.
     assert "delta" in vars(shallow) and "delta" not in vars(Polygon2D)
-    for dom, name in ((shallow, "vertices"), (off_diagonal, "rects"),
-                      (omega_a(F(3, 10)), "cube_bound")):
+    # A field read back off the lattice is cached in the instance on its
+    # first read; the class keeps the descriptor.
+    for dom, name in ((shallow, "vertices"), (off_diagonal, "rects")):
         value = getattr(dom, name)
         assert isinstance(vars(type(dom))[name], cached_property)
         assert getattr(type(dom), name) is vars(type(dom))[name]
         assert vars(dom)[name] is value and getattr(dom, name) is value
 
 
-def test_only_refusing_invariants_and_lattice_fields_are_cached():
+def _class_members(kind):
+    """``(Class.name, member)`` for every member of the classes of a kind's MRO."""
+    return [(f"{kind.__name__}.{name}", member)
+            for klass in kind.__mro__ for name, member in vars(klass).items()]
+
+
+def test_only_lattice_fields_are_cached_and_four_members_are_refused():
     # The storage rule of every kind: the constructor keeps every invariant
-    # that cannot refuse, so the only members computed on first read are
-    # the two that refuse and the two fields read back off the lattice.
-    cached = {
-        f"{cls.__name__}.{name}"
-        for cls in (StandardDomain, Polygon2D, Rectilinear2D)
-        for klass in cls.__mro__
-        for name, member in vars(klass).items()
-        if isinstance(member, cached_property)
+    # that exists, so the only members computed on first read are the two
+    # fields read back off the lattice, and a class refuses exactly the four
+    # members that some of its instances lack, each with its own message.
+    members = [pair for kind in (StandardDomain, Polygon2D, Rectilinear2D)
+               for pair in _class_members(kind)]
+    cached = {name for name, member in members if isinstance(member, cached_property)}
+    assert cached == {"Polygon2D.vertices", "Rectilinear2D.rects"}
+    refused = {name: member.message for name, member in members if isinstance(member, _Refused)}
+    assert refused == {
+        "Polygon2D.cube_bound":
+            "tangent-slope condition fails: both end edges must satisfy dx <= dy",
+        "Rectilinear2D.delta": "diagonal does not meet the domain",
+        "StandardDomain.contains": "membership test implemented for planar domains only",
+        "StandardDomain.on_boundary": "boundary test implemented for planar domains only",
     }
-    assert cached == {"Polygon2D.vertices", "Polygon2D.cube_bound",
-                      "Rectilinear2D.rects", "Rectilinear2D.delta"}
+    # No kind answers a missing member through a lookup hook.
+    assert not {name for name, _ in members if name.endswith(".__getattr__")}
 
 
 @pytest.mark.parametrize(

@@ -355,8 +355,8 @@ def _unread_members(trees: dict, builders: dict) -> list:
     A private key is the kind's own, so only its module's code counts as
     a reader; a public key is an invariant of the domain protocol, read
     anywhere in the package.  A name that another kind stores and reads
-    (the union's ``_diagonal``) does not hide a key its own module never
-    reads.
+    (``_q``, which both planar kinds keep) does not hide a key its own
+    module never reads.
     """
     unread = []
     for module, builder in builders.items():
