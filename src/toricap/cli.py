@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Subcommands: ``info``, ``report``, ``xa``, ``bound``, ``obstruct`` and
-``amin``.  All numeric output is exact "p/q"; the ``--decimal N`` flag
-adds clearly-marked approximations to table output for human
-convenience, and ``report`` and ``xa`` refuse it with ``--format csv``
-or ``json``.  Each ``_cmd_*`` returns its whole stdout text and exit
-status, and ``main`` writes the text once the command has returned, so
-an error leaves stdout empty.  Exit status 0 means success, 1 a refused computation (a
-precondition or hypothesis does not hold, or the ``amin`` oracle
-disagrees), 2 an input error; failures print one machine-parsable
-``error: ...`` line on stderr.
+``amin``, read from one table (``_COMMANDS``) in one pass, without
+``argparse``.  All numeric output is exact "p/q"; ``--decimal N`` adds
+clearly-marked approximations to table output, and ``report`` and ``xa``
+refuse it with ``--format csv`` or ``json``.  Each ``_cmd_*`` returns its
+whole stdout text and exit status, and ``main`` writes the text once the
+command has returned, so an error leaves stdout empty.  ``main`` returns
+the exit status, never raising ``SystemExit``: 0 success or help, 1 a
+refused computation (a precondition or hypothesis does not hold, or the
+``amin`` oracle disagrees), 2 an input or usage error; each failure
+prints one machine-parsable ``error: ...`` line on stderr.
 
 A CLI process starts with only the domain parser, the error types and
 the rational helpers loaded; each ``_cmd_*`` imports the layers it runs
@@ -21,11 +22,10 @@ loads the rectangle-union kind only when it reads a union document.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
+from types import SimpleNamespace
 
 from .domains import parse_domain
 from .errors import DomainError, InapplicableError, ToricapError
@@ -39,6 +39,13 @@ DECIMAL_LIMIT = 1074
 
 def _lines(lines) -> str:
     return "".join(f"{line}\n" for line in lines)
+
+
+# The rows as lines of left-aligned cells, two spaces apart.
+def _columns(rows) -> str:
+    rows = list(rows)
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return _lines("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows)
 
 
 def _fmt(value: Fraction, decimal: int | None) -> str:
@@ -57,7 +64,8 @@ def _fmt(value: Fraction, decimal: int | None) -> str:
 
 def _load_domain(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except OSError as exc:
         raise DomainError(f"cannot read domain file {path!r}: {exc.strerror}")
     except UnicodeDecodeError as exc:
@@ -115,13 +123,7 @@ def _interval_cell(iv, decimal) -> str:
 
 
 def _cmd_report(args) -> tuple[str, int]:
-    from .capacities import (
-        CSV_COLUMNS,
-        _csv_text,
-        capacity_report,
-        report_csv_row,
-        report_to_dict,
-    )
+    from .capacities import CSV_COLUMNS, _csv_text, capacity_report, report_csv_row, report_to_dict
 
     report = capacity_report(_load_domain(args.file))
     if args.format == "json":
@@ -182,21 +184,10 @@ def _cmd_xa(args) -> tuple[str, int]:
     rows = [header]
     for c in checks:
         r = c.report
-        rows.append(
-            [
-                _fmt(c.a, dec),
-                _fmt(r.delta, dec),
-                _fmt(r.eta, dec),
-                _interval_cell(r.c_L, dec),
-                _interval_cell(r.c_P, dec),
-                _interval_cell(r.c_N, dec),
-                "pass" if c.passed else "FAIL",
-            ]
-        )
-    widths = [max(map(len, column)) for column in zip(*rows)]
-    return _lines(
-        "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows
-    ), 0
+        rows.append([_fmt(c.a, dec), _fmt(r.delta, dec), _fmt(r.eta, dec),
+                     _interval_cell(r.c_L, dec), _interval_cell(r.c_P, dec),
+                     _interval_cell(r.c_N, dec), "pass" if c.passed else "FAIL"])
+    return _columns(rows), 0
 
 
 def _cmd_bound(args) -> tuple[str, int]:
@@ -223,13 +214,8 @@ def _cmd_obstruct(args) -> tuple[str, int]:
 
     source = _load_domain(args.source)
     target = _load_domain(args.target)
-    report = obstruction_search(
-        source,
-        target,
-        parse_orbit_set(args.alpha),
-        vmax=args.vmax,
-        lmax=args.lmax,
-    )
+    report = obstruction_search(source, target, parse_orbit_set(args.alpha),
+                                vmax=args.vmax, lmax=args.lmax)
     lines = [f"status: {report.status.value}"]
     w = report.witness
     if w is not None:
@@ -277,85 +263,116 @@ def _cmd_amin(args) -> tuple[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Parser and entry point
+# Subcommand table, argument pass and entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="toricap",
-        description=(
-            "Exact symplectic-capacity invariants of toric domains: "
-            "diagonal and min-coordinate radii, Lagrangian-capacity "
-            "certificates, cube-capacity bounds, and combinatorial "
-            "embedding obstructions."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # Options shared by several subcommands, each defined once.
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    decimal = argparse.ArgumentParser(add_help=False)
-    decimal.add_argument("--decimal", type=int, metavar="N", default=None,
-                         help="also print N-digit decimal approximations")
+# Each option maps its name to (kind, metavar, help, required).  The kind is
+# str or int for one value, the last one given winning; [str] or [int] for a
+# repeatable one, read as the list of its values; or a tuple of the values
+# it accepts.  An option never given reads None.
+_FORMAT = {"--format": (("table", "csv", "json"), "table|csv|json", "output format", False)}
+_DECIMAL = {"--decimal": (int, "N", "also print N-digit decimal approximations", False)}
+_FILE = (("file", "domain JSON file"),)
 
-    p = sub.add_parser("info", help="domain summary and validity predicates")
-    p.add_argument("file", help="domain JSON file")
-    p.set_defaults(func=_cmd_info)
-
-    p = sub.add_parser("report", parents=[fmt, decimal],
-                       help="full capacity report for a domain")
-    p.add_argument("file", help="domain JSON file")
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("xa", parents=[fmt, decimal],
-                       help="closed-form checks for the pinched-corner family")
-    p.add_argument("--a", action="append", metavar="P/Q",
-                   help="family parameter (repeatable)")
-    p.add_argument("--sweep", metavar="LO..HI:STEP",
-                   help="rational sweep, inclusive of HI when the step lands on it")
-    p.set_defaults(func=_cmd_xa)
-
-    p = sub.add_parser("bound", parents=[decimal],
-                       help="cube-capacity bounds from boundary slopes")
-    p.add_argument("file", help="domain JSON file (polygon)")
-    p.add_argument("--d", action="append", type=int, metavar="N",
-                   help="degree for the finite-degree bound (repeatable)")
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("obstruct", help="bounded embedding-obstruction search")
-    p.add_argument("--source", required=True, metavar="FILE")
-    p.add_argument("--target", required=True, metavar="FILE")
-    p.add_argument("--alpha", required=True, metavar="ORBIT-EXPR",
-                   help="test orbit set, e.g. 'e(1,-1)^30 * e(-1,1)^30 * e(1,1)^2'")
-    p.add_argument("--vmax", required=True, type=int,
-                   help="bound on orbit direction components")
-    p.add_argument("--lmax", required=True, type=int,
-                   help="bound on the number of factors")
-    p.set_defaults(func=_cmd_obstruct)
-
-    p = sub.add_parser("amin", parents=[decimal],
-                       help="minimal torus-fiber area at a rational point")
-    p.add_argument("--x", required=True, metavar="P/Q,P/Q,...",
-                   help="fiber position coordinates")
-    p.add_argument("--brute", type=int, metavar="K", default=None,
-                   help="also run the exhaustive oracle over [-K,K]^n")
-    p.set_defaults(func=_cmd_amin)
-
-    return parser
+# Each subcommand: its handler, its help line, its positionals as
+# (name, help) pairs, and its options.
+_COMMANDS = {
+    "info": (_cmd_info, "domain summary and validity predicates", _FILE, {}),
+    "report": (_cmd_report, "full capacity report for a domain", _FILE, {**_FORMAT, **_DECIMAL}),
+    "xa": (_cmd_xa, "closed-form checks for the pinched-corner family", (), {
+        "--a": ([str], "P/Q", "family parameter (repeatable)", False),
+        "--sweep": (str, "LO..HI:STEP", "rational sweep, with HI when a step lands on it", False),
+        **_FORMAT, **_DECIMAL}),
+    "bound": (_cmd_bound, "cube-capacity bounds from boundary slopes", _FILE, {
+        "--d": ([int], "N", "degree for the finite-degree bound (repeatable)", False), **_DECIMAL}),
+    "obstruct": (_cmd_obstruct, "bounded embedding-obstruction search", (), {
+        "--source": (str, "FILE", "domain JSON file to embed", True),
+        "--target": (str, "FILE", "domain JSON file to embed it into", True),
+        "--alpha": (str, "ORBIT-EXPR", "test orbit set, e.g. 'e(1,-1)^30 * e(-1,1)^30'", True),
+        "--vmax": (int, "N", "bound on orbit direction components", True),
+        "--lmax": (int, "N", "bound on the number of factors", True)}),
+    "amin": (_cmd_amin, "minimal torus-fiber area at a rational point", (), {
+        "--x": (str, "P/Q,P/Q,...", "fiber position coordinates", True),
+        "--brute": (int, "K", "also run the exhaustive oracle over [-K,K]^n", False), **_DECIMAL}),
+}
 
 
+# The synopsis of a subcommand, an optional option in brackets.
+def _usage(name: str) -> str:
+    _, _, positionals, options = _COMMANDS[name]
+    words = [f"{o} {meta}" if required else f"[{o} {meta}]"
+             for o, (_, meta, _, required) in options.items()]
+    return " ".join(["toricap", name, *(p.upper() for p, _ in positionals), *words])
+
+
+# The subcommands with their help lines, or the arguments of subcommand name;
+# each row's empty first cell indents it by two spaces.
+def _help(name: str | None = None) -> str:
+    if name is None:
+        return "usage: toricap COMMAND ARGS, or toricap COMMAND -h for its ARGS\n\n" + _columns(
+            ("", command, about) for command, (_, about, *_) in _COMMANDS.items())
+    _, about, positionals, options = _COMMANDS[name]
+    rows = [*((p.upper(), text) for p, text in positionals),
+            *((f"{o} {meta}", text) for o, (_, meta, text, _) in options.items()),
+            ("-h, --help", "show this help")]
+    return f"usage: {_usage(name)}\n\n{about}\n\n" + _columns(("", *row) for row in rows)
+
+
+# (handler, args) for the subcommand that argv names, or (None, help text)
+# when it asks for help; a usage error raises DomainError.  An option is
+# "--name value" or "--name=value", its value the next token whatever it
+# starts with, and a unique prefix of its name will do.  Positionals may
+# come before or after the options, and every token after "--" is one.
+def _parse(argv) -> tuple:
+    if not argv or argv[0] in ("-h", "--help"):
+        return None, _help()
+    if argv[0] not in _COMMANDS:
+        raise DomainError(f"expected a command ({', '.join(_COMMANDS)}), got {argv[0]!r}")
+    name, tokens, given = argv[0], iter(argv[1:]), []
+    handler, _, positionals, options = _COMMANDS[name]
+    names, values = [*options, "-h", "--help"], dict.fromkeys(options)
+    for token in tokens:
+        if token == "--":
+            given += tokens
+            break
+        if token[:1] != "-" or token == "-":
+            given.append(token)
+            continue
+        key, eq, text = token.partition("=")
+        hits = [key] if key in names else [o for o in names if o.startswith(key)]
+        if len(hits) != 1:
+            raise DomainError(f"{name}: {'ambiguous' if hits else 'unknown'} option {key}")
+        if hits[0] in ("-h", "--help"):
+            return None, _help(name)
+        option, kind, text = hits[0], options[hits[0]][0], text if eq else next(tokens, None)
+        if text is None:
+            raise DomainError(f"{name} {option} needs a value")
+        try:
+            value = int(text) if kind in (int, [int]) else text
+        except ValueError:
+            raise DomainError(f"{name} {option} needs an integer, got {text!r}") from None
+        if isinstance(kind, tuple) and value not in kind:
+            raise DomainError(f"{name} {option} needs one of {', '.join(kind)}, got {text!r}")
+        values[option] = [*(values[option] or ()), value] if isinstance(kind, list) else value
+    if len(given) != len(positionals) or any(
+            values[o] is None for o, (*_, required) in options.items() if required):
+        raise DomainError(f"expected {_usage(name)}")
+    decimal, fmt = values.get("--decimal"), values.get("--format")
+    if decimal is not None and not 0 <= decimal <= DECIMAL_LIMIT:
+        raise DomainError(f"--decimal needs 0 <= N <= {DECIMAL_LIMIT}, got {decimal}")
+    # CSV and JSON cells stay exact, so they have no room for an approximation.
+    if decimal is not None and fmt not in (None, "table"):
+        raise DomainError(f"--decimal applies to table output only, not --format {fmt}")
+    return handler, SimpleNamespace(**{o[2:]: value for o, value in values.items()},
+                                    **{p: value for (p, _), value in zip(positionals, given)})
+
+
+# Runs the subcommand that argv (default sys.argv[1:]) names and returns its
+# exit status; help and usage errors return too, never raising SystemExit.
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        decimal = getattr(args, "decimal", None)
-        if decimal is not None and not 0 <= decimal <= DECIMAL_LIMIT:
-            raise DomainError(
-                f"--decimal needs 0 <= N <= {DECIMAL_LIMIT}, got {decimal}"
-            )
-        # CSV and JSON cells stay exact, so they have no room for an approximation.
-        if decimal is not None and getattr(args, "format", "table") != "table":
-            raise DomainError(f"--decimal applies to table output only, not --format {args.format}")
-        output, status = args.func(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        output, status = handler(args) if handler else (args, 0)
     except ToricapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, DomainError) else 1

@@ -60,9 +60,10 @@ keeps its integer lattice there too (a polygon's ``_q``, ``_points`` and
 ``_halfplanes``).  Where a polygon's ``cube_bound`` or a union's
 ``delta`` does not exist, the class refuses it with a ``_Refused``
 member, as a standard region's class refuses ``contains`` and
-``on_boundary``.  Only the two fields read back off the lattice,
-``vertices`` and ``rects``, are computed on first read.  All types are
-immutable values.  Constructors read every rational through the one
+``on_boundary``; its ``InapplicableError`` is an ``AttributeError`` too,
+so introspection sees the member as missing.  Only the two fields read
+back off the lattice, ``vertices`` and ``rects``, are computed on first
+read.  All types are immutable values.  Constructors read every rational through the one
 parser of ``rationals`` (``parse_rational``, or
 ``over_common_denominator`` for a planar lattice), and the planar
 ``contains`` and ``on_boundary`` coerce their point the same way
@@ -90,6 +91,12 @@ class ToricDomain(Value):
     """Base class of the domain kinds; the module docstring lists the protocol."""
 
 
+class _Refusal(InapplicableError, AttributeError):
+    """The error a ``_Refused`` member raises: an ``AttributeError`` too,
+    so that ``hasattr``, ``getattr`` with a default and ``inspect`` see
+    the member as missing."""
+
+
 class _Refused:
     """A member that a class refuses with ``InapplicableError`` on every
     read.  It defines ``__get__`` alone, so a value that a constructor
@@ -102,7 +109,7 @@ class _Refused:
     def __get__(self, instance, owner=None):
         if instance is None:
             return self
-        raise InapplicableError(self.message)
+        raise _Refusal(self.message)
 
 
 def _checked(domain) -> ToricDomain:

@@ -13,9 +13,9 @@ record.  The documents, in file order:
 
 A document is read through ``parse_domain`` from its JSON text.  Its
 record holds the canonical document and the sorted ``report_to_dict`` of
-its ``capacity_report``, or the type and message of toricap's refusal; a
-document is always valid JSON, so no record holds the JSON decoder's own
-wording, which varies between Python versions.  A polygon's record also
+its ``capacity_report``, or the public error class and the message of
+toricap's refusal; a document is always valid JSON, so no record holds
+the JSON decoder's own wording, which varies between Python versions.  A polygon's record also
 holds ``domain_contains`` and ``domain_on_boundary`` at its vertices and
 edge midpoints and at their mirrors (x, y) -> (y, x), and ``support`` at
 the eight directions with components in {-1, 0, 1}.
@@ -92,7 +92,10 @@ def document_record(doc: dict) -> dict:
         if isinstance(dom, Polygon2D):
             record.update(_polygon_queries(dom))
     except ToricapError as exc:
-        record = {"refusal": [type(exc).__name__, str(exc)]}
+        # The public class of ``toricap.errors`` that a caller catches; a
+        # refused domain member raises a private subclass of it.
+        public = next(c for c in type(exc).__mro__ if c.__module__ == "toricap.errors")
+        record = {"refusal": [public.__name__, str(exc)]}
     return record
 
 

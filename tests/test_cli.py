@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from toricap import DomainError
-from toricap.cli import DECIMAL_LIMIT, SWEEP_LIMIT, _parse_sweep
+from toricap.cli import _COMMANDS, DECIMAL_LIMIT, SWEEP_LIMIT, _parse, _parse_sweep, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,6 +55,9 @@ def test_entry_points_exist():
     cp = run_cli("--help")
     assert cp.returncode == 0, cp.stderr
     assert "obstruct" in cp.stdout and "amin" in cp.stdout
+    cp = run_cli("obstruct", "-h")
+    assert (cp.returncode, cp.stderr) == (0, "")
+    assert cp.stdout.startswith("usage: toricap obstruct --source FILE")
 
 
 def test_info(omega_file):
@@ -511,6 +514,11 @@ ERROR_CASES = {
                       "--alpha", "e(1,1)^99999999999", "--vmax", "2", "--lmax", "2"],
                      1, "error: test orbit set has 99999999999 nonempty sub-products, "
                      "more than the limit of 1000000"),
+    # A usage error is one error line too.
+    "obstruct-usage": (["obstruct", "--source", "{omega}", "--target", "{omega}",
+                        "--alpha", "e(1,1)", "--vmax", "2"], 2,
+                       "error: expected toricap obstruct --source FILE --target FILE "
+                       "--alpha ORBIT-EXPR --vmax N --lmax N"),
 }
 
 
@@ -556,3 +564,123 @@ def test_sweep_limit_is_inclusive():
         _parse_sweep(f"0..{SWEEP_LIMIT}:1")
     assert _parse_sweep("1/10..2/5:1/20")[-1] == Fraction(2, 5)
     assert _parse_sweep("1/10..3/8:1/10") == [Fraction(k, 10) for k in (1, 2, 3)]
+
+
+# ---------------------------------------------------------------------------
+# the argument pass: usage errors, option forms and help
+# ---------------------------------------------------------------------------
+
+OBSTRUCT = ["obstruct", "--source", "{omega}", "--target", "{omega}", "--alpha", "e(1,1)"]
+OBSTRUCT_USAGE = ("error: expected toricap obstruct --source FILE --target FILE "
+                  "--alpha ORBIT-EXPR --vmax N --lmax N")
+
+# One argv per class of usage error, and the one stderr line it gives.
+USAGE_ERRORS = {
+    "no-command": (["--decimal", "3"], "error: expected a command (info, report, xa, "
+                   "bound, obstruct, amin), got '--decimal'"),
+    "unknown-command": (["reprot", "{omega}"], "error: expected a command (info, report, "
+                        "xa, bound, obstruct, amin), got 'reprot'"),
+    "unknown-option": (["info", "{omega}", "--frobnicate"],
+                       "error: info: unknown option --frobnicate"),
+    "single-dash-option": (["amin", "-x", "1/2,1/3"], "error: amin: unknown option -x"),
+    # The empty prefix of "--=json" fits every option of the subcommand.
+    "ambiguous-option": (["report", "{omega}", "--=json"],
+                         "error: report: ambiguous option --"),
+    "missing-value": (["bound", "{omega}", "--d"], "error: bound --d needs a value"),
+    "missing-required": ([*OBSTRUCT, "--vmax", "2"], OBSTRUCT_USAGE),
+    "no-positional": (["info"], "error: expected toricap info FILE"),
+    "extra-positional": (["info", "{omega}", "{omega}"], "error: expected toricap info FILE"),
+    "unwanted-positional": (["amin", "--x", "1/2,1/3", "5"],
+                            "error: expected toricap amin --x P/Q,P/Q,... [--brute K] "
+                            "[--decimal N]"),
+    "bad-int": ([*OBSTRUCT, "--vmax", "two", "--lmax", "2"],
+                "error: obstruct --vmax needs an integer, got 'two'"),
+    "bad-repeated-int": (["bound", "{omega}", "--d", "30", "--d", "1.5"],
+                         "error: bound --d needs an integer, got '1.5'"),
+    "bad-choice": (["report", "{omega}", "--format", "xml"],
+                   "error: report --format needs one of table, csv, json, got 'xml'"),
+}
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_usage_error_is_one_error_line(case, omega_file, capsys):
+    argv, message = USAGE_ERRORS[case]
+    argv = [arg.format(omega=omega_file) for arg in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", message + "\n")
+
+
+def test_required_options_are_checked(omega_file):
+    argv = [arg.format(omega=omega_file) for arg in OBSTRUCT]
+    for missing in ("--source", "--target", "--alpha", "--vmax", "--lmax"):
+        full = argv + ["--vmax", "2", "--lmax", "2"]
+        at = full.index(missing)
+        with pytest.raises(DomainError, match="^expected toricap obstruct "):
+            _parse(full[:at] + full[at + 2:])
+    assert _parse(["amin", "--x", "1/2"])[1].brute is None
+
+
+def test_int_options_convert_with_int(omega_file):
+    # As int() reads them: surrounding blanks, a sign and underscores.
+    handler, args = _parse(["obstruct", "--source", omega_file, "--target", omega_file,
+                            "--alpha", "e(1,1)", "--vmax", " 3", "--lmax=+2"])
+    assert handler is _COMMANDS["obstruct"][0]
+    assert (args.vmax, args.lmax) == (3, 2) and type(args.vmax) is int
+    _, args = _parse(["bound", "--d", "1_0", omega_file, "--d", "-3", "--decimal", "4"])
+    assert (args.file, args.d, args.decimal) == (omega_file, [10, -3], 4)
+    # A repeatable option never given reads None, a repeated one keeps every value.
+    _, args = _parse(["xa", "--a", "1/3", "--a=-1/3", "--sweep", "1/10..1/5:1/10"])
+    assert (args.a, args.sweep, args.format, args.decimal) == (
+        ["1/3", "-1/3"], "1/10..1/5:1/10", None, None)
+    assert _parse(["bound", omega_file])[1].d is None
+
+
+@pytest.mark.parametrize("argv, status, message", [
+    # A value that starts with "-" is the option's value in both forms.
+    (["amin", "--x", "-1/2,1/3"], 1, "error: fiber position coordinates must be positive "
+     "(torus fibers live over the open quadrant)"),
+    (["xa", "--a", "-1/3"], 2, "error: family parameter must satisfy 0 < a < 1/2, got -1/3"),
+    (["report", "{omega}", "--decimal", "-1"], 2, f"error: --decimal needs 0 <= N <= "
+     f"{DECIMAL_LIMIT}, got -1"),
+], ids=["amin", "xa", "decimal"])
+def test_both_option_forms_agree(argv, status, message, omega_file, capsys):
+    argv = [arg.format(omega=omega_file) for arg in argv]
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    for form in (argv, joined):
+        assert main(form) == status
+        assert capsys.readouterr() == ("", message + "\n")
+
+
+def test_option_prefixes_repeats_and_order(omega_file, capsys):
+    want = (GOLDEN / "report_omega310.json").read_text()
+    for argv in (["report", omega_file, "--format", "json"],
+                 ["report", omega_file, "--format=json"],
+                 ["report", omega_file, "--form", "json"],
+                 ["report", "--f=json", omega_file],
+                 ["report", "--format", "csv", omega_file, "--format", "json"],
+                 ["report", "--format", "json", "--", omega_file]):
+        assert main(argv) == 0, argv
+        assert capsys.readouterr() == (want, ""), argv
+    # An exact name wins over a longer one it is a prefix of.
+    assert main(["bound", omega_file, "--d", "3", "--de", "2"]) == 0
+    assert capsys.readouterr().out == "cube bound: 2/5 (~0.40)\nd=3: 4/5 (~0.80)\n"
+
+
+def test_help_lists_commands_and_arguments(capsys):
+    for argv in ([], ["-h"], ["--help"]):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("usage: toricap COMMAND")
+        for name, (_, about, *_) in _COMMANDS.items():
+            assert f"  {name}" in out and about in out
+    for name, (_, about, positionals, options) in _COMMANDS.items():
+        # Help wins over the arguments that are missing or wrong.
+        for argv in ([name, "-h"], [name, "--help"], [name, "--he", "--vmax", "x"]):
+            assert main(argv) == 0
+            out, err = capsys.readouterr()
+            assert err == "" and out.startswith(f"usage: toricap {name}")
+            assert about in out and "-h, --help" in out
+            for option, (_, metavar, text, _) in options.items():
+                assert f"{option} {metavar}" in out and text in out
+            assert all(p.upper() in out for p, _ in positionals)

@@ -1,6 +1,7 @@
 """Support values, diagonal/min-coordinate radii, monotonicity, cube inclusion."""
 
 import copy
+import inspect
 import json
 import math
 import pickle
@@ -706,6 +707,26 @@ def test_raising_invariant_raises_again():
         assert isinstance(vars(type(dom))[name], cached_property)
         assert getattr(type(dom), name) is vars(type(dom))[name]
         assert vars(dom)[name] is value and getattr(dom, name) is value
+
+
+def test_refused_members_read_as_missing():
+    # A refusal is an AttributeError too, so generic introspection sees the
+    # member as missing, and a read still raises InapplicableError.
+    shallow = Polygon2D(((2, 0), (4, 1), (0, 3)))
+    off_diagonal = Rectilinear2D(
+        (Rect(F(2), F(4), F(0), F(1, 4)), Rect(F(3), F(4), F(0), F(1)))
+    )
+    ball = StandardDomain("ball", 2, F(1))
+    for dom, name in ((shallow, "cube_bound"), (off_diagonal, "delta"),
+                      (ball, "contains"), (ball, "on_boundary")):
+        assert not hasattr(dom, name)
+        assert getattr(dom, name, None) is None
+        members = dict(inspect.getmembers(dom))
+        assert name not in members and "n" in members
+        with pytest.raises(InapplicableError) as caught:
+            getattr(dom, name)
+        assert isinstance(caught.value, AttributeError)
+        assert str(caught.value) == vars(type(dom))[name].message
 
 
 def _class_members(kind):

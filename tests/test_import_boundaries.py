@@ -3,7 +3,8 @@
 ``import toricap`` loads no layer module until a public name is used,
 each subcommand imports only the layers it runs, and only a process that
 reads a union document loads the union kind.  No toricap process loads
-``csv``, ``dataclasses``, ``inspect`` or ``typing``.  Module loading is process-wide
+``argparse``, ``csv``, ``dataclasses``, ``gettext``, ``inspect``,
+``locale``, ``pathlib`` or ``typing``.  Module loading is process-wide
 state, so every check on it runs in a fresh child interpreter, started
 with ``-S`` so that ``site`` preloads nothing; the conftest puts the
 package's ``src`` directory on its ``PYTHONPATH``.
@@ -26,8 +27,11 @@ CLI_BASE = {"toricap", "toricap.cli", "toricap.domains", "toricap.errors",
 # Standard-library modules that no toricap process needs: the value types
 # are built without ``dataclasses`` (which loads ``inspect``), ``typing``
 # names appear only in annotations, which are never evaluated, and a CSV
-# cell never needs quoting, so rows are joined without ``csv``.
-HEAVY = ("csv", "dataclasses", "inspect", "typing")
+# cell never needs quoting, so rows are joined without ``csv``.  The CLI
+# reads its arguments from its own table, without ``argparse`` (which
+# loads ``gettext``, whose first translation loads ``locale``), and opens
+# a domain file without ``pathlib``.
+HEAVY = ("argparse", "csv", "dataclasses", "gettext", "inspect", "locale", "pathlib", "typing")
 
 # Runs the CLI in-process with stdout captured, then prints the exit
 # status, the loaded toricap modules and the loaded HEAVY modules as one
