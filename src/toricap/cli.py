@@ -6,11 +6,19 @@ Subcommands: ``info``, ``report``, ``xa``, ``bound``, ``obstruct`` and
 clearly-marked approximations to table output, and ``report`` and ``xa``
 refuse it with ``--format csv`` or ``json``.  Each ``_cmd_*`` returns its
 whole stdout text and exit status, and ``main`` writes the text once the
-command has returned, so an error leaves stdout empty.  ``main`` returns
-the exit status, never raising ``SystemExit``: 0 success or help, 1 a
-refused computation (a precondition or hypothesis does not hold, or the
-``amin`` oracle disagrees), 2 an input or usage error; each failure
-prints one machine-parsable ``error: ...`` line on stderr.
+command has returned, so an error leaves stdout empty.  The exit status
+is 0 on success or help, 1 for a refused computation (a precondition or
+hypothesis does not hold, or the ``amin`` oracle disagrees) or for output
+that cannot be written (a full device, a closed pipe or a closed stdout),
+and 2 for an input or usage error; each failure prints one
+machine-parsable ``error: ...`` line on stderr.  ``main`` returns the
+status, never raising ``SystemExit``, and raises ``OSError`` when stdout
+cannot take its output.  ``run``, the process entry of ``python -m
+toricap`` and of the ``toricap`` script, turns that into ``error: cannot
+write output: ...`` and, once ``main`` has returned, freezes the heap so
+that the collections at interpreter exit skip it; ``main`` leaves the
+garbage collector alone, since tests and the benchmark call it many times
+in one process.
 
 A CLI process starts with only the domain parser, the error types and
 the rational helpers loaded; each ``_cmd_*`` imports the layers it runs
@@ -22,7 +30,10 @@ loads the rectangle-union kind only when it reads a union document.
 
 from __future__ import annotations
 
+import errno
+import gc
 import json
+import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -369,6 +380,8 @@ def _parse(argv) -> tuple:
 
 # Runs the subcommand that argv (default sys.argv[1:]) names and returns its
 # exit status; help and usage errors return too, never raising SystemExit.
+# Writing the output raises OSError when stdout cannot take it, and it leaves
+# the garbage collector alone.
 def main(argv=None) -> int:
     try:
         handler, args = _parse(sys.argv[1:] if argv is None else argv)
@@ -376,9 +389,34 @@ def main(argv=None) -> int:
     except ToricapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, DomainError) else 1
+    if sys.stdout is None:  # the process started with fd 1 closed
+        raise OSError(errno.EBADF, "stdout is closed")
     sys.stdout.write(output)
     return status
 
 
+# The process entry of `python -m toricap` and of the `toricap` script: runs
+# main, flushes stdout, and turns output that cannot be written into one
+# error line and exit status 1.  It then freezes the heap, so the collections
+# at interpreter exit walk almost none of the process's objects; exit still
+# runs atexit handlers and flushes stdio.
+def run() -> int:
+    try:
+        status = main()
+        if sys.stdout is not None:  # None only on a path that wrote nothing
+            sys.stdout.flush()
+    except OSError as exc:  # main raises it only from writing stdout
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        if sys.stdout is not None:
+            # What stdout still holds goes nowhere at exit, so the final
+            # flush prints no "Exception ignored" message.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        status = 1
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,7 +1,13 @@
 """Command-line interface: subcommands, golden files, and exit statuses."""
 
+import errno
+import gc
+import importlib
 import json
+import os
+import re
 import resource
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -684,3 +690,76 @@ def test_help_lists_commands_and_arguments(capsys):
             for option, (_, metavar, text, _) in options.items():
                 assert f"{option} {metavar}" in out and text in out
             assert all(p.upper() in out for p, _ in positionals)
+
+
+def test_main_leaves_the_collector_alone(omega_file, capsys):
+    # Only the process entry freezes the heap: tests and the benchmark call
+    # main many times in one process, and a freeze would pin every heap.
+    before = (gc.isenabled(), gc.get_freeze_count())
+    for argv in (["info", omega_file], ["xa", "--a", "1/3"], ["amin", "--x", "0,1/2"]):
+        main(argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == before, argv
+    capsys.readouterr()
+
+
+# Runs `python -m toricap ARGS` after registering an atexit handler that prints.
+ATEXIT_WRAPPER = ("import atexit, runpy\n"
+                  "atexit.register(print, 'atexit handler ran')\n"
+                  "runpy.run_module('toricap', run_name='__main__', alter_sys=True)\n")
+
+
+def test_exit_runs_atexit_handlers_and_flushes_stdout(omega_file):
+    plain = run_cli("info", omega_file)
+    assert (plain.returncode, plain.stderr) == (0, "")
+    cp = subprocess.run([sys.executable, "-c", ATEXIT_WRAPPER, "info", omega_file],
+                        capture_output=True, text=True)
+    assert (cp.returncode, cp.stdout, cp.stderr) == (0, plain.stdout + "atexit handler ran\n", "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_exit_1_when_output_cannot_be_written(buffered):
+    # Buffered, the write fails at the flush; unbuffered, in main's write.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        cp = subprocess.run([sys.executable, "-m", "toricap", "xa", "--a", "1/3"], stdout=full,
+                            stderr=subprocess.PIPE, text=True, env=env)
+    # One error line, and no "Exception ignored" from the flush at exit.
+    assert (cp.returncode, cp.stderr) == (
+        1, f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
+
+
+# Runs `python -m toricap ARGS` in a process that starts with fd 1 closed.
+CLOSED_STDOUT = ("import os, sys\n"
+                 "os.close(1)\n"
+                 "os.execv(sys.executable, [sys.executable, '-m', 'toricap', *sys.argv[1:]])\n")
+
+
+@pytest.mark.parametrize("argv, status, message", [
+    (["xa", "--a", "1/3"], 1, "error: cannot write output: stdout is closed"),
+    # A failure that writes nothing to stdout keeps its own error line.
+    (["info", "{missing}"], 2,
+     "error: cannot read domain file '{missing}': No such file or directory"),
+], ids=["output", "error"])
+def test_closed_stdout(argv, status, message, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    argv = [arg.format(missing=missing) for arg in argv]
+    cp = subprocess.run([sys.executable, "-c", CLOSED_STDOUT, *argv],
+                        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert (cp.returncode, cp.stderr) == (status, message.format(missing=missing) + "\n")
+
+
+def test_console_script_runs_the_module_entry(monkeypatch):
+    # The script that pyproject.toml installs names the function whose
+    # status `python -m toricap` hands to sys.exit.
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    found = re.search(r'^\[project\.scripts\]\ntoricap = "([\w.]+):(\w+)"$', text, re.M)
+    assert found, "pyproject.toml declares no toricap script"
+    module, name = found.groups()
+    calls = []
+    monkeypatch.setattr(importlib.import_module(module), name, lambda: calls.append(name) or 7)
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("toricap", run_name="__main__")
+    assert (calls, stop.value.code) == ([name], 7)

@@ -2,7 +2,8 @@
 only where a CLI subcommand or the package's name loader loads a layer,
 every module-level private name and every module-level constant is read
 by some module of the package, every member a planar kind's builder
-returns is read outside it, only ``cli.main`` writes to stdout or stderr,
+returns is read outside it, only ``cli.main`` and the process entry
+``cli.run`` write to stdout or stderr,
 and only ``rationals.Value._stored`` builds a value past its constructor.
 
 There is no linter among the dependencies, so this scans the syntax
@@ -273,23 +274,23 @@ def test_constant_scan_flags_an_unread_constant():
     assert {name for name in defined if name not in read} == {"ZERO", "A"}
 
 
-def _outside(tree: ast.Module, skip: str | None):
-    """Every node of the tree outside the module-level function named ``skip``."""
+def _outside(tree: ast.Module, *skip: str):
+    """Every node of the tree outside the module-level functions named in ``skip``."""
     skipped = {
         id(node)
         for top in tree.body
-        if isinstance(top, ast.FunctionDef) and top.name == skip
+        if isinstance(top, ast.FunctionDef) and top.name in skip
         for node in ast.walk(top)
     }
     return (node for node in ast.walk(tree) if id(node) not in skipped)
 
 
-def _output_sites(tree: ast.Module, skip: str | None = None) -> list:
+def _output_sites(tree: ast.Module, *skip: str) -> list:
     """Line of every use of ``print`` and every ``sys.stdout``/``sys.stderr``
     reference (attribute or ``from sys import``), outside the module-level
-    function named ``skip``."""
+    functions named in ``skip``."""
     sites = []
-    for node in _outside(tree, skip):
+    for node in _outside(tree, *skip):
         if isinstance(node, ast.Name) and node.id == "print":
             sites.append(node.lineno)
         elif (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
@@ -302,10 +303,16 @@ def _output_sites(tree: ast.Module, skip: str | None = None) -> list:
     return sorted(sites)
 
 
+# The functions that may write to stdout or stderr, by module: main writes a
+# subcommand's output or error line, and the process entry run flushes stdout
+# and reports output that cannot be written.
+WRITERS = {"cli.py": ("main", "run")}
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_cli_main_writes_output(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    sites = _output_sites(tree, "main" if path.name == "cli.py" else None)
+    sites = _output_sites(tree, *WRITERS.get(path.name, ()))
     assert not sites, f"{path.name}: prints or writes to sys.stdout/stderr at lines {sites}"
 
 
@@ -320,6 +327,7 @@ def test_output_scan_flags_writers():
         "    say = print\n"
     )
     assert _output_sites(tree, "main") == [2, 6, 7]
+    assert _output_sites(tree, "main", "helper") == [2]
     assert _output_sites(tree) == [2, 4, 4, 6, 7]
 
 
@@ -342,9 +350,9 @@ def _returned_keys(tree: ast.Module, builder: str) -> dict:
     }
 
 
-def _attributes_read(tree: ast.Module, skip: str | None = None) -> set:
-    """Every attribute name the tree loads, outside the module-level function ``skip``."""
-    return {node.attr for node in _outside(tree, skip)
+def _attributes_read(tree: ast.Module, *skip: str) -> set:
+    """Every attribute name the tree loads, outside the module-level functions in ``skip``."""
+    return {node.attr for node in _outside(tree, *skip)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
